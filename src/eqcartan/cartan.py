@@ -31,7 +31,8 @@ exception.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -116,26 +117,10 @@ class EquivariantDifferential:
     def n(self) -> int:
         return len(self.basis)
 
-    def component(self, k: int) -> Dict[Tuple[int, int], NovikovElem]:
-        if 0 <= k < len(self.components):
-            return self.components[k].entries
-        return {}
-
-    def dense_component(self, k: int) -> List[List[NovikovElem]]:
-        z = self.setup.zero()
-        n = self.n
-        ent = self.component(k)
-        return [[ent.get((t, s), z) for s in range(n)] for t in range(n)]
-
-    def as_useries(self) -> List[List[USeries]]:
-        """Dense matrix of USeries, the assembled d_eq mod u^order."""
-        return _assemble([self.dense_component(k)
-                          for k in range(len(self.components))],
-                         self.setup, self.order)
-
     def as_operator(self) -> OperatorMatrix:
-        rows = self.as_useries()
-        return OperatorMatrix.from_dense(self.basis, self.basis, rows, 1)
+        """d_eq = sum_k u^k d_k mod u^order as one USeries operator."""
+        return _useries_operator(self.setup, self.basis, self.components,
+                                 self.order, 1)
 
     def mu_diag(self) -> List[int]:
         return [g.index for g in self.basis]
@@ -162,78 +147,51 @@ class CartanData:
     def order(self):
         return self.diff.order
 
-    def dense_iota(self, k: int) -> List[List[NovikovElem]]:
-        z = self.setup.zero()
-        n = self.diff.n
-        ent = self.iota[k].entries if k < len(self.iota) else {}
-        return [[ent.get((t, s), z) for s in range(n)] for t in range(n)]
+    @cached_property
+    def iota_eq(self) -> OperatorMatrix:
+        """iota_eq = sum_k u^k iota_k mod u^order as one USeries operator."""
+        return _useries_operator(self.setup, self.diff.basis, self.iota,
+                                 self.order, 2 if self.regime == "monotone"
+                                 else 0)
 
-    def iota_useries(self) -> List[List[USeries]]:
-        comps = [self.dense_iota(k) for k in range(len(self.iota))]
-        if not comps:
-            comps = [self.dense_iota(0)]  # all-zero matrix
-        return _assemble(comps, self.setup, self.order)
-
-    def iota_mono_useries(self) -> List[List[USeries]]:
-        """The matrix family with [d_eq, .] = u * lambda_graded_eq."""
-        M = self.iota_useries()
-        if self.regime == "monotone":
-            return M
+    @cached_property
+    def iota_q(self) -> OperatorMatrix:
+        """The matrix part of Gamma_q: q^-1 iota_eq (monotone) or iota_eq."""
+        if self.regime == "cy":
+            return self.iota_eq
         step = self.setup.lattice.steps_per_unit
-        return [[_useries_qshift(e, step) for e in row] for row in M]
+        return self.iota_eq.entrywise(lambda e: _useries_qshift(e, -step), 0)
+
+    @cached_property
+    def iota_mono(self) -> OperatorMatrix:
+        """The operator with [d_eq, .] = u * lambda_graded_eq."""
+        if self.regime == "monotone":
+            return self.iota_eq
+        step = self.setup.lattice.steps_per_unit
+        return self.iota_eq.entrywise(lambda e: _useries_qshift(e, step), 2)
 
 
-# -- dense USeries matrix helpers ---------------------------------------------
+# -- USeries operators --------------------------------------------------------
 
 
-def _assemble(dense_components, setup, order) -> List[List[USeries]]:
-    n = len(dense_components[0]) if dense_components else 0
-    if not dense_components:
-        return []
-    out = [[None] * n for _ in range(n)]
-    for t in range(n):
-        for s in range(n):
-            coeffs = [setup.zero()] * order
-            for k, comp in enumerate(dense_components):
-                if k < order:
-                    coeffs[k] = coeffs[k] + comp[t][s]
-            out[t][s] = USeries.build(setup, order, coeffs)
-    return out
+def _useries_operator(setup, basis, components, order, degree,
+                      shift: int = 0) -> OperatorMatrix:
+    """sum_k u^(k + shift) * components[k] mod u^order; components are
+    Novikov-valued operators on ``basis``."""
+    coeffs: Dict[Tuple[int, int], list] = {}
+    z = setup.zero()
+    for k, comp in enumerate(components):
+        if k + shift >= order:
+            break
+        for key, v in comp.entries.items():
+            coeffs.setdefault(key, [z] * order)[k + shift] = v
+    entries = {key: USeries.build(setup, order, cs)
+               for key, cs in coeffs.items()}
+    return OperatorMatrix(basis, basis, entries, degree)
 
 
-def _uzero(setup, order):
-    return USeries.zero(setup, order)
-
-
-def _dmul(A, B, setup, order):
-    n = len(A)
-    z = _uzero(setup, order)
-    out = [[z] * n for _ in range(n)]
-    for t in range(n):
-        for m in range(n):
-            a = A[t][m]
-            if not a:
-                continue
-            for s in range(n):
-                if B[m][s]:
-                    out[t][s] = out[t][s] + (a * B[m][s])
-    return out
-
-
-def _dsub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _dadd(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _commutator(A, B, setup, order):
-    return _dsub(_dmul(A, B, setup, order), _dmul(B, A, setup, order))
-
-
-def _dmap(A, fn):
-    return [[fn(e) for e in row] for row in A]
+def _commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    return A.compose(B) - B.compose(A)
 
 
 def _useries_qshift(e: USeries, steps: int) -> USeries:
@@ -241,51 +199,43 @@ def _useries_qshift(e: USeries, steps: int) -> USeries:
                          [c.q_shift(steps) for c in e.coeffs], e.valid)
 
 
-def _scan_zero(M, basis, identity_name):
-    """Failure records + certified orders for a dense USeries matrix."""
+def _scan(name, cells, order):
+    """Failure records and certified orders over (location, USeries) cells.
+
+    Every cell counts towards the verified orders, including those without
+    visible terms: a cancelled entry still bounds them through its lost
+    u-order or the q-tails of its coefficients.
+    """
     failures = []
-    min_valid = None
-    qcert = None
-    for t, row in enumerate(M):
-        for s, e in enumerate(row):
-            min_valid = e.valid if min_valid is None else min(min_valid, e.valid)
-            c = e.q_certificate()
-            if c is not None:
-                qcert = c if qcert is None else min(qcert, c)
-            if not e.is_zero_to():
-                failures.append({
-                    "identity": identity_name,
-                    "entry": [basis[t].name, basis[s].name],
-                    "value": str(e),
-                })
-    return failures, min_valid, qcert
+    valid, qcert = order, None
+    for where, e in cells:
+        valid = min(valid, e.valid)
+        c = e.q_certificate()
+        if c is not None:
+            qcert = c if qcert is None else min(qcert, c)
+        if not e.is_zero_to():
+            failures.append({"identity": name, **where, "value": str(e)})
+    return failures, valid, qcert
+
+
+def _entries(op: OperatorMatrix):
+    """The stored cells of an operator in row-major order, for _scan."""
+    return (({"entry": [op.target[t].name, op.source[s].name]},
+             op.entries[(t, s)]) for t, s in sorted(op.entries))
 
 
 # -- lambda and iota ----------------------------------------------------------
 
 
 def lambda_components(diff: EquivariantDifferential,
-                      regime: str = "monotone") -> List[List[List[NovikovElem]]]:
+                      regime: str = "monotone") -> List[OperatorMatrix]:
     """Entrywise q-derivative of each d_k; the monotone regime multiplies
     by q so the result stays in the original exponent lattice."""
     step = diff.setup.lattice.steps_per_unit
-    out = []
-    for k in range(len(diff.components)):
-        dense = diff.dense_component(k)
-        if regime == "monotone":
-            out.append(_dmap(dense, lambda e: dq(e).q_shift(step)))
-        else:
-            out.append(_dmap(dense, dq))
-    return out
-
-
-def _lambda_useries(diff, regime):
-    """u * lambda_eq as a dense USeries matrix (component k sits at u^(k+1))."""
-    comps = lambda_components(diff, regime)
-    n = diff.n
-    z = diff.setup.zero()
-    zero_comp = [[z] * n for _ in range(n)]
-    return _assemble([zero_comp] + comps, diff.setup, diff.order)
+    if regime == "monotone":
+        return [op.entrywise(lambda e: dq(e).q_shift(step))
+                for op in diff.components]
+    return [op.entrywise(dq) for op in diff.components]
 
 
 def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
@@ -302,126 +252,84 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
         raise CoefficientError("solve_iota requires field coefficients")
     n = diff.n
     N = diff.order
+    basis = diff.basis
     lam = lambda_components(diff, regime)
-    d = [diff.dense_component(k) for k in range(len(diff.components))]
+    d = diff.components
     z = setup.zero()
-    zero_mat = [[z] * n for _ in range(n)]
-    d0 = d[0]
 
     # vectorized commutator with d_0: row (a,b), unknown entry (c,e)
     com = [[z] * (n * n) for _ in range(n * n)]
-    for a in range(n):
+    for (a, c), v in d[0].entries.items():
         for b in range(n):
             row = com[a * n + b]
-            for c in range(n):
-                row[c * n + b] = row[c * n + b] + d0[a][c]
-            for e in range(n):
-                row[a * n + e] = row[a * n + e] - d0[e][b]
+            row[c * n + b] = row[c * n + b] + v
+    for (e, b), v in d[0].entries.items():
+        for a in range(n):
+            row = com[a * n + b]
+            row[a * n + e] = row[a * n + e] - v
     red = linalg.row_reduce(com, setup, q_order)
 
-    def mat_com(A, B):
-        return _scalar_commutator(A, B, setup)
+    def component(k, entries):
+        deg = -2 * k if regime == "cy" else 2 - 2 * k
+        return OperatorMatrix(basis, basis,
+                              {key: v for key, v in entries if v}, deg)
 
-    iotas: List[List[List[NovikovElem]]] = []
+    iotas: List[OperatorMatrix] = []
     for k in range(N):
-        rhs = [row[:] for row in (lam[k - 1] if 1 <= k <= diff.K + 1
-                                  else zero_mat)]
+        rhs = (lam[k - 1] if 1 <= k <= diff.K + 1
+               else OperatorMatrix(basis, basis, {}))
         for j in range(k):
             i = k - j
             if i <= diff.K:
-                rhs = _dsub(rhs, mat_com(d[i], iotas[j]))
+                rhs = rhs - _commutator(d[i], iotas[j])
         if k == 0 and iota0 is not None:
-            cand = [[iota0.entries.get((t, s), z) for s in range(n)]
-                    for t in range(n)]
-            resid = _dsub(mat_com(d0, cand), rhs)
-            bad = [(t, s) for t in range(n) for s in range(n)
-                   if resid[t][s].has_terms()]
+            cand = component(0, iota0.entries.items())
+            resid = _commutator(d[0], cand) - rhs
+            bad = sorted(key for key, v in resid.entries.items() if v)
             if bad:
-                t, s = bad[0]
                 return None, {"order": 0, "entry": list(bad[0]),
-                              "residual": str(resid[t][s]),
+                              "residual": str(resid.entries[bad[0]]),
                               "reason": "supplied iota_0 does not commute"}
             iotas.append(cand)
             continue
-        vec = [rhs[t][s] for t in range(n) for s in range(n)]
+        vec = [rhs.entries.get((t, s), z) for t in range(n) for s in range(n)]
         x, bad = linalg.solve(com, vec, setup, q_order, reduction=red)
         if x is None:
             r, resid = bad
             return None, {"order": k, "row": r, "residual": str(resid),
                           "reason": "no iota solves the order-k equation"}
-        iotas.append([[x[t * n + s] for s in range(n)] for t in range(n)])
-    ops = []
-    for k, mat in enumerate(iotas):
-        entries = {(t, s): mat[t][s] for t in range(n) for s in range(n)
-                   if mat[t][s]}
-        deg = -2 * k if regime == "cy" else 2 - 2 * k
-        ops.append(OperatorMatrix(diff.basis, diff.basis, entries, deg))
-    return CartanData(diff, tuple(ops), regime), None
-
-
-def _scalar_commutator(A, B, setup):
-    n = len(A)
-    z = setup.zero()
-    out = [[z] * n for _ in range(n)]
-    for t in range(n):
-        for m in range(n):
-            if A[t][m]:
-                for s in range(n):
-                    if B[m][s]:
-                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
-            if B[t][m]:
-                for s in range(n):
-                    if A[m][s]:
-                        out[t][s] = out[t][s] - B[t][m] * A[m][s]
-    return out
+        iotas.append(component(k, (((i // n, i % n), v)
+                                   for i, v in enumerate(x))))
+    return CartanData(diff, tuple(iotas), regime), None
 
 
 # -- the connection operators -------------------------------------------------
 
 
-def _apply_dense(M, vec, setup, order):
-    z = _uzero(setup, order)
-    out = []
-    for row in M:
-        acc = z
-        for a, v in zip(row, vec):
-            if a and v:
-                acc = acc + (a * v)
-        out.append(acc)
-    return out
-
-
 def gamma_q(data: CartanData, vec: List[USeries]) -> List[USeries]:
     """Gamma_q = u d/dq + iota-part, on a column of u-series."""
-    setup = data.setup
-    N = data.order
-    out = [useries_udq(v).times_u() for v in vec]
-    M = data.iota_useries()
-    if M:
-        part = _apply_dense(M, vec, setup, N)
-        if data.regime == "monotone":
-            step = setup.lattice.steps_per_unit
-            part = [_useries_qshift(p, -step) for p in part]
-        out = [a + b for a, b in zip(out, part)]
-    return out
+    # exact zeros map to exact zeros (valid order included), so skip them
+    out = [v if v.is_zero() else useries_udq(v).times_u() for v in vec]
+    part = data.iota_q.apply(vec, USeries.zero(data.setup, data.order))
+    return [a if p.is_zero() else a + p for a, p in zip(out, part)]
 
 
 def gamma_u(data: CartanData, vec: List[USeries]) -> List[USeries]:
     """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a column of u-series."""
     setup = data.setup
-    N = data.order
     two = setup.monomial(2, 0)
     out = []
     mu = data.diff.mu_diag()
     for i, v in enumerate(vec):
+        if v.is_zero():  # d/du loses an order, but times_u(2) restores it
+            out.append(v)
+            continue
         term = useries_du(v).times_u(2).scale(two)
         term = term + v.scale(setup.monomial(mu[i], 0)).times_u()
         out.append(term)
-    M = data.iota_mono_useries()
-    if M:
-        part = _apply_dense(M, vec, setup, N)
-        out = [a - p.scale(two) for a, p in zip(out, part)]
-    return out
+    part = data.iota_mono.apply(vec, USeries.zero(setup, data.order))
+    return [a if p.is_zero() else a - p.scale(two)
+            for a, p in zip(out, part)]
 
 
 def degree_weighted(data: CartanData, vec: List[USeries]) -> List[USeries]:
@@ -455,137 +363,95 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
     setup = data.setup
     N = diff.order
     basis = diff.basis
-    d_eq = diff.as_useries()
+    d_eq = diff.as_operator()
     results = []
 
-    def record(name, M):
-        failures, valid, qcert = _scan_zero(M, basis, name)
+    def record(name, cells):
+        failures, valid, qcert = _scan(name, cells, N)
         results.append({
             "identity": name,
             "holds": not failures,
-            "verified_u_order": valid if valid is not None else N,
+            "verified_u_order": valid,
             "verified_q_order_index": qcert,
             "failures": failures,
         })
 
     # 1. d_eq^2 = 0
-    record("d_eq squared zero", _dmul(d_eq, d_eq, setup, N))
+    record("d_eq squared zero", _entries(d_eq.compose(d_eq)))
 
     # 1b. d_eq anticommutes with lambda_eq := entrywise d/dq of d_eq
     #     (the q-derivative of d_eq^2 = 0)
-    lam_plain = _assemble(lambda_components(diff, "cy"), setup, N)
+    lam_plain = _useries_operator(setup, basis, lambda_components(diff, "cy"),
+                                  N, 1)
     record("lambda_eq anticommutes with d_eq",
-           _dadd(_dmul(d_eq, lam_plain, setup, N),
-                 _dmul(lam_plain, d_eq, setup, N)))
+           _entries(d_eq.compose(lam_plain) + lam_plain.compose(d_eq)))
 
-    # 2. [d_eq, iota_eq] = u * lambda_eq (regime normalization)
-    lam_u = _lambda_useries(diff, data.regime)
+    # 2. [d_eq, iota_eq] = u * lambda_eq (regime normalization); component
+    #    k of lambda sits at u^(k+1)
+    lam_u = _useries_operator(setup, basis,
+                              lambda_components(diff, data.regime), N, 1,
+                              shift=1)
     record("connection commutes with d_eq",
-           _dsub(_commutator(d_eq, data.iota_useries(), setup, N), lam_u))
+           _entries(_commutator(d_eq, data.iota_eq) - lam_u))
 
     # 3. mu d_eq - d_eq mu = sum (1-2k) u^k d_k - 2 * u^-1 * (u lambda_graded)
     mu = diff.mu_diag()
-    n = diff.n
-    mu_d = [[_scale_int(d_eq[t][s], mu[t] - mu[s], setup)
-             for s in range(n)] for t in range(n)]
-    weighted = _assemble(
-        [_dmap(diff.dense_component(k), lambda e, k=k: e.scale(1 - 2 * k))
-         for k in range(len(diff.components))], setup, N)
-    lam_g = lambda_components(diff, "monotone")
-    twice_lam = _assemble(
-        [_dmap(m, lambda e: e.scale(2)) for m in lam_g], setup, N)
+    mu_d = OperatorMatrix(basis, basis, {
+        (t, s): _scale_int(v, mu[t] - mu[s], setup)
+        for (t, s), v in d_eq.entries.items()}, 1)
+    weighted = _useries_operator(
+        setup, basis, [op.entrywise(lambda e, k=k: e.scale(1 - 2 * k))
+                       for k, op in enumerate(diff.components)], N, 1)
+    twice_lam = _useries_operator(
+        setup, basis, [op.entrywise(lambda e: e.scale(2))
+                       for op in lambda_components(diff, "monotone")], N, 1)
     record("index operator homogeneity",
-           _dsub(mu_d, _dsub(weighted, twice_lam)))
+           _entries(mu_d - (weighted - twice_lam)))
 
     # 4. [Gamma_u, d_eq] = u * d_eq at the matrix level:
     #    sum 2k u^(k+1) d_k + [u mu - 2 iota_mono, d_eq] - u d_eq = 0
-    du_part = _assemble(
-        [[[setup.zero()] * n for _ in range(n)]]
-        + [_dmap(diff.dense_component(k), lambda e, k=k: e.scale(2 * k))
-           for k in range(len(diff.components))], setup, N)
-    mono = data.iota_mono_useries() or [[_uzero(setup, N)] * n for _ in range(n)]
-    mat_part = [[mu_mat_entry(setup, N, mu[t]) if t == s else _uzero(setup, N)
-                 for s in range(n)] for t in range(n)]
+    du_part = _useries_operator(
+        setup, basis, [op.entrywise(lambda e, k=k: e.scale(2 * k))
+                       for k, op in enumerate(diff.components)], N, 1,
+        shift=1)
     two = setup.monomial(2, 0)
-    mat_part = _dsub(mat_part, _dmap(mono, lambda e: e.scale(two)))
-    u_d = _dmap(d_eq, lambda e: e.times_u())
+    mat_part = (OperatorMatrix(basis, basis,
+                               {(t, t): mu_mat_entry(setup, N, mu[t])
+                                for t in range(diff.n)}, 2)
+                - data.iota_mono.entrywise(lambda e: e.scale(two)))
+    u_d = d_eq.entrywise(lambda e: e.times_u())
     record("gamma_u commutator",
-           _dadd(du_part,
-                 _dsub(_commutator(mat_part, d_eq, setup, N), u_d)))
+           _entries(du_part + (_commutator(mat_part, d_eq) - u_d)))
 
-    # 5. Euler relation (Gamma_u + 2q Gamma_q - u deg) on sample vectors
-    step = setup.lattice.steps_per_unit
-    euler_fail = []
-    euler_valid, euler_q = N, None
+    # 5-7. operator identities on sample vectors, row by row
     samples = _sample_vectors(data)
-    for label, v in samples:
-        lhs = gamma_u(data, v)
-        gq = gamma_q(data, v)
-        lhs = [a + _useries_qshift(g.scale(two), step)
-               for a, g in zip(lhs, gq)]
-        rhs = [w.times_u() for w in degree_weighted(data, v)]
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
-            e = a - b
-            euler_valid = min(euler_valid, e.valid)
-            c = e.q_certificate()
-            if c is not None:
-                euler_q = c if euler_q is None else min(euler_q, c)
-            if not e.is_zero_to():
-                euler_fail.append({"identity": "euler relation",
-                                   "sample": label,
-                                   "row": basis[i].name, "value": str(e)})
-    results.append({"identity": "euler relation", "holds": not euler_fail,
-                    "verified_u_order": euler_valid,
-                    "verified_q_order_index": euler_q,
-                    "failures": euler_fail})
 
-    # 6. Leibniz rule for Gamma_u with f = q + u
-    f = USeries.build(setup, N,
-                      [setup.monomial(1, 1), setup.one()])
-    df2 = USeries.from_novikov(two, N, 2)  # 2 u^2 * df/du = 2 u^2
-    leib_fail = []
-    leib_valid, leib_q = N, None
-    for label, v in samples:
-        fv = [w * f for w in v]
-        lhs = gamma_u(data, fv)
-        rhs = [g * f + w * df2 for g, w in zip(gamma_u(data, v), v)]
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
-            e = a - b
-            leib_valid = min(leib_valid, e.valid)
-            c = e.q_certificate()
-            if c is not None:
-                leib_q = c if leib_q is None else min(leib_q, c)
-            if not e.is_zero_to():
-                leib_fail.append({"identity": "leibniz", "sample": label,
-                                  "row": basis[i].name, "value": str(e)})
-    results.append({"identity": "leibniz", "holds": not leib_fail,
-                    "verified_u_order": leib_valid,
-                    "verified_q_order_index": leib_q,
-                    "failures": leib_fail})
+    def record_rows(name, sides):
+        record(name, (({"sample": label, "row": basis[i].name}, a - b)
+                      for label, v in samples
+                      for i, (a, b) in enumerate(zip(*sides(v)))))
+
+    # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
+    step = setup.lattice.steps_per_unit
+    record_rows("euler relation", lambda v: (
+        [a + _useries_qshift(g.scale(two), step)
+         for a, g in zip(gamma_u(data, v), gamma_q(data, v))],
+        [w.times_u() for w in degree_weighted(data, v)]))
+
+    # 6. Leibniz rule for Gamma_u with f = q + u:
+    #    Gamma_u(f x) = f Gamma_u(x) + 2 u^2 (df/du) x,  2 u^2 df/du = 2 u^2
+    f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
+    df2 = USeries.from_novikov(two, N, 2)
+    record_rows("leibniz", lambda v: (
+        gamma_u(data, [w * f for w in v]),
+        [g * f + w * df2 for g, w in zip(gamma_u(data, v), v)]))
 
     # 7. Leibniz rule for Gamma_q with the same scalar f = q + u:
     #    Gamma_q(f x) = u * (df/dq) x + f Gamma_q(x),  u df/dq = u
     uf = USeries.from_novikov(setup.one(), N, 1)
-    gq_fail = []
-    gq_valid, gq_q = N, None
-    for label, v in samples:
-        fv = [w * f for w in v]
-        lhs = gamma_q(data, fv)
-        rhs = [g * f + w * uf for g, w in zip(gamma_q(data, v), v)]
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
-            e = a - b
-            gq_valid = min(gq_valid, e.valid)
-            c = e.q_certificate()
-            if c is not None:
-                gq_q = c if gq_q is None else min(gq_q, c)
-            if not e.is_zero_to():
-                gq_fail.append({"identity": "gamma_q leibniz",
-                                "sample": label,
-                                "row": basis[i].name, "value": str(e)})
-    results.append({"identity": "gamma_q leibniz", "holds": not gq_fail,
-                    "verified_u_order": gq_valid,
-                    "verified_q_order_index": gq_q,
-                    "failures": gq_fail})
+    record_rows("gamma_q leibniz", lambda v: (
+        gamma_q(data, [w * f for w in v]),
+        [g * f + w * uf for g, w in zip(gamma_q(data, v), v)]))
 
     return {"regime": data.regime, "order": N,
             "identities": results,
@@ -597,7 +463,7 @@ def mu_mat_entry(setup, order, weight) -> USeries:
 
 
 def _scale_int(e: USeries, w: int, setup) -> USeries:
-    return e.scale(setup.monomial(w, 0)) if w else _uzero(setup, e.order)
+    return e.scale(setup.monomial(w, 0)) if w else USeries.zero(setup, e.order)
 
 
 def _sample_vectors(data: CartanData):
@@ -605,7 +471,7 @@ def _sample_vectors(data: CartanData):
     setup = data.setup
     N = data.order
     n = data.diff.n
-    z = _uzero(setup, N)
+    z = USeries.zero(setup, N)
     out = []
     qmono = setup.monomial(1, 1)
     for i in range(n):
@@ -669,7 +535,7 @@ def reduce_mod(data: CartanData, m: int) -> dict:
     lam = lambda_components(diff, data.regime)
     lam_zero = all(
         not e.map_coefficients(target).has_terms()
-        for comp in lam for row in comp for e in row
+        for op in lam for e in op.entries.values()
     )
     iota_zero = all(
         not v.map_coefficients(target).has_terms()
@@ -798,7 +664,7 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     well_defined = True
     issues = []
     ones = [setup.one()] * big_n
-    perturb = linalg.mat_apply(d_rows, ones, setup)
+    perturb = C.d.apply(ones, zero)
     for ci, cl in enumerate(classes):
         img = _flatten_vec(diff, op(data, _unflatten(diff, cl["vector"])))
         coeffs, bad = express(img)

@@ -22,7 +22,7 @@ from . import morse
 from . import quantum as quantum_mod
 from .cartan import DEFAULT_U_ORDER
 from .linalg import UndeterminedError
-from .novikov import NovikovError
+from .novikov import CoefficientError, NovikovError
 from . import schema as schema_mod
 from .schema import DocumentError
 
@@ -47,9 +47,10 @@ def cmd_validate(args) -> int:
         ok = ok and not viol
     if "d_family" in doc or "complex" in doc:
         diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER(0))
-        sq = cartan_mod._dmul(diff.as_useries(), diff.as_useries(),
-                              diff.setup, diff.order)
-        fails, _, _ = cartan_mod._scan_zero(sq, diff.basis, "d_eq squared")
+        d_eq = diff.as_operator()
+        fails, _, _ = cartan_mod._scan(
+            "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
+            diff.order)
         blocks["d_family"] = {"violations": fails, "valid": not fails}
         ok = ok and not fails
         lam_doc = schema_mod.lambda_family_from(doc, diff)
@@ -87,12 +88,13 @@ def _lambda_mismatches(diff, lam_doc):
     derived = cartan_mod.lambda_components(diff, "cy")
     out = []
     n = diff.n
+    zero = diff.setup.zero()
     for k, entries in enumerate(lam_doc):
         for t in range(n):
             for s in range(n):
-                want = (derived[k][t][s] if k < len(derived)
-                        else diff.setup.zero())
-                got = entries.get((t, s), diff.setup.zero())
+                want = (derived[k].entries.get((t, s), zero)
+                        if k < len(derived) else zero)
+                got = entries.get((t, s), zero)
                 if (want - got).has_terms():
                     out.append({
                         "invariant": "lambda = dq(d)",
@@ -211,8 +213,11 @@ def cmd_quantum_obstruction(args) -> int:
         if not args.ring.startswith("F"):
             raise DocumentError(f"unknown ring {args.ring!r}")
         p = int(args.ring[1:])
-        report = quantum_mod.forbidden_summand_check(args.lam, args.d,
-                                                     "Fp", p)
+        try:
+            report = quantum_mod.forbidden_summand_check(args.lam, args.d,
+                                                         "Fp", p)
+        except CoefficientError as exc:  # lambda is not an F_p element
+            raise DocumentError(str(exc)) from exc
     _emit(report)
     return MALFORMED if report["verdict"] == "inapplicable" else PASS
 
@@ -412,10 +417,6 @@ def main(argv=None) -> int:
             return FAIL
     except BrokenPipeError:
         return PASS
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

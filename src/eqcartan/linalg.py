@@ -1,10 +1,18 @@
 """Gaussian elimination over a Novikov field with valuation pivoting.
 
-Matrices are dense lists of lists of NovikovElem.  Pivots are chosen with
-minimal q-valuation (ties broken by row, then column position), which keeps
-truncated inverses as benign as possible: any entry whose visible terms are
-exhausted but whose truncation bound lies at or below the candidate pivot's
-valuation makes the pivot choice undecidable, and we refuse to guess.
+Inputs are dense lists of rows of NovikovElem.  Elimination works on sparse
+rows: each row is a dict {column: NovikovElem} that stores every entry that
+is not decidably zero, i.e. every entry with visible terms and every
+termless entry that still carries an unknown q-tail (``trunc is not None``).
+Only exact zeros are left out, so no truncation bound is ever lost.  A
+column -> rows index limits each elimination step to the rows that have an
+entry in the pivot column.
+
+Pivots are chosen with minimal q-valuation (ties broken by row, then column
+position), which keeps truncated inverses as benign as possible: any entry
+whose visible terms are exhausted but whose truncation bound lies at or below
+the candidate pivot's valuation makes the pivot choice undecidable, and we
+refuse to guess.
 
 Entries that end up with no visible terms but a finite truncation bound are
 treated as zero *to that order*; the minimal such bound is reported in the
@@ -16,12 +24,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .novikov import NovikovElem, ScalarSetup, invert_truncated
 
 __all__ = ["UndeterminedError", "Reduction", "row_reduce", "rank", "kernel_basis",
            "solve", "matrix_rank_certified", "DEFAULT_Q_ORDER"]
+
+SparseRow = Dict[int, NovikovElem]
 
 
 def DEFAULT_Q_ORDER() -> int:
@@ -40,20 +50,27 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
+def _stored(e: NovikovElem) -> bool:
+    """Not decidably zero: visible terms or an unknown tail."""
+    return bool(e.terms) or e.trunc is not None
+
+
 @dataclass
 class Reduction:
     """Result of row reduction: reduced = transform @ original.
 
-    ``pivots`` is a list of (row, col) pairs; pivot entries in ``reduced``
-    are exactly 1 and are the only visible entries in their columns.
+    ``reduced`` and ``transform`` are sparse rows ({column: entry}, exact
+    zeros omitted).  ``pivots`` is a list of (row, col) pairs; pivot
+    entries in ``reduced`` are exactly 1 and are the only visible entries in
+    their columns.
     ``verified_trunc`` is None when every zero-decision was exact, else the
     minimal truncation index at which a discarded entry was only known to
     vanish.
     """
 
     setup: ScalarSetup
-    reduced: List[List[NovikovElem]]
-    transform: List[List[NovikovElem]]
+    reduced: List[SparseRow]
+    transform: List[SparseRow]
     pivots: list
     verified_trunc: Optional[int]
 
@@ -62,9 +79,20 @@ class Reduction:
         return len(self.pivots)
 
 
-def _identity(setup: ScalarSetup, n: int):
-    one, zero = setup.one(), setup.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _axpy(row: SparseRow, f: NovikovElem, prow: SparseRow, zero: NovikovElem,
+          col_rows=None, r: int = -1) -> None:
+    """row -= f * prow in place, keeping exact zeros out of the row and, if
+    given, row r's entries in the column -> rows index ``col_rows``."""
+    for c, b in prow.items():
+        new = row.get(c, zero) - (f * b)
+        if _stored(new):
+            if col_rows is not None and c not in row:
+                col_rows[c].add(r)
+            row[c] = new
+        elif c in row:
+            del row[c]
+            if col_rows is not None:
+                col_rows[c].discard(r)
 
 
 def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
@@ -73,24 +101,30 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
         q_order = DEFAULT_Q_ORDER()
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    M = [list(row) for row in matrix]
-    U = _identity(setup, m)
+    M = [{c: e for c, e in enumerate(row) if _stored(e)} for row in matrix]
+    one, zero = setup.one(), setup.zero()
+    U = [{r: one} for r in range(m)]
+    col_rows = [set() for _ in range(n)]
+    for r, row in enumerate(M):
+        for c in row:
+            col_rows[c].add(r)
     free_rows = set(range(m))
-    free_cols = set(range(n))
+    pivot_cols = set()
     pivots = []
     verified: Optional[int] = None
 
     while True:
         best = None  # (valuation_index, row, col)
         suspects = []  # (trunc, row, col) for termless truncated entries
-        for r in sorted(free_rows):
-            for c in sorted(free_cols):
-                e = M[r][c]
-                if e.has_terms():
-                    key = (e.valuation_index(), r, c)
+        for r in free_rows:
+            for c, e in M[r].items():
+                if c in pivot_cols:
+                    continue
+                if e.terms:
+                    key = (e.terms[0][0], r, c)
                     if best is None or key < best:
                         best = key
-                elif e.trunc is not None:
+                else:
                     suspects.append((e.trunc, r, c))
         if best is None:
             if suspects:
@@ -106,22 +140,22 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
                 f"candidate pivot valuation index is {val}"
             )
         inv = invert_truncated(M[pr][pc], q_order)
-        M[pr] = [e * inv for e in M[pr]]
-        U[pr] = [e * inv for e in U[pr]]
-        for r in range(m):
+        M[pr] = {c: e * inv for c, e in M[pr].items()}
+        U[pr] = {c: e * inv for c, e in U[pr].items()}
+        for r in list(col_rows[pc]):
             if r == pr:
                 continue
             f = M[r][pc]
-            if not f.has_terms():
+            if not f.terms:
                 continue
-            M[r] = [a - (f * b) for a, b in zip(M[r], M[pr])]
-            U[r] = [a - (f * b) for a, b in zip(U[r], U[pr])]
+            _axpy(M[r], f, M[pr], zero, col_rows, r)
+            _axpy(U[r], f, U[pr], zero)
         pivots.append((pr, pc))
         free_rows.discard(pr)
-        free_cols.discard(pc)
+        pivot_cols.add(pc)
 
     for row in M:
-        for e in row:
+        for e in row.values():
             verified = _min_trunc(verified, e.trunc)
     return Reduction(setup, M, U, pivots, verified)
 
@@ -150,7 +184,7 @@ def kernel_basis(matrix, setup, q_order=None, reduction: Optional[Reduction] = N
         v = [zero] * n
         v[fc] = one
         for c, r in pivot_of_col.items():
-            v[c] = -red.reduced[r][fc]
+            v[c] = -red.reduced[r].get(fc, zero)
         out.append(v)
     return out
 
@@ -164,34 +198,23 @@ def solve(matrix, rhs, setup, q_order=None, reduction: Optional[Reduction] = Non
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     red = reduction or row_reduce(matrix, setup, q_order)
-    # b' = U @ rhs
-    b = []
-    for r in range(m):
-        acc = setup.zero()
-        for c in range(m):
-            u = red.transform[r][c]
-            if u.has_terms():
+    zero = setup.zero()
+
+    def b(r):  # row r of transform @ rhs
+        acc = zero
+        for c, u in red.transform[r].items():
+            if u.terms:
                 acc = acc + (u * rhs[c])
-        b.append(acc)
+        return acc
+
     pivot_rows = {r for r, _ in red.pivots}
     for r in range(m):
         if r in pivot_rows:
             continue
-        if b[r].has_terms():
-            return None, (r, b[r])
-    zero = setup.zero()
+        br = b(r)
+        if br.has_terms():
+            return None, (r, br)
     x = [zero] * n
     for r, c in red.pivots:
-        x[c] = b[r]
+        x[c] = b(r)
     return x, None
-
-
-def mat_apply(matrix, vec, setup):
-    out = []
-    for row in matrix:
-        acc = setup.zero()
-        for a, v in zip(row, vec):
-            if a.has_terms() and v.has_terms():
-                acc = acc + (a * v)
-        out.append(acc)
-    return out

@@ -542,6 +542,10 @@ class USeries:
         v = self.valid if order is None else min(order, self.valid)
         return all(not self.coeffs[k].has_terms() for k in range(v))
 
+    def is_zero(self) -> bool:
+        """Decidably zero: no visible terms, no lost u-order, no q-tail."""
+        return self.valid == self.order and all(c.is_zero() for c in self.coeffs)
+
     def q_certificate(self) -> Optional[int]:
         """Minimal coefficient trunc index, or None if every coeff is exact."""
         bounds = [c.trunc for c in self.coeffs[: self.valid] if c.trunc is not None]
@@ -609,10 +613,6 @@ class USeries:
         coeffs = (z,) * k + self.coeffs[: max(0, self.order - k)]
         return USeries.build(self.setup, self.order, coeffs,
                              min(self.order, self.valid + k))
-
-    def truncate_valid(self, v: int) -> "USeries":
-        return USeries.build(self.setup, self.order, self.coeffs,
-                             min(self.valid, v))
 
     def shift_down(self, k: int) -> "USeries":
         """Divide by u^k; the dropped coefficients must be zero."""

@@ -36,6 +36,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .novikov import (
+    CoefficientError,
+    CoefficientRing,
     NovikovElem,
     NovikovError,
     ScalarSetup,
@@ -341,14 +343,17 @@ def forbidden_summand_check(lam, d: int, ring: str = "Z",
     if ring not in ("Z", "Fp"):
         raise NovikovError(f"unsupported ring {ring!r}")
     if ring == "Fp":
-        if p is None or p < 2 or any(p % r == 0
-                                     for r in range(2, int(p ** 0.5) + 1)):
-            raise NovikovError(f"{p} is not prime")
+        field = CoefficientRing("Fp", p)  # raises unless p is prime
         if p == 2:
             return {"verdict": "inapplicable", "ring": "F2",
                     "reason": "the obstruction coefficient carries a factor "
                               "of 2, which vanishes in characteristic 2"}
-        lam = int(Fraction(lam)) % p
+        lam = Fraction(lam)
+        if lam.denominator % p == 0:
+            raise CoefficientError(
+                f"lambda = {lam} has no image in F{p}: its denominator is "
+                f"divisible by {p}")
+        lam = field.from_rational(lam)
         coeff = (2 * d * lam * lam) % p
         forbidden = (d % p != 0) and (lam % p != 0)
         ring_desc = f"F{p}"
@@ -365,11 +370,11 @@ def forbidden_summand_check(lam, d: int, ring: str = "Z",
         # coefficient of v^j in 2d (v+lam)^2 v^(d-1) mod v^d
         c = 2 * d * lam * lam if j == d - 1 else 0
         if ring == "Fp":
-            c = int(Fraction(c)) % p
+            c = field.from_rational(c)
         expansion.append(str(c))
     full = []  # unreduced 2d (v+lam)^2 v^(d-1) = 2d v^(d+1) + 4d lam v^d + 2d lam^2 v^(d-1)
     for j, c in ((d - 1, 2 * d * lam * lam), (d, 4 * d * lam), (d + 1, 2 * d)):
-        cc = int(Fraction(c)) % p if ring == "Fp" else c
+        cc = field.from_rational(c) if ring == "Fp" else c
         full.append({"v_power": j, "coefficient": str(cc)})
     return {
         "verdict": "forbidden" if forbidden else "not_excluded",

@@ -1,0 +1,470 @@
+"""Dense reference implementations kept as test oracles.
+
+These are the dense-matrix versions of ``linalg.row_reduce``/``solve``/
+``kernel_basis`` and of ``cartan.solve_iota``/``identity_report`` that the
+sparse implementations replaced.  They store every entry of every matrix,
+zeros included, and visit all of them, so they are slow but simple.  The
+tests in ``test_dense_oracles.py`` assert that the sparse code returns the
+same values, certificates and error messages.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
+from eqcartan.novikov import NovikovElem, USeries, dq, invert_truncated, useries_du, useries_udq
+
+
+def _min_trunc(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+# -- elimination --------------------------------------------------------------
+
+
+def row_reduce(matrix, setup, q_order=None):
+    """(reduced, transform, pivots, verified_trunc) with dense rows."""
+    if q_order is None:
+        q_order = DEFAULT_Q_ORDER()
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    M = [list(row) for row in matrix]
+    one, zero = setup.one(), setup.zero()
+    U = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    free_rows = set(range(m))
+    free_cols = set(range(n))
+    pivots = []
+    verified = None
+
+    while True:
+        best = None
+        suspects = []
+        for r in sorted(free_rows):
+            for c in sorted(free_cols):
+                e = M[r][c]
+                if e.has_terms():
+                    key = (e.valuation_index(), r, c)
+                    if best is None or key < best:
+                        best = key
+                elif e.trunc is not None:
+                    suspects.append((e.trunc, r, c))
+        if best is None:
+            if suspects:
+                verified = _min_trunc(verified, min(t for t, _, _ in suspects))
+            break
+        val, pr, pc = best
+        bad = [(t, r, c) for t, r, c in suspects if t <= val]
+        if bad:
+            t, r, c = min(bad)
+            raise UndeterminedError(
+                f"pivot comparison undecidable at declared q-order: entry "
+                f"({r},{c}) is only known to vanish below exponent index {t}, "
+                f"candidate pivot valuation index is {val}"
+            )
+        inv = invert_truncated(M[pr][pc], q_order)
+        M[pr] = [e * inv for e in M[pr]]
+        U[pr] = [e * inv for e in U[pr]]
+        for r in range(m):
+            if r == pr:
+                continue
+            f = M[r][pc]
+            if not f.has_terms():
+                continue
+            M[r] = [a - (f * b) for a, b in zip(M[r], M[pr])]
+            U[r] = [a - (f * b) for a, b in zip(U[r], U[pr])]
+        pivots.append((pr, pc))
+        free_rows.discard(pr)
+        free_cols.discard(pc)
+
+    for row in M:
+        for e in row:
+            verified = _min_trunc(verified, e.trunc)
+    return M, U, pivots, verified
+
+
+def kernel_basis(matrix, setup, q_order=None):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if n == 0:
+        return []
+    M, _, pivots, _ = row_reduce(matrix, setup, q_order)
+    pivot_of_col = {c: r for r, c in pivots}
+    zero, one = setup.zero(), setup.one()
+    out = []
+    for fc in [c for c in range(n) if c not in pivot_of_col]:
+        v = [zero] * n
+        v[fc] = one
+        for c, r in pivot_of_col.items():
+            v[c] = -M[r][fc]
+        out.append(v)
+    return out
+
+
+def solve(matrix, rhs, setup, q_order=None, reduction=None):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    _, U, pivots, _ = reduction or row_reduce(matrix, setup, q_order)
+    b = []
+    for r in range(m):
+        acc = setup.zero()
+        for c in range(m):
+            u = U[r][c]
+            if u.has_terms():
+                acc = acc + (u * rhs[c])
+        b.append(acc)
+    pivot_rows = {r for r, _ in pivots}
+    for r in range(m):
+        if r not in pivot_rows and b[r].has_terms():
+            return None, (r, b[r])
+    x = [setup.zero()] * n
+    for r, c in pivots:
+        x[c] = b[r]
+    return x, None
+
+
+# -- dense Novikov and USeries matrices ---------------------------------------
+
+
+def dense(op, n, zero):
+    return [[op.entries.get((t, s), zero) for s in range(n)] for t in range(n)]
+
+
+def _assemble(dense_components, setup, order):
+    if not dense_components:
+        return []
+    n = len(dense_components[0])
+    out = [[None] * n for _ in range(n)]
+    for t in range(n):
+        for s in range(n):
+            coeffs = [setup.zero()] * order
+            for k, comp in enumerate(dense_components):
+                if k < order:
+                    coeffs[k] = coeffs[k] + comp[t][s]
+            out[t][s] = USeries.build(setup, order, coeffs)
+    return out
+
+
+def _dmul(A, B, setup, order):
+    n = len(A)
+    z = USeries.zero(setup, order)
+    out = [[z] * n for _ in range(n)]
+    for t in range(n):
+        for m in range(n):
+            a = A[t][m]
+            if not a:
+                continue
+            for s in range(n):
+                if B[m][s]:
+                    out[t][s] = out[t][s] + (a * B[m][s])
+    return out
+
+
+def _dsub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _dadd(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _commutator(A, B, setup, order):
+    return _dsub(_dmul(A, B, setup, order), _dmul(B, A, setup, order))
+
+
+def _dmap(A, fn):
+    return [[fn(e) for e in row] for row in A]
+
+
+def _scalar_commutator(A, B, setup):
+    n = len(A)
+    z = setup.zero()
+    out = [[z] * n for _ in range(n)]
+    for t in range(n):
+        for m in range(n):
+            if A[t][m]:
+                for s in range(n):
+                    if B[m][s]:
+                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
+            if B[t][m]:
+                for s in range(n):
+                    if A[m][s]:
+                        out[t][s] = out[t][s] - B[t][m] * A[m][s]
+    return out
+
+
+def _qshift(e, steps):
+    return USeries.build(e.setup, e.order,
+                         [c.q_shift(steps) for c in e.coeffs], e.valid)
+
+
+def _dense_components(diff):
+    z = diff.setup.zero()
+    return [dense(op, diff.n, z) for op in diff.components]
+
+
+def lambda_dense(diff, regime):
+    step = diff.setup.lattice.steps_per_unit
+    if regime == "monotone":
+        return [_dmap(m, lambda e: dq(e).q_shift(step))
+                for m in _dense_components(diff)]
+    return [_dmap(m, dq) for m in _dense_components(diff)]
+
+
+def d_eq_dense(diff):
+    return _assemble(_dense_components(diff), diff.setup, diff.order)
+
+
+def iota_useries(data):
+    z = data.setup.zero()
+    n = data.diff.n
+    comps = [dense(op, n, z) for op in data.iota] or [[[z] * n for _ in range(n)]]
+    return _assemble(comps, data.setup, data.order)
+
+
+def iota_mono_useries(data):
+    M = iota_useries(data)
+    if data.regime == "monotone":
+        return M
+    step = data.setup.lattice.steps_per_unit
+    return [[_qshift(e, step) for e in row] for row in M]
+
+
+def _apply_dense(M, vec, setup, order):
+    z = USeries.zero(setup, order)
+    out = []
+    for row in M:
+        acc = z
+        for a, v in zip(row, vec):
+            if a and v:
+                acc = acc + (a * v)
+        out.append(acc)
+    return out
+
+
+# -- solve_iota ---------------------------------------------------------------
+
+
+def solve_iota(diff, regime="monotone", iota0=None, q_order=None):
+    """(list of dense iota components, obstruction)."""
+    setup = diff.setup
+    n = diff.n
+    N = diff.order
+    lam = lambda_dense(diff, regime)
+    d = _dense_components(diff)
+    z = setup.zero()
+    zero_mat = [[z] * n for _ in range(n)]
+    d0 = d[0]
+    com = [[z] * (n * n) for _ in range(n * n)]
+    for a in range(n):
+        for b in range(n):
+            row = com[a * n + b]
+            for c in range(n):
+                row[c * n + b] = row[c * n + b] + d0[a][c]
+            for e in range(n):
+                row[a * n + e] = row[a * n + e] - d0[e][b]
+    red = row_reduce(com, setup, q_order)
+    iotas = []
+    for k in range(N):
+        rhs = [row[:] for row in (lam[k - 1] if 1 <= k <= diff.K + 1
+                                  else zero_mat)]
+        for j in range(k):
+            i = k - j
+            if i <= diff.K:
+                rhs = _dsub(rhs, _scalar_commutator(d[i], iotas[j], setup))
+        if k == 0 and iota0 is not None:
+            cand = dense(iota0, n, z)
+            resid = _dsub(_scalar_commutator(d0, cand, setup), rhs)
+            bad = [(t, s) for t in range(n) for s in range(n)
+                   if resid[t][s].has_terms()]
+            if bad:
+                t, s = bad[0]
+                return None, {"order": 0, "entry": list(bad[0]),
+                              "residual": str(resid[t][s]),
+                              "reason": "supplied iota_0 does not commute"}
+            iotas.append(cand)
+            continue
+        vec = [rhs[t][s] for t in range(n) for s in range(n)]
+        x, bad = solve(com, vec, setup, q_order, reduction=red)
+        if x is None:
+            r, resid = bad
+            return None, {"order": k, "row": r, "residual": str(resid),
+                          "reason": "no iota solves the order-k equation"}
+        iotas.append([[x[t * n + s] for s in range(n)] for t in range(n)])
+    return iotas, None
+
+
+# -- gamma operators and identity_report --------------------------------------
+
+
+def gamma_q(data, vec):
+    setup = data.setup
+    out = [useries_udq(v).times_u() for v in vec]
+    M = iota_useries(data)
+    if M:
+        part = _apply_dense(M, vec, setup, data.order)
+        if data.regime == "monotone":
+            step = setup.lattice.steps_per_unit
+            part = [_qshift(p, -step) for p in part]
+        out = [a + b for a, b in zip(out, part)]
+    return out
+
+
+def gamma_u(data, vec):
+    setup = data.setup
+    two = setup.monomial(2, 0)
+    mu = data.diff.mu_diag()
+    out = []
+    for i, v in enumerate(vec):
+        term = useries_du(v).times_u(2).scale(two)
+        term = term + v.scale(setup.monomial(mu[i], 0)).times_u()
+        out.append(term)
+    M = iota_mono_useries(data)
+    if M:
+        part = _apply_dense(M, vec, setup, data.order)
+        out = [a - p.scale(two) for a, p in zip(out, part)]
+    return out
+
+
+def degree_weighted(data, vec):
+    setup = data.setup
+    lat = setup.lattice
+    out = []
+    for i, v in enumerate(vec):
+        base = data.diff.basis[i].index
+        coeffs = []
+        for k, c in enumerate(v.coeffs):
+            pairs = [(idx, setup.ring.mul_rational(
+                co, Fraction(base + 2 * k) + 2 * lat.exponent_of(idx)))
+                for idx, co in c.terms]
+            coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
+        out.append(USeries.build(setup, v.order, coeffs, v.valid))
+    return out
+
+
+def _scan_zero(M, basis, identity_name):
+    failures = []
+    min_valid = None
+    qcert = None
+    for t, row in enumerate(M):
+        for s, e in enumerate(row):
+            min_valid = e.valid if min_valid is None else min(min_valid, e.valid)
+            c = e.q_certificate()
+            if c is not None:
+                qcert = c if qcert is None else min(qcert, c)
+            if not e.is_zero_to():
+                failures.append({"identity": identity_name,
+                                 "entry": [basis[t].name, basis[s].name],
+                                 "value": str(e)})
+    return failures, min_valid, qcert
+
+
+def _sample_vectors(data):
+    setup = data.setup
+    N = data.order
+    n = data.diff.n
+    z = USeries.zero(setup, N)
+    out = []
+    qmono = setup.monomial(1, 1)
+    for i in range(n):
+        e = [z] * n
+        e[i] = USeries.from_novikov(setup.one(), N)
+        out.append((f"e_{i}", e))
+        dressed = [z] * n
+        dressed[i] = USeries.from_novikov(qmono, N, 1)
+        out.append((f"q*u*e_{i}", dressed))
+    return out
+
+
+def identity_report(data):
+    diff = data.diff
+    setup = data.setup
+    N = diff.order
+    n = diff.n
+    basis = diff.basis
+    d_eq = d_eq_dense(diff)
+    results = []
+
+    def record(name, M):
+        failures, valid, qcert = _scan_zero(M, basis, name)
+        results.append({"identity": name, "holds": not failures,
+                        "verified_u_order": valid if valid is not None else N,
+                        "verified_q_order_index": qcert,
+                        "failures": failures})
+
+    record("d_eq squared zero", _dmul(d_eq, d_eq, setup, N))
+    lam_plain = _assemble(lambda_dense(diff, "cy"), setup, N)
+    record("lambda_eq anticommutes with d_eq",
+           _dadd(_dmul(d_eq, lam_plain, setup, N),
+                 _dmul(lam_plain, d_eq, setup, N)))
+    zero_comp = [[setup.zero()] * n for _ in range(n)]
+    lam_u = _assemble([zero_comp] + lambda_dense(diff, data.regime), setup, N)
+    record("connection commutes with d_eq",
+           _dsub(_commutator(d_eq, iota_useries(data), setup, N), lam_u))
+
+    mu = diff.mu_diag()
+
+    def scale_int(e, w):
+        return e.scale(setup.monomial(w, 0)) if w else USeries.zero(setup, e.order)
+
+    mu_d = [[scale_int(d_eq[t][s], mu[t] - mu[s]) for s in range(n)]
+            for t in range(n)]
+    comps = _dense_components(diff)
+    weighted = _assemble([_dmap(m, lambda e, k=k: e.scale(1 - 2 * k))
+                          for k, m in enumerate(comps)], setup, N)
+    twice_lam = _assemble([_dmap(m, lambda e: e.scale(2))
+                           for m in lambda_dense(diff, "monotone")], setup, N)
+    record("index operator homogeneity",
+           _dsub(mu_d, _dsub(weighted, twice_lam)))
+
+    du_part = _assemble([zero_comp] + [_dmap(m, lambda e, k=k: e.scale(2 * k))
+                                       for k, m in enumerate(comps)], setup, N)
+    zero_u = USeries.zero(setup, N)
+    mono = iota_mono_useries(data) or [[zero_u] * n for _ in range(n)]
+    mat_part = [[USeries.from_novikov(setup.monomial(mu[t], 0), N, 1)
+                 if t == s else zero_u for s in range(n)] for t in range(n)]
+    two = setup.monomial(2, 0)
+    mat_part = _dsub(mat_part, _dmap(mono, lambda e: e.scale(two)))
+    u_d = _dmap(d_eq, lambda e: e.times_u())
+    record("gamma_u commutator",
+           _dadd(du_part, _dsub(_commutator(mat_part, d_eq, setup, N), u_d)))
+
+    samples = _sample_vectors(data)
+
+    def record_rows(name, sides):
+        fails, valid, qc = [], N, None
+        for label, v in samples:
+            lhs, rhs = sides(v)
+            for i, (a, b) in enumerate(zip(lhs, rhs)):
+                e = a - b
+                valid = min(valid, e.valid)
+                c = e.q_certificate()
+                if c is not None:
+                    qc = c if qc is None else min(qc, c)
+                if not e.is_zero_to():
+                    fails.append({"identity": name, "sample": label,
+                                  "row": basis[i].name, "value": str(e)})
+        results.append({"identity": name, "holds": not fails,
+                        "verified_u_order": valid,
+                        "verified_q_order_index": qc, "failures": fails})
+
+    step = setup.lattice.steps_per_unit
+    record_rows("euler relation", lambda v: (
+        [a + _qshift(g.scale(two), step)
+         for a, g in zip(gamma_u(data, v), gamma_q(data, v))],
+        [w.times_u() for w in degree_weighted(data, v)]))
+    f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
+    df2 = USeries.from_novikov(two, N, 2)
+    record_rows("leibniz", lambda v: (
+        gamma_u(data, [w * f for w in v]),
+        [g * f + w * df2 for g, w in zip(gamma_u(data, v), v)]))
+    uf = USeries.from_novikov(setup.one(), N, 1)
+    record_rows("gamma_q leibniz", lambda v: (
+        gamma_q(data, [w * f for w in v]),
+        [g * f + w * uf for g, w in zip(gamma_q(data, v), v)]))
+    return {"regime": data.regime, "order": N, "identities": results,
+            "all_hold": all(r["holds"] for r in results)}

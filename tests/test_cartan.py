@@ -59,13 +59,13 @@ def exact_diff(setup=SETUP, order=3):
 def test_lambda_components_cy_is_plain_derivative():
     diff = monotone_pair()
     lam = lambda_components(diff, "cy")
-    assert lam[0][1][0].terms == ((1, 2),)  # d/dq q^2 = 2q
+    assert lam[0].entries[(1, 0)].terms == ((1, 2),)  # d/dq q^2 = 2q
 
 
 def test_lambda_components_monotone_stays_on_lattice():
     diff = monotone_pair()
     lam = lambda_components(diff, "monotone")
-    assert lam[0][1][0].terms == ((2, 2),)  # q * d/dq q^2 = 2q^2
+    assert lam[0].entries[(1, 0)].terms == ((2, 2),)  # q * d/dq q^2 = 2q^2
 
 
 # -- solve_iota ---------------------------------------------------------------

@@ -117,6 +117,24 @@ def test_quantum_obstruction_exit_codes(capsys):
     assert json.loads(out)["verdict"] == "inapplicable"
 
 
+def test_quantum_obstruction_maps_a_rational_lambda_into_fp(capsys):
+    # 1/2 = 3 in F5, a unit: the summand is forbidden (2*3*3^2 = 4 mod 5)
+    code, out = run_cli(capsys, "quantum", "obstruction",
+                        "--lambda", "1/2", "--d", "3", "--ring", "F5")
+    report = json.loads(out)
+    assert code == 0
+    assert report["verdict"] == "forbidden"
+    assert report["lambda"] == "3"
+    assert report["certificate"]["surviving_coefficient"] == "4"
+
+
+def test_quantum_obstruction_rejects_lambda_without_fp_image(capsys):
+    code, out = run_cli(capsys, "quantum", "obstruction",
+                        "--lambda", "1/5", "--d", "3", "--ring", "F5")
+    assert code == 2
+    assert json.loads(out)["kind"] == "malformed input"
+
+
 def test_schema_flag(capsys):
     code, out = run_cli(capsys, "--schema")
     assert code == 0
