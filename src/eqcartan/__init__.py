@@ -6,6 +6,8 @@ from .novikov import (
     CoefficientError,
     CoefficientRing,
     ExponentLattice,
+    InputError,
+    InternalError,
     InversionError,
     LatticeMismatch,
     NovikovElem,

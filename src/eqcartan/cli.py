@@ -2,8 +2,9 @@
 
 Exit codes: 0 = all checks pass; 1 = a mathematical check verified false;
 2 = malformed input; 3 = undetermined (truncation exhausted before a
-decision).  Reports go to stdout as deterministic JSON (sorted keys, fixed
-indentation).
+decision); 4 = internal error (a defect of the program, never a verdict;
+the traceback goes to stderr).  Reports go to stdout as deterministic JSON
+(sorted keys, fixed indentation).
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
@@ -13,7 +14,9 @@ for the u-analysis order when a document does not fix one.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+import traceback
 
 from . import cartan as cartan_mod
 from . import complexes as cx
@@ -22,11 +25,11 @@ from . import morse
 from . import quantum as quantum_mod
 from .cartan import DEFAULT_U_ORDER
 from .linalg import UndeterminedError
-from .novikov import CoefficientError, NovikovError
+from .novikov import InputError, NovikovError
 from . import schema as schema_mod
 from .schema import DocumentError
 
-PASS, FAIL, MALFORMED, UNDETERMINED = 0, 1, 2, 3
+PASS, FAIL, MALFORMED, UNDETERMINED, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(report) -> None:
@@ -210,14 +213,11 @@ def cmd_quantum_obstruction(args) -> int:
     if args.ring == "Z":
         report = quantum_mod.forbidden_summand_check(args.lam, args.d, "Z")
     else:
-        if not args.ring.startswith("F"):
+        m = re.fullmatch(r"F(\d+)", args.ring)
+        if not m:
             raise DocumentError(f"unknown ring {args.ring!r}")
-        p = int(args.ring[1:])
-        try:
-            report = quantum_mod.forbidden_summand_check(args.lam, args.d,
-                                                         "Fp", p)
-        except CoefficientError as exc:  # lambda is not an F_p element
-            raise DocumentError(str(exc)) from exc
+        report = quantum_mod.forbidden_summand_check(args.lam, args.d, "Fp",
+                                                     int(m.group(1)))
     _emit(report)
     return MALFORMED if report["verdict"] == "inapplicable" else PASS
 
@@ -251,7 +251,10 @@ def cmd_morse_alpha1(args) -> int:
 
 
 def cmd_morse_additivity(args) -> int:
-    deltas = [float(x) for x in args.delta.split(",") if x]
+    try:
+        deltas = [float(x) for x in args.delta.split(",") if x]
+    except ValueError as exc:
+        raise DocumentError(f"bad delta list {args.delta!r}") from exc
     if not deltas:
         raise DocumentError("empty delta list")
     report = morse.additivity_report(deltas)
@@ -406,7 +409,7 @@ def main(argv=None) -> int:
     try:
         try:
             return args.fn(args)
-        except DocumentError as exc:
+        except (DocumentError, InputError) as exc:
             _emit({"error": str(exc), "kind": "malformed input"})
             return MALFORMED
         except UndeterminedError as exc:
@@ -415,6 +418,13 @@ def main(argv=None) -> int:
         except NovikovError as exc:
             _emit({"error": str(exc), "kind": "verified false"})
             return FAIL
+        except BrokenPipeError:
+            raise
+        except Exception as exc:  # a defect: report it, never as a verdict
+            traceback.print_exc(file=sys.stderr)
+            _emit({"error": f"{type(exc).__name__}: {exc}",
+                   "kind": "internal error"})
+            return INTERNAL
     except BrokenPipeError:
         return PASS
 

@@ -36,6 +36,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .novikov import (
+    CoefficientError,
+    InputError,
+    InternalError,
     NovikovElem,
     NovikovError,
     ScalarSetup,
@@ -300,7 +303,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
     verified (None = exact).
     """
     if not C.setup.ring.is_field:
-        raise NovikovError("cohomology requires field coefficients")
+        raise CoefficientError("cohomology requires field coefficients")
     setup = C.setup
     degrees = C.degrees_present()
     reductions = {}
@@ -339,9 +342,12 @@ def cohomology_over_novikov_field(C: GradedComplex,
         r_out = block_rank(k)
         betti = n_k - r_out - r_in
         reps = _representatives(C, reductions, k, incoming, q_order)
-        assert len(reps) == betti, (
-            f"representative count {len(reps)} != betti {betti} in degree {k}"
-        )
+        if len(reps) != betti:
+            _require_square_zero(C, "d")
+            raise InternalError(
+                f"representative count {len(reps)} != betti {betti} in "
+                f"degree {k}"
+            )
         report["degrees"][k] = {
             "generators": n_k,
             "rank_out": r_out,
@@ -350,6 +356,20 @@ def cohomology_over_novikov_field(C: GradedComplex,
             "representatives": reps,
         }
     return report
+
+
+def _d_squared_defects(C: GradedComplex) -> List[dict]:
+    return [v for v in validate_complex(C)
+            if v["invariant"] == "d squared zero"]
+
+
+def _require_square_zero(C: GradedComplex, name: str):
+    """InputError at the first entry of d^2 with visible terms, if any."""
+    bad = _d_squared_defects(C)
+    if bad:
+        (t, s), value = bad[0]["entry"], bad[0]["value"]
+        raise InputError(
+            f"{name} does not square to zero at ({t},{s}): {value}")
 
 
 def _representatives(C, reductions, k, incoming, q_order):
@@ -443,7 +463,7 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
     if q_order is None:
         q_order = linalg.DEFAULT_Q_ORDER()
     if not setup.ring.is_field:
-        raise NovikovError("DVR decomposition requires field coefficients")
+        raise CoefficientError("DVR decomposition requires field coefficients")
     m = len(rows)
     n = len(rows[0]) if m else 0
     M = [list(r) for r in rows]
@@ -547,7 +567,7 @@ def u_module_decomposition(d_eq: OperatorMatrix,
         sq = d_eq.compose(d_eq)
         for (t, s), v in sq.entries.items():
             if not v.is_zero_to(N):
-                raise NovikovError(
+                raise InputError(
                     f"d_eq^2 != 0 within truncation at entry "
                     f"({basis[t].name},{basis[s].name}): {v}"
                 )
@@ -624,16 +644,18 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
     verdicts obtained by comparing induced maps on cohomology.
     """
     if c.source != C_plus.basis or c.target != C_minus.basis:
-        raise NovikovError("chain map bases do not match the complexes")
+        raise InputError("chain map bases do not match the complexes")
     if C_minus.setup != C_plus.setup or C_minus.grading != C_plus.grading:
-        raise NovikovError("mapping cone requires matching setups and gradings")
+        raise InputError("mapping cone requires matching setups and gradings")
+    _require_square_zero(C_minus, "d of C-")
+    _require_square_zero(C_plus, "d of C+")
     setup = C_minus.setup
     grading = C_minus.grading
     # chain map check: d- o c = c o d+
     defect = C_minus.d.compose(c) - c.compose(C_plus.d)
     if not defect.is_visibly_zero():
         bad = next(k for k, v in defect.entries.items() if v)
-        raise NovikovError(
+        raise InputError(
             f"c is not a chain map: defect at "
             f"({C_minus.basis[bad[0]].name},{C_plus.basis[bad[1]].name})"
         )
@@ -654,14 +676,17 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
     for (t, s), v in c.entries.items():
         key = (nm + t, 2 * nm + s)                   # R -> M (minus c)
         entries[key] = entries[key] + (-v) if key in entries else -v
+    for (t, s), v in C_plus.d.entries.items():
+        entries[(2 * nm + t, 2 * nm + s)] = v        # R -> R
     cone = GradedComplex(
         setup, grading, basis,
         OperatorMatrix(basis, basis, entries, 1),
         C_minus.q_degree_two and C_plus.q_degree_two,
     )
-    bad = validate_complex(cone)
-    bad = [b for b in bad if b["invariant"] == "d squared zero"]
-    assert not bad, f"cone differential does not square to zero: {bad}"
+    bad = _d_squared_defects(cone)
+    if bad:
+        raise InternalError(
+            f"cone differential does not square to zero: {bad}")
 
     proj_minus = OperatorMatrix(
         basis, C_minus.basis,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .novikov import NovikovElem, NovikovError, ScalarSetup, dq
+from .novikov import InputError, NovikovElem, NovikovError, ScalarSetup, dq
 from .complexes import GeneratorInfo, OperatorMatrix
 
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
@@ -44,7 +44,7 @@ H_ORDER = 3
 
 def _require_f2(setup: ScalarSetup):
     if not (setup.ring.kind == "Fp" and setup.ring.modulus == 2):
-        raise NovikovError("the finite analogue requires F2 coefficients")
+        raise InputError("the finite analogue requires F2 coefficients")
 
 
 @dataclass

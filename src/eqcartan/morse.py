@@ -30,6 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .novikov import InputError
+
 __all__ = [
     "ProjectivePoint",
     "FlowTrajectory",
@@ -216,6 +218,8 @@ def alpha1_winding(grid: int = 64, duration: float = 12.0,
     c_0; the accumulated wrapped phase difference over a full r-circle is
     the degree of alpha_1 (recorded with its measured sign).
     """
+    if grid < 1:
+        raise InputError(f"grid must be a positive integer, got {grid}")
     alphas = []
     for i in range(grid):
         r = i / grid
@@ -246,6 +250,10 @@ def additivity_report(deltas: Sequence[float] = (1e-2, 1e-3, 1e-4),
     holonomy of the endpoint projections, which dominates it and decreases
     monotonically with delta.
     """
+    for delta in deltas:
+        if not (math.isfinite(delta) and delta > 0):
+            raise InputError(
+                f"breaking distance must be positive and finite, got {delta}")
     phases = (0.23, 0.61, 0.87)  # arbitrary fixed nontrivial fibre phases
     e0, e1, e2 = (cmath.exp(2j * math.pi * p) for p in phases)
     rows = []

@@ -39,6 +39,8 @@ from typing import Optional, Union
 
 __all__ = [
     "NovikovError",
+    "InputError",
+    "InternalError",
     "LatticeMismatch",
     "CoefficientError",
     "InversionError",
@@ -60,12 +62,23 @@ class NovikovError(ValueError):
     """Base class for structured arithmetic errors."""
 
 
+class InputError(NovikovError):
+    """The arguments or the document do not describe a valid instance
+    (a bad ring, a non-positive size, a map that is not a chain map)."""
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a defect of the program, not a verdict
+    on its input."""
+
+
 class LatticeMismatch(NovikovError):
     pass
 
 
-class CoefficientError(NovikovError):
-    """Derivative or scalar leaves the coefficient ring."""
+class CoefficientError(InputError):
+    """Derivative or scalar leaves the coefficient ring, or an operation
+    needs field coefficients that the input's ring does not have."""
 
 
 class InversionError(NovikovError):
@@ -84,9 +97,9 @@ class ExponentLattice:
             object.__setattr__(self, "generator", Fraction(g))
             g = self.generator
         if g <= 0:
-            raise NovikovError("lattice generator must be positive")
+            raise InputError("lattice generator must be positive")
         if (1 / g).denominator != 1:
-            raise NovikovError(
+            raise InputError(
                 "1 must be an integer multiple of the lattice generator"
             )
 
@@ -119,16 +132,16 @@ class CoefficientRing:
     def __post_init__(self):
         if self.kind in ("Z", "Q"):
             if self.modulus is not None:
-                raise NovikovError("modulus only allowed for Fp / Zmod")
+                raise InputError("modulus only allowed for Fp / Zmod")
         elif self.kind == "Fp":
             p = self.modulus
             if p is None or p < 2 or any(p % r == 0 for r in range(2, int(p**0.5) + 1)):
-                raise NovikovError(f"{p} is not prime")
+                raise InputError(f"{p} is not prime")
         elif self.kind == "Zmod":
             if self.modulus is None or self.modulus < 2:
-                raise NovikovError("modulus must be >= 2")
+                raise InputError("modulus must be >= 2")
         else:
-            raise NovikovError(f"unknown coefficient ring kind {self.kind!r}")
+            raise InputError(f"unknown coefficient ring kind {self.kind!r}")
 
     # -- basic ring structure -------------------------------------------------
 
@@ -244,7 +257,7 @@ def _ring_from_name(name: str) -> CoefficientRing:
     m = re.fullmatch(r"Z/(\d+)", name)
     if m:
         return CoefficientRing("Zmod", int(m.group(1)))
-    raise NovikovError(f"unknown coefficient ring {name!r}")
+    raise InputError(f"unknown coefficient ring {name!r}")
 
 
 @dataclass(frozen=True)
@@ -456,6 +469,13 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
     from the constant (the result's trunc is -lead + q_order, i.e. q_order
     lattice steps of correct data past the leading term of b).  Monomials
     invert exactly.
+
+    Writing a = c q^e (1 + sum_j alpha_j q^j) and bound = min(q_order,
+    a.trunc - e), the inverse is c^-1 q^-e sum_{k < bound} b_k q^k with the
+    power-series recurrence b_0 = 1, b_k = -sum_{1 <= j <= k} alpha_j
+    b_{k-j}; the result's trunc is -e + bound.  Only the nonzero alpha_j
+    enter the sum, so the cost is O(q_order * terms(a)) coefficient
+    operations.
     """
     if not a.setup.ring.is_field:
         raise CoefficientError("inverse requires field coefficients")
@@ -464,24 +484,29 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
     setup = a.setup
     ring = setup.ring
     e, c = a.leading()
-    lead_inv = NovikovElem(setup, ((-e, ring.inv(c)),))
+    c_inv = ring.inv(c)
     if len(a.terms) == 1:
         # exact monomial inverse, but respect any unknown tail of the input
+        lead_inv = NovikovElem(setup, ((-e, c_inv),))
         if a.trunc is None:
             return lead_inv
         return lead_inv.truncate(a.trunc - 2 * e)
     bound = q_order
     if a.trunc is not None:
         bound = min(bound, a.trunc - e)
-    # a = c q^e (1 - s) with s of positive valuation gap; geometric series.
-    s = (setup.one() - (lead_inv * a)).truncate(bound)
-    acc = setup.one().truncate(bound)
-    term = s
-    while term.has_terms():
-        acc = acc + term
-        term = (term * s).truncate(bound)
-    out = lead_inv * acc
-    return out.truncate(-e + bound)
+    alphas = [(n - e, ring.mul(c_inv, x)) for n, x in a.terms[1:]
+              if n - e < bound]
+    b = [ring.one()]
+    for k in range(1, bound):
+        acc = ring.zero()
+        for j, alpha in alphas:
+            if j > k:
+                break
+            acc = ring.add(acc, ring.mul(alpha, b[k - j]))
+        b.append(ring.neg(acc))
+    return NovikovElem.build(
+        setup, ((k - e, ring.mul(c_inv, bk)) for k, bk in enumerate(b)),
+        -e + bound)
 
 
 # -- truncated power series in u ---------------------------------------------

@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Tuple
 from .novikov import (
     CoefficientError,
     CoefficientRing,
+    InputError,
     NovikovElem,
-    NovikovError,
     ScalarSetup,
     USeries,
     useries_du,
@@ -339,16 +339,19 @@ def forbidden_summand_check(lam, d: int, ring: str = "Z",
     fail.  p = 2 kills the factor 2 and the criterion is inapplicable.
     """
     if d < 1:
-        raise NovikovError("torsion exponent d must be >= 1")
+        raise InputError("torsion exponent d must be >= 1")
     if ring not in ("Z", "Fp"):
-        raise NovikovError(f"unsupported ring {ring!r}")
+        raise InputError(f"unsupported ring {ring!r}")
+    try:
+        lam = Fraction(lam)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"lambda {lam!r} is not a rational number") from exc
     if ring == "Fp":
         field = CoefficientRing("Fp", p)  # raises unless p is prime
         if p == 2:
             return {"verdict": "inapplicable", "ring": "F2",
                     "reason": "the obstruction coefficient carries a factor "
                               "of 2, which vanishes in characteristic 2"}
-        lam = Fraction(lam)
         if lam.denominator % p == 0:
             raise CoefficientError(
                 f"lambda = {lam} has no image in F{p}: its denominator is "
@@ -358,7 +361,6 @@ def forbidden_summand_check(lam, d: int, ring: str = "Z",
         forbidden = (d % p != 0) and (lam % p != 0)
         ring_desc = f"F{p}"
     else:
-        lam = Fraction(lam)
         coeff = 2 * d * lam * lam
         forbidden = lam != 0
         ring_desc = "Z"

@@ -109,3 +109,56 @@ def random_equivariant_differential(rng: random.Random, setup,
     ]
     return EquivariantDifferential.build(
         setup, GradingKind("Z/2"), basis, entries, order=order)
+
+
+def multi_term_unit(rng: random.Random, setup):
+    """1 +- q +- 2q^3: a unit whose truncated inverse fills the q-budget."""
+    c = setup.one()
+    for coeff, e in ((1, 1), (2, 3)):
+        c = c + setup.monomial(rng.choice([coeff, -coeff]), e)
+    return c
+
+
+def normal_form_differential(rng: random.Random, setup, n_free: int,
+                             n_torsion: int, n_acyclic: int, order: int):
+    """Free generators, u^j-torsion pairs and acyclic pairs, conjugated by
+    factors 1 + u f E_ab with multi-term f; every pair coefficient is a
+    multi-term unit times a random q-power.
+
+    Free generators survive in the cohomology of d_0 and as free summands;
+    a torsion pair x -> u^j c y gives Lambda[u]/u^j, so some classes of d_0
+    survive only to be killed at u-order j.
+    """
+    basis = []
+    pairs = []
+    for i in range(n_free):
+        basis.append(GeneratorInfo(f"f{i}", i % 2))
+    for i in range(n_torsion + n_acyclic):
+        basis.append(GeneratorInfo(f"x{i}", 1))
+        basis.append(GeneratorInfo(f"y{i}", 0))
+        j = rng.randint(1, min(2, order - 1)) if i < n_torsion else 0
+        pairs.append((len(basis) - 2, len(basis) - 1, j))
+    n = len(basis)
+    z = setup.zero()
+    comps = [[[z] * n for _ in range(n)]
+             for _ in range(max([j for _, _, j in pairs] + [0]) + 1)]
+    for s, t, j in pairs:
+        comps[j][t][s] = (multi_term_unit(rng, setup)
+                          * setup.monomial(1, rng.randint(-1, 2)))
+    for _ in range(n_free + 1):
+        # a and b of equal parity keep the Z/2 grading (u is even)
+        parity = rng.randint(0, 1)
+        same = [i for i, g in enumerate(basis) if g.index % 2 == parity]
+        if len(same) < 2:
+            continue
+        a, b = rng.sample(same, 2)
+        comps = _conjugate_components(comps, 1, multi_term_unit(rng, setup),
+                                      a, b, setup, order)
+        while len(comps) > 1 and all(not e for row in comps[-1] for e in row):
+            comps.pop()
+    entries = [
+        {(t, s): M[t][s] for t in range(n) for s in range(n) if M[t][s]}
+        for M in comps
+    ]
+    return EquivariantDifferential.build(
+        setup, GradingKind("Z/2"), basis, entries, order=order)

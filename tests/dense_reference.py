@@ -6,6 +6,10 @@ sparse implementations replaced.  They store every entry of every matrix,
 zeros included, and visit all of them, so they are slow but simple.  The
 tests in ``test_dense_oracles.py`` assert that the sparse code returns the
 same values, certificates and error messages.
+
+``invert_truncated`` is the geometric-series inverse that the coefficient
+recurrence in ``novikov.invert_truncated`` replaced; the dense elimination
+here pivots with it, and ``test_novikov.py`` compares the two inverses.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
-from eqcartan.novikov import NovikovElem, USeries, dq, invert_truncated, useries_du, useries_udq
+from eqcartan.novikov import (CoefficientError, InversionError, NovikovElem, USeries, dq,
+                              useries_du, useries_udq)
 
 
 def _min_trunc(a, b):
@@ -22,6 +27,41 @@ def _min_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
+    """Truncated inverse over a Novikov field.
+
+    Returns b with a*b = 1 up to terms of exponent index >= q_order counted
+    from the constant (the result's trunc is -lead + q_order, i.e. q_order
+    lattice steps of correct data past the leading term of b).  Monomials
+    invert exactly.
+    """
+    if not a.setup.ring.is_field:
+        raise CoefficientError("inverse requires field coefficients")
+    if not a.terms:
+        raise InversionError("division by zero")
+    setup = a.setup
+    ring = setup.ring
+    e, c = a.leading()
+    lead_inv = NovikovElem(setup, ((-e, ring.inv(c)),))
+    if len(a.terms) == 1:
+        # exact monomial inverse, but respect any unknown tail of the input
+        if a.trunc is None:
+            return lead_inv
+        return lead_inv.truncate(a.trunc - 2 * e)
+    bound = q_order
+    if a.trunc is not None:
+        bound = min(bound, a.trunc - e)
+    # a = c q^e (1 - s) with s of positive valuation gap; geometric series.
+    s = (setup.one() - (lead_inv * a)).truncate(bound)
+    acc = setup.one().truncate(bound)
+    term = s
+    while term.has_terms():
+        acc = acc + term
+        term = (term * s).truncate(bound)
+    out = lead_inv * acc
+    return out.truncate(-e + bound)
 
 
 # -- elimination --------------------------------------------------------------

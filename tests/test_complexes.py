@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from eqcartan import complexes
 from eqcartan.complexes import (
     GeneratorInfo,
     GradedComplex,
@@ -16,7 +17,7 @@ from eqcartan.complexes import (
     u_module_decomposition,
     validate_complex,
 )
-from eqcartan.novikov import NovikovError, ScalarSetup, USeries
+from eqcartan.novikov import InputError, InternalError, NovikovError, ScalarSetup, USeries
 
 from conftest import random_equivariant_differential
 
@@ -374,5 +375,47 @@ def test_cone_rejects_non_chain_map():
     # the target of c has a nonzero differential, the source does not
     cmap = OperatorMatrix(plus.basis, minus.basis,
                           {(0, 0): SETUP.one()}, 0)
-    with pytest.raises(NovikovError):
+    with pytest.raises(InputError):
         mapping_cone(cmap, minus, plus)
+
+
+def test_cone_of_the_identity_on_a_complex_with_a_differential():
+    # the cone carries d of C+ on its third block, so it squares to zero
+    # and both projections are quasi-isomorphisms
+    C = two_step_complex()
+    ident = OperatorMatrix(C.basis, C.basis,
+                           {(0, 0): SETUP.one(), (1, 1): SETUP.one()}, 0)
+    out = mapping_cone(ident, C, C)
+    assert not [v for v in validate_complex(out["cone"])
+                if v["invariant"] == "d squared zero"]
+    assert out["quasi_isomorphisms"]["plus"]["quasi_isomorphism"]
+    assert out["quasi_isomorphisms"]["minus"]["quasi_isomorphism"]
+
+
+def _not_square():
+    basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 1),
+             GeneratorInfo("c", 2))
+    return GradedComplex.build(SETUP, GradingKind("Z"), basis,
+                               {(1, 0): SETUP.one(), (2, 1): SETUP.one()})
+
+
+def test_cone_rejects_a_side_that_is_not_a_complex():
+    C = _not_square()
+    zero_map = OperatorMatrix(C.basis, C.basis, {}, 0)
+    with pytest.raises(InputError, match="does not square to zero"):
+        mapping_cone(zero_map, C, C)
+
+
+def test_cohomology_of_a_non_complex_is_an_input_error():
+    with pytest.raises(InputError, match=r"at \(c,a\)"):
+        cohomology_over_novikov_field(_not_square())
+
+
+def test_representative_count_mismatch_is_an_internal_error(monkeypatch):
+    real = complexes._representatives
+    monkeypatch.setattr(complexes, "_representatives",
+                        lambda *args: real(*args)[1:])
+    C = _free_complex([("a", 0)])
+    with pytest.raises(InternalError) as info:
+        cohomology_over_novikov_field(C)
+    assert not isinstance(info.value, NovikovError)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from eqcartan import cli
+from eqcartan.novikov import InternalError
 from eqcartan.schema import DocumentError, dumps, load_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -84,7 +85,7 @@ def test_malformed_document_exits_2(capsys, tmp_path):
     assert json.loads(out)["kind"] == "malformed input"
 
 
-def test_verified_false_exits_1(capsys, tmp_path):
+def _not_square_document(tmp_path):
     # d does not square to zero: a three-step complex with two arrows
     p = tmp_path / "notsquare.json"
     p.write_text(json.dumps({
@@ -101,9 +102,58 @@ def test_verified_false_exits_1(capsys, tmp_path):
             ]},
         },
     }))
-    code, out = run_cli(capsys, "validate", str(p))
+    return p
+
+
+def test_verified_false_exits_1(capsys, tmp_path):
+    code, out = run_cli(capsys, "validate", str(_not_square_document(tmp_path)))
     assert code == 1
     assert not json.loads(out)["valid"]
+
+
+@pytest.mark.parametrize("command", ["cohomology", "u-decompose"])
+def test_a_non_complex_exits_2(capsys, tmp_path, command):
+    code, out = run_cli(capsys, command, str(_not_square_document(tmp_path)))
+    assert code == 2
+    assert json.loads(out)["kind"] == "malformed input"
+
+
+Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum", "obstruction", "--lambda", "abc", "--d", "3", "--ring", "F5"],
+    ["quantum", "obstruction", "--lambda", "1", "--d", "3", "--ring", "F4"],
+    ["quantum", "obstruction", "--lambda", "1", "--d", "3", "--ring", "Fx"],
+    ["quantum", "obstruction", "--lambda", "1", "--d", "0", "--ring", "F5"],
+    ["morse", "additivity", "--delta", "nan"],
+    ["morse", "additivity", "--delta", "0"],
+    ["morse", "additivity", "--delta", "1e-2,abc"],
+    ["morse", "alpha1", "--grid", "0"],
+    ["cohomology", Z_DOCUMENT],
+    ["u-decompose", Z_DOCUMENT],
+    ["cartan", "solve-iota", Z_DOCUMENT],
+], ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_bad_arguments_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["kind"] == "malformed input"
+
+
+@pytest.mark.parametrize("exc", [InternalError("planted defect"),
+                                 ZeroDivisionError("planted defect")],
+                         ids=lambda e: type(e).__name__)
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_morse_weights", boom)
+    code = cli.main(["morse", "weights"])
+    captured = capsys.readouterr()
+    assert code == 4
+    report = json.loads(captured.out)
+    assert report["kind"] == "internal error"
+    assert "planted defect" in report["error"]
+    assert "Traceback" in captured.err
 
 
 def test_quantum_obstruction_exit_codes(capsys):

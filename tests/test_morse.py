@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eqcartan import InputError
 from eqcartan.morse import (
     ProjectivePoint,
     additivity_report,
@@ -84,6 +85,18 @@ def test_alpha1_winding_is_one():
 def test_alpha1_winding_coarse_grid_agrees():
     out = alpha1_winding(grid=32, samples=512)
     assert out["abs_winding"] == 1
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_alpha1_winding_rejects_an_empty_grid(grid):
+    with pytest.raises(InputError):
+        alpha1_winding(grid=grid)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-2, math.nan, math.inf])
+def test_additivity_rejects_a_bad_breaking_distance(delta):
+    with pytest.raises(InputError):
+        additivity_report([1e-2, delta])
 
 
 # -- concatenation additivity --------------------------------------------------

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import dense_reference as ref
 from eqcartan.novikov import (
     CoefficientError,
     InversionError,
@@ -138,6 +139,57 @@ def test_invert_is_an_inverse_to_budget(tail):
     inv = invert_truncated(a, 5)
     prod = a * inv
     assert [(i, c) for i, c in prod.terms if i < 5] == [(0, 1)]
+
+
+INVERSION_SETUPS = [ScalarSetup.make(g, ring)
+                    for g in (1, Fraction(1, 2))
+                    for ring in ("Q", "F2", "F5", "F7")]
+
+
+@st.composite
+def inversion_inputs(draw):
+    """(a, q_order): a has 1-5 terms, possibly negative valuation, and may be
+    truncated a few steps past its leading term."""
+    setup = draw(st.sampled_from(INVERSION_SETUPS))
+    ring = setup.ring
+    coeff = (st.fractions(max_denominator=9).filter(lambda f: f != 0)
+             if ring.kind == "Q"
+             else st.integers(min_value=1, max_value=ring.modulus - 1))
+    pairs = draw(st.lists(st.tuples(st.integers(-8, 12), coeff),
+                          min_size=1, max_size=5))
+    lead = min(i for i, _ in pairs)
+    trunc = draw(st.one_of(st.none(), st.integers(lead + 1, lead + 16)))
+    a = NovikovElem.build(setup, pairs, trunc)
+    assume(a.terms)
+    return a, draw(st.integers(min_value=0, max_value=128))
+
+
+@given(inversion_inputs())
+@settings(max_examples=200, deadline=None)
+def test_invert_matches_the_geometric_series_reference(case):
+    a, q_order = case
+    inv = invert_truncated(a, q_order)
+    old = ref.invert_truncated(a, q_order)
+    assert inv.terms == old.terms
+    assert inv.trunc == old.trunc
+    # a * inv = 1 below the bound, and the product claims no more than that
+    e = a.terms[0][0]
+    bound = q_order if a.trunc is None else min(q_order, a.trunc - e)
+    prod = a * inv
+    one = [(0, 1)] if bound > 0 else []
+    assert [(i, c) for i, c in prod.terms if i < bound] == one
+    assert prod.trunc is None or prod.trunc >= bound
+
+
+@pytest.mark.parametrize("q_order", [0, 1, 2])
+def test_invert_at_an_empty_or_minimal_bound(q_order):
+    for setup in INVERSION_SETUPS:
+        a = setup.parse("q^-1 + q")
+        for t in (None, 0, 1):
+            x = a if t is None else a.truncate(t)
+            inv = invert_truncated(x, q_order)
+            old = ref.invert_truncated(x, q_order)
+            assert (inv.terms, inv.trunc) == (old.terms, old.trunc)
 
 
 def test_invert_zero_fails():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from eqcartan.novikov import NovikovError, ScalarSetup, USeries
+from eqcartan.novikov import InputError, ScalarSetup, USeries
 from eqcartan.quantum import (
     QuantumRing,
     d_q_connection,
@@ -144,7 +144,8 @@ def test_p_equal_two_inapplicable():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(NovikovError):
-        forbidden_summand_check(1, 0, "Z")
-    with pytest.raises(NovikovError):
-        forbidden_summand_check(1, 2, "Fp", 9)
+    for lam, d, ring, p in [(1, 0, "Z", None), (1, 2, "Fp", 9),
+                            (1, 2, "Fp", 4), ("abc", 3, "Fp", 5),
+                            ("1/0", 3, "Z", None), (1, 2, "Q", None)]:
+        with pytest.raises(InputError):
+            forbidden_summand_check(lam, d, ring, p)
