@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .novikov import (
     CoefficientError,
+    InputError,
     NovikovElem,
     NovikovError,
     ScalarSetup,
@@ -93,12 +94,12 @@ class EquivariantDifferential:
         if self.order <= 0:
             self.order = len(self.components) + 1
         if self.order < len(self.components):
-            raise NovikovError(
+            raise InputError(
                 "truncation order must cover every differential component"
             )
         for k, op in enumerate(self.components):
             if op.source != self.basis or op.target != self.basis:
-                raise NovikovError(f"component d_{k} basis mismatch")
+                raise InputError(f"component d_{k} basis mismatch")
 
     @staticmethod
     def build(setup, grading, basis, component_entries, order: int = 0):

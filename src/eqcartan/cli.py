@@ -4,7 +4,8 @@ Exit codes: 0 = all checks pass; 1 = a mathematical check verified false;
 2 = malformed input; 3 = undetermined (truncation exhausted before a
 decision); 4 = internal error (a defect of the program, never a verdict;
 the traceback goes to stderr).  Reports go to stdout as deterministic JSON
-(sorted keys, fixed indentation).
+(sorted keys, fixed indentation).  Only the ``morse`` commands import
+``morse`` and with it numpy, so no other command pays for loading it.
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
@@ -21,7 +22,6 @@ import traceback
 from . import cartan as cartan_mod
 from . import complexes as cx
 from . import finite2
-from . import morse
 from . import quantum as quantum_mod
 from .cartan import DEFAULT_U_ORDER
 from .linalg import UndeterminedError
@@ -244,6 +244,7 @@ def cmd_finite2_assemble(args) -> int:
 
 
 def cmd_morse_alpha1(args) -> int:
+    from . import morse
     report = morse.alpha1_winding(grid=args.grid)
     _emit(report)
     ok = report["abs_winding"] == 1 and report["residual"] < 0.01
@@ -251,6 +252,7 @@ def cmd_morse_alpha1(args) -> int:
 
 
 def cmd_morse_additivity(args) -> int:
+    from . import morse
     try:
         deltas = [float(x) for x in args.delta.split(",") if x]
     except ValueError as exc:
@@ -264,6 +266,7 @@ def cmd_morse_additivity(args) -> int:
 
 
 def cmd_morse_weights(args) -> int:
+    from . import morse
     report = morse.weight_matrix_facts()
     _emit(report)
     ok = (report["composition_matches"] and report["in_GL2Z"]

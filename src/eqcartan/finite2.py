@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .novikov import InputError, NovikovElem, NovikovError, ScalarSetup, dq
+from .novikov import InputError, NovikovElem, ScalarSetup, dq
 from .complexes import GeneratorInfo, OperatorMatrix
 
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
@@ -66,7 +66,7 @@ class Z2CartanData:
         self.basis = tuple(self.basis)
         for name, op in self.operators().items():
             if op.source != self.basis or op.target != self.basis:
-                raise NovikovError(f"operator {name} basis mismatch")
+                raise InputError(f"operator {name} basis mismatch")
 
     @staticmethod
     def build(setup, basis, **entry_maps) -> "Z2CartanData":

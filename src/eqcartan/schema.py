@@ -6,6 +6,15 @@ quantum_ring, z2_data, cone).  The schema rejects unknown fields so typos
 fail loudly instead of being silently ignored.  Scalars inside documents
 are strings in the Novikov grammar, e.g. "q^2 - 3*q^(1/2)".
 
+``SCHEMA`` is a JSON Schema (draft 2020-12) document, printed by
+``eqcartan --schema``.  ``load_document`` checks documents against it with a
+small stdlib validator that implements exactly the keywords ``SCHEMA`` uses:
+``type`` (object, array, string, integer, boolean), ``properties``,
+``required``, ``additionalProperties: false``, ``items``, ``minItems``,
+``enum``, ``const`` and ``minimum`` (``$schema`` and ``title`` are
+annotations).  It follows the draft's equality: ``true`` is not ``1`` and
+``1.0`` is an integer.
+
 Reports are serialized with ``dumps``: sorted keys, fixed indentation,
 arithmetic objects rendered through their canonical text form — two runs
 on the same input produce identical bytes.
@@ -16,8 +25,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
-
-import jsonschema
 
 from .novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from .complexes import GeneratorInfo, GradedComplex, GradingKind, OperatorMatrix
@@ -222,20 +229,87 @@ SCHEMA = {
 }
 
 
+# -- validation ---------------------------------------------------------------
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_integer,
+}
+
+# the keywords _check reads; any other keyword in SCHEMA would go unchecked
+_KEYWORDS = frozenset({"type", "properties", "required",
+                       "additionalProperties", "items", "minItems", "enum",
+                       "const", "minimum"})
+
+
+def _same(value, expected) -> bool:
+    """JSON equality of scalars: a boolean equals only a boolean."""
+    return (isinstance(value, bool) == isinstance(expected, bool)
+            and value == expected)
+
+
+def _violation(path: list, reason: str) -> DocumentError:
+    return DocumentError(
+        f"schema violation at {'/'.join(map(str, path))}: {reason}")
+
+
+def _check(value, schema: dict, path: list):
+    """Raise DocumentError at the first place ``value`` breaks ``schema``;
+    return ``value`` with every integer-typed number as an ``int`` (so
+    ``"order": 3.0`` reads as 3)."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        raise _violation(path, f"{json.dumps(value)} is not of type {kind!r}")
+    if "const" in schema and not _same(value, schema["const"]):
+        raise _violation(path, f"{json.dumps(schema['const'])} was expected")
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        raise _violation(path,
+                         f"{json.dumps(value)} is not one of {schema['enum']}")
+    if ("minimum" in schema and isinstance(value, (int, float))
+            and not isinstance(value, bool) and value < schema["minimum"]):
+        raise _violation(
+            path, f"{value} is less than the minimum of {schema['minimum']}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _violation(path, f"{key!r} is a required property")
+        if schema.get("additionalProperties", True) is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                raise _violation(path, f"unexpected properties {extra}")
+        for key, sub in props.items():
+            if key in value:
+                value[key] = _check(value[key], sub, path + [key])
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _violation(path,
+                             f"needs at least {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                value[i] = _check(item, schema["items"], path + [i])
+    return int(value) if kind == "integer" else value
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bad UTF-8; RecursionError, arrays
+        # or objects nested deeper than the parser's stack
         raise DocumentError(f"cannot read document: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise DocumentError(
-            f"schema violation at {'/'.join(str(p) for p in exc.absolute_path)}"
-            f": {exc.message}"
-        ) from exc
-    return doc
+    return _check(doc, SCHEMA, [])
 
 
 # -- builders -----------------------------------------------------------------
@@ -267,36 +341,51 @@ def _generators_from(items) -> Tuple[GeneratorInfo, ...]:
     return tuple(GeneratorInfo(g["name"], g.get("index", 0)) for g in items)
 
 
-def _entries_from(items, basis, setup) -> Dict[Tuple[int, int], NovikovElem]:
-    pos = {g.name: i for i, g in enumerate(basis)}
-    out: Dict[Tuple[int, int], NovikovElem] = {}
+def _positions(basis) -> Dict[str, int]:
+    return {g.name: i for i, g in enumerate(basis)}
+
+
+def _entries_from(items, setup, **positions) -> Dict[tuple, NovikovElem]:
+    """Sum the values of ``items`` by position.  Each keyword names the
+    field of an item that holds a generator and maps generator names to
+    positions: ``target=`` and ``source=`` for matrix entries, ``term=`` for
+    a quantum column.  Keys are tuples of positions in keyword order."""
+    out: Dict[tuple, NovikovElem] = {}
     for e in items:
-        for role in ("target", "source"):
-            if e[role] not in pos:
-                raise DocumentError(f"unknown generator {e[role]!r}")
+        for field, pos in positions.items():
+            if e[field] not in pos:
+                raise DocumentError(f"unknown {field} generator {e[field]!r}")
+        key = tuple(pos[e[field]] for field, pos in positions.items())
         try:
             v = setup.parse(e["value"])
         except NovikovError as exc:
+            at = ",".join(e[field] for field in positions)
             raise DocumentError(
-                f"bad scalar {e['value']!r} at ({e['target']},{e['source']}):"
-                f" {exc}") from exc
-        key = (pos[e["target"]], pos[e["source"]])
+                f"bad scalar {e['value']!r} at ({at}): {exc}") from exc
         out[key] = out[key] + v if key in out else v
     return out
+
+
+def _matrix_from(items, basis, setup) -> Dict[tuple, NovikovElem]:
+    pos = _positions(basis)
+    return _entries_from(items, setup, target=pos, source=pos)
+
+
+def _complex_block(block: dict, setup: ScalarSetup) -> GradedComplex:
+    """The complex of a ``complex`` block or of a cone side."""
+    grading = _grading_from(block.get("grading"))
+    basis = _generators_from(block["generators"])
+    entries = _matrix_from(block["differential"]["entries"], basis, setup)
+    d = OperatorMatrix(basis, basis, entries,
+                       block["differential"].get("degree", 1))
+    return GradedComplex(setup, grading, basis, d,
+                         block.get("q_degree_two", False))
 
 
 def complex_from(doc: dict) -> GradedComplex:
     if "complex" not in doc:
         raise DocumentError("document has no 'complex' block")
-    block = doc["complex"]
-    setup = setup_from(doc)
-    grading = _grading_from(block.get("grading"))
-    basis = _generators_from(block["generators"])
-    entries = _entries_from(block["differential"]["entries"], basis, setup)
-    d = OperatorMatrix(basis, basis, entries,
-                       block["differential"].get("degree", 1))
-    return GradedComplex(setup, grading, basis, d,
-                         block.get("q_degree_two", False))
+    return _complex_block(doc["complex"], setup_from(doc))
 
 
 def differential_family_from(doc: dict,
@@ -313,7 +402,7 @@ def differential_family_from(doc: dict,
     block = doc["d_family"]
     comps = []
     for k, items in enumerate(block["components"]):
-        entries = _entries_from(items, C.basis, C.setup)
+        entries = _matrix_from(items, C.basis, C.setup)
         comps.append(OperatorMatrix(C.basis, C.basis, entries, 1 - 2 * k))
     order = block.get("order", default_order or 0)
     return EquivariantDifferential(C.setup, C.grading, C.basis,
@@ -330,7 +419,7 @@ def cartan_from(doc: dict,
         regime = block.get("regime", "monotone")
         ops = []
         for k, items in enumerate(block["components"]):
-            entries = _entries_from(items, diff.basis, diff.setup)
+            entries = _matrix_from(items, diff.basis, diff.setup)
             deg = -2 * k if regime == "cy" else 2 - 2 * k
             ops.append(OperatorMatrix(diff.basis, diff.basis, entries, deg))
         iota_ops = tuple(ops)
@@ -340,10 +429,8 @@ def cartan_from(doc: dict,
 def lambda_family_from(doc: dict, diff: EquivariantDifferential):
     if "lambda_family" not in doc:
         return None
-    out = []
-    for items in doc["lambda_family"]["components"]:
-        out.append(_entries_from(items, diff.basis, diff.setup))
-    return out
+    return [_matrix_from(items, diff.basis, diff.setup)
+            for items in doc["lambda_family"]["components"]]
 
 
 def quantum_from(doc: dict) -> QuantumRing:
@@ -353,24 +440,15 @@ def quantum_from(doc: dict) -> QuantumRing:
     setup = setup_from(doc)
     basis = tuple(GeneratorInfo(b["name"], b["degree"])
                   for b in block["basis"])
-    pos = {g.name: i for i, g in enumerate(basis)}
+    pos = _positions(basis)
     if len(pos) != len(basis):
         raise DocumentError("duplicate quantum basis names")
     if block["unit"] not in pos:
         raise DocumentError(f"unknown unit {block['unit']!r}")
 
     def column(terms):
-        col = {}
-        for t in terms:
-            if t["term"] not in pos:
-                raise DocumentError(f"unknown class {t['term']!r}")
-            try:
-                v = setup.parse(t["value"])
-            except NovikovError as exc:
-                raise DocumentError(f"bad scalar {t['value']!r}: {exc}") from exc
-            k = pos[t["term"]]
-            col[k] = col[k] + v if k in col else v
-        return col
+        return {k: v for (k,), v in _entries_from(terms, setup,
+                                                  term=pos).items()}
 
     table = {}
     for row in block["table"]:
@@ -393,7 +471,7 @@ def z2_from(doc: dict) -> Z2CartanData:
     for json_name, field in (("d", "d"), ("iota", "iota"),
                              ("lambda", "lam"), ("sigma", "sigma"),
                              ("Sigma", "Sigma"), ("xi", "xi"), ("Xi", "Xi")):
-        maps[field] = _entries_from(ops.get(json_name, []), basis, setup)
+        maps[field] = _matrix_from(ops.get(json_name, []), basis, setup)
     return Z2CartanData.build(setup, basis, **maps)
 
 
@@ -402,33 +480,12 @@ def cone_from(doc: dict):
         raise DocumentError("document has no 'cone' block")
     block = doc["cone"]
     setup = setup_from(doc)
-
-    def side(sub):
-        grading = _grading_from(sub.get("grading"))
-        basis = _generators_from(sub["generators"])
-        entries = _entries_from(sub["differential"]["entries"], basis, setup)
-        d = OperatorMatrix(basis, basis, entries,
-                           sub["differential"].get("degree", 1))
-        return GradedComplex(setup, grading, basis, d,
-                             sub.get("q_degree_two", False))
-
-    minus = side(block["minus"])
-    plus = side(block["plus"])
+    minus = _complex_block(block["minus"], setup)
+    plus = _complex_block(block["plus"], setup)
     # chain map entries: targets in minus, sources in plus
-    pos_m = {g.name: i for i, g in enumerate(minus.basis)}
-    pos_p = {g.name: i for i, g in enumerate(plus.basis)}
-    entries = {}
-    for e in block["map"]:
-        if e["target"] not in pos_m:
-            raise DocumentError(f"unknown target generator {e['target']!r}")
-        if e["source"] not in pos_p:
-            raise DocumentError(f"unknown source generator {e['source']!r}")
-        try:
-            v = setup.parse(e["value"])
-        except NovikovError as exc:
-            raise DocumentError(f"bad scalar {e['value']!r}: {exc}") from exc
-        key = (pos_m[e["target"]], pos_p[e["source"]])
-        entries[key] = entries[key] + v if key in entries else v
+    entries = _entries_from(block["map"], setup,
+                            target=_positions(minus.basis),
+                            source=_positions(plus.basis))
     cmap = OperatorMatrix(plus.basis, minus.basis, entries, 0)
     return cmap, minus, plus
 

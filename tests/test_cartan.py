@@ -16,7 +16,7 @@ from eqcartan.cartan import (
     solve_iota,
 )
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
-from eqcartan.novikov import CoefficientError, ScalarSetup, USeries
+from eqcartan.novikov import CoefficientError, InputError, ScalarSetup, USeries
 
 from conftest import random_equivariant_differential
 
@@ -103,6 +103,22 @@ def test_solve_iota_rejects_noncommuting_seed():
     data, obstruction = solve_iota(diff, iota0=bad)
     assert data is None
     assert obstruction["order"] == 0
+
+
+def test_component_basis_mismatch_is_an_input_error():
+    diff = monotone_pair()
+    other = tuple(GeneratorInfo(g.name + "'", g.index) for g in diff.basis)
+    with pytest.raises(InputError, match="component d_1 basis mismatch"):
+        EquivariantDifferential(SETUP, diff.grading, diff.basis,
+                                (diff.components[0],
+                                 OperatorMatrix(other, other, {}, -1)))
+
+
+def test_order_below_the_components_is_an_input_error():
+    diff = monotone_pair()
+    with pytest.raises(InputError, match="truncation order must cover"):
+        EquivariantDifferential(SETUP, diff.grading, diff.basis,
+                                diff.components * 3, order=2)
 
 
 def test_solve_iota_needs_field():

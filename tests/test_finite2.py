@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from eqcartan.complexes import GeneratorInfo
+from eqcartan.complexes import GeneratorInfo, OperatorMatrix
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
-from eqcartan.novikov import NovikovError, ScalarSetup, dq
+from eqcartan.novikov import InputError, NovikovError, ScalarSetup, dq
 
 SETUP = ScalarSetup.make(1, "F2")
 
@@ -94,6 +94,14 @@ def test_requires_f2():
     basis = (GeneratorInfo("x", 0),)
     with pytest.raises(NovikovError):
         Z2CartanData.build(ScalarSetup.make(1, "Q"), basis)
+
+
+def test_operator_basis_mismatch_is_an_input_error():
+    Z = golden_with_nonzero_lambda()
+    other = tuple(GeneratorInfo(g.name + "'", g.index) for g in Z.basis)
+    ops = dict(Z.operators(), Xi=OperatorMatrix(other, other, {}))
+    with pytest.raises(InputError, match="operator Xi basis mismatch"):
+        Z2CartanData(SETUP, Z.basis, **ops)
 
 
 def test_golden_fixture_relations_and_assembly():

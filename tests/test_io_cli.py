@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,19 @@ def test_wrong_schema_version_rejected(tmp_path):
         load_document(str(p))
 
 
+@pytest.mark.parametrize("content", [b'{"a": "\xff"}',
+                                     b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_json_is_malformed(capsys, tmp_path, content):
+    p = tmp_path / "unreadable.json"
+    p.write_bytes(content)
+    with pytest.raises(DocumentError):
+        load_document(str(p))
+    code, out = run_cli(capsys, "validate", str(p))
+    assert code == 2
+    assert json.loads(out)["kind"] == "malformed input"
+
+
 def test_dumps_is_sorted_with_trailing_newline():
     s = dumps({"b": 1, "a": 2})
     assert s.endswith("\n")
@@ -116,6 +131,23 @@ def test_a_non_complex_exits_2(capsys, tmp_path, command):
     code, out = run_cli(capsys, command, str(_not_square_document(tmp_path)))
     assert code == 2
     assert json.loads(out)["kind"] == "malformed input"
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["u-decompose"], ["cartan", "verify"],
+    ["cartan", "solve-iota"], ["cartan", "connection", "--which", "u"]])
+def test_d_family_order_below_its_components_exits_2(capsys, tmp_path,
+                                                     command):
+    doc = json.loads((FIXTURES / "monotone_case.json").read_text())
+    doc["d_family"]["order"] = 1
+    doc["d_family"]["components"].append([])
+    p = tmp_path / "short_order.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *command, str(p))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "truncation order must cover every differential component",
+        "kind": "malformed input"}
 
 
 Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
@@ -191,6 +223,33 @@ def test_schema_flag(capsys):
     schema = json.loads(out)
     assert schema["properties"]["schema_version"]["const"] == 1
     assert schema["additionalProperties"] is False
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import eqcartan.cli
+heavy = ("numpy", "jsonschema")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [eqcartan.cli.main(["validate", "fixtures/monotone_case.json"]),
+             eqcartan.cli.main(["--schema"])]
+    before = [m for m in heavy if m in sys.modules]
+    codes.append(eqcartan.cli.main(["morse", "weights"]))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_cli_loads_numpy_only_for_morse():
+    """A fresh interpreter: the document commands and --schema import
+    neither numpy nor jsonschema; a morse command does import numpy."""
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=root,
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "before": [],
+                                       "after": ["numpy"]}
 
 
 # -- command output sanity -----------------------------------------------------
