@@ -47,7 +47,8 @@ from .novikov import (
     useries_du,
     useries_udq,
 )
-from .complexes import GeneratorInfo, GradedComplex, GradingKind, OperatorMatrix
+from .complexes import (GeneratorInfo, GradedComplex, GradingKind,
+                        OperatorMatrix, sample_vectors)
 from . import linalg
 from .complexes import cohomology_over_novikov_field
 
@@ -69,8 +70,9 @@ REGIMES = ("monotone", "cy")
 
 
 def DEFAULT_U_ORDER(fallback: int) -> int:
-    v = os.environ.get("EQCARTAN_U_ORDER")
-    return int(v) if v else fallback
+    order = linalg._order_setting(os.environ.get("EQCARTAN_U_ORDER"),
+                                 "EQCARTAN_U_ORDER")
+    return fallback if order is None else order
 
 
 @dataclass
@@ -161,7 +163,7 @@ class CartanData:
         if self.regime == "cy":
             return self.iota_eq
         step = self.setup.lattice.steps_per_unit
-        return self.iota_eq.entrywise(lambda e: _useries_qshift(e, -step), 0)
+        return self.iota_eq.entrywise(lambda e: e.q_shift(-step), 0)
 
     @cached_property
     def iota_mono(self) -> OperatorMatrix:
@@ -169,7 +171,7 @@ class CartanData:
         if self.regime == "monotone":
             return self.iota_eq
         step = self.setup.lattice.steps_per_unit
-        return self.iota_eq.entrywise(lambda e: _useries_qshift(e, step), 2)
+        return self.iota_eq.entrywise(lambda e: e.q_shift(step), 2)
 
 
 # -- USeries operators --------------------------------------------------------
@@ -195,21 +197,22 @@ def _commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return A.compose(B) - B.compose(A)
 
 
-def _useries_qshift(e: USeries, steps: int) -> USeries:
-    return USeries.build(e.setup, e.order,
-                         [c.q_shift(steps) for c in e.coeffs], e.valid)
-
-
 def _scan(name, cells, order):
     """Failure records and certified orders over (location, USeries) cells.
 
-    Every cell counts towards the verified orders, including those without
-    visible terms: a cancelled entry still bounds them through its lost
-    u-order or the q-tails of its coefficients.
+    Every cell that is not decidably zero counts towards the verified
+    orders, including those without visible terms: a cancelled entry still
+    bounds them through its lost u-order or the q-tails of its
+    coefficients.  A decidably zero cell is skipped, which is exact: its
+    ``valid`` is the full order, none of its coefficients has a tail, and it
+    has no visible terms, so it can neither fail nor lower either verified
+    order.
     """
     failures = []
     valid, qcert = order, None
     for where, e in cells:
+        if e.is_zero():
+            continue
         valid = min(valid, e.valid)
         c = e.q_certificate()
         if c is not None:
@@ -312,7 +315,7 @@ def gamma_q(data: CartanData, vec: List[USeries]) -> List[USeries]:
     # exact zeros map to exact zeros (valid order included), so skip them
     out = [v if v.is_zero() else useries_udq(v).times_u() for v in vec]
     part = data.iota_q.apply(vec, USeries.zero(data.setup, data.order))
-    return [a if p.is_zero() else a + p for a, p in zip(out, part)]
+    return [a + p for a, p in zip(out, part)]
 
 
 def gamma_u(data: CartanData, vec: List[USeries]) -> List[USeries]:
@@ -329,8 +332,7 @@ def gamma_u(data: CartanData, vec: List[USeries]) -> List[USeries]:
         term = term + v.scale(setup.monomial(mu[i], 0)).times_u()
         out.append(term)
     part = data.iota_mono.apply(vec, USeries.zero(setup, data.order))
-    return [a if p.is_zero() else a - p.scale(two)
-            for a, p in zip(out, part)]
+    return [a - p.scale(two) for a, p in zip(out, part)]
 
 
 def degree_weighted(data: CartanData, vec: List[USeries]) -> List[USeries]:
@@ -425,7 +427,7 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
            _entries(du_part + (_commutator(mat_part, d_eq) - u_d)))
 
     # 5-7. operator identities on sample vectors, row by row
-    samples = _sample_vectors(data)
+    samples = sample_vectors(setup, diff.n, N)
 
     def record_rows(name, sides):
         record(name, (({"sample": label, "row": basis[i].name}, a - b)
@@ -435,7 +437,7 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
     step = setup.lattice.steps_per_unit
     record_rows("euler relation", lambda v: (
-        [a + _useries_qshift(g.scale(two), step)
+        [a + g.scale(two).q_shift(step)
          for a, g in zip(gamma_u(data, v), gamma_q(data, v))],
         [w.times_u() for w in degree_weighted(data, v)]))
 
@@ -465,24 +467,6 @@ def mu_mat_entry(setup, order, weight) -> USeries:
 
 def _scale_int(e: USeries, w: int, setup) -> USeries:
     return e.scale(setup.monomial(w, 0)) if w else USeries.zero(setup, e.order)
-
-
-def _sample_vectors(data: CartanData):
-    """Basis vectors and one q,u-dressed variant each."""
-    setup = data.setup
-    N = data.order
-    n = data.diff.n
-    z = USeries.zero(setup, N)
-    out = []
-    qmono = setup.monomial(1, 1)
-    for i in range(n):
-        e = [z] * n
-        e[i] = USeries.from_novikov(setup.one(), N)
-        out.append((f"e_{i}", e))
-        dressed = [z] * n
-        dressed[i] = USeries.from_novikov(qmono, N, 1)
-        out.append((f"q*u*e_{i}", dressed))
-    return out
 
 
 # -- reduction mod m ----------------------------------------------------------

@@ -9,7 +9,9 @@ the traceback goes to stderr).  Reports go to stdout as deterministic JSON
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
-for the u-analysis order when a document does not fix one.
+for the u-analysis order when a document does not fix one.  These and the
+--q-order and --order flags take positive integers; an empty value means
+unset, anything else is malformed input (exit 2).
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import argparse
 import re
 import sys
 import traceback
+from typing import Optional
 
 from . import cartan as cartan_mod
 from . import complexes as cx
 from . import finite2
 from . import quantum as quantum_mod
 from .cartan import DEFAULT_U_ORDER
-from .linalg import UndeterminedError
+from .linalg import UndeterminedError, _order_setting
 from .novikov import InputError, NovikovError
 from . import schema as schema_mod
 from .schema import DocumentError
@@ -202,7 +205,7 @@ def cmd_quantum_check(args) -> int:
     report = {"axiom_violations": axioms, "axioms_hold": not axioms}
     ok = not axioms
     if args.identity == "uq":
-        rep = quantum_mod.uq_identity_check(Q, order=args.order)
+        rep = quantum_mod.uq_identity_check(Q, order=args.order or 3)
         report["uq_identity"] = rep
         ok = ok and rep["holds"]
     _emit(report)
@@ -296,6 +299,15 @@ def cmd_cone(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+def _order_flag(text: str) -> Optional[int]:
+    """argparse type of the order flags: a usage error (exit 2) on a value
+    that ``_order_setting`` rejects."""
+    try:
+        return _order_setting(text, "the order")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="eqcartan",
@@ -309,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("document", help="path to a workbench JSON document")
 
     def add_qorder(sp):
-        sp.add_argument("--q-order", type=int, default=None,
+        sp.add_argument("--q-order", type=_order_flag, default=None,
                         help="q-truncation budget (default from "
                              "EQCARTAN_Q_ORDER or 64)")
 
@@ -327,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="free/torsion normal form over Lambda[[u]]")
     add_doc(sp)
     add_qorder(sp)
-    sp.add_argument("--order", type=int, default=None,
+    sp.add_argument("--order", type=_order_flag, default=None,
                     help="u-analysis order (default: document, "
                          "EQCARTAN_U_ORDER, or K+2)")
     sp.set_defaults(fn=cmd_u_decompose)
@@ -357,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q1 = qsub.add_parser("check", help="ring axioms + bracket identity")
     add_doc(q1)
     q1.add_argument("--identity", choices=["uq"], default="uq")
-    q1.add_argument("--order", type=int, default=3,
-                    help="u-order for sample expansions")
+    q1.add_argument("--order", type=_order_flag, default=None,
+                    help="u-order for sample expansions (default 3)")
     q1.set_defaults(fn=cmd_quantum_check)
     q2 = qsub.add_parser("obstruction",
                          help="forbidden-summand classification")

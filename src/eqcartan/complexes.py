@@ -53,6 +53,7 @@ __all__ = [
     "GeneratorInfo",
     "OperatorMatrix",
     "GradedComplex",
+    "sample_vectors",
     "DecompositionReport",
     "validate_complex",
     "cohomology_over_novikov_field",
@@ -190,6 +191,23 @@ class OperatorMatrix:
 
     def is_visibly_zero(self) -> bool:
         return not any(bool(v) for v in self.entries.values())
+
+
+def sample_vectors(setup: ScalarSetup, n: int, order: int):
+    """Labelled columns of u-series mod u^order for checking operator
+    identities on a rank-n module: each basis vector e_i and its q,u-dressed
+    variant q*u*e_i."""
+    z = USeries.zero(setup, order)
+    qmono = setup.monomial(1, 1)
+    out = []
+    for i in range(n):
+        e = [z] * n
+        e[i] = USeries.from_novikov(setup.one(), order)
+        out.append((f"e_{i}", e))
+        dressed = [z] * n
+        dressed[i] = USeries.from_novikov(qmono, order, 1)
+        out.append((f"q*u*e_{i}", dressed))
+    return out
 
 
 @dataclass

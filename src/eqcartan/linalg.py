@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .novikov import NovikovElem, ScalarSetup, invert_truncated
+from .novikov import InputError, NovikovElem, ScalarSetup, invert_truncated
 
 __all__ = ["UndeterminedError", "Reduction", "row_reduce", "rank", "kernel_basis",
            "solve", "matrix_rank_certified", "DEFAULT_Q_ORDER"]
@@ -34,8 +34,25 @@ __all__ = ["UndeterminedError", "Reduction", "row_reduce", "rank", "kernel_basis
 SparseRow = Dict[int, NovikovElem]
 
 
+def _order_setting(value: Optional[str], name: str) -> Optional[int]:
+    """A truncation order from a command-line flag or the environment.
+
+    A positive integer (surrounding blanks allowed) is that order; None or
+    the empty string means unset (None); anything else, a sign included,
+    raises InputError.
+    """
+    if value is None or value == "":
+        return None
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(text)
+
+
 def DEFAULT_Q_ORDER() -> int:
-    return int(os.environ.get("EQCARTAN_Q_ORDER", "64"))
+    q_order = _order_setting(os.environ.get("EQCARTAN_Q_ORDER"),
+                            "EQCARTAN_Q_ORDER")
+    return 64 if q_order is None else q_order
 
 
 class UndeterminedError(Exception):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -298,7 +299,7 @@ class ScalarSetup:
 
 
 def _check_same_setup(a: "NovikovElem", b: "NovikovElem"):
-    if a.setup != b.setup:
+    if a.setup is not b.setup and a.setup != b.setup:
         raise LatticeMismatch(
             f"scalar setup mismatch: {a.setup.describe()} vs {b.setup.describe()}"
         )
@@ -312,6 +313,13 @@ class NovikovElem:
     stored as a sorted tuple of pairs.  ``trunc`` of None means the element
     is exact; an integer bound means terms with index >= trunc are unknown
     (the element is only guaranteed below that exponent).
+
+    An element is *decidably zero* when it has no terms and no tail
+    (``is_zero()``).  ``+`` and ``*`` with a decidably zero operand skip the
+    general formula: a sum returns the other operand and a product returns
+    the zero operand, values equal field for field to what the formula
+    gives.  A termless element with a tail, ``O(q^T)``, is not decidably
+    zero and always goes through the formula, which carries its tail.
     """
 
     setup: ScalarSetup
@@ -376,6 +384,10 @@ class NovikovElem:
 
     def __add__(self, other: "NovikovElem") -> "NovikovElem":
         _check_same_setup(self, other)
+        if not self.terms and self.trunc is None:
+            return other
+        if not other.terms and other.trunc is None:
+            return self
         return NovikovElem.build(
             self.setup, self.terms + other.terms, self._trunc_add(other)
         )
@@ -393,6 +405,10 @@ class NovikovElem:
 
     def __mul__(self, other: "NovikovElem") -> "NovikovElem":
         _check_same_setup(self, other)
+        if not self.terms and self.trunc is None:
+            return self
+        if not other.terms and other.trunc is None:
+            return other
         ring = self.setup.ring
         ta = self.trunc if self.trunc is not None else INF
         tb = other.trunc if other.trunc is not None else INF
@@ -519,6 +535,17 @@ class USeries:
     ``coeffs`` has length exactly N; ``valid`` <= N is the number of leading
     orders that are guaranteed (coefficients at index >= valid are unknown
     and stored as zero).  All arithmetic propagates the weaker bound.
+
+    A series is *decidably zero* when ``valid == order`` and every
+    coefficient is a decidably zero NovikovElem (``is_zero()``, computed
+    once per object).  ``+``, ``-``, negation, ``*``, ``scale`` and
+    ``q_shift`` with a decidably zero series operand skip the general
+    formula: a sum returns the other operand, a product, negation, scaling
+    or shift returns the zero operand, values equal field for field to what
+    the formula gives (same coefficients, tails and ``valid``).  A series
+    that lost u-order or whose coefficients carry q-tails always goes
+    through the formula; so does ``useries_du``, which lowers ``valid``
+    even of an exact zero.
     """
 
     setup: ScalarSetup
@@ -569,6 +596,10 @@ class USeries:
 
     def is_zero(self) -> bool:
         """Decidably zero: no visible terms, no lost u-order, no q-tail."""
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> bool:
         return self.valid == self.order and all(c.is_zero() for c in self.coeffs)
 
     def q_certificate(self) -> Optional[int]:
@@ -585,13 +616,17 @@ class USeries:
     # -- arithmetic -----------------------------------------------------------
 
     def _common(self, other: "USeries"):
-        if self.setup != other.setup:
+        if self.setup is not other.setup and self.setup != other.setup:
             raise LatticeMismatch("scalar setup mismatch in USeries arithmetic")
         if self.order != other.order:
             raise NovikovError("truncation order mismatch in USeries arithmetic")
 
     def __add__(self, other: "USeries") -> "USeries":
         self._common(other)
+        if self._zero:
+            return other
+        if other._zero:
+            return self
         v = min(self.valid, other.valid)
         return USeries.build(
             self.setup,
@@ -601,6 +636,8 @@ class USeries:
         )
 
     def __neg__(self) -> "USeries":
+        if self._zero:
+            return self
         return USeries(self.setup, self.order,
                        tuple(-c for c in self.coeffs), self.valid)
 
@@ -609,6 +646,10 @@ class USeries:
 
     def __mul__(self, other: "USeries") -> "USeries":
         self._common(other)
+        if self._zero:
+            return self
+        if other._zero:
+            return other
         N = self.order
         va = self.u_valuation()
         vb = other.u_valuation()
@@ -629,9 +670,19 @@ class USeries:
         return USeries.build(self.setup, N, out, v)
 
     def scale(self, c: NovikovElem) -> "USeries":
+        if self._zero:
+            _check_same_setup(self, c)
+            return self
         return USeries.build(
             self.setup, self.order, [a * c for a in self.coeffs], self.valid
         )
+
+    def q_shift(self, steps: int) -> "USeries":
+        """Multiply every coefficient by q^(steps * g)."""
+        if self._zero:
+            return self
+        return USeries.build(self.setup, self.order,
+                             [c.q_shift(steps) for c in self.coeffs], self.valid)
 
     def times_u(self, k: int = 1) -> "USeries":
         z = self.setup.zero()
@@ -648,6 +699,8 @@ class USeries:
                              max(0, self.valid - k))
 
     def __bool__(self):
+        if self._zero:
+            return False
         return any(c.has_terms() for c in self.coeffs[: self.valid])
 
     def __str__(self):

@@ -45,7 +45,7 @@ from .novikov import (
     useries_du,
     useries_udq,
 )
-from .complexes import GeneratorInfo
+from .complexes import GeneratorInfo, sample_vectors
 
 __all__ = [
     "QuantumRing",
@@ -244,22 +244,6 @@ def _specialize_vec(vec: List[USeries]):
     return [[c.specialize_q1() for c in v.coeffs[: v.valid]] for v in vec]
 
 
-def _sample_elements(Q: QuantumRing, order: int):
-    setup = Q.setup
-    n = Q.rank
-    z = USeries.zero(setup, order)
-    samples = []
-    qm = setup.monomial(1, 1)
-    for i in range(n):
-        e = [z] * n
-        e[i] = USeries.from_novikov(setup.one(), order)
-        samples.append((f"e_{i}", e))
-        dressed = [z] * n
-        dressed[i] = USeries.from_novikov(qm, order, 1)
-        samples.append((f"q*u*e_{i}", dressed))
-    return samples
-
-
 def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     """Certify D_u = (u deg_q - 2q D_q)|_{q=1}.
 
@@ -277,16 +261,16 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     def bracket(x):
         lhs = [t.times_u() for t in deg_q_operator(Q, x)]
         dq_part = d_q_connection(Q, x)
-        return [a - _qshift_useries(g.scale(two), step)
+        return [a - g.scale(two).q_shift(step)
                 for a, g in zip(lhs, dq_part)]
 
     linear_witnesses = []
     identity_witnesses = []
     exact = True
-    for label, x in _sample_elements(Q, order):
-        qx = [_qshift_useries(v, step) for v in x]
+    for label, x in sample_vectors(setup, Q.rank, order):
+        qx = [v.q_shift(step) for v in x]
         bq = bracket(qx)
-        qb = [_qshift_useries(v, step) for v in bracket(x)]
+        qb = [v.q_shift(step) for v in bracket(x)]
         for i, (a, b) in enumerate(zip(bq, qb)):
             if (a - b):
                 linear_witnesses.append({
@@ -316,11 +300,6 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
         "identity_witnesses": identity_witnesses,
         "holds": not (homog or linear_witnesses or identity_witnesses),
     }
-
-
-def _qshift_useries(v: USeries, steps: int) -> USeries:
-    return USeries.build(v.setup, v.order,
-                         [c.q_shift(steps) for c in v.coeffs], v.valid)
 
 
 # -- forbidden summand obstruction --------------------------------------------

@@ -10,15 +10,24 @@ same values, certificates and error messages.
 ``invert_truncated`` is the geometric-series inverse that the coefficient
 recurrence in ``novikov.invert_truncated`` replaced; the dense elimination
 here pivots with it, and ``test_novikov.py`` compares the two inverses.
+
+``elem_add`` ... ``useries_q_shift`` are the general NovikovElem and USeries
+formulas without the short-circuits for decidably zero operands;
+``test_zero_fast_paths.py`` asserts that the operators return the same
+values, tails and valid orders.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
 from eqcartan.novikov import (CoefficientError, InversionError, NovikovElem, USeries, dq,
                               useries_du, useries_udq)
+
+
+INF = math.inf
 
 
 def _min_trunc(a, b):
@@ -62,6 +71,61 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
         term = (term * s).truncate(bound)
     out = lead_inv * acc
     return out.truncate(-e + bound)
+
+
+# -- the general scalar formulas ----------------------------------------------
+
+
+def elem_add(a, b):
+    return NovikovElem.build(a.setup, a.terms + b.terms,
+                             _min_trunc(a.trunc, b.trunc))
+
+
+def elem_mul(a, b):
+    ring = a.setup.ring
+    ta = INF if a.trunc is None else a.trunc
+    tb = INF if b.trunc is None else b.trunc
+    t = min(a.valuation_index() + tb, b.valuation_index() + ta)
+    pairs = [(na + nb, ring.mul(ca, cb))
+             for na, ca in a.terms for nb, cb in b.terms]
+    return NovikovElem.build(a.setup, pairs, None if t == INF else int(t))
+
+
+def useries_add(a, b):
+    return USeries.build(a.setup, a.order,
+                         [elem_add(x, y) for x, y in zip(a.coeffs, b.coeffs)],
+                         min(a.valid, b.valid))
+
+
+def useries_neg(a):
+    return USeries(a.setup, a.order, tuple(-c for c in a.coeffs), a.valid)
+
+
+def useries_sub(a, b):
+    return useries_add(a, useries_neg(b))
+
+
+def useries_mul(a, b):
+    N = a.order
+    va, vb = a.u_valuation(), b.u_valuation()
+    v = min(N, (N if va is None else va) + b.valid,
+            (N if vb is None else vb) + a.valid)
+    out = [a.setup.zero()] * N
+    for i, x in enumerate(a.coeffs[: a.valid]):
+        for j, y in enumerate(b.coeffs[: b.valid]):
+            if i + j < N and x.terms:
+                out[i + j] = elem_add(out[i + j], elem_mul(x, y))
+    return USeries.build(a.setup, N, out, v)
+
+
+def useries_scale(a, c):
+    return USeries.build(a.setup, a.order, [elem_mul(x, c) for x in a.coeffs],
+                         a.valid)
+
+
+def useries_q_shift(a, steps):
+    return USeries.build(a.setup, a.order,
+                         [c.q_shift(steps) for c in a.coeffs], a.valid)
 
 
 # -- elimination --------------------------------------------------------------
@@ -237,11 +301,6 @@ def _scalar_commutator(A, B, setup):
     return out
 
 
-def _qshift(e, steps):
-    return USeries.build(e.setup, e.order,
-                         [c.q_shift(steps) for c in e.coeffs], e.valid)
-
-
 def _dense_components(diff):
     z = diff.setup.zero()
     return [dense(op, diff.n, z) for op in diff.components]
@@ -271,7 +330,7 @@ def iota_mono_useries(data):
     if data.regime == "monotone":
         return M
     step = data.setup.lattice.steps_per_unit
-    return [[_qshift(e, step) for e in row] for row in M]
+    return [[useries_q_shift(e, step) for e in row] for row in M]
 
 
 def _apply_dense(M, vec, setup, order):
@@ -349,7 +408,7 @@ def gamma_q(data, vec):
         part = _apply_dense(M, vec, setup, data.order)
         if data.regime == "monotone":
             step = setup.lattice.steps_per_unit
-            part = [_qshift(p, -step) for p in part]
+            part = [useries_q_shift(p, -step) for p in part]
         out = [a + b for a, b in zip(out, part)]
     return out
 
@@ -494,7 +553,7 @@ def identity_report(data):
 
     step = setup.lattice.steps_per_unit
     record_rows("euler relation", lambda v: (
-        [a + _qshift(g.scale(two), step)
+        [a + useries_q_shift(g.scale(two), step)
          for a, g in zip(gamma_u(data, v), gamma_q(data, v))],
         [w.times_u() for w in degree_weighted(data, v)]))
     f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])

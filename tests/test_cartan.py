@@ -4,6 +4,7 @@ import pytest
 
 from eqcartan.cartan import (
     CartanData,
+    _scan,
     EquivariantDifferential,
     degree_weighted,
     flatten_equivariant,
@@ -16,7 +17,8 @@ from eqcartan.cartan import (
     solve_iota,
 )
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
-from eqcartan.novikov import CoefficientError, InputError, ScalarSetup, USeries
+from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
+                              ScalarSetup, USeries)
 
 from conftest import random_equivariant_differential
 
@@ -278,3 +280,17 @@ def test_induced_connection_gamma_u_well_defined():
     data, _ = solve_iota(monotone_pair(extra_free=True))
     out = induced_connection(data, "gamma_u")
     assert out["well_defined"], out["issues"]
+
+
+def test_scan_skips_exact_zeros_but_counts_truncated_zero_cells():
+    setup = ScalarSetup.make(1, "Q")
+    N = 3
+    exact = USeries.zero(setup, N)
+    q_tail = USeries.build(setup, N, [setup.zero(), NovikovElem(setup, (), 2)])
+    lost = USeries.build(setup, N, [], valid=1)
+    assert _scan("x", [({"row": "a"}, exact)], N) == ([], N, None)
+    # a cell known only as O(q^2) u certifies the zero to q-order index 2
+    assert _scan("x", [({"row": "a"}, exact), ({"row": "b"}, q_tail)],
+                 N) == ([], N, 2)
+    assert _scan("x", [({"row": "b"}, q_tail), ({"row": "c"}, lost),
+                       ({"row": "a"}, exact)], N) == ([], 1, 2)

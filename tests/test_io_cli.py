@@ -321,3 +321,53 @@ def test_u_order_env_is_read(monkeypatch):
     assert DEFAULT_U_ORDER(3) == 7
     monkeypatch.delenv("EQCARTAN_U_ORDER")
     assert DEFAULT_U_ORDER(3) == 3
+
+
+def test_empty_order_settings_mean_unset(monkeypatch):
+    from eqcartan.cartan import DEFAULT_U_ORDER
+    from eqcartan.linalg import DEFAULT_Q_ORDER
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", "")
+    monkeypatch.setenv("EQCARTAN_U_ORDER", "")
+    assert DEFAULT_Q_ORDER() == 64
+    assert DEFAULT_U_ORDER(3) == 3
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", " 17 ")
+    assert DEFAULT_Q_ORDER() == 17
+
+
+BAD_ORDERS = ["abc", "2.5", "0", "-5", "+3", "1e3"]
+
+
+@pytest.mark.parametrize("value", BAD_ORDERS)
+@pytest.mark.parametrize("var, argv", [
+    ("EQCARTAN_Q_ORDER", ["cohomology", str(FIXTURES / "dvr_case.json")]),
+    ("EQCARTAN_U_ORDER", ["cartan", "verify",
+                          str(FIXTURES / "monotone_case.json")]),
+])
+def test_bad_order_variable_is_malformed_input(monkeypatch, capsys, var,
+                                                argv, value):
+    monkeypatch.setenv(var, value)
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["kind"] == "malformed input"
+    assert var in rep["error"]
+
+
+@pytest.mark.parametrize("value", BAD_ORDERS)
+@pytest.mark.parametrize("argv", [
+    ["cohomology", str(FIXTURES / "dvr_case.json"), "--q-order"],
+    ["u-decompose", str(FIXTURES / "dvr_case.json"), "--order"],
+    ["quantum", "check", str(FIXTURES / "quantum_cp1.json"), "--order"],
+])
+def test_bad_order_flag_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [value])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_empty_q_order_flag_means_unset(capsys, monkeypatch):
+    monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
+    path = str(FIXTURES / "dvr_case.json")
+    assert run_cli(capsys, "cohomology", path, "--q-order=") \
+        == run_cli(capsys, "cohomology", path)

@@ -1,0 +1,124 @@
+"""Arithmetic with a decidably zero operand returns what the formula returns.
+
+``NovikovElem`` ``+``/``*`` and ``USeries`` ``+``/``-``/negation/``*``/
+``scale``/``q_shift`` skip the general formula when an operand is decidably
+zero (no terms, no q-tail and, for a series, no lost u-order).  For every
+mix of operand kinds over Q, F2 and F5 the result must equal the general
+formula of ``dense_reference`` field for field: terms, ``trunc`` of every
+coefficient and ``valid``.  The kinds include the termless but truncated
+``O(q^T)`` and series with lost u-order, which carry tails and must never
+take a short-circuit.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_reference as ref
+from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
+
+SETUPS = {ring: ScalarSetup.make(1, ring) for ring in ("Q", "F2", "F5")}
+ORDER = 3
+
+ELEM_KINDS = ("zero", "tail", "ordinary")
+SERIES_KINDS = ("zero", "tail", "lost", "ordinary")
+
+truncs = st.integers(min_value=-3, max_value=6)
+
+
+@st.composite
+def elems(draw, setup, kind):
+    """A NovikovElem of the given kind: exact zero, O(q^T), or with terms
+    (exact or truncated above them)."""
+    if kind == "zero":
+        return setup.zero()
+    if kind == "tail":
+        return NovikovElem(setup, (), draw(truncs))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=3),
+                  st.integers(min_value=1, max_value=4)),
+        min_size=1, max_size=3))
+    terms = NovikovElem.build(
+        setup, [(e, setup.ring.coerce(c)) for e, c in pairs]).terms
+    if not terms:  # every coefficient vanished in the ring
+        terms = setup.one().terms
+    top = terms[-1][0]
+    trunc = draw(st.one_of(st.none(),
+                           st.integers(min_value=top + 1, max_value=top + 4)))
+    return NovikovElem(setup, terms, trunc)
+
+
+@st.composite
+def series(draw, setup, kind):
+    """A USeries mod u^ORDER of the given kind: exact zero, no visible
+    terms but a q-tail, lost u-order (valid < ORDER), or ordinary."""
+    if kind == "zero":
+        return USeries.zero(setup, ORDER)
+    if kind == "tail":
+        coeffs = draw(st.lists(st.sampled_from(("zero", "tail")),
+                               min_size=ORDER, max_size=ORDER))
+        coeffs[draw(st.integers(min_value=0, max_value=ORDER - 1))] = "tail"
+        return USeries.build(setup, ORDER,
+                             [draw(elems(setup, k)) for k in coeffs])
+    coeffs = [draw(elems(setup, draw(st.sampled_from(ELEM_KINDS))))
+              for _ in range(ORDER)]
+    if kind == "lost":
+        return USeries.build(setup, ORDER, coeffs,
+                             draw(st.integers(min_value=0,
+                                              max_value=ORDER - 1)))
+    return USeries.build(setup, ORDER, coeffs)
+
+
+def assert_same_elem(got, want):
+    assert got == want
+    assert got.trunc == want.trunc
+
+
+def assert_same_series(got, want):
+    assert got == want
+    assert got.valid == want.valid
+    assert [c.trunc for c in got.coeffs] == [c.trunc for c in want.coeffs]
+
+
+def test_the_kinds_are_what_they_say():
+    setup = SETUPS["Q"]
+    assert setup.zero().is_zero()
+    assert not NovikovElem(setup, (), 2).is_zero()
+    assert USeries.zero(setup, ORDER).is_zero()
+    assert not USeries.build(setup, ORDER, [], valid=ORDER - 1).is_zero()
+    assert not USeries.build(setup, ORDER, [NovikovElem(setup, (), 2)]).is_zero()
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@pytest.mark.parametrize("kinds", list(itertools.product(ELEM_KINDS, repeat=2)),
+                         ids="-".join)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_novikov_arithmetic_matches_the_formula(ring, kinds, data):
+    setup = SETUPS[ring]
+    a = data.draw(elems(setup, kinds[0]))
+    b = data.draw(elems(setup, kinds[1]))
+    assert_same_elem(a + b, ref.elem_add(a, b))
+    assert_same_elem(a * b, ref.elem_mul(a, b))
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@pytest.mark.parametrize("kinds",
+                         list(itertools.product(SERIES_KINDS, repeat=2)),
+                         ids="-".join)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
+    setup = SETUPS[ring]
+    a = data.draw(series(setup, kinds[0]))
+    b = data.draw(series(setup, kinds[1]))
+    c = data.draw(elems(setup, data.draw(st.sampled_from(ELEM_KINDS))))
+    steps = data.draw(st.integers(min_value=-2, max_value=2))
+    assert_same_series(a + b, ref.useries_add(a, b))
+    assert_same_series(a - b, ref.useries_sub(a, b))
+    assert_same_series(-a, ref.useries_neg(a))
+    assert_same_series(a * b, ref.useries_mul(a, b))
+    assert_same_series(a.scale(c), ref.useries_scale(a, c))
+    assert_same_series(a.q_shift(steps), ref.useries_q_shift(a, steps))
+    assert bool(a) == any(x.terms for x in a.coeffs[: a.valid])
