@@ -45,9 +45,6 @@ from .cartan import (
 )
 from .quantum import (
     QuantumRing,
-    d_q_connection,
-    d_u_connection,
-    deg_q_operator,
     forbidden_summand_check,
     projective_space_model,
     uq_identity_check,

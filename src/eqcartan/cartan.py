@@ -341,6 +341,9 @@ def degree_weighted(data: CartanData, vec: List[USeries]) -> List[USeries]:
     lat = setup.lattice
     out = []
     for i, v in enumerate(vec):
+        if v.is_zero():  # every weighted term of an exact zero is zero
+            out.append(v)
+            continue
         base = data.diff.basis[i].index
         coeffs = []
         for k, c in enumerate(v.coeffs):

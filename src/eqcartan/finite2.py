@@ -27,14 +27,18 @@ bug, which is exactly what the tests exploit.
 
 Truncation is fixed at h^3: nothing beyond that order is specified by the
 relation set, and we refuse to extrapolate.
+
+All of it computes on the stored ``OperatorMatrix`` operators: products are
+``compose``, sums ``+`` and lambda from d is ``entrywise(dq)``; failures and
+formatted entries are read from the stored entries in row-major order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from .novikov import InputError, NovikovElem, ScalarSetup, dq
+from .novikov import InputError, ScalarSetup, dq
 from .complexes import GeneratorInfo, OperatorMatrix
 
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
@@ -86,79 +90,41 @@ class Z2CartanData:
     def n(self) -> int:
         return len(self.basis)
 
-    def dense(self, op: OperatorMatrix) -> List[List[NovikovElem]]:
-        z = self.setup.zero()
-        n = self.n
-        return [[op.entries.get((t, s), z) for s in range(n)]
-                for t in range(n)]
-
-    def identity_dense(self) -> List[List[NovikovElem]]:
-        one, z = self.setup.one(), self.setup.zero()
-        n = self.n
-        return [[one if i == j else z for j in range(n)] for i in range(n)]
+    def identity(self) -> OperatorMatrix:
+        one = self.setup.one()
+        return OperatorMatrix(self.basis, self.basis,
+                              {(i, i): one for i in range(self.n)})
 
 
-def _mul(A, B, setup):
-    n = len(A)
-    z = setup.zero()
-    out = [[z] * n for _ in range(n)]
-    for t in range(n):
-        for m in range(n):
-            if A[t][m]:
-                for s in range(n):
-                    if B[m][s]:
-                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
-    return out
+def _anticommutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+    return A.compose(B) + B.compose(A)
 
 
-def _add(*Ms):
-    out = Ms[0]
-    for M in Ms[1:]:
-        out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, M)]
-    return out
-
-
-def _anti(A, B, setup):
-    return _add(_mul(A, B, setup), _mul(B, A, setup))
-
-
-def _failures(M, basis, relation):
-    out = []
-    for t, row in enumerate(M):
-        for s, e in enumerate(row):
-            if e.has_terms():
-                out.append({"relation": relation,
-                            "entry": [basis[t].name, basis[s].name],
-                            "value": str(e)})
-    return out
+def _failures(M: OperatorMatrix, basis, relation):
+    return [{"relation": relation, "entry": [basis[t].name, basis[s].name],
+             "value": str(M.entries[(t, s)])}
+            for t, s in sorted(M.entries) if M.entries[(t, s)].has_terms()]
 
 
 def verify_relations(Z: Z2CartanData) -> dict:
     """Exact check of every displayed relation; failures carry witnesses."""
-    setup = Z.setup
     basis = Z.basis
-    d = Z.dense(Z.d)
-    iota = Z.dense(Z.iota)
-    lam = Z.dense(Z.lam)
-    sig = Z.dense(Z.sigma)
-    Sig = Z.dense(Z.Sigma)
-    xi = Z.dense(Z.xi)
-    Xi = Z.dense(Z.Xi)
-    ident = Z.identity_dense()
+    d, iota, lam, sig = Z.d, Z.iota, Z.lam, Z.sigma
+    Sig, xi, Xi = Z.Sigma, Z.xi, Z.Xi
     checks = [
-        ("d^2 = 0", _mul(d, d, setup)),
-        ("d iota = iota d", _anti(d, iota, setup)),
-        ("d lambda = lambda d", _anti(d, lam, setup)),
-        ("lambda = dq(d)", _add(lam, [[dq(e) for e in row] for row in d])),
-        ("d sigma = sigma d", _anti(d, sig, setup)),
+        ("d^2 = 0", d.compose(d)),
+        ("d iota = iota d", _anticommutator(d, iota)),
+        ("d lambda = lambda d", _anticommutator(d, lam)),
+        ("lambda = dq(d)", lam + d.entrywise(dq)),
+        ("d sigma = sigma d", _anticommutator(d, sig)),
         ("d Sigma + Sigma d = sigma^2 + id",
-         _add(_anti(d, Sig, setup), _mul(sig, sig, setup), ident)),
+         _anticommutator(d, Sig) + sig.compose(sig) + Z.identity()),
         ("d xi + xi d = sigma iota + iota sigma",
-         _add(_anti(d, xi, setup), _anti(sig, iota, setup))),
+         _anticommutator(d, xi) + _anticommutator(sig, iota)),
         ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
          " + lambda",
-         _add(_anti(d, Xi, setup), _anti(sig, xi, setup),
-              _anti(Sig, iota, setup), lam)),
+         _anticommutator(d, Xi) + _anticommutator(sig, xi)
+         + _anticommutator(Sig, iota) + lam),
     ]
     relations = []
     for name, M in checks:
@@ -178,28 +144,17 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     h^2 order of the anticommutator with d_eq is the entrywise Leibniz
     defect lambda = dq(d).
     """
-    setup = Z.setup
     basis = Z.basis
-    d = Z.dense(Z.d)
-    iota = Z.dense(Z.iota)
-    sig = Z.dense(Z.sigma)
-    Sig = Z.dense(Z.Sigma)
-    xi = Z.dense(Z.xi)
-    Xi = Z.dense(Z.Xi)
-    ident = Z.identity_dense()
-    id_sig = _add(ident, sig)
-
-    d_eq = [d, id_sig, Sig]               # h^0, h^1, h^2 matrix parts
-    gamma = [iota, xi, Xi]                # matrix parts; h^2 also carries d/dq
-    lam_from_d = [[dq(e) for e in row] for row in d]
+    d_eq = [Z.d, Z.identity() + Z.sigma, Z.Sigma]   # h^0, h^1, h^2 parts
+    gamma = [Z.iota, Z.xi, Z.Xi]        # matrix parts; h^2 also carries d/dq
 
     certificates = []
     # d_eq^2 mod h^3
     for k in range(H_ORDER):
         acc = None
         for i in range(k + 1):
-            term = _mul(d_eq[i], d_eq[k - i], setup)
-            acc = term if acc is None else _add(acc, term)
+            term = d_eq[i].compose(d_eq[k - i])
+            acc = term if acc is None else acc + term
         fails = _failures(acc, basis, f"d_eq^2, order h^{k}")
         certificates.append({
             "identity": "d_eq^2 = 0",
@@ -213,10 +168,10 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     for k in range(H_ORDER):
         acc = None
         for i in range(k + 1):
-            term = _anti(d_eq[i], gamma[k - i], setup)
-            acc = term if acc is None else _add(acc, term)
+            term = _anticommutator(d_eq[i], gamma[k - i])
+            acc = term if acc is None else acc + term
         if k == 2:
-            acc = _add(acc, lam_from_d)
+            acc = acc + Z.d.entrywise(dq)
         fails = _failures(acc, basis,
                           f"d_eq Gamma_q + Gamma_q d_eq, order h^{k}")
         certificates.append({
@@ -230,9 +185,8 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
         out = []
         for k, M in enumerate(mats):
             entries = {
-                f"{basis[t].name},{basis[s].name}": str(e)
-                for t, row in enumerate(M)
-                for s, e in enumerate(row) if e.has_terms()
+                f"{basis[t].name},{basis[s].name}": str(M.entries[(t, s)])
+                for t, s in sorted(M.entries) if M.entries[(t, s)].has_terms()
             }
             comp = {"h_order": k, "entries": entries}
             if derivative_at == k:

@@ -14,6 +14,11 @@ Operators on elements of H (x) Lambda[u]/u^N (columns of u-series):
     D_u x    =  2 u^2 dx/du - 2 (q*omega) * x + u mu(x)
     deg_q x  =  (mu + 2u d/du + 2q d/dq) x   (termwise degree weighting)
 
+These are the Cartan connections of a datum with d = 0: D_q, D_u and deg_q
+are ``gamma_q``, ``gamma_u`` and ``degree_weighted`` of
+``QuantumRing.cartan_data``, whose iota_0 = q*omega* is quantum
+multiplication by q*omega (monotone regime).
+
 ``uq_identity_check`` certifies the bracket identity
 D_u = (u deg_q - 2q D_q)|_{q=1}: the differentiation terms cancel
 symbolically, so the mathematical content is (a) that the bracket is
@@ -42,16 +47,13 @@ from .novikov import (
     NovikovElem,
     ScalarSetup,
     USeries,
-    useries_du,
-    useries_udq,
 )
-from .complexes import GeneratorInfo, sample_vectors
+from .complexes import GeneratorInfo, GradingKind, OperatorMatrix, sample_vectors
+from .cartan import (CartanData, EquivariantDifferential, degree_weighted,
+                     gamma_q, gamma_u)
 
 __all__ = [
     "QuantumRing",
-    "d_q_connection",
-    "d_u_connection",
-    "deg_q_operator",
     "uq_identity_check",
     "forbidden_summand_check",
     "projective_space_model",
@@ -118,6 +120,26 @@ class QuantumRing:
                           valid)
             for i in range(self.rank)
         ]
+
+    def cartan_data(self, order: int) -> CartanData:
+        """The quantum connections as a Cartan datum mod u^order: d = 0 and,
+        in the monotone regime, iota_0 = q*omega* with entry
+        (k, j) = sum_i q omega_i table[(i, j)][k]."""
+        if order < 1:
+            raise InputError("the u-order of a quantum Cartan datum must be "
+                             ">= 1")
+        step = self.setup.lattice.steps_per_unit
+        iota0: Dict[Tuple[int, int], NovikovElem] = {}
+        for i, w in self.omega.items():
+            qw = w.q_shift(step)
+            for j in range(self.rank):
+                for k, c in self.product_of_basis(i, j).items():
+                    v = qw * c
+                    iota0[(k, j)] = iota0[(k, j)] + v if (k, j) in iota0 else v
+        diff = EquivariantDifferential.build(self.setup, GradingKind("Z"),
+                                             self.basis, [{}], order)
+        iota = OperatorMatrix(self.basis, self.basis, iota0, 2)
+        return CartanData(diff, (iota,), "monotone")
 
     # -- axioms ---------------------------------------------------------------
 
@@ -194,50 +216,6 @@ class QuantumRing:
         return out
 
 
-# -- connection operators -----------------------------------------------------
-
-
-def d_q_connection(Q: QuantumRing, x: List[USeries]) -> List[USeries]:
-    """D_q x = u dx/dq + omega * x."""
-    out = [useries_udq(v).times_u() for v in x]
-    part = Q.star_useries(Q.omega_vector(), x)
-    return [a + b for a, b in zip(out, part)]
-
-
-def d_u_connection(Q: QuantumRing, x: List[USeries]) -> List[USeries]:
-    """D_u x = 2 u^2 dx/du - 2 (q*omega) * x + u mu(x)."""
-    setup = Q.setup
-    two = setup.monomial(2, 0)
-    step = setup.lattice.steps_per_unit
-    c1 = [c.q_shift(step) for c in Q.omega_vector()]
-    out = []
-    for i, v in enumerate(x):
-        term = useries_du(v).times_u(2).scale(two)
-        term = term + v.scale(setup.monomial(Q.basis[i].index, 0)).times_u()
-        out.append(term)
-    part = Q.star_useries(c1, x)
-    return [a - p.scale(two) for a, p in zip(out, part)]
-
-
-def deg_q_operator(Q: QuantumRing, x: List[USeries]) -> List[USeries]:
-    """(mu + 2u d/du + 2q d/dq) x: each monomial q^E u^b e_k is multiplied
-    by its total degree deg(e_k) + 2E + 2b."""
-    setup = Q.setup
-    lat = setup.lattice
-    out = []
-    for i, v in enumerate(x):
-        base = Q.basis[i].index
-        coeffs = []
-        for b, c in enumerate(v.coeffs):
-            pairs = []
-            for idx, co in c.terms:
-                w = Fraction(base + 2 * b) + 2 * lat.exponent_of(idx)
-                pairs.append((idx, setup.ring.mul_rational(co, w)))
-            coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
-        out.append(USeries.build(setup, v.order, coeffs, v.valid))
-    return out
-
-
 def _specialize_vec(vec: List[USeries]):
     """q -> 1 on every coefficient: list (per basis elt) of lists (per
     u-order) of coefficient-ring values."""
@@ -257,10 +235,11 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     step = setup.lattice.steps_per_unit
     two = setup.monomial(2, 0)
     homog = Q.homogeneity_witnesses()
+    data = Q.cartan_data(order)
 
     def bracket(x):
-        lhs = [t.times_u() for t in deg_q_operator(Q, x)]
-        dq_part = d_q_connection(Q, x)
+        lhs = [t.times_u() for t in degree_weighted(data, x)]
+        dq_part = gamma_q(data, x)
         return [a - g.scale(two).q_shift(step)
                 for a, g in zip(lhs, dq_part)]
 
@@ -278,7 +257,7 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
                     "component": Q.basis[i].name,
                     "difference": str(a - b),
                 })
-        lhs = d_u_connection(Q, x)
+        lhs = gamma_u(data, x)
         rhs = bracket(x)
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if (a - b):

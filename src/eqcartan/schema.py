@@ -455,7 +455,11 @@ def quantum_from(doc: dict) -> QuantumRing:
         for role in ("left", "right"):
             if row[role] not in pos:
                 raise DocumentError(f"unknown class {row[role]!r}")
-        table[(pos[row["left"]], pos[row["right"]])] = column(row["terms"])
+        key = (pos[row["left"]], pos[row["right"]])
+        if key in table:
+            raise DocumentError(f"repeated product-table row for "
+                                f"({row['left']!r}, {row['right']!r})")
+        table[key] = column(row["terms"])
     omega = column(block.get("omega", []))
     return QuantumRing(setup, basis, table, pos[block["unit"]], omega)
 

@@ -15,6 +15,13 @@ here pivots with it, and ``test_novikov.py`` compares the two inverses.
 formulas without the short-circuits for decidably zero operands;
 ``test_zero_fast_paths.py`` asserts that the operators return the same
 values, tails and valid orders.
+
+``d_q_connection``, ``d_u_connection`` and ``deg_q_operator`` are the
+quantum connections written with the quantum product (``star_useries``),
+and ``z2_verify_relations``/``z2_assemble_and_check`` the finite2 checks on
+dense matrices; ``test_operator_algebra_oracles.py`` asserts that the Cartan
+operators of ``QuantumRing.cartan_data`` and the ``OperatorMatrix`` versions
+of the finite2 checks return the same values and reports.
 """
 
 from __future__ import annotations
@@ -567,3 +574,218 @@ def identity_report(data):
         [g * f + w * uf for g, w in zip(gamma_q(data, v), v)]))
     return {"regime": data.regime, "order": N, "identities": results,
             "all_hold": all(r["holds"] for r in results)}
+
+
+# -- quantum connections through the quantum product -------------------------
+
+
+def star_useries(Q, a, vec):
+    """a * vec, coefficientwise in u."""
+    if not vec:
+        return []
+    order = vec[0].order
+    setup = Q.setup
+    cols = [[v.coeffs[k] for v in vec] for k in range(order)]
+    valid = min(v.valid for v in vec)
+    out_cols = [Q.star(a, col) for col in cols]
+    return [
+        USeries.build(setup, order, [out_cols[k][i] for k in range(order)],
+                      valid)
+        for i in range(Q.rank)
+    ]
+
+
+def d_q_connection(Q, x):
+    """D_q x = u dx/dq + omega * x."""
+    out = [useries_udq(v).times_u() for v in x]
+    part = star_useries(Q, Q.omega_vector(), x)
+    return [a + b for a, b in zip(out, part)]
+
+
+def d_u_connection(Q, x):
+    """D_u x = 2 u^2 dx/du - 2 (q*omega) * x + u mu(x)."""
+    setup = Q.setup
+    two = setup.monomial(2, 0)
+    step = setup.lattice.steps_per_unit
+    c1 = [c.q_shift(step) for c in Q.omega_vector()]
+    out = []
+    for i, v in enumerate(x):
+        term = useries_du(v).times_u(2).scale(two)
+        term = term + v.scale(setup.monomial(Q.basis[i].index, 0)).times_u()
+        out.append(term)
+    part = star_useries(Q, c1, x)
+    return [a - p.scale(two) for a, p in zip(out, part)]
+
+
+def deg_q_operator(Q, x):
+    """(mu + 2u d/du + 2q d/dq) x: each monomial q^E u^b e_k is multiplied
+    by its total degree deg(e_k) + 2E + 2b."""
+    setup = Q.setup
+    lat = setup.lattice
+    out = []
+    for i, v in enumerate(x):
+        base = Q.basis[i].index
+        coeffs = []
+        for b, c in enumerate(v.coeffs):
+            pairs = []
+            for idx, co in c.terms:
+                w = Fraction(base + 2 * b) + 2 * lat.exponent_of(idx)
+                pairs.append((idx, setup.ring.mul_rational(co, w)))
+            coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
+        out.append(USeries.build(setup, v.order, coeffs, v.valid))
+    return out
+
+
+# -- finite2 on dense matrices ------------------------------------------------
+
+
+def z2_dense(Z, op):
+    z = Z.setup.zero()
+    n = Z.n
+    return [[op.entries.get((t, s), z) for s in range(n)]
+            for t in range(n)]
+
+
+def z2_identity_dense(Z):
+    one, z = Z.setup.one(), Z.setup.zero()
+    n = Z.n
+    return [[one if i == j else z for j in range(n)] for i in range(n)]
+
+
+def _z2_mul(A, B, setup):
+    n = len(A)
+    z = setup.zero()
+    out = [[z] * n for _ in range(n)]
+    for t in range(n):
+        for m in range(n):
+            if A[t][m]:
+                for s in range(n):
+                    if B[m][s]:
+                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
+    return out
+
+
+def _z2_add(*Ms):
+    out = Ms[0]
+    for M in Ms[1:]:
+        out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, M)]
+    return out
+
+
+def _z2_anti(A, B, setup):
+    return _z2_add(_z2_mul(A, B, setup), _z2_mul(B, A, setup))
+
+
+def _z2_failures(M, basis, relation):
+    out = []
+    for t, row in enumerate(M):
+        for s, e in enumerate(row):
+            if e.has_terms():
+                out.append({"relation": relation,
+                            "entry": [basis[t].name, basis[s].name],
+                            "value": str(e)})
+    return out
+
+
+def z2_verify_relations(Z):
+    setup = Z.setup
+    basis = Z.basis
+    d = z2_dense(Z, Z.d)
+    iota = z2_dense(Z, Z.iota)
+    lam = z2_dense(Z, Z.lam)
+    sig = z2_dense(Z, Z.sigma)
+    Sig = z2_dense(Z, Z.Sigma)
+    xi = z2_dense(Z, Z.xi)
+    Xi = z2_dense(Z, Z.Xi)
+    ident = z2_identity_dense(Z)
+    checks = [
+        ("d^2 = 0", _z2_mul(d, d, setup)),
+        ("d iota = iota d", _z2_anti(d, iota, setup)),
+        ("d lambda = lambda d", _z2_anti(d, lam, setup)),
+        ("lambda = dq(d)", _z2_add(lam, [[dq(e) for e in row] for row in d])),
+        ("d sigma = sigma d", _z2_anti(d, sig, setup)),
+        ("d Sigma + Sigma d = sigma^2 + id",
+         _z2_add(_z2_anti(d, Sig, setup), _z2_mul(sig, sig, setup), ident)),
+        ("d xi + xi d = sigma iota + iota sigma",
+         _z2_add(_z2_anti(d, xi, setup), _z2_anti(sig, iota, setup))),
+        ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
+         " + lambda",
+         _z2_add(_z2_anti(d, Xi, setup), _z2_anti(sig, xi, setup),
+                 _z2_anti(Sig, iota, setup), lam)),
+    ]
+    relations = []
+    for name, M in checks:
+        fails = _z2_failures(M, basis, name)
+        relations.append({"relation": name, "holds": not fails,
+                          "failures": fails})
+    return {"relations": relations,
+            "all_hold": all(r["holds"] for r in relations)}
+
+
+def z2_assemble_and_check(Z):
+    h_order = 3
+    setup = Z.setup
+    basis = Z.basis
+    d = z2_dense(Z, Z.d)
+    iota = z2_dense(Z, Z.iota)
+    sig = z2_dense(Z, Z.sigma)
+    Sig = z2_dense(Z, Z.Sigma)
+    xi = z2_dense(Z, Z.xi)
+    Xi = z2_dense(Z, Z.Xi)
+    ident = z2_identity_dense(Z)
+    id_sig = _z2_add(ident, sig)
+
+    d_eq = [d, id_sig, Sig]               # h^0, h^1, h^2 matrix parts
+    gamma = [iota, xi, Xi]                # matrix parts; h^2 also carries d/dq
+    lam_from_d = [[dq(e) for e in row] for row in d]
+
+    certificates = []
+    for k in range(h_order):
+        acc = None
+        for i in range(k + 1):
+            term = _z2_mul(d_eq[i], d_eq[k - i], setup)
+            acc = term if acc is None else _z2_add(acc, term)
+        fails = _z2_failures(acc, basis, f"d_eq^2, order h^{k}")
+        certificates.append({
+            "identity": "d_eq^2 = 0",
+            "h_order": k,
+            "holds": not fails,
+            "failures": fails,
+        })
+    for k in range(h_order):
+        acc = None
+        for i in range(k + 1):
+            term = _z2_anti(d_eq[i], gamma[k - i], setup)
+            acc = term if acc is None else _z2_add(acc, term)
+        if k == 2:
+            acc = _z2_add(acc, lam_from_d)
+        fails = _z2_failures(acc, basis,
+                             f"d_eq Gamma_q + Gamma_q d_eq, order h^{k}")
+        certificates.append({
+            "identity": "d_eq Gamma_q + Gamma_q d_eq = 0",
+            "h_order": k,
+            "holds": not fails,
+            "failures": fails,
+        })
+
+    def fmt(mats, derivative_at=None):
+        out = []
+        for k, M in enumerate(mats):
+            entries = {
+                f"{basis[t].name},{basis[s].name}": str(e)
+                for t, row in enumerate(M)
+                for s, e in enumerate(row) if e.has_terms()
+            }
+            comp = {"h_order": k, "entries": entries}
+            if derivative_at == k:
+                comp["plus_operator"] = "d/dq"
+            out.append(comp)
+        return out
+
+    return {
+        "h_truncation": h_order,
+        "d_eq": fmt(d_eq),
+        "gamma_q": fmt(gamma, derivative_at=2),
+        "certificates": certificates,
+        "all_hold": all(c["holds"] for c in certificates),
+    }

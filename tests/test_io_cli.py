@@ -100,6 +100,34 @@ def test_malformed_document_exits_2(capsys, tmp_path):
     assert json.loads(out)["kind"] == "malformed input"
 
 
+@pytest.mark.parametrize("command", [["validate"], ["quantum", "check"]])
+def test_repeated_product_table_row_exits_2(capsys, tmp_path, command):
+    # a second (e, e) row stating e*e = 7: rows are not summed, so the
+    # document is ambiguous and must not be checked as if it were not
+    doc = json.loads((FIXTURES / "quantum_cp1.json").read_text())
+    table = doc["quantum_ring"]["table"]
+    table.insert(len(table) - 1, {"left": "e", "right": "e",
+                                  "terms": [{"term": "one", "value": "7"}]})
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, *command, str(p))
+    assert code == 2
+    report = json.loads(out)
+    assert report["kind"] == "malformed input"
+    assert "('e', 'e')" in report["error"]
+
+
+def test_repeated_terms_within_a_table_row_are_summed(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "quantum_cp1.json").read_text())
+    doc["quantum_ring"]["table"][-1]["terms"] = [
+        {"term": "one", "value": "q^2 - 1"}, {"term": "one", "value": "1"}]
+    p = tmp_path / "split.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "quantum", "check", str(p))
+    assert code == 0
+    assert json.loads(out)["uq_identity"]["holds"]
+
+
 def _not_square_document(tmp_path):
     # d does not square to zero: a three-step complex with two arrows
     p = tmp_path / "notsquare.json"

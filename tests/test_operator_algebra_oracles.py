@@ -1,0 +1,178 @@
+"""Quantum connections and finite2 checks against their own former formulas.
+
+The quantum connections D_q, D_u and deg_q are computed as the Cartan
+operators ``gamma_q``, ``gamma_u`` and ``degree_weighted`` of
+``QuantumRing.cartan_data``; ``dense_reference`` keeps the formulas written
+with the quantum product.  Both must give the same series field for field
+(coefficients, q-tails and valid orders) on product tables that need not be
+associative.  The finite2 checks run on ``OperatorMatrix``; their whole
+reports, failure lists in order included, must equal those of the dense
+matrix versions, on relation-satisfying systems and with one entry flipped.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import dense_reference as ref
+from eqcartan.cartan import degree_weighted, gamma_q, gamma_u
+from eqcartan.complexes import GeneratorInfo, sample_vectors
+from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
+from eqcartan.novikov import NovikovElem, NovikovError, ScalarSetup, USeries
+from eqcartan.quantum import QuantumRing, projective_space_model
+from test_finite2 import SETUP as SETUP_F2, golden_with_nonzero_lambda, \
+    random_z2_data
+
+SETUPS = {(ring, str(g)): ScalarSetup.make(g, ring)
+          for ring in ("Q", "F2", "F5") for g in (1, Fraction(1, 2))}
+
+
+def assert_same_vectors(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert g.valid == w.valid
+        assert [c.trunc for c in g.coeffs] == [c.trunc for c in w.coeffs]
+
+
+def random_elem(rng, setup, zero_share=0.3):
+    if rng.random() < zero_share:
+        return setup.zero()
+    pairs = [(rng.randint(-2, 4), setup.ring.coerce(rng.choice([1, 2, 3, -1])))
+             for _ in range(rng.randint(1, 3))]
+    return NovikovElem.build(setup, pairs)
+
+
+def random_ring(rng, setup):
+    """A random based module with a random product table and omega; the
+    table need not be associative, commutative or homogeneous."""
+    n = rng.randint(1, 4)
+    basis = tuple(GeneratorInfo(f"b{i}", rng.randint(-2, 6)) for i in range(n))
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.7:
+                table[(i, j)] = {k: random_elem(rng, setup)
+                                 for k in rng.sample(range(n),
+                                                     rng.randint(1, n))}
+    omega = {k: random_elem(rng, setup, 0.2) for k in range(n)}
+    return QuantumRing(setup, basis, table, rng.randrange(n), omega)
+
+
+def random_vectors(rng, setup, n, order, count=4):
+    """Columns of u-series with exact coefficients and full valid order."""
+    out = []
+    for c in range(count):
+        vec = [USeries.zero(setup, order) if rng.random() < 0.3
+               else USeries.build(setup, order,
+                                  [random_elem(rng, setup)
+                                   for _ in range(order)])
+               for _ in range(n)]
+        out.append((f"random_{c}", vec))
+    return out
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its error: d/dq
+    of a half-integer exponent leaves F2, and both sides must say so."""
+    try:
+        return fn(*args)
+    except NovikovError as exc:
+        return type(exc), str(exc)
+
+
+def assert_connections_match(Q, order, vectors):
+    data = Q.cartan_data(order)
+    for _, x in vectors:
+        for new, old in ((gamma_q, ref.d_q_connection),
+                         (gamma_u, ref.d_u_connection),
+                         (degree_weighted, ref.deg_q_operator)):
+            got, want = outcome(new, data, x), outcome(old, Q, x)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same_vectors(got, want)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("n", range(5))
+def test_projective_connections_match_the_quantum_product(n, order):
+    rng = random.Random(100 * n + order)
+    setup = SETUPS[("Q", "1")]
+    Q = projective_space_model(n, setup)
+    vectors = (sample_vectors(setup, Q.rank, order)
+               + random_vectors(rng, setup, Q.rank, order))
+    assert_connections_match(Q, order, vectors)
+
+
+@pytest.mark.parametrize("key", sorted(SETUPS), ids="-".join)
+@pytest.mark.parametrize("seed", range(8))
+def test_random_table_connections_match_the_quantum_product(seed, key):
+    rng = random.Random(seed)
+    setup = SETUPS[key]
+    Q = random_ring(rng, setup)
+    order = rng.randint(1, 4)
+    vectors = (sample_vectors(setup, Q.rank, order)
+               + random_vectors(rng, setup, Q.rank, order))
+    assert_connections_match(Q, order, vectors)
+
+
+def test_cartan_data_iota_is_q_times_omega_star():
+    setup = SETUPS[("Q", "1")]
+    Q = projective_space_model(2, setup)
+    data = Q.cartan_data(2)
+    (iota0,) = data.iota
+    assert iota0.degree == 2
+    assert data.regime == "monotone"
+    assert not data.diff.components[0].entries
+    # omega = 3 e1: e1*e0 = e1, e1*e1 = e2, e1*e2 = q^3 e0
+    assert iota0.entries == {(1, 0): setup.monomial(3, 1),
+                             (2, 1): setup.monomial(3, 1),
+                             (0, 2): setup.monomial(3, 4)}
+
+
+# -- finite2 --------------------------------------------------------------------
+
+
+def flip_one_entry(rng, Z):
+    """The system with one entry of one operator changed by a monomial."""
+    name = rng.choice(sorted(Z.operators()))
+    entries = dict(Z.operators()[name].entries)
+    key = (rng.randrange(Z.n), rng.randrange(Z.n))
+    mono = SETUP_F2.monomial(1, rng.randint(-1, 2))
+    entries[key] = entries[key] + mono if key in entries else mono
+    maps = {k: op.entries for k, op in Z.operators().items()}
+    maps[name] = entries
+    return Z2CartanData.build(SETUP_F2, Z.basis, **maps)
+
+
+def assert_same_reports(Z):
+    rel, want_rel = verify_relations(Z), ref.z2_verify_relations(Z)
+    assert [r["failures"] for r in rel["relations"]] \
+        == [r["failures"] for r in want_rel["relations"]]
+    assert rel == want_rel
+    out, want_out = assemble_and_check(Z), ref.z2_assemble_and_check(Z)
+    assert [c["failures"] for c in out["certificates"]] \
+        == [c["failures"] for c in want_out["certificates"]]
+    assert out == want_out
+    return rel["all_hold"] and out["all_hold"]
+
+
+@pytest.mark.parametrize("max_gens", [2, 6, 12])
+@pytest.mark.parametrize("seed", range(6))
+def test_finite2_reports_match_dense(seed, max_gens):
+    rng = random.Random(seed)
+    Z = random_z2_data(rng, max_gens)
+    assert assert_same_reports(Z)
+    flipped = [flip_one_entry(rng, Z) for _ in range(4)]
+    holding = [assert_same_reports(F) for F in flipped]
+    assert not all(holding)
+
+
+def test_finite2_reports_match_dense_with_nonzero_lambda():
+    rng = random.Random(7)
+    Z = golden_with_nonzero_lambda()
+    assert assert_same_reports(Z)
+    for _ in range(10):
+        assert_same_reports(flip_one_entry(rng, Z))

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from eqcartan.cartan import gamma_q
 from eqcartan.novikov import InputError, ScalarSetup, USeries
 from eqcartan.quantum import (
     QuantumRing,
-    d_q_connection,
     forbidden_summand_check,
     projective_space_model,
     uq_identity_check,
@@ -99,7 +99,7 @@ def test_uq_identity_flags_broken_omega():
 def test_connections_on_the_unit():
     Q = projective_space_model(1, SETUP)
     one = [USeries.from_novikov(SETUP.one(), 3), USeries.zero(SETUP, 3)]
-    dq_one = d_q_connection(Q, one)
+    dq_one = gamma_q(Q.cartan_data(3), one)
     # u d/dq kills the unit; what is left is omega * 1 = 2 e
     assert not dq_one[0]
     assert dq_one[1].coeffs[0].terms == ((0, 2),)

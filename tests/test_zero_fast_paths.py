@@ -7,7 +7,8 @@ mix of operand kinds over Q, F2 and F5 the result must equal the general
 formula of ``dense_reference`` field for field: terms, ``trunc`` of every
 coefficient and ``valid``.  The kinds include the termless but truncated
 ``O(q^T)`` and series with lost u-order, which carry tails and must never
-take a short-circuit.
+take a short-circuit.  ``cartan.degree_weighted`` returns a decidably zero
+entry as it is and must equal the general formula in the same way.
 """
 
 import itertools
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
+from eqcartan.cartan import CartanData, EquivariantDifferential, degree_weighted
+from eqcartan.complexes import GeneratorInfo, GradingKind
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
 
 SETUPS = {ring: ScalarSetup.make(1, ring) for ring in ("Q", "F2", "F5")}
@@ -122,3 +125,21 @@ def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
     assert_same_series(a.scale(c), ref.useries_scale(a, c))
     assert_same_series(a.q_shift(steps), ref.useries_q_shift(a, steps))
     assert bool(a) == any(x.terms for x in a.coeffs[: a.valid])
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_degree_weighted_matches_the_formula(ring, kind, data):
+    setup = SETUPS[ring]
+    kinds = [kind, data.draw(st.sampled_from(SERIES_KINDS))]
+    basis = [GeneratorInfo(f"g{i}", data.draw(st.integers(-3, 3)))
+             for i in range(len(kinds))]
+    diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
+                                         order=ORDER)
+    vec = [data.draw(series(setup, k)) for k in kinds]
+    got = degree_weighted(CartanData(diff), vec)
+    want = ref.degree_weighted(CartanData(diff), vec)
+    for g, w in zip(got, want):
+        assert_same_series(g, w)
