@@ -259,6 +259,9 @@ CLI_MATRIX = [
     ["cartan", "solve-iota", "exact_case.json"],
     ["cartan", "connection", "--which", "q", "monotone_case.json"],
     ["cartan", "connection", "--which", "u", "monotone_case.json"],
+    ["cartan", "verify", "classes_case.json"],
+    ["cartan", "connection", "--which", "q", "classes_case.json"],
+    ["cartan", "connection", "--which", "u", "classes_case.json"],
     ["quantum", "check", "quantum_cp1.json"],
     ["finite2", "verify", "z2_case.json"],
     ["finite2", "assemble", "z2_case.json"],
