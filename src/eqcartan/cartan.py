@@ -69,7 +69,7 @@ __all__ = [
 REGIMES = ("monotone", "cy")
 
 
-def DEFAULT_U_ORDER(fallback: int) -> int:
+def DEFAULT_U_ORDER(fallback: Optional[int] = None) -> Optional[int]:
     order = linalg._order_setting(os.environ.get("EQCARTAN_U_ORDER"),
                                  "EQCARTAN_U_ORDER")
     return fallback if order is None else order
@@ -80,21 +80,25 @@ class EquivariantDifferential:
     """d_eq = sum_k u^k d_k on a common basis, analysed mod u^order.
 
     ``components[k]`` is d_k as a plain Novikov matrix (degree 1 - 2k when
-    the grading is meaningful).  ``order`` defaults to K + 2 so that the
-    first potentially-obstructed iota order is visible.
+    the grading is meaningful).  ``order`` None means K + 2, so that the
+    first potentially-obstructed iota order is visible; an explicit order
+    must be a positive integer.
     """
 
     setup: ScalarSetup
     grading: GradingKind
     basis: Tuple[GeneratorInfo, ...]
     components: Tuple[OperatorMatrix, ...]
-    order: int = 0
+    order: Optional[int] = None
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
         self.components = tuple(self.components)
-        if self.order <= 0:
+        if self.order is None:
             self.order = len(self.components) + 1
+        elif self.order < 1:
+            raise InputError(
+                f"the u-order must be a positive integer, got {self.order}")
         if self.order < len(self.components):
             raise InputError(
                 "truncation order must cover every differential component"
@@ -104,7 +108,8 @@ class EquivariantDifferential:
                 raise InputError(f"component d_{k} basis mismatch")
 
     @staticmethod
-    def build(setup, grading, basis, component_entries, order: int = 0):
+    def build(setup, grading, basis, component_entries,
+              order: Optional[int] = None):
         basis = tuple(basis)
         comps = [
             OperatorMatrix(basis, basis, dict(e), 1 - 2 * k)
@@ -578,22 +583,16 @@ def flatten_equivariant(diff: EquivariantDifferential) -> GradedComplex:
 
 
 def _unflatten(diff, vec):
-    setup = diff.setup
     N, n = diff.order, diff.n
-    out = []
-    for i in range(n):
-        coeffs = [vec[j * n + i] for j in range(N)]
-        out.append(USeries.build(setup, N, coeffs))
-    return out
+    zero = USeries.zero(diff.setup, N)
+    columns = ([vec[j * n + i] for j in range(N)] for i in range(n))
+    return [zero if all(c.is_zero() for c in cs)
+            else USeries.build(diff.setup, N, cs) for cs in columns]
 
 
 def _flatten_vec(diff, useries_vec):
-    N, n = diff.order, diff.n
-    out = []
-    for j in range(N):
-        for i in range(n):
-            out.append(useries_vec[i].coeffs[j])
-    return out
+    return [useries_vec[i].coeffs[j]
+            for j in range(diff.order) for i in range(diff.n)]
 
 
 def induced_connection(data: CartanData, which: str = "gamma_q",
@@ -601,10 +600,14 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     """Matrix of the connection operator on equivariant cohomology classes.
 
     Cohomology of the u-truncated complex is computed over the Novikov
-    field; each representative is pushed through the operator and re-solved
-    against [class representatives | boundaries].  Well-definedness is
-    certified by perturbing every representative by an explicit boundary
-    and checking the coefficients do not move.
+    field together with its projection p onto the classes.  Row c of the
+    matrix is p(Gamma rep_c); an image that is not a cocycle leaves a
+    residue and is reported as not expressible.  Well-definedness on
+    cohomology is certified exactly: Gamma is Lambda-linear up to a
+    derivation that maps boundaries to boundaries, so it descends to
+    classes iff every Gamma(rep_c) is a cocycle and, for each flattened
+    generator e_i with d e_i != 0, Gamma(d e_i) is a boundary, i.e. p sends
+    it to zero with no residue.
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
@@ -635,41 +638,27 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
                 "matrix_part_is_zero": iota_trivial,
                 "classes": [], "matrix": [], "well_defined": True,
                 "issues": []}
-    d_rows = C.d.dense(zero)
-    # columns: class representatives, then every boundary d(e_i)
-    cols = [cl["vector"] for cl in classes]
-    bcols = [[d_rows[r][c] for r in range(big_n)] for c in range(big_n)]
-    M = [[colv[r] for colv in cols + bcols] for r in range(big_n)]
-    red = linalg.row_reduce(M, setup, q_order)
 
-    def express(vec):
-        x, bad = linalg.solve(M, vec, setup, q_order, reduction=red)
-        if x is None:
-            return None, bad
-        return x[: len(classes)], None
+    def project_image(vec):
+        return H.project(_flatten_vec(diff, op(data, _unflatten(diff, vec))))
 
     matrix = []
-    well_defined = True
     issues = []
-    ones = [setup.one()] * big_n
-    perturb = C.d.apply(ones, zero)
     for ci, cl in enumerate(classes):
-        img = _flatten_vec(diff, op(data, _unflatten(diff, cl["vector"])))
-        coeffs, bad = express(img)
-        if coeffs is None:
+        coeffs, residue = project_image(cl["vector"])
+        matrix.append(None if residue else [setup.format(c) for c in coeffs])
+        if residue is not None:
             issues.append({"class": ci, "problem": "image not expressible",
-                           "residual_row": bad[0], "residual": str(bad[1])})
-            matrix.append(None)
-            continue
-        pert_rep = [a + b for a, b in zip(cl["vector"], perturb)]
-        img2 = _flatten_vec(diff, op(data, _unflatten(diff, pert_rep)))
-        coeffs2, bad2 = express(img2)
-        if coeffs2 is None or any((a - b).has_terms()
-                                  for a, b in zip(coeffs, coeffs2)):
-            well_defined = False
-            issues.append({"class": ci,
-                           "problem": "coefficients depend on representative"})
-        matrix.append([setup.format(c) for c in coeffs])
+                           "residual_generator": C.basis[residue[0]].name,
+                           "residual": str(residue[1])})
+    boundaries: Dict[int, List[NovikovElem]] = {}
+    for (t, s), v in C.d.entries.items():
+        boundaries.setdefault(s, [zero] * big_n)[t] = v
+    for s in sorted(boundaries):
+        coeffs, residue = project_image(boundaries[s])
+        if residue is not None or any(c.has_terms() for c in coeffs):
+            issues.append({"boundary_of": C.basis[s].name,
+                           "problem": "image of a boundary is not a boundary"})
     return {
         "operator": which,
         "operator_form": form,
@@ -678,6 +667,6 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
                      "representative": [setup.format(v) for v in cl["vector"]]}
                     for cl in classes],
         "matrix": matrix,
-        "well_defined": well_defined and not issues,
+        "well_defined": not issues,
         "issues": issues,
     }

@@ -52,7 +52,7 @@ def cmd_validate(args) -> int:
         blocks["complex"] = {"violations": viol, "valid": not viol}
         ok = ok and not viol
     if "d_family" in doc or "complex" in doc:
-        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER(0))
+        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
         d_eq = diff.as_operator()
         fails, _, _ = cartan_mod._scan(
             "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
@@ -123,7 +123,7 @@ def cmd_cohomology(args) -> int:
 def cmd_u_decompose(args) -> int:
     doc = schema_mod.load_document(args.document)
     diff = schema_mod.differential_family_from(
-        doc, args.order or DEFAULT_U_ORDER(0))
+        doc, args.order or DEFAULT_U_ORDER())
     rep = cx.u_module_decomposition(
         diff.as_operator(), analysis_order=diff.order,
         grading=diff.grading, q_order=args.q_order)
@@ -144,7 +144,7 @@ def cmd_u_decompose(args) -> int:
 
 def cmd_cartan_verify(args) -> int:
     doc = schema_mod.load_document(args.document)
-    data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER(0))
+    data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER())
     report = cartan_mod.identity_report(data, args.q_order)
     lam_doc = schema_mod.lambda_family_from(doc, data.diff)
     if lam_doc is not None:
@@ -158,7 +158,7 @@ def cmd_cartan_verify(args) -> int:
 
 def cmd_cartan_solve_iota(args) -> int:
     doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER(0))
+    diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
     regime = args.regime or doc.get("iota_family", {}).get("regime",
                                                           "monotone")
     data, obstruction = cartan_mod.solve_iota(diff, regime,
@@ -184,9 +184,9 @@ def cmd_cartan_solve_iota(args) -> int:
 def cmd_cartan_connection(args) -> int:
     doc = schema_mod.load_document(args.document)
     if "iota_family" in doc:
-        data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER(0))
+        data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER())
     else:
-        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER(0))
+        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
         data, obstruction = cartan_mod.solve_iota(
             diff, args.regime or "monotone", q_order=args.q_order)
         if obstruction is not None:

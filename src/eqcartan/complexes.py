@@ -7,7 +7,8 @@ Contents:
   Novikov scalars or truncated u-series;
 * differential validation (d^2 = 0, monomial homogeneity in the |q| = 2
   regime);
-* cohomology over the Novikov field by valuation-pivot elimination;
+* cohomology over the Novikov field by valuation-pivot elimination, with
+  the projection onto its classes;
 * Smith-style diagonalization over the discrete valuation ring Lambda[[u]]
   (free rank + u-torsion orders + undetermined pivots);
 * the long-exact-sequence bookkeeping between ordinary and equivariant
@@ -117,9 +118,9 @@ class OperatorMatrix:
     ``entries`` maps (target position, source position) to a scalar
     (NovikovElem, or USeries for equivariant operators) that is not
     decidably zero: exact zeros are dropped, while entries without visible
-    terms that still carry a q-tail or a lost u-order are kept, so sums and
-    identity scans see their truncation.  ``compose`` and ``apply`` multiply
-    only entries with visible terms.
+    terms that still carry a q-tail or a lost u-order are kept, so sums,
+    products and identity scans see their truncation.  ``compose`` and
+    ``apply`` skip only decidably zero operands.
     """
 
     source: Tuple[GeneratorInfo, ...]
@@ -146,11 +147,8 @@ class OperatorMatrix:
         acc: Dict[Tuple[int, int], Scalar] = {}
         by_mid: Dict[int, list] = {}
         for (m, s), v in other.entries.items():
-            if v:
-                by_mid.setdefault(m, []).append((s, v))
+            by_mid.setdefault(m, []).append((s, v))
         for (t, m), a in self.entries.items():
-            if not a:
-                continue
             for s, b in by_mid.get(m, ()):  # a * b
                 key = (t, s)
                 prod = a * b
@@ -185,7 +183,7 @@ class OperatorMatrix:
     def apply(self, vec: List[Scalar], zero: Scalar) -> List[Scalar]:
         out = [zero] * len(self.target)
         for (t, s), a in self.entries.items():
-            if a and vec[s]:
+            if not vec[s].is_zero():
                 out[t] = out[t] + (a * vec[s])
         return out
 
@@ -222,6 +220,9 @@ class GradedComplex:
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
+        self._by_degree: Dict[int, List[int]] = {}
+        for i, g in enumerate(self.basis):
+            self._by_degree.setdefault(g.degree(self.grading), []).append(i)
 
     @staticmethod
     def build(setup, grading, basis, entries, q_degree_two=False,
@@ -231,11 +232,10 @@ class GradedComplex:
         return GradedComplex(setup, grading, basis, d, q_degree_two)
 
     def degrees_present(self) -> List[int]:
-        return sorted({g.degree(self.grading) for g in self.basis})
+        return sorted(self._by_degree)
 
     def generators_in_degree(self, k: int) -> List[int]:
-        return [i for i, g in enumerate(self.basis)
-                if g.degree(self.grading) == k]
+        return list(self._by_degree.get(k, ()))
 
 
 # -- validation ---------------------------------------------------------------
@@ -303,63 +303,91 @@ def validate_complex(C: GradedComplex) -> List[dict]:
 # -- cohomology over the Novikov field ---------------------------------------
 
 
-def _block(C: GradedComplex, op: OperatorMatrix, k: int):
-    """Dense block of op restricted to sources of displayed degree k."""
-    src = C.generators_in_degree(k)
-    tgt = C.generators_in_degree(C.grading.add(k, op.degree))
-    zero = C.setup.zero()
-    rows = [[op.entries.get((t, s), zero) for s in src] for t in tgt]
-    return src, tgt, rows
+class CohomologyReport(dict):
+    """The JSON report of ``cohomology_over_novikov_field`` and the
+    projection p onto its classes.
+
+    ``blocks`` holds, per displayed degree in increasing order, the
+    degree's generators, its reduced image rows (None if nothing maps in)
+    and its representatives as (column, sparse vector) pairs; a vector is 1
+    at its column, where the other representatives and the image rows are
+    0, and 0 at every image pivot column.
+    """
+
+    blocks: list
+
+    def project(self, vec):
+        """p on a chain (one scalar per basis generator): the coefficients
+        of the classes, by degree and then by representative, read at the
+        representatives' columns after reducing by the image rows; and the
+        residue, None iff nothing visible is left after taking away the
+        image and the classes (vec is a cocycle), else the first basis
+        position where terms remain, with that value."""
+        coeffs, residue = [], None
+        for gens, images, reps in self.blocks:
+            w = [vec[g] for g in gens]
+            if all(e.is_zero() for e in w):
+                coeffs.extend([w[0]] * len(reps))
+                continue
+            _reduce_by(images, w)
+            a = [w[col] for col, _ in reps]
+            for aj, (_, rep) in zip(a, reps):
+                if aj.has_terms():
+                    for i, r in rep.items():
+                        w[i] = w[i] - (aj * r)
+            coeffs.extend(a)
+            bad = next((i for i, e in enumerate(w) if e.has_terms()), None)
+            if residue is None and bad is not None:
+                residue = (gens[bad], w[bad])
+        return coeffs, residue
 
 
 def cohomology_over_novikov_field(C: GradedComplex,
-                                  q_order: Optional[int] = None) -> dict:
+                                  q_order: Optional[int] = None
+                                  ) -> CohomologyReport:
     """Betti numbers and representative cocycles per displayed degree.
 
     Gaussian elimination over the Novikov field with q-valuation pivoting;
     the certificate records the q-order to which zero-decisions were
-    verified (None = exact).
+    verified (None = exact).  The returned report also carries the
+    projection onto its classes (``CohomologyReport.project``), read off
+    the same eliminations.
     """
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
     setup = C.setup
     degrees = C.degrees_present()
-    reductions = {}
+    reductions = {}  # k -> (sources, targets, dense block of d, reduction)
+    rank = {}
     verified = None
     for k in degrees:
-        src, tgt, rows = _block(C, C.d, k)
-        if not src:
-            continue
-        if not tgt:
-            red = None
-        else:
-            red = linalg.row_reduce(rows, setup, q_order)
-            if red.verified_trunc is not None:
-                verified = (red.verified_trunc if verified is None
-                            else min(verified, red.verified_trunc))
+        src = C.generators_in_degree(k)
+        tgt = C.generators_in_degree(C.grading.add(k, C.d.degree))
+        rows = [[C.d.entries.get((t, s), setup.zero()) for s in src]
+                for t in tgt]
+        red = linalg.row_reduce(rows, setup, q_order) if tgt else None
+        if red is not None:
+            verified = linalg._min_trunc(verified, red.verified_trunc)
         reductions[k] = (src, tgt, rows, red)
+        rank[k] = red.rank if red is not None else 0
 
-    def block_rank(k):
-        if k not in reductions:
-            return 0
-        red = reductions[k][3]
-        return red.rank if red is not None else 0
-
-    report = {"degrees": {}, "certificate": {
+    report = CohomologyReport(degrees={}, certificate={
         "verified_q_order_index": verified,
         "pivot_rule": "minimal q-valuation, then row, then column",
-    }}
+    })
+    report.blocks = []
     for k in degrees:
         n_k = len(C.generators_in_degree(k))
         if n_k == 0:
             continue
         # incoming differential: the degree whose image lands in degree k
         incoming = [j for j in degrees
-                    if C.grading.add(j, C.d.degree) == k and block_rank(j)]
-        r_in = sum(block_rank(j) for j in incoming)
-        r_out = block_rank(k)
+                    if C.grading.add(j, C.d.degree) == k and rank[j]]
+        r_in = sum(rank[j] for j in incoming)
+        r_out = rank[k]
         betti = n_k - r_out - r_in
-        reps = _representatives(C, reductions, k, incoming, q_order)
+        images = _image_reduction(C, reductions, k, incoming, q_order)
+        reps = _representatives(C, reductions, k, images, q_order)
         if len(reps) != betti:
             _require_square_zero(C, "d")
             raise InternalError(
@@ -371,8 +399,11 @@ def cohomology_over_novikov_field(C: GradedComplex,
             "rank_out": r_out,
             "rank_in": r_in,
             "betti": betti,
-            "representatives": reps,
+            "representatives": [
+                [rep.get(i, setup.zero()) for i in range(n_k)]
+                for _, rep in reps],
         }
+        report.blocks.append((C.generators_in_degree(k), images, reps))
     return report
 
 
@@ -390,53 +421,48 @@ def _require_square_zero(C: GradedComplex, name: str):
             f"{name} does not square to zero at ({t},{s}): {value}")
 
 
-def _representatives(C, reductions, k, incoming, q_order):
-    """Kernel of d^k reduced modulo the image of the incoming blocks.
-
-    Vectors are returned in the coordinates of the degree-k generators.
-    """
-    setup = C.setup
-    gens_k = C.generators_in_degree(k)
-    nk = len(gens_k)
-    if nk == 0:
-        return []
-    if k in reductions and reductions[k][3] is not None:
-        src, tgt, rows, red = reductions[k]
-        kern = linalg.kernel_basis(rows, setup, q_order, reduction=red)
-    else:
-        one, zero = setup.one(), setup.zero()
-        kern = [[one if i == j else zero for j in range(nk)]
-                for i in range(nk)]
-    # image vectors of the incoming blocks, in degree-k coordinates
+def _image_reduction(C, reductions, k, incoming, q_order):
+    """The image of the incoming blocks in degree-k coordinates, row
+    reduced, or None when nothing maps into degree k."""
+    zero = C.setup.zero()
     images = []
     for j in incoming:
-        src_j, tgt_j, rows_j, red_j = reductions[j]
+        _, tgt_j, rows_j, red_j = reductions[j]
         pos = {t: i for i, t in enumerate(tgt_j)}
-        for _, pc in red_j.pivots:
-            vec = [setup.zero()] * nk
-            for i, t in enumerate(gens_k):
-                if t in pos:
-                    vec[i] = rows_j[pos[t]][pc]
-            images.append(vec)
-    if images:
-        img_red = linalg.row_reduce(images, setup, q_order)
-        reduced_kern = []
-        for v in kern:
-            w = list(v)
-            for r, c in img_red.pivots:
-                f = w[c]
-                if f.has_terms():
-                    for col, b in img_red.reduced[r].items():
-                        w[col] = w[col] - (f * b)
-            reduced_kern.append(w)
+        images += [[rows_j[pos[t]][pc] if t in pos else zero
+                    for t in C.generators_in_degree(k)]
+                   for _, pc in red_j.pivots]
+    return linalg.row_reduce(images, C.setup, q_order) if images else None
+
+
+def _reduce_by(images, w):
+    """w less its part along the reduced image rows, in place: every image
+    pivot column of the result is 0."""
+    if images is not None:
+        for r, c in images.pivots:
+            f = w[c]
+            if f.has_terms():
+                for col, b in images.reduced[r].items():
+                    w[col] = w[col] - (f * b)
+    return w
+
+
+def _representatives(C, reductions, k, images, q_order):
+    """Kernel of d^k reduced modulo the image, as (column, vector) pairs:
+    see ``CohomologyReport``; vectors are sparse in degree-k coordinates."""
+    setup = C.setup
+    _, _, rows, red = reductions[k]
+    if red is not None:
+        kern = linalg.kernel_basis(rows, setup, q_order, reduction=red)
     else:
-        reduced_kern = kern
-    if not reduced_kern:
+        nk = len(C.generators_in_degree(k))
+        kern = [[setup.one() if i == j else setup.zero() for j in range(nk)]
+                for i in range(nk)]
+    if not kern:
         return []
-    final = linalg.row_reduce(reduced_kern, setup, q_order)
-    zero = setup.zero()
-    return [[final.reduced[r].get(c, zero) for c in range(nk)]
-            for r, _ in final.pivots]
+    final = linalg.row_reduce([_reduce_by(images, v) for v in kern], setup,
+                              q_order)
+    return [(c, final.reduced[r]) for r, c in final.pivots]
 
 
 # -- DVR decomposition over Lambda[[u]] ---------------------------------------
@@ -723,12 +749,15 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
 
 def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                        target: GradedComplex, q_order=None) -> dict:
-    """Is the induced map on cohomology an isomorphism in every degree?"""
-    setup = source.setup
+    """Is the induced map on cohomology an isomorphism in every degree?
+
+    Where the Betti numbers agree, the induced map is the square matrix of
+    p_target(proj(rep)) over the source representatives: is it of full rank?
+    """
     hs = cohomology_over_novikov_field(source, q_order)
     ht = cohomology_over_novikov_field(target, q_order)
     degrees = set(hs["degrees"]) | set(ht["degrees"])
-    zero = setup.zero()
+    zero = source.setup.zero()
     for k in sorted(degrees):
         dim_s = hs["degrees"].get(k, {}).get("betti", 0)
         dim_t = ht["degrees"].get(k, {}).get("betti", 0)
@@ -737,35 +766,20 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                     "reason": f"cohomology ranks differ ({dim_s} vs {dim_t})"}
         if dim_s == 0:
             continue
-        # push source representatives through proj, reduce mod boundaries
+        # p lists the classes by degree: those of degree k start here
+        first = sum(e["betti"] for j, e in ht["degrees"].items() if j < k)
         s_gens = source.generators_in_degree(k)
-        t_gens = target.generators_in_degree(k)
-        reps = hs["degrees"][k]["representatives"]
-        pushed = []
-        for rep in reps:
+        induced = []
+        for rep in hs["degrees"][k]["representatives"]:
             full = [zero] * len(source.basis)
             for i, g in enumerate(s_gens):
                 full[g] = rep[i]
-            img = proj.apply(full, zero)
-            pushed.append([img[g] for g in t_gens])
-        # boundaries of the target in degree k
-        incoming = [j for j in target.degrees_present()
-                    if target.grading.add(j, target.d.degree) == k]
-        boundary_vecs = []
-        for j in incoming:
-            src_j, tgt_j, rows_j = _block(target, target.d, j)
-            pos = {t: i for i, t in enumerate(tgt_j)}
-            for col in range(len(src_j)):
-                vec = [zero] * len(t_gens)
-                for i, t in enumerate(t_gens):
-                    if t in pos:
-                        vec[i] = rows_j[pos[t]][col]
-                if any(v.has_terms() for v in vec):
-                    boundary_vecs.append(vec)
-        rank_b = (linalg.rank(boundary_vecs, setup, q_order)
-                  if boundary_vecs else 0)
-        rank_both = linalg.rank(boundary_vecs + pushed, setup, q_order)
-        if rank_both - rank_b != dim_t:
+            coeffs, residue = ht.project(proj.apply(full, zero))
+            if residue is not None:
+                raise InternalError(
+                    f"the image of a cocycle in degree {k} is not a cocycle")
+            induced.append(coeffs[first:first + dim_t])
+        if linalg.rank(induced, source.setup, q_order) != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}
     return {"quasi_isomorphism": True}

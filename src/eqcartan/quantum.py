@@ -125,9 +125,6 @@ class QuantumRing:
         """The quantum connections as a Cartan datum mod u^order: d = 0 and,
         in the monotone regime, iota_0 = q*omega* with entry
         (k, j) = sum_i q omega_i table[(i, j)][k]."""
-        if order < 1:
-            raise InputError("the u-order of a quantum Cartan datum must be "
-                             ">= 1")
         step = self.setup.lattice.steps_per_unit
         iota0: Dict[Tuple[int, int], NovikovElem] = {}
         for i, w in self.omega.items():

@@ -397,16 +397,14 @@ def differential_family_from(doc: dict,
     if "d_family" not in doc:
         # fall back: the complex differential is the only component
         return EquivariantDifferential(
-            C.setup, C.grading, C.basis, (C.d,),
-            default_order or 0)
+            C.setup, C.grading, C.basis, (C.d,), default_order)
     block = doc["d_family"]
     comps = []
     for k, items in enumerate(block["components"]):
         entries = _matrix_from(items, C.basis, C.setup)
         comps.append(OperatorMatrix(C.basis, C.basis, entries, 1 - 2 * k))
-    order = block.get("order", default_order or 0)
-    return EquivariantDifferential(C.setup, C.grading, C.basis,
-                                   tuple(comps), order or 0)
+    return EquivariantDifferential(C.setup, C.grading, C.basis, tuple(comps),
+                                   block.get("order", default_order))
 
 
 def cartan_from(doc: dict,

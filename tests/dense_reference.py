@@ -22,6 +22,17 @@ and ``z2_verify_relations``/``z2_assemble_and_check`` the finite2 checks on
 dense matrices; ``test_operator_algebra_oracles.py`` asserts that the Cartan
 operators of ``QuantumRing.cartan_data`` and the ``OperatorMatrix`` versions
 of the finite2 checks return the same values and reports.
+
+``induced_connection`` solves each image of a class against the dense
+matrix [representatives | every boundary] and probes well-definedness with
+one added boundary; ``quasi_iso_verdict`` ranks the pushed representatives
+together with the target's boundaries.  ``test_cohomology_projection.py``
+asserts that the versions reading the cohomology projection give the same
+classes, matrices and verdicts.
+
+Products skip only decidably zero operands (``is_zero()``), as
+``OperatorMatrix.compose`` and ``apply`` do, so a termless ``O(q^T)``
+entry carries its tail into a product.
 """
 
 from __future__ import annotations
@@ -267,10 +278,10 @@ def _dmul(A, B, setup, order):
     for t in range(n):
         for m in range(n):
             a = A[t][m]
-            if not a:
+            if a.is_zero():
                 continue
             for s in range(n):
-                if B[m][s]:
+                if not B[m][s].is_zero():
                     out[t][s] = out[t][s] + (a * B[m][s])
     return out
 
@@ -297,13 +308,13 @@ def _scalar_commutator(A, B, setup):
     out = [[z] * n for _ in range(n)]
     for t in range(n):
         for m in range(n):
-            if A[t][m]:
+            if not A[t][m].is_zero():
                 for s in range(n):
-                    if B[m][s]:
+                    if not B[m][s].is_zero():
                         out[t][s] = out[t][s] + A[t][m] * B[m][s]
-            if B[t][m]:
+            if not B[t][m].is_zero():
                 for s in range(n):
-                    if A[m][s]:
+                    if not A[m][s].is_zero():
                         out[t][s] = out[t][s] - B[t][m] * A[m][s]
     return out
 
@@ -346,7 +357,7 @@ def _apply_dense(M, vec, setup, order):
     for row in M:
         acc = z
         for a, v in zip(row, vec):
-            if a and v:
+            if not (a.is_zero() or v.is_zero()):
                 acc = acc + (a * v)
         out.append(acc)
     return out
@@ -658,9 +669,9 @@ def _z2_mul(A, B, setup):
     out = [[z] * n for _ in range(n)]
     for t in range(n):
         for m in range(n):
-            if A[t][m]:
+            if not A[t][m].is_zero():
                 for s in range(n):
-                    if B[m][s]:
+                    if not B[m][s].is_zero():
                         out[t][s] = out[t][s] + A[t][m] * B[m][s]
     return out
 
@@ -789,3 +800,119 @@ def z2_assemble_and_check(Z):
         "certificates": certificates,
         "all_hold": all(c["holds"] for c in certificates),
     }
+
+
+# -- induced connection and cone verdicts by elimination ---------------------
+
+
+def _unflatten(diff, vec):
+    N, n = diff.order, diff.n
+    return [USeries.build(diff.setup, N, [vec[j * n + i] for j in range(N)])
+            for i in range(n)]
+
+
+def _flatten_vec(diff, useries_vec):
+    return [useries_vec[i].coeffs[j]
+            for j in range(diff.order) for i in range(diff.n)]
+
+
+def induced_connection(data, which="gamma_q", q_order=None):
+    """The connection matrix by solving against the dense matrix
+    [class representatives | every boundary d(e_i)], with well-definedness
+    probed by adding one boundary (d applied to the all-ones vector) to each
+    representative and checking that the coefficients do not move."""
+    from eqcartan import cartan, linalg
+    from eqcartan.complexes import cohomology_over_novikov_field
+
+    op = cartan.gamma_q if which == "gamma_q" else cartan.gamma_u
+    diff = data.diff
+    setup = data.setup
+    C = cartan.flatten_equivariant(diff)
+    H = cohomology_over_novikov_field(C, q_order)
+    big_n = len(C.basis)
+    zero = setup.zero()
+    classes = []
+    for k in sorted(H["degrees"]):
+        gens = C.generators_in_degree(k)
+        for rep in H["degrees"][k]["representatives"]:
+            full = [zero] * big_n
+            for pos, g in enumerate(gens):
+                full[g] = rep[pos]
+            classes.append({"degree": k, "vector": full})
+    out = {"classes": [{"degree": cl["degree"],
+                        "representative": [setup.format(v)
+                                           for v in cl["vector"]]}
+                       for cl in classes],
+           "matrix": [], "well_defined": True}
+    if not classes:
+        return out
+    d_rows = dense(C.d, big_n, zero)
+    cols = [cl["vector"] for cl in classes]
+    bcols = [[d_rows[r][c] for r in range(big_n)] for c in range(big_n)]
+    M = [[colv[r] for colv in cols + bcols] for r in range(big_n)]
+    red = linalg.row_reduce(M, setup, q_order)
+
+    def express(vec):
+        x, bad = linalg.solve(M, vec, setup, q_order, reduction=red)
+        return None if x is None else x[: len(classes)]
+
+    perturb = C.d.apply([setup.one()] * big_n, zero)
+    for cl in classes:
+        coeffs = express(_flatten_vec(diff, op(data, _unflatten(
+            diff, cl["vector"]))))
+        if coeffs is None:
+            out["well_defined"] = False
+            out["matrix"].append(None)
+            continue
+        pert_rep = [a + b for a, b in zip(cl["vector"], perturb)]
+        coeffs2 = express(_flatten_vec(diff, op(data, _unflatten(
+            diff, pert_rep))))
+        if coeffs2 is None or any((a - b).has_terms()
+                                  for a, b in zip(coeffs, coeffs2)):
+            out["well_defined"] = False
+        out["matrix"].append([setup.format(c) for c in coeffs])
+    return out
+
+
+def quasi_iso_verdict(proj, source, target, q_order=None):
+    """The cone verdict by ranks: the pushed representatives must span the
+    target's cohomology modulo its boundaries in every degree."""
+    from eqcartan import linalg
+    from eqcartan.complexes import cohomology_over_novikov_field
+
+    setup = source.setup
+    hs = cohomology_over_novikov_field(source, q_order)
+    ht = cohomology_over_novikov_field(target, q_order)
+    zero = setup.zero()
+    for k in sorted(set(hs["degrees"]) | set(ht["degrees"])):
+        dim_s = hs["degrees"].get(k, {}).get("betti", 0)
+        dim_t = ht["degrees"].get(k, {}).get("betti", 0)
+        if dim_s != dim_t:
+            return {"quasi_isomorphism": False, "degree": k,
+                    "reason": f"cohomology ranks differ ({dim_s} vs {dim_t})"}
+        if dim_s == 0:
+            continue
+        s_gens = source.generators_in_degree(k)
+        t_gens = target.generators_in_degree(k)
+        pushed = []
+        for rep in hs["degrees"][k]["representatives"]:
+            full = [zero] * len(source.basis)
+            for i, g in enumerate(s_gens):
+                full[g] = rep[i]
+            img = proj.apply(full, zero)
+            pushed.append([img[g] for g in t_gens])
+        boundary_vecs = []
+        for j in target.degrees_present():
+            if target.grading.add(j, target.d.degree) != k:
+                continue
+            for s in target.generators_in_degree(j):
+                vec = [target.d.entries.get((t, s), zero) for t in t_gens]
+                if any(v.has_terms() for v in vec):
+                    boundary_vecs.append(vec)
+        rank_b = (linalg.rank(boundary_vecs, setup, q_order)
+                  if boundary_vecs else 0)
+        if linalg.rank(boundary_vecs + pushed, setup, q_order) \
+                - rank_b != dim_t:
+            return {"quasi_isomorphism": False, "degree": k,
+                    "reason": "induced map not surjective modulo boundaries"}
+    return {"quasi_isomorphism": True}

@@ -123,6 +123,42 @@ def test_order_below_the_components_is_an_input_error():
                                 diff.components * 3, order=2)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_non_positive_order_is_an_input_error(order):
+    diff = monotone_pair()
+    with pytest.raises(InputError, match="u-order must be a positive"):
+        EquivariantDifferential(SETUP, diff.grading, diff.basis,
+                                diff.components, order=order)
+    with pytest.raises(InputError, match="u-order must be a positive"):
+        EquivariantDifferential.build(SETUP, diff.grading, diff.basis,
+                                      [dict(diff.components[0].entries)],
+                                      order=order)
+
+
+def test_order_none_is_k_plus_two():
+    diff = monotone_pair()
+    for comps in (diff.components, diff.components * 3):
+        assert EquivariantDifferential(SETUP, diff.grading, diff.basis,
+                                       comps).order == len(comps) + 1
+        assert EquivariantDifferential(SETUP, diff.grading, diff.basis,
+                                       comps, None).order == len(comps) + 1
+
+
+def test_products_carry_a_termless_q_tail():
+    # d = E_yx and iota_0 = O(q^2) E_xx: [d_eq, iota_eq] is known only to
+    # vanish below q^2, which the identity must report
+    diff = exact_diff()
+    tail = OperatorMatrix(diff.basis, diff.basis,
+                          {(0, 0): NovikovElem(SETUP, (), 2)}, 2)
+    report = identity_report(CartanData(diff, (tail,), "monotone"))
+    row = next(r for r in report["identities"]
+               if r["identity"] == "connection commutes with d_eq")
+    assert row["holds"]
+    assert row["verified_q_order_index"] == 2
+    assert tail.apply([SETUP.one(), SETUP.zero()], SETUP.zero())[0] \
+        == NovikovElem(SETUP, (), 2)
+
+
 def test_solve_iota_needs_field():
     with pytest.raises(CoefficientError):
         solve_iota(monotone_pair(SETUP_Z))

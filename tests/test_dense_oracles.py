@@ -103,8 +103,9 @@ def test_solve_and_kernel_match_dense(seed, setup):
 
 
 def test_wide_connection_shape_matches_dense():
-    # induced_connection solves against [class representatives | boundaries]:
-    # (nN) rows by (classes + nN) columns, mostly empty
+    # a wide, mostly empty shape: (nN) rows by (classes + nN) columns, as in
+    # the [class representatives | boundaries] system of the former
+    # induced_connection (dense_reference.induced_connection)
     rng = random.Random(7)
     for setup in (SETUP_Q, SETUP_F5):
         m = 12

@@ -149,3 +149,10 @@ def test_invalid_inputs_rejected():
                             ("1/0", 3, "Z", None), (1, 2, "Q", None)]:
         with pytest.raises(InputError):
             forbidden_summand_check(lam, d, ring, p)
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_cartan_data_rejects_a_non_positive_u_order(order):
+    Q = projective_space_model(1, ScalarSetup.make(1, "Q"))
+    with pytest.raises(InputError, match="u-order must be a positive"):
+        Q.cartan_data(order)
