@@ -1,4 +1,4 @@
-"""Gaussian elimination over a Novikov field with valuation pivoting.
+"""Fraction-free Gaussian elimination over a Novikov field.
 
 Inputs are dense lists of rows of NovikovElem.  Elimination works on sparse
 rows: each row is a dict {column: NovikovElem} that stores every entry that
@@ -8,22 +8,39 @@ Only exact zeros are left out, so no truncation bound is ever lost.  A
 column -> rows index limits each elimination step to the rows that have an
 entry in the pivot column.
 
-Pivots are chosen with minimal q-valuation (ties broken by row, then column
-position), which keeps truncated inverses as benign as possible: any entry
-whose visible terms are exhausted but whose truncation bound lies at or below
-the candidate pivot's valuation makes the pivot choice undecidable, and we
-refuse to guess.
+No step inverts a pivot.  With p the visible part of the pivot entry (an
+exact Laurent polynomial) and f a row's entry in the pivot column, the row
+becomes r - (f/p)*pivot row when p divides f exactly, else p*r - f*pivot
+row: both are invertible row operations over the Novikov field.  On exact
+input every entry stays an exact Laurent polynomial, so every rank and
+zero-decision is exact.  Row r is then the row of an elimination that
+divides by its pivots, times an exact polynomial of valuation index
+``shift[r]``; pivots are chosen with minimal q-valuation relative to that
+shift (ties broken by row, then column position), which is the choice that
+elimination would make.  Any entry whose visible terms are exhausted but
+whose truncation bound lies at or below the candidate pivot's relative
+valuation makes the pivot choice undecidable, and we refuse to guess.
+
+Pivot rows are divided by their pivot entry once, at output: exactly where
+the pivot divides an entry, otherwise through one truncated inverse of the
+pivot (``invert_truncated`` at the q-order in force), whose tail the entry
+then carries.  Free rows are only shifted by q^-shift[r] and stay exact.
+The transform is divided only when it is read; ``solve`` applies the
+undivided transform to the right-hand side and divides each solution entry
+once.
 
 Entries that end up with no visible terms but a finite truncation bound are
-treated as zero *to that order*; the minimal such bound is reported in the
-reduction certificate so callers can say "rank r, verified to q-order T"
-instead of overclaiming exactness.
+treated as zero *to that order*; the minimal such bound, in the units of the
+output rows, is reported in the reduction certificate so callers can say
+"rank r, verified to q-order T" instead of overclaiming exactness.  Only
+tailed input produces such entries.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .novikov import InputError, NovikovElem, ScalarSetup, invert_truncated
@@ -78,22 +95,96 @@ class Reduction:
 
     ``reduced`` and ``transform`` are sparse rows ({column: entry}, exact
     zeros omitted).  ``pivots`` is a list of (row, col) pairs; pivot
-    entries in ``reduced`` are exactly 1 and are the only visible entries in
-    their columns.
+    entries in ``reduced`` are 1 (exactly 1 on exact input) and are the
+    only visible entries in their columns, unless an input tail swallowed
+    the pivot's visible terms (its row is then not divided).
     ``verified_trunc`` is None when every zero-decision was exact, else the
     minimal truncation index at which a discarded entry was only known to
-    vanish.
+    vanish.  ``scaled`` and ``scaled_transform`` hold the rows before the
+    division at output: for a pivot (r, c), ``reduced[r]`` and
+    ``transform[r]`` are ``scaled[r]`` and ``scaled_transform[r]`` divided
+    by the pivot entry ``scaled[r][c]``; the other rows are the same.  On
+    exact input every row of ``scaled`` and ``scaled_transform`` is exact.
+    ``reduced`` is divided at once, ``transform`` when first read; each
+    pivot is inverted (to ``q_order``) at most once, and only where an
+    entry needs it.
     """
 
     setup: ScalarSetup
-    reduced: List[SparseRow]
-    transform: List[SparseRow]
     pivots: list
     verified_trunc: Optional[int]
+    scaled: List[SparseRow]
+    scaled_transform: List[SparseRow]
+    q_order: int
+
+    def __post_init__(self):
+        self._divisors = {r: self.scaled[r][c] for r, c in self.pivots
+                          if self.scaled[r][c].terms}
+        self._inverses = {}
+        self.reduced = self._divided(self.scaled)
+
+    @cached_property
+    def transform(self) -> List[SparseRow]:
+        return self._divided(self.scaled_transform)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def _divide(self, r: int, e: NovikovElem) -> NovikovElem:
+        """e divided by the pivot entry p of row r: times the inverse of p
+        when p is a monomial (exact when p is exact), else the exact
+        quotient where p divides e, else e times the truncated inverse."""
+        p = self._divisors.get(r)
+        if p is None:
+            return e
+        if len(p.terms) > 1:
+            quotient = _quotient(e, p)
+            if quotient is not None:
+                return quotient
+        if r not in self._inverses:
+            self._inverses[r] = invert_truncated(p, self.q_order)
+        return e * self._inverses[r]
+
+    def _divided(self, rows: List[SparseRow]) -> List[SparseRow]:
+        out = list(rows)
+        for r in self._divisors:
+            out[r] = {c: self._divide(r, e) for c, e in rows[r].items()}
+        return out
+
+
+def _quotient(a: NovikovElem, b: NovikovElem) -> Optional[NovikovElem]:
+    """a / b when both are exact and b divides a as Laurent polynomials,
+    else None.  Long division from the lowest term: a quotient term past
+    deg(a) - deg(b) means b does not divide a."""
+    if a.trunc is not None or b.trunc is not None:
+        return None
+    setup, ring = a.setup, a.setup.ring
+    (e, c), rest = b.terms[0], b.terms[1:]
+    c_inv = ring.inv(c)
+    if not rest:
+        return NovikovElem(setup, tuple((n - e, ring.mul(x, c_inv))
+                                        for n, x in a.terms))
+    if not a.terms:
+        return a
+    top = a.terms[-1][0] - b.terms[-1][0]
+    rem = dict(a.terms)
+    zero = ring.zero()
+    out = []
+    while rem:
+        k = min(rem)
+        if k - e > top:
+            return None
+        x = ring.mul(rem.pop(k), c_inv)
+        out.append((k - e, x))
+        for n, y in rest:
+            i = k - e + n
+            v = ring.add(rem.get(i, zero), ring.neg(ring.mul(x, y)))
+            if ring.is_zero(v):
+                rem.pop(i, None)
+            else:
+                rem[i] = v
+    return NovikovElem(setup, tuple(out))
 
 
 def _axpy(row: SparseRow, f: NovikovElem, prow: SparseRow, zero: NovikovElem,
@@ -125,27 +216,28 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
     for r, row in enumerate(M):
         for c in row:
             col_rows[c].add(r)
+    # row r of M is (row r of the valuation-pivot elimination) times an
+    # exact polynomial of valuation index shift[r]
+    shift = [0] * m
     free_rows = set(range(m))
     pivot_cols = set()
     pivots = []
-    verified: Optional[int] = None
 
     while True:
-        best = None  # (valuation_index, row, col)
+        best = None  # (valuation_index, row, col), relative to the row
         suspects = []  # (trunc, row, col) for termless truncated entries
         for r in free_rows:
+            s = shift[r]
             for c, e in M[r].items():
                 if c in pivot_cols:
                     continue
                 if e.terms:
-                    key = (e.terms[0][0], r, c)
+                    key = (e.terms[0][0] - s, r, c)
                     if best is None or key < best:
                         best = key
                 else:
-                    suspects.append((e.trunc, r, c))
+                    suspects.append((e.trunc - s, r, c))
         if best is None:
-            if suspects:
-                verified = _min_trunc(verified, min(t for t, _, _ in suspects))
             break
         val, pr, pc = best
         bad = [(t, r, c) for t, r, c in suspects if t <= val]
@@ -156,25 +248,47 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
                 f"({r},{c}) is only known to vanish below exponent index {t}, "
                 f"candidate pivot valuation index is {val}"
             )
-        inv = invert_truncated(M[pr][pc], q_order)
-        M[pr] = {c: e * inv for c, e in M[pr].items()}
-        U[pr] = {c: e * inv for c, e in U[pr].items()}
+        # the visible part of the pivot: multiplying by an exact polynomial
+        # is an invertible row operation that loses no precision
+        p = M[pr][pc]
+        if p.trunc is not None:
+            p = NovikovElem(setup, p.terms)
         for r in list(col_rows[pc]):
             if r == pr:
                 continue
             f = M[r][pc]
             if not f.terms:
                 continue
-            _axpy(M[r], f, M[pr], zero, col_rows, r)
-            _axpy(U[r], f, U[pr], zero)
+            # r -= (f/p) * pr when p divides f, else r <- p * r - f * pr;
+            # a nonzero exact polynomial times an entry that is not
+            # decidably zero is not decidably zero: scaling keeps the
+            # sparsity pattern
+            g = _quotient(f, p)
+            if g is None:
+                M[r] = {c: p * e for c, e in M[r].items()}
+                U[r] = {c: p * e for c, e in U[r].items()}
+                shift[r] += p.terms[0][0]
+                g = f
+            _axpy(M[r], g, M[pr], zero, col_rows, r)
+            _axpy(U[r], g, U[pr], zero)
         pivots.append((pr, pc))
         free_rows.discard(pr)
         pivot_cols.add(pc)
 
-    for row in M:
+    # the certificate, in the units of the output rows: pivot row r is
+    # divided by its pivot entry and free row r by q^shift[r]; so is a
+    # pivot row whose pivot entry lost its visible terms to an input tail
+    pivot_col = {r: c for r, c in pivots if M[r][c].terms}
+    verified: Optional[int] = None
+    for r, row in enumerate(M):
+        s = M[r][pivot_col[r]].terms[0][0] if r in pivot_col else shift[r]
         for e in row.values():
-            verified = _min_trunc(verified, e.trunc)
-    return Reduction(setup, M, U, pivots, verified)
+            if e.trunc is not None:
+                verified = _min_trunc(verified, e.trunc - s)
+        if r not in pivot_col and shift[r]:
+            M[r] = {c: e.q_shift(-shift[r]) for c, e in row.items()}
+            U[r] = {c: e.q_shift(-shift[r]) for c, e in U[r].items()}
+    return Reduction(setup, pivots, verified, M, U, q_order)
 
 
 def rank(matrix, setup, q_order=None) -> int:
@@ -209,17 +323,22 @@ def kernel_basis(matrix, setup, q_order=None, reduction: Optional[Reduction] = N
 def solve(matrix, rhs, setup, q_order=None, reduction: Optional[Reduction] = None):
     """One solution of matrix @ x = rhs, or (None, residual_row) if inconsistent.
 
-    Returns (x, None) on success.  Raises UndeterminedError if consistency
-    cannot be decided at the truncation in force.
+    Returns (x, None) on success.  The system is inconsistent when a row of
+    ``transform`` outside the pivot rows sends rhs to a value with visible
+    terms; residual_row is (that row, the value).  Those rows are exact
+    polynomials on exact input, so consistency is then decided exactly,
+    whatever the q-order; only the solution's entries may be truncated
+    series.  Raises UndeterminedError if the elimination cannot be
+    decided at the truncation in force.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     red = reduction or row_reduce(matrix, setup, q_order)
     zero = setup.zero()
 
-    def b(r):  # row r of transform @ rhs
+    def b(r):  # row r of scaled_transform @ rhs
         acc = zero
-        for c, u in red.transform[r].items():
+        for c, u in red.scaled_transform[r].items():
             if u.terms:
                 acc = acc + (u * rhs[c])
         return acc
@@ -233,5 +352,5 @@ def solve(matrix, rhs, setup, q_order=None, reduction: Optional[Reduction] = Non
             return None, (r, br)
     x = [zero] * n
     for r, c in red.pivots:
-        x[c] = b(r)
+        x[c] = red._divide(r, b(r))
     return x, None

@@ -412,7 +412,11 @@ class NovikovElem:
         ring = self.setup.ring
         ta = self.trunc if self.trunc is not None else INF
         tb = other.trunc if other.trunc is not None else INF
-        t = min(self.valuation_index() + tb, other.valuation_index() + ta)
+        # each factor's valuation is at least its lowest term, or its trunc
+        # when it has no terms: O(q^2) * O(q^3) is O(q^5)
+        va = self.terms[0][0] if self.terms else ta
+        vb = other.terms[0][0] if other.terms else tb
+        t = min(va + tb, vb + ta)
         trunc = None if t == INF else int(t)
         pairs = [
             (na + nb, ring.mul(ca, cb))
@@ -661,7 +665,7 @@ class USeries:
         z = self.setup.zero()
         out = [z] * N
         for i, a in enumerate(self.coeffs[: self.valid]):
-            if not a.has_terms():
+            if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs[: other.valid]):
                 if i + j >= N:

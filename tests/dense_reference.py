@@ -103,7 +103,9 @@ def elem_mul(a, b):
     ring = a.setup.ring
     ta = INF if a.trunc is None else a.trunc
     tb = INF if b.trunc is None else b.trunc
-    t = min(a.valuation_index() + tb, b.valuation_index() + ta)
+    va = a.terms[0][0] if a.terms else ta
+    vb = b.terms[0][0] if b.terms else tb
+    t = min(va + tb, vb + ta)
     pairs = [(na + nb, ring.mul(ca, cb))
              for na, ca in a.terms for nb, cb in b.terms]
     return NovikovElem.build(a.setup, pairs, None if t == INF else int(t))
@@ -131,7 +133,7 @@ def useries_mul(a, b):
     out = [a.setup.zero()] * N
     for i, x in enumerate(a.coeffs[: a.valid]):
         for j, y in enumerate(b.coeffs[: b.valid]):
-            if i + j < N and x.terms:
+            if i + j < N and not x.is_zero():
                 out[i + j] = elem_add(out[i + j], elem_mul(x, y))
     return USeries.build(a.setup, N, out, v)
 

@@ -146,3 +146,103 @@ def test_certified_rank_reports_verification_bound():
     M = [[weak]]
     r, verified = matrix_rank_certified(M, SETUP)
     assert r == 1
+
+
+def test_solve_decides_consistency_exactly_past_the_q_order():
+    # [[1+q],[1+q]] x = [1, 1+q^5] is inconsistent: the q^5 lies past
+    # q_order = 3, but no inverse is expanded before the decision
+    p = NovikovElem.build(SETUP, [(0, 1), (1, 1)])
+    M = [[p], [p]]
+    b = [SETUP.one(), NovikovElem.build(SETUP, [(0, 1), (5, 1)])]
+    x, residual = solve(M, b, SETUP, q_order=3)
+    assert x is None
+    r, value = residual
+    assert value.is_exact and value.has_terms()
+    red = row_reduce(M, SETUP, q_order=3)
+    assert red.verified_trunc is None
+    assert all(e.is_zero() for e in mat_apply(
+        [[red.transform[r].get(k, SETUP.zero()) for k in range(2)]],
+        [row[0] for row in M]))
+
+
+# -- an independent oracle on rank-deficient exact matrices -------------------
+
+
+def _laurent(rng, max_terms=4):
+    pairs = [(rng.randint(-2, 3), Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))
+             for _ in range(rng.randint(1, max_terms))]
+    return NovikovElem.build(SETUP, pairs)
+
+
+def _product(A, B):
+    z = SETUP.zero()
+    return [[sum((a * B[k][j] for k, a in enumerate(row)), z)
+             for j in range(len(B[0]))] for row in A]
+
+
+def _poly(e, shift):
+    return sympy.expand(to_sympy([[e.q_shift(shift)]])[0, 0])
+
+
+def _as_fraction_field(M):
+    """M times a power of q (a unit: the rank is unchanged) over Q(q)."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    shift = -min([0] + [e.terms[0][0] for row in M for e in row if e.terms])
+    shifted = sympy.Matrix(len(M), len(M[0]),
+                           lambda i, j: _poly(M[i][j], shift))
+    return DomainMatrix.from_Matrix(shifted).convert_to(QQ.frac_field(_q))
+
+
+def _sympy_quotient(a, b):
+    """a / b as a NovikovElem when b divides a over Q[q, 1/q], else None:
+    polynomial division of a times q^sa by b times q^-val(b)."""
+    vb, sa = b.terms[0][0], -min(0, a.terms[0][0])
+    quo, rem = sympy.div(sympy.Poly(_poly(a, sa), _q),
+                         sympy.Poly(_poly(b, -vb), _q))
+    if not rem.is_zero:
+        return None
+    return NovikovElem.build(SETUP, [(m[0] - sa - vb,
+                                      Fraction(int(c.p), int(c.q)))
+                                     for m, c in quo.terms()])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_rank_deficient_products_against_sympy(seed):
+    rng = random.Random(400 + seed)
+    m, n = rng.randint(2, 6), rng.randint(2, 6)
+    inner = rng.randint(1, min(m, n) - 1)
+    A = [[_laurent(rng) for _ in range(inner)] for _ in range(m)]
+    B = [[_laurent(rng) for _ in range(n)] for _ in range(inner)]
+    M = _product(A, B)
+    red = row_reduce(M, SETUP)
+    assert red.rank == _as_fraction_field(M).rank()
+    assert red.rank <= inner
+    assert red.verified_trunc is None
+    # the kernel: exactly annihilated where exact, else to its tails only
+    kernel = kernel_basis(M, SETUP, reduction=red)
+    assert len(kernel) == n - red.rank
+    for v in kernel:
+        img = mat_apply(M, v)
+        if all(e.is_exact for e in v):
+            assert all(e.is_zero() for e in img)
+        else:
+            assert all(not e.has_terms() for e in img)
+    # the left kernel: free transform rows are exact and annihilate M
+    pivot_rows = {r for r, _ in red.pivots}
+    for r, row in enumerate(red.transform):
+        if r not in pivot_rows:
+            u = [row.get(k, SETUP.zero()) for k in range(m)]
+            assert all(e.is_exact for e in u)
+            cols = [[M[k][c] for k in range(m)] for c in range(n)]
+            assert all(e.is_zero() for e in mat_apply(cols, u))
+    # an entry its pivot divides comes out as the exact quotient
+    for r, c in red.pivots:
+        p = red.scaled[r][c]
+        for col, e in red.scaled[r].items():
+            want = _sympy_quotient(e, p)
+            got = red.reduced[r][col]
+            if want is not None:
+                assert got == want and got.is_exact
+            else:
+                assert not got.is_exact

@@ -117,6 +117,19 @@ def test_truncation_tightens_under_product():
     assert (a * b).trunc == 5
 
 
+def test_product_of_two_tails_keeps_a_tail():
+    # O(q^2) * O(q^3) is O(q^5): a termless factor is bounded below by its
+    # trunc, not by an infinite valuation
+    a = NovikovElem.build(SETUP_Q, [], 2)
+    b = NovikovElem.build(SETUP_Q, [], 3)
+    assert a * b == NovikovElem.build(SETUP_Q, [], 5)
+    assert ref.elem_mul(a, b) == NovikovElem.build(SETUP_Q, [], 5)
+    # a tail times an entry with terms is bounded by the entry's valuation
+    c = NovikovElem.build(SETUP_Q, [(-1, 1)], 4)
+    assert a * c == NovikovElem.build(SETUP_Q, [], 1)
+    assert c * a == NovikovElem.build(SETUP_Q, [], 1)
+
+
 # -- inversion -----------------------------------------------------------------
 
 
@@ -242,6 +255,16 @@ def test_useries_valid_propagates():
     b = USeries.from_novikov(one, 4, 1)  # u
     assert (a * b).valid == 3
     assert (a + b).valid == 2
+
+
+def test_useries_product_keeps_a_left_tail():
+    # [O(q^2)] * [1] keeps O(q^2) at u^0, as [1] * [O(q^2)] does
+    tail = NovikovElem.build(SETUP_Q, [], 2)
+    a = USeries.build(SETUP_Q, 2, [tail])
+    one = USeries.build(SETUP_Q, 2, [SETUP_Q.one()])
+    assert (a * one).coeffs == (tail, SETUP_Q.zero())
+    assert (one * a).coeffs == (tail, SETUP_Q.zero())
+    assert ref.useries_mul(a, one) == a * one
 
 
 def test_useries_du():

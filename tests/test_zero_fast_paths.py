@@ -128,6 +128,18 @@ def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
 
 
 @pytest.mark.parametrize("ring", sorted(SETUPS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_useries_product_commutes_over_tailed_scalars(ring, data):
+    # a left coefficient O(q^T) carries its tail into the product exactly
+    # as a right one does
+    setup = SETUPS[ring]
+    a, b = (data.draw(series(setup, data.draw(st.sampled_from(SERIES_KINDS))))
+            for _ in range(2))
+    assert_same_series(a * b, b * a)
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
 @pytest.mark.parametrize("kind", SERIES_KINDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
