@@ -329,7 +329,8 @@ class CohomologyReport(dict):
             if all(e.is_zero() for e in w):
                 coeffs.extend([w[0]] * len(reps))
                 continue
-            _reduce_by(images, w)
+            if images is not None:
+                images._reduce(w)
             a = [w[col] for col, _ in reps]
             for aj, (_, rep) in zip(a, reps):
                 if aj.has_terms():
@@ -435,84 +436,23 @@ def _image_reduction(C, reductions, k, incoming, q_order):
     return linalg.row_reduce(images, C.setup, q_order) if images else None
 
 
-def _reduce_by(images, w):
-    """w less its part along the reduced image rows, in place: every image
-    pivot column of the result is 0."""
-    if images is not None:
-        for r, c in images.pivots:
-            f = w[c]
-            if f.has_terms():
-                for col, b in images.reduced[r].items():
-                    w[col] = w[col] - (f * b)
-    return w
-
-
-def _cleared(w, f, p):
-    """(w', g) for clearing an entry f of w against a pivot row with exact
-    pivot p: g = f/p and w' = w where p divides f, else w' is w times
-    p*q^-val(p), an exact polynomial of valuation 0, and g = f*q^-val(p);
-    either way g*p is f times the factor applied to w."""
-    g = linalg._quotient(f, p)
-    if g is not None:
-        return w, g
-    s = -p.terms[0][0]
-    p0 = p.q_shift(s)
-    return {i: p0 * x for i, x in w.items()}, f.q_shift(s)
-
-
-def _exact_kernel(red, n):
-    """The vectors of ``linalg.kernel_basis`` as sparse dicts, each times an
-    exact polynomial of valuation 0 that clears the pivots it would divide
-    by (``Reduction.scaled``): on exact input every entry is an exact
-    Laurent polynomial with the valuation of the kernel_basis entry."""
-    pivot_of_col = {c: r for r, c in red.pivots}
-    out = []
-    for fc in range(n):
-        if fc in pivot_of_col:
-            continue
-        v = {fc: red.setup.one()}
-        for c, r in pivot_of_col.items():
-            e = red.scaled[r].get(fc)
-            if e is not None:
-                v, g = _cleared(v, e * v[fc], red.scaled[r][c])
-                v[c] = -g
-        out.append(v)
-    return out
-
-
-def _clear_images(images, w):
-    """The sparse vector w with every image pivot column cleared by the
-    image rows before their division at output (``Reduction.scaled``), so
-    no truncated inverse enters; w may be multiplied by an exact polynomial
-    of valuation 0 on the way."""
-    if images is not None:
-        zero = images.setup.zero()
-        for r, c in images.pivots:
-            f = w.get(c, zero)
-            if f.has_terms():
-                row = images.scaled[r]
-                w, g = _cleared(w, f, row[c])
-                for col, b in row.items():
-                    w[col] = w.get(col, zero) - (g * b)
-    return w
-
-
 def _representatives(C, reductions, k, images, q_order):
     """Kernel of d^k reduced modulo the image, as (column, vector) pairs:
     see ``CohomologyReport``; vectors are sparse in degree-k coordinates.
-    Every elimination here runs on exact polynomials; the representatives
+    No truncated inverse enters an elimination here; the representatives
     are divided by their pivots once, at the output of the last one."""
     setup = C.setup
     _, _, _, red = reductions[k]
     nk = len(C.generators_in_degree(k))
-    kern = (_exact_kernel(red, nk) if red is not None
+    kern = (red._kernel(nk) if red is not None
             else [{i: setup.one()} for i in range(nk)])
     if not kern:
         return []
+    if images is not None:
+        kern = [images._clear(v) for v in kern]
     zero = setup.zero()
-    final = linalg.row_reduce(
-        [[w.get(i, zero) for i in range(nk)]
-         for w in (_clear_images(images, v) for v in kern)], setup, q_order)
+    final = linalg.row_reduce([[w.get(i, zero) for i in range(nk)]
+                               for w in kern], setup, q_order)
     return [(c, final.reduced[r]) for r, c in final.pivots]
 
 

@@ -14,18 +14,30 @@ becomes r - (f/p)*pivot row when p divides f exactly, else p*r - f*pivot
 row: both are invertible row operations over the Novikov field.  On exact
 input every entry stays an exact Laurent polynomial, so every rank and
 zero-decision is exact.  Row r is then the row of an elimination that
-divides by its pivots, times an exact polynomial of valuation index
-``shift[r]``; pivots are chosen with minimal q-valuation relative to that
-shift (ties broken by row, then column position), which is the choice that
-elimination would make.  Any entry whose visible terms are exhausted but
-whose truncation bound lies at or below the candidate pivot's relative
-valuation makes the pivot choice undecidable, and we refuse to guess.
+divides by its pivots, times an exact polynomial ``mult[r]``; pivots are
+chosen with minimal q-valuation relative to that multiplier (ties broken
+by row, then column position), which is the choice that elimination would
+make.  The multipliers stay small as in Bareiss' elimination: the minor
+``det`` on the pivots so far clears every denominator of the dividing
+elimination (Sylvester's identity), so a scaled row is divisible by
+mult[pivot row] * mult[r] / det wherever that is a polynomial, and is
+divided by it, which leaves it at det times the dividing row.
+
+Any entry whose visible terms are exhausted but whose truncation bound lies
+at or below the candidate pivot's relative valuation makes the pivot
+choice undecidable, and we refuse to guess, unless the candidate lies at or
+past the horizon of the q-order in force: val(p) + q_order for each
+multi-term pivot so far and the truncation bound of each tailed one, the
+relative valuation below which an elimination that divides by truncated
+inverses at that q-order still sees every entry.  Past it the remaining
+block is known to vanish only below the suspect's bound, and elimination
+stops there, certified to that order.
 
 Pivot rows are divided by their pivot entry once, at output: exactly where
 the pivot divides an entry, otherwise through one truncated inverse of the
 pivot (``invert_truncated`` at the q-order in force), whose tail the entry
-then carries.  Free rows are only shifted by q^-shift[r] and stay exact.
-The transform is divided only when it is read; ``solve`` applies the
+then carries.  Free rows are only shifted by q^-val(mult[r]) and stay
+exact.  Rows are divided only when they are read; ``solve`` applies the
 undivided transform to the right-hand side and divides each solution entry
 once.
 
@@ -38,6 +50,7 @@ tailed input produces such entries.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,9 +118,10 @@ class Reduction:
     ``transform[r]`` are ``scaled[r]`` and ``scaled_transform[r]`` divided
     by the pivot entry ``scaled[r][c]``; the other rows are the same.  On
     exact input every row of ``scaled`` and ``scaled_transform`` is exact.
-    ``reduced`` is divided at once, ``transform`` when first read; each
-    pivot is inverted (to ``q_order``) at most once, and only where an
-    entry needs it.
+    ``reduced`` and ``transform`` are divided when first read.  A monomial
+    pivot inverts exactly and is inverted at once; a longer pivot is
+    inverted (to ``q_order``) only where a row that is read needs it, and
+    at most once.
     """
 
     setup: ScalarSetup
@@ -120,8 +134,13 @@ class Reduction:
     def __post_init__(self):
         self._divisors = {r: self.scaled[r][c] for r, c in self.pivots
                           if self.scaled[r][c].terms}
-        self._inverses = {}
-        self.reduced = self._divided(self.scaled)
+        self._inverses = {r: invert_truncated(p, self.q_order)
+                          for r, p in self._divisors.items()
+                          if len(p.terms) == 1}
+
+    @cached_property
+    def reduced(self) -> List[SparseRow]:
+        return self._divided(self.scaled)
 
     @cached_property
     def transform(self) -> List[SparseRow]:
@@ -132,9 +151,9 @@ class Reduction:
         return len(self.pivots)
 
     def _divide(self, r: int, e: NovikovElem) -> NovikovElem:
-        """e divided by the pivot entry p of row r: times the inverse of p
-        when p is a monomial (exact when p is exact), else the exact
-        quotient where p divides e, else e times the truncated inverse."""
+        """e divided by the pivot entry p of row r: the exact quotient
+        where p divides e, else e times the inverse of p (exact when p is
+        an exact monomial, else truncated)."""
         p = self._divisors.get(r)
         if p is None:
             return e
@@ -151,6 +170,49 @@ class Reduction:
         for r in self._divisors:
             out[r] = {c: self._divide(r, e) for c, e in rows[r].items()}
         return out
+
+    def _kernel(self, n: int) -> List[SparseRow]:
+        """The vectors of ``kernel_basis`` as sparse rows, each times an
+        exact polynomial of valuation 0 that clears the pivots it would
+        divide by: on exact input every entry is an exact Laurent
+        polynomial with the valuation of the kernel_basis entry."""
+        pivot_of_col = {c: r for r, c in self.pivots}
+        out = []
+        for fc in range(n):
+            if fc in pivot_of_col:
+                continue
+            v = {fc: self.setup.one()}
+            for c, r in pivot_of_col.items():
+                e = self.scaled[r].get(fc)
+                if e is not None:
+                    v, g = _cleared(v, e * v[fc], self.scaled[r][c])
+                    v[c] = -g
+            out.append(v)
+        return out
+
+    def _clear(self, w: SparseRow) -> SparseRow:
+        """The sparse vector w with every pivot column cleared by the
+        undivided pivot rows, so no truncated inverse enters; w may be
+        multiplied by an exact polynomial of valuation 0 on the way."""
+        zero = self.setup.zero()
+        for r, c in self.pivots:
+            f = w.get(c, zero)
+            if f.has_terms():
+                row = self.scaled[r]
+                w, g = _cleared(w, f, row[c])
+                for col, b in row.items():
+                    w[col] = w.get(col, zero) - (g * b)
+        return w
+
+    def _reduce(self, w: List[NovikovElem]) -> List[NovikovElem]:
+        """The dense vector w less its part along the divided pivot rows,
+        in place: every pivot column of the result is 0."""
+        for r, c in self.pivots:
+            f = w[c]
+            if f.has_terms():
+                for col, b in self.reduced[r].items():
+                    w[col] = w[col] - (f * b)
+        return w
 
 
 def _quotient(a: NovikovElem, b: NovikovElem) -> Optional[NovikovElem]:
@@ -187,6 +249,19 @@ def _quotient(a: NovikovElem, b: NovikovElem) -> Optional[NovikovElem]:
     return NovikovElem(setup, tuple(out))
 
 
+def _cleared(w: SparseRow, f: NovikovElem, p: NovikovElem):
+    """(w', g) for clearing an entry f of w against a row with exact pivot
+    p: g = f/p and w' = w where p divides f, else w' is w times
+    p*q^-val(p), an exact polynomial of valuation 0, and g = f*q^-val(p);
+    either way g*p is f times the factor applied to w."""
+    g = _quotient(f, p)
+    if g is not None:
+        return w, g
+    s = -p.terms[0][0]
+    p0 = p.q_shift(s)
+    return {i: p0 * x for i, x in w.items()}, f.q_shift(s)
+
+
 def _axpy(row: SparseRow, f: NovikovElem, prow: SparseRow, zero: NovikovElem,
           col_rows=None, r: int = -1) -> None:
     """row -= f * prow in place, keeping exact zeros out of the row and, if
@@ -203,6 +278,21 @@ def _axpy(row: SparseRow, f: NovikovElem, prow: SparseRow, zero: NovikovElem,
                 col_rows[c].discard(r)
 
 
+def _divided_exactly(rows: List[SparseRow], h: NovikovElem):
+    """The rows with every entry divided by h, or None unless h divides
+    every entry exactly."""
+    out = []
+    for row in rows:
+        new = {}
+        for c, e in row.items():
+            x = _quotient(e, h)
+            if x is None:
+                return None
+            new[c] = x
+        out.append(new)
+    return out
+
+
 def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
                q_order: Optional[int] = None) -> Reduction:
     if q_order is None:
@@ -216,9 +306,15 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
     for r, row in enumerate(M):
         for c in row:
             col_rows[c].add(r)
-    # row r of M is (row r of the valuation-pivot elimination) times an
-    # exact polynomial of valuation index shift[r]
-    shift = [0] * m
+    # row r of M (and of U) is mult[r] times row r of the Gauss-Jordan
+    # elimination that never scales a row, with its pivot rows divided by
+    # their pivots; det is the minor on the pivots so far, which clears
+    # every denominator of that elimination (None once a tail breaks it)
+    mult = [one] * m
+    det: Optional[NovikovElem] = one
+    # the relative valuation below which an elimination that divides by
+    # truncated inverses at this q-order still sees every entry
+    horizon = math.inf
     free_rows = set(range(m))
     pivot_cols = set()
     pivots = []
@@ -227,7 +323,7 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
         best = None  # (valuation_index, row, col), relative to the row
         suspects = []  # (trunc, row, col) for termless truncated entries
         for r in free_rows:
-            s = shift[r]
+            s = mult[r].terms[0][0]
             for c, e in M[r].items():
                 if c in pivot_cols:
                     continue
@@ -242,6 +338,11 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
         val, pr, pc = best
         bad = [(t, r, c) for t, r, c in suspects if t <= val]
         if bad:
+            if val >= horizon:
+                # the remaining block vanishes below the suspect's order
+                # and the candidate is past what this q-order resolves:
+                # certify to that order, as when no candidate is left
+                break
             t, r, c = min(bad)
             raise UndeterminedError(
                 f"pivot comparison undecidable at declared q-order: entry "
@@ -252,7 +353,11 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
         # is an invertible row operation that loses no precision
         p = M[pr][pc]
         if p.trunc is not None:
+            horizon = min(horizon, p.trunc - mult[pr].terms[0][0])
             p = NovikovElem(setup, p.terms)
+        if len(p.terms) > 1:
+            horizon = min(horizon, val + q_order)
+        next_det = None if det is None else _quotient(det * p, mult[pr])
         for r in list(col_rows[pc]):
             if r == pr:
                 continue
@@ -264,30 +369,45 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             # decidably zero is not decidably zero: scaling keeps the
             # sparsity pattern
             g = _quotient(f, p)
-            if g is None:
-                M[r] = {c: p * e for c, e in M[r].items()}
-                U[r] = {c: p * e for c, e in U[r].items()}
-                shift[r] += p.terms[0][0]
-                g = f
-            _axpy(M[r], g, M[pr], zero, col_rows, r)
-            _axpy(U[r], g, U[pr], zero)
+            if g is not None:
+                _axpy(M[r], g, M[pr], zero, col_rows, r)
+                _axpy(U[r], g, U[pr], zero)
+                continue
+            M[r] = {c: p * e for c, e in M[r].items()}
+            U[r] = {c: p * e for c, e in U[r].items()}
+            _axpy(M[r], f, M[pr], zero, col_rows, r)
+            _axpy(U[r], f, U[pr], zero)
+            # Bareiss: the row is now p * mult[r] times the dividing
+            # elimination's row, which next_det = det * p / mult[pr]
+            # clears, so mult[pr] * mult[r] / det divides it wherever that
+            # is a polynomial; divided, its multiplier is next_det
+            h = (None if next_det is None
+                 else _quotient(mult[pr] * mult[r], det))
+            rows = (_divided_exactly([M[r], U[r]], h)
+                    if h is not None and len(h.terms) > 1 else None)
+            if rows is None:
+                mult[r] = p * mult[r]
+            else:
+                M[r], U[r] = rows
+                mult[r] = next_det
+        det = next_det
+        mult[pr] = p
         pivots.append((pr, pc))
         free_rows.discard(pr)
         pivot_cols.add(pc)
 
     # the certificate, in the units of the output rows: pivot row r is
-    # divided by its pivot entry and free row r by q^shift[r]; so is a
-    # pivot row whose pivot entry lost its visible terms to an input tail
+    # divided by its pivot entry and any other row by q^val(mult[r])
     pivot_col = {r: c for r, c in pivots if M[r][c].terms}
     verified: Optional[int] = None
     for r, row in enumerate(M):
-        s = M[r][pivot_col[r]].terms[0][0] if r in pivot_col else shift[r]
+        s = (M[r][pivot_col[r]] if r in pivot_col else mult[r]).terms[0][0]
         for e in row.values():
             if e.trunc is not None:
                 verified = _min_trunc(verified, e.trunc - s)
-        if r not in pivot_col and shift[r]:
-            M[r] = {c: e.q_shift(-shift[r]) for c, e in row.items()}
-            U[r] = {c: e.q_shift(-shift[r]) for c, e in U[r].items()}
+        if r not in pivot_col and s:
+            M[r] = {c: e.q_shift(-s) for c, e in row.items()}
+            U[r] = {c: e.q_shift(-s) for c, e in U[r].items()}
     return Reduction(setup, pivots, verified, M, U, q_order)
 
 
