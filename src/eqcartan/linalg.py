@@ -17,11 +17,12 @@ zero-decision is exact.  Row r is then the row of an elimination that
 divides by its pivots, times an exact polynomial ``mult[r]``; pivots are
 chosen with minimal q-valuation relative to that multiplier (ties broken
 by row, then column position), which is the choice that elimination would
-make.  The multipliers stay small as in Bareiss' elimination: the minor
-``det`` on the pivots so far clears every denominator of the dividing
-elimination (Sylvester's identity), so a scaled row is divisible by
-mult[pivot row] * mult[r] / det wherever that is a polynomial, and is
-divided by it, which leaves it at det times the dividing row.
+make.  The multipliers stay small as in Bareiss' elimination: a row scaled
+by the pivot is divided by the gcd of its multiplier and the pivot row's
+wherever that divides it exactly.  When every row carries the same
+multiplier, this is Bareiss' division by the previous pivot, which
+Sylvester's identity makes exact, so entries stay the size of minors; a
+row whose multiplier shares no factor with the pivot row's is left alone.
 
 Any entry whose visible terms are exhausted but whose truncation bound lies
 at or below the candidate pivot's relative valuation makes the pivot
@@ -37,7 +38,7 @@ Pivot rows are divided by their pivot entry once, at output: exactly where
 the pivot divides an entry, otherwise through one truncated inverse of the
 pivot (``invert_truncated`` at the q-order in force), whose tail the entry
 then carries.  Free rows are only shifted by q^-val(mult[r]) and stay
-exact.  Rows are divided only when they are read; ``solve`` applies the
+exact.  The transform is divided only when it is read; ``solve`` applies the
 undivided transform to the right-hand side and divides each solution entry
 once.
 
@@ -118,10 +119,9 @@ class Reduction:
     ``transform[r]`` are ``scaled[r]`` and ``scaled_transform[r]`` divided
     by the pivot entry ``scaled[r][c]``; the other rows are the same.  On
     exact input every row of ``scaled`` and ``scaled_transform`` is exact.
-    ``reduced`` and ``transform`` are divided when first read.  A monomial
-    pivot inverts exactly and is inverted at once; a longer pivot is
-    inverted (to ``q_order``) only where a row that is read needs it, and
-    at most once.
+    ``reduced`` is divided at once, ``transform`` when first read; each
+    pivot is inverted (to ``q_order``) at most once, and only where an
+    entry needs it.
     """
 
     setup: ScalarSetup
@@ -134,13 +134,8 @@ class Reduction:
     def __post_init__(self):
         self._divisors = {r: self.scaled[r][c] for r, c in self.pivots
                           if self.scaled[r][c].terms}
-        self._inverses = {r: invert_truncated(p, self.q_order)
-                          for r, p in self._divisors.items()
-                          if len(p.terms) == 1}
-
-    @cached_property
-    def reduced(self) -> List[SparseRow]:
-        return self._divided(self.scaled)
+        self._inverses = {}
+        self.reduced = self._divided(self.scaled)
 
     @cached_property
     def transform(self) -> List[SparseRow]:
@@ -293,6 +288,37 @@ def _divided_exactly(rows: List[SparseRow], h: NovikovElem):
     return out
 
 
+def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
+    """A gcd of two nonzero exact Laurent polynomials, up to a unit:
+    Euclid's algorithm on their coefficient lists, dropping the powers of q
+    (units) that the remainders pick up."""
+    ring = a.setup.ring
+
+    def dense(x):
+        e = x.terms[0][0]
+        out = [ring.zero()] * (x.terms[-1][0] - e + 1)
+        for n, c in x.terms:
+            out[n - e] = c
+        return out
+
+    u, v = dense(a), dense(b)
+    while v:
+        inv = ring.inv(v[-1])
+        while len(u) >= len(v):
+            f = ring.mul(u[-1], inv)
+            off = len(u) - len(v)
+            for i, c in enumerate(v):
+                u[off + i] = ring.add(u[off + i], ring.neg(ring.mul(f, c)))
+            u.pop()
+            while u and ring.is_zero(u[-1]):
+                u.pop()
+        while u and ring.is_zero(u[0]):
+            u.pop(0)
+        u, v = v, u
+    return NovikovElem(a.setup, tuple((i, c) for i, c in enumerate(u)
+                                      if not ring.is_zero(c)))
+
+
 def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
                q_order: Optional[int] = None) -> Reduction:
     if q_order is None:
@@ -308,10 +334,8 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             col_rows[c].add(r)
     # row r of M (and of U) is mult[r] times row r of the Gauss-Jordan
     # elimination that never scales a row, with its pivot rows divided by
-    # their pivots; det is the minor on the pivots so far, which clears
-    # every denominator of that elimination (None once a tail breaks it)
+    # their pivots
     mult = [one] * m
-    det: Optional[NovikovElem] = one
     # the relative valuation below which an elimination that divides by
     # truncated inverses at this q-order still sees every entry
     horizon = math.inf
@@ -357,7 +381,6 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             p = NovikovElem(setup, p.terms)
         if len(p.terms) > 1:
             horizon = min(horizon, val + q_order)
-        next_det = None if det is None else _quotient(det * p, mult[pr])
         for r in list(col_rows[pc]):
             if r == pr:
                 continue
@@ -377,20 +400,21 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             U[r] = {c: p * e for c, e in U[r].items()}
             _axpy(M[r], f, M[pr], zero, col_rows, r)
             _axpy(U[r], f, U[pr], zero)
-            # Bareiss: the row is now p * mult[r] times the dividing
-            # elimination's row, which next_det = det * p / mult[pr]
-            # clears, so mult[pr] * mult[r] / det divides it wherever that
-            # is a polynomial; divided, its multiplier is next_det
-            h = (None if next_det is None
-                 else _quotient(mult[pr] * mult[r], det))
+            # the row is now p * mult[r] times the unscaled row; when every
+            # row carries the same multiplier, Bareiss' division by it (the
+            # previous pivot) is exact by Sylvester's identity; in general,
+            # divide by the gcd of the two multipliers where it divides the
+            # row exactly
+            h = (_gcd(mult[pr], mult[r])
+                 if len(mult[pr].terms) > 1 and len(mult[r].terms) > 1
+                 else None)
             rows = (_divided_exactly([M[r], U[r]], h)
                     if h is not None and len(h.terms) > 1 else None)
             if rows is None:
                 mult[r] = p * mult[r]
             else:
                 M[r], U[r] = rows
-                mult[r] = next_det
-        det = next_det
+                mult[r] = _quotient(p * mult[r], h)
         mult[pr] = p
         pivots.append((pr, pc))
         free_rows.discard(pr)

@@ -16,8 +16,8 @@ the two agree by a relation, not field for field:
 - ``verified_trunc`` is None wherever the reference's is and on all exact
   input, and ``UndeterminedError`` is raised only where the reference
   raises it at the same q-order; where the reference raises and
-  ``linalg.row_reduce`` returns, its result must still meet the two
-  properties above.
+  ``linalg.row_reduce`` returns, its result must still meet the
+  annihilation property and the certificate on exact input.
 
 The Cartan operators must still agree field for field: values,
 certificates and error messages, including on truncated entries, termless
@@ -146,7 +146,8 @@ SHAPES = [(1, 1), (3, 3), (4, 4), (5, 3), (3, 6), (6, 6), (4, 9)]
 def test_row_reduce_matches_dense(seed, q_order, setup):
     rng = random.Random(seed)
     for m, n in SHAPES:
-        assert_related_reduction(random_matrix(rng, setup, m, n), setup, q_order)
+        assert_related_reduction(random_matrix(rng, setup, m, n), setup,
+                                 q_order)
 
 
 @pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
