@@ -219,6 +219,14 @@ def test_rank_deficient_products_against_sympy(seed):
     assert red.rank == _as_fraction_field(M).rank()
     assert red.rank <= inner
     assert red.verified_trunc is None
+    # the undivided rows stay the size of minors, as in Bareiss'
+    # elimination: a k x k minor spans at most k times the widest entry
+    def span(e):
+        return e.terms[-1][0] - e.terms[0][0] if e.terms else 0
+    width = max(span(e) for row in M for e in row)
+    assert all(span(e) <= red.rank * width
+               for row in red.scaled + red.scaled_transform
+               for e in row.values())
     # the kernel: exactly annihilated where exact, else to its tails only
     kernel = kernel_basis(M, SETUP, reduction=red)
     assert len(kernel) == n - red.rank
