@@ -354,7 +354,7 @@ def degree_weighted(data: CartanData, vec: List[USeries]) -> List[USeries]:
         for k, c in enumerate(v.coeffs):
             pairs = []
             for idx, co in c.terms:
-                w = Fraction(base + 2 * k) + 2 * lat.exponent_of(idx)
+                w = base + 2 * k + 2 * lat.exponent_of(idx)
                 pairs.append((idx, setup.ring.mul_rational(co, w)))
             coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
         out.append(USeries.build(setup, v.order, coeffs, v.valid))

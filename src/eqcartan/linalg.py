@@ -13,16 +13,19 @@ exact Laurent polynomial) and f a row's entry in the pivot column, the row
 becomes r - (f/p)*pivot row when p divides f exactly, else p*r - f*pivot
 row: both are invertible row operations over the Novikov field.  On exact
 input every entry stays an exact Laurent polynomial, so every rank and
-zero-decision is exact.  Row r is then the row of an elimination that
-divides by its pivots, times an exact polynomial ``mult[r]``; pivots are
-chosen with minimal q-valuation relative to that multiplier (ties broken
-by row, then column position), which is the choice that elimination would
-make.  The multipliers stay small as in Bareiss' elimination: a row scaled
-by the pivot is divided by the gcd of its multiplier and the pivot row's
-wherever that divides it exactly.  When every row carries the same
-multiplier, this is Bareiss' division by the previous pivot, which
-Sylvester's identity makes exact, so entries stay the size of minors; a
-row whose multiplier shares no factor with the pivot row's is left alone.
+zero-decision is exact.  Over Q an integral coefficient is an int, so on
+integer input the kernel runs on ints: a Fraction enters only where a
+coefficient other than +-1 is inverted.  Row r is then the row of an
+elimination that divides by its pivots, times an exact polynomial
+``mult[r]``; pivots are chosen with minimal q-valuation relative to that
+multiplier (ties broken by row, then column position), which is the choice
+that elimination would make.  The multipliers stay small as in Bareiss'
+elimination: a row scaled by the pivot is divided by the gcd of its
+multiplier and the pivot row's wherever that divides it exactly.  When
+every row carries the same multiplier, this is Bareiss' division by the
+previous pivot, which Sylvester's identity makes exact, so entries stay the
+size of minors; a row whose multiplier shares no factor with the pivot
+row's is left alone.
 
 Any entry whose visible terms are exhausted but whose truncation bound lies
 at or below the candidate pivot's relative valuation makes the pivot
@@ -480,11 +483,10 @@ def solve(matrix, rhs, setup, q_order=None, reduction: Optional[Reduction] = Non
     red = reduction or row_reduce(matrix, setup, q_order)
     zero = setup.zero()
 
-    def b(r):  # row r of scaled_transform @ rhs
+    def b(r):  # row r of scaled_transform @ rhs; no stored entry is zero
         acc = zero
         for c, u in red.scaled_transform[r].items():
-            if u.terms:
-                acc = acc + (u * rhs[c])
+            acc = acc + (u * rhs[c])
         return acc
 
     pivot_rows = {r for r, _ in red.pivots}

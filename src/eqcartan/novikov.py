@@ -104,28 +104,40 @@ class ExponentLattice:
                 "1 must be an integer multiple of the lattice generator"
             )
 
-    @property
+    @cached_property
     def steps_per_unit(self) -> int:
         """How many lattice steps make the exponent 1."""
         return int(1 / self.generator)
 
     def index_of(self, exponent: Union[int, Fraction]) -> int:
+        if type(exponent) is int:
+            return exponent * self.steps_per_unit
         e = Fraction(exponent)
         idx = e / self.generator
         if idx.denominator != 1:
             raise NovikovError(f"exponent {e} not in lattice g={self.generator}")
         return int(idx)
 
-    def exponent_of(self, index: int) -> Fraction:
-        return index * self.generator
+    def exponent_of(self, index: int) -> Union[int, Fraction]:
+        """index * g, an int when it is integral."""
+        s = self.steps_per_unit
+        return index // s if index % s == 0 else Fraction(index, s)
 
 
 _FIELD_KINDS = {"Q", "Fp"}
 
 
+def _rational(c):
+    """c as an int when it is integral, else as a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 @dataclass(frozen=True)
 class CoefficientRing:
-    """One of Z, Q, F_p, Z/m.  Coefficients are ints (residues) or Fractions."""
+    """One of Z, Q, F_p, Z/m.  Coefficients of Z, F_p and Z/m are ints (the
+    residues in [0, m) for F_p and Z/m).  A coefficient of Q is an int when
+    it is integral and a Fraction otherwise, so arithmetic on integer input
+    builds no Fraction; equal values compare, hash and print alike."""
 
     kind: str  # "Z" | "Q" | "Fp" | "Zmod"
     modulus: Optional[int] = None
@@ -152,7 +164,7 @@ class CoefficientRing:
 
     def coerce(self, v):
         if self.kind == "Q":
-            return Fraction(v)
+            return v if type(v) is int else _rational(Fraction(v))
         if self.kind == "Z":
             f = Fraction(v)
             if f.denominator != 1:
@@ -166,18 +178,18 @@ class CoefficientRing:
         return self.from_rational(f)
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def add(self, a, b):
         c = a + b
-        return c % self.modulus if self.modulus else c
+        return c % self.modulus if self.modulus else _rational(c)
 
     def mul(self, a, b):
         c = a * b
-        return c % self.modulus if self.modulus else c
+        return c % self.modulus if self.modulus else _rational(c)
 
     def neg(self, a):
         return (-a) % self.modulus if self.modulus else -a
@@ -189,7 +201,7 @@ class CoefficientRing:
         if a == 0:
             raise InversionError("division by zero")
         if self.kind == "Q":
-            return 1 / Fraction(a)
+            return a if a in (1, -1) else _rational(Fraction(1, a))
         if self.kind == "Fp":
             return pow(int(a), -1, self.modulus)
         raise CoefficientError("inverse requires field coefficients")
@@ -198,7 +210,7 @@ class CoefficientRing:
         """Image of an exact rational in this ring, or CoefficientError."""
         r = Fraction(r)
         if self.kind == "Q":
-            return r
+            return _rational(r)
         if self.kind == "Z":
             if r.denominator != 1:
                 raise CoefficientError(
@@ -216,7 +228,7 @@ class CoefficientRing:
     def mul_rational(self, a, r: Fraction):
         """a * r for a in the ring, r an exact rational."""
         if self.kind == "Q":
-            return Fraction(a) * r
+            return _rational(a * r)
         if self.kind == "Z":
             f = Fraction(a) * r
             if f.denominator != 1:
@@ -360,7 +372,7 @@ class NovikovElem:
         return self.terms[0][0] if self.terms else INF
 
     def valuation(self):
-        """Minimal exponent as a Fraction, or None for a termless element."""
+        """Minimal exponent (see exponent_of), or None if termless."""
         if not self.terms:
             return None
         return self.setup.lattice.exponent_of(self.terms[0][0])
@@ -371,8 +383,7 @@ class NovikovElem:
         return self.terms[0]
 
     def exponents(self):
-        g = self.setup.lattice.generator
-        return [n * g for n, _ in self.terms]
+        return [self.setup.lattice.exponent_of(n) for n, _ in self.terms]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -611,6 +622,14 @@ class USeries:
         bounds = [c.trunc for c in self.coeffs[: self.valid] if c.trunc is not None]
         return min(bounds) if bounds else None
 
+    def _lead(self) -> int:
+        """The first u-order whose coefficient is not decidably zero, else
+        ``valid``: below it the series is an exact zero."""
+        for k in range(self.valid):
+            if not self.coeffs[k].is_zero():
+                return k
+        return self.valid
+
     def u_valuation(self) -> Optional[int]:
         for k in range(self.valid):
             if self.coeffs[k].has_terms():
@@ -655,13 +674,7 @@ class USeries:
         if other._zero:
             return other
         N = self.order
-        va = self.u_valuation()
-        vb = other.u_valuation()
-        v = min(
-            N,
-            (va if va is not None else N) + other.valid,
-            (vb if vb is not None else N) + self.valid,
-        )
+        v = min(N, self._lead() + other.valid, other._lead() + self.valid)
         z = self.setup.zero()
         out = [z] * N
         for i, a in enumerate(self.coeffs[: self.valid]):
@@ -836,10 +849,9 @@ def format_novikov(x: NovikovElem) -> str:
     if not x.terms:
         return "0"
     ring = x.setup.ring
-    g = x.setup.lattice.generator
     out = ""
     for n, c in x.terms:
-        exp = n * g
+        exp = x.setup.lattice.exponent_of(n)
         cs = ring.format(c)
         negative = cs.startswith("-")
         mag = cs[1:] if negative else cs

@@ -188,7 +188,7 @@ class QuantumRing:
             want = self.basis[i].index + self.basis[j].index
             for k, c in col.items():
                 for e in c.exponents():
-                    got = Fraction(self.basis[k].index) + 2 * e
+                    got = self.basis[k].index + 2 * e
                     if got != want:
                         out.append({
                             "axiom": "homogeneity",
@@ -201,7 +201,7 @@ class QuantumRing:
                         })
         for k, c in self.omega.items():
             for e in c.exponents():
-                got = Fraction(self.basis[k].index) + 2 * e
+                got = self.basis[k].index + 2 * e
                 if got != 2:
                     out.append({
                         "axiom": "omega homogeneity",

@@ -127,9 +127,14 @@ def useries_sub(a, b):
 
 def useries_mul(a, b):
     N = a.order
-    va, vb = a.u_valuation(), b.u_valuation()
-    v = min(N, (N if va is None else va) + b.valid,
-            (N if vb is None else vb) + a.valid)
+
+    def lead(x):  # the first coefficient not decidably zero, else valid
+        for k in range(x.valid):
+            if not x.coeffs[k].is_zero():
+                return k
+        return x.valid
+
+    v = min(N, lead(a) + b.valid, lead(b) + a.valid)
     out = [a.setup.zero()] * N
     for i, x in enumerate(a.coeffs[: a.valid]):
         for j, y in enumerate(b.coeffs[: b.valid]):
@@ -238,7 +243,7 @@ def solve(matrix, rhs, setup, q_order=None, reduction=None):
         acc = setup.zero()
         for c in range(m):
             u = U[r][c]
-            if u.has_terms():
+            if not u.is_zero():
                 acc = acc + (u * rhs[c])
         b.append(acc)
     pivot_rows = {r for r, _ in pivots}

@@ -150,6 +150,22 @@ def test_row_reduce_matches_dense(seed, q_order, setup):
                                  q_order)
 
 
+def test_solve_carries_a_termless_transform_tail():
+    # row 0 of the transform holds O(q^-8) at column 0, so the solution's
+    # entry at row 0's pivot column is unknown from q^7 on, not an exact 0
+    M = random_matrix(random.Random(16), SETUP_Q, 3, 4)
+    rhs = [SETUP_Q.one(), SETUP_Q.zero(), SETUP_Q.zero()]
+    red = linalg.row_reduce(M, SETUP_Q, 8)
+    assert red.pivots[0] == (0, 1)
+    tail = red.scaled_transform[0][0]
+    assert not tail.terms and tail.trunc == -8
+    x, bad = linalg.solve(M, rhs, SETUP_Q, 8, reduction=red)
+    assert bad is None
+    assert not x[1].terms and x[1].trunc == 7
+    want_x, _ = ref.solve(M, rhs, SETUP_Q, 8)
+    assert not want_x[1].terms and want_x[1].trunc == 7
+
+
 @pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
 @pytest.mark.parametrize("seed", range(6))
 def test_solve_and_kernel_match_dense(seed, setup):

@@ -267,6 +267,22 @@ def test_useries_product_keeps_a_left_tail():
     assert ref.useries_mul(a, one) == a * one
 
 
+def test_useries_product_valid_counts_tailed_coefficients():
+    # the u^0 coefficient O(q^2) is not decidably zero, so the unknown u^1
+    # coefficient of the right factor makes u^1 of the product unknown
+    tail = NovikovElem.build(SETUP_Q, [], 2)
+    a = USeries.build(SETUP_Q, 2, [tail])
+    b = USeries.build(SETUP_Q, 2, [SETUP_Q.one()], valid=1)
+    for got in (a * b, ref.useries_mul(a, b)):
+        assert got.valid == 1
+        assert got.coeffs[0] == tail
+    # O(u) * O(u^2) is O(u^3), not an exact zero
+    z = SETUP_Q.zero()
+    c = USeries.build(SETUP_Q, 4, [z], valid=1)
+    d = USeries.build(SETUP_Q, 4, [z, z], valid=2)
+    assert (c * d).valid == ref.useries_mul(c, d).valid == 3
+
+
 def test_useries_du():
     one = SETUP_Q.one()
     a = USeries.build(SETUP_Q, 4, [one, one, one, one])
