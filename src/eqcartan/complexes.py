@@ -10,7 +10,8 @@ Contents:
 * cohomology over the Novikov field by valuation-pivot elimination, with
   the projection onto its classes;
 * Smith-style diagonalization over the discrete valuation ring Lambda[[u]]
-  (free rank + u-torsion orders + undetermined pivots);
+  (free rank + u-torsion orders + undetermined pivots), a row-only pass on
+  sparse rows with ``linalg``'s row update;
 * the long-exact-sequence bookkeeping between ordinary and equivariant
   cohomology;
 * the three-block mapping cone of a degree-0 chain map with its two
@@ -32,6 +33,7 @@ Conventions fixed here (and relied on by the golden tests):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -494,82 +496,64 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
     (row, col, u_valuation).  Pivot valuations >= analysis_order are still
     returned (callers classify them as undetermined).  Raises
     UndeterminedError when precision erosion makes a pivot choice unsound.
+
+    A row-only pass on sparse rows {column: USeries} that store every entry
+    not decidably zero.  The pivot u^v w (w a unit) has the least
+    u-valuation in the remaining block, so each row with an entry e in its
+    column becomes r - (e/u^v) w^-1 (pivot row), w^-1 truncated at q_order.
+    Once its column is cleared, column operations would change only the
+    pivot row, which retires with its column, so none is done.
     """
     if q_order is None:
         q_order = linalg.DEFAULT_Q_ORDER()
     if not setup.ring.is_field:
         raise CoefficientError("DVR decomposition requires field coefficients")
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    M = [list(r) for r in rows]
-    free_rows = set(range(m))
-    free_cols = set(range(n))
+    free = {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
+            for r, row in enumerate(rows)}
+    col_rows = defaultdict(set)
+    for r, row in free.items():
+        for c in row:
+            col_rows[c].add(r)
     pivots = []
-    verified = None
-
-    def entry_key(e: USeries):
-        v = e.u_valuation()
-        if v is None:
-            return None
-        c = e.coeffs[v]
-        return (v, c.valuation_index())
-
     while True:
-        best = None
-        for r in sorted(free_rows):
-            for c in sorted(free_cols):
-                key = entry_key(M[r][c])
-                if key is None:
-                    continue
-                cand = (key[0], key[1], r, c)
-                if best is None or cand < best:
-                    best = cand
+        best = None  # (u-valuation, q-valuation of that coefficient, row, col)
+        for r, row in free.items():
+            for c, e in row.items():
+                v = e.u_valuation()
+                if v is not None:
+                    key = (v, e.coeffs[v].valuation_index(), r, c)
+                    if best is None or key < best:
+                        best = key
         if best is None:
-            # remaining entries are visibly zero; check precision
-            for r in free_rows:
-                for c in free_cols:
-                    e = M[r][c]
-                    if e.valid < min(analysis_order, e.order):
-                        raise UndeterminedError(
-                            "precision exhausted before the remaining block "
-                            f"could be certified zero (entry {r},{c} valid "
-                            f"to u-order {e.valid})"
-                        )
-                    t = e.q_certificate()
-                    if t is not None:
-                        verified = t if verified is None else min(verified, t)
             break
         v, _, pr, pc = best
-        pivot = M[pr][pc]
-        if v >= pivot.valid and v < pivot.order:
-            raise UndeterminedError(
-                f"pivot at ({pr},{pc}) has valuation beyond its valid order"
-            )
-        punit = pivot.shift_down(v)
-        pinv = useries_invert_unit(punit, q_order)
-        # clear the pivot column with row operations
-        for r in list(free_rows):
-            if r == pr:
+        prow = free.pop(pr)
+        for c in prow:
+            col_rows[c].discard(pr)
+        pinv = useries_invert_unit(prow.pop(pc).shift_down(v), q_order)
+        g = None  # (b/u^v) w^-1 for the visible entries b of the pivot row
+        for r in col_rows.pop(pc):
+            row = free[r]
+            e = row.pop(pc)
+            if e:
+                linalg._axpy(row, e.shift_down(v) * pinv, prow, col_rows, r)
                 continue
-            e = M[r][pc]
-            if not e:
-                continue
-            f = e.shift_down(v) * pinv
-            M[r] = [a - (f * b) for a, b in zip(M[r], M[pr])]
-        # clear the pivot row with column operations
-        for c in list(free_cols):
-            if c == pc:
-                continue
-            e = M[pr][c]
-            if not e:
-                continue
-            g = e.shift_down(v) * pinv
-            for r in range(m):
-                M[r][c] = M[r][c] - (g * M[r][pc])
+            # an entry without visible terms is not divided by u^v: its
+            # tails reach the row as they would through column operations
+            if g is None:
+                g = {c: b.shift_down(v) * pinv for c, b in prow.items() if b}
+            linalg._axpy(row, e, g, col_rows, r)
         pivots.append((pr, pc, v))
-        free_rows.discard(pr)
-        free_cols.discard(pc)
-    return pivots, verified
+    # the remaining entries are visibly zero; check their precision
+    lost = [(r, c, e.valid) for r, row in free.items() for c, e in row.items()
+            if e.valid < min(analysis_order, e.order)]
+    if lost:
+        r, c, valid = min(lost)
+        raise UndeterminedError(
+            "precision exhausted before the remaining block could be "
+            f"certified zero (entry {r},{c} valid to u-order {valid})")
+    bounds = [e.q_certificate() for row in free.values() for e in row.values()]
+    return pivots, min((t for t in bounds if t is not None), default=None)
 
 
 def u_module_decomposition(d_eq: OperatorMatrix,
@@ -730,22 +714,24 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
         basis, C_plus.basis,
         {(i, 2 * nm + i): one for i in range(np_)}, 0)
 
+    hs = cohomology_over_novikov_field(cone, q_order)
     verdicts = {
-        "minus": _quasi_iso_verdict(proj_minus, cone, C_minus, q_order),
-        "plus": _quasi_iso_verdict(proj_plus, cone, C_plus, q_order),
+        "minus": _quasi_iso_verdict(proj_minus, cone, hs, C_minus, q_order),
+        "plus": _quasi_iso_verdict(proj_plus, cone, hs, C_plus, q_order),
     }
     return {"cone": cone, "projection_minus": proj_minus,
             "projection_plus": proj_plus, "quasi_isomorphisms": verdicts}
 
 
 def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
-                       target: GradedComplex, q_order=None) -> dict:
+                       hs: CohomologyReport, target: GradedComplex,
+                       q_order=None) -> dict:
     """Is the induced map on cohomology an isomorphism in every degree?
 
-    Where the Betti numbers agree, the induced map is the square matrix of
-    p_target(proj(rep)) over the source representatives: is it of full rank?
+    ``hs`` is the cohomology of ``source``.  Where the Betti numbers agree,
+    the induced map is the square matrix of p_target(proj(rep)) over the
+    source representatives: is it of full rank?
     """
-    hs = cohomology_over_novikov_field(source, q_order)
     ht = cohomology_over_novikov_field(target, q_order)
     degrees = set(hs["degrees"]) | set(ht["degrees"])
     zero = source.setup.zero()
@@ -770,7 +756,7 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                 raise InternalError(
                     f"the image of a cocycle in degree {k} is not a cocycle")
             induced.append(coeffs[first:first + dim_t])
-        if linalg.rank(induced, source.setup, q_order) != dim_t:
+        if linalg.row_reduce(induced, source.setup, q_order).rank != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}
     return {"quasi_isomorphism": True}

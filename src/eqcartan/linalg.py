@@ -62,8 +62,8 @@ from typing import Dict, List, Optional
 
 from .novikov import InputError, NovikovElem, ScalarSetup, invert_truncated
 
-__all__ = ["UndeterminedError", "Reduction", "row_reduce", "rank", "kernel_basis",
-           "solve", "matrix_rank_certified", "DEFAULT_Q_ORDER"]
+__all__ = ["UndeterminedError", "Reduction", "row_reduce", "kernel_basis", "solve",
+           "DEFAULT_Q_ORDER"]
 
 SparseRow = Dict[int, NovikovElem]
 
@@ -99,11 +99,6 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
-
-
-def _stored(e: NovikovElem) -> bool:
-    """Not decidably zero: visible terms or an unknown tail."""
-    return bool(e.terms) or e.trunc is not None
 
 
 @dataclass
@@ -192,14 +187,12 @@ class Reduction:
         """The sparse vector w with every pivot column cleared by the
         undivided pivot rows, so no truncated inverse enters; w may be
         multiplied by an exact polynomial of valuation 0 on the way."""
-        zero = self.setup.zero()
         for r, c in self.pivots:
-            f = w.get(c, zero)
-            if f.has_terms():
+            f = w.get(c)
+            if f is not None and f.has_terms():
                 row = self.scaled[r]
                 w, g = _cleared(w, f, row[c])
-                for col, b in row.items():
-                    w[col] = w.get(col, zero) - (g * b)
+                _axpy(w, g, row)
         return w
 
     def _reduce(self, w: List[NovikovElem]) -> List[NovikovElem]:
@@ -260,13 +253,14 @@ def _cleared(w: SparseRow, f: NovikovElem, p: NovikovElem):
     return {i: p0 * x for i, x in w.items()}, f.q_shift(s)
 
 
-def _axpy(row: SparseRow, f: NovikovElem, prow: SparseRow, zero: NovikovElem,
-          col_rows=None, r: int = -1) -> None:
-    """row -= f * prow in place, keeping exact zeros out of the row and, if
-    given, row r's entries in the column -> rows index ``col_rows``."""
+def _axpy(row: dict, f, prow: dict, col_rows=None, r: int = -1) -> None:
+    """row -= f * prow in place, for sparse rows of NovikovElem or USeries
+    entries: keeps decidably zero entries out of the row and, if given,
+    row r's entries in the column -> rows index ``col_rows``."""
     for c, b in prow.items():
-        new = row.get(c, zero) - (f * b)
-        if _stored(new):
+        a = row.get(c)
+        new = -(f * b) if a is None else a - (f * b)
+        if not new.is_zero():
             if col_rows is not None and c not in row:
                 col_rows[c].add(r)
             row[c] = new
@@ -292,9 +286,11 @@ def _divided_exactly(rows: List[SparseRow], h: NovikovElem):
 
 
 def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
-    """A gcd of two nonzero exact Laurent polynomials, up to a unit:
-    Euclid's algorithm on their coefficient lists, dropping the powers of q
-    (units) that the remainders pick up."""
+    """A gcd of two nonzero exact Laurent polynomials, up to a unit: the
+    primitive pseudo-remainder sequence of their coefficient lists, which
+    inverts no coefficient, dropping the powers of q (units) that the
+    remainders pick up and, over Q, the content of each remainder, so that
+    on integer input every coefficient stays an int."""
     ring = a.setup.ring
 
     def dense(x):
@@ -306,10 +302,9 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
 
     u, v = dense(a), dense(b)
     while v:
-        inv = ring.inv(v[-1])
         while len(u) >= len(v):
-            f = ring.mul(u[-1], inv)
-            off = len(u) - len(v)
+            f, off = u[-1], len(u) - len(v)
+            u = [ring.mul(v[-1], c) for c in u]
             for i, c in enumerate(v):
                 u[off + i] = ring.add(u[off + i], ring.neg(ring.mul(f, c)))
             u.pop()
@@ -317,6 +312,11 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
                 u.pop()
         while u and ring.is_zero(u[0]):
             u.pop(0)
+        if u and ring.kind == "Q":
+            # gcd of the numerators over lcm of the denominators
+            num = math.gcd(*(c.numerator for c in u))
+            den = math.lcm(*(c.denominator for c in u))
+            u = [c * den // num for c in u]
         u, v = v, u
     return NovikovElem(a.setup, tuple((i, c) for i, c in enumerate(u)
                                       if not ring.is_zero(c)))
@@ -328,8 +328,8 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
         q_order = DEFAULT_Q_ORDER()
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    M = [{c: e for c, e in enumerate(row) if _stored(e)} for row in matrix]
-    one, zero = setup.one(), setup.zero()
+    M = [{c: e for c, e in enumerate(row) if not e.is_zero()} for row in matrix]
+    one = setup.one()
     U = [{r: one} for r in range(m)]
     col_rows = [set() for _ in range(n)]
     for r, row in enumerate(M):
@@ -396,13 +396,13 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             # sparsity pattern
             g = _quotient(f, p)
             if g is not None:
-                _axpy(M[r], g, M[pr], zero, col_rows, r)
-                _axpy(U[r], g, U[pr], zero)
+                _axpy(M[r], g, M[pr], col_rows, r)
+                _axpy(U[r], g, U[pr])
                 continue
             M[r] = {c: p * e for c, e in M[r].items()}
             U[r] = {c: p * e for c, e in U[r].items()}
-            _axpy(M[r], f, M[pr], zero, col_rows, r)
-            _axpy(U[r], f, U[pr], zero)
+            _axpy(M[r], f, M[pr], col_rows, r)
+            _axpy(U[r], f, U[pr])
             # the row is now p * mult[r] times the unscaled row; when every
             # row carries the same multiplier, Bareiss' division by it (the
             # previous pivot) is exact by Sylvester's identity; in general,
@@ -436,15 +436,6 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             M[r] = {c: e.q_shift(-s) for c, e in row.items()}
             U[r] = {c: e.q_shift(-s) for c, e in U[r].items()}
     return Reduction(setup, pivots, verified, M, U, q_order)
-
-
-def rank(matrix, setup, q_order=None) -> int:
-    return row_reduce(matrix, setup, q_order).rank
-
-
-def matrix_rank_certified(matrix, setup, q_order=None):
-    red = row_reduce(matrix, setup, q_order)
-    return red.rank, red.verified_trunc
 
 
 def kernel_basis(matrix, setup, q_order=None, reduction: Optional[Reduction] = None):

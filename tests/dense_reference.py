@@ -11,6 +11,12 @@ same values, certificates and error messages.
 recurrence in ``novikov.invert_truncated`` replaced; the dense elimination
 here pivots with it, and ``test_novikov.py`` compares the two inverses.
 
+``dvr_diagonalize`` is the dense Smith-style diagonalization over
+Lambda[[u]] that ``complexes.dvr_diagonalize``'s row-only sparse pass
+replaced: it clears each pivot's row by column operations too;
+``test_dense_oracles.py`` asserts that the two find the same pivot
+valuations and that the sparse pass certifies no less.
+
 ``elem_add`` ... ``useries_q_shift`` are the general NovikovElem and USeries
 formulas without the short-circuits for decidably zero operands;
 ``test_zero_fast_paths.py`` asserts that the operators return the same
@@ -42,7 +48,7 @@ from fractions import Fraction
 
 from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
 from eqcartan.novikov import (CoefficientError, InversionError, NovikovElem, USeries, dq,
-                              useries_du, useries_udq)
+                              useries_du, useries_invert_unit, useries_udq)
 
 
 INF = math.inf
@@ -254,6 +260,83 @@ def solve(matrix, rhs, setup, q_order=None, reduction=None):
     for r, c in pivots:
         x[c] = b[r]
     return x, None
+
+
+def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
+    """(pivots, verified_trunc) as ``complexes.dvr_diagonalize``, on a dense
+    matrix: after each pivot's row operations, column operations clear the
+    pivot row, and every step scans the whole remaining block."""
+    if q_order is None:
+        q_order = DEFAULT_Q_ORDER()
+    if not setup.ring.is_field:
+        raise CoefficientError("DVR decomposition requires field coefficients")
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    M = [list(r) for r in rows]
+    free_rows = set(range(m))
+    free_cols = set(range(n))
+    pivots = []
+    verified = None
+
+    def entry_key(e):
+        v = e.u_valuation()
+        if v is None:
+            return None
+        c = e.coeffs[v]
+        return (v, c.valuation_index())
+
+    while True:
+        best = None
+        for r in sorted(free_rows):
+            for c in sorted(free_cols):
+                key = entry_key(M[r][c])
+                if key is None:
+                    continue
+                cand = (key[0], key[1], r, c)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            # remaining entries are visibly zero; check precision
+            for r in free_rows:
+                for c in free_cols:
+                    e = M[r][c]
+                    if e.valid < min(analysis_order, e.order):
+                        raise UndeterminedError(
+                            "precision exhausted before the remaining block "
+                            f"could be certified zero (entry {r},{c} valid "
+                            f"to u-order {e.valid})"
+                        )
+                    t = e.q_certificate()
+                    if t is not None:
+                        verified = t if verified is None else min(verified, t)
+            break
+        v, _, pr, pc = best
+        pivot = M[pr][pc]
+        punit = pivot.shift_down(v)
+        pinv = useries_invert_unit(punit, q_order)
+        # clear the pivot column with row operations
+        for r in list(free_rows):
+            if r == pr:
+                continue
+            e = M[r][pc]
+            if not e:
+                continue
+            f = e.shift_down(v) * pinv
+            M[r] = [a - (f * b) for a, b in zip(M[r], M[pr])]
+        # clear the pivot row with column operations
+        for c in list(free_cols):
+            if c == pc:
+                continue
+            e = M[pr][c]
+            if not e:
+                continue
+            g = e.shift_down(v) * pinv
+            for r in range(m):
+                M[r][c] = M[r][c] - (g * M[r][pc])
+        pivots.append((pr, pc, v))
+        free_rows.discard(pr)
+        free_cols.discard(pc)
+    return pivots, verified
 
 
 # -- dense Novikov and USeries matrices ---------------------------------------
@@ -916,9 +999,9 @@ def quasi_iso_verdict(proj, source, target, q_order=None):
                 vec = [target.d.entries.get((t, s), zero) for t in t_gens]
                 if any(v.has_terms() for v in vec):
                     boundary_vecs.append(vec)
-        rank_b = (linalg.rank(boundary_vecs, setup, q_order)
+        rank_b = (linalg.row_reduce(boundary_vecs, setup, q_order).rank
                   if boundary_vecs else 0)
-        if linalg.rank(boundary_vecs + pushed, setup, q_order) \
+        if linalg.row_reduce(boundary_vecs + pushed, setup, q_order).rank \
                 - rank_b != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}

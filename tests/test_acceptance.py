@@ -249,11 +249,13 @@ CLI_MATRIX = [
     ["validate", "mod2_case.json"],
     ["validate", "monotone_case.json"],
     ["validate", "quantum_cp1.json"],
+    ["validate", "torsion_case.json"],
     ["validate", "z2_case.json"],
     ["cohomology", "monotone_case.json"],
     ["cohomology", "dvr_case.json"],
     ["u-decompose", "dvr_case.json"],
     ["u-decompose", "exact_case.json"],
+    ["u-decompose", "torsion_case.json"],
     ["cartan", "verify", "monotone_case.json"],
     ["cartan", "solve-iota", "monotone_case.json"],
     ["cartan", "solve-iota", "exact_case.json"],

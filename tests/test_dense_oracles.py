@@ -19,6 +19,13 @@ the two agree by a relation, not field for field:
   ``linalg.row_reduce`` returns, its result must still meet the
   annihilation property and the certificate on exact input.
 
+``complexes.dvr_diagonalize`` is a row-only pass, ``ref.dvr_diagonalize``
+the dense diagonalization that also clears each pivot row by column
+operations; on multi-term and tailed u-series the two find the same sorted
+pivot valuations wherever both return, the pass's ``verified_trunc`` is
+never lower (None wherever the reference's is), and it raises
+``UndeterminedError`` only where the reference raises it.
+
 The Cartan operators must still agree field for field: values,
 certificates and error messages, including on truncated entries, termless
 ``O(q^T)`` entries and q-orders small enough to leave pivot choices
@@ -35,9 +42,9 @@ import dense_reference as ref
 from conftest import _conjugate_components, random_equivariant_differential
 from eqcartan import linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
-from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
+from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix, dvr_diagonalize
 from eqcartan.linalg import UndeterminedError
-from eqcartan.novikov import NovikovElem, ScalarSetup
+from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
 
 SETUP_Q = ScalarSetup.make(1, "Q")
 SETUP_F5 = ScalarSetup.make(1, "F5")
@@ -281,6 +288,67 @@ def matrices(draw):
 def test_row_reduce_matches_dense_hypothesis(case):
     setup, rows, q_order = case
     assert_related_reduction(rows, setup, q_order)
+
+
+# -- dvr_diagonalize -----------------------------------------------------------
+
+
+def random_useries(rng, setup, order):
+    """Zero, or u^j times coefficients drawn by random_entry: multi-term,
+    truncated with terms or termless O(q^T)."""
+    if rng.random() < 0.4:
+        return USeries.zero(setup, order)
+    j = rng.randint(0, order - 1)
+    return USeries.build(setup, order, [setup.zero()] * j + [
+        random_entry(rng, setup) for _ in range(order - j)])
+
+
+DVR_SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]
+
+
+@pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("q_order", [2, 4, 16])
+@pytest.mark.parametrize("seed", range(16))
+def test_dvr_diagonalize_matches_dense(seed, q_order, setup):
+    rng = random.Random(seed)
+    for m, n in DVR_SHAPES:
+        order = rng.randint(2, 4)
+        rows = [[random_useries(rng, setup, order) for _ in range(n)]
+                for _ in range(m)]
+        try:
+            want = ref.dvr_diagonalize(rows, setup, order, q_order)
+        except UndeterminedError:
+            want = None
+        try:
+            pivots, verified = dvr_diagonalize(rows, setup, order, q_order)
+        except UndeterminedError:
+            assert want is None
+            continue
+        if want is None:
+            continue
+        want_pivots, want_verified = want
+        assert (sorted(v for _, _, v in pivots)
+                == sorted(v for _, _, v in want_pivots))
+        if want_verified is None:
+            assert verified is None
+        else:
+            assert verified is None or verified >= want_verified
+
+
+def test_dvr_entry_without_visible_terms_reaches_its_row():
+    # O(q^-1) u^2 in the pivot column (pivot u^2 below it) hides its
+    # value: it must reach row 0 and swallow the q^0 of its u^3 entry, as
+    # the reference's column operations make it, not drop out
+    z, one = SETUP_Q.zero(), SETUP_Q.one()
+
+    def series(*coeffs):
+        return USeries.build(SETUP_Q, 4, list(coeffs))
+
+    rows = [[series(z, z, NovikovElem.build(SETUP_Q, [], -1)),
+             series(z, z, z, one)],
+            [series(z, z, one), series(z, z, z, SETUP_Q.monomial(1, -3))]]
+    assert ref.dvr_diagonalize(rows, SETUP_Q, 4, 8) == ([(1, 0, 2)], -4)
+    assert dvr_diagonalize(rows, SETUP_Q, 4, 8) == ([(1, 0, 2)], -4)
 
 
 # -- solve_iota and identity_report -------------------------------------------

@@ -7,8 +7,6 @@ import sympy
 from eqcartan.linalg import (
     UndeterminedError,
     kernel_basis,
-    matrix_rank_certified,
-    rank,
     row_reduce,
     solve,
 )
@@ -63,7 +61,7 @@ def test_rank_matches_sympy(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 5), rng.randint(1, 5)
     M = random_matrix(rng, m, n)
-    assert rank(M, SETUP) == to_sympy(M).rank()
+    assert row_reduce(M, SETUP).rank == to_sympy(M).rank()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -88,7 +86,7 @@ def test_kernel_vectors_annihilate(seed):
     m, n = rng.randint(1, 5), rng.randint(2, 5)
     M = random_matrix(rng, m, n)
     ker = kernel_basis(M, SETUP)
-    assert len(ker) == n - rank(M, SETUP)
+    assert len(ker) == n - row_reduce(M, SETUP).rank
     for v in ker:
         img = mat_apply(M, v)
         assert all(not e.has_terms() for e in img)
@@ -144,8 +142,8 @@ def test_exact_zero_column_is_fine():
 def test_certified_rank_reports_verification_bound():
     weak = NovikovElem.build(SETUP, [(0, 1)]).truncate(4)
     M = [[weak]]
-    r, verified = matrix_rank_certified(M, SETUP)
-    assert r == 1
+    red = row_reduce(M, SETUP)
+    assert red.rank == 1 and red.verified_trunc == 4
 
 
 def test_solve_decides_consistency_exactly_past_the_q_order():
