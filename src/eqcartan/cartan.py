@@ -22,6 +22,10 @@ monotone regime and q * iota in the Calabi-Yau one.  With this convention
 the same four matrix identities hold in both regimes and the Euler-type
 relation  Gamma_u + 2q Gamma_q = u * deg  is exact.
 
+``gamma_q``, ``gamma_u`` and ``degree_weighted`` map a block (an
+``OperatorMatrix`` whose columns are u-series vectors) to a block: the
+derivation part entrywise, the matrix part as one product with the block.
+
 ``solve_iota`` constructs the iota family order by order from d alone by
 solving [d_0, iota_k] = (known lower-order data); an inconsistency at some
 order is returned as an explicit obstruction certificate rather than an
@@ -48,7 +52,7 @@ from .novikov import (
     useries_udq,
 )
 from .complexes import (GeneratorInfo, GradedComplex, GradingKind,
-                        OperatorMatrix, sample_vectors)
+                        OperatorMatrix, sample_block)
 from . import linalg
 from .complexes import cohomology_over_novikov_field
 
@@ -233,6 +237,20 @@ def _entries(op: OperatorMatrix):
              op.entries[(t, s)]) for t, s in sorted(op.entries))
 
 
+def _columns(block: OperatorMatrix):
+    """The stored cells of a block column by column, for _scan."""
+    return (({"sample": block.source[s].name, "row": block.target[t].name},
+             block.entries[(t, s)])
+            for s, t in sorted((s, t) for t, s in block.entries))
+
+
+def _by_row(block: OperatorMatrix, fn, degree: int) -> OperatorMatrix:
+    """fn(row, entry) on every stored entry of a block."""
+    return OperatorMatrix(block.source, block.target,
+                          {(t, s): fn(t, v)
+                           for (t, s), v in block.entries.items()}, degree)
+
+
 # -- lambda and iota ----------------------------------------------------------
 
 
@@ -315,50 +333,40 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
 # -- the connection operators -------------------------------------------------
 
 
-def gamma_q(data: CartanData, vec: List[USeries]) -> List[USeries]:
-    """Gamma_q = u d/dq + iota-part, on a column of u-series."""
-    # exact zeros map to exact zeros (valid order included), so skip them
-    out = [v if v.is_zero() else useries_udq(v).times_u() for v in vec]
-    part = data.iota_q.apply(vec, USeries.zero(data.setup, data.order))
-    return [a + p for a, p in zip(out, part)]
+def gamma_q(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
+    """Gamma_q = u d/dq + iota-part, on a block of u-series columns."""
+    return (X.entrywise(lambda v: useries_udq(v).times_u())
+            + data.iota_q.compose(X))
 
 
-def gamma_u(data: CartanData, vec: List[USeries]) -> List[USeries]:
-    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a column of u-series."""
+def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
+    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns."""
     setup = data.setup
     two = setup.monomial(2, 0)
-    out = []
     mu = data.diff.mu_diag()
-    for i, v in enumerate(vec):
-        if v.is_zero():  # d/du loses an order, but times_u(2) restores it
-            out.append(v)
-            continue
-        term = useries_du(v).times_u(2).scale(two)
-        term = term + v.scale(setup.monomial(mu[i], 0)).times_u()
-        out.append(term)
-    part = data.iota_mono.apply(vec, USeries.zero(setup, data.order))
-    return [a - p.scale(two) for a, p in zip(out, part)]
+    free = _by_row(X, lambda t, v: (
+        useries_du(v).times_u(2).scale(two)
+        + v.scale(setup.monomial(mu[t], 0)).times_u()), X.degree + 2)
+    return free - data.iota_mono.compose(X).entrywise(lambda p: p.scale(two))
 
 
-def degree_weighted(data: CartanData, vec: List[USeries]) -> List[USeries]:
+def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Termwise multiplication by the total degree i(x) + 2E + 2k."""
     setup = data.setup
     lat = setup.lattice
-    out = []
-    for i, v in enumerate(vec):
-        if v.is_zero():  # every weighted term of an exact zero is zero
-            out.append(v)
-            continue
-        base = data.diff.basis[i].index
+    basis = data.diff.basis
+
+    def weighted(t, v):
         coeffs = []
         for k, c in enumerate(v.coeffs):
             pairs = []
             for idx, co in c.terms:
-                w = base + 2 * k + 2 * lat.exponent_of(idx)
+                w = basis[t].index + 2 * k + 2 * lat.exponent_of(idx)
                 pairs.append((idx, setup.ring.mul_rational(co, w)))
             coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
-        out.append(USeries.build(setup, v.order, coeffs, v.valid))
-    return out
+        return USeries.build(setup, v.order, coeffs, v.valid)
+
+    return _by_row(X, weighted, X.degree)
 
 
 # -- identity self-tests ------------------------------------------------------
@@ -434,35 +442,29 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
     record("gamma_u commutator",
            _entries(du_part + (_commutator(mat_part, d_eq) - u_d)))
 
-    # 5-7. operator identities on sample vectors, row by row
-    samples = sample_vectors(setup, diff.n, N)
-
-    def record_rows(name, sides):
-        record(name, (({"sample": label, "row": basis[i].name}, a - b)
-                      for label, v in samples
-                      for i, (a, b) in enumerate(zip(*sides(v)))))
+    # 5-7. operator identities on the sample block, column by column
+    X = sample_block(setup, basis, N)
+    gu, gq = gamma_u(data, X), gamma_q(data, X)
 
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
     step = setup.lattice.steps_per_unit
-    record_rows("euler relation", lambda v: (
-        [a + g.scale(two).q_shift(step)
-         for a, g in zip(gamma_u(data, v), gamma_q(data, v))],
-        [w.times_u() for w in degree_weighted(data, v)]))
+    record("euler relation", _columns(
+        gu + gq.entrywise(lambda g: g.scale(two).q_shift(step))
+        - degree_weighted(data, X).entrywise(lambda w: w.times_u())))
 
     # 6. Leibniz rule for Gamma_u with f = q + u:
     #    Gamma_u(f x) = f Gamma_u(x) + 2 u^2 (df/du) x,  2 u^2 df/du = 2 u^2
     f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
+    fX = X.entrywise(lambda w: w * f)
     df2 = USeries.from_novikov(two, N, 2)
-    record_rows("leibniz", lambda v: (
-        gamma_u(data, [w * f for w in v]),
-        [g * f + w * df2 for g, w in zip(gamma_u(data, v), v)]))
+    record("leibniz", _columns(gamma_u(data, fX) - (
+        gu.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * df2))))
 
     # 7. Leibniz rule for Gamma_q with the same scalar f = q + u:
     #    Gamma_q(f x) = u * (df/dq) x + f Gamma_q(x),  u df/dq = u
     uf = USeries.from_novikov(setup.one(), N, 1)
-    record_rows("gamma_q leibniz", lambda v: (
-        gamma_q(data, [w * f for w in v]),
-        [g * f + w * uf for g, w in zip(gamma_q(data, v), v)]))
+    record("gamma_q leibniz", _columns(gamma_q(data, fX) - (
+        gq.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * uf))))
 
     return {"regime": data.regime, "order": N,
             "identities": results,
@@ -582,17 +584,17 @@ def flatten_equivariant(diff: EquivariantDifferential) -> GradedComplex:
     return GradedComplex(setup, diff.grading, basis, d)
 
 
-def _unflatten(diff, vec):
-    N, n = diff.order, diff.n
-    zero = USeries.zero(diff.setup, N)
-    columns = ([vec[j * n + i] for j in range(N)] for i in range(n))
-    return [zero if all(c.is_zero() for c in cs)
-            else USeries.build(diff.setup, N, cs) for cs in columns]
-
-
-def _flatten_vec(diff, useries_vec):
-    return [useries_vec[i].coeffs[j]
-            for j in range(diff.order) for i in range(diff.n)]
+def _unflatten(diff, X: OperatorMatrix) -> OperatorMatrix:
+    """A block over the flattened complex as u-series columns on diff's
+    basis: generator u^j x_i is coefficient j of row i."""
+    n, N = diff.n, diff.order
+    z = diff.setup.zero()
+    coeffs: Dict[Tuple[int, int], list] = {}
+    for (g, s), v in X.entries.items():
+        coeffs.setdefault((g % n, s), [z] * N)[g // n] = v
+    return OperatorMatrix(X.source, diff.basis,
+                          {key: USeries.build(diff.setup, N, cs)
+                           for key, cs in coeffs.items()})
 
 
 def induced_connection(data: CartanData, which: str = "gamma_q",
@@ -616,57 +618,45 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     setup = data.setup
     C = flatten_equivariant(diff)
     H = cohomology_over_novikov_field(C, q_order)
-    big_n = len(C.basis)
     zero = setup.zero()
-    classes = []
-    for k in sorted(H["degrees"]):
-        gens = C.generators_in_degree(k)
-        for rep in H["degrees"][k]["representatives"]:
-            full = [zero] * big_n
-            for pos, g in enumerate(gens):
-                full[g] = rep[pos]
-            classes.append({"degree": k, "vector": full})
-    iota_trivial = not any(bool(v) for op in data.iota
-                           for v in op.entries.values())
+    X = H.class_block(C.basis)
+    iota_trivial = all(op.is_visibly_zero() for op in data.iota)
     if which == "gamma_q":
         form = "u*d/dq" if iota_trivial else "u*d/dq + iota part"
     else:
         form = ("2*u^2*d/du + u*mu" if iota_trivial
                 else "2*u^2*d/du + u*mu - 2*iota part")
-    if not classes:
-        return {"operator": which, "operator_form": form,
-                "matrix_part_is_zero": iota_trivial,
-                "classes": [], "matrix": [], "well_defined": True,
-                "issues": []}
+    out = {"operator": which, "operator_form": form,
+           "matrix_part_is_zero": iota_trivial,
+           "classes": [{"degree": c.index,
+                        "representative": [setup.format(v) for v in col]}
+                       for c, col in zip(X.source, X.columns(zero))],
+           "matrix": [], "well_defined": True, "issues": []}
+    if not X.source:
+        return out
 
-    def project_image(vec):
-        return H.project(_flatten_vec(diff, op(data, _unflatten(diff, vec))))
+    def images(block):
+        """Gamma of every column of a block over C's basis, flattened."""
+        cols = [[zero] * len(C.basis) for _ in block.source]
+        for (i, s), v in op(data, _unflatten(diff, block)).entries.items():
+            cols[s][i::diff.n] = v.coeffs  # u^j x_i sits at j * n + i
+        return cols
 
-    matrix = []
-    issues = []
-    for ci, cl in enumerate(classes):
-        coeffs, residue = project_image(cl["vector"])
-        matrix.append(None if residue else [setup.format(c) for c in coeffs])
+    issues = out["issues"]
+    for ci, col in enumerate(images(X)):
+        coeffs, residue = H.project(col)
+        out["matrix"].append(None if residue
+                             else [setup.format(c) for c in coeffs])
         if residue is not None:
             issues.append({"class": ci, "problem": "image not expressible",
                            "residual_generator": C.basis[residue[0]].name,
                            "residual": str(residue[1])})
-    boundaries: Dict[int, List[NovikovElem]] = {}
-    for (t, s), v in C.d.entries.items():
-        boundaries.setdefault(s, [zero] * big_n)[t] = v
-    for s in sorted(boundaries):
-        coeffs, residue = project_image(boundaries[s])
+    # the boundaries d(e_s) are the columns of d
+    boundaries = images(C.d)
+    for s in sorted({s for _, s in C.d.entries}):
+        coeffs, residue = H.project(boundaries[s])
         if residue is not None or any(c.has_terms() for c in coeffs):
             issues.append({"boundary_of": C.basis[s].name,
                            "problem": "image of a boundary is not a boundary"})
-    return {
-        "operator": which,
-        "operator_form": form,
-        "matrix_part_is_zero": iota_trivial,
-        "classes": [{"degree": cl["degree"],
-                     "representative": [setup.format(v) for v in cl["vector"]]}
-                    for cl in classes],
-        "matrix": matrix,
-        "well_defined": not issues,
-        "issues": issues,
-    }
+    out["well_defined"] = not issues
+    return out

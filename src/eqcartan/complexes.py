@@ -4,11 +4,13 @@ Contents:
 
 * grading bookkeeping (integer, mod-2, mod-2m) and generator metadata;
 * sparse operator matrices with a declared degree shift, over either plain
-  Novikov scalars or truncated u-series;
+  Novikov scalars or truncated u-series; a family of vectors is one such
+  block of columns (``sample_block``: the sample columns e_i, q*u*e_i);
 * differential validation (d^2 = 0, monomial homogeneity in the |q| = 2
   regime);
 * cohomology over the Novikov field by valuation-pivot elimination, with
-  the projection onto its classes;
+  the projection onto its classes and the block of its class
+  representatives;
 * Smith-style diagonalization over the discrete valuation ring Lambda[[u]]
   (free rank + u-torsion orders + undetermined pivots), a row-only pass on
   sparse rows with ``linalg``'s row update;
@@ -56,7 +58,7 @@ __all__ = [
     "GeneratorInfo",
     "OperatorMatrix",
     "GradedComplex",
-    "sample_vectors",
+    "sample_block",
     "DecompositionReport",
     "validate_complex",
     "cohomology_over_novikov_field",
@@ -121,8 +123,8 @@ class OperatorMatrix:
     (NovikovElem, or USeries for equivariant operators) that is not
     decidably zero: exact zeros are dropped, while entries without visible
     terms that still carry a q-tail or a lost u-order are kept, so sums,
-    products and identity scans see their truncation.  ``compose`` and
-    ``apply`` skip only decidably zero operands.
+    products and identity scans see their truncation.  ``compose`` skips
+    only decidably zero operands.
     """
 
     source: Tuple[GeneratorInfo, ...]
@@ -140,6 +142,13 @@ class OperatorMatrix:
         return [
             [self.entries.get((t, s), zero) for s in range(len(self.source))]
             for t in range(len(self.target))
+        ]
+
+    def columns(self, zero: Scalar) -> List[List[Scalar]]:
+        """The columns as dense vectors, one scalar per target generator."""
+        return [
+            [self.entries.get((t, s), zero) for t in range(len(self.target))]
+            for s in range(len(self.source))
         ]
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -182,32 +191,23 @@ class OperatorMatrix:
             self.degree if degree is None else degree,
         )
 
-    def apply(self, vec: List[Scalar], zero: Scalar) -> List[Scalar]:
-        out = [zero] * len(self.target)
-        for (t, s), a in self.entries.items():
-            if not vec[s].is_zero():
-                out[t] = out[t] + (a * vec[s])
-        return out
-
     def is_visibly_zero(self) -> bool:
         return not any(bool(v) for v in self.entries.values())
 
 
-def sample_vectors(setup: ScalarSetup, n: int, order: int):
-    """Labelled columns of u-series mod u^order for checking operator
-    identities on a rank-n module: each basis vector e_i and its q,u-dressed
-    variant q*u*e_i."""
-    z = USeries.zero(setup, order)
-    qmono = setup.monomial(1, 1)
-    out = []
-    for i in range(n):
-        e = [z] * n
-        e[i] = USeries.from_novikov(setup.one(), order)
-        out.append((f"e_{i}", e))
-        dressed = [z] * n
-        dressed[i] = USeries.from_novikov(qmono, order, 1)
-        out.append((f"q*u*e_{i}", dressed))
-    return out
+def sample_block(setup: ScalarSetup, basis, order: int) -> OperatorMatrix:
+    """A block of u-series columns mod u^order for checking operator
+    identities on the module with this basis: each basis vector e_i and its
+    q,u-dressed variant q*u*e_i, as columns named "e_i" and "q*u*e_i"."""
+    one = USeries.from_novikov(setup.one(), order)
+    dressed = USeries.from_novikov(setup.monomial(1, 1), order, 1)
+    columns, entries = [], {}
+    for i, g in enumerate(basis):
+        entries[(i, len(columns))] = one
+        columns.append(GeneratorInfo(f"e_{i}", g.index))
+        entries[(i, len(columns))] = dressed
+        columns.append(GeneratorInfo(f"q*u*e_{i}", g.index + 4))
+    return OperatorMatrix(columns, basis, entries)
 
 
 @dataclass
@@ -343,6 +343,18 @@ class CohomologyReport(dict):
             if residue is None and bad is not None:
                 residue = (gens[bad], w[bad])
         return coeffs, residue
+
+    def class_block(self, basis) -> OperatorMatrix:
+        """The representatives as the columns of one block over the
+        complex's basis, in the order of ``project``'s coefficients; column
+        c is named "class c" and carries its degree as its index."""
+        columns, entries = [], {}
+        for k, (gens, _, reps) in zip(self["degrees"], self.blocks):
+            for _, rep in reps:
+                for i, v in rep.items():
+                    entries[(gens[i], len(columns))] = v
+                columns.append(GeneratorInfo(f"class {len(columns)}", k))
+        return OperatorMatrix(columns, basis, entries)
 
 
 def cohomology_over_novikov_field(C: GradedComplex,
@@ -502,7 +514,8 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
     u-valuation in the remaining block, so each row with an entry e in its
     column becomes r - (e/u^v) w^-1 (pivot row), w^-1 truncated at q_order.
     Once its column is cleared, column operations would change only the
-    pivot row, which retires with its column, so none is done.
+    pivot row, which retires with its column, so none is done.  The least
+    q-tail that a division by u^v drops bounds ``verified_trunc``.
     """
     if q_order is None:
         q_order = linalg.DEFAULT_Q_ORDER()
@@ -515,6 +528,14 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
         for c in row:
             col_rows[c].add(r)
     pivots = []
+    verified = None
+
+    def shift_down(e, v):
+        nonlocal verified
+        for c in e.coeffs[:min(v, e.valid)]:
+            verified = linalg._min_trunc(verified, c.trunc)
+        return e.shift_down(v) if v else e  # u^0 divides exactly
+
     while True:
         best = None  # (u-valuation, q-valuation of that coefficient, row, col)
         for r, row in free.items():
@@ -530,18 +551,18 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
         prow = free.pop(pr)
         for c in prow:
             col_rows[c].discard(pr)
-        pinv = useries_invert_unit(prow.pop(pc).shift_down(v), q_order)
+        pinv = useries_invert_unit(shift_down(prow.pop(pc), v), q_order)
         g = None  # (b/u^v) w^-1 for the visible entries b of the pivot row
         for r in col_rows.pop(pc):
             row = free[r]
             e = row.pop(pc)
             if e:
-                linalg._axpy(row, e.shift_down(v) * pinv, prow, col_rows, r)
+                linalg._axpy(row, shift_down(e, v) * pinv, prow, col_rows, r)
                 continue
             # an entry without visible terms is not divided by u^v: its
             # tails reach the row as they would through column operations
             if g is None:
-                g = {c: b.shift_down(v) * pinv for c, b in prow.items() if b}
+                g = {c: shift_down(b, v) * pinv for c, b in prow.items() if b}
             linalg._axpy(row, e, g, col_rows, r)
         pivots.append((pr, pc, v))
     # the remaining entries are visibly zero; check their precision
@@ -553,14 +574,14 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
             "precision exhausted before the remaining block could be "
             f"certified zero (entry {r},{c} valid to u-order {valid})")
     bounds = [e.q_certificate() for row in free.values() for e in row.values()]
-    return pivots, min((t for t in bounds if t is not None), default=None)
+    return pivots, min((t for t in bounds + [verified] if t is not None),
+                       default=None)
 
 
 def u_module_decomposition(d_eq: OperatorMatrix,
                            analysis_order: Optional[int] = None,
                            grading: Optional[GradingKind] = None,
-                           q_order: Optional[int] = None,
-                           check_square: bool = True) -> DecompositionReport:
+                           q_order: Optional[int] = None) -> DecompositionReport:
     """Free/torsion normal form of equivariant cohomology over Lambda[[u]].
 
     ``d_eq`` must be an endomorphism matrix (source basis = target basis)
@@ -582,14 +603,13 @@ def u_module_decomposition(d_eq: OperatorMatrix,
         for g in basis:
             rep.degree_entry(grading.displayed(g.index))["free_rank"] += 1
         return rep
-    if check_square:
-        sq = d_eq.compose(d_eq)
-        for (t, s), v in sq.entries.items():
-            if not v.is_zero_to(N):
-                raise InputError(
-                    f"d_eq^2 != 0 within truncation at entry "
-                    f"({basis[t].name},{basis[s].name}): {v}"
-                )
+    sq = d_eq.compose(d_eq)
+    for (t, s), v in sq.entries.items():
+        if not v.is_zero_to(N):
+            raise InputError(
+                f"d_eq^2 != 0 within truncation at entry "
+                f"({basis[t].name},{basis[s].name}): {v}"
+            )
     zero = USeries.zero(setup, entry_order)
     rows = d_eq.dense(zero)
     pivots, verified = dvr_diagonalize(rows, setup, N, q_order)
@@ -734,7 +754,8 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
     """
     ht = cohomology_over_novikov_field(target, q_order)
     degrees = set(hs["degrees"]) | set(ht["degrees"])
-    zero = source.setup.zero()
+    pushed = proj.compose(hs.class_block(source.basis)).columns(
+        source.setup.zero())
     for k in sorted(degrees):
         dim_s = hs["degrees"].get(k, {}).get("betti", 0)
         dim_t = ht["degrees"].get(k, {}).get("betti", 0)
@@ -743,15 +764,11 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                     "reason": f"cohomology ranks differ ({dim_s} vs {dim_t})"}
         if dim_s == 0:
             continue
-        # p lists the classes by degree: those of degree k start here
+        # both list the classes by degree: those of degree k start here
         first = sum(e["betti"] for j, e in ht["degrees"].items() if j < k)
-        s_gens = source.generators_in_degree(k)
         induced = []
-        for rep in hs["degrees"][k]["representatives"]:
-            full = [zero] * len(source.basis)
-            for i, g in enumerate(s_gens):
-                full[g] = rep[i]
-            coeffs, residue = ht.project(proj.apply(full, zero))
+        for col in pushed[first:first + dim_t]:
+            coeffs, residue = ht.project(col)
             if residue is not None:
                 raise InternalError(
                     f"the image of a cocycle in degree {k} is not a cocycle")

@@ -8,7 +8,8 @@ invariants: the table is input data, and ``validate`` checks the ring
 axioms the rest of the module relies on (associativity, commutativity,
 unit, q-degree-2 homogeneity).
 
-Operators on elements of H (x) Lambda[u]/u^N (columns of u-series):
+Operators on blocks of elements of H (x) Lambda[u]/u^N (an
+``OperatorMatrix`` whose columns are the elements, as u-series):
 
     D_q x    =  u dx/dq + omega * x
     D_u x    =  2 u^2 dx/du - 2 (q*omega) * x + u mu(x)
@@ -23,8 +24,8 @@ multiplication by q*omega (monotone regime).
 D_u = (u deg_q - 2q D_q)|_{q=1}: the differentiation terms cancel
 symbolically, so the mathematical content is (a) that the bracket is
 Lambda-linear (checked with witnesses) and (b) the homogeneity of the
-table and of omega; both sides are still expanded independently on sample
-elements and compared, before and after the q -> 1 specialization.
+table and of omega; both sides are still expanded independently on a block
+of samples and compared, before and after the q -> 1 specialization.
 
 ``forbidden_summand_check`` implements the direct-summand obstruction: a
 (u - lam)^d torsion summand with lam invertible is incompatible with a
@@ -48,9 +49,9 @@ from .novikov import (
     ScalarSetup,
     USeries,
 )
-from .complexes import GeneratorInfo, GradingKind, OperatorMatrix, sample_vectors
-from .cartan import (CartanData, EquivariantDifferential, degree_weighted,
-                     gamma_q, gamma_u)
+from .complexes import GeneratorInfo, GradingKind, OperatorMatrix, sample_block
+from .cartan import (CartanData, EquivariantDifferential, _columns,
+                     degree_weighted, gamma_q, gamma_u)
 
 __all__ = [
     "QuantumRing",
@@ -213,10 +214,11 @@ class QuantumRing:
         return out
 
 
-def _specialize_vec(vec: List[USeries]):
-    """q -> 1 on every coefficient: list (per basis elt) of lists (per
-    u-order) of coefficient-ring values."""
-    return [[c.specialize_q1() for c in v.coeffs[: v.valid]] for v in vec]
+def _specialized_columns(X: OperatorMatrix, zero: USeries):
+    """q -> 1 on every coefficient of a block: per column, per basis
+    element, the list (per u-order) of coefficient-ring values."""
+    return [[[c.specialize_q1() for c in v.coeffs[: v.valid]] for v in col]
+            for col in X.columns(zero)]
 
 
 def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
@@ -234,38 +236,28 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     homog = Q.homogeneity_witnesses()
     data = Q.cartan_data(order)
 
-    def bracket(x):
-        lhs = [t.times_u() for t in degree_weighted(data, x)]
-        dq_part = gamma_q(data, x)
-        return [a - g.scale(two).q_shift(step)
-                for a, g in zip(lhs, dq_part)]
+    def bracket(X):
+        return (degree_weighted(data, X).entrywise(lambda t: t.times_u())
+                - gamma_q(data, X).entrywise(
+                    lambda g: g.scale(two).q_shift(step)))
 
-    linear_witnesses = []
-    identity_witnesses = []
-    exact = True
-    for label, x in sample_vectors(setup, Q.rank, order):
-        qx = [v.q_shift(step) for v in x]
-        bq = bracket(qx)
-        qb = [v.q_shift(step) for v in bracket(x)]
-        for i, (a, b) in enumerate(zip(bq, qb)):
-            if (a - b):
-                linear_witnesses.append({
-                    "check": "bracket q-linearity", "sample": label,
-                    "component": Q.basis[i].name,
-                    "difference": str(a - b),
-                })
-        lhs = gamma_u(data, x)
-        rhs = bracket(x)
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
-            if (a - b):
-                exact = False
-        sl, sr = _specialize_vec(lhs), _specialize_vec(rhs)
-        if sl != sr:
-            identity_witnesses.append({
-                "check": "specialized identity", "sample": label,
-                "lhs_q1": [[str(c) for c in row] for row in sl],
-                "rhs_q1": [[str(c) for c in row] for row in sr],
-            })
+    X = sample_block(setup, Q.basis, order)
+    B = bracket(X)
+    defect = (bracket(X.entrywise(lambda v: v.q_shift(step)))
+              - B.entrywise(lambda v: v.q_shift(step)))
+    linear_witnesses = [{
+        "check": "bracket q-linearity", "sample": where["sample"],
+        "component": where["row"], "difference": str(v),
+    } for where, v in _columns(defect) if v]
+    G = gamma_u(data, X)
+    exact = (G - B).is_visibly_zero()
+    zero = USeries.zero(setup, order)
+    identity_witnesses = [{
+        "check": "specialized identity", "sample": c.name,
+        "lhs_q1": [[str(x) for x in row] for row in sl],
+        "rhs_q1": [[str(x) for x in row] for row in sr],
+    } for c, sl, sr in zip(X.source, _specialized_columns(G, zero),
+                           _specialized_columns(B, zero)) if sl != sr]
     return {
         "order": order,
         "homogeneity_witnesses": homog,

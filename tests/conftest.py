@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqcartan.novikov import ScalarSetup
-from eqcartan.complexes import GeneratorInfo, GradingKind
+from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.cartan import EquivariantDifferential
 
 
@@ -20,6 +20,15 @@ def setup_f2():
 @pytest.fixture
 def setup_f5():
     return ScalarSetup.make(1, "F5")
+
+
+def via_block(fn, basis, vec, zero):
+    """fn, a map of blocks, on one vector: vec as the single column of an
+    OperatorMatrix over basis, and the column of fn's result back as a list
+    with zero where it stores nothing."""
+    out = fn(OperatorMatrix((GeneratorInfo("v"),), basis,
+                            {(i, 0): v for i, v in enumerate(vec)}))
+    return [out.entries.get((i, 0), zero) for i in range(len(out.target))]
 
 
 # -- randomized equivariant differentials -------------------------------------

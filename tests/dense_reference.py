@@ -29,16 +29,18 @@ dense matrices; ``test_operator_algebra_oracles.py`` asserts that the Cartan
 operators of ``QuantumRing.cartan_data`` and the ``OperatorMatrix`` versions
 of the finite2 checks return the same values and reports.
 
-``induced_connection`` solves each image of a class against the dense
-matrix [representatives | every boundary] and probes well-definedness with
-one added boundary; ``quasi_iso_verdict`` ranks the pushed representatives
-together with the target's boundaries.  ``test_cohomology_projection.py``
-asserts that the versions reading the cohomology projection give the same
-classes, matrices and verdicts.
+``induced_connection`` applies the ``gamma_q``/``gamma_u`` above to each
+class vector, solves the image against the dense matrix [representatives |
+every boundary] and probes well-definedness with one added boundary;
+``quasi_iso_verdict`` pushes the representatives with a dense product and
+ranks them together with the target's boundaries.  Neither calls the
+Cartan operators or the operator products they are compared with.
+``test_cohomology_projection.py`` asserts that the versions reading the
+cohomology projection give the same classes, matrices and verdicts.
 
 Products skip only decidably zero operands (``is_zero()``), as
-``OperatorMatrix.compose`` and ``apply`` do, so a termless ``O(q^T)``
-entry carries its tail into a product.
+``OperatorMatrix.compose`` does, so a termless ``O(q^T)`` entry carries its
+tail into a product.
 """
 
 from __future__ import annotations
@@ -278,6 +280,13 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
     pivots = []
     verified = None
 
+    def shift_down(e, v):
+        # the dropped coefficients' q-tails bound the certificate
+        nonlocal verified
+        for c in e.coeffs[:min(v, e.valid)]:
+            verified = _min_trunc(verified, c.trunc)
+        return e.shift_down(v)
+
     def entry_key(e):
         v = e.u_valuation()
         if v is None:
@@ -312,7 +321,7 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
             break
         v, _, pr, pc = best
         pivot = M[pr][pc]
-        punit = pivot.shift_down(v)
+        punit = shift_down(pivot, v)
         pinv = useries_invert_unit(punit, q_order)
         # clear the pivot column with row operations
         for r in list(free_rows):
@@ -321,7 +330,7 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
             e = M[r][pc]
             if not e:
                 continue
-            f = e.shift_down(v) * pinv
+            f = shift_down(e, v) * pinv
             M[r] = [a - (f * b) for a, b in zip(M[r], M[pr])]
         # clear the pivot row with column operations
         for c in list(free_cols):
@@ -330,7 +339,7 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
             e = M[pr][c]
             if not e:
                 continue
-            g = e.shift_down(v) * pinv
+            g = shift_down(e, v) * pinv
             for r in range(m):
                 M[r][c] = M[r][c] - (g * M[r][pc])
         pivots.append((pr, pc, v))
@@ -441,11 +450,11 @@ def iota_mono_useries(data):
     return [[useries_q_shift(e, step) for e in row] for row in M]
 
 
-def _apply_dense(M, vec, setup, order):
-    z = USeries.zero(setup, order)
+def _apply_dense(M, vec, zero):
+    """The dense matrix-vector product M vec, over either scalar type."""
     out = []
     for row in M:
-        acc = z
+        acc = zero
         for a, v in zip(row, vec):
             if not (a.is_zero() or v.is_zero()):
                 acc = acc + (a * v)
@@ -513,7 +522,7 @@ def gamma_q(data, vec):
     out = [useries_udq(v).times_u() for v in vec]
     M = iota_useries(data)
     if M:
-        part = _apply_dense(M, vec, setup, data.order)
+        part = _apply_dense(M, vec, USeries.zero(setup, data.order))
         if data.regime == "monotone":
             step = setup.lattice.steps_per_unit
             part = [useries_q_shift(p, -step) for p in part]
@@ -532,7 +541,7 @@ def gamma_u(data, vec):
         out.append(term)
     M = iota_mono_useries(data)
     if M:
-        part = _apply_dense(M, vec, setup, data.order)
+        part = _apply_dense(M, vec, USeries.zero(setup, data.order))
         out = [a - p.scale(two) for a, p in zip(out, part)]
     return out
 
@@ -914,7 +923,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
     from eqcartan import cartan, linalg
     from eqcartan.complexes import cohomology_over_novikov_field
 
-    op = cartan.gamma_q if which == "gamma_q" else cartan.gamma_u
+    op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
     setup = data.setup
     C = cartan.flatten_equivariant(diff)
@@ -946,7 +955,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
         x, bad = linalg.solve(M, vec, setup, q_order, reduction=red)
         return None if x is None else x[: len(classes)]
 
-    perturb = C.d.apply([setup.one()] * big_n, zero)
+    perturb = _apply_dense(d_rows, [setup.one()] * big_n, zero)
     for cl in classes:
         coeffs = express(_flatten_vec(diff, op(data, _unflatten(
             diff, cl["vector"]))))
@@ -974,6 +983,8 @@ def quasi_iso_verdict(proj, source, target, q_order=None):
     hs = cohomology_over_novikov_field(source, q_order)
     ht = cohomology_over_novikov_field(target, q_order)
     zero = setup.zero()
+    P = [[proj.entries.get((t, s), zero) for s in range(len(source.basis))]
+         for t in range(len(target.basis))]
     for k in sorted(set(hs["degrees"]) | set(ht["degrees"])):
         dim_s = hs["degrees"].get(k, {}).get("betti", 0)
         dim_t = ht["degrees"].get(k, {}).get("betti", 0)
@@ -989,7 +1000,7 @@ def quasi_iso_verdict(proj, source, target, q_order=None):
             full = [zero] * len(source.basis)
             for i, g in enumerate(s_gens):
                 full[g] = rep[i]
-            img = proj.apply(full, zero)
+            img = _apply_dense(P, full, zero)
             pushed.append([img[g] for g in t_gens])
         boundary_vecs = []
         for j in target.degrees_present():

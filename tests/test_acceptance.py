@@ -31,7 +31,7 @@ from eqcartan.novikov import ScalarSetup, USeries
 from eqcartan.quantum import forbidden_summand_check, uq_identity_check
 from eqcartan.finite2 import assemble_and_check, verify_relations
 
-from conftest import random_equivariant_differential
+from conftest import random_equivariant_differential, via_block
 from test_complexes import R_NONZERO, _check_against_oracle
 from test_finite2 import random_z2_data
 from test_quantum import rescaled_model
@@ -134,7 +134,8 @@ def test_criterion_4_gamma_u_without_iota_is_u_deg():
         vec = [USeries.from_novikov(
             SETUP.one() if j == i else SETUP.zero(), 3)
             for j in range(len(basis))]
-        out = gamma_u(data, vec)
+        out = via_block(lambda X: gamma_u(data, X), basis, vec,
+                        USeries.zero(SETUP, 3))
         assert out[i].coeffs[1].terms == ((0, g.index),)
         assert all(not w for j, w in enumerate(out) if j != i)
 

@@ -20,7 +20,7 @@ from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
                               ScalarSetup, USeries)
 
-from conftest import random_equivariant_differential
+from conftest import random_equivariant_differential, via_block
 
 SETUP = ScalarSetup.make(1, "Q")
 SETUP_Z = ScalarSetup.make(1, "Z")
@@ -155,8 +155,8 @@ def test_products_carry_a_termless_q_tail():
                if r["identity"] == "connection commutes with d_eq")
     assert row["holds"]
     assert row["verified_q_order_index"] == 2
-    assert tail.apply([SETUP.one(), SETUP.zero()], SETUP.zero())[0] \
-        == NovikovElem(SETUP, (), 2)
+    assert via_block(tail.compose, diff.basis, [SETUP.one(), SETUP.zero()],
+                     SETUP.zero())[0] == NovikovElem(SETUP, (), 2)
 
 
 def test_solve_iota_needs_field():
@@ -207,7 +207,7 @@ def test_randomized_differentials_satisfy_structural_identities(seed):
         assert by_name["gamma_q leibniz"]["holds"]
 
 
-# -- the two connections on vectors -------------------------------------------
+# -- the two connections on one vector ----------------------------------------
 
 
 def test_gamma_u_is_u_times_index_without_iota():
@@ -219,7 +219,8 @@ def test_gamma_u_is_u_times_index_without_iota():
     for i, g in enumerate(basis):
         vec = [USeries.from_novikov(SETUP.one() if j == i else SETUP.zero(),
                                     3) for j in range(n)]
-        out = gamma_u(data, vec)
+        out = via_block(lambda X: gamma_u(data, X), basis, vec,
+                        USeries.zero(SETUP, 3))
         for j, w in enumerate(out):
             if j == i:
                 assert w.coeffs[1].terms == ((0, g.index),)
@@ -231,7 +232,9 @@ def test_gamma_q_on_constant_vector_is_zero_without_iota():
     data = CartanData(exact_diff(), (), "monotone")
     vec = [USeries.from_novikov(SETUP.one(), 3),
            USeries.zero(SETUP, 3)]
-    assert all(not w for w in gamma_q(data, vec))
+    assert all(not w for w in via_block(lambda X: gamma_q(data, X),
+                                        data.diff.basis, vec,
+                                        USeries.zero(SETUP, 3)))
 
 
 def test_degree_weighted_uses_q_and_u_degrees():
@@ -239,7 +242,8 @@ def test_degree_weighted_uses_q_and_u_degrees():
     # q^2 u x has degree |x| + 2*2 + 2*1 = 7
     vec = [USeries.from_novikov(SETUP.monomial(1, 2), 3, 1),
            USeries.zero(SETUP, 3)]
-    out = degree_weighted(data, vec)
+    out = via_block(lambda X: degree_weighted(data, X), data.diff.basis, vec,
+                    USeries.zero(SETUP, 3))
     assert out[0].coeffs[1].terms == ((2, 7),)
 
 

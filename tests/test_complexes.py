@@ -19,7 +19,7 @@ from eqcartan.complexes import (
 )
 from eqcartan.novikov import InputError, InternalError, NovikovError, ScalarSetup, USeries
 
-from conftest import random_equivariant_differential
+from conftest import random_equivariant_differential, via_block
 
 SETUP = ScalarSetup.make(1, "Q")
 SETUP_F2 = ScalarSetup.make(1, "F2")
@@ -151,7 +151,7 @@ def test_representatives_are_cocycles(seed):
             full = [zero] * len(C.basis)
             for pos, g in enumerate(gens):
                 full[g] = r[pos]
-            img = C.d.apply(full, zero)
+            img = via_block(C.d.compose, C.basis, full, zero)
             assert all(not v.has_terms() for v in img)
 
 

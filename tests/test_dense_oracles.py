@@ -351,6 +351,20 @@ def test_dvr_entry_without_visible_terms_reaches_its_row():
     assert dvr_diagonalize(rows, SETUP_Q, 4, 8) == ([(1, 0, 2)], -4)
 
 
+def test_dvr_division_by_u_bounds_the_certificate_by_a_dropped_tail():
+    # dividing O(q^5) + u by the pivot's u drops the O(q^5): a nonzero
+    # q^5 coefficient would make the column's gcd a unit, so the torsion
+    # pivot is certified only below q^5
+    z, one = SETUP_Q.zero(), SETUP_Q.one()
+    rows = [[USeries.build(SETUP_Q, 2, [z, one])],
+            [USeries.build(SETUP_Q, 2, [NovikovElem.build(SETUP_Q, [], 5),
+                                        one])]]
+    for diagonalize in (dvr_diagonalize, ref.dvr_diagonalize):
+        pivots, verified = diagonalize(rows, SETUP_Q, 2)
+        assert pivots == [(0, 0, 1)]
+        assert verified is not None and verified <= 5
+
+
 # -- solve_iota and identity_report -------------------------------------------
 
 

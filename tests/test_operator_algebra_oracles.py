@@ -17,12 +17,14 @@ import pytest
 
 import dense_reference as ref
 from eqcartan.cartan import degree_weighted, gamma_q, gamma_u
-from eqcartan.complexes import GeneratorInfo, sample_vectors
+from eqcartan.complexes import GeneratorInfo, sample_block
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
 from eqcartan.novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from eqcartan.quantum import QuantumRing, projective_space_model
 from test_finite2 import SETUP as SETUP_F2, golden_with_nonzero_lambda, \
     random_z2_data
+
+from conftest import via_block
 
 SETUPS = {(ring, str(g)): ScalarSetup.make(g, ring)
           for ring in ("Q", "F2", "F5") for g in (1, Fraction(1, 2))}
@@ -82,13 +84,22 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def sample_vectors(setup, basis, order):
+    """The columns of ``sample_block``, labelled, as vectors."""
+    X = sample_block(setup, basis, order)
+    return list(zip((c.name for c in X.source),
+                    X.columns(USeries.zero(setup, order))))
+
+
 def assert_connections_match(Q, order, vectors):
     data = Q.cartan_data(order)
+    zero = USeries.zero(Q.setup, order)
     for _, x in vectors:
         for new, old in ((gamma_q, ref.d_q_connection),
                          (gamma_u, ref.d_u_connection),
                          (degree_weighted, ref.deg_q_operator)):
-            got, want = outcome(new, data, x), outcome(old, Q, x)
+            got = outcome(via_block, lambda X: new(data, X), Q.basis, x, zero)
+            want = outcome(old, Q, x)
             if isinstance(want, tuple):
                 assert got == want
             else:
@@ -101,7 +112,7 @@ def test_projective_connections_match_the_quantum_product(n, order):
     rng = random.Random(100 * n + order)
     setup = SETUPS[("Q", "1")]
     Q = projective_space_model(n, setup)
-    vectors = (sample_vectors(setup, Q.rank, order)
+    vectors = (sample_vectors(setup, Q.basis, order)
                + random_vectors(rng, setup, Q.rank, order))
     assert_connections_match(Q, order, vectors)
 
@@ -113,7 +124,7 @@ def test_random_table_connections_match_the_quantum_product(seed, key):
     setup = SETUPS[key]
     Q = random_ring(rng, setup)
     order = rng.randint(1, 4)
-    vectors = (sample_vectors(setup, Q.rank, order)
+    vectors = (sample_vectors(setup, Q.basis, order)
                + random_vectors(rng, setup, Q.rank, order))
     assert_connections_match(Q, order, vectors)
 

@@ -13,6 +13,8 @@ from eqcartan.quantum import (
     uq_identity_check,
 )
 
+from conftest import via_block
+
 SETUP = ScalarSetup.make(1, "Q")
 
 
@@ -99,7 +101,8 @@ def test_uq_identity_flags_broken_omega():
 def test_connections_on_the_unit():
     Q = projective_space_model(1, SETUP)
     one = [USeries.from_novikov(SETUP.one(), 3), USeries.zero(SETUP, 3)]
-    dq_one = gamma_q(Q.cartan_data(3), one)
+    dq_one = via_block(lambda X: gamma_q(Q.cartan_data(3), X), Q.basis, one,
+                       USeries.zero(SETUP, 3))
     # u d/dq kills the unit; what is left is omega * 1 = 2 e
     assert not dq_one[0]
     assert dq_one[1].coeffs[0].terms == ((0, 2),)

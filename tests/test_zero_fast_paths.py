@@ -8,7 +8,10 @@ formula of ``dense_reference`` field for field: terms, ``trunc`` of every
 coefficient and ``valid``.  The kinds include the termless but truncated
 ``O(q^T)`` and series with lost u-order, which carry tails and must never
 take a short-circuit.  ``cartan.degree_weighted`` returns a decidably zero
-entry as it is and must equal the general formula in the same way.
+entry as it is and must equal the general formula in the same way.  The
+block operators ``gamma_q``, ``gamma_u`` and ``degree_weighted`` skip the
+entries a block does not store, and each column of their image must equal
+the per-vector formula of ``dense_reference`` on that column.
 """
 
 import itertools
@@ -17,9 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from eqcartan.cartan import CartanData, EquivariantDifferential, degree_weighted
-from eqcartan.complexes import GeneratorInfo, GradingKind
+from eqcartan.cartan import (CartanData, EquivariantDifferential,
+                             degree_weighted, gamma_q, gamma_u)
+from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
+
+from conftest import via_block
 
 SETUPS = {ring: ScalarSetup.make(1, ring) for ring in ("Q", "F2", "F5")}
 ORDER = 3
@@ -151,7 +157,39 @@ def test_degree_weighted_matches_the_formula(ring, kind, data):
     diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
                                          order=ORDER)
     vec = [data.draw(series(setup, k)) for k in kinds]
-    got = degree_weighted(CartanData(diff), vec)
+    got = via_block(lambda X: degree_weighted(CartanData(diff), X), basis, vec,
+                    USeries.zero(setup, ORDER))
     want = ref.degree_weighted(CartanData(diff), vec)
     for g, w in zip(got, want):
         assert_same_series(g, w)
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@pytest.mark.parametrize("regime", ["monotone", "cy"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_block_operators_match_the_per_vector_formulas(ring, regime, data):
+    # one block with a zero, a tailed, a lost-u-order and an ordinary
+    # column, under an iota family whose entries may be O(q^T) alone
+    setup = SETUPS[ring]
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    basis = [GeneratorInfo(f"g{i}", data.draw(st.integers(-3, 3)))
+             for i in range(n)]
+    diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
+                                         order=ORDER)
+    iota = [OperatorMatrix(basis, basis, {
+        (t, s): data.draw(elems(setup, data.draw(st.sampled_from(ELEM_KINDS))))
+        for t in range(n) for s in range(n)}) for _ in range(2)]
+    cd = CartanData(diff, iota, regime)
+    columns = [[data.draw(series(setup, kind if i == 0 else data.draw(
+        st.sampled_from(("zero", kind))))) for i in range(n)]
+        for kind in SERIES_KINDS]
+    X = OperatorMatrix([GeneratorInfo(k) for k in SERIES_KINDS], basis,
+                       {(t, s): v for s, col in enumerate(columns)
+                        for t, v in enumerate(col)})
+    zero = USeries.zero(setup, ORDER)
+    for new, old in ((gamma_q, ref.gamma_q), (gamma_u, ref.gamma_u),
+                     (degree_weighted, ref.degree_weighted)):
+        for got, col in zip(new(cd, X).columns(zero), columns):
+            for g, w in zip(got, old(cd, col)):
+                assert_same_series(g, w)
