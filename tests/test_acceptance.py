@@ -254,12 +254,16 @@ CLI_MATRIX = [
     ["validate", "z2_case.json"],
     ["cohomology", "monotone_case.json"],
     ["cohomology", "dvr_case.json"],
+    ["cohomology", "classes_case.json"],
+    ["cohomology", "exact_case.json"],
+    ["cohomology", "torsion_case.json"],
     ["u-decompose", "dvr_case.json"],
     ["u-decompose", "exact_case.json"],
     ["u-decompose", "torsion_case.json"],
     ["cartan", "verify", "monotone_case.json"],
     ["cartan", "solve-iota", "monotone_case.json"],
     ["cartan", "solve-iota", "exact_case.json"],
+    ["cartan", "solve-iota", "classes_case.json"],
     ["cartan", "connection", "--which", "q", "monotone_case.json"],
     ["cartan", "connection", "--which", "u", "monotone_case.json"],
     ["cartan", "verify", "classes_case.json"],
