@@ -19,7 +19,7 @@ from .novikov import (
     useries_du,
     useries_udq,
 )
-from .linalg import Reduction, UndeterminedError, kernel_basis, row_reduce, solve
+from .linalg import Reduction, UndeterminedError, row_reduce, solve
 from .complexes import (
     DecompositionReport,
     GeneratorInfo,

@@ -284,16 +284,17 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     d = diff.components
     z = setup.zero()
 
-    # vectorized commutator with d_0: row (a,b), unknown entry (c,e)
-    com = [[z] * (n * n) for _ in range(n * n)]
+    # vectorized commutator with d_0, as sparse rows: row (a,b), unknown
+    # entry (c,e)
+    com = [{} for _ in range(n * n)]
     for (a, c), v in d[0].entries.items():
         for b in range(n):
             row = com[a * n + b]
-            row[c * n + b] = row[c * n + b] + v
+            row[c * n + b] = row.get(c * n + b, z) + v
     for (e, b), v in d[0].entries.items():
         for a in range(n):
             row = com[a * n + b]
-            row[a * n + e] = row[a * n + e] - v
+            row[a * n + e] = row.get(a * n + e, z) - v
     red = linalg.row_reduce(com, setup, q_order)
 
     def component(k, entries):
@@ -326,7 +327,7 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
             return None, {"order": k, "row": r, "residual": str(resid),
                           "reason": "no iota solves the order-k equation"}
         iotas.append(component(k, (((i // n, i % n), v)
-                                   for i, v in enumerate(x))))
+                                   for i, v in x.items())))
     return CartanData(diff, tuple(iotas), regime), None
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .novikov import (
     CoefficientError,
@@ -137,12 +137,6 @@ class OperatorMatrix:
         self.target = tuple(self.target)
         self.entries = {k: v for k, v in self.entries.items()
                         if not v.is_zero()}
-
-    def dense(self, zero: Scalar) -> List[List[Scalar]]:
-        return [
-            [self.entries.get((t, s), zero) for s in range(len(self.source))]
-            for t in range(len(self.target))
-        ]
 
     def columns(self, zero: Scalar) -> List[List[Scalar]]:
         """The columns as dense vectors, one scalar per target generator."""
@@ -372,18 +366,27 @@ def cohomology_over_novikov_field(C: GradedComplex,
         raise CoefficientError("cohomology requires field coefficients")
     setup = C.setup
     degrees = C.degrees_present()
-    reductions = {}  # k -> (sources, targets, dense block of d, reduction)
+    # the block of d from degree k, as sparse rows and sparse columns over
+    # the positions of the generators within their degrees
+    degree, pos = {}, {}
+    for k in degrees:
+        for i, g in enumerate(C.generators_in_degree(k)):
+            degree[g], pos[g] = k, i
+    rows = {k: [{} for _ in C.generators_in_degree(
+        C.grading.add(k, C.d.degree))] for k in degrees}
+    columns = {k: defaultdict(dict) for k in degrees}
+    for (t, s), v in C.d.entries.items():
+        k = degree[s]
+        if degree[t] == C.grading.add(k, C.d.degree):
+            rows[k][pos[t]][pos[s]] = columns[k][pos[s]][pos[t]] = v
+    reductions = {}  # k -> (columns of the block of d, reduction)
     rank = {}
     verified = None
     for k in degrees:
-        src = C.generators_in_degree(k)
-        tgt = C.generators_in_degree(C.grading.add(k, C.d.degree))
-        rows = [[C.d.entries.get((t, s), setup.zero()) for s in src]
-                for t in tgt]
-        red = linalg.row_reduce(rows, setup, q_order) if tgt else None
+        red = linalg.row_reduce(rows[k], setup, q_order) if rows[k] else None
         if red is not None:
             verified = linalg._min_trunc(verified, red.verified_trunc)
-        reductions[k] = (src, tgt, rows, red)
+        reductions[k] = (columns[k], red)
         rank[k] = red.rank if red is not None else 0
 
     report = CohomologyReport(degrees={}, certificate={
@@ -439,14 +442,12 @@ def _require_square_zero(C: GradedComplex, name: str):
 def _image_reduction(C, reductions, k, incoming, q_order):
     """The image of the incoming blocks in degree-k coordinates, row
     reduced, or None when nothing maps into degree k."""
-    zero = C.setup.zero()
     images = []
     for j in incoming:
-        _, tgt_j, rows_j, red_j = reductions[j]
-        pos = {t: i for i, t in enumerate(tgt_j)}
-        images += [[rows_j[pos[t]][pc] if t in pos else zero
-                    for t in C.generators_in_degree(k)]
-                   for _, pc in red_j.pivots]
+        # the block's rows are degree k's generators: its pivot columns
+        # are the images
+        columns_j, red_j = reductions[j]
+        images += [columns_j[pc] for _, pc in red_j.pivots]
     return linalg.row_reduce(images, C.setup, q_order) if images else None
 
 
@@ -456,7 +457,7 @@ def _representatives(C, reductions, k, images, q_order):
     No truncated inverse enters an elimination here; the representatives
     are divided by their pivots once, at the output of the last one."""
     setup = C.setup
-    _, _, _, red = reductions[k]
+    _, red = reductions[k]
     nk = len(C.generators_in_degree(k))
     kern = (red._kernel(nk) if red is not None
             else [{i: setup.one()} for i in range(nk)])
@@ -464,9 +465,7 @@ def _representatives(C, reductions, k, images, q_order):
         return []
     if images is not None:
         kern = [images._clear(v) for v in kern]
-    zero = setup.zero()
-    final = linalg.row_reduce([[w.get(i, zero) for i in range(nk)]
-                               for w in kern], setup, q_order)
+    final = linalg.row_reduce(kern, setup, q_order)
     return [(c, final.reduced[r]) for r, c in final.pivots]
 
 
@@ -500,7 +499,7 @@ class DecompositionReport:
         }
 
 
-def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
+def dvr_diagonalize(rows: Sequence[linalg.Row], setup: ScalarSetup,
                     analysis_order: int, q_order: Optional[int] = None):
     """Smith-style diagonalization over Lambda[[u]].
 
@@ -521,8 +520,7 @@ def dvr_diagonalize(rows: List[List[USeries]], setup: ScalarSetup,
         q_order = linalg.DEFAULT_Q_ORDER()
     if not setup.ring.is_field:
         raise CoefficientError("DVR decomposition requires field coefficients")
-    free = {r: {c: e for c, e in enumerate(row) if not e.is_zero()}
-            for r, row in enumerate(rows)}
+    free = dict(enumerate(linalg._sparse(rows)))
     col_rows = defaultdict(set)
     for r, row in free.items():
         for c in row:
@@ -610,8 +608,9 @@ def u_module_decomposition(d_eq: OperatorMatrix,
                 f"d_eq^2 != 0 within truncation at entry "
                 f"({basis[t].name},{basis[s].name}): {v}"
             )
-    zero = USeries.zero(setup, entry_order)
-    rows = d_eq.dense(zero)
+    rows = [{} for _ in basis]
+    for (t, s), v in d_eq.entries.items():
+        rows[t][s] = v
     pivots, verified = dvr_diagonalize(rows, setup, N, q_order)
     rep = DecompositionReport(order=N, verified_q_order_index=verified)
     used = set()
@@ -772,7 +771,7 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
             if residue is not None:
                 raise InternalError(
                     f"the image of a cocycle in degree {k} is not a cocycle")
-            induced.append(coeffs[first:first + dim_t])
+            induced.append(dict(enumerate(coeffs[first:first + dim_t])))
         if linalg.row_reduce(induced, source.setup, q_order).rank != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}

@@ -1,12 +1,14 @@
 """Fraction-free Gaussian elimination over a Novikov field.
 
-Inputs are dense lists of rows of NovikovElem.  Elimination works on sparse
-rows: each row is a dict {column: NovikovElem} that stores every entry that
-is not decidably zero, i.e. every entry with visible terms and every
-termless entry that still carries an unknown q-tail (``trunc is not None``).
-Only exact zeros are left out, so no truncation bound is ever lost.  A
-column -> rows index limits each elimination step to the rows that have an
-entry in the pivot column.
+Inputs are sparse rows: each row is a dict {column: NovikovElem} (a dense
+list row is read by position).  Elimination keeps every entry that is not
+decidably zero, i.e. every entry with visible terms and every termless
+entry that still carries an unknown q-tail (``trunc is not None``).  Only
+exact zeros are left out, so no truncation bound is ever lost.  A column ->
+rows index limits each elimination step to the rows that have an entry in
+the pivot column, and only those rows are re-keyed for the next pivot
+choice: two heaps hold each free row's least pivot key and least termless
+suspect, so the choice costs no rescan of the free rows.
 
 No step inverts a pivot.  With p the visible part of the pivot entry (an
 exact Laurent polynomial) and f a row's entry in the pivot column, the row
@@ -43,7 +45,7 @@ pivot (``invert_truncated`` at the q-order in force), whose tail the entry
 then carries.  Free rows are only shifted by q^-val(mult[r]) and stay
 exact.  The transform is divided only when it is read; ``solve`` applies the
 undivided transform to the right-hand side and divides each solution entry
-once.
+once, returning the solution as a sparse {column: value}.
 
 Entries that end up with no visible terms but a finite truncation bound are
 treated as zero *to that order*; the minimal such bound, in the units of the
@@ -54,18 +56,21 @@ tailed input produces such entries.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 from .novikov import InputError, NovikovElem, ScalarSetup, invert_truncated
 
-__all__ = ["UndeterminedError", "Reduction", "row_reduce", "kernel_basis", "solve",
+__all__ = ["UndeterminedError", "Reduction", "row_reduce", "solve",
            "DEFAULT_Q_ORDER"]
 
 SparseRow = Dict[int, NovikovElem]
+Row = Union[SparseRow, List[NovikovElem]]
 
 
 def _order_setting(value: Optional[str], name: str) -> Optional[int]:
@@ -105,11 +110,14 @@ def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
 class Reduction:
     """Result of row reduction: reduced = transform @ original.
 
-    ``reduced`` and ``transform`` are sparse rows ({column: entry}, exact
-    zeros omitted).  ``pivots`` is a list of (row, col) pairs; pivot
-    entries in ``reduced`` are 1 (exactly 1 on exact input) and are the
-    only visible entries in their columns, unless an input tail swallowed
-    the pivot's visible terms (its row is then not divided).
+    ``reduced`` and ``transform`` are sparse rows like the input ({column:
+    entry}, exact zeros omitted); a column of ``transform`` is a row of the
+    input.  ``pivots`` lists the (row, col) pairs in the order chosen, each
+    the least (relative valuation, row, column) left in the free rows when
+    it was taken; pivot entries in ``reduced`` are 1 (exactly 1 on exact
+    input) and are the only visible entries in their columns, unless an
+    input tail swallowed the pivot's visible terms (its row is then not
+    divided).
     ``verified_trunc`` is None when every zero-decision was exact, else the
     minimal truncation index at which a discarded entry was only known to
     vanish.  ``scaled`` and ``scaled_transform`` hold the rows before the
@@ -165,10 +173,11 @@ class Reduction:
         return out
 
     def _kernel(self, n: int) -> List[SparseRow]:
-        """The vectors of ``kernel_basis`` as sparse rows, each times an
-        exact polynomial of valuation 0 that clears the pivots it would
-        divide by: on exact input every entry is an exact Laurent
-        polynomial with the valuation of the kernel_basis entry."""
+        """A basis of the right kernel of an input with n columns, one
+        sparse vector per free column fc: 1 at fc and minus the divided
+        pivot rows' entries at fc, times an exact polynomial of valuation 0
+        that clears the pivots it would divide by.  On exact input every
+        entry is an exact Laurent polynomial."""
         pivot_of_col = {c: r for r, c in self.pivots}
         out = []
         for fc in range(n):
@@ -322,16 +331,24 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
                                       if not ring.is_zero(c)))
 
 
-def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
+def _sparse(rows: Sequence[Row]) -> List[dict]:
+    """The rows as {column: entry} dicts without their decidably zero
+    entries, for NovikovElem or USeries entries; a dense list row is read
+    by position."""
+    return [{c: e for c, e in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if not e.is_zero()}
+            for row in rows]
+
+
+def row_reduce(rows: Sequence[Row], setup: ScalarSetup,
                q_order: Optional[int] = None) -> Reduction:
     if q_order is None:
         q_order = DEFAULT_Q_ORDER()
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    M = [{c: e for c, e in enumerate(row) if not e.is_zero()} for row in matrix]
+    M = _sparse(rows)
+    m = len(M)
     one = setup.one()
     U = [{r: one} for r in range(m)]
-    col_rows = [set() for _ in range(n)]
+    col_rows = defaultdict(set)
     for r, row in enumerate(M):
         for c in row:
             col_rows[c].add(r)
@@ -342,35 +359,46 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
     # the relative valuation below which an elimination that divides by
     # truncated inverses at this q-order still sees every entry
     horizon = math.inf
-    free_rows = set(range(m))
     pivot_cols = set()
     pivots = []
+    # per free row, relative to its multiplier and outside the pivot
+    # columns: the least (valuation_index, row, col) of an entry with terms
+    # and the least (trunc, row, col) of a termless one; a heap entry that
+    # is no longer its row's is stale and skipped
+    keys, suspects = {}, {}
+    key_heap, suspect_heap = [], []
 
+    def rekey(r):
+        s = mult[r].terms[0][0]
+        live = [(c, e) for c, e in M[r].items() if c not in pivot_cols]
+        keys[r] = min(((e.terms[0][0] - s, r, c) for c, e in live if e.terms),
+                      default=None)
+        suspects[r] = min(((e.trunc - s, r, c) for c, e in live
+                           if not e.terms), default=None)
+        for heap, key in ((key_heap, keys[r]), (suspect_heap, suspects[r])):
+            if key is not None:
+                heapq.heappush(heap, key)
+
+    def least(heap, current):
+        while heap and current.get(heap[0][1]) != heap[0]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    for r in range(m):
+        rekey(r)
     while True:
-        best = None  # (valuation_index, row, col), relative to the row
-        suspects = []  # (trunc, row, col) for termless truncated entries
-        for r in free_rows:
-            s = mult[r].terms[0][0]
-            for c, e in M[r].items():
-                if c in pivot_cols:
-                    continue
-                if e.terms:
-                    key = (e.terms[0][0] - s, r, c)
-                    if best is None or key < best:
-                        best = key
-                else:
-                    suspects.append((e.trunc - s, r, c))
+        best = least(key_heap, keys)
         if best is None:
             break
         val, pr, pc = best
-        bad = [(t, r, c) for t, r, c in suspects if t <= val]
-        if bad:
+        bad = least(suspect_heap, suspects)
+        if bad is not None and bad[0] <= val:
             if val >= horizon:
                 # the remaining block vanishes below the suspect's order
                 # and the candidate is past what this q-order resolves:
                 # certify to that order, as when no candidate is left
                 break
-            t, r, c = min(bad)
+            t, r, c = bad
             raise UndeterminedError(
                 f"pivot comparison undecidable at declared q-order: entry "
                 f"({r},{c}) is only known to vanish below exponent index {t}, "
@@ -384,9 +412,8 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             p = NovikovElem(setup, p.terms)
         if len(p.terms) > 1:
             horizon = min(horizon, val + q_order)
-        for r in list(col_rows[pc]):
-            if r == pr:
-                continue
+        touched = [r for r in col_rows[pc] if r != pr]
+        for r in touched:
             f = M[r][pc]
             if not f.terms:
                 continue
@@ -411,17 +438,22 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
             h = (_gcd(mult[pr], mult[r])
                  if len(mult[pr].terms) > 1 and len(mult[r].terms) > 1
                  else None)
-            rows = (_divided_exactly([M[r], U[r]], h)
-                    if h is not None and len(h.terms) > 1 else None)
-            if rows is None:
+            divided = (_divided_exactly([M[r], U[r]], h)
+                       if h is not None and len(h.terms) > 1 else None)
+            if divided is None:
                 mult[r] = p * mult[r]
             else:
-                M[r], U[r] = rows
+                M[r], U[r] = divided
                 mult[r] = _quotient(p * mult[r], h)
         mult[pr] = p
         pivots.append((pr, pc))
-        free_rows.discard(pr)
         pivot_cols.add(pc)
+        del keys[pr], suspects[pr]
+        # only the rows with an entry in the pivot column changed: scaled,
+        # updated, or left with a termless entry that is no longer a suspect
+        for r in touched:
+            if r in keys:
+                rekey(r)
 
     # the certificate, in the units of the output rows: pivot row r is
     # divided by its pivot entry and any other row by q^val(mult[r])
@@ -438,56 +470,40 @@ def row_reduce(matrix: List[List[NovikovElem]], setup: ScalarSetup,
     return Reduction(setup, pivots, verified, M, U, q_order)
 
 
-def kernel_basis(matrix, setup, q_order=None, reduction: Optional[Reduction] = None):
-    """Basis of the right kernel, one vector per free column."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    red = reduction or row_reduce(matrix, setup, q_order)
-    pivot_of_col = {c: r for r, c in red.pivots}
-    free = [c for c in range(n) if c not in pivot_of_col]
-    zero, one = setup.zero(), setup.one()
-    out = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for c, r in pivot_of_col.items():
-            v[c] = -red.reduced[r].get(fc, zero)
-        out.append(v)
-    return out
+def solve(rows: Sequence[Row], rhs: List[NovikovElem], setup: ScalarSetup,
+          q_order=None, reduction: Optional[Reduction] = None):
+    """One solution of rows @ x = rhs, or (None, residual_row) if inconsistent.
 
-
-def solve(matrix, rhs, setup, q_order=None, reduction: Optional[Reduction] = None):
-    """One solution of matrix @ x = rhs, or (None, residual_row) if inconsistent.
-
-    Returns (x, None) on success.  The system is inconsistent when a row of
-    ``transform`` outside the pivot rows sends rhs to a value with visible
-    terms; residual_row is (that row, the value).  Those rows are exact
-    polynomials on exact input, so consistency is then decided exactly,
-    whatever the q-order; only the solution's entries may be truncated
-    series.  Raises UndeterminedError if the elimination cannot be
-    decided at the truncation in force.
+    ``rows`` are the system's rows as for ``row_reduce`` and ``rhs`` holds
+    one entry per row.  Returns (x, None) on success, with x sparse
+    ({column: value}): the pivot columns' entries, every other column 0.
+    The system is inconsistent when a row of ``transform`` outside the
+    pivot rows sends rhs to a value with visible terms; residual_row is
+    (that row, the value).  Those rows are exact polynomials on exact
+    input, so consistency is then decided exactly, whatever the q-order;
+    only the solution's entries may be truncated series.  Raises
+    UndeterminedError if the elimination cannot be decided at the
+    truncation in force, InputError if rhs and rows differ in length.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    red = reduction or row_reduce(matrix, setup, q_order)
+    if len(rhs) != len(rows):
+        raise InputError(
+            f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
+    red = reduction or row_reduce(rows, setup, q_order)
     zero = setup.zero()
+    nonzero = {c: v for c, v in enumerate(rhs) if not v.is_zero()}
 
     def b(r):  # row r of scaled_transform @ rhs; no stored entry is zero
         acc = zero
         for c, u in red.scaled_transform[r].items():
-            acc = acc + (u * rhs[c])
+            if c in nonzero:
+                acc = acc + (u * nonzero[c])
         return acc
 
     pivot_rows = {r for r, _ in red.pivots}
-    for r in range(m):
+    for r in range(len(rows)):
         if r in pivot_rows:
             continue
         br = b(r)
         if br.has_terms():
             return None, (r, br)
-    x = [zero] * n
-    for r, c in red.pivots:
-        x[c] = red._divide(r, b(r))
-    return x, None
+    return {c: red._divide(r, b(r)) for r, c in red.pivots}, None

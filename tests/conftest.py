@@ -22,6 +22,13 @@ def setup_f5():
     return ScalarSetup.make(1, "F5")
 
 
+def densify(x, n, zero):
+    """A sparse vector ({column: value}, as ``linalg.solve`` returns and
+    ``Reduction._kernel`` builds) as a dense list of n entries, zero where
+    it stores nothing."""
+    return [x.get(c, zero) for c in range(n)]
+
+
 def via_block(fn, basis, vec, zero):
     """fn, a map of blocks, on one vector: vec as the single column of an
     OperatorMatrix over basis, and the column of fn's result back as a list

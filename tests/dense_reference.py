@@ -1,8 +1,8 @@
 """Dense reference implementations kept as test oracles.
 
-These are the dense-matrix versions of ``linalg.row_reduce``/``solve``/
-``kernel_basis`` and of ``cartan.solve_iota``/``identity_report`` that the
-sparse implementations replaced.  They store every entry of every matrix,
+These are the dense-matrix versions of ``linalg.row_reduce``/``solve``, of
+the kernel (``Reduction._kernel``) and of ``cartan.solve_iota``/
+``identity_report`` that the sparse implementations replaced.  They store every entry of every matrix,
 zeros included, and visit all of them, so they are slow but simple.  The
 tests in ``test_dense_oracles.py`` assert that the sparse code returns the
 same values, certificates and error messages.
@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from conftest import densify
 from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
 from eqcartan.novikov import (CoefficientError, InversionError, NovikovElem, USeries, dq,
                               useries_du, useries_invert_unit, useries_udq)
@@ -953,7 +954,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
 
     def express(vec):
         x, bad = linalg.solve(M, vec, setup, q_order, reduction=red)
-        return None if x is None else x[: len(classes)]
+        return None if x is None else densify(x, len(classes), zero)
 
     perturb = _apply_dense(d_rows, [setup.one()] * big_n, zero)
     for cl in classes:

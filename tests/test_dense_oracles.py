@@ -39,7 +39,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from conftest import _conjugate_components, random_equivariant_differential
+from conftest import _conjugate_components, densify, random_equivariant_differential
 from eqcartan import linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix, dvr_diagonalize
@@ -168,6 +168,7 @@ def test_solve_carries_a_termless_transform_tail():
     assert not tail.terms and tail.trunc == -8
     x, bad = linalg.solve(M, rhs, SETUP_Q, 8, reduction=red)
     assert bad is None
+    x = densify(x, 4, SETUP_Q.zero())
     assert not x[1].terms and x[1].trunc == 7
     want_x, _ = ref.solve(M, rhs, SETUP_Q, 8)
     assert not want_x[1].terms and want_x[1].trunc == 7
@@ -183,8 +184,11 @@ def test_solve_and_kernel_match_dense(seed, setup):
         got, want = assert_related_reduction(M, setup, 6)
         if got is None:
             continue
+        zero = setup.zero()
         x, bad = linalg.solve(M, rhs, setup, 6, reduction=got)
-        kernel = linalg.kernel_basis(M, setup, 6, reduction=got)
+        if x is not None:
+            x = densify(x, n, zero)
+        kernel = got._kernel(n)
         if want is not None and want[3] is None:
             want_x, want_bad = ref.solve(M, rhs, setup, 6, reduction=want)
             assert (x is None) == (want_x is None)
@@ -195,8 +199,13 @@ def test_solve_and_kernel_match_dense(seed, setup):
                 assert all(_agrees(a, b) for a, b in zip(x, want_x))
             want_kernel = ref.kernel_basis(M, setup, 6)
             assert len(kernel) == len(want_kernel)
-            for v, w in zip(kernel, want_kernel):
-                assert all(_agrees(a, b) for a, b in zip(v, w))
+            # each vector is the reference's times its entry at its free
+            # column
+            pivot_cols = {c for _, c in got.pivots}
+            free = [c for c in range(n) if c not in pivot_cols]
+            for fc, v, w in zip(free, kernel, want_kernel):
+                assert all(_agrees(v.get(c, zero), v[fc] * w[c])
+                           for c in range(n))
         elif want is not None:
             assert len(kernel) <= len(ref.kernel_basis(M, setup, 6))
         if _exact(M) and _exact([rhs]):
@@ -215,6 +224,29 @@ def test_solve_and_kernel_match_dense(seed, setup):
                 back = [sum((a * xi for a, xi in zip(row, x)), setup.zero())
                         - b for row, b in zip(M, rhs)]
                 assert not any(e.has_terms() for e in back)
+
+
+def _reduction_or_error(rows, setup, q_order):
+    try:
+        red = linalg.row_reduce(rows, setup, q_order)
+    except UndeterminedError as exc:
+        return str(exc)
+    return red.pivots, red.verified_trunc, red.reduced, red.transform
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_rows_reduce_as_dense_rows(seed):
+    # dict rows (exact zeros stored or left out at random) and the same
+    # rows as dense lists give the same Reduction or the same error text
+    rng = random.Random(900 + seed)
+    for _ in range(20):
+        setup = rng.choice([SETUP_Q, SETUP_F5])
+        M = random_matrix(rng, setup, rng.randint(1, 6), rng.randint(1, 6))
+        q_order = rng.randint(1, 10)
+        rows = [{c: e for c, e in enumerate(row)
+                 if not e.is_zero() or rng.random() < 0.5} for row in M]
+        assert (_reduction_or_error(rows, setup, q_order)
+                == _reduction_or_error(M, setup, q_order))
 
 
 def test_wide_connection_shape_matches_dense():

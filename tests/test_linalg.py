@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import densify
 from eqcartan.linalg import (
     UndeterminedError,
-    kernel_basis,
     row_reduce,
     solve,
 )
-from eqcartan.novikov import NovikovElem, ScalarSetup
+from eqcartan.novikov import InputError, NovikovElem, ScalarSetup
 
 SETUP = ScalarSetup.make(1, "Q")
 _q = sympy.Symbol("q")
@@ -85,10 +85,11 @@ def test_kernel_vectors_annihilate(seed):
     rng = random.Random(200 + seed)
     m, n = rng.randint(1, 5), rng.randint(2, 5)
     M = random_matrix(rng, m, n)
-    ker = kernel_basis(M, SETUP)
-    assert len(ker) == n - row_reduce(M, SETUP).rank
+    red = row_reduce(M, SETUP)
+    ker = red._kernel(n)
+    assert len(ker) == n - red.rank
     for v in ker:
-        img = mat_apply(M, v)
+        img = mat_apply(M, densify(v, n, SETUP.zero()))
         assert all(not e.has_terms() for e in img)
 
 
@@ -102,7 +103,7 @@ def test_solve_consistent_system(seed):
     b = mat_apply(M, x0)
     x, residual = solve(M, b, SETUP)
     assert residual is None
-    back = mat_apply(M, x)
+    back = mat_apply(M, densify(x, n, SETUP.zero()))
     assert all(not (u - v).has_terms() for u, v in zip(back, b))
 
 
@@ -112,6 +113,16 @@ def test_solve_reports_inconsistency():
     x, residual = solve(M, b, SETUP)
     assert x is None
     assert residual is not None
+
+
+def test_solve_rejects_a_long_right_hand_side():
+    with pytest.raises(InputError):
+        solve([[SETUP.one()]], [SETUP.one(), SETUP.one()], SETUP)
+
+
+def test_solve_rejects_a_short_right_hand_side():
+    with pytest.raises(InputError):
+        solve([{0: SETUP.one()}, {0: SETUP.one()}], [SETUP.one()], SETUP)
 
 
 def test_valuation_pivoting_prefers_low_valuation():
@@ -226,9 +237,10 @@ def test_rank_deficient_products_against_sympy(seed):
                for row in red.scaled + red.scaled_transform
                for e in row.values())
     # the kernel: exactly annihilated where exact, else to its tails only
-    kernel = kernel_basis(M, SETUP, reduction=red)
+    kernel = red._kernel(n)
     assert len(kernel) == n - red.rank
     for v in kernel:
+        v = densify(v, n, SETUP.zero())
         img = mat_apply(M, v)
         if all(e.is_exact for e in v):
             assert all(e.is_zero() for e in img)
