@@ -273,6 +273,9 @@ CLI_MATRIX = [
     ["finite2", "verify", "z2_case.json"],
     ["finite2", "assemble", "z2_case.json"],
     ["cone", "cone_case.json"],
+    ["validate", "failing/broken_case.json"],
+    ["cartan", "verify", "failing/broken_case.json"],
+    ["quantum", "check", "failing/broken_case.json"],
 ]
 
 CLI_GLOBAL = [
