@@ -266,7 +266,6 @@ def lambda_components(diff: EquivariantDifferential,
 
 
 def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
-               iota0: Optional[OperatorMatrix] = None,
                q_order: Optional[int] = None):
     """Solve [d_eq, iota_eq] = u * lambda_eq order by order.
 
@@ -297,11 +296,6 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
             row[a * n + e] = row.get(a * n + e, z) - v
     red = linalg.row_reduce(com, setup, q_order)
 
-    def component(k, entries):
-        deg = -2 * k if regime == "cy" else 2 - 2 * k
-        return OperatorMatrix(basis, basis,
-                              {key: v for key, v in entries if v}, deg)
-
     iotas: List[OperatorMatrix] = []
     for k in range(N):
         rhs = (lam[k - 1] if 1 <= k <= diff.K + 1
@@ -310,24 +304,15 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
             i = k - j
             if i <= diff.K:
                 rhs = rhs - _commutator(d[i], iotas[j])
-        if k == 0 and iota0 is not None:
-            cand = component(0, iota0.entries.items())
-            resid = _commutator(d[0], cand) - rhs
-            bad = sorted(key for key, v in resid.entries.items() if v)
-            if bad:
-                return None, {"order": 0, "entry": list(bad[0]),
-                              "residual": str(resid.entries[bad[0]]),
-                              "reason": "supplied iota_0 does not commute"}
-            iotas.append(cand)
-            continue
         vec = [rhs.entries.get((t, s), z) for t in range(n) for s in range(n)]
         x, bad = linalg.solve(com, vec, setup, q_order, reduction=red)
         if x is None:
             r, resid = bad
             return None, {"order": k, "row": r, "residual": str(resid),
                           "reason": "no iota solves the order-k equation"}
-        iotas.append(component(k, (((i // n, i % n), v)
-                                   for i, v in x.items())))
+        iotas.append(OperatorMatrix(
+            basis, basis, {(i // n, i % n): v for i, v in x.items() if v},
+            -2 * k if regime == "cy" else 2 - 2 * k))
     return CartanData(diff, tuple(iotas), regime), None
 
 
@@ -373,7 +358,7 @@ def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
 # -- identity self-tests ------------------------------------------------------
 
 
-def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
+def identity_report(data: CartanData) -> dict:
     """Verify the matrix and operator identities of the Cartan package.
 
     Each identity entry carries a verdict plus the u-order and q-order
@@ -414,19 +399,14 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
     record("connection commutes with d_eq",
            _entries(_commutator(d_eq, data.iota_eq) - lam_u))
 
-    # 3. mu d_eq - d_eq mu = sum (1-2k) u^k d_k - 2 * u^-1 * (u lambda_graded)
+    # 3. d_eq has total degree 1: deg(d_eq) - d_eq - d_eq mu = 0, i.e. each
+    #    term q^E u^k of entry (t, s) has mu_t + 2E + 2k - 1 - mu_s = 0
     mu = diff.mu_diag()
-    mu_d = OperatorMatrix(basis, basis, {
-        (t, s): _scale_int(v, mu[t] - mu[s], setup)
+    d_mu = OperatorMatrix(basis, basis, {
+        (t, s): v.scale(setup.monomial(mu[s], 0))
         for (t, s), v in d_eq.entries.items()}, 1)
-    weighted = _useries_operator(
-        setup, basis, [op.entrywise(lambda e, k=k: e.scale(1 - 2 * k))
-                       for k, op in enumerate(diff.components)], N, 1)
-    twice_lam = _useries_operator(
-        setup, basis, [op.entrywise(lambda e: e.scale(2))
-                       for op in lambda_components(diff, "monotone")], N, 1)
     record("index operator homogeneity",
-           _entries(mu_d - (weighted - twice_lam)))
+           _entries(degree_weighted(data, d_eq) - d_eq - d_mu))
 
     # 4. [Gamma_u, d_eq] = u * d_eq at the matrix level:
     #    sum 2k u^(k+1) d_k + [u mu - 2 iota_mono, d_eq] - u d_eq = 0
@@ -474,10 +454,6 @@ def identity_report(data: CartanData, q_order: Optional[int] = None) -> dict:
 
 def mu_mat_entry(setup, order, weight) -> USeries:
     return USeries.from_novikov(setup.monomial(weight, 0), order, 1)
-
-
-def _scale_int(e: USeries, w: int, setup) -> USeries:
-    return e.scale(setup.monomial(w, 0)) if w else USeries.zero(setup, e.order)
 
 
 # -- reduction mod m ----------------------------------------------------------

@@ -93,22 +93,20 @@ def cmd_validate(args) -> int:
 def _lambda_mismatches(diff, lam_doc):
     derived = cartan_mod.lambda_components(diff, "cy")
     out = []
-    n = diff.n
     zero = diff.setup.zero()
     for k, entries in enumerate(lam_doc):
-        for t in range(n):
-            for s in range(n):
-                want = (derived[k].entries.get((t, s), zero)
-                        if k < len(derived) else zero)
-                got = entries.get((t, s), zero)
-                if (want - got).has_terms():
-                    out.append({
-                        "invariant": "lambda = dq(d)",
-                        "component": k,
-                        "entry": [diff.basis[t].name, diff.basis[s].name],
-                        "declared": str(got),
-                        "derived": str(want),
-                    })
+        stored = derived[k].entries if k < len(derived) else {}
+        for t, s in sorted(stored.keys() | entries.keys()):
+            want = stored.get((t, s), zero)
+            got = entries.get((t, s), zero)
+            if (want - got).has_terms():
+                out.append({
+                    "invariant": "lambda = dq(d)",
+                    "component": k,
+                    "entry": [diff.basis[t].name, diff.basis[s].name],
+                    "declared": str(got),
+                    "derived": str(want),
+                })
     return out
 
 
@@ -145,7 +143,7 @@ def cmd_u_decompose(args) -> int:
 def cmd_cartan_verify(args) -> int:
     doc = schema_mod.load_document(args.document)
     data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER())
-    report = cartan_mod.identity_report(data, args.q_order)
+    report = cartan_mod.identity_report(data)
     lam_doc = schema_mod.lambda_family_from(doc, data.diff)
     if lam_doc is not None:
         mism = _lambda_mismatches(data.diff, lam_doc)
@@ -348,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = sp.add_subparsers(dest="subcommand", required=True)
     c1 = csub.add_parser("verify", help="identity self-test suite")
     add_doc(c1)
-    add_qorder(c1)
     c1.set_defaults(fn=cmd_cartan_verify)
     c2 = csub.add_parser("solve-iota",
                          help="order-by-order contraction solver")

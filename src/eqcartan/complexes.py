@@ -237,30 +237,23 @@ class GradedComplex:
 # -- validation ---------------------------------------------------------------
 
 
-def _homogeneity_violations(op: OperatorMatrix, grading: GradingKind,
-                            opname: str = "d") -> List[dict]:
-    """In the |q| = 2 regime: i(target) - i(source) + 2E = degree(op)."""
+def _homogeneity_violations(op: OperatorMatrix) -> List[dict]:
+    """In the |q| = 2 regime: i(target) - i(source) + 2E = degree(op), for
+    an operator with Novikov entries."""
     out = []
     for (t, s), v in op.entries.items():
         gt, gs = op.target[t], op.source[s]
-        scalars = v.coeffs[: v.valid] if isinstance(v, USeries) else [v]
-        for upow, c in enumerate(scalars):
-            if isinstance(v, USeries):
-                shift = op.degree - 2 * upow
-            else:
-                shift = op.degree
-            if not isinstance(c, NovikovElem):
-                continue
-            for e in c.exponents():
-                if Fraction(gt.index - gs.index) + 2 * e != shift:
-                    out.append({
-                        "invariant": "q-degree-2 homogeneity",
-                        "operator": opname,
-                        "entry": [gt.name, gs.name],
-                        "exponent": str(e),
-                        "expected_degree": shift,
-                        "observed": str(Fraction(gt.index - gs.index) + 2 * e),
-                    })
+        for e in v.exponents():
+            observed = Fraction(gt.index - gs.index) + 2 * e
+            if observed != op.degree:
+                out.append({
+                    "invariant": "q-degree-2 homogeneity",
+                    "operator": "d",
+                    "entry": [gt.name, gs.name],
+                    "exponent": str(e),
+                    "expected_degree": op.degree,
+                    "observed": str(observed),
+                })
     return out
 
 
@@ -292,7 +285,7 @@ def validate_complex(C: GradedComplex) -> List[dict]:
                     "observed": gt.degree(C.grading),
                 })
     if C.q_degree_two:
-        out.extend(_homogeneity_violations(C.d, C.grading))
+        out.extend(_homogeneity_violations(C.d))
     return out
 
 

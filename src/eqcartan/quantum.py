@@ -4,9 +4,12 @@ A QuantumRing is a finite based free module over the Novikov ring with a
 sparse multiplication table (the small quantum product), a designated unit,
 and a distinguished degree-2 class ``omega`` (the first Chern class in the
 monotone normalization).  The module does not compute any enumerative
-invariants: the table is input data, and ``validate`` checks the ring
-axioms the rest of the module relies on (associativity, commutativity,
-unit, q-degree-2 homogeneity).
+invariants: the table is input data.  The product is read in one place,
+``QuantumRing.multiplication(x)``: the ``OperatorMatrix`` L_x of quantum
+multiplication by x, with entry (k, j) = sum_i x_i table[(i, j)][k].
+``validate`` checks the ring axioms the rest of the module relies on as
+identities between these operators (unit, commutativity, associativity),
+plus q-degree-2 homogeneity of the table and of omega.
 
 Operators on blocks of elements of H (x) Lambda[u]/u^N (an
 ``OperatorMatrix`` whose columns are the elements, as u-series):
@@ -17,7 +20,7 @@ Operators on blocks of elements of H (x) Lambda[u]/u^N (an
 
 These are the Cartan connections of a datum with d = 0: D_q, D_u and deg_q
 are ``gamma_q``, ``gamma_u`` and ``degree_weighted`` of
-``QuantumRing.cartan_data``, whose iota_0 = q*omega* is quantum
+``QuantumRing.cartan_data``, whose iota_0 = L_{q*omega} is quantum
 multiplication by q*omega (monotone regime).
 
 ``uq_identity_check`` certifies the bracket identity
@@ -89,95 +92,81 @@ class QuantumRing:
     def product_of_basis(self, i: int, j: int) -> Dict[int, NovikovElem]:
         return self.table.get((i, j), {})
 
-    def star(self, x: List[NovikovElem], y: List[NovikovElem]) -> List[NovikovElem]:
-        """Bilinear extension of the basis product table."""
-        out = [self.setup.zero()] * self.rank
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                ab = a * b
+    def multiplication(self, x: Dict[int, NovikovElem],
+                       degree: int = 0) -> OperatorMatrix:
+        """L_x, quantum multiplication by x = sum_i x_i e_i: the operator
+        with entry (k, j) = sum_i x_i table[(i, j)][k]."""
+        acc: Dict[Tuple[int, int], NovikovElem] = {}
+        for i, w in x.items():
+            for j in range(self.rank):
                 for k, c in self.product_of_basis(i, j).items():
-                    out[k] = out[k] + (ab * c)
-        return out
-
-    def omega_vector(self) -> List[NovikovElem]:
-        return [self.omega.get(i, self.setup.zero()) for i in range(self.rank)]
+                    v = w * c
+                    acc[(k, j)] = acc[(k, j)] + v if (k, j) in acc else v
+        return OperatorMatrix(self.basis, self.basis, acc, degree)
 
     def star_useries(self, a: List[NovikovElem],
                      vec: List[USeries]) -> List[USeries]:
-        """a * vec, coefficientwise in u."""
+        """a * vec, coefficientwise in u: L_a on each u-coefficient."""
         if not vec:
             return []
         order = vec[0].order
-        setup = self.setup
-        cols = [[v.coeffs[k] for v in vec] for k in range(order)]
         valid = min(v.valid for v in vec)
-        out_cols = [self.star(a, col) for col in cols]
-        return [
-            USeries.build(setup, order, [out_cols[k][i] for k in range(order)],
-                          valid)
-            for i in range(self.rank)
-        ]
+        L = self.multiplication({i: c for i, c in enumerate(a) if c})
+        out = [[self.setup.zero()] * order for _ in range(self.rank)]
+        for (k, j), c in L.entries.items():
+            for m, b in enumerate(vec[j].coeffs):
+                if b:
+                    out[k][m] = out[k][m] + c * b
+        return [USeries.build(self.setup, order, cs, valid) for cs in out]
 
     def cartan_data(self, order: int) -> CartanData:
         """The quantum connections as a Cartan datum mod u^order: d = 0 and,
-        in the monotone regime, iota_0 = q*omega* with entry
-        (k, j) = sum_i q omega_i table[(i, j)][k]."""
+        in the monotone regime, iota_0 = L_{q omega} at degree 2."""
         step = self.setup.lattice.steps_per_unit
-        iota0: Dict[Tuple[int, int], NovikovElem] = {}
-        for i, w in self.omega.items():
-            qw = w.q_shift(step)
-            for j in range(self.rank):
-                for k, c in self.product_of_basis(i, j).items():
-                    v = qw * c
-                    iota0[(k, j)] = iota0[(k, j)] + v if (k, j) in iota0 else v
+        iota = self.multiplication(
+            {i: w.q_shift(step) for i, w in self.omega.items()}, 2)
         diff = EquivariantDifferential.build(self.setup, GradingKind("Z"),
                                              self.basis, [{}], order)
-        iota = OperatorMatrix(self.basis, self.basis, iota0, 2)
         return CartanData(diff, (iota,), "monotone")
 
     # -- axioms ---------------------------------------------------------------
 
     def validate(self) -> List[dict]:
-        """Ring-axiom violations: unit, commutativity, associativity,
+        """Ring-axiom violations, read off the operators L_i = L_{e_i}:
+        unit (L_unit e_i = e_i), commutativity (L_i e_j = L_j e_i),
+        associativity (L_{e_i e_j} = L_i L_j, column by column) and
         q-degree-2 homogeneity of the table and of omega."""
         out = []
         setup = self.setup
-        zero = setup.zero()
+        zero, one = setup.zero(), setup.one()
         n = self.rank
-        basis_vecs = []
+        names = [g.name for g in self.basis]
+        L = [self.multiplication({i: one}) for i in range(n)]
+
+        def column(op, j):
+            return [op.entries.get((k, j), zero) for k in range(n)]
+
         for i in range(n):
-            v = [zero] * n
-            v[i] = setup.one()
-            basis_vecs.append(v)
-        for i in range(n):
-            got = self.star(basis_vecs[self.unit], basis_vecs[i])
-            if any((got[k] - basis_vecs[i][k]).has_terms() for k in range(n)):
-                out.append({"axiom": "unit", "element": self.basis[i].name,
+            got = column(L[self.unit], i)
+            if any((g - (one if k == i else zero)).has_terms()
+                   for k, g in enumerate(got)):
+                out.append({"axiom": "unit", "element": names[i],
                             "value": [str(g) for g in got]})
         for i in range(n):
             for j in range(i + 1, n):
-                a = self.star(basis_vecs[i], basis_vecs[j])
-                b = self.star(basis_vecs[j], basis_vecs[i])
-                if any((x - y).has_terms() for x, y in zip(a, b)):
+                if any((x - y).has_terms()
+                       for x, y in zip(column(L[i], j), column(L[j], i))):
                     out.append({"axiom": "commutativity",
-                                "pair": [self.basis[i].name,
-                                         self.basis[j].name]})
+                                "pair": [names[i], names[j]]})
         for i in range(n):
             for j in range(n):
-                ij = self.star(basis_vecs[i], basis_vecs[j])
-                for k in range(n):
-                    lhs = self.star(ij, basis_vecs[k])
-                    jk = self.star(basis_vecs[j], basis_vecs[k])
-                    rhs = self.star(basis_vecs[i], jk)
-                    if any((x - y).has_terms() for x, y in zip(lhs, rhs)):
-                        out.append({"axiom": "associativity",
-                                    "triple": [self.basis[i].name,
-                                               self.basis[j].name,
-                                               self.basis[k].name]})
+                ij = {k: c for k, c in enumerate(column(L[i], j)) if c}
+                defect = self.multiplication(ij) - L[i].compose(L[j])
+                bad = {s for (_, s), v in defect.entries.items()
+                       if v.has_terms()}
+                out.extend({"axiom": "associativity",
+                            "triple": [names[i], names[j], names[k]]}
+                           for k in sorted(bad))
         out.extend(self.homogeneity_witnesses())
         return out
 

@@ -22,9 +22,11 @@ formulas without the short-circuits for decidably zero operands;
 ``test_zero_fast_paths.py`` asserts that the operators return the same
 values, tails and valid orders.
 
+``star`` is the bilinear extension of a quantum product table to dense
+vectors, the formula ``QuantumRing.multiplication`` replaced;
+``test_quantum.py`` asserts that the two agree field for field.
 ``d_q_connection``, ``d_u_connection`` and ``deg_q_operator`` are the
-quantum connections written with the quantum product (``star_useries``),
-and ``z2_verify_relations``/``z2_assemble_and_check`` the finite2 checks on
+quantum connections written with that product (``star_useries``), and ``z2_verify_relations``/``z2_assemble_and_check`` the finite2 checks on
 dense matrices; ``test_operator_algebra_oracles.py`` asserts that the Cartan
 operators of ``QuantumRing.cartan_data`` and the ``OperatorMatrix`` versions
 of the finite2 checks return the same values and reports.
@@ -466,7 +468,7 @@ def _apply_dense(M, vec, zero):
 # -- solve_iota ---------------------------------------------------------------
 
 
-def solve_iota(diff, regime="monotone", iota0=None, q_order=None):
+def solve_iota(diff, regime="monotone", q_order=None):
     """(list of dense iota components, obstruction)."""
     setup = diff.setup
     n = diff.n
@@ -493,18 +495,6 @@ def solve_iota(diff, regime="monotone", iota0=None, q_order=None):
             i = k - j
             if i <= diff.K:
                 rhs = _dsub(rhs, _scalar_commutator(d[i], iotas[j], setup))
-        if k == 0 and iota0 is not None:
-            cand = dense(iota0, n, z)
-            resid = _dsub(_scalar_commutator(d0, cand, setup), rhs)
-            bad = [(t, s) for t in range(n) for s in range(n)
-                   if resid[t][s].has_terms()]
-            if bad:
-                t, s = bad[0]
-                return None, {"order": 0, "entry": list(bad[0]),
-                              "residual": str(resid[t][s]),
-                              "reason": "supplied iota_0 does not commute"}
-            iotas.append(cand)
-            continue
         vec = [rhs[t][s] for t in range(n) for s in range(n)]
         x, bad = solve(com, vec, setup, q_order, reduction=red)
         if x is None:
@@ -690,6 +680,25 @@ def identity_report(data):
 # -- quantum connections through the quantum product -------------------------
 
 
+def star(Q, x, y):
+    """Bilinear extension of the basis product table to dense vectors."""
+    out = [Q.setup.zero()] * Q.rank
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            ab = a * b
+            for k, c in Q.product_of_basis(i, j).items():
+                out[k] = out[k] + (ab * c)
+    return out
+
+
+def omega_vector(Q):
+    return [Q.omega.get(i, Q.setup.zero()) for i in range(Q.rank)]
+
+
 def star_useries(Q, a, vec):
     """a * vec, coefficientwise in u."""
     if not vec:
@@ -698,7 +707,7 @@ def star_useries(Q, a, vec):
     setup = Q.setup
     cols = [[v.coeffs[k] for v in vec] for k in range(order)]
     valid = min(v.valid for v in vec)
-    out_cols = [Q.star(a, col) for col in cols]
+    out_cols = [star(Q, a, col) for col in cols]
     return [
         USeries.build(setup, order, [out_cols[k][i] for k in range(order)],
                       valid)
@@ -709,7 +718,7 @@ def star_useries(Q, a, vec):
 def d_q_connection(Q, x):
     """D_q x = u dx/dq + omega * x."""
     out = [useries_udq(v).times_u() for v in x]
-    part = star_useries(Q, Q.omega_vector(), x)
+    part = star_useries(Q, omega_vector(Q), x)
     return [a + b for a, b in zip(out, part)]
 
 
@@ -718,7 +727,7 @@ def d_u_connection(Q, x):
     setup = Q.setup
     two = setup.monomial(2, 0)
     step = setup.lattice.steps_per_unit
-    c1 = [c.q_shift(step) for c in Q.omega_vector()]
+    c1 = [c.q_shift(step) for c in omega_vector(Q)]
     out = []
     for i, v in enumerate(x):
         term = useries_du(v).times_u(2).scale(two)

@@ -98,15 +98,6 @@ def test_solve_iota_reports_obstruction():
     assert obstruction["order"] == 2
 
 
-def test_solve_iota_rejects_noncommuting_seed():
-    diff = monotone_pair()
-    bad = OperatorMatrix(diff.basis, diff.basis,
-                         {(0, 1): SETUP.one()}, 2)
-    data, obstruction = solve_iota(diff, iota0=bad)
-    assert data is None
-    assert obstruction["order"] == 0
-
-
 def test_component_basis_mismatch_is_an_input_error():
     diff = monotone_pair()
     other = tuple(GeneratorInfo(g.name + "'", g.index) for g in diff.basis)

@@ -394,6 +394,15 @@ def test_bad_order_flag_is_a_usage_error(capsys, argv, value):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+def test_cartan_verify_has_no_q_order_flag(capsys):
+    # identity_report runs no elimination, so there is no q-order to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cartan", "verify", "--q-order", "5",
+                  str(FIXTURES / "monotone_case.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q-order" in capsys.readouterr().err
+
+
 def test_empty_q_order_flag_means_unset(capsys, monkeypatch):
     monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
     path = str(FIXTURES / "dvr_case.json")

@@ -143,6 +143,42 @@ def test_cartan_data_iota_is_q_times_omega_star():
                              (0, 2): setup.monomial(3, 4)}
 
 
+MULT_SETUPS = {**SETUPS, **{("Z", str(g)): ScalarSetup.make(g, "Z")
+                            for g in (1, Fraction(1, 2))}}
+
+
+def tailed(rng, e):
+    """e, or at times e with a q-tail above its terms."""
+    if not e or rng.random() < 0.6:
+        return e
+    return NovikovElem.build(e.setup, e.terms,
+                             e.terms[-1][0] + rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("key", sorted(MULT_SETUPS), ids="-".join)
+@pytest.mark.parametrize("seed", range(6))
+def test_multiplication_is_the_bilinear_product(seed, key):
+    # column j of L_x is x * e_j, coefficients and q-tails alike
+    rng = random.Random(seed)
+    setup = MULT_SETUPS[key]
+    Q = random_ring(rng, setup)
+    Q = QuantumRing(setup, Q.basis,
+                    {ij: {k: tailed(rng, c) for k, c in col.items()}
+                     for ij, col in Q.table.items()}, Q.unit, Q.omega)
+    x = [tailed(rng, random_elem(rng, setup)) for _ in range(Q.rank)]
+    L = Q.multiplication({i: c for i, c in enumerate(x) if c})
+    zero = setup.zero()
+    for j in range(Q.rank):
+        e_j = [setup.one() if k == j else zero for k in range(Q.rank)]
+        got = [L.entries.get((k, j), zero) for k in range(Q.rank)]
+        assert [(g.terms, g.trunc) for g in got] == \
+            [(w.terms, w.trunc) for w in ref.star(Q, x, e_j)]
+    order = rng.randint(1, 3)
+    for _, vec in random_vectors(rng, setup, Q.rank, order):
+        assert_same_vectors(Q.star_useries(x, vec),
+                            ref.star_useries(Q, x, vec))
+
+
 # -- finite2 --------------------------------------------------------------------
 
 

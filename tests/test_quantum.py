@@ -66,7 +66,7 @@ def test_validate_catches_inhomogeneous_table():
 
 def test_omega_has_degree_two():
     Q = projective_space_model(2, SETUP)
-    assert Q.omega_vector()[1].terms == ((0, 3),)  # (n+1) e_1
+    assert Q.omega[1].terms == ((0, 3),)  # (n+1) e_1
     assert not Q.homogeneity_witnesses()
 
 
