@@ -209,19 +209,15 @@ def _commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 def _scan(name, cells, order):
     """Failure records and certified orders over (location, USeries) cells.
 
-    Every cell that is not decidably zero counts towards the verified
-    orders, including those without visible terms: a cancelled entry still
-    bounds them through its lost u-order or the q-tails of its
-    coefficients.  A decidably zero cell is skipped, which is exact: its
-    ``valid`` is the full order, none of its coefficients has a tail, and it
-    has no visible terms, so it can neither fail nor lower either verified
-    order.
+    The cells are an operator's stored entries, none decidably zero (an
+    OperatorMatrix does not store those).  Every cell counts towards the
+    verified orders, including those without visible terms: a cancelled
+    entry still bounds them through its lost u-order or the q-tails of its
+    coefficients.
     """
     failures = []
     valid, qcert = order, None
     for where, e in cells:
-        if e.is_zero():
-            continue
         valid = min(valid, e.valid)
         c = e.q_certificate()
         if c is not None:

@@ -125,6 +125,10 @@ class OperatorMatrix:
     terms that still carry a q-tail or a lost u-order are kept, so sums,
     products and identity scans see their truncation.  ``compose`` skips
     only decidably zero operands.
+
+    The constructor filters the entries it is given; ``compose``, ``+``,
+    ``-`` and ``entrywise`` drop a decidably zero entry where they make it
+    and construct their result through ``_made``, which does not filter.
     """
 
     source: Tuple[GeneratorInfo, ...]
@@ -137,6 +141,14 @@ class OperatorMatrix:
         self.target = tuple(self.target)
         self.entries = {k: v for k, v in self.entries.items()
                         if not v.is_zero()}
+
+    @classmethod
+    def _made(cls, source, target, entries, degree) -> "OperatorMatrix":
+        """An operator on tuple bases whose entries are already filtered."""
+        op = cls.__new__(cls)
+        op.__dict__.update(source=source, target=target, entries=entries,
+                           degree=degree)
+        return op
 
     def columns(self, zero: Scalar) -> List[List[Scalar]]:
         """The columns as dense vectors, one scalar per target generator."""
@@ -158,32 +170,37 @@ class OperatorMatrix:
                 key = (t, s)
                 prod = a * b
                 acc[key] = acc[key] + prod if key in acc else prod
-        return OperatorMatrix(other.source, self.target, acc,
-                              self.degree + other.degree)
+        return OperatorMatrix._made(
+            other.source, self.target,
+            {k: v for k, v in acc.items() if not v.is_zero()},
+            self.degree + other.degree)
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _sum(self, other: "OperatorMatrix", subtract: bool) -> "OperatorMatrix":
+        """self + other, or self - other in the same one pass."""
         if other.source != self.source or other.target != self.target:
             raise NovikovError("operator addition basis mismatch")
         acc = dict(self.entries)
         for k, v in other.entries.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return OperatorMatrix(self.source, self.target, acc, self.degree)
+            s = -v if subtract else v
+            s = acc[k] + s if k in acc else s
+            if s.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        return OperatorMatrix._made(self.source, self.target, acc, self.degree)
 
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.source, self.target, {k: -v for k, v in self.entries.items()},
-            self.degree,
-        )
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._sum(other, False)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-other)
+        return self._sum(other, True)
 
     def entrywise(self, fn, degree: Optional[int] = None) -> "OperatorMatrix":
-        return OperatorMatrix(
+        return OperatorMatrix._made(
             self.source, self.target,
-            {k: fn(v) for k, v in self.entries.items()},
-            self.degree if degree is None else degree,
-        )
+            {k: w for k, v in self.entries.items()
+             if not (w := fn(v)).is_zero()},
+            self.degree if degree is None else degree)
 
     def is_visibly_zero(self) -> bool:
         return not any(bool(v) for v in self.entries.values())

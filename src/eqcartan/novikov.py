@@ -332,6 +332,12 @@ class NovikovElem:
     the zero operand, values equal field for field to what the formula
     gives.  A termless element with a tail, ``O(q^T)``, is not decidably
     zero and always goes through the formula, which carries its tail.
+
+    Results are canonical by construction: ``+`` and ``*`` of single-term
+    operands make their one- or two-term result directly, and ``scale`` and
+    ``dq`` their terms, without a zero coefficient (``2q * 3q`` over Z/6) or
+    a term at or above ``trunc``.  Only the general formulas merge and sort
+    in ``build``.
     """
 
     setup: ScalarSetup
@@ -342,13 +348,13 @@ class NovikovElem:
 
     @staticmethod
     def build(setup: ScalarSetup, pairs, trunc: Optional[int] = None) -> "NovikovElem":
-        """Canonicalize: merge, drop zeros, drop terms at/above trunc."""
-        ring = setup.ring
+        """Canonical form: residues mod m, merged, no zeros, none >= trunc."""
+        ring, m = setup.ring, setup.ring.modulus
         acc: dict = {}
         for idx, c in pairs:
             if trunc is not None and idx >= trunc:
                 continue
-            acc[idx] = ring.add(acc[idx], c) if idx in acc else c
+            acc[idx] = ring.add(acc[idx], c) if idx in acc else c % m if m else c
         out = tuple(
             (idx, acc[idx]) for idx in sorted(acc) if not ring.is_zero(acc[idx])
         )
@@ -387,23 +393,27 @@ class NovikovElem:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _trunc_add(self, other):
-        ta = self.trunc if self.trunc is not None else INF
-        tb = other.trunc if other.trunc is not None else INF
-        t = min(ta, tb)
-        return None if t == INF else int(t)
-
     def __add__(self, other: "NovikovElem") -> "NovikovElem":
         _check_same_setup(self, other)
         if not self.terms and self.trunc is None:
             return other
         if not other.terms and other.trunc is None:
             return self
-        return NovikovElem.build(
-            self.setup, self.terms + other.terms, self._trunc_add(other)
-        )
+        ta, tb = self.trunc, other.trunc
+        t = tb if ta is None else ta if tb is None else min(ta, tb)
+        if len(self.terms) == 1 == len(other.terms):
+            (na, ca), = self.terms
+            (nb, cb), = other.terms
+            pairs = (((na, self.setup.ring.add(ca, cb)),) if na == nb
+                     else self.terms + other.terms if na < nb
+                     else other.terms + self.terms)
+            return NovikovElem(self.setup, tuple(
+                p for p in pairs if p[1] != 0 and (t is None or p[0] < t)), t)
+        return NovikovElem.build(self.setup, self.terms + other.terms, t)
 
     def __neg__(self) -> "NovikovElem":
+        if not self.terms:
+            return self
         ring = self.setup.ring
         return NovikovElem(
             self.setup,
@@ -421,14 +431,22 @@ class NovikovElem:
         if not other.terms and other.trunc is None:
             return other
         ring = self.setup.ring
-        ta = self.trunc if self.trunc is not None else INF
-        tb = other.trunc if other.trunc is not None else INF
-        # each factor's valuation is at least its lowest term, or its trunc
-        # when it has no terms: O(q^2) * O(q^3) is O(q^5)
-        va = self.terms[0][0] if self.terms else ta
-        vb = other.terms[0][0] if other.terms else tb
-        t = min(va + tb, vb + ta)
-        trunc = None if t == INF else int(t)
+        trunc = None
+        if self.trunc is not None or other.trunc is not None:
+            ta = self.trunc if self.trunc is not None else INF
+            tb = other.trunc if other.trunc is not None else INF
+            # each factor's valuation is at least its lowest term, or its
+            # trunc when it has no terms: O(q^2) * O(q^3) is O(q^5)
+            va = self.terms[0][0] if self.terms else ta
+            vb = other.terms[0][0] if other.terms else tb
+            t = min(va + tb, vb + ta)
+            trunc = None if t == INF else int(t)
+        if len(self.terms) == 1 == len(other.terms):
+            (na, ca), = self.terms
+            (nb, cb), = other.terms
+            c, n = ring.mul(ca, cb), na + nb
+            return NovikovElem(self.setup, ((n, c),) if c != 0 and (
+                trunc is None or n < trunc) else (), trunc)
         pairs = [
             (na + nb, ring.mul(ca, cb))
             for na, ca in self.terms
@@ -437,11 +455,11 @@ class NovikovElem:
         return NovikovElem.build(self.setup, pairs, trunc)
 
     def scale(self, coeff) -> "NovikovElem":
-        c = self.setup.ring.coerce(coeff)
         ring = self.setup.ring
-        return NovikovElem.build(
-            self.setup, ((n, ring.mul(a, c)) for n, a in self.terms), self.trunc
-        )
+        c = ring.coerce(coeff)
+        return NovikovElem(self.setup, tuple(
+            (n, p) for n, a in self.terms if (p := ring.mul(a, c)) != 0),
+            self.trunc)
 
     def q_shift(self, steps: int) -> "NovikovElem":
         """Multiply by q^(steps * g)."""
@@ -486,11 +504,11 @@ def dq(a: NovikovElem) -> NovikovElem:
     pairs = []
     for n, c in a.terms:
         e = lat.exponent_of(n)
-        if e == 0:
-            continue
-        pairs.append((n - step, ring.mul_rational(c, e)))
+        x = ring.mul_rational(c, e) if e else 0
+        if x != 0:
+            pairs.append((n - step, x))
     trunc = None if a.trunc is None else a.trunc - step
-    return NovikovElem.build(a.setup, pairs, trunc)
+    return NovikovElem(a.setup, tuple(pairs), trunc)
 
 
 def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
@@ -552,8 +570,8 @@ class USeries:
     and stored as zero).  All arithmetic propagates the weaker bound.
 
     A series is *decidably zero* when ``valid == order`` and every
-    coefficient is a decidably zero NovikovElem (``is_zero()``, computed
-    once per object).  ``+``, ``-``, negation, ``*``, ``scale`` and
+    coefficient is a decidably zero NovikovElem (``is_zero()``, a flag set
+    once at construction).  ``+``, ``-``, negation, ``*``, ``scale`` and
     ``q_shift`` with a decidably zero series operand skip the general
     formula: a sum returns the other operand, a product, negation, scaling
     or shift returns the zero operand, values equal field for field to what
@@ -561,6 +579,11 @@ class USeries:
     that lost u-order or whose coefficients carry q-tails always goes
     through the formula; so does ``useries_du``, which lowers ``valid``
     even of an exact zero.
+
+    Results are canonical by construction: ``+``, ``*``, ``scale``,
+    ``q_shift`` and ``times_u`` make only the coefficients below the
+    result's ``valid``, without ``build``; ``*`` and ``scale`` skip
+    decidably zero coefficients.  Each call checks the scalar setups once.
     """
 
     setup: ScalarSetup
@@ -573,6 +596,13 @@ class USeries:
             object.__setattr__(self, "valid", self.order)
         if len(self.coeffs) != self.order:
             raise NovikovError("coefficient list length must equal order")
+        # set once, as a plain attribute: no descriptor and no lock
+        zero = self.valid == self.order
+        for c in self.coeffs if zero else ():
+            if c.terms or c.trunc is not None:
+                zero = False
+                break
+        self.__dict__["_zero"] = zero
 
     # -- constructors ---------------------------------------------------------
 
@@ -591,12 +621,9 @@ class USeries:
 
     @staticmethod
     def build(setup: ScalarSetup, order: int, coeffs, valid=None) -> "USeries":
-        z = setup.zero()
-        cs = list(coeffs)[:order]
-        cs += [z] * (order - len(cs))
         v = order if valid is None else min(valid, order)
-        cs = [c if k < v else z for k, c in enumerate(cs)]
-        return USeries(setup, order, tuple(cs), v)
+        cs = tuple(coeffs)[:max(v, 0)]
+        return USeries(setup, order, cs + (setup.zero(),) * (order - len(cs)), v)
 
     # -- structure ------------------------------------------------------------
 
@@ -613,9 +640,11 @@ class USeries:
         """Decidably zero: no visible terms, no lost u-order, no q-tail."""
         return self._zero
 
-    @cached_property
-    def _zero(self) -> bool:
-        return self.valid == self.order and all(c.is_zero() for c in self.coeffs)
+    def _of(self, head: tuple, valid: int) -> "USeries":
+        """This setup and order, ``head`` below ``valid`` and zero above."""
+        if valid < self.order:
+            head += (self.setup.zero(),) * (self.order - valid)
+        return USeries(self.setup, self.order, head, valid)
 
     def q_certificate(self) -> Optional[int]:
         """Minimal coefficient trunc index, or None if every coeff is exact."""
@@ -651,12 +680,8 @@ class USeries:
         if other._zero:
             return self
         v = min(self.valid, other.valid)
-        return USeries.build(
-            self.setup,
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            v,
-        )
+        return self._of(tuple(a + b for a, b in zip(self.coeffs[:v],
+                                                    other.coeffs[:v])), v)
 
     def __neg__(self) -> "USeries":
         if self._zero:
@@ -673,39 +698,38 @@ class USeries:
             return self
         if other._zero:
             return other
-        N = self.order
-        v = min(N, self._lead() + other.valid, other._lead() + self.valid)
-        z = self.setup.zero()
-        out = [z] * N
-        for i, a in enumerate(self.coeffs[: self.valid]):
+        # products landing at u^v or above are unknown: none is formed
+        v = min(self.order, self._lead() + other.valid,
+                other._lead() + self.valid)
+        bs = [(j, b) for j, b in enumerate(other.coeffs[:min(v, other.valid)])
+              if not b.is_zero()]
+        out = [self.setup.zero()] * v
+        for i, a in enumerate(self.coeffs[:min(v, self.valid)]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs[: other.valid]):
-                if i + j >= N:
+            for j, b in bs:
+                if i + j >= v:
                     break
                 out[i + j] = out[i + j] + (a * b)
-        return USeries.build(self.setup, N, out, v)
+        return self._of(tuple(out), v)
 
     def scale(self, c: NovikovElem) -> "USeries":
+        _check_same_setup(self, c)
         if self._zero:
-            _check_same_setup(self, c)
             return self
-        return USeries.build(
-            self.setup, self.order, [a * c for a in self.coeffs], self.valid
-        )
+        return self._of(tuple(a if a.is_zero() else a * c
+                              for a in self.coeffs[:self.valid]), self.valid)
 
     def q_shift(self, steps: int) -> "USeries":
         """Multiply every coefficient by q^(steps * g)."""
         if self._zero:
             return self
-        return USeries.build(self.setup, self.order,
-                             [c.q_shift(steps) for c in self.coeffs], self.valid)
+        return self._of(tuple(c.q_shift(steps)
+                              for c in self.coeffs[:self.valid]), self.valid)
 
     def times_u(self, k: int = 1) -> "USeries":
-        z = self.setup.zero()
-        coeffs = (z,) * k + self.coeffs[: max(0, self.order - k)]
-        return USeries.build(self.setup, self.order, coeffs,
-                             min(self.order, self.valid + k))
+        v = min(self.order, self.valid + k)
+        return self._of(((self.setup.zero(),) * k + self.coeffs)[:v], v)
 
     def shift_down(self, k: int) -> "USeries":
         """Divide by u^k; the dropped coefficients must be zero."""

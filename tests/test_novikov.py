@@ -7,6 +7,7 @@ import dense_reference as ref
 from eqcartan.novikov import (
     CoefficientError,
     InversionError,
+    LatticeMismatch,
     NovikovElem,
     ScalarSetup,
     USeries,
@@ -236,6 +237,38 @@ def test_lattice_mismatch_rejected():
     b = SETUP_HALF.monomial(1, 1)
     with pytest.raises(Exception):
         a + b
+
+
+@pytest.mark.parametrize("ring, residue", [("F2", 0), ("F5", 3), ("Z/6", 4)])
+def test_build_reduces_int_coefficients_mod_m(ring, residue):
+    # -2 is 0 in F2, 3 in F5 and 4 in Z/6: build stores the residue, as the
+    # ring operations of the direct + and * paths do
+    setup = ScalarSetup.make(1, ring)
+    x = NovikovElem.build(setup, [(-1, -2)])
+    assert x == setup.monomial(-2, -1)
+    assert x.terms == (((-1, residue),) if residue else ())
+    assert x.is_zero() == (residue == 0)
+    assert format_novikov(x) == (f"{residue}*q^(-1)" if residue else "0")
+    y = NovikovElem.build(setup, [(0, 7), (0, -1), (1, -1)])
+    assert y == setup.monomial(6, 0) + setup.monomial(-1, 1)
+
+
+@pytest.mark.parametrize("kind", ["lost u-order zero", "exact monomial"])
+def test_setup_mismatch_raised_by_sum_product_and_scale(kind):
+    # each call checks the scalar setups once, also where no coefficient
+    # is multiplied: a series with only zero coefficients but lost u-order
+    mono = SETUP_Q.monomial(2, 1)
+    a = (USeries.build(SETUP_Q, 3, [], valid=2) if kind == "lost u-order zero"
+         else USeries.from_novikov(mono, 3))
+    other = USeries.from_novikov(SETUP_F5.monomial(2, 1), 3)
+    for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+               lambda: a * other, lambda: other * a,
+               lambda: a.scale(SETUP_F5.monomial(2, 1)),
+               lambda: other.scale(mono),
+               lambda: mono + SETUP_F5.monomial(2, 1),
+               lambda: mono * SETUP_F5.monomial(2, 1)):
+        with pytest.raises(LatticeMismatch):
+            op()
 
 
 # -- u-series ------------------------------------------------------------------

@@ -1,36 +1,43 @@
-"""Arithmetic with a decidably zero operand returns what the formula returns.
+"""The direct arithmetic paths return what the general formula returns.
 
 ``NovikovElem`` ``+``/``*`` and ``USeries`` ``+``/``-``/negation/``*``/
 ``scale``/``q_shift`` skip the general formula when an operand is decidably
-zero (no terms, no q-tail and, for a series, no lost u-order).  For every
-mix of operand kinds over Q, F2 and F5 the result must equal the general
-formula of ``dense_reference`` field for field: terms, ``trunc`` of every
-coefficient and ``valid``.  The kinds include the termless but truncated
-``O(q^T)`` and series with lost u-order, which carry tails and must never
-take a short-circuit.  ``cartan.degree_weighted`` returns a decidably zero
+zero (no terms, no q-tail and, for a series, no lost u-order); ``+`` and
+``*`` of single-term operands build their one- or two-term result
+directly, and the ``USeries`` operations build their coefficient tuple
+directly.  For every mix of operand kinds over Q, F2, F5 and Z/6 (a ring
+with zero divisors) the result must equal the general formula of
+``dense_reference`` field for field: terms, ``trunc`` of every coefficient
+and ``valid``.  The kinds include exact single-term monomials, the termless
+but truncated ``O(q^T)`` and series with lost u-order, which carry tails and
+must never take a short-circuit.  ``cartan.degree_weighted`` returns a decidably zero
 entry as it is and must equal the general formula in the same way.  The
 block operators ``gamma_q``, ``gamma_u`` and ``degree_weighted`` skip the
 entries a block does not store, and each column of their image must equal
 the per-vector formula of ``dense_reference`` on that column.
 """
 
+import functools
+import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from eqcartan.cartan import (CartanData, EquivariantDifferential,
-                             degree_weighted, gamma_q, gamma_u)
+                             degree_weighted, gamma_q, gamma_u,
+                             identity_report, solve_iota)
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
 
-from conftest import via_block
+from conftest import random_equivariant_differential, via_block
 
-SETUPS = {ring: ScalarSetup.make(1, ring) for ring in ("Q", "F2", "F5")}
+SETUPS = {ring: ScalarSetup.make(1, ring) for ring in ("Q", "F2", "F5", "Z/6")}
 ORDER = 3
 
-ELEM_KINDS = ("zero", "tail", "ordinary")
+ELEM_KINDS = ("zero", "tail", "monomial", "ordinary")
 SERIES_KINDS = ("zero", "tail", "lost", "ordinary")
 
 truncs = st.integers(min_value=-3, max_value=6)
@@ -38,12 +45,14 @@ truncs = st.integers(min_value=-3, max_value=6)
 
 @st.composite
 def elems(draw, setup, kind):
-    """A NovikovElem of the given kind: exact zero, O(q^T), or with terms
-    (exact or truncated above them)."""
+    """A NovikovElem of the given kind: exact zero, O(q^T), an exact
+    single-term monomial, or with terms (exact or truncated above them)."""
     if kind == "zero":
         return setup.zero()
     if kind == "tail":
         return NovikovElem(setup, (), draw(truncs))
+    if kind == "monomial":
+        return draw(monomials(setup))
     pairs = draw(st.lists(
         st.tuples(st.integers(min_value=-3, max_value=3),
                   st.integers(min_value=1, max_value=4)),
@@ -56,6 +65,14 @@ def elems(draw, setup, kind):
     trunc = draw(st.one_of(st.none(),
                            st.integers(min_value=top + 1, max_value=top + 4)))
     return NovikovElem(setup, terms, trunc)
+
+
+@st.composite
+def monomials(draw, setup, exponent=st.integers(min_value=-3, max_value=3)):
+    """c q^e with c a nonzero residue of the ring (a zero divisor in Z/6)."""
+    m = setup.ring.modulus
+    c = draw(st.integers(min_value=1, max_value=(m or 5) - 1))
+    return setup.monomial(c, draw(exponent))
 
 
 @st.composite
@@ -110,6 +127,65 @@ def test_novikov_arithmetic_matches_the_formula(ring, kinds, data):
     b = data.draw(elems(setup, kinds[1]))
     assert_same_elem(a + b, ref.elem_add(a, b))
     assert_same_elem(a * b, ref.elem_mul(a, b))
+    if not a.terms:  # negation returns a termless element itself
+        assert -a is a
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_monomial_at_or_above_the_other_operands_trunc(ring, data):
+    # the sum drops the monomial's term, which lies in the other operand's
+    # unknown tail; the product shifts that tail and keeps the term
+    setup = SETUPS[ring]
+    b = data.draw(elems(setup, data.draw(st.sampled_from(("tail",
+                                                          "ordinary")))))
+    if b.trunc is None:
+        b = NovikovElem(setup, b.terms, b.terms[-1][0] + 1)
+    a = data.draw(monomials(setup, st.integers(min_value=b.trunc,
+                                                max_value=b.trunc + 3)))
+    for x, y in ((a, b), (b, a)):
+        assert_same_elem(x + y, ref.elem_add(x, y))
+        assert_same_elem(x * y, ref.elem_mul(x, y))
+    assert (a + b).terms == b.terms
+
+
+def test_zero_divisors_give_a_decidably_zero_product():
+    setup = SETUPS["Z/6"]
+    two_q, three_q = setup.monomial(2, 1), setup.monomial(3, 1)
+    assert (two_q * three_q).is_zero()
+    assert (three_q + three_q).is_zero()
+    assert_same_elem(two_q * three_q, ref.elem_mul(two_q, three_q))
+    a, b = (USeries.from_novikov(x, ORDER) for x in (two_q, three_q))
+    assert (a * b).is_zero()
+    assert_same_series(a * b, ref.useries_mul(a, b))
+    assert a.scale(three_q).is_zero()
+    assert_same_series(a.scale(three_q), ref.useries_scale(a, three_q))
+
+
+def test_operator_results_store_no_decidably_zero_entry():
+    # compose, +, - and entrywise drop an entry that cancels, or that
+    # vanishes through a zero divisor of Z/6, where they make it
+    setup = SETUPS["Z/6"]
+    basis = [GeneratorInfo("a"), GeneratorInfo("b")]
+
+    def s(c, e):
+        return USeries.from_novikov(setup.monomial(c, e), ORDER)
+
+    A = OperatorMatrix(basis, basis, {(0, 0): s(2, 1), (0, 1): s(1, 0),
+                                      (1, 1): s(3, 0)})
+    B = OperatorMatrix(basis, basis, {(0, 0): s(3, 1), (1, 1): s(2, 0)})
+    three = setup.monomial(3, 0)
+    results = {"A - A": (A - A, set()),
+                "A + (-A)": (A + A.entrywise(lambda v: -v), set()),
+                "A B": (A.compose(B), {(0, 1)}),
+                "3 A": (A.entrywise(lambda v: v.scale(three)),
+                        {(0, 1), (1, 1)}),
+                "A + 3 A": (A + A.entrywise(lambda v: v.scale(three)),
+                            {(0, 0), (0, 1)})}
+    for name, (op, keys) in results.items():
+        assert set(op.entries) == keys, name
+        assert not any(v.is_zero() for v in op.entries.values()), name
 
 
 @pytest.mark.parametrize("ring", sorted(SETUPS))
@@ -193,3 +269,46 @@ def test_block_operators_match_the_per_vector_formulas(ring, regime, data):
         for got, col in zip(new(cd, X).columns(zero), columns):
             for g, w in zip(got, old(cd, col)):
                 assert_same_series(g, w)
+
+
+# -- work-count guard -----------------------------------------------------------
+
+
+def test_monomial_products_build_nothing(monkeypatch, setup_q):
+    # identity_report on an acyclic differential with monomial entries: a
+    # product of two exact monomials makes its one term directly and never
+    # reaches NovikovElem.build; a regression would cost time, not an answer
+    diff = random_equivariant_differential(random.Random(4), setup_q)
+    data, obstruction = solve_iota(diff)
+    assert obstruction is None
+    counts = {"monomial products": 0, "builds inside them": 0}
+    inside = []
+    real_mul, real_build = NovikovElem.__mul__, NovikovElem.build
+
+    def mul(a, b):
+        exact = all(len(x.terms) == 1 and x.trunc is None for x in (a, b))
+        counts["monomial products"] += exact
+        inside.append(exact)
+        try:
+            return real_mul(a, b)
+        finally:
+            inside.pop()
+
+    def build(*args, **kwargs):
+        counts["builds inside them"] += any(inside)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(NovikovElem, "__mul__", mul)
+    monkeypatch.setattr(NovikovElem, "build", staticmethod(build))
+    report = identity_report(data)
+    assert report["identities"]
+    assert counts["monomial products"] > 100
+    assert counts["builds inside them"] == 0
+
+
+def test_the_zero_flag_takes_no_lock():
+    # functools.cached_property takes an RLock on each first access in
+    # Python 3.10 and 3.11, once for every new series
+    assert not isinstance(inspect.getattr_static(USeries, "_zero", None),
+                          functools.cached_property)
+    assert USeries.zero(SETUPS["Q"], ORDER).__dict__["_zero"] is True
