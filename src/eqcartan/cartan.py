@@ -73,10 +73,14 @@ __all__ = [
 REGIMES = ("monotone", "cy")
 
 
-def DEFAULT_U_ORDER(fallback: Optional[int] = None) -> Optional[int]:
-    order = linalg._order_setting(os.environ.get("EQCARTAN_U_ORDER"),
+def DEFAULT_U_ORDER() -> Optional[int]:
+    return linalg._order_setting(os.environ.get("EQCARTAN_U_ORDER"),
                                  "EQCARTAN_U_ORDER")
-    return fallback if order is None else order
+
+
+def _iota_degree(regime: str, k: int) -> int:
+    """The degree of iota_k: -2k in the cy regime, 2 - 2k in the monotone."""
+    return -2 * k if regime == "cy" else 2 - 2 * k
 
 
 @dataclass
@@ -163,8 +167,7 @@ class CartanData:
     def iota_eq(self) -> OperatorMatrix:
         """iota_eq = sum_k u^k iota_k mod u^order as one USeries operator."""
         return _useries_operator(self.setup, self.diff.basis, self.iota,
-                                 self.order, 2 if self.regime == "monotone"
-                                 else 0)
+                                 self.order, _iota_degree(self.regime, 0))
 
     @cached_property
     def iota_q(self) -> OperatorMatrix:
@@ -308,7 +311,7 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
                           "reason": "no iota solves the order-k equation"}
         iotas.append(OperatorMatrix(
             basis, basis, {(i // n, i % n): v for i, v in x.items() if v},
-            -2 * k if regime == "cy" else 2 - 2 * k))
+            _iota_degree(regime, k)))
     return CartanData(diff, tuple(iotas), regime), None
 
 
@@ -334,19 +337,16 @@ def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
 
 def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Termwise multiplication by the total degree i(x) + 2E + 2k."""
-    setup = data.setup
-    lat = setup.lattice
-    basis = data.diff.basis
+    setup, basis = data.setup, data.diff.basis
+    ring, lat = setup.ring, setup.lattice
 
     def weighted(t, v):
-        coeffs = []
-        for k, c in enumerate(v.coeffs):
-            pairs = []
-            for idx, co in c.terms:
-                w = basis[t].index + 2 * k + 2 * lat.exponent_of(idx)
-                pairs.append((idx, setup.ring.mul_rational(co, w)))
-            coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
-        return USeries.build(setup, v.order, coeffs, v.valid)
+        return v._of(tuple(
+            NovikovElem(setup, tuple(
+                (n, p) for n, a in c.terms if (p := ring.mul_rational(
+                    a, basis[t].index + 2 * k + 2 * lat.exponent_of(n)))),
+                c.trunc)
+            for k, c in enumerate(v.coeffs[:v.valid])), v.valid)
 
     return _by_row(X, weighted, X.degree)
 
@@ -609,27 +609,25 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
         return out
 
     def images(block):
-        """Gamma of every column of a block over C's basis, flattened."""
-        cols = [[zero] * len(C.basis) for _ in block.source]
-        for (i, s), v in op(data, _unflatten(diff, block)).entries.items():
-            cols[s][i::diff.n] = v.coeffs  # u^j x_i sits at j * n + i
-        return cols
+        """Gamma of a block over C's basis, u^j x_i flattened to j*n + i."""
+        return OperatorMatrix(block.source, C.basis, {
+            (j * diff.n + i, s): c
+            for (i, s), v in op(data, _unflatten(diff, block)).entries.items()
+            for j, c in enumerate(v.coeffs)})
 
     issues = out["issues"]
-    for ci, col in enumerate(images(X)):
-        coeffs, residue = H.project(col)
-        out["matrix"].append(None if residue
-                             else [setup.format(c) for c in coeffs])
-        if residue is not None:
-            issues.append({"class": ci, "problem": "image not expressible",
-                           "residual_generator": C.basis[residue[0]].name,
-                           "residual": str(residue[1])})
+    coeffs, residues = H.project(images(X))
+    out["matrix"] = [None if ci in residues else [setup.format(c) for c in col]
+                     for ci, col in enumerate(coeffs.columns(zero))]
+    for ci, (g, value) in sorted(residues.items()):
+        issues.append({"class": ci, "problem": "image not expressible",
+                       "residual_generator": C.basis[g].name,
+                       "residual": str(value)})
     # the boundaries d(e_s) are the columns of d
-    boundaries = images(C.d)
-    for s in sorted({s for _, s in C.d.entries}):
-        coeffs, residue = H.project(boundaries[s])
-        if residue is not None or any(c.has_terms() for c in coeffs):
-            issues.append({"boundary_of": C.basis[s].name,
-                           "problem": "image of a boundary is not a boundary"})
+    coeffs, residues = H.project(images(C.d))
+    for s in sorted(residues.keys() | {
+            s for (_, s), c in coeffs.entries.items() if c.has_terms()}):
+        issues.append({"boundary_of": C.basis[s].name,
+                       "problem": "image of a boundary is not a boundary"})
     out["well_defined"] = not issues
     return out

@@ -317,48 +317,50 @@ class CohomologyReport(dict):
     degree's generators, its reduced image rows (None if nothing maps in)
     and its representatives as (column, sparse vector) pairs; a vector is 1
     at its column, where the other representatives and the image rows are
-    0, and 0 at every image pivot column.
+    0, and 0 at every image pivot column.  ``classes`` names the classes
+    in that order: class c is "class c" and carries its degree as index.
     """
 
     blocks: list
+    classes: list
 
-    def project(self, vec):
-        """p on a chain (one scalar per basis generator): the coefficients
-        of the classes, by degree and then by representative, read at the
-        representatives' columns after reducing by the image rows; and the
-        residue, None iff nothing visible is left after taking away the
-        image and the classes (vec is a cocycle), else the first basis
-        position where terms remain, with that value."""
-        coeffs, residue = [], None
-        for gens, images, reps in self.blocks:
-            w = [vec[g] for g in gens]
-            if all(e.is_zero() for e in w):
-                coeffs.extend([w[0]] * len(reps))
-                continue
-            if images is not None:
-                images._reduce(w)
-            a = [w[col] for col, _ in reps]
-            for aj, (_, rep) in zip(a, reps):
-                if aj.has_terms():
-                    for i, r in rep.items():
-                        w[i] = w[i] - (aj * r)
-            coeffs.extend(a)
-            bad = next((i for i, e in enumerate(w) if e.has_terms()), None)
-            if residue is None and bad is not None:
-                residue = (gens[bad], w[bad])
-        return coeffs, residue
+    def project(self, block: OperatorMatrix):
+        """p on a block of columns over the complex's basis: the block of
+        the classes' coefficients (rows ``classes``) and the residues
+        {column: (basis position, value)} of the non-cocycle columns.  Per
+        degree where it stores an entry, a column is reduced by the image
+        rows, its coefficients are read at the representatives' columns,
+        the classes with visible ones are taken away, and its residue is the
+        least position with visible terms in the first degree keeping any."""
+        where = {g: (b, i) for b, (gens, _, _) in enumerate(self.blocks)
+                 for i, g in enumerate(gens)}
+        parts = [defaultdict(dict) for _ in self.blocks]  # column -> vector
+        for (g, s), v in block.entries.items():
+            b, i = where[g]
+            parts[b][s][i] = v
+        coeffs, residues, first = {}, {}, 0
+        for (gens, images, reps), columns in zip(self.blocks, parts):
+            for s, w in columns.items():
+                if images is not None:
+                    images._reduce(w)
+                a = [(first + j, w[col], rep)
+                     for j, (col, rep) in enumerate(reps) if col in w]
+                for c, aj, rep in a:
+                    coeffs[(c, s)] = aj
+                    if aj.has_terms():
+                        linalg._axpy(w, aj, rep)
+                if bad := [i for i, e in w.items() if e.has_terms()]:
+                    residues.setdefault(s, (gens[min(bad)], w[min(bad)]))
+            first += len(reps)
+        return OperatorMatrix(block.source, self.classes, coeffs), residues
 
     def class_block(self, basis) -> OperatorMatrix:
         """The representatives as the columns of one block over the
-        complex's basis, in the order of ``project``'s coefficients; column
-        c is named "class c" and carries its degree as its index."""
-        columns, entries = [], {}
-        for k, (gens, _, reps) in zip(self["degrees"], self.blocks):
-            for _, rep in reps:
-                for i, v in rep.items():
-                    entries[(gens[i], len(columns))] = v
-                columns.append(GeneratorInfo(f"class {len(columns)}", k))
-        return OperatorMatrix(columns, basis, entries)
+        complex's basis: column c is class c."""
+        reps = [(gens, r) for gens, _, reps in self.blocks for _, r in reps]
+        return OperatorMatrix(self.classes, basis, {
+            (gens[i], c): v for c, (gens, r) in enumerate(reps)
+            for i, v in r.items()})
 
 
 def cohomology_over_novikov_field(C: GradedComplex,
@@ -403,7 +405,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
         "verified_q_order_index": verified,
         "pivot_rule": "minimal q-valuation, then row, then column",
     })
-    report.blocks = []
+    report.blocks, report.classes = [], []
     for k in degrees:
         n_k = len(C.generators_in_degree(k))
         if n_k == 0:
@@ -432,6 +434,8 @@ def cohomology_over_novikov_field(C: GradedComplex,
                 for _, rep in reps],
         }
         report.blocks.append((C.generators_in_degree(k), images, reps))
+        report.classes += [GeneratorInfo(f"class {len(report.classes) + j}", k)
+                           for j in range(len(reps))]
     return report
 
 
@@ -763,8 +767,7 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
     """
     ht = cohomology_over_novikov_field(target, q_order)
     degrees = set(hs["degrees"]) | set(ht["degrees"])
-    pushed = proj.compose(hs.class_block(source.basis)).columns(
-        source.setup.zero())
+    coeffs, residues = ht.project(proj.compose(hs.class_block(source.basis)))
     for k in sorted(degrees):
         dim_s = hs["degrees"].get(k, {}).get("betti", 0)
         dim_t = ht["degrees"].get(k, {}).get("betti", 0)
@@ -773,15 +776,13 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                     "reason": f"cohomology ranks differ ({dim_s} vs {dim_t})"}
         if dim_s == 0:
             continue
-        # both list the classes by degree: those of degree k start here
-        first = sum(e["betti"] for j, e in ht["degrees"].items() if j < k)
-        induced = []
-        for col in pushed[first:first + dim_t]:
-            coeffs, residue = ht.project(col)
-            if residue is not None:
-                raise InternalError(
-                    f"the image of a cocycle in degree {k} is not a cocycle")
-            induced.append(dict(enumerate(coeffs[first:first + dim_t])))
+        # lower degrees agree, so both list the classes of degree k here
+        span = [c for c, g in enumerate(ht.classes) if g.index == k]
+        if any(s in residues for s in span):
+            raise InternalError(
+                f"the image of a cocycle in degree {k} is not a cocycle")
+        induced = [{c: coeffs.entries[(c, s)] for c in span
+                    if (c, s) in coeffs.entries} for s in span]
         if linalg.row_reduce(induced, source.setup, q_order).rank != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}

@@ -204,14 +204,13 @@ class Reduction:
                 _axpy(w, g, row)
         return w
 
-    def _reduce(self, w: List[NovikovElem]) -> List[NovikovElem]:
-        """The dense vector w less its part along the divided pivot rows,
-        in place: every pivot column of the result is 0."""
+    def _reduce(self, w: SparseRow) -> SparseRow:
+        """The sparse vector w less its part along the divided pivot rows,
+        in place: no pivot column of the result has visible terms."""
         for r, c in self.pivots:
-            f = w[c]
-            if f.has_terms():
-                for col, b in self.reduced[r].items():
-                    w[col] = w[col] - (f * b)
+            f = w.get(c)
+            if f is not None and f.has_terms():
+                _axpy(w, f, self.reduced[r])
         return w
 
 

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from .novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from .complexes import GeneratorInfo, GradedComplex, GradingKind, OperatorMatrix
-from .cartan import CartanData, EquivariantDifferential
+from .cartan import CartanData, EquivariantDifferential, _iota_degree
 from .quantum import QuantumRing
 from .finite2 import Z2CartanData
 
@@ -418,8 +418,8 @@ def cartan_from(doc: dict,
         ops = []
         for k, items in enumerate(block["components"]):
             entries = _matrix_from(items, diff.basis, diff.setup)
-            deg = -2 * k if regime == "cy" else 2 - 2 * k
-            ops.append(OperatorMatrix(diff.basis, diff.basis, entries, deg))
+            ops.append(OperatorMatrix(diff.basis, diff.basis, entries,
+                                      _iota_degree(regime, k)))
         iota_ops = tuple(ops)
     return CartanData(diff, iota_ops, regime)
 

@@ -40,6 +40,13 @@ Cartan operators or the operator products they are compared with.
 ``test_cohomology_projection.py`` asserts that the versions reading the
 cohomology projection give the same classes, matrices and verdicts.
 
+``project`` is the projection p of a ``CohomologyReport`` on one dense
+vector, with ``reduce_dense`` the dense form of ``Reduction._reduce``: the
+per-vector form that ``CohomologyReport.project`` on a block of columns
+replaced.  ``test_cohomology_projection.py`` asserts that the block
+projection returns, column by column, the same coefficients, tails and
+residues.
+
 Products skip only decidably zero operands (``is_zero()``), as
 ``OperatorMatrix.compose`` does, so a termless ``O(q^T)`` entry carries its
 tail into a product.
@@ -1027,3 +1034,44 @@ def quasi_iso_verdict(proj, source, target, q_order=None):
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}
     return {"quasi_isomorphism": True}
+
+
+# -- the cohomology projection on one dense vector ---------------------------
+
+
+def reduce_dense(red, w):
+    """The dense vector w less its part along the divided pivot rows of a
+    ``linalg.Reduction``, in place."""
+    for r, c in red.pivots:
+        f = w[c]
+        if f.has_terms():
+            for col, b in red.reduced[r].items():
+                w[col] = w[col] - (f * b)
+    return w
+
+
+def project(H, vec):
+    """p of a ``CohomologyReport`` on one chain (one scalar per basis
+    generator): the coefficients of the classes, by degree and then by
+    representative, read at the representatives' columns after reducing by
+    the image rows; and the residue, None iff nothing visible is left after
+    taking away the image and the classes (vec is a cocycle), else the
+    first basis position where terms remain, with that value."""
+    coeffs, residue = [], None
+    for gens, images, reps in H.blocks:
+        w = [vec[g] for g in gens]
+        if all(e.is_zero() for e in w):
+            coeffs.extend([w[0]] * len(reps))
+            continue
+        if images is not None:
+            reduce_dense(images, w)
+        a = [w[col] for col, _ in reps]
+        for aj, (_, rep) in zip(a, reps):
+            if aj.has_terms():
+                for i, r in rep.items():
+                    w[i] = w[i] - (aj * r)
+        coeffs.extend(a)
+        bad = next((i for i, e in enumerate(w) if e.has_terms()), None)
+        if residue is None and bad is not None:
+            residue = (gens[bad], w[bad])
+    return coeffs, residue

@@ -244,6 +244,7 @@ def test_criterion_9_morse_numerics():
 
 
 CLI_MATRIX = [
+    ["validate", "classes_case.json"],
     ["validate", "cone_case.json"],
     ["validate", "dvr_case.json"],
     ["validate", "exact_case.json"],

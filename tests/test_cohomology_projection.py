@@ -1,13 +1,15 @@
 """The cohomology projection p and the verdicts read through it.
 
 ``cohomology_over_novikov_field`` returns, with its report, the projection
-p onto the classes (``CohomologyReport.project``).  ``induced_connection``
-reads each row of the connection matrix with p and certifies
-well-definedness by projecting Gamma(d e_i); the cone verdict is the rank
-of the induced square matrix.  ``dense_reference`` keeps the former
-versions, which solve against [representatives | every boundary] and rank
-pushed representatives together with the boundaries; both must give the
-same classes, matrices and verdicts.
+p onto the classes (``CohomologyReport.project``), a map of blocks.
+``induced_connection`` reads the connection matrix with p on the block of
+class images and certifies well-definedness by projecting the block of the
+Gamma(d e_i); the cone verdict is the rank of the induced square matrix.
+``dense_reference`` keeps the former versions, which solve against
+[representatives | every boundary] and rank pushed representatives together
+with the boundaries; both must give the same classes, matrices and
+verdicts.  It also keeps p on one dense vector, which the block projection
+must match column by column, field for field.
 """
 
 import json
@@ -22,11 +24,10 @@ from eqcartan.cartan import (CartanData, flatten_equivariant,
 from eqcartan.complexes import (GeneratorInfo, GradedComplex, GradingKind,
                                 OperatorMatrix, cohomology_over_novikov_field,
                                 mapping_cone)
-from eqcartan.novikov import ScalarSetup
+from eqcartan.novikov import NovikovElem, ScalarSetup
 from eqcartan.quantum import projective_space_model
 
-from conftest import (normal_form_differential,
-                      random_equivariant_differential, via_block)
+from conftest import normal_form_differential, random_equivariant_differential
 from test_cartan import monotone_pair
 
 SETUP_Q = ScalarSetup.make(1, "Q")
@@ -145,50 +146,152 @@ def _random_flat_complex(seed):
     return flatten_equivariant(diff)
 
 
-def _classes(C, H):
-    zero = C.setup.zero()
-    out = []
-    for k in sorted(H["degrees"]):
-        gens = C.generators_in_degree(k)
-        for rep in H["degrees"][k]["representatives"]:
-            full = [zero] * len(C.basis)
-            for pos, g in enumerate(gens):
-                full[g] = rep[pos]
-            out.append(full)
-    return out
+def _columns(basis, names, columns):
+    """A block over ``basis`` with one column per {position: value} dict."""
+    return OperatorMatrix([GeneratorInfo(n) for n in names], basis,
+                          {(i, s): v for s, col in enumerate(columns)
+                           for i, v in col.items()})
+
+
+def _column(block, s):
+    return {i: v for (i, t), v in block.entries.items() if t == s}
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_projection_identities_on_random_complexes(seed):
     C = _random_flat_complex(seed)
     H = cohomology_over_novikov_field(C)
-    reps = _classes(C, H)
-    zero = C.setup.zero()
+    one = C.setup.one()
+    X = H.class_block(C.basis)
+    m = len(X.source)
     # p(rep_j) = e_j
-    for j, rep in enumerate(reps):
-        coeffs, residue = H.project(rep)
-        assert residue is None
-        assert [c.has_terms() for c in coeffs] == [i == j for i in
-                                                   range(len(reps))]
-        assert coeffs[j].terms == C.setup.one().terms
-    # p(d e_i) = 0; e_i with d e_i != 0 is no cocycle and leaves a residue
+    coeffs, residues = H.project(X)
+    assert residues == {}
+    for j in range(m):
+        col = _column(coeffs, j)
+        assert {i for i, c in col.items() if c.has_terms()} == {j}
+        assert col[j].terms == one.terms
+    # p(d e_i) = 0 with no residue: the columns of d are the boundaries
+    coeffs, residues = H.project(C.d)
+    assert residues == {}
+    assert not any(c.has_terms() for c in coeffs.entries.values())
+    # e_i with d e_i != 0 is no cocycle and leaves a residue
     sources = sorted({s for _, s in C.d.entries})
-    for s in sources:
-        e = [zero] * len(C.basis)
-        e[s] = C.setup.one()
-        coeffs, residue = H.project(via_block(C.d.compose, C.basis, e, zero))
-        assert residue is None
-        assert not any(c.has_terms() for c in coeffs)
-        coeffs, residue = H.project(e)
-        assert residue is not None and residue[1].has_terms()
+    _, residues = H.project(_columns(C.basis, sources,
+                                     [{s: one} for s in sources]))
+    assert sorted(residues) == list(range(len(sources)))
+    assert all(value.has_terms() for _, value in residues.values())
     # a class plus a boundary keeps the class's coefficients
-    if reps and sources:
-        ones = [C.setup.one()] * len(C.basis)
-        shifted = [a + b for a, b in
-                   zip(reps[-1], via_block(C.d.compose, C.basis, ones, zero))]
-        coeffs, residue = H.project(shifted)
-        assert residue is None
-        assert coeffs == H.project(reps[-1])[0]
+    if m and sources:
+        ones = _columns(C.basis, ["1"], [dict.fromkeys(range(len(C.basis)),
+                                                       one)])
+        rep = _columns(C.basis, ["1"], [_column(X, m - 1)])
+        coeffs, residues = H.project(rep + C.d.compose(ones))
+        assert residues == {}
+        assert coeffs.entries == H.project(rep)[0].entries
+
+
+def _graded_chain(seed, tailed=False):
+    """A Z-graded complex over degrees 0..3: free generators and pairs
+    x -> c q^e y one degree up, conjugated within each degree by elementary
+    factors, so that several degrees hold classes, boundaries and
+    non-cocycles and a column can leave a residue in more than one.  When
+    ``tailed``, every entry of d carries a q-tail a few steps above its
+    terms, which the representatives may then carry too."""
+    rng = random.Random(500 + seed)
+    setup = rng.choice([SETUP_Q, SETUP_F5])
+    basis, entries = [], {}
+    for k in range(4):
+        basis += [GeneratorInfo(f"f{k}.{i}", k)
+                  for i in range(rng.randint(0, 2))]
+    for k in range(3):
+        for i in range(rng.randint(1, 2)):
+            basis += [GeneratorInfo(f"x{k}.{i}", k),
+                      GeneratorInfo(f"y{k}.{i}", k + 1)]
+            entries[(len(basis) - 1, len(basis) - 2)] = setup.monomial(
+                rng.choice([1, 2, -1]), rng.randint(0, 2))
+    n, one = len(basis), setup.one()
+    d = OperatorMatrix(basis, basis, entries, 1)
+    for _ in range(6):
+        a, b = rng.sample(range(n), 2)
+        if basis[a].index == basis[b].index:
+            f = setup.monomial(rng.choice([1, -1]), rng.randint(0, 1))
+            P, P_inv = (OperatorMatrix(basis, basis, {
+                **{(i, i): one for i in range(n)}, (a, b): g}) for g in (f, -f))
+            d = P.compose(d).compose(P_inv)
+    if tailed:
+        d = d.entrywise(lambda v: NovikovElem.build(
+            setup, v.terms, v.terms[-1][0] + rng.randint(2, 4)))
+    return GradedComplex(setup, GradingKind("Z"), tuple(basis), d)
+
+
+def _with_tails(rng, setup, n):
+    """A column with a random entry at about half of n positions: an exact
+    monomial, a termless O(q^T) or two terms below a tail."""
+    col = {}
+    for i in range(n):
+        e, c = rng.randint(-1, 3), setup.ring.coerce(rng.choice([1, -1, 2]))
+        kind = rng.randrange(6)
+        if kind == 0:
+            col[i] = NovikovElem.build(setup, [(e, c)])
+        elif kind == 1:
+            col[i] = NovikovElem(setup, (), e + 2)
+        elif kind == 2:
+            col[i] = NovikovElem.build(setup, [(e, c), (e + 1, 1)], e + 3)
+    return col
+
+
+ORACLE_CASES = ([(f"flat-{s}", lambda s=s: _random_flat_complex(s))
+                 for s in range(12)]
+                + [(f"graded-{s}", lambda s=s: _graded_chain(s))
+                   for s in range(6)]
+                + [(f"tailed-{s}", lambda s=s: _graded_chain(s, True))
+                   for s in range(16, 28)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_CASES],
+                         ids=[i for i, _ in ORACLE_CASES])
+def test_block_projection_matches_the_dense_oracle(make):
+    """Column by column, the block projection gives the coefficients (terms
+    and tails) and the residue (position and value) of p on that column as
+    one dense vector, on a block that mixes classes, boundaries,
+    non-cocycles, zero columns, tailed columns and classes with a tail."""
+    C = make()
+    H = cohomology_over_novikov_field(C)
+    setup, n, zero = C.setup, len(C.basis), C.setup.zero()
+    rng = random.Random(len(C.basis))
+    X = H.class_block(C.basis)
+    classes = [_column(X, j) for j in range(len(X.source))]
+    columns = classes + [_column(C.d, s) for s in range(n)]
+    columns += [{s: setup.one()} for s in range(n)] + [{}]
+    columns += [_with_tails(rng, setup, n) for _ in range(6)]
+    for col in classes[:4]:
+        tail = _with_tails(rng, setup, n)
+        columns.append({i: col.get(i, zero) + tail.get(i, zero)
+                        for i in sorted(col.keys() | tail.keys())})
+    # each class with its 1 replaced by O(q^2): a termless coefficient, which
+    # is not taken away, so the rest of the class is the residue
+    for gens, _, reps in H.blocks:
+        columns += [{gens[i]: NovikovElem(setup, (), 2) if i == c else v
+                     for i, v in rep.items()} for c, rep in reps]
+    block = _columns(C.basis, map(str, range(len(columns))), columns)
+    coeffs, residues = H.project(block)
+    assert coeffs.target == tuple(X.source)
+
+    def fields(x):
+        return (x.terms, x.trunc)
+
+    for s in range(len(columns)):
+        dense = [block.entries.get((i, s), zero) for i in range(n)]
+        want, want_residue = ref.project(H, dense)
+        got = [coeffs.entries.get((c, s), zero) for c in range(len(want))]
+        assert list(map(fields, got)) == list(map(fields, want))
+        if want_residue is None:
+            assert s not in residues
+        else:
+            position, value = residues[s]
+            assert position == want_residue[0]
+            assert fields(value) == fields(want_residue[1])
 
 
 # -- cone verdicts ------------------------------------------------------------

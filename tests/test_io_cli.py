@@ -346,9 +346,9 @@ def test_q_order_env_is_read(monkeypatch):
 def test_u_order_env_is_read(monkeypatch):
     from eqcartan.cartan import DEFAULT_U_ORDER
     monkeypatch.setenv("EQCARTAN_U_ORDER", "7")
-    assert DEFAULT_U_ORDER(3) == 7
+    assert DEFAULT_U_ORDER() == 7
     monkeypatch.delenv("EQCARTAN_U_ORDER")
-    assert DEFAULT_U_ORDER(3) == 3
+    assert DEFAULT_U_ORDER() is None
 
 
 def test_empty_order_settings_mean_unset(monkeypatch):
@@ -357,7 +357,7 @@ def test_empty_order_settings_mean_unset(monkeypatch):
     monkeypatch.setenv("EQCARTAN_Q_ORDER", "")
     monkeypatch.setenv("EQCARTAN_U_ORDER", "")
     assert DEFAULT_Q_ORDER() == 64
-    assert DEFAULT_U_ORDER(3) == 3
+    assert DEFAULT_U_ORDER() is None
     monkeypatch.setenv("EQCARTAN_Q_ORDER", " 17 ")
     assert DEFAULT_Q_ORDER() == 17
 
