@@ -268,6 +268,7 @@ CLI_MATRIX = [
     ["cartan", "connection", "--which", "q", "monotone_case.json"],
     ["cartan", "connection", "--which", "u", "monotone_case.json"],
     ["cartan", "verify", "classes_case.json"],
+    ["cartan", "verify", "mod2_case.json"],
     ["cartan", "connection", "--which", "q", "classes_case.json"],
     ["cartan", "connection", "--which", "u", "classes_case.json"],
     ["quantum", "check", "quantum_cp1.json"],
@@ -276,6 +277,7 @@ CLI_MATRIX = [
     ["cone", "cone_case.json"],
     ["validate", "failing/broken_case.json"],
     ["cartan", "verify", "failing/broken_case.json"],
+    ["cartan", "verify", "failing/broken_cy_case.json"],
     ["quantum", "check", "failing/broken_case.json"],
 ]
 
