@@ -19,8 +19,9 @@ on the regime:
 In both regimes iota_mono (the matrix part entering Gamma_u) is the family
 satisfying [d_eq, iota_mono] = u * lambda_graded_eq, i.e. iota itself in the
 monotone regime and q * iota in the Calabi-Yau one.  With this convention
-the same four matrix identities hold in both regimes and the Euler-type
-relation  Gamma_u + 2q Gamma_q = u * deg  is exact.
+[Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u * d_eq in
+both regimes (deg the total degree), so both operators descend to
+equivariant cohomology, and  Gamma_u + 2q Gamma_q = u * deg  is exact.
 
 ``gamma_q``, ``gamma_u`` and ``degree_weighted`` map a block (an
 ``OperatorMatrix`` whose columns are u-series vectors) to a block: the
@@ -189,17 +190,15 @@ class CartanData:
 # -- USeries operators --------------------------------------------------------
 
 
-def _useries_operator(setup, basis, components, order, degree,
-                      shift: int = 0) -> OperatorMatrix:
-    """sum_k u^(k + shift) * components[k] mod u^order; components are
+def _useries_operator(setup, basis, components, order,
+                      degree) -> OperatorMatrix:
+    """sum_k u^k * components[k] mod u^order; components are
     Novikov-valued operators on ``basis``."""
     coeffs: Dict[Tuple[int, int], list] = {}
     z = setup.zero()
-    for k, comp in enumerate(components):
-        if k + shift >= order:
-            break
+    for k, comp in enumerate(components[:order]):
         for key, v in comp.entries.items():
-            coeffs.setdefault(key, [z] * order)[k + shift] = v
+            coeffs.setdefault(key, [z] * order)[k] = v
     entries = {key: USeries.build(setup, order, cs)
                for key, cs in coeffs.items()}
     return OperatorMatrix(basis, basis, entries, degree)
@@ -325,14 +324,16 @@ def gamma_q(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
 
 
 def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
-    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns."""
+    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns;
+    2*iota_mono is scaled before the product, which keeps more of a tailed
+    column's product where 2 is a zero divisor (Z/6)."""
     setup = data.setup
     two = setup.monomial(2, 0)
-    mu = data.diff.mu_diag()
+    mu = [setup.monomial(m, 0) for m in data.diff.mu_diag()]
     free = _by_row(X, lambda t, v: (
         useries_du(v).times_u(2).scale(two)
-        + v.scale(setup.monomial(mu[t], 0)).times_u()), X.degree + 2)
-    return free - data.iota_mono.compose(X).entrywise(lambda p: p.scale(two))
+        + v.scale(mu[t]).times_u()), X.degree + 2)
+    return free - data.iota_mono.entrywise(lambda e: e.scale(two)).compose(X)
 
 
 def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
@@ -351,14 +352,25 @@ def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     return _by_row(X, weighted, X.degree)
 
 
+def _euler_bracket(data: CartanData, X: OperatorMatrix,
+                   gq: OperatorMatrix) -> OperatorMatrix:
+    """u deg(X) - 2q gq, gq = Gamma_q X: Gamma_u X by the Euler relation."""
+    two, step = data.setup.monomial(2, 0), data.setup.lattice.steps_per_unit
+    return (degree_weighted(data, X).entrywise(lambda w: w.times_u())
+            - gq.entrywise(lambda g: g.scale(two).q_shift(step)))
+
+
 # -- identity self-tests ------------------------------------------------------
 
 
 def identity_report(data: CartanData) -> dict:
     """Verify the matrix and operator identities of the Cartan package.
 
-    Each identity entry carries a verdict plus the u-order and q-order
-    indices to which the vanishing was actually certified.
+    Identities 2-4 are the commutators [Gamma_q, d_eq] = 0,
+    [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u d_eq of ``gamma_q``,
+    ``degree_weighted`` and ``gamma_u`` themselves; 5-7 are checked on the
+    sample block.  Each identity entry carries a verdict plus the u-order
+    and q-order indices to which the vanishing was actually certified.
     """
     diff = data.diff
     setup = data.setup
@@ -382,58 +394,46 @@ def identity_report(data: CartanData) -> dict:
 
     # 1b. d_eq anticommutes with lambda_eq := entrywise d/dq of d_eq
     #     (the q-derivative of d_eq^2 = 0)
-    lam_plain = _useries_operator(setup, basis, lambda_components(diff, "cy"),
-                                  N, 1)
+    lam = _useries_operator(setup, basis, lambda_components(diff, "cy"), N, 1)
     record("lambda_eq anticommutes with d_eq",
-           _entries(d_eq.compose(lam_plain) + lam_plain.compose(d_eq)))
+           _entries(d_eq.compose(lam) + lam.compose(d_eq)))
 
-    # 2. [d_eq, iota_eq] = u * lambda_eq (regime normalization); component
-    #    k of lambda sits at u^(k+1)
-    lam_u = _useries_operator(setup, basis,
-                              lambda_components(diff, data.regime), N, 1,
-                              shift=1)
+    # 2-4. commutators with d_eq of the connection's own operators: op on
+    # the columns of d_eq less d_eq after op on the units is [op, d_eq],
+    # since op's derivation part obeys the Leibniz rule
+    one = USeries.from_novikov(setup.one(), N)
+    units = OperatorMatrix(basis, basis, {(i, i): one for i in range(diff.n)})
+
+    def bracket(op):
+        return op(data, d_eq) - d_eq.compose(op(data, units))
+
+    # 2. [Gamma_q, d_eq] = 0, printed as [d_eq, iota_eq] - u * lambda_eq in
+    #    the regime's normalization: Gamma_q carries q^-1 iota_eq in the
+    #    monotone regime, so the bracket is scaled by -q there, by -1 in cy
+    sign = setup.monomial(-1, 1 if data.regime == "monotone" else 0)
     record("connection commutes with d_eq",
-           _entries(_commutator(d_eq, data.iota_eq) - lam_u))
+           _entries(bracket(gamma_q).entrywise(lambda e: e.scale(sign))))
 
-    # 3. d_eq has total degree 1: deg(d_eq) - d_eq - d_eq mu = 0, i.e. each
-    #    term q^E u^k of entry (t, s) has mu_t + 2E + 2k - 1 - mu_s = 0
-    mu = diff.mu_diag()
-    d_mu = OperatorMatrix(basis, basis, {
-        (t, s): v.scale(setup.monomial(mu[s], 0))
-        for (t, s), v in d_eq.entries.items()}, 1)
+    # 3. [deg, d_eq] = d_eq: d_eq has total degree 1
     record("index operator homogeneity",
-           _entries(degree_weighted(data, d_eq) - d_eq - d_mu))
+           _entries(bracket(degree_weighted) - d_eq))
 
-    # 4. [Gamma_u, d_eq] = u * d_eq at the matrix level:
-    #    sum 2k u^(k+1) d_k + [u mu - 2 iota_mono, d_eq] - u d_eq = 0
-    du_part = _useries_operator(
-        setup, basis, [op.entrywise(lambda e, k=k: e.scale(2 * k))
-                       for k, op in enumerate(diff.components)], N, 1,
-        shift=1)
-    two = setup.monomial(2, 0)
-    mat_part = (OperatorMatrix(basis, basis,
-                               {(t, t): mu_mat_entry(setup, N, mu[t])
-                                for t in range(diff.n)}, 2)
-                - data.iota_mono.entrywise(lambda e: e.scale(two)))
-    u_d = d_eq.entrywise(lambda e: e.times_u())
-    record("gamma_u commutator",
-           _entries(du_part + (_commutator(mat_part, d_eq) - u_d)))
+    # 4. [Gamma_u, d_eq] = u * d_eq
+    record("gamma_u commutator", _entries(
+        bracket(gamma_u) - d_eq.entrywise(lambda e: e.times_u())))
 
     # 5-7. operator identities on the sample block, column by column
     X = sample_block(setup, basis, N)
     gu, gq = gamma_u(data, X), gamma_q(data, X)
 
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
-    step = setup.lattice.steps_per_unit
-    record("euler relation", _columns(
-        gu + gq.entrywise(lambda g: g.scale(two).q_shift(step))
-        - degree_weighted(data, X).entrywise(lambda w: w.times_u())))
+    record("euler relation", _columns(gu - _euler_bracket(data, X, gq)))
 
     # 6. Leibniz rule for Gamma_u with f = q + u:
     #    Gamma_u(f x) = f Gamma_u(x) + 2 u^2 (df/du) x,  2 u^2 df/du = 2 u^2
     f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
     fX = X.entrywise(lambda w: w * f)
-    df2 = USeries.from_novikov(two, N, 2)
+    df2 = USeries.from_novikov(setup.monomial(2, 0), N, 2)
     record("leibniz", _columns(gamma_u(data, fX) - (
         gu.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * df2))))
 
@@ -446,10 +446,6 @@ def identity_report(data: CartanData) -> dict:
     return {"regime": data.regime, "order": N,
             "identities": results,
             "all_hold": all(r["holds"] for r in results)}
-
-
-def mu_mat_entry(setup, order, weight) -> USeries:
-    return USeries.from_novikov(setup.monomial(weight, 0), order, 1)
 
 
 # -- reduction mod m ----------------------------------------------------------

@@ -181,10 +181,10 @@ class OperatorMatrix:
             raise NovikovError("operator addition basis mismatch")
         acc = dict(self.entries)
         for k, v in other.entries.items():
-            s = -v if subtract else v
-            s = acc[k] + s if k in acc else s
-            if s.is_zero():
-                acc.pop(k, None)
+            if k not in acc:
+                acc[k] = -v if subtract else v
+            elif (s := acc[k] - v if subtract else acc[k] + v).is_zero():
+                del acc[k]
             else:
                 acc[k] = s
         return OperatorMatrix._made(self.source, self.target, acc, self.degree)

@@ -422,7 +422,7 @@ class NovikovElem:
         )
 
     def __sub__(self, other: "NovikovElem") -> "NovikovElem":
-        return self + (-other)
+        return self + (-other if other.terms else other)
 
     def __mul__(self, other: "NovikovElem") -> "NovikovElem":
         _check_same_setup(self, other)
@@ -573,14 +573,16 @@ class USeries:
     coefficient is a decidably zero NovikovElem (``is_zero()``, a flag set
     once at construction).  ``+``, ``-``, negation, ``*``, ``scale`` and
     ``q_shift`` with a decidably zero series operand skip the general
-    formula: a sum returns the other operand, a product, negation, scaling
-    or shift returns the zero operand, values equal field for field to what
-    the formula gives (same coefficients, tails and ``valid``).  A series
+    formula: a sum returns the other operand, a difference the other
+    operand or its negative, a product, negation, scaling or shift returns
+    the zero operand, values equal field for field to what the formula
+    gives (same coefficients, tails and ``valid``); so does a product whose
+    right operand is the exact unit 1, which returns the left.  A series
     that lost u-order or whose coefficients carry q-tails always goes
     through the formula; so does ``useries_du``, which lowers ``valid``
     even of an exact zero.
 
-    Results are canonical by construction: ``+``, ``*``, ``scale``,
+    Results are canonical by construction: ``+``, ``-``, ``*``, ``scale``,
     ``q_shift`` and ``times_u`` make only the coefficients below the
     result's ``valid``, without ``build``; ``*`` and ``scale`` skip
     decidably zero coefficients.  Each call checks the scalar setups once.
@@ -690,7 +692,12 @@ class USeries:
                        tuple(-c for c in self.coeffs), self.valid)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return self + (-other)
+        self._common(other)
+        if self._zero or other._zero:
+            return self if other._zero else -other
+        v = min(self.valid, other.valid)
+        return self._of(tuple(a + (-b if b.terms else b) for a, b in zip(
+            self.coeffs[:v], other.coeffs[:v])), v)
 
     def __mul__(self, other: "USeries") -> "USeries":
         self._common(other)
@@ -703,6 +710,9 @@ class USeries:
                 other._lead() + self.valid)
         bs = [(j, b) for j, b in enumerate(other.coeffs[:min(v, other.valid)])
               if not b.is_zero()]
+        if (other.valid == self.order and len(bs) == 1 and bs[0][0] == 0
+                and bs[0][1].terms == ((0, 1),) and bs[0][1].trunc is None):
+            return self  # other is the exact unit 1
         out = [self.setup.zero()] * v
         for i, a in enumerate(self.coeffs[:min(v, self.valid)]):
             if a.is_zero():
@@ -754,10 +764,8 @@ def useries_du(a: USeries) -> USeries:
     The result is re-padded to length N with the lost order recorded in
     ``valid`` (= old valid - 1).
     """
-    ring = a.setup.ring
-    out = []
-    for k in range(1, a.valid):
-        out.append(a.coeffs[k].scale(ring.coerce(k)))
+    out = [c if c.is_zero() else c.scale(k)
+           for k, c in enumerate(a.coeffs[1:a.valid], 1)]
     return USeries.build(a.setup, a.order, out, max(0, a.valid - 1))
 
 

@@ -54,7 +54,7 @@ from .novikov import (
 )
 from .complexes import GeneratorInfo, GradingKind, OperatorMatrix, sample_block
 from .cartan import (CartanData, EquivariantDifferential, _columns,
-                     _iota_degree, degree_weighted, gamma_q, gamma_u)
+                     _euler_bracket, _iota_degree, gamma_q, gamma_u)
 
 __all__ = [
     "QuantumRing",
@@ -223,18 +223,12 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     """
     setup = Q.setup
     step = setup.lattice.steps_per_unit
-    two = setup.monomial(2, 0)
     homog = Q.homogeneity_witnesses()
     data = Q.cartan_data(order)
-
-    def bracket(X):
-        return (degree_weighted(data, X).entrywise(lambda t: t.times_u())
-                - gamma_q(data, X).entrywise(
-                    lambda g: g.scale(two).q_shift(step)))
-
     X = sample_block(setup, Q.basis, order)
-    B = bracket(X)
-    defect = (bracket(X.entrywise(lambda v: v.q_shift(step)))
+    B = _euler_bracket(data, X, gamma_q(data, X))
+    qX = X.entrywise(lambda v: v.q_shift(step))
+    defect = (_euler_bracket(data, qX, gamma_q(data, qX))
               - B.entrywise(lambda v: v.q_shift(step)))
     linear_witnesses = [{
         "check": "bracket q-linearity", "sample": where["sample"],

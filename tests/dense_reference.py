@@ -539,8 +539,12 @@ def gamma_u(data, vec):
         out.append(term)
     M = iota_mono_useries(data)
     if M:
-        part = _apply_dense(M, vec, USeries.zero(setup, data.order))
-        out = [a - p.scale(two) for a, p in zip(out, part)]
+        # the matrix part 2*iota_mono is scaled before the product: where 2
+        # is a zero divisor (F2, Z/6) the scaled entry has the higher
+        # valuation, so its product with a tailed vector keeps more of q
+        part = _apply_dense(_dmap(M, lambda e: e.scale(two)), vec,
+                            USeries.zero(setup, data.order))
+        out = [a - p for a, p in zip(out, part)]
     return out
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from eqcartan import cartan
 from eqcartan.cartan import (
     CartanData,
     _scan,
@@ -180,6 +181,55 @@ def test_identity_report_catches_wrong_iota():
     rep = identity_report(data)
     bad = {r["identity"] for r in rep["identities"] if not r["holds"]}
     assert "connection commutes with d_eq" in bad
+
+
+def _without_iota(op):
+    """op as if the iota family were zero."""
+    return lambda data, X: op(CartanData(data.diff, (), data.regime), X)
+
+
+def _degree_without_q_weight(data, X):
+    """degree_weighted without its 2E term: i(x) + 2k only."""
+    setup, basis = data.setup, data.diff.basis
+    return OperatorMatrix(X.source, X.target, {
+        (t, s): USeries.build(setup, v.order, [
+            c.scale(basis[t].index + 2 * k)
+            for k, c in enumerate(v.coeffs)], v.valid)
+        for (t, s), v in X.entries.items()}, X.degree)
+
+
+@pytest.mark.parametrize("name,patch", [
+    ("connection commutes with d_eq", ("gamma_q", _without_iota(gamma_q))),
+    ("gamma_u commutator", ("gamma_u", _without_iota(gamma_u))),
+    ("index operator homogeneity",
+     ("degree_weighted", _degree_without_q_weight)),
+])
+def test_identities_2_to_4_read_the_connection_operators(monkeypatch, name,
+                                                         patch):
+    # identities 2-4 are commutators [op, d_eq] of the operators themselves,
+    # so an operator that loses a part fails its identity
+    data, obstruction = solve_iota(monotone_pair())
+    assert obstruction is None
+    assert identity_report(data)["all_hold"]
+    monkeypatch.setattr(cartan, *patch)
+    by_name = {r["identity"]: r for r in identity_report(data)["identities"]}
+    assert not by_name[name]["holds"]
+
+
+def test_gamma_u_scales_iota_before_the_product():
+    # over Z/6, 2*iota = 2*(3 + q^2 + O(q^4)) = 2q^2 + O(q^4), whose
+    # product with x = q + O(q^3) is 2q^3 + O(q^5); taking 2*(iota x) instead
+    # would keep only O(q^3)
+    setup = ScalarSetup.make(1, "Z/6")
+    basis = (GeneratorInfo("a", 0),)
+    diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
+                                         order=1)
+    iota = OperatorMatrix(basis, basis, {
+        (0, 0): NovikovElem.build(setup, [(0, 3), (2, 1)], 4)})
+    x = USeries.from_novikov(NovikovElem.build(setup, [(1, 1)], 3), 1)
+    X = OperatorMatrix((GeneratorInfo("x"),), basis, {(0, 0): x})
+    got = gamma_u(CartanData(diff, (iota,), "monotone"), X).entries[(0, 0)]
+    assert got.coeffs[0] == NovikovElem.build(setup, [(3, -2)], 5)
 
 
 @pytest.mark.parametrize("seed", range(5))

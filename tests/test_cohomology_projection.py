@@ -225,6 +225,27 @@ def _graded_chain(seed, tailed=False):
     return GradedComplex(setup, GradingKind("Z"), tuple(basis), d)
 
 
+def _tailed_pair(seed):
+    """Degree 0 holds x0, x1 and z, degree 1 holds y, with d z = y and
+    d x_i = t_i y for tailed t_i: q^a + O(q^T), with a mostly 0 so that x_i
+    can take the pivot from z, or a termless O(q^T).  The representatives
+    may then carry a termless tail at another representative's column, so a
+    class taken away before the next coefficient is read changes that
+    coefficient: every coefficient must be read first."""
+    rng = random.Random(1300 + seed)
+    setup = rng.choice([SETUP_Q, SETUP_F5])
+    basis = (GeneratorInfo("x0", 0), GeneratorInfo("x1", 0),
+             GeneratorInfo("z", 0), GeneratorInfo("y", 1))
+    entries = {(3, 2): setup.one()}
+    for i in range(2):
+        a = rng.choice([0, 0, 0, 1, 2])
+        entries[(3, i)] = (
+            NovikovElem.build(setup, [(a, 1)], a + rng.randint(1, 3))
+            if rng.random() < 0.5 else NovikovElem(setup, (), a + 2))
+    return GradedComplex(setup, GradingKind("Z"), basis,
+                         OperatorMatrix(basis, basis, entries, 1))
+
+
 def _with_tails(rng, setup, n):
     """A column with a random entry at about half of n positions: an exact
     monomial, a termless O(q^T) or two terms below a tail."""
@@ -246,7 +267,9 @@ ORACLE_CASES = ([(f"flat-{s}", lambda s=s: _random_flat_complex(s))
                 + [(f"graded-{s}", lambda s=s: _graded_chain(s))
                    for s in range(6)]
                 + [(f"tailed-{s}", lambda s=s: _graded_chain(s, True))
-                   for s in range(16, 28)])
+                   for s in range(16, 28)]
+                + [(f"tailed-pair-{s}", lambda s=s: _tailed_pair(s))
+                   for s in range(16)])
 
 
 @pytest.mark.parametrize("make", [m for _, m in ORACLE_CASES],

@@ -204,6 +204,8 @@ def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
     assert_same_series(a - b, ref.useries_sub(a, b))
     assert_same_series(-a, ref.useries_neg(a))
     assert_same_series(a * b, ref.useries_mul(a, b))
+    one = USeries.from_novikov(setup.one(), ORDER)
+    assert_same_series(a * one, ref.useries_mul(a, one))
     assert_same_series(a.scale(c), ref.useries_scale(a, c))
     assert_same_series(a.q_shift(steps), ref.useries_q_shift(a, steps))
     assert bool(a) == any(x.terms for x in a.coeffs[: a.valid])
