@@ -253,6 +253,7 @@ CLI_MATRIX = [
     ["validate", "quantum_cp1.json"],
     ["validate", "torsion_case.json"],
     ["validate", "z2_case.json"],
+    ["validate", "classes_cy_case.json"],
     ["cohomology", "monotone_case.json"],
     ["cohomology", "dvr_case.json"],
     ["cohomology", "classes_case.json"],
@@ -271,6 +272,10 @@ CLI_MATRIX = [
     ["cartan", "verify", "mod2_case.json"],
     ["cartan", "connection", "--which", "q", "classes_case.json"],
     ["cartan", "connection", "--which", "u", "classes_case.json"],
+    ["cartan", "verify", "classes_cy_case.json"],
+    ["cartan", "connection", "--which", "q", "classes_cy_case.json"],
+    ["cartan", "connection", "--which", "u", "classes_cy_case.json"],
+    ["cartan", "solve-iota", "--regime", "cy", "classes_case.json"],
     ["quantum", "check", "quantum_cp1.json"],
     ["finite2", "verify", "z2_case.json"],
     ["finite2", "assemble", "z2_case.json"],

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,7 @@ from eqcartan.cartan import (
 )
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
-                              ScalarSetup, USeries)
+                              ScalarSetup, USeries, parse_novikov)
 
 from conftest import random_equivariant_differential, via_block
 
@@ -375,3 +377,99 @@ def test_scan_skips_exact_zeros_but_counts_truncated_zero_cells():
                  N) == ([], N, 2)
     assert _scan("x", [({"row": "b"}, q_tail), ({"row": "c"}, lost),
                        ({"row": "a"}, exact)], N) == ([], 1, 2)
+
+
+# -- the two regimes differ by one power of q ---------------------------------
+#
+# A family iota in the monotone regime and q^-1 iota in the cy regime give the
+# same Gamma_q and Gamma_u, so every answer but the printed normalization of
+# identity 2 agrees.
+
+TWIN_SETUPS = [ScalarSetup.make(g, r)
+               for r in ("Q", "F5") for g in (1, Fraction(1, 2))]
+
+
+def _useries_text(text, setup, order):
+    """A u-series as ``format_useries`` prints it: c0 + (c1)*u + (c2)*u^2."""
+    coeffs = [setup.zero()] * order
+    for part in re.split(r" \+ (?=\()", text):
+        m = re.fullmatch(r"\((.*)\)\*u(?:\^(\d+))?", part)
+        k = int(m.group(2) or 1) if m else 0
+        coeffs[k] = parse_novikov(m.group(1) if m else part, setup)
+    return USeries.build(setup, order, coeffs)
+
+
+def _random_iota(rng, diff, regime):
+    setup, n, step = diff.setup, diff.n, diff.setup.lattice.steps_per_unit
+    ops = []
+    for k in range(rng.randint(1, diff.order)):
+        entries = {}
+        for _ in range(rng.randint(0, 3)):
+            e = Fraction(rng.randint(-2, 6), step)
+            entries[rng.randrange(n), rng.randrange(n)] = setup.monomial(
+                rng.randint(1, 4), e)
+        ops.append(OperatorMatrix(diff.basis, diff.basis,
+                                  {key: v for key, v in entries.items() if v},
+                                  cartan._iota_degree(regime, k)))
+    return tuple(ops)
+
+
+def _cy_twin(data):
+    """The same connections in the cy regime: every iota entry times q^-1."""
+    step = data.setup.lattice.steps_per_unit
+    return CartanData(data.diff, tuple(
+        op.entrywise(lambda e: e.q_shift(-step), cartan._iota_degree("cy", k))
+        for k, op in enumerate(data.iota)), "cy")
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except CoefficientError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_twins_agree(mono, cy):
+    step = mono.setup.lattice.steps_per_unit
+    for which in ("gamma_q", "gamma_u"):
+        assert induced_connection(mono, which) == induced_connection(cy, which)
+    for m in (2, 3):
+        assert _outcome(reduce_mod, mono, m) == _outcome(reduce_mod, cy, m)
+    rep_m, rep_c = identity_report(mono), identity_report(cy)
+    assert (rep_m.pop("regime"), rep_c.pop("regime")) == ("monotone", "cy")
+    name = "connection commutes with d_eq"
+    for row_m, row_c in zip(rep_m["identities"], rep_c["identities"]):
+        if row_m["identity"] == name:
+            for f_m, f_c in zip(row_m["failures"], row_c["failures"]):
+                value = _useries_text(f_c.pop("value"), cy.setup, cy.order)
+                assert f_m.pop("value") == str(value.q_shift(step))
+    assert rep_m == rep_c
+
+
+@pytest.mark.parametrize("setup", TWIN_SETUPS, ids=lambda s: str(s.describe()))
+def test_the_two_regimes_differ_by_one_power_of_q(setup):
+    rng = random.Random(17)
+    step = setup.lattice.steps_per_unit
+    # d_0 = 0 and d_1 = c q^e on one generator: obstructed at order 2
+    obstructed = [EquivariantDifferential.build(
+        setup, GradingKind("Z/2"), (GeneratorInfo("x", 0),),
+        [{}, {(0, 0): setup.monomial(c, Fraction(e, step))}], order=3)
+        for c, e in ((1, 2), (3, 1))]
+    for diff in obstructed + [
+            random_equivariant_differential(rng, setup, max_gens=4, order=3,
+                                            max_k=2) for _ in range(10)]:
+        mono, bad_m = solve_iota(diff, "monotone")
+        cy, bad_c = solve_iota(diff, "cy")
+        if bad_m is not None:
+            assert bad_m["order"] == 2 and cy is None and mono is None
+            assert ((bad_m["order"], bad_m["row"])
+                    == (bad_c["order"], bad_c["row"]))
+            assert bad_m["residual"] == str(
+                parse_novikov(bad_c["residual"], setup).q_shift(step))
+            continue
+        assert [op.entries for op in mono.iota] == [
+            op.entrywise(lambda e: e.q_shift(step)).entries for op in cy.iota]
+        _assert_twins_agree(mono, cy)
+        wrong = CartanData(diff, _random_iota(rng, diff, "monotone"))
+        _assert_twins_agree(wrong, _cy_twin(wrong))

@@ -37,3 +37,12 @@ def test_cli_stdout_matches_golden(capsys, monkeypatch, ident, argv):
     out = capsys.readouterr().out
     assert code == EXIT_CODES[ident]
     assert out.encode("utf-8") == (GOLDEN / f"{ident}.out").read_bytes()
+
+
+@pytest.mark.parametrize("which", ["q", "u"])
+def test_cy_twin_connection_goldens_equal_the_monotone_ones(which):
+    # classes_cy_case.json is classes_case.json with every iota entry times
+    # q^-1 in the cy regime: the same Gamma_q and Gamma_u, so the same bytes
+    name = "cartan-connection---which-{}-{}.json.out"
+    assert ((GOLDEN / name.format(which, "classes_cy_case")).read_bytes()
+            == (GOLDEN / name.format(which, "classes_case")).read_bytes())
