@@ -7,21 +7,19 @@ Lambda[u]/u^N.  The two connection-type operators are
     Gamma_q = u * d/dq + iota-part      (degree 0)
     Gamma_u = 2 u^2 * d/du + u*mu - 2*iota_mono      (degree 2)
 
-where mu is the diagonal integer-index operator and the iota-part depends
-on the regime:
+where mu is the diagonal integer-index operator.  The two regimes'
+normalizations of iota differ by one power of q, w = ``REGIMES[regime]``:
+w = 1 in the monotone regime (|q| = 2) and w = 0 in the Calabi-Yau one
+("cy").  The iota family solves  [d_eq, iota_eq] = u * lambda_eq  with
+lambda = q^w * (entrywise d/dq of d), iota_k has degree 2w - 2k, and
 
-* "monotone": Gamma_q = u d/dq + q^(-1) iota_eq, and the commutation
-  requirement is  [d_eq, iota_eq] = u * lambda_graded_eq  with
-  lambda_graded = q * (entrywise d/dq of d);
-* "cy": Gamma_q = u d/dq + iota_eq with  [d_eq, iota_eq] = u * lambda_eq,
-  lambda = entrywise d/dq of d.
+    Gamma_q = u d/dq + q^(-w) iota_eq,    iota_mono = q^(1-w) iota_eq,
 
-In both regimes iota_mono (the matrix part entering Gamma_u) is the family
-satisfying [d_eq, iota_mono] = u * lambda_graded_eq, i.e. iota itself in the
-monotone regime and q * iota in the Calabi-Yau one.  With this convention
-[Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u * d_eq in
-both regimes (deg the total degree), so both operators descend to
-equivariant cohomology, and  Gamma_u + 2q Gamma_q = u * deg  is exact.
+so the pair (iota, monotone) and (q^-1 iota, cy) give the same operators.
+With this convention [Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and
+[Gamma_u, d_eq] = u * d_eq (deg the total degree), so both operators
+descend to equivariant cohomology, and  Gamma_u + 2q Gamma_q = u * deg  is
+exact.
 
 ``gamma_q``, ``gamma_u`` and ``degree_weighted`` map a block (an
 ``OperatorMatrix`` whose columns are u-series vectors) to a block: the
@@ -43,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .novikov import (
     CoefficientError,
+    CoefficientRing,
     InputError,
     NovikovElem,
     NovikovError,
@@ -71,7 +70,8 @@ __all__ = [
     "induced_connection",
 ]
 
-REGIMES = ("monotone", "cy")
+# the power w of q in each regime's normalization of iota (module docstring)
+REGIMES = {"monotone": 1, "cy": 0}
 
 
 def DEFAULT_U_ORDER() -> Optional[int]:
@@ -80,8 +80,8 @@ def DEFAULT_U_ORDER() -> Optional[int]:
 
 
 def _iota_degree(regime: str, k: int) -> int:
-    """The degree of iota_k: -2k in the cy regime, 2 - 2k in the monotone."""
-    return -2 * k if regime == "cy" else 2 - 2 * k
+    """The degree of iota_k: 2w - 2k."""
+    return 2 * REGIMES[regime] - 2 * k
 
 
 @dataclass
@@ -170,21 +170,21 @@ class CartanData:
         return _useries_operator(self.setup, self.diff.basis, self.iota,
                                  self.order, _iota_degree(self.regime, 0))
 
+    def _iota_times_q(self, power: int) -> OperatorMatrix:
+        """q^power iota_eq, of degree 2w + 2 power."""
+        steps = power * self.setup.lattice.steps_per_unit
+        return self.iota_eq.entrywise(lambda e: e.q_shift(steps),
+                                      self.iota_eq.degree + 2 * power)
+
     @cached_property
     def iota_q(self) -> OperatorMatrix:
-        """The matrix part of Gamma_q: q^-1 iota_eq (monotone) or iota_eq."""
-        if self.regime == "cy":
-            return self.iota_eq
-        step = self.setup.lattice.steps_per_unit
-        return self.iota_eq.entrywise(lambda e: e.q_shift(-step), 0)
+        """The matrix part of Gamma_q: q^-w iota_eq."""
+        return self._iota_times_q(-REGIMES[self.regime])
 
     @cached_property
     def iota_mono(self) -> OperatorMatrix:
-        """The operator with [d_eq, .] = u * lambda_graded_eq."""
-        if self.regime == "monotone":
-            return self.iota_eq
-        step = self.setup.lattice.steps_per_unit
-        return self.iota_eq.entrywise(lambda e: e.q_shift(step), 2)
+        """q^(1-w) iota_eq: the matrix part of Gamma_u, without its -2."""
+        return self._iota_times_q(1 - REGIMES[self.regime])
 
 
 # -- USeries operators --------------------------------------------------------
@@ -254,13 +254,11 @@ def _by_row(block: OperatorMatrix, fn, degree: int) -> OperatorMatrix:
 
 def lambda_components(diff: EquivariantDifferential,
                       regime: str = "monotone") -> List[OperatorMatrix]:
-    """Entrywise q-derivative of each d_k; the monotone regime multiplies
-    by q so the result stays in the original exponent lattice."""
-    step = diff.setup.lattice.steps_per_unit
-    if regime == "monotone":
-        return [op.entrywise(lambda e: dq(e).q_shift(step))
-                for op in diff.components]
-    return [op.entrywise(dq) for op in diff.components]
+    """q^w times the entrywise q-derivative of each d_k; the monotone
+    regime's factor q keeps the result in the original exponent lattice."""
+    steps = REGIMES[regime] * diff.setup.lattice.steps_per_unit
+    return [op.entrywise(lambda e: dq(e).q_shift(steps))
+            for op in diff.components]
 
 
 def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
@@ -408,9 +406,9 @@ def identity_report(data: CartanData) -> dict:
         return op(data, d_eq) - d_eq.compose(op(data, units))
 
     # 2. [Gamma_q, d_eq] = 0, printed as [d_eq, iota_eq] - u * lambda_eq in
-    #    the regime's normalization: Gamma_q carries q^-1 iota_eq in the
-    #    monotone regime, so the bracket is scaled by -q there, by -1 in cy
-    sign = setup.monomial(-1, 1 if data.regime == "monotone" else 0)
+    #    the regime's normalization: Gamma_q carries q^-w iota_eq, so the
+    #    bracket is scaled by -q^w
+    sign = setup.monomial(-1, REGIMES[data.regime])
     record("connection commutes with d_eq",
            _entries(bracket(gamma_q).entrywise(lambda e: e.scale(sign))))
 
@@ -489,44 +487,25 @@ def reduce_mod(data: CartanData, m: int) -> dict:
                             "entry": [diff.basis[t].name, diff.basis[s].name],
                             "coefficient": str(c),
                         })
-    out = {"modulus": m, "hypothesis_violations": hyp,
-           "hypothesis_holds": not hyp}
 
-    # conclusion mod m: the matrix part of Gamma_q and the regime lambda
-    # both vanish after pushing coefficients into Z/m
-    target = ScalarSetup(setup.lattice,
-                         _coeff_ring_mod(m))
-    lam = lambda_components(diff, data.regime)
-    lam_zero = all(
-        not e.map_coefficients(target).has_terms()
-        for op in lam for e in op.entries.values()
-    )
-    iota_zero = all(
-        not v.map_coefficients(target).has_terms()
-        for op in data.iota for v in op.entries.values()
-    )
-    out["conclusion"] = {
-        "lambda_vanishes_mod_m": lam_zero,
-        "gamma_q_is_u_dq_mod_m": iota_zero,
-    }
+    # conclusions: lambda = q^w dq(d) and Gamma_q's part q^-w iota vanish
+    # with coefficients in Z/m, Gamma_u's part 2 q^(1-w) iota in Z/2m.  A
+    # power of q changes no coefficient, so each reads dq(d) or iota as
+    # given; each stops at the first entry that does not vanish
+    def vanishes(ops, modulus, factor):
+        target = ScalarSetup(setup.lattice, CoefficientRing("Zmod", modulus))
+        return all(not v.scale(factor).map_coefficients(target).has_terms()
+                   for op in ops for v in op.entries.values())
 
-    target2 = ScalarSetup(setup.lattice, _coeff_ring_mod(2 * m))
-    two = 2
-    step = setup.lattice.steps_per_unit
-    mono_zero = True
-    for op in data.iota:
-        for v in op.entries.values():
-            w = v if data.regime == "monotone" else v.q_shift(step)
-            if w.scale(two).map_coefficients(target2).has_terms():
-                mono_zero = False
-    out["conclusion"]["gamma_u_is_free_part_mod_2m"] = mono_zero
-    out["holds"] = (not hyp) and lam_zero and iota_zero and mono_zero
-    return out
-
-
-def _coeff_ring_mod(m: int):
-    from .novikov import CoefficientRing
-    return CoefficientRing("Zmod", m)
+    lam_zero = vanishes(lambda_components(diff, "cy"), m, 1)
+    iota_zero = vanishes(data.iota, m, 1)
+    mono_zero = vanishes(data.iota, 2 * m, 2)
+    return {"modulus": m, "hypothesis_violations": hyp,
+            "hypothesis_holds": not hyp,
+            "conclusion": {"lambda_vanishes_mod_m": lam_zero,
+                           "gamma_q_is_u_dq_mod_m": iota_zero,
+                           "gamma_u_is_free_part_mod_2m": mono_zero},
+            "holds": (not hyp) and lam_zero and iota_zero and mono_zero}
 
 
 # -- induced connection on cohomology -----------------------------------------

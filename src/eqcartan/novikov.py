@@ -463,6 +463,8 @@ class NovikovElem:
 
     def q_shift(self, steps: int) -> "NovikovElem":
         """Multiply by q^(steps * g)."""
+        if not steps:
+            return self
         return NovikovElem(
             self.setup,
             tuple((n + steps, c) for n, c in self.terms),
@@ -732,7 +734,7 @@ class USeries:
 
     def q_shift(self, steps: int) -> "USeries":
         """Multiply every coefficient by q^(steps * g)."""
-        if self._zero:
+        if self._zero or not steps:
             return self
         return self._of(tuple(c.q_shift(steps)
                               for c in self.coeffs[:self.valid]), self.valid)
@@ -908,7 +910,7 @@ def parse_useries(text: str, setup: ScalarSetup, order: int) -> USeries:
         return USeries(setup, order, tuple(coeffs))
     for sign, part in _split_top_level(text):
         part = part.strip()
-        m = re.fullmatch(r"(?:\((?P<c>[^)]*)\)\s*\*\s*)?u(?:\^(?P<k>\d+))?", part)
+        m = re.fullmatch(r"(?:\((?P<c>.*)\)\s*\*\s*)?u(?:\^(?P<k>\d+))?", part)
         if m:
             k = int(m.group("k") or 1)
             c = parse_novikov(m.group("c") or "1", setup)

@@ -46,3 +46,18 @@ def test_cy_twin_connection_goldens_equal_the_monotone_ones(which):
     name = "cartan-connection---which-{}-{}.json.out"
     assert ((GOLDEN / name.format(which, "classes_cy_case")).read_bytes()
             == (GOLDEN / name.format(which, "classes_case")).read_bytes())
+
+
+@pytest.mark.parametrize("fixture,regime", [("classes_case", "monotone"),
+                                            ("classes_cy_case", "cy")])
+def test_a_regime_flag_matching_the_document_keeps_its_golden(
+        capsys, monkeypatch, fixture, regime):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
+    monkeypatch.delenv("EQCARTAN_U_ORDER", raising=False)
+    code = cli.main(["cartan", "connection", "--which", "u", "--regime",
+                     regime, f"fixtures/{fixture}.json"])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (
+        GOLDEN / f"cartan-connection---which-u-{fixture}.json.out"
+    ).read_bytes()

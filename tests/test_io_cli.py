@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from eqcartan import cli
-from eqcartan.novikov import InternalError
+from eqcartan.novikov import (InternalError, InversionError, LatticeMismatch,
+                              NovikovError)
 from eqcartan.schema import DocumentError, dumps, load_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -193,6 +194,9 @@ Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
     ["cohomology", Z_DOCUMENT],
     ["u-decompose", Z_DOCUMENT],
     ["cartan", "solve-iota", Z_DOCUMENT],
+    # the iota of classes_case.json read in the cy regime is another Gamma
+    ["cartan", "connection", "--which", "q", "--regime", "cy",
+     str(FIXTURES / "classes_case.json")],
 ], ids=lambda argv: " ".join(Path(a).name for a in argv))
 def test_bad_arguments_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -201,7 +205,10 @@ def test_bad_arguments_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("exc", [InternalError("planted defect"),
-                                 ZeroDivisionError("planted defect")],
+                                 ZeroDivisionError("planted defect"),
+                                 NovikovError("planted defect"),
+                                 InversionError("planted defect"),
+                                 LatticeMismatch("planted defect")],
                          ids=lambda e: type(e).__name__)
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
     def boom(args):

@@ -371,6 +371,14 @@ def test_parse_rejects_off_lattice_exponent():
 
 
 def test_useries_roundtrip():
-    text = "1 + q + (q^2)*u + (2)*u^2"
-    a = parse_useries(text, SETUP_Q, 3)
-    assert parse_useries(format_useries(a), SETUP_Q, 3).coeffs == a.coeffs
+    for setup, text in [
+        (SETUP_Q, "1 + q + (q^2)*u + (2)*u^2"),
+        # coefficients whose exponents are printed in parentheses
+        (SETUP_HALF, "(q^(-1))*u"),
+        (SETUP_HALF, "1 + (q^(1/2))*u"),
+        (SETUP_HALF,
+         "q^(-1/2) - (3/2*q^(-3/2) - q^(5/2))*u + (-q^(-1))*u^2"),
+    ]:
+        a = parse_useries(text, setup, 3)
+        assert a.coeffs[1].has_terms()
+        assert parse_useries(format_useries(a), setup, 3).coeffs == a.coeffs
