@@ -284,6 +284,9 @@ CLI_MATRIX = [
     ["cartan", "verify", "failing/broken_case.json"],
     ["cartan", "verify", "failing/broken_cy_case.json"],
     ["quantum", "check", "failing/broken_case.json"],
+    ["validate", "failing/broken_z2_case.json"],
+    ["finite2", "verify", "failing/broken_z2_case.json"],
+    ["finite2", "assemble", "failing/broken_z2_case.json"],
 ]
 
 CLI_GLOBAL = [

@@ -12,6 +12,7 @@ matrix versions, on relation-satisfying systems and with one entry flipped.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +22,13 @@ from eqcartan.complexes import GeneratorInfo, sample_block
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
 from eqcartan.novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from eqcartan.quantum import QuantumRing, projective_space_model
+from eqcartan.schema import load_document, z2_from
 from test_finite2 import SETUP as SETUP_F2, golden_with_nonzero_lambda, \
     random_z2_data
 
 from conftest import via_block
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SETUPS = {(ring, str(g)): ScalarSetup.make(g, ring)
           for ring in ("Q", "F2", "F5") for g in (1, Fraction(1, 2))}
@@ -221,5 +225,17 @@ def test_finite2_reports_match_dense_with_nonzero_lambda():
     rng = random.Random(7)
     Z = golden_with_nonzero_lambda()
     assert assert_same_reports(Z)
+    for _ in range(10):
+        assert_same_reports(flip_one_entry(rng, Z))
+
+
+@pytest.mark.parametrize("fixture,holds", [("z2_case.json", True),
+                                           ("failing/broken_z2_case.json",
+                                            False)])
+def test_finite2_reports_match_dense_on_fixtures(fixture, holds):
+    # the bundled document and its broken twin, whose certificates fail
+    Z = z2_from(load_document(str(FIXTURES / fixture)))
+    assert assert_same_reports(Z) is holds
+    rng = random.Random(11)
     for _ in range(10):
         assert_same_reports(flip_one_entry(rng, Z))
