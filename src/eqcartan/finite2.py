@@ -17,20 +17,21 @@ operators d, iota, lambda, sigma, Sigma, xi, Xi subject to the relation set
     d_eq    = d + h (id + sigma) + h^2 Sigma            (mod h^3)
     Gamma_q = iota + h xi + h^2 (d/dq + Xi)             (mod h^3)
 
-and certifies d_eq^2 = 0 and d_eq Gamma_q + Gamma_q d_eq = 0 mod h^3,
-recording the order-by-order cancellation.  The h^2 order of the second
-certificate uses the operator identity  d/dq o d + d o d/dq = lambda
-(entrywise Leibniz), which is where the derivative term of Gamma_q meets
-the last relation.  Both certificates are formal consequences of the
-relation set; a failure on relation-verified data is an implementation
-bug, which is exactly what the tests exploit.
+and certifies d_eq^2 = 0 and d_eq Gamma_q + Gamma_q d_eq = 0 mod h^3, one
+certificate per h-order.  Over F_2, {d, id} = 2d = 0 and (id + sigma)^2 =
+id + sigma^2, so d_eq^2 at h^0, h^1, h^2 is the matrix of the d^2, sigma and
+Sigma relations, and the anticommutator at h^0, h^1 that of the iota and xi
+relations.  At h^2 the d/dq part of Gamma_q contributes the entrywise
+Leibniz defect d/dq o d + d o d/dq = dq(d) where the Xi relation has lambda:
+that certificate is the Xi relation's matrix plus that of lambda = dq(d).
+The tests expand both products order by order in a dense reference, which
+must agree record for record.
 
 Truncation is fixed at h^3: nothing beyond that order is specified by the
 relation set, and we refuse to extrapolate.
 
-All of it computes on the stored ``OperatorMatrix`` operators: products are
-``compose``, sums ``+`` and lambda from d is ``entrywise(dq)``; failures and
-formatted entries are read from the stored entries in row-major order.
+Products are ``OperatorMatrix.compose``, sums ``+`` and lambda from d is
+``entrywise(dq)``; failures and entries are read in row-major order.
 """
 
 from __future__ import annotations
@@ -106,12 +107,15 @@ def _failures(M: OperatorMatrix, basis, relation):
             for t, s in sorted(M.entries) if M.entries[(t, s)].has_terms()]
 
 
-def verify_relations(Z: Z2CartanData) -> dict:
-    """Exact check of every displayed relation; failures carry witnesses."""
-    basis = Z.basis
+_XI_RELATION = ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
+                " + lambda")
+
+
+def _relations(Z: Z2CartanData):
+    """Each displayed relation with its matrix, zero iff the relation holds."""
     d, iota, lam, sig = Z.d, Z.iota, Z.lam, Z.sigma
     Sig, xi, Xi = Z.Sigma, Z.xi, Z.Xi
-    checks = [
+    return [
         ("d^2 = 0", d.compose(d)),
         ("d iota = iota d", _anticommutator(d, iota)),
         ("d lambda = lambda d", _anticommutator(d, lam)),
@@ -121,14 +125,16 @@ def verify_relations(Z: Z2CartanData) -> dict:
          _anticommutator(d, Sig) + sig.compose(sig) + Z.identity()),
         ("d xi + xi d = sigma iota + iota sigma",
          _anticommutator(d, xi) + _anticommutator(sig, iota)),
-        ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
-         " + lambda",
-         _anticommutator(d, Xi) + _anticommutator(sig, xi)
+        (_XI_RELATION, _anticommutator(d, Xi) + _anticommutator(sig, xi)
          + _anticommutator(Sig, iota) + lam),
     ]
+
+
+def verify_relations(Z: Z2CartanData) -> dict:
+    """Exact check of every displayed relation; failures carry witnesses."""
     relations = []
-    for name, M in checks:
-        fails = _failures(M, basis, name)
+    for name, M in _relations(Z):
+        fails = _failures(M, Z.basis, name)
         relations.append({"relation": name, "holds": not fails,
                           "failures": fails})
     return {"relations": relations,
@@ -139,47 +145,26 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     """Assemble d_eq and Gamma_q mod h^3 and certify both identities.
 
     Returns the h-components of both operators (as formatted sparse
-    matrices) and one certificate per h-order of each identity.  The
-    d/dq part of Gamma_q is handled symbolically: its contribution to the
-    h^2 order of the anticommutator with d_eq is the entrywise Leibniz
-    defect lambda = dq(d).
+    matrices) and one certificate per h-order of each identity, each read
+    off the relation matrices as the module docstring sets out.
     """
     basis = Z.basis
+    rel = dict(_relations(Z))
+    by_order = [
+        ("d_eq^2", [rel["d^2 = 0"], rel["d sigma = sigma d"],
+                    rel["d Sigma + Sigma d = sigma^2 + id"]]),
+        ("d_eq Gamma_q + Gamma_q d_eq",
+         [rel["d iota = iota d"], rel["d xi + xi d = sigma iota + iota sigma"],
+          rel[_XI_RELATION] + rel["lambda = dq(d)"]]),
+    ]
+    certificates = []
+    for identity, mats in by_order:
+        for k, M in enumerate(mats):
+            fails = _failures(M, basis, f"{identity}, order h^{k}")
+            certificates.append({"identity": f"{identity} = 0", "h_order": k,
+                                 "holds": not fails, "failures": fails})
     d_eq = [Z.d, Z.identity() + Z.sigma, Z.Sigma]   # h^0, h^1, h^2 parts
     gamma = [Z.iota, Z.xi, Z.Xi]        # matrix parts; h^2 also carries d/dq
-
-    certificates = []
-    # d_eq^2 mod h^3
-    for k in range(H_ORDER):
-        acc = None
-        for i in range(k + 1):
-            term = d_eq[i].compose(d_eq[k - i])
-            acc = term if acc is None else acc + term
-        fails = _failures(acc, basis, f"d_eq^2, order h^{k}")
-        certificates.append({
-            "identity": "d_eq^2 = 0",
-            "h_order": k,
-            "holds": not fails,
-            "failures": fails,
-        })
-    # d_eq Gamma_q + Gamma_q d_eq mod h^3; the h^2 derivative part of
-    # Gamma_q contributes {d/dq, d} = lambda at order h^2 and nothing
-    # below h^3 against the higher components of d_eq.
-    for k in range(H_ORDER):
-        acc = None
-        for i in range(k + 1):
-            term = _anticommutator(d_eq[i], gamma[k - i])
-            acc = term if acc is None else acc + term
-        if k == 2:
-            acc = acc + Z.d.entrywise(dq)
-        fails = _failures(acc, basis,
-                          f"d_eq Gamma_q + Gamma_q d_eq, order h^{k}")
-        certificates.append({
-            "identity": "d_eq Gamma_q + Gamma_q d_eq = 0",
-            "h_order": k,
-            "holds": not fails,
-            "failures": fails,
-        })
 
     def fmt(mats, derivative_at=None):
         out = []
