@@ -491,11 +491,21 @@ def reduce_mod(data: CartanData, m: int) -> dict:
     # conclusions: lambda = q^w dq(d) and Gamma_q's part q^-w iota vanish
     # with coefficients in Z/m, Gamma_u's part 2 q^(1-w) iota in Z/2m.  A
     # power of q changes no coefficient, so each reads dq(d) or iota as
-    # given; each stops at the first entry that does not vanish
+    # given; each maps every coefficient, in row-major order, before it
+    # decides, so neither its answer nor its error depends on entry order
     def vanishes(ops, modulus, factor):
-        target = ScalarSetup(setup.lattice, CoefficientRing("Zmod", modulus))
-        return all(not v.scale(factor).map_coefficients(target).has_terms()
-                   for op in ops for v in op.entries.values())
+        ring, target = setup.ring, CoefficientRing("Zmod", modulus)
+        images = []
+        for op in ops:
+            for key in sorted(op.entries):
+                for _, c in op.entries[key].terms:
+                    try:
+                        images.append(target.coerce(ring.mul(c, factor)))
+                    except CoefficientError:
+                        raise CoefficientError(
+                            f"coefficient {ring.format(c)} has no image"
+                            f" in Z/{modulus}") from None
+        return not any(images)
 
     lam_zero = vanishes(lambda_components(diff, "cy"), m, 1)
     iota_zero = vanishes(data.iota, m, 1)

@@ -483,14 +483,6 @@ class NovikovElem:
             acc = ring.add(acc, c)
         return acc
 
-    def map_coefficients(self, target: ScalarSetup) -> "NovikovElem":
-        """Push coefficients into another ring over the same lattice."""
-        if target.lattice != self.setup.lattice:
-            raise LatticeMismatch("cannot change lattice in map_coefficients")
-        return NovikovElem.build(
-            target, ((n, target.ring.coerce(c)) for n, c in self.terms), self.trunc
-        )
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -329,6 +329,21 @@ def test_reduce_mod_rational_iota_hypothesis_inapplicable():
     assert any("inapplicable" in v for v in out["hypothesis_violations"])
 
 
+def test_reduce_mod_does_not_depend_on_entry_order():
+    # over Q the iota coefficient 1/2 has no image in Z/2, whichever entry
+    # of iota is stored first
+    diff = monotone_pair()
+    entries = [((0, 0), SETUP.one()),
+               ((1, 1), SETUP.monomial(Fraction(1, 2), 0))]
+    errors = set()
+    for stored in (entries, entries[::-1]):
+        iota = OperatorMatrix(diff.basis, diff.basis, dict(stored), 2)
+        with pytest.raises(CoefficientError) as exc:
+            reduce_mod(CartanData(diff, (iota,), "monotone"), 2)
+        errors.add(str(exc.value))
+    assert errors == {"coefficient 1/2 has no image in Z/2"}
+
+
 # -- induced connection on cohomology -----------------------------------------
 
 
