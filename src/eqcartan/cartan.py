@@ -532,12 +532,11 @@ def flatten_equivariant(diff: EquivariantDifferential) -> GradedComplex:
             name = g.name if j == 0 else f"u^{j}.{g.name}"
             basis.append(GeneratorInfo(name, g.index + 2 * j))
     basis = tuple(basis)
-    entries: Dict[Tuple[int, int], NovikovElem] = {}
-    for k in range(len(diff.components)):
-        for (t, s), v in diff.components[k].entries.items():
-            for j in range(N - k):
-                key = ((j + k) * n + t, j * n + s)
-                entries[key] = entries[key] + v if key in entries else v
+    # u^k d_k maps u^j x_s to u^(j+k) d_k x_s: each key is reached once
+    entries = {((j + k) * n + t, j * n + s): v
+               for k, comp in enumerate(diff.components)
+               for (t, s), v in comp.entries.items()
+               for j in range(N - k)}
     d = OperatorMatrix(basis, basis, entries, 1)
     return GradedComplex(setup, diff.grading, basis, d)
 

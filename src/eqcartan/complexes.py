@@ -274,21 +274,20 @@ def _homogeneity_violations(op: OperatorMatrix) -> List[dict]:
     return out
 
 
+def _d_squared_defects(C: GradedComplex) -> List[dict]:
+    """The entries of d o d with visible terms; [] on a basis mismatch."""
+    if C.d.source != C.basis or C.d.target != C.basis:
+        return []
+    return [{"invariant": "d squared zero",
+             "entry": [C.basis[t].name, C.basis[s].name], "value": str(v)}
+            for (t, s), v in C.d.compose(C.d).entries.items() if v]
+
+
 def validate_complex(C: GradedComplex) -> List[dict]:
     """Every violated invariant, with the offending entry; empty iff valid."""
-    out = []
-    n = len(C.basis)
     if C.d.source != C.basis or C.d.target != C.basis:
-        out.append({"invariant": "differential bases", "detail": "basis mismatch"})
-        return out
-    dd = C.d.compose(C.d)
-    for (t, s), v in dd.entries.items():
-        if v:
-            out.append({
-                "invariant": "d squared zero",
-                "entry": [C.basis[t].name, C.basis[s].name],
-                "value": str(v),
-            })
+        return [{"invariant": "differential bases", "detail": "basis mismatch"}]
+    out = _d_squared_defects(C)
     # degree compatibility of visible entries with the displayed grading
     if not C.q_degree_two:
         for (t, s), v in C.d.entries.items():
@@ -408,8 +407,6 @@ def cohomology_over_novikov_field(C: GradedComplex,
     report.blocks, report.classes = [], []
     for k in degrees:
         n_k = len(C.generators_in_degree(k))
-        if n_k == 0:
-            continue
         # incoming differential: the degree whose image lands in degree k
         incoming = [j for j in degrees
                     if C.grading.add(j, C.d.degree) == k and rank[j]]
@@ -437,11 +434,6 @@ def cohomology_over_novikov_field(C: GradedComplex,
         report.classes += [GeneratorInfo(f"class {len(report.classes) + j}", k)
                            for j in range(len(reps))]
     return report
-
-
-def _d_squared_defects(C: GradedComplex) -> List[dict]:
-    return [v for v in validate_complex(C)
-            if v["invariant"] == "d squared zero"]
 
 
 def _require_square_zero(C: GradedComplex, name: str):

@@ -58,10 +58,6 @@ class ProjectivePoint:
             raise ValueError("zero vector is not a projective point")
         self.w = w / n
 
-    @property
-    def dim(self) -> int:
-        return len(self.w) - 1
-
     def critical_index(self, tol: float = 1e-9) -> Optional[int]:
         """k if the point is (numerically) the k-th coordinate line."""
         k = int(np.argmax(np.abs(self.w)))
@@ -155,8 +151,7 @@ def _connection_form(samples: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.imag(np.sum(np.conj(samples) * deriv, axis=1))
 
 
-def parallel_transport(traj: FlowTrajectory,
-                       connection: str = "round") -> dict:
+def parallel_transport(traj: FlowTrajectory) -> dict:
     """Circle element (in R/Z) comparing the endpoint fibre identifications.
 
     The lift starts at the canonical point over the start critical fibre
@@ -166,8 +161,6 @@ def parallel_transport(traj: FlowTrajectory,
     fibres contribute an O(distance^2) holonomy error, reported as
     ``projection_bound``.
     """
-    if connection != "round":
-        raise ValueError(f"unknown connection {connection!r}")
     if traj.start_critical is None or traj.end_critical is None:
         raise ValueError("trajectory endpoints are not near critical points")
     if traj.stationary:
@@ -262,8 +255,7 @@ def additivity_report(deltas: Sequence[float] = (1e-2, 1e-3, 1e-4),
         whole = ProjectivePoint(np.array([eps * e0, e1, e2]))
         piece_a = ProjectivePoint(np.array([0.0, e1, e2]))   # c_2 -> c_1
         piece_b = ProjectivePoint(np.array([eps * e0, e1, 0.0]))  # c_1 -> c_0
-        t_whole = parallel_transport(
-            integrate_flow(whole, duration, samples))
+        t_whole = parallel_transport(integrate_flow(whole, duration, samples))
         t_a = parallel_transport(integrate_flow(piece_a, duration, samples))
         t_b = parallel_transport(integrate_flow(piece_b, duration, samples))
         defect = abs(_circle_diff(t_whole["alpha"],
