@@ -7,7 +7,8 @@ with the quantum product.  Both must give the same series field for field
 (coefficients, q-tails and valid orders) on product tables that need not be
 associative.  The finite2 checks run on ``OperatorMatrix``; their whole
 reports, failure lists in order included, must equal those of the dense
-matrix versions, on relation-satisfying systems and with one entry flipped.
+matrix versions, on relation-satisfying systems, on the bundled z2
+documents (the broken one included) and with one entry flipped.
 """
 
 import random
@@ -229,9 +230,9 @@ def test_finite2_reports_match_dense_with_nonzero_lambda():
         assert_same_reports(flip_one_entry(rng, Z))
 
 
-@pytest.mark.parametrize("fixture,holds", [("z2_case.json", True),
-                                           ("failing/broken_z2_case.json",
-                                            False)])
+@pytest.mark.parametrize("fixture,holds", [
+    ("z2_case.json", True), ("failing/broken_z2_case.json", False)],
+    ids=["z2_case", "broken_z2_case"])
 def test_finite2_reports_match_dense_on_fixtures(fixture, holds):
     # the bundled document and its broken twin, whose certificates fail
     Z = z2_from(load_document(str(FIXTURES / fixture)))
