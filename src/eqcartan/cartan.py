@@ -367,8 +367,9 @@ def identity_report(data: CartanData) -> dict:
     Identities 2-4 are the commutators [Gamma_q, d_eq] = 0,
     [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u d_eq of ``gamma_q``,
     ``degree_weighted`` and ``gamma_u`` themselves; 5-7 are checked on the
-    sample block.  Each identity entry carries a verdict plus the u-order
-    and q-order indices to which the vanishing was actually certified.
+    sample columns where iota_eq has a tail (``sample_block``: the others'
+    cells are decidably zero).  Each identity entry carries a verdict plus
+    the u-order and q-order indices to which the vanishing was certified.
     """
     diff = data.diff
     setup = data.setup
@@ -421,7 +422,7 @@ def identity_report(data: CartanData) -> dict:
         bracket(gamma_u) - d_eq.entrywise(lambda e: e.times_u())))
 
     # 5-7. operator identities on the sample block, column by column
-    X = sample_block(setup, basis, N)
+    X = sample_block(setup, basis, N, data.iota_eq)
     gu, gq = gamma_u(data, X), gamma_q(data, X)
 
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg

@@ -127,6 +127,30 @@ def random_equivariant_differential(rng: random.Random, setup,
         setup, GradingKind("Z/2"), basis, entries, order=order)
 
 
+def free_pair_differential(rng: random.Random, setup):
+    """random_equivariant_differential's pairs (at most six generators,
+    u-order 4) beside two free generators f0 -> f1 joined only by u c q^e
+    with e in 0..2, so d_eq^2 = 0 still.
+
+    d_0 vanishes on f0 and f1, so the order-2 equation of ``solve_iota`` at
+    entry (f1, f0) reads q^w c e q^(e-1) = c q^e (iota_1[f0, f0] -
+    iota_1[f1, f1]).  The order-1 solution ``solve_iota`` keeps vanishes on
+    f0 and f1, so it reports an obstruction at order 2 exactly on the
+    draws with e != 0 (iota_1[f0, f0] = e q^(w-1) would have solved it).
+    """
+    diff = random_equivariant_differential(rng, setup, 6, 4)
+    n = diff.n
+    comps = [dict(op.entries) for op in diff.components]
+    if len(comps) < 2:
+        comps.append({})
+    c = (rng.randint(1, setup.ring.modulus - 1) if setup.ring.kind == "Fp"
+         else rng.choice([1, 2, -1]))
+    comps[1][(n + 1, n)] = setup.monomial(c, rng.randint(0, 2))
+    basis = diff.basis + (GeneratorInfo("f0", 1), GeneratorInfo("f1", 0))
+    return EquivariantDifferential.build(setup, diff.grading, basis, comps,
+                                         order=diff.order)
+
+
 def multi_term_unit(rng: random.Random, setup):
     """1 +- q +- 2q^3: a unit whose truncated inverse fills the q-budget."""
     c = setup.one()

@@ -2,10 +2,13 @@
 
 These are the dense-matrix versions of ``linalg.row_reduce``/``solve``, of
 the kernel (``Reduction._kernel``) and of ``cartan.solve_iota``/
-``identity_report`` that the sparse implementations replaced.  They store every entry of every matrix,
-zeros included, and visit all of them, so they are slow but simple.  The
-tests in ``test_dense_oracles.py`` assert that the sparse code returns the
-same values, certificates and error messages.
+``identity_report`` that the sparse implementations replaced; this
+``identity_report`` checks the Euler relation and the Leibniz rules on
+every sample vector, where ``cartan.identity_report`` leaves out the
+columns on which they cancel exactly.  They store every entry of every
+matrix, zeros included, and visit all of them, so they are slow but
+simple.  The tests in ``test_dense_oracles.py`` assert that the sparse
+code returns the same values, certificates and error messages.
 
 ``invert_truncated`` is the geometric-series inverse that the coefficient
 recurrence in ``novikov.invert_truncated`` replaced; the dense elimination
@@ -30,6 +33,10 @@ quantum connections written with that product (``star_useries``), and ``z2_verif
 dense matrices; ``test_operator_algebra_oracles.py`` asserts that the Cartan
 operators of ``QuantumRing.cartan_data`` and the ``OperatorMatrix`` versions
 of the finite2 checks return the same values and reports.
+``uq_identity_check`` runs those three connections on every sample vector;
+``test_quantum.py`` asserts that ``quantum.uq_identity_check``, whose
+sample block holds only the columns where q*omega has a tail, gives the
+same report.
 
 ``induced_connection`` applies the ``gamma_q``/``gamma_u`` above to each
 class vector, solves the image against the dense matrix [representatives |
@@ -765,6 +772,46 @@ def deg_q_operator(Q, x):
             coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
         out.append(USeries.build(setup, v.order, coeffs, v.valid))
     return out
+
+
+def uq_identity_check(Q, order=3):
+    """``quantum.uq_identity_check`` on every sample vector e_i, q*u*e_i
+    (the full sample block), with D_q, D_u and deg_q written through the
+    quantum product."""
+    setup = Q.setup
+    step = setup.lattice.steps_per_unit
+    two = setup.monomial(2, 0)
+
+    def bracket(x):
+        """u deg_q x - 2q D_q x."""
+        return [w.times_u() - useries_q_shift(g.scale(two), step)
+                for w, g in zip(deg_q_operator(Q, x), d_q_connection(Q, x))]
+
+    def at_q1(x):
+        return [[c.specialize_q1() for c in v.coeffs[:v.valid]] for v in x]
+
+    homog = Q.homogeneity_witnesses()
+    linear, identity, exact = [], [], True
+    for label, x in _sample_vectors(Q.cartan_data(order)):
+        B = bracket(x)
+        qB = bracket([useries_q_shift(v, step) for v in x])
+        linear += [{"check": "bracket q-linearity", "sample": label,
+                    "component": g.name, "difference": str(e)}
+                   for g, a, b in zip(Q.basis, qB, B)
+                   if (e := a - useries_q_shift(b, step))]
+        G = d_u_connection(Q, x)
+        exact = exact and not any(g - b for g, b in zip(G, B))
+        if at_q1(G) != at_q1(B):
+            identity.append({
+                "check": "specialized identity", "sample": label,
+                "lhs_q1": [[str(c) for c in row] for row in at_q1(G)],
+                "rhs_q1": [[str(c) for c in row] for row in at_q1(B)]})
+    return {"order": order, "homogeneity_witnesses": homog,
+            "q_linear": not (homog or linear),
+            "q_linearity_witnesses": linear,
+            "identity_holds_specialized": not identity,
+            "identity_exact": exact, "identity_witnesses": identity,
+            "holds": not (homog or linear or identity)}
 
 
 # -- finite2 on dense matrices ------------------------------------------------

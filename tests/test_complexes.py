@@ -158,9 +158,42 @@ def test_representatives_are_cocycles(seed):
 # -- DVR decomposition: exhaustive comparison with an F2 brute-force oracle ----
 #
 # Entries live in R = F2[u]/u^3, encoded as bit triples (c0, c1, c2).  The
-# oracle computes the cokernel of the matrix as a module over R by plain
+# oracle computes the cokernel M of the matrix as a module over R by plain
 # F2 linear algebra on the 3m-dimensional realization, reading off the
 # multiplicities of R, R/u and R/u^2 from dim M, dim uM, dim u^2 M.
+#
+# _oracle_invariants holds each image vector as an int bitmask whose bit
+# (2 - j) * m + t is the coordinate u^j e_t, so the coordinates of u-power
+# below p are the top p*m bits.  dim u^p M = dim(u^p R^m + im D) - rank D,
+# and u^p R^m is spanned by the coordinates of u-power p and above, so
+# dim(u^p R^m + im D) = (3 - p) m + the rank of im D projected onto the
+# top p*m bits.  In an echelon basis with distinct leading bits that rank
+# is the number of leading bits among the top p*m, so one elimination of
+# im D serves all three powers.  _list_oracle_invariants, which ranks the
+# stacked F2 matrix [u^p R^m | D] per power on list rows, is its reference
+# on the full 2x2 sweep.
+
+
+def _oracle_invariants(D, m, n):
+    """(free_rank, count of R/u summands, count of R/u^2 summands)."""
+    leading = {}  # leading bit -> the echelon vector that has it
+    for s in range(n):
+        for i in range(3):  # the image of u^i e_s
+            v = 0
+            for t in range(m):
+                for j, c in enumerate(D[t][s][:3 - i]):
+                    v |= c << (2 - i - j) * m + t
+            while v and (top := v.bit_length() - 1) in leading:
+                v ^= leading[top]
+            if v:
+                leading[top] = v
+    r = len(leading)
+    c0, c1, c2 = ((3 - p) * m + sum(top >= (3 - p) * m for top in leading)
+                  - r for p in (0, 1, 2))
+    f = c2
+    b = c1 - 2 * f
+    a = c0 - 3 * f - 2 * b
+    return f, a, b
 
 
 def _f2_rank(rows):
@@ -193,8 +226,8 @@ def _linearize(D, m, n):
     return big
 
 
-def _oracle_invariants(D, m, n):
-    """(free_rank, count of R/u summands, count of R/u^2 summands)."""
+def _list_oracle_invariants(D, m, n):
+    """_oracle_invariants on list rows, one stacked rank per power."""
     big = _linearize(D, m, n)
     r = _f2_rank([row[:] for row in big]) if m and n else 0
     dims = []
@@ -247,6 +280,14 @@ def test_dvr_exhaustive_2x2():
     for vals in itertools.product(R_ELEMENTS, repeat=4):
         D = [[vals[0], vals[1]], [vals[2], vals[3]]]
         _check_against_oracle(D, 2, 2)
+
+
+def test_bitmask_oracle_matches_the_list_oracle():
+    for m, n in ((2, 2), (1, 3), (3, 1)):
+        for vals in itertools.product(R_ELEMENTS, repeat=m * n):
+            D = [[vals[t * n + s] for s in range(n)] for t in range(m)]
+            assert (_oracle_invariants(D, m, n)
+                    == _list_oracle_invariants(D, m, n)), D
 
 
 def test_dvr_exhaustive_1xk():

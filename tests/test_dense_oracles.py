@@ -32,19 +32,30 @@ certificates and error messages, including on truncated entries, termless
 undetermined.
 """
 
+import json
 import math
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from conftest import _conjugate_components, densify, random_equivariant_differential
+from conftest import (_conjugate_components, densify, free_pair_differential,
+                      random_equivariant_differential)
 from eqcartan import linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
-from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix, dvr_diagonalize
+from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
+                                dvr_diagonalize, sample_block)
 from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
+from eqcartan.schema import cartan_from, load_document
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import gens  # noqa: E402  (the benchmark's input generators)
 
 SETUP_Q = ScalarSetup.make(1, "Q")
 SETUP_F5 = ScalarSetup.make(1, "F5")
@@ -420,6 +431,7 @@ def assert_same_cartan(diff, regime, q_order=None):
     else:
         assert [op.entries for op in data.iota] == _iota_entries(want)
     assert identity_report(data) == ref.identity_report(data)
+    return obstruction is not None
 
 
 def multi_term_differential(rng, setup, npairs, order):
@@ -466,6 +478,26 @@ def test_cartan_matches_dense_with_truncated_inverses(seed, q_order):
     assert_same_cartan(diff, "monotone", q_order)
 
 
+@pytest.mark.parametrize("regime", ["monotone", "cy"])
+def test_cartan_matches_dense_on_obstructed_draws(regime):
+    # free_pair_differential: solve_iota is obstructed on some draws, and
+    # identity_report then runs on the datum without iota
+    obstructed = [assert_same_cartan(free_pair_differential(
+        random.Random(1100 + seed), SETUP_F5 if seed % 2 else SETUP_Q),
+        regime) for seed in range(8)]
+    assert any(obstructed) and not all(obstructed)
+
+
+def random_iota(rng, diff):
+    """Three iota components whose entries are zero, exact, truncated with
+    terms or termless O(q^T), at random."""
+    n = diff.n
+    return tuple(OperatorMatrix(diff.basis, diff.basis, {
+        (t, s): random_entry(rng, diff.setup)
+        for t in range(n) for s in range(n) if rng.random() < 0.3},
+        2 - 2 * k) for k in range(3))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_identity_report_matches_dense_on_wrong_iota(seed):
     # a random iota family with truncated and termless entries: the report
@@ -473,12 +505,65 @@ def test_identity_report_matches_dense_on_wrong_iota(seed):
     rng = random.Random(900 + seed)
     setup = SETUP_F5 if seed % 2 else SETUP_Q
     diff = random_equivariant_differential(rng, setup, max_gens=6, order=4)
-    n = diff.n
-    iota = []
-    for k in range(3):
-        entries = {(t, s): random_entry(rng, setup)
-                   for t in range(n) for s in range(n) if rng.random() < 0.3}
-        iota.append(OperatorMatrix(diff.basis, diff.basis, entries, 2 - 2 * k))
+    iota = random_iota(rng, diff)
     for regime in ("monotone", "cy"):
-        data = CartanData(diff, tuple(iota), regime)
+        data = CartanData(diff, iota, regime)
         assert identity_report(data) == ref.identity_report(data)
+
+
+def _column_counts(data):
+    """(sample columns kept, sample columns left out) by the column rule."""
+    kept = len(sample_block(data.setup, data.diff.basis, data.order,
+                            data.iota_eq).source)
+    return kept, 2 * data.diff.n - kept
+
+
+@pytest.mark.parametrize("generator", [1, Fraction(1, 2), Fraction(1, 3)],
+                         ids=["Z", "Z/2", "Z/3"])
+@pytest.mark.parametrize("ring", ["Q", "F5", "Z/6", "Z"])
+def test_identity_report_matches_dense_on_tailed_iota(ring, generator):
+    # the sample block of identity_report holds only the columns where
+    # iota_eq has a tail; every record must still be that of the full
+    # sample vectors, over rings with zero divisors and off the lattice Z
+    setup = ScalarSetup.make(generator, ring)
+    counts = []
+    for seed in range(4):
+        rng = random.Random(950 + seed)
+        diff = random_equivariant_differential(rng, setup, max_gens=6,
+                                               order=4)
+        iota = random_iota(rng, diff)
+        for regime in ("monotone", "cy"):
+            data = CartanData(diff, iota, regime)
+            assert identity_report(data) == ref.identity_report(data)
+            counts.append(_column_counts(data))
+    # across the draws the column rule both keeps and leaves out columns
+    assert any(kept for kept, _ in counts)
+    assert any(left_out for _, left_out in counts)
+
+
+CARTAN_FIXTURES = sorted(
+    str(p.relative_to(ROOT / "fixtures"))
+    for p in (ROOT / "fixtures").rglob("*.json")
+    if "complex" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("fixture", CARTAN_FIXTURES)
+def test_identity_report_matches_dense_on_fixtures(fixture):
+    # every document that `cartan verify` reads (those with a complex)
+    data = cartan_from(load_document(str(ROOT / "fixtures" / fixture)))
+    assert identity_report(data) == ref.identity_report(data)
+
+
+@pytest.mark.parametrize("n, setup", [(8, gens.SETUP_Q), (12, gens.SETUP_F5),
+                                      (16, gens.SETUP_Q)],
+                         ids=["n8-Q", "n12-F5", "n16-Q"])
+def test_identity_report_matches_dense_on_bench_instances(n, setup):
+    # the acyclic monomial differentials of the cartan-sparse workload: no
+    # iota column has a tail, so the report's sample block is empty
+    diff = gens.acyclic_differential(
+        gens.seeded(9101, "cartan-sparse", 0, 0, n, setup.ring.describe()),
+        setup, n)
+    data, obstruction = solve_iota(diff)
+    assert obstruction is None
+    assert _column_counts(data) == (0, 2 * n)
+    assert identity_report(data) == ref.identity_report(data)

@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from eqcartan.cartan import gamma_q
+from eqcartan.complexes import sample_block
 from eqcartan.novikov import InputError, ScalarSetup, USeries
 from eqcartan.quantum import (
     QuantumRing,
@@ -13,7 +14,9 @@ from eqcartan.quantum import (
     uq_identity_check,
 )
 
+import dense_reference as ref
 from conftest import via_block
+from test_operator_algebra_oracles import SETUPS, random_ring, tailed
 
 SETUP = ScalarSetup.make(1, "Q")
 
@@ -96,6 +99,47 @@ def test_uq_identity_flags_broken_omega():
                          {1: SETUP.monomial(5, 1)})  # 5q e, degree 4
     out = uq_identity_check(broken)
     assert not out["holds"]
+
+
+# uq_identity_check's sample block holds only the columns where q*omega has a
+# tail; the reference runs the check on every sample vector
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_uq_identity_matches_the_full_sample_block_on_projective_models(
+        n, order):
+    Q = projective_space_model(n, SETUP)
+    assert uq_identity_check(Q, order) == ref.uq_identity_check(Q, order)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_uq_identity_matches_the_full_sample_block_on_randomized_tables(seed):
+    rng = random.Random(seed)
+    Q = rescaled_model(rng, rng.randint(1, 3))
+    broken = QuantumRing(SETUP, Q.basis, Q.table, Q.unit,
+                         {1: SETUP.monomial(5, 1)})
+    for R in (Q, broken):
+        assert uq_identity_check(R) == ref.uq_identity_check(R)
+
+
+@pytest.mark.parametrize("key", sorted(SETUPS), ids="-".join)
+def test_uq_identity_matches_the_full_sample_block_on_tailed_tables(key):
+    # random tables and omegas, some of their coefficients with a q-tail
+    setup = SETUPS[key]
+    kept = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        Q = random_ring(rng, setup)
+        Q = QuantumRing(setup, Q.basis,
+                        {ij: {k: tailed(rng, c) for k, c in col.items()}
+                         for ij, col in Q.table.items()},
+                        Q.unit, {k: tailed(rng, c) for k, c in Q.omega.items()})
+        order = rng.randint(1, 4)
+        assert uq_identity_check(Q, order) == ref.uq_identity_check(Q, order)
+        kept.append(len(sample_block(setup, Q.basis, order,
+                                     Q.cartan_data(order).iota_eq).source))
+    assert any(kept) and not all(kept)
 
 
 def test_connections_on_the_unit():

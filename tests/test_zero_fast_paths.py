@@ -29,7 +29,8 @@ import dense_reference as ref
 from eqcartan.cartan import (CartanData, EquivariantDifferential,
                              degree_weighted, gamma_q, gamma_u,
                              identity_report, solve_iota)
-from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
+from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
+                                sample_block)
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
 
 from conftest import random_equivariant_differential, via_block
@@ -277,12 +278,15 @@ def test_block_operators_match_the_per_vector_formulas(ring, regime, data):
 
 
 def test_monomial_products_build_nothing(monkeypatch, setup_q):
-    # identity_report on an acyclic differential with monomial entries: a
-    # product of two exact monomials makes its one term directly and never
-    # reaches NovikovElem.build; a regression would cost time, not an answer
-    diff = random_equivariant_differential(random.Random(4), setup_q)
-    data, obstruction = solve_iota(diff)
-    assert obstruction is None
+    # identity_report, and the three block operators on the full sample
+    # block, for acyclic differentials with monomial entries: a product of
+    # two exact monomials makes its one term directly and never reaches
+    # NovikovElem.build; a regression would cost time, not an answer.  The
+    # report's own sample block holds only the columns where iota has a
+    # tail, and these iota families have none
+    solved = [solve_iota(random_equivariant_differential(
+        random.Random(seed), setup_q)) for seed in (0, 3, 7)]
+    assert all(obstruction is None for _, obstruction in solved)
     counts = {"monomial products": 0, "builds inside them": 0}
     inside = []
     real_mul, real_build = NovikovElem.__mul__, NovikovElem.build
@@ -302,8 +306,11 @@ def test_monomial_products_build_nothing(monkeypatch, setup_q):
 
     monkeypatch.setattr(NovikovElem, "__mul__", mul)
     monkeypatch.setattr(NovikovElem, "build", staticmethod(build))
-    report = identity_report(data)
-    assert report["identities"]
+    for data, _ in solved:
+        assert identity_report(data)["identities"]
+        X = sample_block(setup_q, data.diff.basis, data.order)
+        for op in (gamma_q, gamma_u, degree_weighted):
+            assert op(data, X).entries
     assert counts["monomial products"] > 100
     assert counts["builds inside them"] == 0
 
