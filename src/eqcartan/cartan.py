@@ -268,6 +268,8 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     Returns (CartanData, obstruction) where obstruction is None on success
     and otherwise {"order": k, "residual": ...} naming the first u-order at
     which the linear system is inconsistent.  Requires field coefficients.
+    An obstruction is relative to the lower-order solutions kept: one per
+    order, never revisited, so another choice of them may still solve k.
     """
     setup = diff.setup
     if not setup.ring.is_field:

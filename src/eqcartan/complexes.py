@@ -4,8 +4,9 @@ Contents:
 
 * grading bookkeeping (integer, mod-2, mod-2m) and generator metadata;
 * sparse operator matrices with a declared degree shift, over either plain
-  Novikov scalars or truncated u-series; a family of vectors is one such
-  block of columns (``sample_block``: the sample columns e_i, q*u*e_i);
+  Novikov scalars or truncated u-series, whose ``compose`` builds each
+  entry once (``sum_of_products``); a family of vectors is one such block
+  of columns (``sample_block``: the sample columns e_i, q*u*e_i);
 * differential validation (d^2 = 0, monomial homogeneity in the |q| = 2
   regime);
 * cohomology over the Novikov field by valuation-pivot elimination, with
@@ -161,18 +162,19 @@ class OperatorMatrix:
         """self after other (matrix product self @ other)."""
         if other.target != self.source:
             raise NovikovError("operator composition basis mismatch")
-        acc: Dict[Tuple[int, int], Scalar] = {}
+        cells: Dict[Tuple[int, int], list] = {}
         by_mid: Dict[int, list] = {}
         for (m, s), v in other.entries.items():
             by_mid.setdefault(m, []).append((s, v))
         for (t, m), a in self.entries.items():
-            for s, b in by_mid.get(m, ()):  # a * b
-                key = (t, s)
-                prod = a * b
-                acc[key] = acc[key] + prod if key in acc else prod
+            for s, b in by_mid.get(m, ()):
+                cells.setdefault((t, s), []).append((a, b))
+        made = ((k, c[0][0] * c[0][1] if len(c) == 1  # each cell once
+                 else type(c[0][0]).sum_of_products(c))
+                for k, c in cells.items())
         return OperatorMatrix._made(
             other.source, self.target,
-            {k: v for k, v in acc.items() if not v.is_zero()},
+            {k: v for k, v in made if not v.is_zero()},
             self.degree + other.degree)
 
     def _sum(self, other: "OperatorMatrix", subtract: bool) -> "OperatorMatrix":
@@ -751,24 +753,26 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
         {(i, 2 * nm + i): one for i in range(np_)}, 0)
 
     hs = cohomology_over_novikov_field(cone, q_order)
+    h_minus = cohomology_over_novikov_field(C_minus, q_order)
+    h_plus = (h_minus if C_plus == C_minus  # a map from C to itself
+              else cohomology_over_novikov_field(C_plus, q_order))
     verdicts = {
-        "minus": _quasi_iso_verdict(proj_minus, cone, hs, C_minus, q_order),
-        "plus": _quasi_iso_verdict(proj_plus, cone, hs, C_plus, q_order),
+        "minus": _quasi_iso_verdict(proj_minus, cone, hs, h_minus, q_order),
+        "plus": _quasi_iso_verdict(proj_plus, cone, hs, h_plus, q_order),
     }
     return {"cone": cone, "projection_minus": proj_minus,
             "projection_plus": proj_plus, "quasi_isomorphisms": verdicts}
 
 
 def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
-                       hs: CohomologyReport, target: GradedComplex,
+                       hs: CohomologyReport, ht: CohomologyReport,
                        q_order=None) -> dict:
     """Is the induced map on cohomology an isomorphism in every degree?
 
-    ``hs`` is the cohomology of ``source``.  Where the Betti numbers agree,
-    the induced map is the square matrix of p_target(proj(rep)) over the
-    source representatives: is it of full rank?
+    ``hs`` and ``ht`` are the cohomology of ``source`` and of the target.
+    Where the Betti numbers agree, the induced map is the square matrix of
+    p_target(proj(rep)) over the source representatives: is it invertible?
     """
-    ht = cohomology_over_novikov_field(target, q_order)
     degrees = set(hs["degrees"]) | set(ht["degrees"])
     coeffs, residues = ht.project(proj.compose(hs.class_block(source.basis)))
     for k in sorted(degrees):

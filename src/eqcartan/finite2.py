@@ -30,13 +30,16 @@ must agree record for record.
 Truncation is fixed at h^3: nothing beyond that order is specified by the
 relation set, and we refuse to extrapolate.
 
-Products are ``OperatorMatrix.compose``, sums ``+`` and lambda from d is
-``entrywise(dq)``; failures and entries are read in row-major order.
+Products are ``OperatorMatrix.compose``, which builds each entry once from
+its products, sums ``+`` and lambda from d is ``entrywise(dq)``.  Both entry
+points read one table of the relation matrices, made once per datum (20
+products); failures and entries are read in row-major order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from .novikov import InputError, ScalarSetup, dq
@@ -52,9 +55,10 @@ def _require_f2(setup: ScalarSetup):
         raise InputError("the finite analogue requires F2 coefficients")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Z2CartanData:
-    """The seven-operator system over F2 Novikov coefficients."""
+    """The seven-operator system over F2 Novikov coefficients; frozen, as
+    its relation table is made on first use and kept."""
 
     setup: ScalarSetup
     basis: Tuple[GeneratorInfo, ...]
@@ -68,7 +72,7 @@ class Z2CartanData:
 
     def __post_init__(self):
         _require_f2(self.setup)
-        self.basis = tuple(self.basis)
+        object.__setattr__(self, "basis", tuple(self.basis))
         for name, op in self.operators().items():
             if op.source != self.basis or op.target != self.basis:
                 raise InputError(f"operator {name} basis mismatch")
@@ -96,6 +100,25 @@ class Z2CartanData:
         return OperatorMatrix(self.basis, self.basis,
                               {(i, i): one for i in range(self.n)})
 
+    @cached_property
+    def _relations(self):
+        """Each displayed relation with its matrix, zero iff it holds."""
+        d, iota, lam, sig = self.d, self.iota, self.lam, self.sigma
+        Sig, xi, Xi = self.Sigma, self.xi, self.Xi
+        return [
+            ("d^2 = 0", d.compose(d)),
+            ("d iota = iota d", _anticommutator(d, iota)),
+            ("d lambda = lambda d", _anticommutator(d, lam)),
+            ("lambda = dq(d)", lam + d.entrywise(dq)),
+            ("d sigma = sigma d", _anticommutator(d, sig)),
+            ("d Sigma + Sigma d = sigma^2 + id",
+             _anticommutator(d, Sig) + sig.compose(sig) + self.identity()),
+            ("d xi + xi d = sigma iota + iota sigma",
+             _anticommutator(d, xi) + _anticommutator(sig, iota)),
+            (_XI_RELATION, _anticommutator(d, Xi) + _anticommutator(sig, xi)
+             + _anticommutator(Sig, iota) + lam),
+        ]
+
 
 def _anticommutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return A.compose(B) + B.compose(A)
@@ -111,29 +134,10 @@ _XI_RELATION = ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
                 " + lambda")
 
 
-def _relations(Z: Z2CartanData):
-    """Each displayed relation with its matrix, zero iff the relation holds."""
-    d, iota, lam, sig = Z.d, Z.iota, Z.lam, Z.sigma
-    Sig, xi, Xi = Z.Sigma, Z.xi, Z.Xi
-    return [
-        ("d^2 = 0", d.compose(d)),
-        ("d iota = iota d", _anticommutator(d, iota)),
-        ("d lambda = lambda d", _anticommutator(d, lam)),
-        ("lambda = dq(d)", lam + d.entrywise(dq)),
-        ("d sigma = sigma d", _anticommutator(d, sig)),
-        ("d Sigma + Sigma d = sigma^2 + id",
-         _anticommutator(d, Sig) + sig.compose(sig) + Z.identity()),
-        ("d xi + xi d = sigma iota + iota sigma",
-         _anticommutator(d, xi) + _anticommutator(sig, iota)),
-        (_XI_RELATION, _anticommutator(d, Xi) + _anticommutator(sig, xi)
-         + _anticommutator(Sig, iota) + lam),
-    ]
-
-
 def verify_relations(Z: Z2CartanData) -> dict:
     """Exact check of every displayed relation; failures carry witnesses."""
     relations = []
-    for name, M in _relations(Z):
+    for name, M in Z._relations:
         fails = _failures(M, Z.basis, name)
         relations.append({"relation": name, "holds": not fails,
                           "failures": fails})
@@ -149,7 +153,7 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     off the relation matrices as the module docstring sets out.
     """
     basis = Z.basis
-    rel = dict(_relations(Z))
+    rel = dict(Z._relations)
     by_order = [
         ("d_eq^2", [rel["d^2 = 0"], rel["d sigma = sigma d"],
                     rel["d Sigma + Sigma d = sigma^2 + id"]]),

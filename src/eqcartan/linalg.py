@@ -492,11 +492,9 @@ def solve(rows: Sequence[Row], rhs: List[NovikovElem], setup: ScalarSetup,
     nonzero = {c: v for c, v in enumerate(rhs) if not v.is_zero()}
 
     def b(r):  # row r of scaled_transform @ rhs; no stored entry is zero
-        acc = zero
-        for c, u in red.scaled_transform[r].items():
-            if c in nonzero:
-                acc = acc + (u * nonzero[c])
-        return acc
+        pairs = [(u, nonzero[c]) for c, u in red.scaled_transform[r].items()
+                 if c in nonzero]
+        return NovikovElem.sum_of_products(pairs) if pairs else zero
 
     pivot_rows = {r for r, _ in red.pivots}
     for r in range(len(rows)):

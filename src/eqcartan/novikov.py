@@ -18,6 +18,8 @@ unknown rather than known-zero.  A USeries carries a ``valid`` order:
 coefficients of u^k for k >= valid are unknown (this is how the top
 order lost by d/du is recorded).  Downstream identity checks use these
 bounds to report "verified to order so-and-so" instead of overclaiming.
+A sum of products (an operator or series product, a solution, a series
+inverse) is built in one pass by ``sum_of_products``, with the weakest bound.
 
 Doctest flavour::
 
@@ -333,11 +335,11 @@ class NovikovElem:
     gives.  A termless element with a tail, ``O(q^T)``, is not decidably
     zero and always goes through the formula, which carries its tail.
 
-    Results are canonical by construction: ``+`` and ``*`` of single-term
-    operands make their one- or two-term result directly, and ``scale`` and
-    ``dq`` their terms, without a zero coefficient (``2q * 3q`` over Z/6) or
-    a term at or above ``trunc``.  Only the general formulas merge and sort
-    in ``build``.
+    Results are canonical by construction: ``+`` of single-term operands
+    and ``*`` of exact ones make their one- or two-term result, ``scale``
+    and ``dq`` their terms, directly, with no zero coefficient (``2q * 3q``
+    over Z/6) or term at or above ``trunc``.  Any other product is a
+    ``sum_of_products`` of one pair; only a general sum sorts in ``build``.
     """
 
     setup: ScalarSetup
@@ -430,29 +432,46 @@ class NovikovElem:
             return self
         if not other.terms and other.trunc is None:
             return other
-        ring = self.setup.ring
-        trunc = None
-        if self.trunc is not None or other.trunc is not None:
-            ta = self.trunc if self.trunc is not None else INF
-            tb = other.trunc if other.trunc is not None else INF
-            # each factor's valuation is at least its lowest term, or its
-            # trunc when it has no terms: O(q^2) * O(q^3) is O(q^5)
-            va = self.terms[0][0] if self.terms else ta
-            vb = other.terms[0][0] if other.terms else tb
-            t = min(va + tb, vb + ta)
-            trunc = None if t == INF else int(t)
-        if len(self.terms) == 1 == len(other.terms):
+        if (len(self.terms) == 1 == len(other.terms) and self.trunc is None
+                and other.trunc is None):
             (na, ca), = self.terms
             (nb, cb), = other.terms
-            c, n = ring.mul(ca, cb), na + nb
-            return NovikovElem(self.setup, ((n, c),) if c != 0 and (
-                trunc is None or n < trunc) else (), trunc)
-        pairs = [
-            (na + nb, ring.mul(ca, cb))
-            for na, ca in self.terms
-            for nb, cb in other.terms
-        ]
-        return NovikovElem.build(self.setup, pairs, trunc)
+            c = self.setup.ring.mul(ca, cb)
+            return NovikovElem(self.setup, ((na + nb, c),) if c != 0 else ())
+        return NovikovElem.sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(pairs) -> "NovikovElem":
+        """sum(a * b for a, b in pairs) over a non-empty sequence, built once
+        from one exponent -> coefficient table of every term product, with
+        the least ``trunc`` that ``*`` gives a pair.  Decidably zero operands
+        are skipped: the result equals the sequential sum field for field."""
+        first = pairs[0][0]
+        setup, acc, trunc = first.setup, {}, INF
+        for a, b in pairs:
+            if a.setup is not setup or b.setup is not setup:
+                _check_same_setup(first, a)
+                _check_same_setup(first, b)
+            if a.is_zero() or b.is_zero():
+                continue
+            if a.trunc is not None or b.trunc is not None:
+                # a termless factor is valued at its trunc: O(q)O(q) = O(q^2)
+                ta = INF if a.trunc is None else a.trunc
+                tb = INF if b.trunc is None else b.trunc
+                trunc = min(trunc, (a.terms[0][0] if a.terms else ta) + tb,
+                            (b.terms[0][0] if b.terms else tb) + ta)
+            for na, ca in a.terms:
+                for nb, cb in b.terms:
+                    n = na + nb
+                    acc[n] = acc[n] + ca * cb if n in acc else ca * cb
+        m, terms = setup.ring.modulus, []
+        for n in sorted(acc):
+            if n >= trunc:
+                break
+            if (c := acc[n] % m if m else _rational(acc[n])) != 0:
+                terms.append((n, c))
+        return NovikovElem(setup, tuple(terms),
+                           None if trunc == INF else trunc)
 
     def scale(self, coeff) -> "NovikovElem":
         ring = self.setup.ring
@@ -699,23 +718,38 @@ class USeries:
             return self
         if other._zero:
             return other
-        # products landing at u^v or above are unknown: none is formed
-        v = min(self.order, self._lead() + other.valid,
-                other._lead() + self.valid)
-        bs = [(j, b) for j, b in enumerate(other.coeffs[:min(v, other.valid)])
-              if not b.is_zero()]
-        if (other.valid == self.order and len(bs) == 1 and bs[0][0] == 0
-                and bs[0][1].terms == ((0, 1),) and bs[0][1].trunc is None):
+        one = other.coeffs[0]
+        if (other.valid == self.order and one.terms == ((0, 1),) and one.trunc
+                is None and all(c.is_zero() for c in other.coeffs[1:])):
             return self  # other is the exact unit 1
-        out = [self.setup.zero()] * v
-        for i, a in enumerate(self.coeffs[:min(v, self.valid)]):
-            if a.is_zero():
-                continue
-            for j, b in bs:
-                if i + j >= v:
-                    break
-                out[i + j] = out[i + j] + (a * b)
-        return self._of(tuple(out), v)
+        return USeries.sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(pairs) -> "USeries":
+        """sum(a * b for a, b in pairs) over a non-empty sequence, with the
+        least ``valid`` that ``*`` gives a pair; each coefficient below it is
+        built once from all of its term products.  Decidably zero operands
+        are skipped: the result equals the sequential sum field for field."""
+        first = pairs[0][0]
+        v, live = first.order, []
+        for a, b in pairs:
+            first._common(a)
+            a._common(b)
+            if not (a._zero or b._zero):
+                # products landing at u^v or above are unknown: none is formed
+                v = min(v, a._lead() + b.valid, b._lead() + a.valid)
+                live.append((a, b))
+        cells = [[] for _ in range(v)]
+        for a, b in live:
+            for i, x in enumerate(a.coeffs[:min(v, a.valid)]):
+                if x.terms or x.trunc is not None:
+                    for j, y in enumerate(b.coeffs[:min(v - i, b.valid)]):
+                        if y.terms or y.trunc is not None:
+                            cells[i + j].append((x, y))
+        zero = first.setup.zero()
+        return first._of(tuple([
+            zero if not c else c[0][0] * c[0][1] if len(c) == 1
+            else NovikovElem.sum_of_products(c) for c in cells]), v)
 
     def scale(self, c: NovikovElem) -> "USeries":
         _check_same_setup(self, c)
@@ -778,15 +812,11 @@ def useries_invert_unit(p: USeries, q_order: int) -> USeries:
     if not p0.has_terms():
         raise InversionError("u-series is not a unit (u^0 coefficient vanishes)")
     b0 = invert_truncated(p0, q_order)
-    setup = p.setup
     out = [b0]
-    for k in range(1, p.order):
-        acc = setup.zero()
-        for j in range(1, k + 1):
-            pj = p.coeffs[j] if j < p.valid else setup.zero()
-            acc = acc + (pj * out[k - j])
-        out.append(-(b0 * acc))
-    return USeries.build(setup, p.order, out, p.valid)
+    for k in range(1, p.valid):  # the orders from valid on are unknown
+        out.append(-(b0 * NovikovElem.sum_of_products(
+            [(p.coeffs[j], out[k - j]) for j in range(1, k + 1)])))
+    return USeries.build(p.setup, p.order, out, p.valid)
 
 
 # -- text grammar -------------------------------------------------------------

@@ -94,13 +94,14 @@ class QuantumRing:
                        degree: int = 0) -> OperatorMatrix:
         """L_x, quantum multiplication by x = sum_i x_i e_i: the operator
         with entry (k, j) = sum_i x_i table[(i, j)][k]."""
-        acc: Dict[Tuple[int, int], NovikovElem] = {}
+        cells: Dict[Tuple[int, int], list] = {}
         for i, w in x.items():
             for j in range(self.rank):
                 for k, c in self.product_of_basis(i, j).items():
-                    v = w * c
-                    acc[(k, j)] = acc[(k, j)] + v if (k, j) in acc else v
-        return OperatorMatrix(self.basis, self.basis, acc, degree)
+                    cells.setdefault((k, j), []).append((w, c))
+        return OperatorMatrix(self.basis, self.basis, {
+            key: NovikovElem.sum_of_products(pairs)
+            for key, pairs in cells.items()}, degree)
 
     def star_useries(self, a: List[NovikovElem],
                      vec: List[USeries]) -> List[USeries]:

@@ -433,6 +433,31 @@ def test_cone_of_the_identity_on_a_complex_with_a_differential():
     assert out["quasi_isomorphisms"]["minus"]["quasi_isomorphism"]
 
 
+def test_a_self_map_cone_computes_each_cohomology_once(monkeypatch):
+    # the cone's and C's for a map from C to itself, also when the two
+    # sides are equal complexes built apart; a third for distinct sides
+    calls = []
+    real = complexes.cohomology_over_novikov_field
+    monkeypatch.setattr(complexes, "cohomology_over_novikov_field",
+                        lambda C, q_order=None: calls.append(C)
+                        or real(C, q_order))
+    C = two_step_complex()
+    ident = OperatorMatrix(C.basis, C.basis,
+                           {(0, 0): SETUP.one(), (1, 1): SETUP.one()}, 0)
+    want = {"minus": {"quasi_isomorphism": True},
+            "plus": {"quasi_isomorphism": True}}
+    for plus, count in ((C, 2), (two_step_complex(), 2)):
+        calls.clear()
+        assert mapping_cone(ident, C, plus)["quasi_isomorphisms"] == want
+        assert len(calls) == count and calls[1] is C
+    calls.clear()
+    minus = _free_complex([("b", 0)])
+    plus = _free_complex([("a", 0)])
+    zero_map = OperatorMatrix(plus.basis, minus.basis, {}, 0)
+    mapping_cone(zero_map, minus, plus)
+    assert len(calls) == 3
+
+
 def _not_square():
     basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 1),
              GeneratorInfo("c", 2))

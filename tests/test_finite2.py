@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -111,6 +112,21 @@ def test_golden_fixture_relations_and_assembly():
     out = assemble_and_check(Z)
     assert out["all_hold"], [c for c in out["certificates"] if not c["holds"]]
     assert out["h_truncation"] == 3
+
+
+def test_both_entry_points_read_one_relation_table(monkeypatch):
+    # verify then assemble, as `finite2 assemble` runs them, make the 20
+    # products once; the frozen datum cannot be changed under its table
+    calls = []
+    real = Z2CartanData._relations.func
+    monkeypatch.setattr(Z2CartanData._relations, "func",
+                        lambda Z: calls.append(Z) or real(Z))
+    Z = random_z2_data(random.Random(3))
+    rel, out = verify_relations(Z), assemble_and_check(Z)
+    assert rel["all_hold"] and out["all_hold"]
+    assert calls == [Z]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Z.d = Z.iota
 
 
 @pytest.mark.parametrize("seed", range(20))

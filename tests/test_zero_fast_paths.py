@@ -15,6 +15,12 @@ entry as it is and must equal the general formula in the same way.  The
 block operators ``gamma_q``, ``gamma_u`` and ``degree_weighted`` skip the
 entries a block does not store, and each column of their image must equal
 the per-vector formula of ``dense_reference`` on that column.
+
+Sums of products are one pass of ``sum_of_products`` (``OperatorMatrix.
+compose`` per entry, ``USeries.__mul__`` as its one-pair case, ``linalg.
+solve`` per row): each must equal the sequential sum of the general
+formulas, product by product, field for field, on the lattices Z and 1/2 Z;
+an entry that cancels to an exact zero must not be stored.
 """
 
 import functools
@@ -26,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
+from eqcartan import linalg
 from eqcartan.cartan import (CartanData, EquivariantDifferential,
                              degree_weighted, gamma_q, gamma_u,
                              identity_report, solve_iota)
@@ -321,3 +328,192 @@ def test_the_zero_flag_takes_no_lock():
     assert not isinstance(inspect.getattr_static(USeries, "_zero", None),
                           functools.cached_property)
     assert USeries.zero(SETUPS["Q"], ORDER).__dict__["_zero"] is True
+
+
+# -- the sum-of-products kernel -------------------------------------------------
+
+KERNEL_SETUPS = {f"{ring}-{g}": ScalarSetup.make(g, ring)
+                 for ring in ("Q", "F2", "F5", "Z/6") for g in ("1", "1/2")}
+KERNEL_KINDS = ("zero", "tail", "monomial", "exact", "tailed")
+
+
+@st.composite
+def kernel_elems(draw, setup, kinds=KERNEL_KINDS):
+    """An exact zero, O(q^T), an exact monomial, or one to three terms,
+    exact or with a tail above them."""
+    kind = draw(st.sampled_from(kinds))
+    if kind not in ("exact", "tailed"):
+        return draw(elems(setup, kind))
+    terms = draw(elems(setup, "ordinary")).terms
+    return NovikovElem(setup, terms, None if kind == "exact" else
+                       terms[-1][0] + draw(st.integers(min_value=1,
+                                                       max_value=4)))
+
+
+@st.composite
+def kernel_series(draw, setup):
+    """A series of one of SERIES_KINDS, or with coefficients of every
+    kind of ``kernel_elems``."""
+    kind = draw(st.sampled_from(SERIES_KINDS + ("mixed",)))
+    if kind != "mixed":
+        return draw(series(setup, kind))
+    return USeries.build(setup, ORDER, [draw(kernel_elems(setup))
+                                        for _ in range(ORDER)])
+
+
+@st.composite
+def cancelling_operators(draw, scalars):
+    """Square dense A, B; when drawn so, column 1 of A repeats column 0
+    and row 1 of B negates row 0, so that their products cancel."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    A = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    B = [[draw(scalars) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for row in A:
+            row[1] = row[0]
+        B[1] = [-b for b in B[0]]
+    return A, B
+
+
+def _operator(M):
+    basis = [GeneratorInfo(f"g{i}") for i in range(len(M))]
+    return OperatorMatrix(basis, basis, {(t, s): v for t, row in enumerate(M)
+                                         for s, v in enumerate(row)})
+
+
+def _sequential(pairs, zero, add, mul):
+    acc = zero
+    for a, b in pairs:
+        acc = add(acc, mul(a, b))
+    return acc
+
+
+def _check_dense(got, want, assert_same):
+    """``got`` (operator entries) stores exactly the entries of the dense
+    ``want`` that are not decidably zero, each equal field for field."""
+    for t, row in enumerate(want):
+        for s, w in enumerate(row):
+            if w.is_zero():
+                assert (t, s) not in got
+            else:
+                assert_same(got[(t, s)], w)
+
+
+def _check_compose(A, B, zero, add, mul, assert_same):
+    got = _operator(A).compose(_operator(B)).entries
+    n = len(A)
+    _check_dense(got, [[_sequential([(A[t][m], B[m][s]) for m in range(n)],
+                                    zero, add, mul) for s in range(n)]
+                       for t in range(n)], assert_same)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SETUPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_novikov_sums_of_products_match_the_sequential_formula(name, data):
+    setup = KERNEL_SETUPS[name]
+    A, B = data.draw(cancelling_operators(kernel_elems(setup)))
+    _check_compose(A, B, setup.zero(), ref.elem_add, ref.elem_mul,
+                   assert_same_elem)
+    pairs = [(A[0][m], B[m][0]) for m in range(len(A))]
+    assert_same_elem(NovikovElem.sum_of_products(pairs),
+                     _sequential(pairs, setup.zero(), ref.elem_add,
+                                 ref.elem_mul))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SETUPS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_series_sums_of_products_match_the_sequential_formula(name, data):
+    setup = KERNEL_SETUPS[name]
+    A, B = data.draw(cancelling_operators(kernel_series(setup)))
+    got = _check_compose(A, B, USeries.zero(setup, ORDER), ref.useries_add,
+                         ref.useries_mul, assert_same_series)
+    _check_dense(got, ref._dmul(A, B, setup, ORDER), assert_same_series)
+    for a, b in itertools.product(A[0], B[0]):
+        assert_same_series(a * b, ref.useries_mul(a, b))
+
+
+def test_cancellation_to_an_exact_zero_is_not_stored():
+    # two products that cancel, and two that vanish through zero divisors
+    # of Z/6: the entry is an exact zero and is not stored; with a tail on
+    # one factor, the cancelled entry is O(q^T) and is kept
+    setup = KERNEL_SETUPS["Z/6-1"]
+    a = NovikovElem.build(setup, [(0, 1), (1, 2)])
+    b = NovikovElem.build(setup, [(1, 1), (2, 5)])
+    two, three = setup.monomial(2, 1), setup.monomial(3, 0)
+    for A, B in (([[a, a], [a, a]], [[b, b], [-b, -b]]),
+                 ([[two, three], [two, three]], [[three, three], [two, two]])):
+        assert _check_compose(A, B, setup.zero(), ref.elem_add,
+                              ref.elem_mul, assert_same_elem) == {}
+    tailed = NovikovElem(setup, a.terms, 4)
+    got = _check_compose([[tailed, a], [a, a]], [[b, b], [-b, -b]],
+                         setup.zero(), ref.elem_add, ref.elem_mul,
+                         assert_same_elem)
+    assert got[(0, 0)].terms == () and got[(0, 0)].trunc == 5
+
+
+@pytest.mark.parametrize("name", ["Q-1", "Q-1/2", "F2-1", "F5-1/2"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_matches_the_sequential_formula(name, data):
+    # each row of scaled_transform @ rhs is one sum of products; rows with
+    # a tail may leave the elimination undetermined, which is not compared
+    setup = KERNEL_SETUPS[name]
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    rows = [[data.draw(kernel_elems(setup, ("zero", "monomial", "exact",
+                                            "exact", "tailed")))
+             for _ in range(n)] for _ in range(m)]
+    rhs = [data.draw(kernel_elems(setup)) for _ in range(m)]
+    try:
+        red = linalg.row_reduce(rows, setup, 6)
+    except linalg.UndeterminedError:
+        return
+    b = [_sequential([(u, rhs[c]) for c, u in
+                      sorted(red.scaled_transform[r].items())],
+                     setup.zero(), ref.elem_add, ref.elem_mul)
+         for r in range(m)]
+    x, bad = linalg.solve(rows, rhs, setup, reduction=red)
+    pivot_rows = {r for r, _ in red.pivots}
+    inconsistent = [r for r in range(m)
+                    if r not in pivot_rows and b[r].has_terms()]
+    if inconsistent:
+        assert x is None and bad[0] == inconsistent[0]
+        assert_same_elem(bad[1], b[bad[0]])
+        return
+    assert bad is None and set(x) == {c for _, c in red.pivots}
+    for r, c in red.pivots:
+        assert_same_elem(x[c], red._divide(r, b[r]))
+
+
+def test_a_dense_compose_builds_each_entry_once(monkeypatch):
+    # 4x4 operators of 3-term entries with positive coefficients over Q,
+    # so no entry cancels: each entry of the product is one pass over its
+    # four products, with no partial sum and no product made on its own
+    setup = SETUPS["Q"]
+    rng = random.Random(5)
+
+    def dense():
+        return [[NovikovElem.build(setup, [
+            (e, rng.randint(1, 9)) for e in rng.sample(range(-3, 4), 3)])
+            for _ in range(4)] for _ in range(4)]
+
+    A, B = _operator(dense()), _operator(dense())
+    counts = {"additions": 0, "elements made": 0}
+    real_add, real_init = NovikovElem.__add__, NovikovElem.__init__
+
+    def add(a, b):
+        counts["additions"] += 1
+        return real_add(a, b)
+
+    def init(self, *args, **kwargs):
+        counts["elements made"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NovikovElem, "__add__", add)
+    monkeypatch.setattr(NovikovElem, "__init__", init)
+    AB = A.compose(B)
+    assert len(AB.entries) == 16
+    assert counts == {"additions": 0, "elements made": 16}
