@@ -4,8 +4,10 @@ Exit codes: 0 = all checks pass; 1 = a mathematical check verified false;
 2 = malformed input; 3 = undetermined (truncation exhausted before a
 decision); 4 = internal error (a defect of the program, never a verdict;
 the traceback goes to stderr).  Reports go to stdout as deterministic JSON
-(sorted keys, fixed indentation).  Only the ``morse`` commands import
-``morse`` and with it numpy, so no other command pays for loading it.
+(sorted keys, fixed indentation).  Each command imports the modules it
+runs inside its own body, so a process loads only those: ``--schema``
+loads no arithmetic beyond the document builders, and only the ``morse``
+commands load ``morse`` and with it numpy.
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
@@ -22,11 +24,6 @@ import sys
 import traceback
 from typing import Optional
 
-from . import cartan as cartan_mod
-from . import complexes as cx
-from . import finite2
-from . import quantum as quantum_mod
-from .cartan import DEFAULT_U_ORDER
 from .linalg import UndeterminedError, _order_setting
 from .novikov import InputError
 from . import schema as schema_mod
@@ -47,12 +44,15 @@ def cmd_validate(args) -> int:
     blocks = {}
     ok = True
     if "complex" in doc:
+        from . import complexes as cx
         C = schema_mod.complex_from(doc)
         viol = cx.validate_complex(C)
         blocks["complex"] = {"violations": viol, "valid": not viol}
         ok = ok and not viol
     if "d_family" in doc or "complex" in doc:
-        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
+        from . import cartan as cartan_mod
+        diff = schema_mod.differential_family_from(
+            doc, cartan_mod.DEFAULT_U_ORDER())
         d_eq = diff.as_operator()
         fails, _, _ = cartan_mod._scan(
             "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
@@ -71,6 +71,7 @@ def cmd_validate(args) -> int:
         blocks["quantum_ring"] = {"violations": viol, "valid": not viol}
         ok = ok and not viol
     if "z2_data" in doc:
+        from . import finite2
         Z = schema_mod.z2_from(doc)
         rep = finite2.verify_relations(Z)
         blocks["z2_data"] = {"violations": [
@@ -91,6 +92,7 @@ def cmd_validate(args) -> int:
 
 
 def _lambda_mismatches(diff, lam_doc):
+    from . import cartan as cartan_mod
     derived = cartan_mod.lambda_components(diff, "cy")
     out = []
     zero = diff.setup.zero()
@@ -111,6 +113,7 @@ def _lambda_mismatches(diff, lam_doc):
 
 
 def cmd_cohomology(args) -> int:
+    from . import complexes as cx
     doc = schema_mod.load_document(args.document)
     C = schema_mod.complex_from(doc)
     report = cx.cohomology_over_novikov_field(C, args.q_order)
@@ -119,6 +122,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_u_decompose(args) -> int:
+    from . import complexes as cx
+    from .cartan import DEFAULT_U_ORDER
     doc = schema_mod.load_document(args.document)
     diff = schema_mod.differential_family_from(
         doc, args.order or DEFAULT_U_ORDER())
@@ -141,8 +146,9 @@ def cmd_u_decompose(args) -> int:
 
 
 def cmd_cartan_verify(args) -> int:
+    from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
-    data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER())
+    data = schema_mod.cartan_from(doc, cartan_mod.DEFAULT_U_ORDER())
     report = cartan_mod.identity_report(data)
     lam_doc = schema_mod.lambda_family_from(doc, data.diff)
     if lam_doc is not None:
@@ -155,8 +161,10 @@ def cmd_cartan_verify(args) -> int:
 
 
 def cmd_cartan_solve_iota(args) -> int:
+    from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
+    diff = schema_mod.differential_family_from(doc,
+                                               cartan_mod.DEFAULT_U_ORDER())
     regime = args.regime or doc.get("iota_family", {}).get("regime",
                                                           "monotone")
     data, obstruction = cartan_mod.solve_iota(diff, regime,
@@ -180,16 +188,18 @@ def cmd_cartan_solve_iota(args) -> int:
 
 
 def cmd_cartan_connection(args) -> int:
+    from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
     if "iota_family" in doc:
-        data = schema_mod.cartan_from(doc, DEFAULT_U_ORDER())
+        data = schema_mod.cartan_from(doc, cartan_mod.DEFAULT_U_ORDER())
         if args.regime not in (None, data.regime):
             raise DocumentError(
                 f"--regime {args.regime} contradicts the iota_family regime "
                 f"{data.regime}: the same iota read in the other regime "
                 "gives another connection")
     else:
-        diff = schema_mod.differential_family_from(doc, DEFAULT_U_ORDER())
+        diff = schema_mod.differential_family_from(
+            doc, cartan_mod.DEFAULT_U_ORDER())
         data, obstruction = cartan_mod.solve_iota(
             diff, args.regime or "monotone", q_order=args.q_order)
         if obstruction is not None:
@@ -202,6 +212,7 @@ def cmd_cartan_connection(args) -> int:
 
 
 def cmd_quantum_check(args) -> int:
+    from . import quantum as quantum_mod
     doc = schema_mod.load_document(args.document)
     Q = schema_mod.quantum_from(doc)
     axioms = Q.validate()
@@ -216,6 +227,7 @@ def cmd_quantum_check(args) -> int:
 
 
 def cmd_quantum_obstruction(args) -> int:
+    from . import quantum as quantum_mod
     if args.ring == "Z":
         report = quantum_mod.forbidden_summand_check(args.lam, args.d, "Z")
     else:
@@ -229,6 +241,7 @@ def cmd_quantum_obstruction(args) -> int:
 
 
 def cmd_finite2_verify(args) -> int:
+    from . import finite2
     doc = schema_mod.load_document(args.document)
     Z = schema_mod.z2_from(doc)
     report = finite2.verify_relations(Z)
@@ -237,6 +250,7 @@ def cmd_finite2_verify(args) -> int:
 
 
 def cmd_finite2_assemble(args) -> int:
+    from . import finite2
     doc = schema_mod.load_document(args.document)
     Z = schema_mod.z2_from(doc)
     relations = finite2.verify_relations(Z)
@@ -281,6 +295,7 @@ def cmd_morse_weights(args) -> int:
 
 
 def cmd_cone(args) -> int:
+    from . import complexes as cx
     doc = schema_mod.load_document(args.document)
     cmap, minus, plus = schema_mod.cone_from(doc)
     result = cx.mapping_cone(cmap, minus, plus, args.q_order)

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from .complexes import GeneratorInfo, GradedComplex, GradingKind, OperatorMatrix
-from .cartan import CartanData, EquivariantDifferential, _iota_degree
-from .quantum import QuantumRing
-from .finite2 import Z2CartanData
+
+if TYPE_CHECKING:  # each builder imports the module of the type it makes
+    from .cartan import CartanData, EquivariantDifferential
+    from .finite2 import Z2CartanData
+    from .quantum import QuantumRing
 
 __all__ = ["SCHEMA", "DocumentError", "load_document", "dumps", "jsonify",
            "setup_from", "complex_from", "differential_family_from",
@@ -391,6 +393,7 @@ def complex_from(doc: dict) -> GradedComplex:
 def differential_family_from(doc: dict,
                              default_order: Optional[int] = None
                              ) -> EquivariantDifferential:
+    from .cartan import EquivariantDifferential
     if "complex" not in doc:
         raise DocumentError("d_family needs a 'complex' block for its basis")
     C = complex_from(doc)
@@ -409,6 +412,7 @@ def differential_family_from(doc: dict,
 
 def cartan_from(doc: dict,
                 default_order: Optional[int] = None) -> CartanData:
+    from .cartan import CartanData, _iota_degree
     diff = differential_family_from(doc, default_order)
     regime = "monotone"
     iota_ops = ()
@@ -432,6 +436,7 @@ def lambda_family_from(doc: dict, diff: EquivariantDifferential):
 
 
 def quantum_from(doc: dict) -> QuantumRing:
+    from .quantum import QuantumRing
     if "quantum_ring" not in doc:
         raise DocumentError("document has no 'quantum_ring' block")
     block = doc["quantum_ring"]
@@ -463,6 +468,7 @@ def quantum_from(doc: dict) -> QuantumRing:
 
 
 def z2_from(doc: dict) -> Z2CartanData:
+    from .finite2 import Z2CartanData
     if "z2_data" not in doc:
         raise DocumentError("document has no 'z2_data' block")
     block = doc["z2_data"]

@@ -263,28 +263,46 @@ def test_schema_flag(capsys):
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import eqcartan.cli
-heavy = ("numpy", "jsonschema")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [eqcartan.cli.main(["validate", "fixtures/monotone_case.json"]),
-             eqcartan.cli.main(["--schema"])]
-    before = [m for m in heavy if m in sys.modules]
-    codes.append(eqcartan.cli.main(["morse", "weights"]))
-print(json.dumps({"codes": codes, "before": before,
-                  "after": [m for m in heavy if m in sys.modules]}))
+watched = ("eqcartan.cartan", "eqcartan.quantum", "eqcartan.finite2",
+           "numpy", "jsonschema")
+steps = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = eqcartan.cli.main(argv)
+    steps.append([code, [m for m in watched if m in sys.modules]])
+print(json.dumps(steps))
 """
 
 
-def test_cli_loads_numpy_only_for_morse():
-    """A fresh interpreter: the document commands and --schema import
-    neither numpy nor jsonschema; a morse command does import numpy."""
+def test_each_command_loads_only_the_modules_it_runs():
+    """One fresh interpreter runs the commands in turn and records the
+    modules loaded so far after each: --schema, cohomology and cone load
+    none of cartan, quantum and finite2; finite2 verify adds finite2 only;
+    no document command loads numpy or jsonschema; a morse command does
+    load numpy."""
     root = FIXTURES.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=root,
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "before": [],
-                                       "after": ["numpy"]}
+    cartan, quantum, finite2 = ("eqcartan.cartan", "eqcartan.quantum",
+                                "eqcartan.finite2")
+    steps = [
+        (["--schema"], []),
+        (["cohomology", "fixtures/monotone_case.json"], []),
+        (["cone", "fixtures/cone_case.json"], []),
+        (["finite2", "verify", "fixtures/z2_case.json"], [finite2]),
+        (["validate", "fixtures/monotone_case.json"], [cartan, finite2]),
+        (["cartan", "verify", "fixtures/monotone_case.json"],
+         [cartan, finite2]),
+        (["quantum", "check", "fixtures/quantum_cp1.json"],
+         [cartan, quantum, finite2]),
+        (["morse", "weights"], [cartan, quantum, finite2, "numpy"]),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE,
+         json.dumps([argv for argv, _ in steps])],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        check=True)
+    assert json.loads(proc.stdout) == [[0, loaded] for _, loaded in steps]
 
 
 # -- command output sanity -----------------------------------------------------

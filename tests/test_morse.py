@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqcartan import InputError
+from eqcartan.novikov import InputError
 from eqcartan.morse import (
     ProjectivePoint,
     additivity_report,
