@@ -19,6 +19,7 @@ unset, anything else is malformed input (exit 2).
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 import traceback
@@ -93,11 +94,12 @@ def cmd_validate(args) -> int:
 
 def _lambda_mismatches(diff, lam_doc):
     from . import cartan as cartan_mod
-    derived = cartan_mod.lambda_components(diff, "cy")
+    derived = [op.entries for op in cartan_mod.lambda_components(diff, "cy")]
     out = []
     zero = diff.setup.zero()
-    for k, entries in enumerate(lam_doc):
-        stored = derived[k].entries if k < len(derived) else {}
+    # a component that either side leaves out is zero
+    for k, (stored, entries) in enumerate(
+            itertools.zip_longest(derived, lam_doc, fillvalue={})):
         for t, s in sorted(stored.keys() | entries.keys()):
             want = stored.get((t, s), zero)
             got = entries.get((t, s), zero)

@@ -179,6 +179,27 @@ def test_d_family_order_below_its_components_exits_2(capsys, tmp_path,
         "kind": "malformed input"}
 
 
+def test_a_lambda_component_the_document_leaves_out_is_checked(capsys,
+                                                                tmp_path):
+    # d_1 = q^3 on (y, x) derives lambda_1 = 3q^2, which the one-component
+    # lambda_family declares zero by leaving it out
+    doc = json.loads((FIXTURES / "monotone_case.json").read_text())
+    doc["d_family"]["components"].append(
+        [{"target": "y", "source": "x", "value": "q^3"}])
+    p = tmp_path / "short_lambda.json"
+    p.write_text(json.dumps(doc))
+    missing = {"invariant": "lambda = dq(d)", "component": 1,
+               "entry": ["y", "x"], "declared": "0", "derived": "3*q^2"}
+    code, out = run_cli(capsys, "validate", str(p))
+    report = json.loads(out)
+    assert code == 1 and not report["valid"]
+    assert report["blocks"]["lambda_family"]["violations"] == [missing]
+    code, out = run_cli(capsys, "cartan", "verify", str(p))
+    assert code == 1
+    assert json.loads(out)["lambda_family_cross_check"] == {
+        "mismatches": [missing], "holds": False}
+
+
 Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
 
 
