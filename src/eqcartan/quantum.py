@@ -78,10 +78,11 @@ class QuantumRing:
     def __post_init__(self):
         self.basis = tuple(self.basis)
         self.table = {
-            k: {i: c for i, c in v.items() if c}
+            k: {i: c for i, c in v.items() if not c.is_zero()}
             for k, v in self.table.items()
         }
-        self.omega = {i: c for i, c in (self.omega or {}).items() if c}
+        self.omega = {i: c for i, c in (self.omega or {}).items()
+                      if not c.is_zero()}
 
     @property
     def rank(self) -> int:
@@ -110,11 +111,12 @@ class QuantumRing:
             return []
         order = vec[0].order
         valid = min(v.valid for v in vec)
-        L = self.multiplication({i: c for i, c in enumerate(a) if c})
+        L = self.multiplication({i: c for i, c in enumerate(a)
+                                 if not c.is_zero()})
         out = [[self.setup.zero()] * order for _ in range(self.rank)]
         for (k, j), c in L.entries.items():
             for m, b in enumerate(vec[j].coeffs):
-                if b:
+                if not b.is_zero():
                     out[k][m] = out[k][m] + c * b
         return [USeries.build(self.setup, order, cs, valid) for cs in out]
 

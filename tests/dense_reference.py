@@ -702,10 +702,10 @@ def star(Q, x, y):
     """Bilinear extension of the basis product table to dense vectors."""
     out = [Q.setup.zero()] * Q.rank
     for i, a in enumerate(x):
-        if not a:
+        if a.is_zero():
             continue
         for j, b in enumerate(y):
-            if not b:
+            if b.is_zero():
                 continue
             ab = a * b
             for k, c in Q.product_of_basis(i, j).items():

@@ -6,7 +6,7 @@ import sympy
 
 from eqcartan.cartan import gamma_q
 from eqcartan.complexes import sample_block
-from eqcartan.novikov import InputError, ScalarSetup, USeries
+from eqcartan.novikov import InputError, NovikovElem, ScalarSetup, USeries
 from eqcartan.quantum import (
     QuantumRing,
     forbidden_summand_check,
@@ -151,6 +151,21 @@ def test_connections_on_the_unit():
     assert not dq_one[0]
     assert dq_one[1].coeffs[0].terms == ((0, 2),)
 
+
+
+def test_a_termless_tail_is_carried_not_dropped():
+    # 1 * (O(q^3) + u) keeps the u^0 coefficient O(q^3), in star_useries
+    # and in the oracle; a table entry or omega term O(q^3) is kept too
+    Q = projective_space_model(1, SETUP)
+    tail = NovikovElem(SETUP, (), 3)
+    x = [SETUP.one(), SETUP.zero()]
+    vec = [USeries.build(SETUP, 2, [tail, SETUP.one()]), USeries.zero(SETUP, 2)]
+    for got in (Q.star_useries(x, vec), ref.star_useries(Q, x, vec)):
+        assert got[0].coeffs[0].terms == () and got[0].coeffs[0].trunc == 3
+        assert got[0].coeffs[1].terms == ((0, 1),)
+    kept = QuantumRing(SETUP, Q.basis, {**Q.table, (1, 1): {0: tail}},
+                       Q.unit, {0: tail})
+    assert kept.table[(1, 1)] == {0: tail} and kept.omega == {0: tail}
 
 # -- forbidden summand classification ------------------------------------------
 
