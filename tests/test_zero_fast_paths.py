@@ -48,9 +48,26 @@ ORDER = 3
 ELEM_KINDS = ("zero", "tail", "monomial", "ordinary")
 SERIES_KINDS = ("zero", "tail", "lost", "ordinary")
 
+# Strategies are built once: at module level, or per argument tuple by
+# ``functools.cache`` on a composite, so no draw builds and validates a new
+# strategy object.  Only those bounded by a drawn value are built per draw.
 truncs = st.integers(min_value=-3, max_value=6)
+small = st.integers(min_value=-3, max_value=3)
+sizes = st.integers(min_value=1, max_value=3)
+tail_gaps = st.integers(min_value=1, max_value=4)
+maybe_tail_gaps = st.one_of(st.none(), tail_gaps)
+short_u_orders = st.integers(min_value=0, max_value=ORDER - 1)
+shifts = st.integers(min_value=-2, max_value=2)
+choices = functools.cache(st.sampled_from)
+elem_kinds = choices(ELEM_KINDS)
+series_kinds = choices(SERIES_KINDS)
+term_lists = st.lists(st.tuples(small, st.integers(min_value=1, max_value=4)),
+                      min_size=1, max_size=3)
+zero_or_tail = st.lists(choices(("zero", "tail")), min_size=ORDER,
+                        max_size=ORDER)
 
 
+@functools.cache
 @st.composite
 def elems(draw, setup, kind):
     """A NovikovElem of the given kind: exact zero, O(q^T), an exact
@@ -61,28 +78,26 @@ def elems(draw, setup, kind):
         return NovikovElem(setup, (), draw(truncs))
     if kind == "monomial":
         return draw(monomials(setup))
-    pairs = draw(st.lists(
-        st.tuples(st.integers(min_value=-3, max_value=3),
-                  st.integers(min_value=1, max_value=4)),
-        min_size=1, max_size=3))
+    pairs = draw(term_lists)
     terms = NovikovElem.build(
         setup, [(e, setup.ring.coerce(c)) for e, c in pairs]).terms
     if not terms:  # every coefficient vanished in the ring
         terms = setup.one().terms
-    top = terms[-1][0]
-    trunc = draw(st.one_of(st.none(),
-                           st.integers(min_value=top + 1, max_value=top + 4)))
-    return NovikovElem(setup, terms, trunc)
+    gap = draw(maybe_tail_gaps)
+    return NovikovElem(setup, terms, None if gap is None
+                       else terms[-1][0] + gap)
 
 
-@st.composite
-def monomials(draw, setup, exponent=st.integers(min_value=-3, max_value=3)):
+@functools.cache
+def monomials(setup, exponent=small):
     """c q^e with c a nonzero residue of the ring (a zero divisor in Z/6)."""
     m = setup.ring.modulus
-    c = draw(st.integers(min_value=1, max_value=(m or 5) - 1))
-    return setup.monomial(c, draw(exponent))
+    return st.builds(setup.monomial,
+                     st.integers(min_value=1, max_value=(m or 5) - 1),
+                     exponent)
 
 
+@functools.cache
 @st.composite
 def series(draw, setup, kind):
     """A USeries mod u^ORDER of the given kind: exact zero, no visible
@@ -90,17 +105,13 @@ def series(draw, setup, kind):
     if kind == "zero":
         return USeries.zero(setup, ORDER)
     if kind == "tail":
-        coeffs = draw(st.lists(st.sampled_from(("zero", "tail")),
-                               min_size=ORDER, max_size=ORDER))
-        coeffs[draw(st.integers(min_value=0, max_value=ORDER - 1))] = "tail"
+        coeffs = draw(zero_or_tail)
+        coeffs[draw(short_u_orders)] = "tail"
         return USeries.build(setup, ORDER,
                              [draw(elems(setup, k)) for k in coeffs])
-    coeffs = [draw(elems(setup, draw(st.sampled_from(ELEM_KINDS))))
-              for _ in range(ORDER)]
+    coeffs = [draw(elems(setup, draw(elem_kinds))) for _ in range(ORDER)]
     if kind == "lost":
-        return USeries.build(setup, ORDER, coeffs,
-                             draw(st.integers(min_value=0,
-                                              max_value=ORDER - 1)))
+        return USeries.build(setup, ORDER, coeffs, draw(short_u_orders))
     return USeries.build(setup, ORDER, coeffs)
 
 
@@ -146,8 +157,7 @@ def test_a_monomial_at_or_above_the_other_operands_trunc(ring, data):
     # the sum drops the monomial's term, which lies in the other operand's
     # unknown tail; the product shifts that tail and keeps the term
     setup = SETUPS[ring]
-    b = data.draw(elems(setup, data.draw(st.sampled_from(("tail",
-                                                          "ordinary")))))
+    b = data.draw(elems(setup, data.draw(choices(("tail", "ordinary")))))
     if b.trunc is None:
         b = NovikovElem(setup, b.terms, b.terms[-1][0] + 1)
     a = data.draw(monomials(setup, st.integers(min_value=b.trunc,
@@ -206,8 +216,8 @@ def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
     setup = SETUPS[ring]
     a = data.draw(series(setup, kinds[0]))
     b = data.draw(series(setup, kinds[1]))
-    c = data.draw(elems(setup, data.draw(st.sampled_from(ELEM_KINDS))))
-    steps = data.draw(st.integers(min_value=-2, max_value=2))
+    c = data.draw(elems(setup, data.draw(elem_kinds)))
+    steps = data.draw(shifts)
     assert_same_series(a + b, ref.useries_add(a, b))
     assert_same_series(a - b, ref.useries_sub(a, b))
     assert_same_series(-a, ref.useries_neg(a))
@@ -226,7 +236,7 @@ def test_useries_product_commutes_over_tailed_scalars(ring, data):
     # a left coefficient O(q^T) carries its tail into the product exactly
     # as a right one does
     setup = SETUPS[ring]
-    a, b = (data.draw(series(setup, data.draw(st.sampled_from(SERIES_KINDS))))
+    a, b = (data.draw(series(setup, data.draw(series_kinds)))
             for _ in range(2))
     assert_same_series(a * b, b * a)
 
@@ -237,8 +247,8 @@ def test_useries_product_commutes_over_tailed_scalars(ring, data):
 @given(data=st.data())
 def test_degree_weighted_matches_the_formula(ring, kind, data):
     setup = SETUPS[ring]
-    kinds = [kind, data.draw(st.sampled_from(SERIES_KINDS))]
-    basis = [GeneratorInfo(f"g{i}", data.draw(st.integers(-3, 3)))
+    kinds = [kind, data.draw(series_kinds)]
+    basis = [GeneratorInfo(f"g{i}", data.draw(small))
              for i in range(len(kinds))]
     diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
                                          order=ORDER)
@@ -258,18 +268,16 @@ def test_block_operators_match_the_per_vector_formulas(ring, regime, data):
     # one block with a zero, a tailed, a lost-u-order and an ordinary
     # column, under an iota family whose entries may be O(q^T) alone
     setup = SETUPS[ring]
-    n = data.draw(st.integers(min_value=1, max_value=3))
-    basis = [GeneratorInfo(f"g{i}", data.draw(st.integers(-3, 3)))
-             for i in range(n)]
+    n = data.draw(sizes)
+    basis = [GeneratorInfo(f"g{i}", data.draw(small)) for i in range(n)]
     diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis, [{}],
                                          order=ORDER)
     iota = [OperatorMatrix(basis, basis, {
-        (t, s): data.draw(elems(setup, data.draw(st.sampled_from(ELEM_KINDS))))
+        (t, s): data.draw(elems(setup, data.draw(elem_kinds)))
         for t in range(n) for s in range(n)}) for _ in range(2)]
     cd = CartanData(diff, iota, regime)
     columns = [[data.draw(series(setup, kind if i == 0 else data.draw(
-        st.sampled_from(("zero", kind))))) for i in range(n)]
-        for kind in SERIES_KINDS]
+        choices(("zero", kind))))) for i in range(n)] for kind in SERIES_KINDS]
     X = OperatorMatrix([GeneratorInfo(k) for k in SERIES_KINDS], basis,
                        {(t, s): v for s, col in enumerate(columns)
                         for t, v in enumerate(col)})
@@ -337,30 +345,32 @@ KERNEL_SETUPS = {f"{ring}-{g}": ScalarSetup.make(g, ring)
 KERNEL_KINDS = ("zero", "tail", "monomial", "exact", "tailed")
 
 
+@functools.cache
 @st.composite
 def kernel_elems(draw, setup, kinds=KERNEL_KINDS):
     """An exact zero, O(q^T), an exact monomial, or one to three terms,
     exact or with a tail above them."""
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(choices(kinds))
     if kind not in ("exact", "tailed"):
         return draw(elems(setup, kind))
     terms = draw(elems(setup, "ordinary")).terms
     return NovikovElem(setup, terms, None if kind == "exact" else
-                       terms[-1][0] + draw(st.integers(min_value=1,
-                                                       max_value=4)))
+                       terms[-1][0] + draw(tail_gaps))
 
 
+@functools.cache
 @st.composite
 def kernel_series(draw, setup):
     """A series of one of SERIES_KINDS, or with coefficients of every
     kind of ``kernel_elems``."""
-    kind = draw(st.sampled_from(SERIES_KINDS + ("mixed",)))
+    kind = draw(choices(SERIES_KINDS + ("mixed",)))
     if kind != "mixed":
         return draw(series(setup, kind))
     return USeries.build(setup, ORDER, [draw(kernel_elems(setup))
                                         for _ in range(ORDER)])
 
 
+@functools.cache
 @st.composite
 def cancelling_operators(draw, scalars):
     """Square dense A, B; when drawn so, column 1 of A repeats column 0
@@ -461,8 +471,8 @@ def test_solve_matches_the_sequential_formula(name, data):
     # each row of scaled_transform @ rhs is one sum of products; rows with
     # a tail may leave the elimination undetermined, which is not compared
     setup = KERNEL_SETUPS[name]
-    m = data.draw(st.integers(min_value=1, max_value=3))
-    n = data.draw(st.integers(min_value=1, max_value=3))
+    m = data.draw(sizes)
+    n = data.draw(sizes)
     rows = [[data.draw(kernel_elems(setup, ("zero", "monomial", "exact",
                                             "exact", "tailed")))
              for _ in range(n)] for _ in range(m)]
