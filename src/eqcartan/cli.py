@@ -5,9 +5,9 @@ Exit codes: 0 = all checks pass; 1 = a mathematical check verified false;
 decision); 4 = internal error (a defect of the program, never a verdict;
 the traceback goes to stderr).  Reports go to stdout as deterministic JSON
 (sorted keys, fixed indentation).  Each command imports the modules it
-runs inside its own body, so a process loads only those: ``--schema``
-loads no arithmetic beyond the document builders, and only the ``morse``
-commands load ``morse`` and with it numpy.
+runs inside its own body, so a process loads nothing else: ``cartan``,
+``quantum`` and ``finite2`` only for the commands that use them, and
+``morse`` with numpy only for the ``morse`` commands.
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
