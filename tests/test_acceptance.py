@@ -254,6 +254,7 @@ CLI_MATRIX = [
     ["validate", "torsion_case.json"],
     ["validate", "z2_case.json"],
     ["validate", "classes_cy_case.json"],
+    ["validate", "cp2_lift.json"],
     ["cohomology", "monotone_case.json"],
     ["cohomology", "dvr_case.json"],
     ["cohomology", "classes_case.json"],
@@ -275,6 +276,8 @@ CLI_MATRIX = [
     ["cartan", "verify", "classes_cy_case.json"],
     ["cartan", "connection", "--which", "q", "classes_cy_case.json"],
     ["cartan", "connection", "--which", "u", "classes_cy_case.json"],
+    ["cartan", "connection", "--which", "q", "cp2_lift.json"],
+    ["cartan", "connection", "--which", "u", "cp2_lift.json"],
     ["cartan", "solve-iota", "--regime", "cy", "classes_case.json"],
     ["quantum", "check", "quantum_cp1.json"],
     ["finite2", "verify", "z2_case.json"],
