@@ -34,7 +34,7 @@ exception.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -150,6 +150,8 @@ class CartanData:
     diff: EquivariantDifferential
     iota: Tuple[OperatorMatrix, ...] = ()
     regime: str = "monotone"
+    _H: dict = field(default_factory=dict, init=False, repr=False,
+                     compare=False)  # q-order -> H, for induced_connection
 
     def __post_init__(self):
         self.iota = tuple(self.iota)
@@ -557,30 +559,43 @@ def _unflatten(diff, X: OperatorMatrix) -> OperatorMatrix:
                            for key, cs in coeffs.items()})
 
 
+def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
+    """The columns of a block as text, formatting only stored entries."""
+    zero = setup.format(setup.zero())
+    cols = [[zero] * len(block.target) for _ in block.source]
+    for (t, s), v in block.entries.items():
+        cols[s][t] = setup.format(v)
+    return cols
+
+
 def induced_connection(data: CartanData, which: str = "gamma_q",
                        q_order: Optional[int] = None) -> dict:
     """Matrix of the connection operator on equivariant cohomology classes.
 
     Cohomology of the u-truncated complex is computed over the Novikov
-    field together with its projection p onto the classes.  Row c of the
-    matrix is p(Gamma rep_c); an image that is not a cocycle leaves a
-    residue and is reported as not expressible.  Well-definedness on
-    cohomology is certified exactly: Gamma is Lambda-linear up to a
-    derivation that maps boundaries to boundaries, so it descends to
-    classes iff every Gamma(rep_c) is a cocycle and, for each flattened
-    generator e_i with d e_i != 0, Gamma(d e_i) is a boundary, i.e. p sends
-    it to zero with no residue.
+    field together with its projection p onto the classes, once per datum
+    and q-order with the class block and its text, which Gamma_q and
+    Gamma_u share; a degree no differential enters or leaves keeps its
+    generators as representatives.  Row c of the matrix is p(Gamma rep_c);
+    an image that is not a cocycle leaves a residue and is reported as not
+    expressible.  Well-definedness on cohomology is certified exactly:
+    Gamma is Lambda-linear up to a derivation that maps boundaries to
+    boundaries, so it descends to classes iff every Gamma(rep_c) is a
+    cocycle and, for each flattened generator e_i with d e_i != 0,
+    Gamma(d e_i) is a boundary, i.e. p sends it to zero with no residue.
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
-    setup = data.setup
-    C = flatten_equivariant(diff)
-    H = cohomology_over_novikov_field(C, q_order)
-    zero = setup.zero()
-    X = H.class_block(C.basis)
-    iota_trivial = all(op.is_visibly_zero() for op in data.iota)
+    key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
+    if key not in data._H:
+        C = flatten_equivariant(diff)
+        H = cohomology_over_novikov_field(C, key)
+        X = H.class_block(C.basis)
+        data._H[key] = (C, H, X, _unflatten(diff, X), _texts(data.setup, X))
+    C, H, X, X_u, texts = data._H[key]
+    iota_trivial = all(iota_k.is_visibly_zero() for iota_k in data.iota)
     if which == "gamma_q":
         form = "u*d/dq" if iota_trivial else "u*d/dq + iota part"
     else:
@@ -588,30 +603,29 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
                 else "2*u^2*d/du + u*mu - 2*iota part")
     out = {"operator": which, "operator_form": form,
            "matrix_part_is_zero": iota_trivial,
-           "classes": [{"degree": c.index,
-                        "representative": [setup.format(v) for v in col]}
-                       for c, col in zip(X.source, X.columns(zero))],
+           "classes": [{"degree": c.index, "representative": list(col)}
+                       for c, col in zip(X.source, texts)],
            "matrix": [], "well_defined": True, "issues": []}
     if not X.source:
         return out
 
-    def images(block):
-        """Gamma of a block over C's basis, u^j x_i flattened to j*n + i."""
-        return OperatorMatrix(block.source, C.basis, {
+    def images(columns):
+        """Gamma of u-series columns over C's basis, u^j x_i at j*n + i."""
+        return OperatorMatrix(columns.source, C.basis, {
             (j * diff.n + i, s): c
-            for (i, s), v in op(data, _unflatten(diff, block)).entries.items()
+            for (i, s), v in op(data, columns).entries.items()
             for j, c in enumerate(v.coeffs)})
 
     issues = out["issues"]
-    coeffs, residues = H.project(images(X))
-    out["matrix"] = [None if ci in residues else [setup.format(c) for c in col]
-                     for ci, col in enumerate(coeffs.columns(zero))]
+    coeffs, residues = H.project(images(X_u))
+    out["matrix"] = [None if ci in residues else col
+                     for ci, col in enumerate(_texts(data.setup, coeffs))]
     for ci, (g, value) in sorted(residues.items()):
         issues.append({"class": ci, "problem": "image not expressible",
                        "residual_generator": C.basis[g].name,
                        "residual": str(value)})
     # the boundaries d(e_s) are the columns of d
-    coeffs, residues = H.project(images(C.d))
+    coeffs, residues = H.project(images(_unflatten(diff, C.d)))
     for s in sorted(residues.keys() | {
             s for (_, s), c in coeffs.entries.items() if c.has_terms()}):
         issues.append({"boundary_of": C.basis[s].name,

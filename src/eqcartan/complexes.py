@@ -418,6 +418,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
         "pivot_rule": "minimal q-valuation, then row, then column",
     })
     report.blocks, report.classes = [], []
+    zero = setup.zero()
     for k in degrees:
         n_k = len(C.generators_in_degree(k))
         # incoming differential: the degree whose image lands in degree k
@@ -440,7 +441,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
             "rank_in": r_in,
             "betti": betti,
             "representatives": [
-                [rep.get(i, setup.zero()) for i in range(n_k)]
+                [rep.get(i, zero) for i in range(n_k)]
                 for _, rep in reps],
         }
         report.blocks.append((C.generators_in_degree(k), images, reps))
@@ -480,8 +481,8 @@ def _representatives(C, reductions, k, images, q_order):
     nk = len(C.generators_in_degree(k))
     kern = (red._kernel(nk) if red is not None
             else [{i: setup.one()} for i in range(nk)])
-    if not kern:
-        return []
+    if not kern or red is None and images is None:
+        return list(enumerate(kern))  # none, or unit vectors: reduced
     if images is not None:
         kern = [images._clear(v) for v in kern]
     final = linalg.row_reduce(kern, setup, q_order)

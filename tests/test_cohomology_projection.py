@@ -12,19 +12,20 @@ verdicts.  It also keeps p on one dense vector, which the block projection
 must match column by column, field for field.
 """
 
+import copy
 import json
 import random
 
 import pytest
 
 import dense_reference as ref
-from eqcartan import cli
+from eqcartan import cartan, cli
 from eqcartan.cartan import (CartanData, flatten_equivariant,
                              induced_connection, solve_iota)
 from eqcartan.complexes import (GeneratorInfo, GradedComplex, GradingKind,
                                 OperatorMatrix, cohomology_over_novikov_field,
                                 mapping_cone)
-from eqcartan.novikov import NovikovElem, ScalarSetup
+from eqcartan.novikov import NovikovElem, ScalarSetup, parse_novikov
 from eqcartan.quantum import projective_space_model
 
 from conftest import normal_form_differential, random_equivariant_differential
@@ -127,6 +128,87 @@ def test_planted_iota_entry_exits_1(tmp_path, capsys, entry, which):
     assert cli.main(["cartan", "connection", "--which", which,
                      str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["well_defined"] is False
+
+
+# -- one cohomology per datum and q-order -------------------------------------
+
+
+def _cp2():
+    return projective_space_model(2, SETUP_Q).cartan_data(3)
+
+
+def _solved_pair():
+    data, obstruction = solve_iota(monotone_pair(extra_free=True))
+    assert obstruction is None
+    return data
+
+
+@pytest.mark.parametrize("make", [_cp2, _solved_pair],
+                         ids=["cp2", "solved-pair"])
+def test_one_cohomology_per_datum_and_q_order(monkeypatch, make):
+    calls = []
+    real = cartan.cohomology_over_novikov_field
+
+    def counted(C, q_order=None):
+        calls.append(q_order)
+        return real(C, q_order)
+
+    monkeypatch.setattr(cartan, "cohomology_over_novikov_field", counted)
+    monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
+    data = make()
+    want = {which: ref.induced_connection(make(), which)
+            for which in OPERATORS}
+    for which in OPERATORS:
+        got = induced_connection(data, which)
+        assert (got["classes"], got["matrix"]) == (
+            want[which]["classes"], want[which]["matrix"])
+    assert len(calls) == 1
+    # an explicit q-order equal to the one in force reads the same entry
+    induced_connection(data, "gamma_q", q_order=calls[0])
+    assert len(calls) == 1
+    induced_connection(data, "gamma_q", q_order=8)
+    induced_connection(data, "gamma_u", q_order=8)
+    assert calls[1:] == [8]
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
+    induced_connection(data, "gamma_u")
+    assert calls[2:] == [12]
+    induced_connection(make(), "gamma_q")
+    assert calls[3:] == [12]
+
+
+def test_a_report_owns_its_lists():
+    data = _cp2()
+    first = induced_connection(data, "gamma_q")
+    kept = copy.deepcopy(first)
+    first["classes"][0]["representative"][0] = "mutated"
+    first["classes"][1]["degree"] = -1
+    first["classes"].pop()
+    first["matrix"][0][0] = "mutated"
+    first["matrix"].pop()
+    assert induced_connection(data, "gamma_q") == kept
+    assert induced_connection(data, "gamma_u")["classes"] == kept["classes"]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("order", range(2, 5))
+def test_euler_relation_on_cpn_classes(n, order):
+    # Gamma_u + 2q Gamma_q = u deg on H, read from one datum: deg sends the
+    # class u^j e_i to its degree times u^(j+1) e_i, which is 0 at j+1 = order
+    data = projective_space_model(n, SETUP_Q).cartan_data(order)
+    gq = induced_connection(data, "gamma_q")
+    gu = induced_connection(data, "gamma_u")
+    assert gq["classes"] == gu["classes"]
+    # each class is one flattened generator u^j e_i, at j * (n + 1) + i
+    at = [c["representative"].index("1") for c in gq["classes"]]
+    assert sorted(at) == list(range((n + 1) * order))
+    two_q = SETUP_Q.monomial(2, 1)
+    for c, cls in enumerate(gq["classes"]):
+        for t in range(len(at)):
+            want = (SETUP_Q.monomial(cls["degree"], 0)
+                    if at[t] == at[c] + n + 1 else SETUP_Q.zero())
+            got = (parse_novikov(gu["matrix"][c][t], SETUP_Q)
+                   + two_q * parse_novikov(gq["matrix"][c][t], SETUP_Q))
+            assert (got - want).is_zero(), (c, t)
 
 
 # -- properties of p ----------------------------------------------------------
