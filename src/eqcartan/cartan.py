@@ -184,9 +184,13 @@ class CartanData:
         return self._iota_times_q(-REGIMES[self.regime])
 
     @cached_property
-    def iota_mono(self) -> OperatorMatrix:
-        """q^(1-w) iota_eq: the matrix part of Gamma_u, without its -2."""
-        return self._iota_times_q(1 - REGIMES[self.regime])
+    def iota_u(self) -> OperatorMatrix:
+        """The matrix part of Gamma_u without its sign, 2 iota_mono, scaled
+        before any product: that keeps more of a tailed column's product
+        where 2 is a zero divisor (Z/6)."""
+        two = self.setup.monomial(2, 0)
+        return self._iota_times_q(1 - REGIMES[self.regime]).entrywise(
+            lambda e: e.scale(two))
 
 
 # -- USeries operators --------------------------------------------------------
@@ -326,16 +330,14 @@ def gamma_q(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
 
 
 def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
-    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns;
-    2*iota_mono is scaled before the product, which keeps more of a tailed
-    column's product where 2 is a zero divisor (Z/6)."""
+    """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns."""
     setup = data.setup
     two = setup.monomial(2, 0)
     mu = [setup.monomial(m, 0) for m in data.diff.mu_diag()]
     free = _by_row(X, lambda t, v: (
         useries_du(v).times_u(2).scale(two)
         + v.scale(mu[t]).times_u()), X.degree + 2)
-    return free - data.iota_mono.entrywise(lambda e: e.scale(two)).compose(X)
+    return free - data.iota_u.compose(X)
 
 
 def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
@@ -575,14 +577,15 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     Cohomology of the u-truncated complex is computed over the Novikov
     field together with its projection p onto the classes, once per datum
     and q-order with the class block and its text, which Gamma_q and
-    Gamma_u share; a degree no differential enters or leaves keeps its
-    generators as representatives.  Row c of the matrix is p(Gamma rep_c);
-    an image that is not a cocycle leaves a residue and is reported as not
-    expressible.  Well-definedness on cohomology is certified exactly:
-    Gamma is Lambda-linear up to a derivation that maps boundaries to
-    boundaries, so it descends to classes iff every Gamma(rep_c) is a
-    cocycle and, for each flattened generator e_i with d e_i != 0,
-    Gamma(d e_i) is a boundary, i.e. p sends it to zero with no residue.
+    Gamma_u share (Gamma_u's matrix part ``CartanData.iota_u`` is built once
+    per datum); a degree no differential enters or leaves keeps its
+    generators as representatives.  Row c of the matrix is p(Gamma rep_c); an image that
+    is not a cocycle leaves a residue and is reported as not expressible.
+    Well-definedness on cohomology is certified exactly: Gamma descends to
+    classes iff every Gamma(rep_c) is a cocycle and Gamma maps boundaries
+    to boundaries.  These are a Lambda[u]-submodule and Gamma(u^j y) is
+    u^j Gamma(y), plus 2j u^(j+1) y for Gamma_u, so it suffices that p
+    sends Gamma(d x_i) to zero with no residue for the basis generators x_i.
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
@@ -624,8 +627,8 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
         issues.append({"class": ci, "problem": "image not expressible",
                        "residual_generator": C.basis[g].name,
                        "residual": str(value)})
-    # the boundaries d(e_s) are the columns of d
-    coeffs, residues = H.project(images(_unflatten(diff, C.d)))
+    # the boundaries d(x_s) are the columns of d_eq; x_s is C's generator s
+    coeffs, residues = H.project(images(diff.as_operator()))
     for s in sorted(residues.keys() | {
             s for (_, s), c in coeffs.entries.items() if c.has_terms()}):
         issues.append({"boundary_of": C.basis[s].name,

@@ -11,7 +11,8 @@ runs inside its own body, so a process loads nothing else: ``cartan``,
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
-for the u-analysis order when a document does not fix one.  These and the
+for the u-analysis order when neither ``u-decompose --order`` nor the
+document fixes one (``schema.differential_family_from``).  These and the
 --q-order and --order flags take positive integers; an empty value means
 unset, anything else is malformed input (exit 2).
 """
@@ -52,8 +53,7 @@ def cmd_validate(args) -> int:
         ok = ok and not viol
     if "d_family" in doc or "complex" in doc:
         from . import cartan as cartan_mod
-        diff = schema_mod.differential_family_from(
-            doc, cartan_mod.DEFAULT_U_ORDER())
+        diff = schema_mod.differential_family_from(doc)
         d_eq = diff.as_operator()
         fails, _, _ = cartan_mod._scan(
             "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
@@ -125,10 +125,8 @@ def cmd_cohomology(args) -> int:
 
 def cmd_u_decompose(args) -> int:
     from . import complexes as cx
-    from .cartan import DEFAULT_U_ORDER
     doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(
-        doc, args.order or DEFAULT_U_ORDER())
+    diff = schema_mod.differential_family_from(doc, args.order)
     rep = cx.u_module_decomposition(
         diff.as_operator(), analysis_order=diff.order,
         grading=diff.grading, q_order=args.q_order)
@@ -150,7 +148,7 @@ def cmd_u_decompose(args) -> int:
 def cmd_cartan_verify(args) -> int:
     from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
-    data = schema_mod.cartan_from(doc, cartan_mod.DEFAULT_U_ORDER())
+    data = schema_mod.cartan_from(doc)
     report = cartan_mod.identity_report(data)
     lam_doc = schema_mod.lambda_family_from(doc, data.diff)
     if lam_doc is not None:
@@ -165,8 +163,7 @@ def cmd_cartan_verify(args) -> int:
 def cmd_cartan_solve_iota(args) -> int:
     from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(doc,
-                                               cartan_mod.DEFAULT_U_ORDER())
+    diff = schema_mod.differential_family_from(doc)
     regime = args.regime or doc.get("iota_family", {}).get("regime",
                                                           "monotone")
     data, obstruction = cartan_mod.solve_iota(diff, regime,
@@ -193,15 +190,14 @@ def cmd_cartan_connection(args) -> int:
     from . import cartan as cartan_mod
     doc = schema_mod.load_document(args.document)
     if "iota_family" in doc:
-        data = schema_mod.cartan_from(doc, cartan_mod.DEFAULT_U_ORDER())
+        data = schema_mod.cartan_from(doc)
         if args.regime not in (None, data.regime):
             raise DocumentError(
                 f"--regime {args.regime} contradicts the iota_family regime "
                 f"{data.regime}: the same iota read in the other regime "
                 "gives another connection")
     else:
-        diff = schema_mod.differential_family_from(
-            doc, cartan_mod.DEFAULT_U_ORDER())
+        diff = schema_mod.differential_family_from(doc)
         data, obstruction = cartan_mod.solve_iota(
             diff, args.regime or "monotone", q_order=args.q_order)
         if obstruction is not None:
@@ -219,13 +215,10 @@ def cmd_quantum_check(args) -> int:
     Q = schema_mod.quantum_from(doc)
     axioms = Q.validate()
     report = {"axiom_violations": axioms, "axioms_hold": not axioms}
-    ok = not axioms
-    if args.identity == "uq":
-        rep = quantum_mod.uq_identity_check(Q, order=args.order or 3)
-        report["uq_identity"] = rep
-        ok = ok and rep["holds"]
+    rep = quantum_mod.uq_identity_check(Q, order=args.order or 3)
+    report["uq_identity"] = rep
     _emit(report)
-    return PASS if ok else FAIL
+    return PASS if not axioms and rep["holds"] else FAIL
 
 
 def cmd_quantum_obstruction(args) -> int:
@@ -360,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_doc(sp)
     add_qorder(sp)
     sp.add_argument("--order", type=_order_flag, default=None,
-                    help="u-analysis order (default: document, "
-                         "EQCARTAN_U_ORDER, or K+2)")
+                    help="u-analysis order, over the document's (else "
+                         "EQCARTAN_U_ORDER, else K+2)")
     sp.set_defaults(fn=cmd_u_decompose)
 
     sp = sub.add_parser("cartan", help="Cartan calculus commands")
@@ -390,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qsub = sp.add_subparsers(dest="subcommand", required=True)
     q1 = qsub.add_parser("check", help="ring axioms + bracket identity")
     add_doc(q1)
-    q1.add_argument("--identity", choices=["uq"], default="uq")
     q1.add_argument("--order", type=_order_flag, default=None,
                     help="u-order for sample expansions (default 3)")
     q1.set_defaults(fn=cmd_quantum_check)

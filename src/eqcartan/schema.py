@@ -390,30 +390,32 @@ def complex_from(doc: dict) -> GradedComplex:
     return _complex_block(doc["complex"], setup_from(doc))
 
 
-def differential_family_from(doc: dict,
-                             default_order: Optional[int] = None
+def differential_family_from(doc: dict, order: Optional[int] = None
                              ) -> EquivariantDifferential:
-    from .cartan import EquivariantDifferential
+    """The document's d_eq mod u^N: N is ``order`` (``u-decompose
+    --order``), else ``d_family.order``, else EQCARTAN_U_ORDER (parsed even
+    when unused, so a malformed value is malformed input), else K + 2."""
+    from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
+    env_order = DEFAULT_U_ORDER()
     if "complex" not in doc:
         raise DocumentError("d_family needs a 'complex' block for its basis")
     C = complex_from(doc)
-    if "d_family" not in doc:
-        # fall back: the complex differential is the only component
-        return EquivariantDifferential(
-            C.setup, C.grading, C.basis, (C.d,), default_order)
-    block = doc["d_family"]
-    comps = []
-    for k, items in enumerate(block["components"]):
-        entries = _matrix_from(items, C.basis, C.setup)
-        comps.append(OperatorMatrix(C.basis, C.basis, entries, 1 - 2 * k))
-    return EquivariantDifferential(C.setup, C.grading, C.basis, tuple(comps),
-                                   block.get("order", default_order))
+    if "d_family" in doc:
+        block = doc["d_family"]
+        comps = tuple(
+            OperatorMatrix(C.basis, C.basis,
+                           _matrix_from(items, C.basis, C.setup), 1 - 2 * k)
+            for k, items in enumerate(block["components"]))
+        doc_order = block.get("order")
+    else:  # the complex differential is the only component
+        comps, doc_order = (C.d,), None
+    return EquivariantDifferential(C.setup, C.grading, C.basis, comps,
+                                   order or doc_order or env_order)
 
 
-def cartan_from(doc: dict,
-                default_order: Optional[int] = None) -> CartanData:
+def cartan_from(doc: dict, order: Optional[int] = None) -> CartanData:
     from .cartan import CartanData, _iota_degree
-    diff = differential_family_from(doc, default_order)
+    diff = differential_family_from(doc, order)
     regime = "monotone"
     iota_ops = ()
     if "iota_family" in doc:

@@ -32,6 +32,7 @@ from eqcartan.quantum import forbidden_summand_check, uq_identity_check
 from eqcartan.finite2 import assemble_and_check, verify_relations
 
 from conftest import random_equivariant_differential, via_block
+from golden_commands import COMMANDS, ROOT, golden_name
 from test_complexes import R_NONZERO, _check_against_oracle
 from test_finite2 import random_z2_data
 from test_quantum import rescaled_model
@@ -243,62 +244,11 @@ def test_criterion_9_morse_numerics():
 # -- 10. CLI byte-determinism on the bundled fixtures --------------------------
 
 
-CLI_MATRIX = [
-    ["validate", "classes_case.json"],
-    ["validate", "cone_case.json"],
-    ["validate", "dvr_case.json"],
-    ["validate", "exact_case.json"],
-    ["validate", "mod2_case.json"],
-    ["validate", "monotone_case.json"],
-    ["validate", "quantum_cp1.json"],
-    ["validate", "torsion_case.json"],
-    ["validate", "z2_case.json"],
-    ["validate", "classes_cy_case.json"],
-    ["validate", "cp2_lift.json"],
-    ["cohomology", "monotone_case.json"],
-    ["cohomology", "dvr_case.json"],
-    ["cohomology", "classes_case.json"],
-    ["cohomology", "exact_case.json"],
-    ["cohomology", "torsion_case.json"],
-    ["u-decompose", "dvr_case.json"],
-    ["u-decompose", "exact_case.json"],
-    ["u-decompose", "torsion_case.json"],
-    ["cartan", "verify", "monotone_case.json"],
-    ["cartan", "solve-iota", "monotone_case.json"],
-    ["cartan", "solve-iota", "exact_case.json"],
-    ["cartan", "solve-iota", "classes_case.json"],
-    ["cartan", "connection", "--which", "q", "monotone_case.json"],
-    ["cartan", "connection", "--which", "u", "monotone_case.json"],
-    ["cartan", "verify", "classes_case.json"],
-    ["cartan", "verify", "mod2_case.json"],
-    ["cartan", "connection", "--which", "q", "classes_case.json"],
-    ["cartan", "connection", "--which", "u", "classes_case.json"],
-    ["cartan", "verify", "classes_cy_case.json"],
-    ["cartan", "connection", "--which", "q", "classes_cy_case.json"],
-    ["cartan", "connection", "--which", "u", "classes_cy_case.json"],
-    ["cartan", "connection", "--which", "q", "cp2_lift.json"],
-    ["cartan", "connection", "--which", "u", "cp2_lift.json"],
-    ["cartan", "solve-iota", "--regime", "cy", "classes_case.json"],
-    ["quantum", "check", "quantum_cp1.json"],
-    ["finite2", "verify", "z2_case.json"],
-    ["finite2", "assemble", "z2_case.json"],
-    ["cone", "cone_case.json"],
-    ["validate", "failing/broken_case.json"],
-    ["cartan", "verify", "failing/broken_case.json"],
-    ["cartan", "verify", "failing/broken_cy_case.json"],
-    ["quantum", "check", "failing/broken_case.json"],
-    ["validate", "failing/broken_z2_case.json"],
-    ["finite2", "verify", "failing/broken_z2_case.json"],
-    ["finite2", "assemble", "failing/broken_z2_case.json"],
-]
-
-CLI_GLOBAL = [
-    ["--schema"],
-    ["quantum", "obstruction", "--lambda", "2", "--d", "3", "--ring", "Z"],
-    ["quantum", "obstruction", "--lambda", "3", "--d", "4", "--ring", "F5"],
-    ["morse", "weights"],
-    ["morse", "additivity", "--delta", "1e-2,1e-3"],
-]
+# the golden commands with a document, and those without one
+DOC_COMMANDS = [argv for argv, _ in COMMANDS
+                if argv[-1].startswith("fixtures/")]
+GLOBAL_COMMANDS = [argv for argv, _ in COMMANDS
+                   if not argv[-1].startswith("fixtures/")]
 
 
 def _run(capsys, argv):
@@ -306,10 +256,9 @@ def _run(capsys, argv):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", CLI_MATRIX,
-                         ids=lambda a: "-".join(a).replace("/", "_"))
+@pytest.mark.parametrize("argv", DOC_COMMANDS, ids=golden_name)
 def test_criterion_10_fixture_commands_deterministic(capsys, argv):
-    argv = argv[:-1] + [str(FIXTURES / argv[-1])]
+    argv = argv[:-1] + [str(ROOT / argv[-1])]
     code1, out1 = _run(capsys, argv)
     code2, out2 = _run(capsys, argv)
     assert code1 == code2
@@ -318,7 +267,7 @@ def test_criterion_10_fixture_commands_deterministic(capsys, argv):
     json.loads(out1)
 
 
-@pytest.mark.parametrize("argv", CLI_GLOBAL, ids=lambda a: "-".join(a))
+@pytest.mark.parametrize("argv", GLOBAL_COMMANDS, ids=golden_name)
 def test_criterion_10_global_commands_deterministic(capsys, argv):
     code1, out1 = _run(capsys, argv)
     code2, out2 = _run(capsys, argv)

@@ -20,7 +20,7 @@ import pytest
 
 import dense_reference as ref
 from eqcartan import cartan, cli
-from eqcartan.cartan import (CartanData, flatten_equivariant,
+from eqcartan.cartan import (CartanData, _unflatten, flatten_equivariant,
                              induced_connection, solve_iota)
 from eqcartan.complexes import (GeneratorInfo, GradedComplex, GradingKind,
                                 OperatorMatrix, cohomology_over_novikov_field,
@@ -63,23 +63,28 @@ def test_cpn_connection_matches_the_oracle(n, order):
                          ids=["free-acyclic", "torsion"])
 @pytest.mark.parametrize("seed", range(6))
 def test_normal_form_connection_matches_the_oracle(setup, torsion, seed):
+    data = _normal_form(setup, torsion, seed)
+    # torsion may obstruct iota; the connection is then u d/dq alone and
+    # need not descend to classes, but both paths must still agree
+    assert data.iota or torsion
+    for which in OPERATORS:
+        got = assert_same_connection(data, which)
+        assert got["classes"]
+    # Gamma_u needs q-homogeneous data, which these families are not
+    if data.iota:
+        assert induced_connection(data, "gamma_q")["well_defined"]
+
+
+def _normal_form(setup, torsion, seed):
+    """A random connection family with its solved iota, or with none where
+    torsion obstructs it."""
     rng = random.Random(900 + seed)
     diff = normal_form_differential(
         rng, setup, n_free=rng.randint(1, 3),
         n_torsion=rng.randint(1, 2) if torsion else 0,
         n_acyclic=rng.randint(1, 3), order=rng.randint(2, 4))
     data, obstruction = solve_iota(diff)
-    # torsion may obstruct iota; the connection is then u d/dq alone and
-    # need not descend to classes, but both paths must still agree
-    assert obstruction is None or torsion
-    if obstruction is not None:
-        data = CartanData(diff, ())
-    for which in OPERATORS:
-        got = assert_same_connection(data, which)
-        assert got["classes"]
-    # Gamma_u needs q-homogeneous data, which these families are not
-    if obstruction is None:
-        assert induced_connection(data, "gamma_q")["well_defined"]
+    return CartanData(diff, ()) if obstruction is not None else data
 
 
 def _planted(entry):
@@ -128,6 +133,50 @@ def test_planted_iota_entry_exits_1(tmp_path, capsys, entry, which):
     assert cli.main(["cartan", "connection", "--which", which,
                      str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["well_defined"] is False
+
+
+def _failing_boundaries(data, which, block):
+    """The columns s of a block of boundaries whose Gamma-image p does not
+    send to zero with no residue."""
+    diff = data.diff
+    C = flatten_equivariant(diff)
+    op = cartan.gamma_q if which == "gamma_q" else cartan.gamma_u
+    images = OperatorMatrix(block.source, C.basis, {
+        (j * diff.n + i, s): c
+        for (i, s), v in op(data, block).entries.items()
+        for j, c in enumerate(v.coeffs)})
+    coeffs, residues = cohomology_over_novikov_field(C).project(images)
+    return residues.keys() | {s for (_, s), c in coeffs.entries.items()
+                              if c.has_terms()}
+
+
+DATA = {
+    **{f"planted{entry}": lambda entry=entry: _planted(entry)
+       for entry in [(0, 2), (2, 1)]},
+    **{f"normal_form-{setup.ring.describe()}-{torsion}-{seed}":
+       lambda setup=setup, torsion=torsion, seed=seed:
+       _normal_form(setup, torsion, seed)
+       for setup in (SETUP_Q, SETUP_F5) for torsion in (False, True)
+       for seed in range(6)}}
+
+
+@pytest.mark.parametrize("make", DATA.values(), ids=DATA.keys())
+@pytest.mark.parametrize("which", OPERATORS)
+def test_boundaries_are_checked_on_their_generators(make, which):
+    # Gamma(u^j y) = u^j Gamma(y) (+ 2j u^(j+1) y for Gamma_u) and the
+    # boundaries form a Lambda[u]-submodule, so the boundary u^j d x_s of
+    # the full block fails exactly where d x_s fails
+    data = make()
+    diff = data.diff
+    full = _failing_boundaries(
+        data, which, _unflatten(diff, flatten_equivariant(diff).d))
+    on_generators = _failing_boundaries(data, which, diff.as_operator())
+    assert on_generators == {s % diff.n for s in full}
+    got = induced_connection(data, which)
+    assert [i["boundary_of"] for i in got["issues"] if "boundary_of" in i] \
+        == [diff.basis[s].name for s in sorted(on_generators)]
+    expressible = all(col is not None for col in got["matrix"])
+    assert got["well_defined"] == (expressible and not full)
 
 
 # -- one cohomology per datum and q-order -------------------------------------

@@ -35,7 +35,7 @@ from eqcartan.novikov import (
     dq,
     invert_truncated,
 )
-from test_golden_cli import COMMANDS, EXIT_CODES, GOLDEN, ROOT
+from golden_commands import COMMANDS, ROOT, golden_bytes, golden_name
 
 SETUP_Q = ScalarSetup.make(1, "Q")
 
@@ -209,8 +209,9 @@ def leaves(obj):
         yield obj
 
 
-@pytest.mark.parametrize("ident,argv", COMMANDS, ids=[i for i, _ in COMMANDS])
-def test_no_raw_coefficient_reaches_jsonify(capsys, monkeypatch, ident, argv):
+@pytest.mark.parametrize("argv,code", COMMANDS,
+                         ids=[golden_name(argv) for argv, _ in COMMANDS])
+def test_no_raw_coefficient_reaches_jsonify(capsys, monkeypatch, argv, code):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
     monkeypatch.delenv("EQCARTAN_U_ORDER", raising=False)
@@ -224,8 +225,7 @@ def test_no_raw_coefficient_reaches_jsonify(capsys, monkeypatch, ident, argv):
         return real_jsonify(obj)
 
     monkeypatch.setattr(schema, "jsonify", recording)
-    code = cli.main(argv)
+    assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert raw == []
-    assert code == EXIT_CODES[ident]
-    assert out.encode("utf-8") == (GOLDEN / f"{ident}.out").read_bytes()
+    assert out.encode("utf-8") == golden_bytes(argv)

@@ -428,6 +428,42 @@ def test_bad_order_variable_is_malformed_input(monkeypatch, capsys, var,
 
 
 @pytest.mark.parametrize("value", BAD_ORDERS)
+def test_bad_u_order_variable_is_malformed_under_the_order_flag(
+        monkeypatch, capsys, value):
+    monkeypatch.setenv("EQCARTAN_U_ORDER", value)
+    code, out = run_cli(capsys, "u-decompose",
+                        str(FIXTURES / "dvr_case.json"), "--order", "3")
+    assert code == 2
+    assert "EQCARTAN_U_ORDER" in json.loads(out)["error"]
+
+
+# dvr_case.json has d_family.order 3; without its d_family, K = 0
+@pytest.mark.parametrize("d_family, variable, flag, order", [
+    (True, None, "5", 5),
+    (True, "5", None, 3),
+    (True, "4", "5", 5),
+    (False, None, None, 2),
+    (False, "4", None, 4),
+    (False, "4", "5", 5),
+])
+def test_u_order_is_the_flag_then_the_document_then_the_variable(
+        monkeypatch, capsys, tmp_path, d_family, variable, flag, order):
+    doc = json.loads((FIXTURES / "dvr_case.json").read_text())
+    if not d_family:
+        del doc["d_family"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if variable is None:
+        monkeypatch.delenv("EQCARTAN_U_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("EQCARTAN_U_ORDER", variable)
+    code, out = run_cli(capsys, "u-decompose", str(path),
+                        *(["--order", flag] if flag else []))
+    assert code == 0
+    assert json.loads(out)["decomposition"]["analysis_order"] == order
+
+
+@pytest.mark.parametrize("value", BAD_ORDERS)
 @pytest.mark.parametrize("argv", [
     ["cohomology", str(FIXTURES / "dvr_case.json"), "--q-order"],
     ["u-decompose", str(FIXTURES / "dvr_case.json"), "--order"],
