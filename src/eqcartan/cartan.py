@@ -47,6 +47,7 @@ from .novikov import (
     NovikovError,
     ScalarSetup,
     USeries,
+    _min_trunc,
     dq,
     useries_du,
     useries_udq,
@@ -227,9 +228,7 @@ def _scan(name, cells, order):
     valid, qcert = order, None
     for where, e in cells:
         valid = min(valid, e.valid)
-        c = e.q_certificate()
-        if c is not None:
-            qcert = c if qcert is None else min(qcert, c)
+        qcert = _min_trunc(qcert, e.q_certificate())
         if not e.is_zero_to():
             failures.append({"identity": name, **where, "value": str(e)})
     return failures, valid, qcert
@@ -351,7 +350,7 @@ def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
                 (n, p) for n, a in c.terms if (p := ring.mul_rational(
                     a, basis[t].index + 2 * k + 2 * lat.exponent_of(n)))),
                 c.trunc)
-            for k, c in enumerate(v.coeffs[:v.valid])), v.valid)
+            for k, c in enumerate(v.coeffs)))
 
     return _by_row(X, weighted, X.degree)
 

@@ -10,9 +10,11 @@ runs inside its own body, so a process loads nothing else: ``cartan``,
 ``morse`` with numpy only for the ``morse`` commands.
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
-the q-order budget of truncated inverses (default 64) and EQCARTAN_U_ORDER
-for the u-analysis order when neither ``u-decompose --order`` nor the
-document fixes one (``schema.differential_family_from``).  These and the
+the q-order budget of truncated inverses when no --q-order is given
+(default 64; parsed once per command, even under the flag) and
+EQCARTAN_U_ORDER for the u-analysis order when neither ``u-decompose
+--order`` nor the document fixes one (``schema.differential_family_from``,
+which parses the variable even when unused).  These and the
 --q-order and --order flags take positive integers; an empty value means
 unset, anything else is malformed input (exit 2).
 """
@@ -26,7 +28,7 @@ import sys
 import traceback
 from typing import Optional
 
-from .linalg import UndeterminedError, _order_setting
+from .linalg import DEFAULT_Q_ORDER, UndeterminedError, _order_setting
 from .novikov import InputError
 from . import schema as schema_mod
 from .schema import DocumentError
@@ -437,6 +439,11 @@ def main(argv=None) -> int:
         return MALFORMED
     try:
         try:
+            if hasattr(args, "q_order"):
+                # EQCARTAN_Q_ORDER is parsed even under --q-order, so a
+                # malformed value is malformed input whichever order rules
+                env_q_order = DEFAULT_Q_ORDER()
+                args.q_order = args.q_order or env_q_order
             return args.fn(args)
         except (DocumentError, InputError) as exc:
             _emit({"error": str(exc), "kind": "malformed input"})

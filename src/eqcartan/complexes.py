@@ -49,6 +49,7 @@ from .novikov import (
     NovikovError,
     ScalarSetup,
     USeries,
+    _min_trunc,
     useries_invert_unit,
 )
 from . import linalg
@@ -409,7 +410,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
     for k in degrees:
         red = linalg.row_reduce(rows[k], setup, q_order) if rows[k] else None
         if red is not None:
-            verified = linalg._min_trunc(verified, red.verified_trunc)
+            verified = _min_trunc(verified, red.verified_trunc)
         reductions[k] = (columns[k], red)
         rank[k] = red.rank if red is not None else 0
 
@@ -550,8 +551,7 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: ScalarSetup,
 
     def shift_down(e, v):
         nonlocal verified
-        for c in e.coeffs[:min(v, e.valid)]:
-            verified = linalg._min_trunc(verified, c.trunc)
+        verified = _min_trunc(verified, *(c.trunc for c in e.coeffs[:v]))
         return e.shift_down(v) if v else e  # u^0 divides exactly
 
     while True:
@@ -591,9 +591,8 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: ScalarSetup,
         raise UndeterminedError(
             "precision exhausted before the remaining block could be "
             f"certified zero (entry {r},{c} valid to u-order {valid})")
-    bounds = [e.q_certificate() for row in free.values() for e in row.values()]
-    return pivots, min((t for t in bounds + [verified] if t is not None),
-                       default=None)
+    return pivots, _min_trunc(verified, *(
+        e.q_certificate() for row in free.values() for e in row.values()))
 
 
 def u_module_decomposition(d_eq: OperatorMatrix,

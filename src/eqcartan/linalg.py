@@ -64,7 +64,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
-from .novikov import InputError, NovikovElem, ScalarSetup, invert_truncated
+from .novikov import (InputError, NovikovElem, ScalarSetup, _min_trunc,
+                      invert_truncated)
 
 __all__ = ["UndeterminedError", "Reduction", "row_reduce", "solve",
            "DEFAULT_Q_ORDER"]
@@ -96,14 +97,6 @@ def DEFAULT_Q_ORDER() -> int:
 
 class UndeterminedError(Exception):
     """Raised when truncation is exhausted before a decision can be made."""
-
-
-def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 @dataclass

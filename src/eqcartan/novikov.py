@@ -14,10 +14,12 @@ equivariant variable u.
 
 Truncation metadata travels with values.  A NovikovElem may carry a
 ``trunc`` bound (an exponent index): terms with index >= trunc are
-unknown rather than known-zero.  A USeries carries a ``valid`` order:
-coefficients of u^k for k >= valid are unknown (this is how the top
-order lost by d/du is recorded).  Downstream identity checks use these
-bounds to report "verified to order so-and-so" instead of overclaiming.
+unknown rather than known-zero.  A USeries stores only its known
+coefficients, and their number is its ``valid`` order: coefficients of u^k
+for k >= valid are unknown (this is how the top order lost by d/du is
+recorded).  Downstream identity checks use these bounds to report
+"verified to order so-and-so" instead of overclaiming; ``_min_trunc`` is
+the one rule by which q-bounds combine (None is exact, else the least).
 A sum of products (an operator or series product, a solution, a series
 inverse) is built in one pass by ``sum_of_products``, with the weakest bound.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
@@ -312,6 +314,12 @@ class ScalarSetup:
         }
 
 
+def _min_trunc(*bounds: Optional[int]) -> Optional[int]:
+    """The least of these truncation bounds; None (exact) if all are None."""
+    known = [t for t in bounds if t is not None]
+    return min(known) if known else None
+
+
 def _check_same_setup(a: "NovikovElem", b: "NovikovElem"):
     if a.setup is not b.setup and a.setup != b.setup:
         raise LatticeMismatch(
@@ -578,9 +586,12 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
 class USeries:
     """Power series in u over NovikovElem, truncated at order N.
 
-    ``coeffs`` has length exactly N; ``valid`` <= N is the number of leading
-    orders that are guaranteed (coefficients at index >= valid are unknown
-    and stored as zero).  All arithmetic propagates the weaker bound.
+    ``coeffs`` holds exactly the known coefficients, of u^0 through
+    u^(valid - 1); ``valid`` = len(coeffs) <= N is set once at
+    construction.  The coefficients of u^k for valid <= k < N are unknown
+    (the top orders lost by d/du or by a division by u^k) and are not
+    stored, so no reader can take them for known zeros.  All arithmetic
+    propagates the weaker bound.
 
     A series is *decidably zero* when ``valid == order`` and every
     coefficient is a decidably zero NovikovElem (``is_zero()``, a flag set
@@ -595,28 +606,26 @@ class USeries:
     through the formula; so does ``useries_du``, which lowers ``valid``
     even of an exact zero.
 
-    Results are canonical by construction: ``+``, ``-``, ``*``, ``scale``,
-    ``q_shift`` and ``times_u`` make only the coefficients below the
-    result's ``valid``, without ``build``; ``*`` and ``scale`` skip
+    Results are canonical by construction: every operation makes only its
+    known coefficients, without ``build``; ``*`` and ``scale`` skip
     decidably zero coefficients.  Each call checks the scalar setups once.
     """
 
     setup: ScalarSetup
     order: int
     coeffs: tuple
-    valid: int = field(default=-1)
 
     def __post_init__(self):
-        if self.valid == -1:
-            object.__setattr__(self, "valid", self.order)
-        if len(self.coeffs) != self.order:
-            raise NovikovError("coefficient list length must equal order")
-        # set once, as a plain attribute: no descriptor and no lock
-        zero = self.valid == self.order
+        valid = len(self.coeffs)
+        if valid > self.order:
+            raise NovikovError("more coefficients than the truncation order")
+        # set once, as plain attributes: no descriptor and no lock
+        zero = valid == self.order
         for c in self.coeffs if zero else ():
             if c.terms or c.trunc is not None:
                 zero = False
                 break
+        self.__dict__["valid"] = valid
         self.__dict__["_zero"] = zero
 
     # -- constructors ---------------------------------------------------------
@@ -636,9 +645,11 @@ class USeries:
 
     @staticmethod
     def build(setup: ScalarSetup, order: int, coeffs, valid=None) -> "USeries":
-        v = order if valid is None else min(valid, order)
-        cs = tuple(coeffs)[:max(v, 0)]
-        return USeries(setup, order, cs + (setup.zero(),) * (order - len(cs)), v)
+        """The first ``valid`` (default: ``order``) of ``coeffs``, padded
+        with known zeros up to ``valid``."""
+        v = order if valid is None else max(0, min(valid, order))
+        cs = tuple(coeffs)[:v]
+        return USeries(setup, order, cs + (setup.zero(),) * (v - len(cs)))
 
     # -- structure ------------------------------------------------------------
 
@@ -648,37 +659,28 @@ class USeries:
         Coefficients may still carry unknown q-tails; use q_certificate()
         to learn the exponent order to which the zero is certified.
         """
-        v = self.valid if order is None else min(order, self.valid)
-        return all(not self.coeffs[k].has_terms() for k in range(v))
+        return not any(c.terms for c in self.coeffs[:order])
 
     def is_zero(self) -> bool:
         """Decidably zero: no visible terms, no lost u-order, no q-tail."""
         return self._zero
 
-    def _of(self, head: tuple, valid: int) -> "USeries":
-        """This setup and order, ``head`` below ``valid`` and zero above."""
-        if valid < self.order:
-            head += (self.setup.zero(),) * (self.order - valid)
-        return USeries(self.setup, self.order, head, valid)
+    def _of(self, coeffs: tuple) -> "USeries":
+        """This setup and order with these known coefficients."""
+        return USeries(self.setup, self.order, coeffs)
 
     def q_certificate(self) -> Optional[int]:
         """Minimal coefficient trunc index, or None if every coeff is exact."""
-        bounds = [c.trunc for c in self.coeffs[: self.valid] if c.trunc is not None]
-        return min(bounds) if bounds else None
+        return _min_trunc(*(c.trunc for c in self.coeffs))
 
     def _lead(self) -> int:
         """The first u-order whose coefficient is not decidably zero, else
         ``valid``: below it the series is an exact zero."""
-        for k in range(self.valid):
-            if not self.coeffs[k].is_zero():
-                return k
-        return self.valid
+        return next((k for k, c in enumerate(self.coeffs) if not c.is_zero()),
+                    self.valid)
 
     def u_valuation(self) -> Optional[int]:
-        for k in range(self.valid):
-            if self.coeffs[k].has_terms():
-                return k
-        return None
+        return next((k for k, c in enumerate(self.coeffs) if c.terms), None)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -694,23 +696,20 @@ class USeries:
             return other
         if other._zero:
             return self
-        v = min(self.valid, other.valid)
-        return self._of(tuple(a + b for a, b in zip(self.coeffs[:v],
-                                                    other.coeffs[:v])), v)
+        return self._of(tuple(a + b
+                              for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "USeries":
         if self._zero:
             return self
-        return USeries(self.setup, self.order,
-                       tuple(-c for c in self.coeffs), self.valid)
+        return self._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "USeries") -> "USeries":
         self._common(other)
         if self._zero or other._zero:
             return self if other._zero else -other
-        v = min(self.valid, other.valid)
-        return self._of(tuple(a + (-b if b.terms else b) for a, b in zip(
-            self.coeffs[:v], other.coeffs[:v])), v)
+        return self._of(tuple(a + (-b if b.terms else b)
+                              for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "USeries") -> "USeries":
         self._common(other)
@@ -718,10 +717,11 @@ class USeries:
             return self
         if other._zero:
             return other
-        one = other.coeffs[0]
-        if (other.valid == self.order and one.terms == ((0, 1),) and one.trunc
-                is None and all(c.is_zero() for c in other.coeffs[1:])):
-            return self  # other is the exact unit 1
+        if other.valid == self.order:
+            one = other.coeffs[0]
+            if (one.terms == ((0, 1),) and one.trunc is None
+                    and all(c.is_zero() for c in other.coeffs[1:])):
+                return self  # other is the exact unit 1
         return USeries.sum_of_products(((self, other),))
 
     @staticmethod
@@ -741,65 +741,55 @@ class USeries:
                 live.append((a, b))
         cells = [[] for _ in range(v)]
         for a, b in live:
-            for i, x in enumerate(a.coeffs[:min(v, a.valid)]):
+            for i, x in enumerate(a.coeffs[:v]):
                 if x.terms or x.trunc is not None:
-                    for j, y in enumerate(b.coeffs[:min(v - i, b.valid)]):
+                    for j, y in enumerate(b.coeffs[:v - i]):
                         if y.terms or y.trunc is not None:
                             cells[i + j].append((x, y))
         zero = first.setup.zero()
         return first._of(tuple([
             zero if not c else c[0][0] * c[0][1] if len(c) == 1
-            else NovikovElem.sum_of_products(c) for c in cells]), v)
+            else NovikovElem.sum_of_products(c) for c in cells]))
 
     def scale(self, c: NovikovElem) -> "USeries":
         _check_same_setup(self, c)
         if self._zero:
             return self
         return self._of(tuple(a if a.is_zero() else a * c
-                              for a in self.coeffs[:self.valid]), self.valid)
+                              for a in self.coeffs))
 
     def q_shift(self, steps: int) -> "USeries":
         """Multiply every coefficient by q^(steps * g)."""
         if self._zero or not steps:
             return self
-        return self._of(tuple(c.q_shift(steps)
-                              for c in self.coeffs[:self.valid]), self.valid)
+        return self._of(tuple(c.q_shift(steps) for c in self.coeffs))
 
     def times_u(self, k: int = 1) -> "USeries":
-        v = min(self.order, self.valid + k)
-        return self._of(((self.setup.zero(),) * k + self.coeffs)[:v], v)
+        return self._of(((self.setup.zero(),) * k + self.coeffs)[:self.order])
 
     def shift_down(self, k: int) -> "USeries":
         """Divide by u^k; the dropped coefficients must be zero."""
-        for j in range(min(k, self.valid)):
-            if self.coeffs[j].has_terms():
-                raise NovikovError("shift_down would drop a nonzero coefficient")
-        return USeries.build(self.setup, self.order, self.coeffs[k:],
-                             max(0, self.valid - k))
+        if any(c.terms for c in self.coeffs[:k]):
+            raise NovikovError("shift_down would drop a nonzero coefficient")
+        return self._of(self.coeffs[k:])
 
     def __bool__(self):
-        if self._zero:
-            return False
-        return any(c.has_terms() for c in self.coeffs[: self.valid])
+        return not self._zero and any(c.terms for c in self.coeffs)
 
     def __str__(self):
         return format_useries(self)
 
 
 def useries_du(a: USeries) -> USeries:
-    """d/du: coefficient of u^k becomes (k+1)*a_{k+1}; loses the top order.
-
-    The result is re-padded to length N with the lost order recorded in
-    ``valid`` (= old valid - 1).
-    """
-    out = [c if c.is_zero() else c.scale(k)
-           for k, c in enumerate(a.coeffs[1:a.valid], 1)]
-    return USeries.build(a.setup, a.order, out, max(0, a.valid - 1))
+    """d/du: coefficient of u^k becomes (k+1)*a_{k+1}; loses the top order,
+    so ``valid`` drops by one (to no less than 0)."""
+    return a._of(tuple(c if c.is_zero() else c.scale(k)
+                       for k, c in enumerate(a.coeffs[1:], 1)))
 
 
 def useries_udq(a: USeries) -> USeries:
     """Coefficientwise d/dq."""
-    return USeries.build(a.setup, a.order, [dq(c) for c in a.coeffs], a.valid)
+    return a._of(tuple(dq(c) for c in a.coeffs))
 
 
 def useries_invert_unit(p: USeries, q_order: int) -> USeries:
@@ -807,16 +797,16 @@ def useries_invert_unit(p: USeries, q_order: int) -> USeries:
 
     Standard power-series recursion; the constant term is inverted with the
     given q-order budget, so coefficients may carry truncation metadata.
+    The inverse is known to the same u-order as ``p``.
     """
-    p0 = p.coeffs[0]
-    if not p0.has_terms():
+    if not (p.coeffs and p.coeffs[0].terms):
         raise InversionError("u-series is not a unit (u^0 coefficient vanishes)")
-    b0 = invert_truncated(p0, q_order)
+    b0 = invert_truncated(p.coeffs[0], q_order)
     out = [b0]
-    for k in range(1, p.valid):  # the orders from valid on are unknown
+    for k in range(1, len(p.coeffs)):
         out.append(-(b0 * NovikovElem.sum_of_products(
             [(p.coeffs[j], out[k - j]) for j in range(1, k + 1)])))
-    return USeries.build(p.setup, p.order, out, p.valid)
+    return p._of(tuple(out))
 
 
 # -- text grammar -------------------------------------------------------------
@@ -951,8 +941,7 @@ def parse_useries(text: str, setup: ScalarSetup, order: int) -> USeries:
 
 def format_useries(a: USeries) -> str:
     parts = []
-    for k in range(a.valid):
-        c = a.coeffs[k]
+    for k, c in enumerate(a.coeffs):
         if not c.has_terms():
             continue
         body = format_novikov(c)

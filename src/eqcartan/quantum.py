@@ -189,7 +189,7 @@ class QuantumRing:
 def _specialized_columns(X: OperatorMatrix, zero: USeries):
     """q -> 1 on every coefficient of a block: per column, per basis
     element, the list (per u-order) of coefficient-ring values."""
-    return [[[c.specialize_q1() for c in v.coeffs[: v.valid]] for v in col]
+    return [[[c.specialize_q1() for c in v.coeffs] for v in col]
             for col in X.columns(zero)]
 
 

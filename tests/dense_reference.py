@@ -143,7 +143,7 @@ def useries_add(a, b):
 
 
 def useries_neg(a):
-    return USeries(a.setup, a.order, tuple(-c for c in a.coeffs), a.valid)
+    return USeries.build(a.setup, a.order, [-c for c in a.coeffs], a.valid)
 
 
 def useries_sub(a, b):

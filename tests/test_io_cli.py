@@ -437,6 +437,24 @@ def test_bad_u_order_variable_is_malformed_under_the_order_flag(
     assert "EQCARTAN_U_ORDER" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("value", BAD_ORDERS)
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "exact_case.json", "--q-order", "5"],
+    ["u-decompose", "dvr_case.json", "--q-order", "5"],
+    ["cone", "cone_case.json", "--q-order", "4"],
+    ["cartan", "connection", "--which", "q", "classes_case.json",
+     "--q-order", "7"],
+    ["cartan", "solve-iota", "exact_case.json", "--q-order", "3"],
+])
+def test_bad_q_order_variable_is_malformed_under_the_q_order_flag(
+        monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", value)
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert "EQCARTAN_Q_ORDER" in json.loads(out)["error"]
+
+
 # dvr_case.json has d_family.order 3; without its d_family, K = 0
 @pytest.mark.parametrize("d_family, variable, flag, order", [
     (True, None, "5", 5),

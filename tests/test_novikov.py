@@ -1,9 +1,13 @@
+import doctest
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dense_reference as ref
+import eqcartan.novikov
 from eqcartan.novikov import (
     CoefficientError,
     InversionError,
@@ -342,6 +346,26 @@ def test_useries_shift_down():
     assert list(s.coeffs[0].terms) == [(0, 1)]
     assert s.valid == 2
 
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(eqcartan.novikov)
+    assert result.failed == 0
+    assert result.attempted == 4
+
+
+# a slice of coeffs up to valid, or a loop over range(..valid..): both skip
+# placeholders that a series no longer stores
+SKIPS_UNKNOWN_ORDERS = re.compile(r"coeffs\[[^\]]*valid|range\([^)]*valid")
+
+
+def test_no_source_skips_coefficients_above_valid():
+    src = Path(eqcartan.novikov.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if SKIPS_UNKNOWN_ORDERS.search(line)]
+    assert hits == []
 
 # -- text grammar --------------------------------------------------------------
 

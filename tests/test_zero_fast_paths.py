@@ -21,6 +21,9 @@ compose`` per entry, ``USeries.__mul__`` as its one-pair case, ``linalg.
 solve`` per row): each must equal the sequential sum of the general
 formulas, product by product, field for field, on the lattices Z and 1/2 Z;
 an entry that cancels to an exact zero must not be stored.
+
+Every operation's result stores exactly its known coefficients:
+``len(coeffs) == valid <= order``, so no reader meets a placeholder zero.
 """
 
 import functools
@@ -38,7 +41,8 @@ from eqcartan.cartan import (CartanData, EquivariantDifferential,
                              identity_report, solve_iota)
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
                                 sample_block)
-from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
+from eqcartan.novikov import (NovikovElem, ScalarSetup, USeries, useries_du,
+                              useries_invert_unit, useries_udq)
 
 from conftest import random_equivariant_differential, via_block
 
@@ -226,7 +230,55 @@ def test_useries_arithmetic_matches_the_formula(ring, kinds, data):
     assert_same_series(a * one, ref.useries_mul(a, one))
     assert_same_series(a.scale(c), ref.useries_scale(a, c))
     assert_same_series(a.q_shift(steps), ref.useries_q_shift(a, steps))
-    assert bool(a) == any(x.terms for x in a.coeffs[: a.valid])
+    assert bool(a) == any(x.terms for x in a.coeffs)
+
+
+def assert_known_only(s):
+    """A series stores exactly its known coefficients."""
+    assert len(s.coeffs) == s.valid <= s.order
+
+
+build_valids = st.integers(min_value=-1, max_value=ORDER + 1)
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+@pytest.mark.parametrize("kinds",
+                         list(itertools.product(SERIES_KINDS, repeat=2)),
+                         ids="-".join)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_result_stores_only_known_coefficients(ring, kinds, data):
+    setup = SETUPS[ring]
+    a = data.draw(series(setup, kinds[0]))
+    b = data.draw(series(setup, kinds[1]))
+    c = data.draw(elems(setup, data.draw(elem_kinds)))
+    k = data.draw(short_u_orders)
+    lead = a.u_valuation()
+    results = [a + b, a - b, -a, a * b, b * a, a.scale(c),
+               a.q_shift(data.draw(shifts)), a.times_u(k),
+               a.times_u(k).shift_down(k),
+               a.shift_down(a.valid if lead is None else lead),
+               useries_du(a), useries_udq(a),
+               USeries.build(setup, ORDER, a.coeffs, data.draw(build_valids))]
+    if setup.ring.is_field:
+        unit = USeries.from_novikov(setup.one(), ORDER) + a.times_u()
+        results.append(useries_invert_unit(unit, 4))
+    for s in [a, b] + results:
+        assert_known_only(s)
+
+
+@pytest.mark.parametrize("ring", sorted(SETUPS))
+def test_a_product_with_no_known_coefficient(ring):
+    # d/du of an order-1 series knows no coefficient: as either operand of
+    # a product it gives a product that knows none either
+    setup = SETUPS[ring]
+    lost = useries_du(USeries.from_novikov(setup.one(), 1))
+    assert lost.coeffs == () and lost.valid == 0
+    q = USeries.from_novikov(setup.monomial(1, 1), 1)
+    for x, y in ((q, lost), (lost, q), (lost, lost)):
+        assert_known_only(x * y)
+        assert_same_series(x * y, ref.useries_mul(x, y))
+        assert (x * y).valid == 0
 
 
 @pytest.mark.parametrize("ring", sorted(SETUPS))
