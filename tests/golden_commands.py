@@ -54,6 +54,8 @@ COMMANDS = [
       "fixtures/monotone_case.json"], 0),
     (["cartan", "connection", "--which", "u",
       "fixtures/monotone_case.json"], 0),
+    (["cartan", "connection", "--which", "q", "fixtures/exact_case.json"], 0),
+    (["cartan", "connection", "--which", "u", "fixtures/exact_case.json"], 0),
     (["cartan", "verify", "fixtures/classes_case.json"], 0),
     (["cartan", "verify", "fixtures/mod2_case.json"], 0),
     (["cartan", "connection", "--which", "q",
