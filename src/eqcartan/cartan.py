@@ -569,6 +569,24 @@ def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
     return cols
 
 
+def _acyclic(diff: EquivariantDifferential, q_order: int) -> bool:
+    """Whether H_eq = 0 is certified exactly (``induced_connection``): a
+    field, exact d_k of degree 1 - 2k, d_0 of rank n/2 and d_eq^2 = 0."""
+    grading, basis, d0 = diff.grading, diff.basis, diff.components[0].entries
+    if not diff.setup.ring.is_field or 2 * len(d0) < diff.n or any(
+            v.trunc is not None or grading.displayed(basis[t].index)
+            != grading.add(basis[s].index, 1 - 2 * k)
+            for k, comp in enumerate(diff.components)
+            for (t, s), v in comp.entries.items()):
+        return False
+    rows = [{} for _ in basis]
+    for (t, s), v in d0.items():
+        rows[t][s] = v
+    d_eq = diff.as_operator()
+    return (2 * linalg.row_reduce(rows, diff.setup, q_order).rank == diff.n
+            and not d_eq.compose(d_eq).entries)
+
+
 def induced_connection(data: CartanData, which: str = "gamma_q",
                        q_order: Optional[int] = None) -> dict:
     """Matrix of the connection operator on equivariant cohomology classes.
@@ -585,12 +603,19 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     to boundaries.  These are a Lambda[u]-submodule and Gamma(u^j y) is
     u^j Gamma(y), plus 2j u^(j+1) y for Gamma_u, so it suffices that p
     sends Gamma(d x_i) to zero with no residue for the basis generators x_i.
+
+    Exact d_k of degree 1 - 2k, d_eq^2 = 0 and d_0 of rank n/2 make d_0
+    acyclic; the u-adic filtration is finite with graded pieces (C, d_0),
+    so then H_eq = 0, the report has no classes and nothing is flattened.
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
     key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
+    if key not in data._H and _acyclic(diff, key):
+        data._H[key] = (None, None, OperatorMatrix((), diff.basis, {}),
+                        None, [])
     if key not in data._H:
         C = flatten_equivariant(diff)
         H = cohomology_over_novikov_field(C, key)

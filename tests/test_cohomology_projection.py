@@ -15,17 +15,20 @@ must match column by column, field for field.
 import copy
 import json
 import random
+import re
 
 import pytest
 
 import dense_reference as ref
 from eqcartan import cartan, cli
-from eqcartan.cartan import (CartanData, _unflatten, flatten_equivariant,
-                             induced_connection, solve_iota)
+from eqcartan.cartan import (CartanData, EquivariantDifferential, _unflatten,
+                             flatten_equivariant, induced_connection,
+                             solve_iota)
 from eqcartan.complexes import (GeneratorInfo, GradedComplex, GradingKind,
                                 OperatorMatrix, cohomology_over_novikov_field,
                                 mapping_cone)
-from eqcartan.novikov import NovikovElem, ScalarSetup, parse_novikov
+from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
+                              ScalarSetup, parse_novikov)
 from eqcartan.quantum import projective_space_model
 
 from conftest import normal_form_differential, random_equivariant_differential
@@ -192,18 +195,25 @@ def _solved_pair():
     return data
 
 
-@pytest.mark.parametrize("make", [_cp2, _solved_pair],
-                         ids=["cp2", "solved-pair"])
-def test_one_cohomology_per_datum_and_q_order(monkeypatch, make):
+@pytest.fixture
+def flattenings(monkeypatch):
+    """The q-order of every cohomology that induced_connection computes,
+    with EQCARTAN_Q_ORDER unset."""
     calls = []
-    real = cartan.cohomology_over_novikov_field
 
     def counted(C, q_order=None):
         calls.append(q_order)
-        return real(C, q_order)
+        return cohomology_over_novikov_field(C, q_order)
 
     monkeypatch.setattr(cartan, "cohomology_over_novikov_field", counted)
     monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("make", [_cp2, _solved_pair],
+                         ids=["cp2", "solved-pair"])
+def test_one_cohomology_per_datum_and_q_order(monkeypatch, flattenings, make):
+    calls = flattenings
     data = make()
     want = {which: ref.induced_connection(make(), which)
             for which in OPERATORS}
@@ -258,6 +268,103 @@ def test_euler_relation_on_cpn_classes(n, order):
             got = (parse_novikov(gu["matrix"][c][t], SETUP_Q)
                    + two_q * parse_novikov(gq["matrix"][c][t], SETUP_Q))
             assert (got - want).is_zero(), (c, t)
+
+
+# -- no classes on an acyclic d_0 ----------------------------------------------
+
+
+def _acyclic_draw(setup, family, seed):
+    """An exact d_eq whose d_0 is acyclic, with its solved iota family."""
+    rng = random.Random(1700 + seed)
+    if family == "random":
+        diff = random_equivariant_differential(rng, setup, max_gens=6,
+                                               order=rng.randint(2, 4))
+    else:
+        diff = normal_form_differential(
+            rng, setup, n_free=0, n_torsion=0, n_acyclic=rng.randint(1, 3),
+            order=rng.randint(2, 4))
+    data, obstruction = solve_iota(diff)
+    assert obstruction is None
+    return data
+
+
+@pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("family", ["random", "normal_form"])
+@pytest.mark.parametrize("seed", range(24))
+def test_acyclic_d0_has_no_classes_and_is_not_flattened(
+        monkeypatch, flattenings, setup, family, seed):
+    data = _acyclic_draw(setup, family, seed)
+    for which in OPERATORS:
+        got = assert_same_connection(data, which)
+        assert (got["classes"], got["matrix"], got["issues"]) == ([], [], [])
+        assert got["well_defined"]
+        induced_connection(data, which, q_order=8)
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
+    for which in OPERATORS:
+        induced_connection(data, which)
+    assert flattenings == []
+    # the u-adic filtration with acyclic graded pieces (C, d_0): H_eq = 0
+    H = cohomology_over_novikov_field(flatten_equivariant(data.diff))
+    assert H["degrees"] and all(
+        entry["betti"] == 0 for entry in H["degrees"].values())
+
+
+def _integer_family(*components):
+    """d_0, d_1, ... with integer entries on x0, y0, x1, y1 over Q, of
+    indices 1, 0, 1, 0 mod 2."""
+    basis = (GeneratorInfo("x0", 1), GeneratorInfo("y0", 0),
+             GeneratorInfo("x1", 1), GeneratorInfo("y1", 0))
+    diff = EquivariantDifferential.build(
+        SETUP_Q, GradingKind("Z/2"), basis,
+        [{k: SETUP_Q.monomial(c, 0) for k, c in d.items()}
+         for d in components], order=3)
+    return CartanData(diff, ())
+
+
+PAIRS = {(1, 0): 1, (3, 2): 1}  # x0 -> y0, x1 -> y1: an acyclic d_0
+
+
+def _tailed_d0():
+    """d_0(x) = (1 + O(q^3)) y: acyclic, but not exactly."""
+    basis = (GeneratorInfo("x", 1), GeneratorInfo("y", 0))
+    diff = EquivariantDifferential.build(
+        SETUP_Q, GradingKind("Z/2"), basis,
+        [{(1, 0): NovikovElem.build(SETUP_Q, [(0, 1)], 3)}], order=3)
+    return CartanData(diff, ())
+
+
+# each fails one guard of the acyclic certificate and passes the others
+FALLBACKS = {
+    "q-tail": _tailed_d0,
+    # d_1 = x1 -> x0, y1 -> -y0 has even degree and anticommutes with d_0
+    "wrong-parity": lambda: _integer_family(PAIRS, {(0, 2): 1, (1, 3): -1}),
+    # x0 -> y0 and x1 -> y0: n/2 entries, rank 1
+    "rank": lambda: _integer_family({(1, 0): 1, (1, 2): 1}),
+    "torsion": lambda: _normal_form(SETUP_Q, True, 0),
+}
+RAISING = {
+    # d_1 = y1 -> x0: [d_0, d_1] = x1 -> x0 plus y1 -> y0, so d_eq^2 != 0
+    "square": lambda: _integer_family(PAIRS, {(0, 3): 1}),
+    "not-a-field": lambda: CartanData(
+        monotone_pair(ScalarSetup.make(1, "Z")), ()),
+}
+
+
+@pytest.mark.parametrize("make", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_a_failed_guard_flattens_once(flattenings, make):
+    data = make()
+    for which in OPERATORS:
+        assert_same_connection(data, which)
+    assert len(flattenings) == 1
+
+
+@pytest.mark.parametrize("make", RAISING.values(), ids=RAISING.keys())
+def test_a_failed_guard_raises_as_the_flattened_path(flattenings, make):
+    with pytest.raises((InputError, CoefficientError)) as want:
+        ref.induced_connection(make(), "gamma_q")
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        induced_connection(make(), "gamma_q")
+    assert len(flattenings) == 1
 
 
 # -- properties of p ----------------------------------------------------------
