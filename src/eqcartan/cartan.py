@@ -26,8 +26,10 @@ exact.
 derivation part entrywise, the matrix part as one product with the block.
 
 ``solve_iota`` constructs the iota family order by order from d alone by
-solving [d_0, iota_k] = (known lower-order data); an inconsistency at some
-order is returned as an explicit obstruction certificate rather than an
+solving [d_0, iota_k] = (known lower-order data).  On an exact acyclic d_0
+it applies a contracting homotopy of d_0 and never reports an obstruction;
+elsewhere an inconsistency at some order, relative to the lower orders it
+kept, is returned as an explicit obstruction certificate rather than an
 exception.
 """
 
@@ -100,6 +102,8 @@ class EquivariantDifferential:
     basis: Tuple[GeneratorInfo, ...]
     components: Tuple[OperatorMatrix, ...]
     order: Optional[int] = None
+    _h: dict = field(default_factory=dict, init=False, repr=False,
+                     compare=False)  # q-order -> (acyclic, h), _contract
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -266,15 +270,68 @@ def lambda_components(diff: EquivariantDifferential,
             for op in diff.components]
 
 
+def _contract(diff: EquivariantDifferential, q_order: int
+              ) -> Tuple[bool, Optional[OperatorMatrix]]:
+    """(acyclic, h) from one row reduction of d_0, once per q-order: a
+    field, exact d_k of degree 1 - 2k and d_0 of rank n/2 (acyclic when
+    d_0^2 = 0), and h with d_0 h + h d_0 = 1, h^2 = 0, or None unless exact.
+
+    For a pivot (r, c), transform row r sends column c of d_0 to 1 and the
+    other pivot columns to 0, so these rows G invert d_0 on B = im d_0 and
+    G d_0 projects onto the pivot columns' span S along B: h = G (1 - G d_0)
+    is (d_0|S)^-1 on B and 0 on S, exact if each pivot divides its row.
+    """
+    if q_order in diff._h:
+        return diff._h[q_order]
+    grading, basis, d0 = diff.grading, diff.basis, diff.components[0]
+    acyclic, h = False, None
+    if diff.setup.ring.is_field and 2 * len(d0.entries) >= diff.n and not any(
+            v.trunc is not None or grading.displayed(basis[t].index)
+            != grading.add(basis[s].index, 1 - 2 * k)
+            for k, comp in enumerate(diff.components)
+            for (t, s), v in comp.entries.items()):
+        rows = [{} for _ in basis]
+        for (t, s), v in d0.entries.items():
+            rows[t][s] = v
+        red = linalg.row_reduce(rows, diff.setup, q_order)
+        acyclic = 2 * red.rank == diff.n
+        if acyclic:
+            G = {(c, j): linalg._quotient(e, red.scaled[r][c])
+                 for r, c in red.pivots
+                 for j, e in red.scaled_transform[r].items()}
+            if None not in G.values():
+                G = OperatorMatrix._made(basis, basis, G, -1)
+                h = G - G.compose(G.compose(d0))
+    diff._h[q_order] = acyclic, h
+    return acyclic, h
+
+
+def _residual(diff, lam, iotas, k) -> OperatorMatrix:
+    """R_k = lambda_{k-1} - sum_{0 < i <= K} [d_i, iota_{k-i}]."""
+    rhs = (lam[k - 1] if 1 <= k <= diff.K + 1
+           else OperatorMatrix(diff.basis, diff.basis, {}))
+    for j in range(k):
+        i = k - j
+        if i <= diff.K:
+            rhs = rhs - _commutator(diff.components[i], iotas[j])
+    return rhs
+
+
 def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
                q_order: Optional[int] = None):
-    """Solve [d_eq, iota_eq] = u * lambda_eq order by order.
+    """Solve [d_eq, iota_eq] = u * lambda_eq order by order: [d_0, iota_k]
+    = R_k (``_residual``).
 
     Returns (CartanData, obstruction) where obstruction is None on success
     and otherwise {"order": k, "residual": ...} naming the first u-order at
     which the linear system is inconsistent.  Requires field coefficients.
-    An obstruction is relative to the lower-order solutions kept: one per
-    order, never revisited, so another choice of them may still solve k.
+    With a homotopy h of an exact acyclic d_0 (``_contract``), iota_k =
+    h R_k, one solution up to ad(d_0)-exact terms, each order certified by
+    [d_0, iota_k] = R_k; this path never reports an obstruction.  Else, or
+    if a check fails, each order is solved against one elimination of
+    ad(d_0) on n^2 unknowns.  An obstruction is then relative to the
+    lower-order solutions kept: one per order, never revisited, so another
+    choice of them may still solve k.
     """
     setup = diff.setup
     if not setup.ring.is_field:
@@ -283,30 +340,38 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     N = diff.order
     basis = diff.basis
     lam = lambda_components(diff, regime)
-    d = diff.components
+    d0 = diff.components[0]
     z = setup.zero()
+
+    _, h = _contract(diff, linalg.DEFAULT_Q_ORDER() if q_order is None
+                     else q_order)
+    iotas: List[OperatorMatrix] = []
+    if h is not None:
+        for k in range(N):
+            rhs = _residual(diff, lam, iotas, k)
+            iotas.append(OperatorMatrix._made(
+                basis, basis, h.compose(rhs).entries, _iota_degree(regime, k)))
+            if (_commutator(d0, iotas[k]) - rhs).entries:
+                iotas = []
+                break
+        else:
+            return CartanData(diff, tuple(iotas), regime), None
 
     # vectorized commutator with d_0, as sparse rows: row (a,b), unknown
     # entry (c,e)
     com = [{} for _ in range(n * n)]
-    for (a, c), v in d[0].entries.items():
+    for (a, c), v in d0.entries.items():
         for b in range(n):
             row = com[a * n + b]
             row[c * n + b] = row.get(c * n + b, z) + v
-    for (e, b), v in d[0].entries.items():
+    for (e, b), v in d0.entries.items():
         for a in range(n):
             row = com[a * n + b]
             row[a * n + e] = row.get(a * n + e, z) - v
     red = linalg.row_reduce(com, setup, q_order)
 
-    iotas: List[OperatorMatrix] = []
     for k in range(N):
-        rhs = (lam[k - 1] if 1 <= k <= diff.K + 1
-               else OperatorMatrix(basis, basis, {}))
-        for j in range(k):
-            i = k - j
-            if i <= diff.K:
-                rhs = rhs - _commutator(d[i], iotas[j])
+        rhs = _residual(diff, lam, iotas, k)
         vec = [rhs.entries.get((t, s), z) for t in range(n) for s in range(n)]
         x, bad = linalg.solve(com, vec, setup, q_order, reduction=red)
         if x is None:
@@ -569,24 +634,6 @@ def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
     return cols
 
 
-def _acyclic(diff: EquivariantDifferential, q_order: int) -> bool:
-    """Whether H_eq = 0 is certified exactly (``induced_connection``): a
-    field, exact d_k of degree 1 - 2k, d_0 of rank n/2 and d_eq^2 = 0."""
-    grading, basis, d0 = diff.grading, diff.basis, diff.components[0].entries
-    if not diff.setup.ring.is_field or 2 * len(d0) < diff.n or any(
-            v.trunc is not None or grading.displayed(basis[t].index)
-            != grading.add(basis[s].index, 1 - 2 * k)
-            for k, comp in enumerate(diff.components)
-            for (t, s), v in comp.entries.items()):
-        return False
-    rows = [{} for _ in basis]
-    for (t, s), v in d0.items():
-        rows[t][s] = v
-    d_eq = diff.as_operator()
-    return (2 * linalg.row_reduce(rows, diff.setup, q_order).rank == diff.n
-            and not d_eq.compose(d_eq).entries)
-
-
 def induced_connection(data: CartanData, which: str = "gamma_q",
                        q_order: Optional[int] = None) -> dict:
     """Matrix of the connection operator on equivariant cohomology classes.
@@ -613,7 +660,8 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
     key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
-    if key not in data._H and _acyclic(diff, key):
+    if key not in data._H and _contract(diff, key)[0] and not (
+            d_eq := diff.as_operator()).compose(d_eq).entries:
         data._H[key] = (None, None, OperatorMatrix((), diff.basis, {}),
                         None, [])
     if key not in data._H:

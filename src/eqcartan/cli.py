@@ -6,8 +6,9 @@ decision); 4 = internal error (a defect of the program, never a verdict;
 the traceback goes to stderr).  Reports go to stdout as deterministic JSON
 (sorted keys, fixed indentation).  Each command imports the modules it
 runs inside its own body, so a process loads nothing else: ``cartan``,
-``quantum`` and ``finite2`` only for the commands that use them, and
-``morse`` with numpy only for the ``morse`` commands.
+``quantum`` and ``finite2`` only for the commands that use them, ``morse``
+with numpy only for the ``morse`` commands, and for ``--schema`` none of
+the arithmetic (``novikov``, ``linalg``, ``complexes``).
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses when no --q-order is given
@@ -28,8 +29,6 @@ import sys
 import traceback
 from typing import Optional
 
-from .linalg import DEFAULT_Q_ORDER, UndeterminedError, _order_setting
-from .novikov import InputError
 from . import schema as schema_mod
 from .schema import DocumentError
 
@@ -317,6 +316,8 @@ def cmd_cone(args) -> int:
 def _order_flag(text: str) -> Optional[int]:
     """argparse type of the order flags: a usage error (exit 2) on a value
     that ``_order_setting`` rejects."""
+    from .linalg import _order_setting
+    from .novikov import InputError
     try:
         return _order_setting(text, "the order")
     except InputError as exc:
@@ -437,6 +438,8 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return MALFORMED
+    from .linalg import DEFAULT_Q_ORDER, UndeterminedError
+    from .novikov import InputError
     try:
         try:
             if hasattr(args, "q_order"):

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .novikov import NovikovElem, NovikovError, ScalarSetup, USeries
-from .complexes import GeneratorInfo, GradedComplex, GradingKind, OperatorMatrix
-
-if TYPE_CHECKING:  # each builder imports the module of the type it makes
+if TYPE_CHECKING:  # each builder imports what it uses; --schema loads none
+    from .novikov import NovikovElem, ScalarSetup
+    from .complexes import GeneratorInfo, GradedComplex, GradingKind
     from .cartan import CartanData, EquivariantDifferential
     from .finite2 import Z2CartanData
     from .quantum import QuantumRing
@@ -318,6 +318,7 @@ def load_document(path: str) -> dict:
 
 
 def setup_from(doc: dict) -> ScalarSetup:
+    from .novikov import NovikovError, ScalarSetup
     block = doc["scalar_setup"]
     try:
         return ScalarSetup.make(Fraction(block["lattice_generator"]),
@@ -327,6 +328,7 @@ def setup_from(doc: dict) -> ScalarSetup:
 
 
 def _grading_from(block: Optional[dict]) -> GradingKind:
+    from .complexes import GradingKind
     if not block:
         return GradingKind("Z")
     if block["kind"] == "Z/2m":
@@ -337,6 +339,7 @@ def _grading_from(block: Optional[dict]) -> GradingKind:
 
 
 def _generators_from(items) -> Tuple[GeneratorInfo, ...]:
+    from .complexes import GeneratorInfo
     names = [g["name"] for g in items]
     if len(set(names)) != len(names):
         raise DocumentError("duplicate generator names")
@@ -352,6 +355,7 @@ def _entries_from(items, setup, **positions) -> Dict[tuple, NovikovElem]:
     field of an item that holds a generator and maps generator names to
     positions: ``target=`` and ``source=`` for matrix entries, ``term=`` for
     a quantum column.  Keys are tuples of positions in keyword order."""
+    from .novikov import NovikovError
     out: Dict[tuple, NovikovElem] = {}
     for e in items:
         for field, pos in positions.items():
@@ -375,6 +379,7 @@ def _matrix_from(items, basis, setup) -> Dict[tuple, NovikovElem]:
 
 def _complex_block(block: dict, setup: ScalarSetup) -> GradedComplex:
     """The complex of a ``complex`` block or of a cone side."""
+    from .complexes import GradedComplex, OperatorMatrix
     grading = _grading_from(block.get("grading"))
     basis = _generators_from(block["generators"])
     entries = _matrix_from(block["differential"]["entries"], basis, setup)
@@ -396,6 +401,7 @@ def differential_family_from(doc: dict, order: Optional[int] = None
     --order``), else ``d_family.order``, else EQCARTAN_U_ORDER (parsed even
     when unused, so a malformed value is malformed input), else K + 2."""
     from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
+    from .complexes import OperatorMatrix
     env_order = DEFAULT_U_ORDER()
     if "complex" not in doc:
         raise DocumentError("d_family needs a 'complex' block for its basis")
@@ -415,6 +421,7 @@ def differential_family_from(doc: dict, order: Optional[int] = None
 
 def cartan_from(doc: dict, order: Optional[int] = None) -> CartanData:
     from .cartan import CartanData, _iota_degree
+    from .complexes import OperatorMatrix
     diff = differential_family_from(doc, order)
     regime = "monotone"
     iota_ops = ()
@@ -439,6 +446,7 @@ def lambda_family_from(doc: dict, diff: EquivariantDifferential):
 
 def quantum_from(doc: dict) -> QuantumRing:
     from .quantum import QuantumRing
+    from .complexes import GeneratorInfo
     if "quantum_ring" not in doc:
         raise DocumentError("document has no 'quantum_ring' block")
     block = doc["quantum_ring"]
@@ -486,6 +494,7 @@ def z2_from(doc: dict) -> Z2CartanData:
 
 
 def cone_from(doc: dict):
+    from .complexes import OperatorMatrix
     if "cone" not in doc:
         raise DocumentError("document has no 'cone' block")
     block = doc["cone"]
@@ -503,19 +512,31 @@ def cone_from(doc: dict):
 # -- deterministic output -----------------------------------------------------
 
 
+@cache
+def _report_types():
+    """The scalar types a report prints as text, and GeneratorInfo: imported
+    at the first report value that is not plain JSON, never for --schema."""
+    from .complexes import GeneratorInfo
+    from .novikov import NovikovElem, USeries
+    return (NovikovElem, USeries, Fraction), GeneratorInfo
+
+
 def jsonify(obj):
     """Recursively convert report objects to JSON-safe primitives."""
-    if isinstance(obj, (NovikovElem, USeries, Fraction)):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, float):
         return float(obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    scalars, generator = _report_types()
+    if isinstance(obj, scalars):
+        return str(obj)
     if hasattr(obj, "item") and callable(obj.item):  # numpy scalars
         return jsonify(obj.item())
-    if isinstance(obj, GeneratorInfo):
+    if isinstance(obj, generator):
         return {"name": obj.name, "index": obj.index}
     return obj
 

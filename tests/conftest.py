@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eqcartan.novikov import ScalarSetup
+from eqcartan.novikov import NovikovElem, ScalarSetup
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from eqcartan.cartan import EquivariantDifferential
 
@@ -83,6 +83,13 @@ def _conjugate_components(comps, j, f, a, b, setup, order):
                 for s in range(n):
                     M[t][s] = M[t][s] - EdE[t][s]
     return out
+
+
+def _coeff(rng, setup):
+    """A random nonzero coefficient: 1..p-1 over F_p, else 1, 2, 3, -1 or -2."""
+    if setup.ring.kind == "Fp":
+        return rng.randint(1, setup.ring.modulus - 1)
+    return rng.choice([1, 2, 3, -1, -2])
 
 
 def random_equivariant_differential(rng: random.Random, setup,
@@ -202,3 +209,30 @@ def normal_form_differential(rng: random.Random, setup, n_free: int,
     ]
     return EquivariantDifferential.build(
         setup, GradingKind("Z/2"), basis, entries, order=order)
+
+
+def multi_term_differential(rng, setup, npairs, order):
+    """Pairs x_i -> y_i with multi-term coefficients, conjugated by
+    multi-term elementary factors, so solving inverts truncated series."""
+    n = 2 * npairs
+    basis = []
+    for i in range(npairs):
+        basis += [GeneratorInfo(f"x{i}", 1), GeneratorInfo(f"y{i}", 0)]
+    z = setup.zero()
+    d0 = [[z] * n for _ in range(n)]
+    for i in range(npairs):
+        d0[2 * i + 1][2 * i] = NovikovElem.build(
+            setup, [(0, _coeff(rng, setup)), (1, _coeff(rng, setup)),
+                    (3, _coeff(rng, setup))])
+    comps = [d0]
+    for _ in range(2):
+        a, b = rng.sample(range(rng.randint(0, 1), n, 2), 2)
+        f = NovikovElem.build(setup, [(0, _coeff(rng, setup)),
+                                      (2, _coeff(rng, setup))])
+        comps = _conjugate_components(comps, 1, f, a, b, setup, order)
+        while len(comps) > 1 and all(not e for row in comps[-1] for e in row):
+            comps.pop()
+    entries = [{(t, s): M[t][s] for t in range(n) for s in range(n) if M[t][s]}
+               for M in comps]
+    return EquivariantDifferential.build(setup, GradingKind("Z/2"), basis,
+                                         entries, order=order)

@@ -2,7 +2,9 @@
 
 These are the dense-matrix versions of ``linalg.row_reduce``/``solve``, of
 the kernel (``Reduction._kernel``) and of ``cartan.solve_iota``/
-``identity_report`` that the sparse implementations replaced; this
+``identity_report`` that the sparse implementations replaced (``solve_iota``
+with the contracting homotopy of ``contract``, from its own dense
+elimination of d_0, where ``cartan._contract`` has one); this
 ``identity_report`` checks the Euler relation and the Leibniz rules on
 every sample vector, where ``cartan.identity_report`` leaves out the
 columns on which they cancel exactly.  They store every entry of every
@@ -418,21 +420,21 @@ def _dmap(A, fn):
     return [[fn(e) for e in row] for row in A]
 
 
-def _scalar_commutator(A, B, setup):
-    n = len(A)
+def _smul(A, B, setup):
+    """The dense product A B of Novikov matrices."""
     z = setup.zero()
-    out = [[z] * n for _ in range(n)]
-    for t in range(n):
-        for m in range(n):
-            if not A[t][m].is_zero():
-                for s in range(n):
-                    if not B[m][s].is_zero():
-                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
-            if not B[t][m].is_zero():
-                for s in range(n):
-                    if not A[m][s].is_zero():
-                        out[t][s] = out[t][s] - B[t][m] * A[m][s]
+    out = [[z] * len(B[0]) for _ in A]
+    for t, row in enumerate(A):
+        for m, a in enumerate(row):
+            if not a.is_zero():
+                for s, b in enumerate(B[m]):
+                    if not b.is_zero():
+                        out[t][s] = out[t][s] + a * b
     return out
+
+
+def _scalar_commutator(A, B, setup):
+    return _dsub(_smul(A, B, setup), _smul(B, A, setup))
 
 
 def _dense_components(diff):
@@ -482,8 +484,39 @@ def _apply_dense(M, vec, zero):
 # -- solve_iota ---------------------------------------------------------------
 
 
+def contract(diff, q_order=None):
+    """A contracting homotopy h of d_0 as dense rows, or None: under the
+    guards of ``cartan._contract`` (a field; every d_k exact, of degree
+    1 - 2k; at least n/2 entries in d_0; rank n/2; h exact), from the dense
+    elimination above.  h = G - G G d_0, with row c of G the divided
+    transform row of the pivot (r, c).  That elimination inverts a
+    multi-term pivot to a truncated series, so here h is exact only on
+    monomial pivots; ``cartan._contract`` also takes a multi-term pivot
+    that divides its row exactly, which the test families never draw."""
+    setup, n, grading, basis = diff.setup, diff.n, diff.grading, diff.basis
+    d = _dense_components(diff)
+    if not setup.ring.is_field or 2 * sum(
+            not e.is_zero() for row in d[0] for e in row) < n or any(
+            not e.is_zero() and (e.trunc is not None or grading.displayed(
+                basis[t].index) != grading.add(basis[s].index, 1 - 2 * k))
+            for k, M in enumerate(d) for t, row in enumerate(M)
+            for s, e in enumerate(row)):
+        return None
+    _, U, pivots, _ = row_reduce(d[0], setup, q_order)
+    if 2 * len(pivots) != n:
+        return None
+    G = [[setup.zero()] * n for _ in range(n)]
+    for r, c in pivots:
+        G[c] = U[r]
+    if any(e.trunc is not None for row in G for e in row):
+        return None
+    return _dsub(G, _smul(G, _smul(G, d[0], setup), setup))
+
+
 def solve_iota(diff, regime="monotone", q_order=None):
-    """(list of dense iota components, obstruction)."""
+    """(list of dense iota components, obstruction): iota_k = h R_k for the
+    homotopy h of ``contract`` where it exists and every order checks,
+    else each order solved against the dense n^2 x n^2 system."""
     setup = diff.setup
     n = diff.n
     N = diff.order
@@ -492,6 +525,28 @@ def solve_iota(diff, regime="monotone", q_order=None):
     z = setup.zero()
     zero_mat = [[z] * n for _ in range(n)]
     d0 = d[0]
+
+    def residual(iotas, k):
+        rhs = [row[:] for row in (lam[k - 1] if 1 <= k <= diff.K + 1
+                                  else zero_mat)]
+        for j in range(k):
+            i = k - j
+            if i <= diff.K:
+                rhs = _dsub(rhs, _scalar_commutator(d[i], iotas[j], setup))
+        return rhs
+
+    h = contract(diff, q_order)
+    if h is not None:
+        iotas = []
+        for k in range(N):
+            rhs = residual(iotas, k)
+            iotas.append(_smul(h, rhs, setup))
+            if any(not e.is_zero() for row in _dsub(_scalar_commutator(
+                    d0, iotas[k], setup), rhs) for e in row):
+                break
+        else:
+            return iotas, None
+
     com = [[z] * (n * n) for _ in range(n * n)]
     for a in range(n):
         for b in range(n):
@@ -503,12 +558,7 @@ def solve_iota(diff, regime="monotone", q_order=None):
     red = row_reduce(com, setup, q_order)
     iotas = []
     for k in range(N):
-        rhs = [row[:] for row in (lam[k - 1] if 1 <= k <= diff.K + 1
-                                  else zero_mat)]
-        for j in range(k):
-            i = k - j
-            if i <= diff.K:
-                rhs = _dsub(rhs, _scalar_commutator(d[i], iotas[j], setup))
+        rhs = residual(iotas, k)
         vec = [rhs[t][s] for t in range(n) for s in range(n)]
         x, bad = solve(com, vec, setup, q_order, reduction=red)
         if x is None:

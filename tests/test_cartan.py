@@ -1,10 +1,11 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from eqcartan import cartan
+from eqcartan import cartan, linalg
 from eqcartan.cartan import (
     CartanData,
     _scan,
@@ -20,13 +21,18 @@ from eqcartan.cartan import (
     solve_iota,
 )
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
+from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
                               ScalarSetup, USeries, parse_novikov)
+from eqcartan.schema import differential_family_from, load_document
 
-from conftest import random_equivariant_differential, via_block
+from conftest import (multi_term_differential, normal_form_differential,
+                      random_equivariant_differential, via_block)
 
 SETUP = ScalarSetup.make(1, "Q")
 SETUP_Z = ScalarSetup.make(1, "Z")
+SETUP_F5 = ScalarSetup.make(1, "F5")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 IDENTITY_NAMES = [
     "d_eq squared zero",
@@ -488,3 +494,114 @@ def test_the_two_regimes_differ_by_one_power_of_q(setup):
         _assert_twins_agree(mono, cy)
         wrong = CartanData(diff, _random_iota(rng, diff, "monotone"))
         _assert_twins_agree(wrong, _cy_twin(wrong))
+
+
+# -- the contracting homotopy of an acyclic d_0 -------------------------------
+
+
+def _fixture_diff(name):
+    return differential_family_from(load_document(str(FIXTURES / name)))
+
+
+def _random_acyclic(setup, seed):
+    """random_equivariant_differential: a monomial pairing d_0, conjugated
+    only at positive u-powers, so d_0 is acyclic with monomial pivots."""
+    return random_equivariant_differential(random.Random(1900 + seed), setup,
+                                           max_gens=8, order=4)
+
+
+ACYCLIC = {
+    **{f"random-{ring}-{seed}": (lambda setup=setup, seed=seed:
+                                 _random_acyclic(setup, seed))
+       for ring, setup in (("Q", SETUP), ("F5", SETUP_F5))
+       for seed in range(12)},
+    "monotone_case": lambda: _fixture_diff("monotone_case.json"),
+    "exact_case": lambda: _fixture_diff("exact_case.json"),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(ACYCLIC))
+def test_contraction_is_a_homotopy_of_d0(draw):
+    # checked by multiplication: d_0 h + h d_0 = 1 and h^2 = 0
+    diff = ACYCLIC[draw]()
+    acyclic, h = cartan._contract(diff, DEFAULT_Q_ORDER())
+    assert acyclic and h is not None
+    d0, basis = diff.components[0], diff.basis
+    one = OperatorMatrix(basis, basis,
+                         {(i, i): diff.setup.one() for i in range(diff.n)})
+    assert not (d0.compose(h) + h.compose(d0) - one).entries
+    assert not h.compose(h).entries
+    assert all(v.trunc is None for v in h.entries.values())
+
+
+def _reduced_sizes(monkeypatch):
+    """The row counts of every ``linalg.row_reduce`` from now on."""
+    sizes, real = [], linalg.row_reduce
+
+    def spy(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "row_reduce", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("draw", sorted(ACYCLIC))
+def test_solve_iota_on_an_acyclic_d0_reduces_no_more_than_n_rows(
+        monkeypatch, draw):
+    diff = ACYCLIC[draw]()
+    sizes = _reduced_sizes(monkeypatch)
+    data, obstruction = solve_iota(diff)
+    assert obstruction is None
+    assert sizes == [diff.n]
+    # the connection and its certificate read this iota as any other
+    report = identity_report(data)
+    assert {r["identity"]: r["holds"] for r in report["identities"]}[
+        "connection commutes with d_eq"]
+    induced_connection(data, "gamma_q")
+    assert sizes == [diff.n]
+
+
+def _tailed_d0():
+    """d_0(x) = (1 + O(q^3)) y: acyclic, but not exactly."""
+    basis = (GeneratorInfo("x", 1), GeneratorInfo("y", 0))
+    return EquivariantDifferential.build(
+        SETUP, GradingKind("Z/2"), basis,
+        [{(1, 0): NovikovElem.build(SETUP, [(0, 1)], 3)}], order=3)
+
+
+FALLBACKS = {
+    "classes_case": lambda: _fixture_diff("classes_case.json"),
+    **{f"multi_term-{seed}": (lambda seed=seed: multi_term_differential(
+        random.Random(seed), SETUP_F5 if seed % 2 else SETUP, 2, 3))
+       for seed in range(4)},
+    "normal_form": lambda: normal_form_differential(
+        random.Random(5), SETUP, n_free=0, n_torsion=0, n_acyclic=2, order=3),
+    "tailed_d0": _tailed_d0,
+}
+
+
+def _iota_or_error(diff):
+    """solve_iota's iota entries and obstruction, or the error it raises."""
+    try:
+        data, obstruction = solve_iota(diff)
+    except UndeterminedError as exc:
+        return str(exc)
+    return ([op.entries for op in data.iota] if data else None), obstruction
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_solve_iota_falls_back_where_no_exact_contraction_exists(
+        monkeypatch, case):
+    # today's elimination of ad(d_0) on n^2 unknowns: _contract left out
+    with monkeypatch.context() as m:
+        m.setattr(cartan, "_contract", lambda diff, q_order: (False, None))
+        want = _iota_or_error(FALLBACKS[case]())
+    diff = FALLBACKS[case]()
+    sizes = _reduced_sizes(monkeypatch)
+    assert _iota_or_error(diff) == want
+    assert diff.n ** 2 in sizes
+    # a multi-term pivot leaves d_0 acyclic, so induced_connection still
+    # flattens nothing, but h is not exact
+    assert cartan._contract(diff, DEFAULT_Q_ORDER()) == (
+        case.startswith(("multi_term", "normal_form")), None)

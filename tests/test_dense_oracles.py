@@ -43,8 +43,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from conftest import (_conjugate_components, densify, free_pair_differential,
-                      random_equivariant_differential)
+from conftest import (_coeff, densify, free_pair_differential,
+                      multi_term_differential, random_equivariant_differential)
 from eqcartan import linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
@@ -59,12 +59,6 @@ import gens  # noqa: E402  (the benchmark's input generators)
 
 SETUP_Q = ScalarSetup.make(1, "Q")
 SETUP_F5 = ScalarSetup.make(1, "F5")
-
-
-def _coeff(rng, setup):
-    if setup.ring.kind == "Fp":
-        return rng.randint(1, setup.ring.modulus - 1)
-    return rng.choice([1, 2, 3, -1, -2])
 
 
 def random_entry(rng, setup, max_exp=3):
@@ -432,33 +426,6 @@ def assert_same_cartan(diff, regime, q_order=None):
         assert [op.entries for op in data.iota] == _iota_entries(want)
     assert identity_report(data) == ref.identity_report(data)
     return obstruction is not None
-
-
-def multi_term_differential(rng, setup, npairs, order):
-    """Pairs x_i -> y_i with multi-term coefficients, conjugated by
-    multi-term elementary factors, so solving inverts truncated series."""
-    n = 2 * npairs
-    basis = []
-    for i in range(npairs):
-        basis += [GeneratorInfo(f"x{i}", 1), GeneratorInfo(f"y{i}", 0)]
-    z = setup.zero()
-    d0 = [[z] * n for _ in range(n)]
-    for i in range(npairs):
-        d0[2 * i + 1][2 * i] = NovikovElem.build(
-            setup, [(0, _coeff(rng, setup)), (1, _coeff(rng, setup)),
-                    (3, _coeff(rng, setup))])
-    comps = [d0]
-    for _ in range(2):
-        a, b = rng.sample(range(rng.randint(0, 1), n, 2), 2)
-        f = NovikovElem.build(setup, [(0, _coeff(rng, setup)),
-                                      (2, _coeff(rng, setup))])
-        comps = _conjugate_components(comps, 1, f, a, b, setup, order)
-        while len(comps) > 1 and all(not e for row in comps[-1] for e in row):
-            comps.pop()
-    entries = [{(t, s): M[t][s] for t in range(n) for s in range(n) if M[t][s]}
-               for M in comps]
-    return EquivariantDifferential.build(setup, GradingKind("Z/2"), basis,
-                                         entries, order=order)
 
 
 @pytest.mark.parametrize("regime", ["monotone", "cy"])

@@ -284,7 +284,8 @@ def test_schema_flag(capsys):
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import eqcartan.cli
-watched = ("eqcartan.cartan", "eqcartan.quantum", "eqcartan.finite2",
+watched = ("eqcartan.novikov", "eqcartan.linalg", "eqcartan.complexes",
+           "eqcartan.cartan", "eqcartan.quantum", "eqcartan.finite2",
            "numpy", "jsonschema")
 steps = []
 for argv in json.loads(sys.argv[1]):
@@ -297,26 +298,31 @@ print(json.dumps(steps))
 
 def test_each_command_loads_only_the_modules_it_runs():
     """One fresh interpreter runs the commands in turn and records the
-    modules loaded so far after each: --schema, cohomology and cone load
-    none of cartan, quantum and finite2; finite2 verify adds finite2 only;
-    no document command loads numpy or jsonschema; a morse command does
-    load numpy."""
+    modules loaded so far after each: --schema loads none of the package's
+    modules; cohomology and cone load the arithmetic (novikov, linalg and
+    complexes) but none of cartan, quantum and finite2; finite2 verify adds
+    finite2 only; no document command loads numpy or jsonschema; a morse
+    command does load numpy."""
     root = FIXTURES.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    arithmetic = ["eqcartan.novikov", "eqcartan.linalg", "eqcartan.complexes"]
     cartan, quantum, finite2 = ("eqcartan.cartan", "eqcartan.quantum",
                                 "eqcartan.finite2")
     steps = [
         (["--schema"], []),
-        (["cohomology", "fixtures/monotone_case.json"], []),
-        (["cone", "fixtures/cone_case.json"], []),
-        (["finite2", "verify", "fixtures/z2_case.json"], [finite2]),
-        (["validate", "fixtures/monotone_case.json"], [cartan, finite2]),
+        (["cohomology", "fixtures/monotone_case.json"], arithmetic),
+        (["cone", "fixtures/cone_case.json"], arithmetic),
+        (["finite2", "verify", "fixtures/z2_case.json"],
+         arithmetic + [finite2]),
+        (["validate", "fixtures/monotone_case.json"],
+         arithmetic + [cartan, finite2]),
         (["cartan", "verify", "fixtures/monotone_case.json"],
-         [cartan, finite2]),
+         arithmetic + [cartan, finite2]),
         (["quantum", "check", "fixtures/quantum_cp1.json"],
-         [cartan, quantum, finite2]),
-        (["morse", "weights"], [cartan, quantum, finite2, "numpy"]),
+         arithmetic + [cartan, quantum, finite2]),
+        (["morse", "weights"],
+         arithmetic + [cartan, quantum, finite2, "numpy"]),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE,
