@@ -45,6 +45,7 @@ from .novikov import (
     CoefficientError,
     CoefficientRing,
     InputError,
+    InternalError,
     NovikovElem,
     NovikovError,
     ScalarSetup,
@@ -102,8 +103,8 @@ class EquivariantDifferential:
     basis: Tuple[GeneratorInfo, ...]
     components: Tuple[OperatorMatrix, ...]
     order: Optional[int] = None
-    _h: dict = field(default_factory=dict, init=False, repr=False,
-                     compare=False)  # q-order -> (acyclic, h), _contract
+    _contraction: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)  # _contract
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -270,19 +271,22 @@ def lambda_components(diff: EquivariantDifferential,
             for op in diff.components]
 
 
-def _contract(diff: EquivariantDifferential, q_order: int
+def _contract(diff: EquivariantDifferential
               ) -> Tuple[bool, Optional[OperatorMatrix]]:
-    """(acyclic, h) from one row reduction of d_0, once per q-order: a
-    field, exact d_k of degree 1 - 2k and d_0 of rank n/2 (acyclic when
-    d_0^2 = 0), and h with d_0 h + h d_0 = 1, h^2 = 0, or None unless exact.
+    """(acyclic, h) from one row reduction of d_0, once per differential.
+
+    acyclic: a field, exact d_k of degree 1 - 2k, d_0 of rank n/2 and
+    d_eq^2 = 0 mod u^order, so d_0 is acyclic.  h: d_0 h + h d_0 = 1 and
+    h^2 = 0 when every pivot is a monomial, else None.  On exact input
+    neither depends on a q-order.
 
     For a pivot (r, c), transform row r sends column c of d_0 to 1 and the
     other pivot columns to 0, so these rows G invert d_0 on B = im d_0 and
     G d_0 projects onto the pivot columns' span S along B: h = G (1 - G d_0)
-    is (d_0|S)^-1 on B and 0 on S, exact if each pivot divides its row.
+    is (d_0|S)^-1 on B and 0 on S, exact as monomial pivots invert exactly.
     """
-    if q_order in diff._h:
-        return diff._h[q_order]
+    if diff._contraction is not None:
+        return diff._contraction
     grading, basis, d0 = diff.grading, diff.basis, diff.components[0]
     acyclic, h = False, None
     if diff.setup.ring.is_field and 2 * len(d0.entries) >= diff.n and not any(
@@ -293,16 +297,16 @@ def _contract(diff: EquivariantDifferential, q_order: int
         rows = [{} for _ in basis]
         for (t, s), v in d0.entries.items():
             rows[t][s] = v
-        red = linalg.row_reduce(rows, diff.setup, q_order)
-        acyclic = 2 * red.rank == diff.n
-        if acyclic:
-            G = {(c, j): linalg._quotient(e, red.scaled[r][c])
-                 for r, c in red.pivots
-                 for j, e in red.scaled_transform[r].items()}
-            if None not in G.values():
-                G = OperatorMatrix._made(basis, basis, G, -1)
-                h = G - G.compose(G.compose(d0))
-    diff._h[q_order] = acyclic, h
+        red = linalg.row_reduce(rows, diff.setup)
+        acyclic = 2 * red.rank == diff.n and not (
+            d_eq := diff.as_operator()).compose(d_eq).entries
+        if acyclic and all(len(red.scaled[r][c].terms) == 1
+                           for r, c in red.pivots):
+            G = OperatorMatrix._made(basis, basis, {
+                (c, j): e for r, c in red.pivots
+                for j, e in red.transform[r].items()}, -1)
+            h = G - G.compose(G.compose(d0))
+    diff._contraction = acyclic, h
     return acyclic, h
 
 
@@ -325,13 +329,13 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     Returns (CartanData, obstruction) where obstruction is None on success
     and otherwise {"order": k, "residual": ...} naming the first u-order at
     which the linear system is inconsistent.  Requires field coefficients.
-    With a homotopy h of an exact acyclic d_0 (``_contract``), iota_k =
-    h R_k, one solution up to ad(d_0)-exact terms, each order certified by
-    [d_0, iota_k] = R_k; this path never reports an obstruction.  Else, or
-    if a check fails, each order is solved against one elimination of
-    ad(d_0) on n^2 unknowns.  An obstruction is then relative to the
-    lower-order solutions kept: one per order, never revisited, so another
-    choice of them may still solve k.
+    With the homotopy h of an exactly acyclic d_0 (``_contract``), iota_k =
+    h R_k, one solution up to ad(d_0)-exact terms: d_eq^2 = 0 makes R_k
+    ad(d_0)-closed, so [d_0, iota_k] = R_k holds, and a failed check is an
+    ``InternalError``.  Everywhere else each order is solved against one
+    elimination of ad(d_0) on n^2 unknowns.  An obstruction is then
+    relative to the lower-order solutions kept: one per order, never
+    revisited, so another choice of them may still solve k.
     """
     setup = diff.setup
     if not setup.ring.is_field:
@@ -343,8 +347,7 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     d0 = diff.components[0]
     z = setup.zero()
 
-    _, h = _contract(diff, linalg.DEFAULT_Q_ORDER() if q_order is None
-                     else q_order)
+    _, h = _contract(diff)
     iotas: List[OperatorMatrix] = []
     if h is not None:
         for k in range(N):
@@ -352,10 +355,9 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
             iotas.append(OperatorMatrix._made(
                 basis, basis, h.compose(rhs).entries, _iota_degree(regime, k)))
             if (_commutator(d0, iotas[k]) - rhs).entries:
-                iotas = []
-                break
-        else:
-            return CartanData(diff, tuple(iotas), regime), None
+                raise InternalError(
+                    f"the homotopy of d_0 does not solve order {k}")
+        return CartanData(diff, tuple(iotas), regime), None
 
     # vectorized commutator with d_0, as sparse rows: row (a,b), unknown
     # entry (c,e)
@@ -643,33 +645,23 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     and q-order with the class block and its text, which Gamma_q and
     Gamma_u share (Gamma_u's matrix part ``CartanData.iota_u`` is built once
     per datum); a degree no differential enters or leaves keeps its
-    generators as representatives.  Row c of the matrix is p(Gamma rep_c); an image that
-    is not a cocycle leaves a residue and is reported as not expressible.
+    generators as representatives.  Row c of the matrix is p(Gamma rep_c);
+    an image that is not a cocycle leaves a residue and is reported as not
+    expressible.
     Well-definedness on cohomology is certified exactly: Gamma descends to
     classes iff every Gamma(rep_c) is a cocycle and Gamma maps boundaries
     to boundaries.  These are a Lambda[u]-submodule and Gamma(u^j y) is
     u^j Gamma(y), plus 2j u^(j+1) y for Gamma_u, so it suffices that p
     sends Gamma(d x_i) to zero with no residue for the basis generators x_i.
 
-    Exact d_k of degree 1 - 2k, d_eq^2 = 0 and d_0 of rank n/2 make d_0
-    acyclic; the u-adic filtration is finite with graded pieces (C, d_0),
-    so then H_eq = 0, the report has no classes and nothing is flattened.
+    On an acyclic d_0 (``_contract``) the u-adic filtration is finite with
+    acyclic graded pieces (C, d_0), so H_eq = 0: the report has no classes
+    and nothing is flattened.
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
-    key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
-    if key not in data._H and _contract(diff, key)[0] and not (
-            d_eq := diff.as_operator()).compose(d_eq).entries:
-        data._H[key] = (None, None, OperatorMatrix((), diff.basis, {}),
-                        None, [])
-    if key not in data._H:
-        C = flatten_equivariant(diff)
-        H = cohomology_over_novikov_field(C, key)
-        X = H.class_block(C.basis)
-        data._H[key] = (C, H, X, _unflatten(diff, X), _texts(data.setup, X))
-    C, H, X, X_u, texts = data._H[key]
     iota_trivial = all(iota_k.is_visibly_zero() for iota_k in data.iota)
     if which == "gamma_q":
         form = "u*d/dq" if iota_trivial else "u*d/dq + iota part"
@@ -677,10 +669,19 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
         form = ("2*u^2*d/du + u*mu" if iota_trivial
                 else "2*u^2*d/du + u*mu - 2*iota part")
     out = {"operator": which, "operator_form": form,
-           "matrix_part_is_zero": iota_trivial,
-           "classes": [{"degree": c.index, "representative": list(col)}
-                       for c, col in zip(X.source, texts)],
+           "matrix_part_is_zero": iota_trivial, "classes": [],
            "matrix": [], "well_defined": True, "issues": []}
+    if _contract(diff)[0]:
+        return out
+    key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
+    if key not in data._H:
+        C = flatten_equivariant(diff)
+        H = cohomology_over_novikov_field(C, key)
+        X = H.class_block(C.basis)
+        data._H[key] = (C, H, X, _unflatten(diff, X), _texts(data.setup, X))
+    C, H, X, X_u, texts = data._H[key]
+    out["classes"] = [{"degree": c.index, "representative": list(col)}
+                      for c, col in zip(X.source, texts)]
     if not X.source:
         return out
 

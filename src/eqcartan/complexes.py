@@ -99,9 +99,6 @@ class GradingKind:
     def add(self, degree: int, shift: int) -> int:
         return self.displayed(degree + shift)
 
-    def describe(self) -> str:
-        return self.kind if self.kind != "Z/2m" else f"Z/{2 * self.m}"
-
 
 @dataclass(frozen=True)
 class GeneratorInfo:
@@ -302,20 +299,24 @@ def validate_complex(C: GradedComplex) -> List[dict]:
     if C.d.source != C.basis or C.d.target != C.basis:
         return [{"invariant": "differential bases", "detail": "basis mismatch"}]
     out = _d_squared_defects(C)
-    # degree compatibility of visible entries with the displayed grading
-    if not C.q_degree_two:
-        for (t, s), v in C.d.entries.items():
-            gt, gs = C.basis[t], C.basis[s]
-            if gt.degree(C.grading) != C.grading.add(gs.degree(C.grading),
-                                                    C.d.degree):
-                out.append({
-                    "invariant": "degree shift",
-                    "entry": [gt.name, gs.name],
-                    "expected": C.grading.add(gs.degree(C.grading), C.d.degree),
-                    "observed": gt.degree(C.grading),
-                })
     if C.q_degree_two:
-        out.extend(_homogeneity_violations(C.d))
+        return out + _homogeneity_violations(C.d)
+    # degree compatibility of visible entries with the displayed grading
+    return out + [{"invariant": "degree shift",
+                   "entry": [C.basis[t].name, C.basis[s].name],
+                   "expected": expected, "observed": observed}
+                  for t, s, expected, observed in _misplaced(C)]
+
+
+def _misplaced(C: GradedComplex) -> List[Tuple[int, int, int, int]]:
+    """(t, s, expected, observed) for each entry (t, s) of d whose target's
+    displayed degree (observed) is not its source's plus d.degree
+    (expected): cohomology has no block to place it in."""
+    g, out = C.grading, []
+    for t, s in C.d.entries:
+        expected = g.add(C.basis[s].degree(g), C.d.degree)
+        if (observed := C.basis[t].degree(g)) != expected:
+            out.append((t, s, expected, observed))
     return out
 
 
@@ -385,10 +386,18 @@ def cohomology_over_novikov_field(C: GradedComplex,
     the certificate records the q-order to which zero-decisions were
     verified (None = exact).  The returned report also carries the
     projection onto its classes (``CohomologyReport.project``), read off
-    the same eliminations.
+    the same eliminations.  An entry of d that does not raise the displayed
+    degree by d.degree (one a ``q_degree_two`` complex may hold) has no
+    block to go in: it is refused with an ``InputError`` naming it.
     """
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
+    if bad := _misplaced(C):
+        t, s, expected, observed = min(bad)
+        raise InputError(
+            f"d entry ({C.basis[t].name},{C.basis[s].name}) maps degree "
+            f"{C.basis[s].degree(C.grading)} to degree {observed}, not "
+            f"{expected}: cohomology cannot place it")
     setup = C.setup
     degrees = C.degrees_present()
     # the block of d from degree k, as sparse rows and sparse columns over
@@ -402,8 +411,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
     columns = {k: defaultdict(dict) for k in degrees}
     for (t, s), v in C.d.entries.items():
         k = degree[s]
-        if degree[t] == C.grading.add(k, C.d.degree):
-            rows[k][pos[t]][pos[s]] = columns[k][pos[s]][pos[t]] = v
+        rows[k][pos[t]][pos[s]] = columns[k][pos[s]][pos[t]] = v
     reductions = {}  # k -> (columns of the block of d, reduction)
     rank = {}
     verified = None

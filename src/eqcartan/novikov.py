@@ -372,10 +372,6 @@ class NovikovElem:
 
     # -- structure ------------------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     def has_terms(self) -> bool:
         return bool(self.terms)
 

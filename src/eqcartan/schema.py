@@ -56,6 +56,18 @@ _ENTRY = {
 
 _ENTRIES = {"type": "array", "items": _ENTRY}
 
+_TERM = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["term", "value"],
+    "properties": {
+        "term": {"type": "string"},
+        "value": {"type": "string"},
+    },
+}
+
+_TERMS = {"type": "array", "items": _TERM}
+
 _GENERATOR = {
     "type": "object",
     "additionalProperties": False,
@@ -135,18 +147,7 @@ _QUANTUM = {
             },
         },
         "unit": {"type": "string"},
-        "omega": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["term", "value"],
-                "properties": {
-                    "term": {"type": "string"},
-                    "value": {"type": "string"},
-                },
-            },
-        },
+        "omega": _TERMS,
         "table": {
             "type": "array",
             "items": {
@@ -156,18 +157,7 @@ _QUANTUM = {
                 "properties": {
                     "left": {"type": "string"},
                     "right": {"type": "string"},
-                    "terms": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["term", "value"],
-                            "properties": {
-                                "term": {"type": "string"},
-                                "value": {"type": "string"},
-                            },
-                        },
-                    },
+                    "terms": _TERMS,
                 },
             },
         },

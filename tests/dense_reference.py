@@ -486,13 +486,10 @@ def _apply_dense(M, vec, zero):
 
 def contract(diff, q_order=None):
     """A contracting homotopy h of d_0 as dense rows, or None: under the
-    guards of ``cartan._contract`` (a field; every d_k exact, of degree
-    1 - 2k; at least n/2 entries in d_0; rank n/2; h exact), from the dense
-    elimination above.  h = G - G G d_0, with row c of G the divided
-    transform row of the pivot (r, c).  That elimination inverts a
-    multi-term pivot to a truncated series, so here h is exact only on
-    monomial pivots; ``cartan._contract`` also takes a multi-term pivot
-    that divides its row exactly, which the test families never draw."""
+    guards of ``cartan._contract`` but d_eq^2 = 0 (a field; every d_k
+    exact, of degree 1 - 2k; at least n/2 entries in d_0; rank n/2; h
+    exact), from the dense elimination above.  h = G - G G d_0, with row c
+    of G the divided transform row of the pivot (r, c)."""
     setup, n, grading, basis = diff.setup, diff.n, diff.grading, diff.basis
     d = _dense_components(diff)
     if not setup.ring.is_field or 2 * sum(
@@ -515,8 +512,9 @@ def contract(diff, q_order=None):
 
 def solve_iota(diff, regime="monotone", q_order=None):
     """(list of dense iota components, obstruction): iota_k = h R_k for the
-    homotopy h of ``contract`` where it exists and every order checks,
-    else each order solved against the dense n^2 x n^2 system."""
+    homotopy h of ``contract`` where it exists and every order checks (all
+    do where d_eq^2 = 0), else each order solved against the dense
+    n^2 x n^2 system."""
     setup = diff.setup
     n = diff.n
     N = diff.order

@@ -86,6 +86,12 @@ COMMANDS = [
     (["validate", "fixtures/failing/broken_z2_case.json"], 1),
     (["finite2", "verify", "fixtures/failing/broken_z2_case.json"], 1),
     (["finite2", "assemble", "fixtures/failing/broken_z2_case.json"], 1),
+    # a Z-graded |q| = 2 complex that validate accepts, with an entry of d
+    # that no displayed degree shift places: refused, not dropped
+    (["cohomology", "fixtures/qdegree_z_case.json"], 2),
+    (["u-decompose", "fixtures/qdegree_z_case.json"], 2),
+    (["cartan", "connection", "--which", "q",
+      "fixtures/qdegree_z_case.json"], 2),
     # commands without a document
     (["--schema"], 0),
     (["quantum", "obstruction", "--lambda", "2", "--d", "3", "--ring", "Z"],

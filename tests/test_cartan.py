@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eqcartan import cartan, linalg
+from eqcartan import cartan, cli, linalg
 from eqcartan.cartan import (
     CartanData,
     _scan,
@@ -21,9 +21,10 @@ from eqcartan.cartan import (
     solve_iota,
 )
 from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
-from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
-from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
-                              ScalarSetup, USeries, parse_novikov)
+from eqcartan.linalg import UndeterminedError
+from eqcartan.novikov import (CoefficientError, InputError, InternalError,
+                              NovikovElem, ScalarSetup, USeries,
+                              parse_novikov)
 from eqcartan.schema import differential_family_from, load_document
 
 from conftest import (multi_term_differential, normal_form_differential,
@@ -524,7 +525,7 @@ ACYCLIC = {
 def test_contraction_is_a_homotopy_of_d0(draw):
     # checked by multiplication: d_0 h + h d_0 = 1 and h^2 = 0
     diff = ACYCLIC[draw]()
-    acyclic, h = cartan._contract(diff, DEFAULT_Q_ORDER())
+    acyclic, h = cartan._contract(diff)
     assert acyclic and h is not None
     d0, basis = diff.components[0], diff.basis
     one = OperatorMatrix(basis, basis,
@@ -562,12 +563,48 @@ def test_solve_iota_on_an_acyclic_d0_reduces_no_more_than_n_rows(
     assert sizes == [diff.n]
 
 
+@pytest.mark.parametrize("draw", ["random-Q-0", "random-F5-1", "exact_case"])
+def test_one_elimination_of_d0_serves_every_q_order(monkeypatch, draw):
+    # _contract decides on exact input, so no q-order reaches it
+    diff = ACYCLIC[draw]()
+    sizes = _reduced_sizes(monkeypatch)
+    data, _ = solve_iota(diff, q_order=8)
+    induced_connection(data, "gamma_q", q_order=64)
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
+    assert solve_iota(diff)[0].iota == data.iota
+    induced_connection(data, "gamma_u")
+    assert sizes == [diff.n]
+
+
+def test_a_wrong_homotopy_is_an_internal_error(monkeypatch, capsys):
+    # with d_eq^2 = 0 every h R_k solves its order, so a miss is a defect
+    real = cartan._contract
+    monkeypatch.setattr(cartan, "_contract", lambda diff: (True, real(
+        diff)[1].entrywise(lambda e: e + e)))
+    with pytest.raises(InternalError, match="does not solve order 1"):
+        solve_iota(_fixture_diff("monotone_case.json"))
+    assert cli.main(["cartan", "solve-iota",
+                     str(FIXTURES / "monotone_case.json")]) == 4
+    assert '"kind": "internal error"' in capsys.readouterr().out
+
+
 def _tailed_d0():
     """d_0(x) = (1 + O(q^3)) y: acyclic, but not exactly."""
     basis = (GeneratorInfo("x", 1), GeneratorInfo("y", 0))
     return EquivariantDifferential.build(
         SETUP, GradingKind("Z/2"), basis,
         [{(1, 0): NovikovElem.build(SETUP, [(0, 1)], 3)}], order=3)
+
+
+def _square():
+    """d_0 = x0 -> y0, x1 -> y1 is acyclic, but d_1 = y1 -> x0 makes
+    [d_0, d_1] = x1 -> x0 plus y1 -> y0, so d_eq^2 != 0."""
+    basis = (GeneratorInfo("x0", 1), GeneratorInfo("y0", 0),
+             GeneratorInfo("x1", 1), GeneratorInfo("y1", 0))
+    one = SETUP.one()
+    return EquivariantDifferential.build(
+        SETUP, GradingKind("Z/2"), basis,
+        [{(1, 0): one, (3, 2): one}, {(0, 3): one}], order=3)
 
 
 FALLBACKS = {
@@ -578,6 +615,7 @@ FALLBACKS = {
     "normal_form": lambda: normal_form_differential(
         random.Random(5), SETUP, n_free=0, n_torsion=0, n_acyclic=2, order=3),
     "tailed_d0": _tailed_d0,
+    "square": _square,
 }
 
 
@@ -595,13 +633,13 @@ def test_solve_iota_falls_back_where_no_exact_contraction_exists(
         monkeypatch, case):
     # today's elimination of ad(d_0) on n^2 unknowns: _contract left out
     with monkeypatch.context() as m:
-        m.setattr(cartan, "_contract", lambda diff, q_order: (False, None))
+        m.setattr(cartan, "_contract", lambda diff: (False, None))
         want = _iota_or_error(FALLBACKS[case]())
     diff = FALLBACKS[case]()
     sizes = _reduced_sizes(monkeypatch)
     assert _iota_or_error(diff) == want
     assert diff.n ** 2 in sizes
     # a multi-term pivot leaves d_0 acyclic, so induced_connection still
-    # flattens nothing, but h is not exact
-    assert cartan._contract(diff, DEFAULT_Q_ORDER()) == (
+    # flattens nothing, but builds no h; d_eq^2 != 0 is not acyclic
+    assert cartan._contract(diff) == (
         case.startswith(("multi_term", "normal_form")), None)

@@ -336,8 +336,6 @@ def _tailed_d0():
 # each fails one guard of the acyclic certificate and passes the others
 FALLBACKS = {
     "q-tail": _tailed_d0,
-    # d_1 = x1 -> x0, y1 -> -y0 has even degree and anticommutes with d_0
-    "wrong-parity": lambda: _integer_family(PAIRS, {(0, 2): 1, (1, 3): -1}),
     # x0 -> y0 and x1 -> y0: n/2 entries, rank 1
     "rank": lambda: _integer_family({(1, 0): 1, (1, 2): 1}),
     "torsion": lambda: _normal_form(SETUP_Q, True, 0),
@@ -345,6 +343,9 @@ FALLBACKS = {
 RAISING = {
     # d_1 = y1 -> x0: [d_0, d_1] = x1 -> x0 plus y1 -> y0, so d_eq^2 != 0
     "square": lambda: _integer_family(PAIRS, {(0, 3): 1}),
+    # d_1 = x1 -> x0, y1 -> -y0 has even degree and anticommutes with d_0:
+    # cohomology has no block for its entries
+    "wrong-parity": lambda: _integer_family(PAIRS, {(0, 2): 1, (1, 3): -1}),
     "not-a-field": lambda: CartanData(
         monotone_pair(ScalarSetup.make(1, "Z")), ()),
 }

@@ -101,7 +101,7 @@ def _row_times(row, matrix, zero):
 
 
 def _exact(matrix):
-    return all(e.is_exact for row in matrix for e in row)
+    return all(e.trunc is None for row in matrix for e in row)
 
 
 def assert_related_reduction(matrix, setup, q_order):

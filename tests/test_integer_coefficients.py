@@ -178,7 +178,7 @@ def test_ints_and_equal_fractions_agree(a, b, k):
         assert (qx is None) == (qy is None)
         if qx is not None:
             assert_alike(qx, qy)
-        if xa.terms and xa.is_exact and xb.is_exact:
+        if xa.terms and xa.trunc is None and xb.trunc is None:
             assert_alike(linalg._gcd(xa, xb), linalg._gcd(ya, yb))
 
 
