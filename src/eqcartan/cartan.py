@@ -56,7 +56,7 @@ from .novikov import (
     useries_udq,
 )
 from .complexes import (GeneratorInfo, GradedComplex, GradingKind,
-                        OperatorMatrix, sample_block)
+                        OperatorMatrix, _misplaced, sample_block)
 from . import linalg
 from .complexes import cohomology_over_novikov_field
 
@@ -142,8 +142,8 @@ class EquivariantDifferential:
 
     def as_operator(self) -> OperatorMatrix:
         """d_eq = sum_k u^k d_k mod u^order as one USeries operator."""
-        return _useries_operator(self.setup, self.basis, self.components,
-                                 self.order, 1)
+        return _useries_operator(self, self.basis, self.basis,
+                                 _cells(self.components), 1)
 
     def mu_diag(self) -> List[int]:
         return [g.index for g in self.basis]
@@ -175,8 +175,9 @@ class CartanData:
     @cached_property
     def iota_eq(self) -> OperatorMatrix:
         """iota_eq = sum_k u^k iota_k mod u^order as one USeries operator."""
-        return _useries_operator(self.setup, self.diff.basis, self.iota,
-                                 self.order, _iota_degree(self.regime, 0))
+        basis = self.diff.basis
+        return _useries_operator(self.diff, basis, basis, _cells(self.iota),
+                                 _iota_degree(self.regime, 0))
 
     def _iota_times_q(self, power: int) -> OperatorMatrix:
         """q^power iota_eq, of degree 2w + 2 power."""
@@ -202,18 +203,24 @@ class CartanData:
 # -- USeries operators --------------------------------------------------------
 
 
-def _useries_operator(setup, basis, components, order,
-                      degree) -> OperatorMatrix:
-    """sum_k u^k * components[k] mod u^order; components are
-    Novikov-valued operators on ``basis``."""
+def _useries_operator(diff, source, target, cells,
+                      degree: int = 0) -> OperatorMatrix:
+    """sum_k u^k X_k mod u^diff.order from the cells (k, (t, s), v) that
+    put v at entry (t, s) of X_k; cells with k >= diff.order are dropped."""
+    setup, N, z = diff.setup, diff.order, diff.setup.zero()
     coeffs: Dict[Tuple[int, int], list] = {}
-    z = setup.zero()
-    for k, comp in enumerate(components[:order]):
-        for key, v in comp.entries.items():
-            coeffs.setdefault(key, [z] * order)[k] = v
-    entries = {key: USeries.build(setup, order, cs)
-               for key, cs in coeffs.items()}
-    return OperatorMatrix(basis, basis, entries, degree)
+    for k, key, v in cells:
+        if k < N:
+            coeffs.setdefault(key, [z] * N)[k] = v
+    return OperatorMatrix(source, target, {
+        key: USeries.build(setup, N, cs) for key, cs in coeffs.items()},
+        degree)
+
+
+def _cells(components):
+    """The cells (k, (t, s), v) of the stored entries of components[k]."""
+    return ((k, key, v) for k, op in enumerate(components)
+            for key, v in op.entries.items())
 
 
 def _commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -287,13 +294,12 @@ def _contract(diff: EquivariantDifferential
     """
     if diff._contraction is not None:
         return diff._contraction
-    grading, basis, d0 = diff.grading, diff.basis, diff.components[0]
+    basis, d0 = diff.basis, diff.components[0]
     acyclic, h = False, None
     if diff.setup.ring.is_field and 2 * len(d0.entries) >= diff.n and not any(
-            v.trunc is not None or grading.displayed(basis[t].index)
-            != grading.add(basis[s].index, 1 - 2 * k)
-            for k, comp in enumerate(diff.components)
-            for (t, s), v in comp.entries.items()):
+            _misplaced(comp, diff.grading, 1 - 2 * k)
+            or any(v.trunc is not None for v in comp.entries.values())
+            for k, comp in enumerate(diff.components)):
         rows = [{} for _ in basis]
         for (t, s), v in d0.entries.items():
             rows[t][s] = v
@@ -465,7 +471,8 @@ def identity_report(data: CartanData) -> dict:
 
     # 1b. d_eq anticommutes with lambda_eq := entrywise d/dq of d_eq
     #     (the q-derivative of d_eq^2 = 0)
-    lam = _useries_operator(setup, basis, lambda_components(diff, "cy"), N, 1)
+    lam = _useries_operator(diff, basis, basis,
+                            _cells(lambda_components(diff, "cy")), 1)
     record("lambda_eq anticommutes with d_eq",
            _entries(d_eq.compose(lam) + lam.compose(d_eq)))
 
@@ -595,36 +602,34 @@ def reduce_mod(data: CartanData, m: int) -> dict:
 
 
 def flatten_equivariant(diff: EquivariantDifferential) -> GradedComplex:
-    """The complex over the plain Novikov ring with basis u^j x_i, j < order."""
-    setup = diff.setup
-    N = diff.order
+    """The complex over the plain Novikov ring with basis u^j x_i, j < order,
+    at j*n + i.  Its d is d_eq on the columns u^j x_i: column x_s is d_eq x_s
+    read through ``_flatten``, and u^j moves it j*n rows down, mod u^order."""
+    N, n = diff.order, diff.n
+    basis = tuple(GeneratorInfo(g.name if j == 0 else f"u^{j}.{g.name}",
+                                g.index + 2 * j)
+                  for j in range(N) for g in diff.basis)
+    d_x = _flatten(diff, diff.as_operator(), basis)
+    return GradedComplex(diff.setup, diff.grading, basis, OperatorMatrix._made(
+        basis, basis, {(r + j * n, j * n + s): v
+                       for (r, s), v in d_x.entries.items()
+                       for j in range(N - r // n)}, 1))
+
+
+def _flatten(diff, X: OperatorMatrix, basis) -> OperatorMatrix:
+    """A block of u-series columns on diff's basis as a block over the
+    flattened ``basis``: coefficient j of row i is row u^j x_i, at j*n + i."""
     n = diff.n
-    basis = []
-    for j in range(N):
-        for g in diff.basis:
-            name = g.name if j == 0 else f"u^{j}.{g.name}"
-            basis.append(GeneratorInfo(name, g.index + 2 * j))
-    basis = tuple(basis)
-    # u^k d_k maps u^j x_s to u^(j+k) d_k x_s: each key is reached once
-    entries = {((j + k) * n + t, j * n + s): v
-               for k, comp in enumerate(diff.components)
-               for (t, s), v in comp.entries.items()
-               for j in range(N - k)}
-    d = OperatorMatrix(basis, basis, entries, 1)
-    return GradedComplex(setup, diff.grading, basis, d)
+    return OperatorMatrix(X.source, basis, {
+        (j * n + i, s): c for (i, s), v in X.entries.items()
+        for j, c in enumerate(v.coeffs)}, X.degree)
 
 
 def _unflatten(diff, X: OperatorMatrix) -> OperatorMatrix:
-    """A block over the flattened complex as u-series columns on diff's
-    basis: generator u^j x_i is coefficient j of row i."""
-    n, N = diff.n, diff.order
-    z = diff.setup.zero()
-    coeffs: Dict[Tuple[int, int], list] = {}
-    for (g, s), v in X.entries.items():
-        coeffs.setdefault((g % n, s), [z] * N)[g // n] = v
-    return OperatorMatrix(X.source, diff.basis,
-                          {key: USeries.build(diff.setup, N, cs)
-                           for key, cs in coeffs.items()})
+    """The inverse of ``_flatten``: u-series columns on diff's basis."""
+    n = diff.n
+    return _useries_operator(diff, X.source, diff.basis, (
+        (g // n, (g % n, s), v) for (g, s), v in X.entries.items()), X.degree)
 
 
 def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
@@ -684,16 +689,8 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
                       for c, col in zip(X.source, texts)]
     if not X.source:
         return out
-
-    def images(columns):
-        """Gamma of u-series columns over C's basis, u^j x_i at j*n + i."""
-        return OperatorMatrix(columns.source, C.basis, {
-            (j * diff.n + i, s): c
-            for (i, s), v in op(data, columns).entries.items()
-            for j, c in enumerate(v.coeffs)})
-
     issues = out["issues"]
-    coeffs, residues = H.project(images(X_u))
+    coeffs, residues = H.project(_flatten(diff, op(data, X_u), C.basis))
     out["matrix"] = [None if ci in residues else col
                      for ci, col in enumerate(_texts(data.setup, coeffs))]
     for ci, (g, value) in sorted(residues.items()):
@@ -701,7 +698,8 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
                        "residual_generator": C.basis[g].name,
                        "residual": str(value)})
     # the boundaries d(x_s) are the columns of d_eq; x_s is C's generator s
-    coeffs, residues = H.project(images(diff.as_operator()))
+    coeffs, residues = H.project(
+        _flatten(diff, op(data, diff.as_operator()), C.basis))
     for s in sorted(residues.keys() | {
             s for (_, s), c in coeffs.entries.items() if c.has_terms()}):
         issues.append({"boundary_of": C.basis[s].name,

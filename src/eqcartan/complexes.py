@@ -96,9 +96,6 @@ class GradingKind:
         mod = self.modulus
         return index if mod is None else index % mod
 
-    def add(self, degree: int, shift: int) -> int:
-        return self.displayed(degree + shift)
-
 
 @dataclass(frozen=True)
 class GeneratorInfo:
@@ -106,9 +103,6 @@ class GeneratorInfo:
 
     name: str
     index: int = 0
-
-    def degree(self, grading: GradingKind) -> int:
-        return grading.displayed(self.index)
 
 
 Scalar = Union[NovikovElem, USeries]
@@ -246,7 +240,8 @@ class GradedComplex:
         self.basis = tuple(self.basis)
         self._by_degree: Dict[int, List[int]] = {}
         for i, g in enumerate(self.basis):
-            self._by_degree.setdefault(g.degree(self.grading), []).append(i)
+            self._by_degree.setdefault(self.grading.displayed(g.index),
+                                       []).append(i)
 
     @staticmethod
     def build(setup, grading, basis, entries, q_degree_two=False,
@@ -305,17 +300,19 @@ def validate_complex(C: GradedComplex) -> List[dict]:
     return out + [{"invariant": "degree shift",
                    "entry": [C.basis[t].name, C.basis[s].name],
                    "expected": expected, "observed": observed}
-                  for t, s, expected, observed in _misplaced(C)]
+                  for t, s, expected, observed
+                  in _misplaced(C.d, C.grading, C.d.degree)]
 
 
-def _misplaced(C: GradedComplex) -> List[Tuple[int, int, int, int]]:
-    """(t, s, expected, observed) for each entry (t, s) of d whose target's
-    displayed degree (observed) is not its source's plus d.degree
-    (expected): cohomology has no block to place it in."""
-    g, out = C.grading, []
-    for t, s in C.d.entries:
-        expected = g.add(C.basis[s].degree(g), C.d.degree)
-        if (observed := C.basis[t].degree(g)) != expected:
+def _misplaced(op: OperatorMatrix, grading: GradingKind,
+               degree: int) -> List[Tuple[int, int, int, int]]:
+    """(t, s, expected, observed) for each entry (t, s) of op whose
+    target's displayed degree (observed) is not its source's plus degree
+    (expected): no block of a degree-``degree`` map can place it."""
+    out = []
+    for t, s in op.entries:
+        expected = grading.displayed(op.source[s].index + degree)
+        if (observed := grading.displayed(op.target[t].index)) != expected:
             out.append((t, s, expected, observed))
     return out
 
@@ -392,12 +389,12 @@ def cohomology_over_novikov_field(C: GradedComplex,
     """
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
-    if bad := _misplaced(C):
+    if bad := _misplaced(C.d, C.grading, C.d.degree):
         t, s, expected, observed = min(bad)
         raise InputError(
             f"d entry ({C.basis[t].name},{C.basis[s].name}) maps degree "
-            f"{C.basis[s].degree(C.grading)} to degree {observed}, not "
-            f"{expected}: cohomology cannot place it")
+            f"{C.grading.displayed(C.basis[s].index)} to degree {observed}, "
+            f"not {expected}: cohomology cannot place it")
     setup = C.setup
     degrees = C.degrees_present()
     # the block of d from degree k, as sparse rows and sparse columns over
@@ -407,7 +404,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
         for i, g in enumerate(C.generators_in_degree(k)):
             degree[g], pos[g] = k, i
     rows = {k: [{} for _ in C.generators_in_degree(
-        C.grading.add(k, C.d.degree))] for k in degrees}
+        C.grading.displayed(k + C.d.degree))] for k in degrees}
     columns = {k: defaultdict(dict) for k in degrees}
     for (t, s), v in C.d.entries.items():
         k = degree[s]
@@ -432,7 +429,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
         n_k = len(C.generators_in_degree(k))
         # incoming differential: the degree whose image lands in degree k
         incoming = [j for j in degrees
-                    if C.grading.add(j, C.d.degree) == k and rank[j]]
+                    if C.grading.displayed(j + C.d.degree) == k and rank[j]]
         r_in = sum(rank[j] for j in incoming)
         r_out = rank[k]
         betti = n_k - r_out - r_in

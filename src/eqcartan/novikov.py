@@ -383,12 +383,6 @@ class NovikovElem:
         """Index of the minimal exponent, or +inf for a termless element."""
         return self.terms[0][0] if self.terms else INF
 
-    def valuation(self):
-        """Minimal exponent (see exponent_of), or None if termless."""
-        if not self.terms:
-            return None
-        return self.setup.lattice.exponent_of(self.terms[0][0])
-
     def leading(self):
         if not self.terms:
             raise InversionError("division by zero")
@@ -545,8 +539,6 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
     """
     if not a.setup.ring.is_field:
         raise CoefficientError("inverse requires field coefficients")
-    if not a.terms:
-        raise InversionError("division by zero")
     setup = a.setup
     ring = setup.ring
     e, c = a.leading()
@@ -628,16 +620,13 @@ class USeries:
 
     @staticmethod
     def zero(setup: ScalarSetup, order: int) -> "USeries":
-        z = setup.zero()
-        return USeries(setup, order, (z,) * order)
+        return USeries.build(setup, order, ())
 
     @staticmethod
     def from_novikov(c: NovikovElem, order: int, u_power: int = 0) -> "USeries":
-        z = c.setup.zero()
-        coeffs = [z] * order
-        if u_power < order:
-            coeffs[u_power] = c
-        return USeries(c.setup, order, tuple(coeffs))
+        """c u^u_power, zero when u_power >= order."""
+        return USeries.build(c.setup, order,
+                             (c.setup.zero(),) * u_power + (c,))
 
     @staticmethod
     def build(setup: ScalarSetup, order: int, coeffs, valid=None) -> "USeries":

@@ -143,12 +143,9 @@ class QuantumRing:
         n = self.rank
         names = [g.name for g in self.basis]
         L = [self.multiplication({i: one}) for i in range(n)]
-
-        def column(op, j):
-            return [op.entries.get((k, j), zero) for k in range(n)]
-
+        cols = [op.columns(zero) for op in L]  # cols[i][j] = L_i e_j
         for i in range(n):
-            got = column(L[self.unit], i)
+            got = cols[self.unit][i]
             if any((g - (one if k == i else zero)).has_terms()
                    for k, g in enumerate(got)):
                 out.append({"axiom": "unit", "element": names[i],
@@ -156,12 +153,12 @@ class QuantumRing:
         for i in range(n):
             for j in range(i + 1, n):
                 if any((x - y).has_terms()
-                       for x, y in zip(column(L[i], j), column(L[j], i))):
+                       for x, y in zip(cols[i][j], cols[j][i])):
                     out.append({"axiom": "commutativity",
                                 "pair": [names[i], names[j]]})
         for i in range(n):
             for j in range(n):
-                ij = {k: c for k, c in enumerate(column(L[i], j)) if c}
+                ij = {k: c for k, c in enumerate(cols[i][j]) if c}
                 defect = self.multiplication(ij) - L[i].compose(L[j])
                 bad = {s for (_, s), v in defect.entries.items()
                        if v.has_terms()}

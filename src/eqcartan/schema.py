@@ -391,28 +391,25 @@ def differential_family_from(doc: dict, order: Optional[int] = None
     --order``), else ``d_family.order``, else EQCARTAN_U_ORDER (parsed even
     when unused, so a malformed value is malformed input), else K + 2."""
     from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
-    from .complexes import OperatorMatrix
     env_order = DEFAULT_U_ORDER()
     if "complex" not in doc:
         raise DocumentError("d_family needs a 'complex' block for its basis")
     C = complex_from(doc)
     if "d_family" in doc:
         block = doc["d_family"]
-        comps = tuple(
-            OperatorMatrix(C.basis, C.basis,
-                           _matrix_from(items, C.basis, C.setup), 1 - 2 * k)
-            for k, items in enumerate(block["components"]))
+        comps = [_matrix_from(items, C.basis, C.setup)
+                 for items in block["components"]]
         doc_order = block.get("order")
     else:  # the complex differential is the only component
-        comps, doc_order = (C.d,), None
-    return EquivariantDifferential(C.setup, C.grading, C.basis, comps,
-                                   order or doc_order or env_order)
+        comps, doc_order = [C.d.entries], None
+    return EquivariantDifferential.build(C.setup, C.grading, C.basis, comps,
+                                         order or doc_order or env_order)
 
 
-def cartan_from(doc: dict, order: Optional[int] = None) -> CartanData:
+def cartan_from(doc: dict) -> CartanData:
     from .cartan import CartanData, _iota_degree
     from .complexes import OperatorMatrix
-    diff = differential_family_from(doc, order)
+    diff = differential_family_from(doc)
     regime = "monotone"
     iota_ops = ()
     if "iota_family" in doc:

@@ -40,9 +40,12 @@ of the finite2 checks return the same values and reports.
 sample block holds only the columns where q*omega has a tail, gives the
 same report.
 
-``induced_connection`` applies the ``gamma_q``/``gamma_u`` above to each
-class vector, solves the image against the dense matrix [representatives |
-every boundary] and probes well-definedness with one added boundary;
+``flatten`` builds the flattened complex of ``cartan.flatten_equivariant``
+from the components with its own index formula; ``test_cartan.py``
+asserts that the two agree.  ``induced_connection`` reads the classes off
+it, applies the ``gamma_q``/``gamma_u`` above to each class vector,
+solves the image against the dense matrix [representatives | every
+boundary] and probes well-definedness with one added boundary;
 ``quasi_iso_verdict`` pushes the representatives with a dense product and
 ranks them together with the target's boundaries.  Neither calls the
 Cartan operators or the operator products they are compared with.
@@ -495,7 +498,8 @@ def contract(diff, q_order=None):
     if not setup.ring.is_field or 2 * sum(
             not e.is_zero() for row in d[0] for e in row) < n or any(
             not e.is_zero() and (e.trunc is not None or grading.displayed(
-                basis[t].index) != grading.add(basis[s].index, 1 - 2 * k))
+                basis[t].index) != grading.displayed(
+                    basis[s].index + 1 - 2 * k))
             for k, M in enumerate(d) for t, row in enumerate(M)
             for s, e in enumerate(row)):
         return None
@@ -1020,6 +1024,27 @@ def z2_assemble_and_check(Z):
 # -- induced connection and cone verdicts by elimination ---------------------
 
 
+def flatten(diff):
+    """The complex of ``cartan.flatten_equivariant``, from the components
+    alone: generator u^j x_i at j n + i, and d_k[t, s] at ((j + k) n + t,
+    j n + s) for every j + k < N."""
+    from eqcartan.complexes import GeneratorInfo, GradedComplex, OperatorMatrix
+
+    N, n = diff.order, diff.n
+    basis = [None] * (N * n)
+    for j in range(N):
+        for i, g in enumerate(diff.basis):
+            basis[j * n + i] = GeneratorInfo(
+                g.name if j == 0 else f"u^{j}.{g.name}", g.index + 2 * j)
+    entries = {}
+    for k, comp in enumerate(diff.components):
+        for (t, s), v in comp.entries.items():
+            for j in range(N - k):
+                entries[((j + k) * n + t, j * n + s)] = v
+    return GradedComplex(diff.setup, diff.grading, basis,
+                         OperatorMatrix(basis, basis, entries, 1))
+
+
 def _unflatten(diff, vec):
     N, n = diff.order, diff.n
     return [USeries.build(diff.setup, N, [vec[j * n + i] for j in range(N)])
@@ -1036,13 +1061,13 @@ def induced_connection(data, which="gamma_q", q_order=None):
     [class representatives | every boundary d(e_i)], with well-definedness
     probed by adding one boundary (d applied to the all-ones vector) to each
     representative and checking that the coefficients do not move."""
-    from eqcartan import cartan, linalg
+    from eqcartan import linalg
     from eqcartan.complexes import cohomology_over_novikov_field
 
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
     setup = data.setup
-    C = cartan.flatten_equivariant(diff)
+    C = flatten(diff)
     H = cohomology_over_novikov_field(C, q_order)
     big_n = len(C.basis)
     zero = setup.zero()
@@ -1120,7 +1145,7 @@ def quasi_iso_verdict(proj, source, target, q_order=None):
             pushed.append([img[g] for g in t_gens])
         boundary_vecs = []
         for j in target.degrees_present():
-            if target.grading.add(j, target.d.degree) != k:
+            if target.grading.displayed(j + target.d.degree) != k:
                 continue
             for s in target.generators_in_degree(j):
                 vec = [target.d.entries.get((t, s), zero) for t in t_gens]

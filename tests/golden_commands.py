@@ -92,6 +92,10 @@ COMMANDS = [
     (["u-decompose", "fixtures/qdegree_z_case.json"], 2),
     (["cartan", "connection", "--which", "q",
       "fixtures/qdegree_z_case.json"], 2),
+    # an iota_family entry with an unknown generator: validate reads the
+    # family as cartan verify does, and both refuse it
+    (["validate", "fixtures/failing/bad_iota_case.json"], 2),
+    (["cartan", "verify", "fixtures/failing/bad_iota_case.json"], 2),
     # commands without a document
     (["--schema"], 0),
     (["quantum", "obstruction", "--lambda", "2", "--d", "3", "--ring", "Z"],

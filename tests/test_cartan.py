@@ -20,13 +20,16 @@ from eqcartan.cartan import (
     reduce_mod,
     solve_iota,
 )
-from eqcartan.complexes import GeneratorInfo, GradingKind, OperatorMatrix
+from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
+                                cohomology_over_novikov_field,
+                                validate_complex)
 from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, InternalError,
                               NovikovElem, ScalarSetup, USeries,
                               parse_novikov)
 from eqcartan.schema import differential_family_from, load_document
 
+import dense_reference as ref
 from conftest import (multi_term_differential, normal_form_differential,
                       random_equivariant_differential, via_block)
 
@@ -363,6 +366,42 @@ def test_flatten_equivariant_shape():
     assert len(C.d.entries) == 3
 
 
+def _tailed(diff):
+    """diff with a q-tail two lattice steps above each entry's lead."""
+    return EquivariantDifferential(
+        diff.setup, diff.grading, diff.basis,
+        [op.entrywise(lambda e: e.truncate(e.terms[0][0] + 2))
+         for op in diff.components], diff.order)
+
+
+FLATTEN_FAMILIES = {
+    "random": lambda rng, setup, order: random_equivariant_differential(
+        rng, setup, max_gens=6, order=order),
+    "multi_term": lambda rng, setup, order: multi_term_differential(
+        rng, setup, 2, order),
+    "tailed": lambda rng, setup, order: _tailed(multi_term_differential(
+        rng, setup, 2, order)),
+}
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+@pytest.mark.parametrize("family", sorted(FLATTEN_FAMILIES))
+@pytest.mark.parametrize("setup", [SETUP, SETUP_F5], ids=["Q", "F5"])
+def test_flatten_equivariant_matches_the_index_formula(setup, family, order):
+    # ref.flatten puts d_k[t, s] at ((j + k) n + t, j n + s) directly
+    diff = FLATTEN_FAMILIES[family](random.Random(order), setup, order)
+    C, want = flatten_equivariant(diff), ref.flatten(diff)
+    assert C.basis == want.basis
+    assert C.d == want.d
+    # _unflatten undoes _flatten, on d_eq and on the flattened units
+    d_eq = diff.as_operator()
+    assert cartan._unflatten(diff, cartan._flatten(diff, d_eq, C.basis)) == d_eq
+    units = OperatorMatrix(C.basis, C.basis, {
+        (c, c): setup.one() for c in range(len(C.basis))})
+    assert cartan._flatten(diff, cartan._unflatten(diff, units),
+                           C.basis) == units
+
+
 def test_induced_connection_exact_case_is_u_dq():
     data, _ = solve_iota(exact_diff())
     out = induced_connection(data, "gamma_q")
@@ -533,6 +572,45 @@ def test_contraction_is_a_homotopy_of_d0(draw):
     assert not (d0.compose(h) + h.compose(d0) - one).entries
     assert not h.compose(h).entries
     assert all(v.trunc is None for v in h.entries.values())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_one_placement_rule_under_z2m(m):
+    # d_0 = x0 -> y0, x1 -> y1 of rank n/2 and d_1 = x0 -> y1, which
+    # anticommutes with d_0, so d_eq^2 = 0 and _contract's guard fails only
+    # on placement; validate and cohomology see the flattened complex, with
+    # u^j x_i at 4 j + i
+    rng, grading, one = random.Random(m), GradingKind("Z/2m", m), SETUP.one()
+    comps = [{(1, 0): one, (3, 2): one}, {(3, 0): one}]
+    seen = set()
+    for _ in range(40):
+        x0 = rng.randint(-9, 3)
+        idx = [x0, x0 + 1, x0 - 2, x0 - 1]  # every entry placed
+        idx = [i + 2 * m * rng.randint(-1, 1)
+               + (rng.randint(1, 2 * m - 1) if rng.random() < 0.4 else 0)
+               for i in idx]
+        basis = tuple(GeneratorInfo(g, i)
+                      for g, i in zip(("x0", "y0", "x1", "y1"), idx))
+        diff = EquivariantDifferential.build(SETUP, grading, basis, comps,
+                                             order=2)
+        want = {(4 * (j + k) + t, 4 * j + s)
+                for k, comp in enumerate(comps) for t, s in comp
+                if (idx[t] - idx[s] - (1 - 2 * k)) % (2 * m)
+                for j in range(diff.order - k)}
+        C = flatten_equivariant(diff)
+        assert {tuple(v["entry"]) for v in validate_complex(C)
+                if v["invariant"] == "degree shift"} == {
+            (C.basis[t].name, C.basis[s].name) for t, s in want}
+        if want:
+            t, s = min(want)
+            with pytest.raises(InputError, match=re.escape(
+                    f"d entry ({C.basis[t].name},{C.basis[s].name})")):
+                cohomology_over_novikov_field(C)
+        else:
+            cohomology_over_novikov_field(C)
+        assert cartan._contract(diff)[0] == (not want)
+        seen.add(bool(want))
+    assert seen == {True, False}
 
 
 def _reduced_sizes(monkeypatch):

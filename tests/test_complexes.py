@@ -31,11 +31,11 @@ _q = sympy.Symbol("q")
 
 def test_grading_kinds():
     z = GradingKind("Z")
-    assert z.displayed(-3) == -3 and z.add(2, 1) == 3
+    assert z.displayed(-3) == -3 and z.displayed(2 + 1) == 3
     m2 = GradingKind("Z/2")
-    assert m2.displayed(-3) == 1 and m2.add(1, 1) == 0
+    assert m2.displayed(-3) == 1 and m2.displayed(1 + 1) == 0
     m6 = GradingKind("Z/2m", 3)
-    assert m6.displayed(7) == 1 and m6.add(5, 1) == 0
+    assert m6.displayed(7) == 1 and m6.displayed(5 + 1) == 0
 
 
 # -- validation ----------------------------------------------------------------

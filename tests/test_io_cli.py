@@ -200,6 +200,30 @@ def test_a_lambda_component_the_document_leaves_out_is_checked(capsys,
         "mismatches": [missing], "holds": False}
 
 
+def _bad_iota(doc, *, drop_complex=False, **entry):
+    doc["iota_family"]["components"][1] = [
+        {"target": "x", "source": "x", "value": "2", **entry}]
+    if drop_complex:
+        del doc["complex"], doc["d_family"]
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"source": "v"}, "unknown source generator 'v'"),
+    ({"value": "q^^2"}, "bad scalar 'q^^2' at (x,x): "),
+    ({"drop_complex": True}, "d_family needs a 'complex' block for its basis"),
+], ids=["unknown-generator", "bad-scalar", "no-complex"])
+def test_validate_reads_the_iota_family_as_cartan_verify_does(
+        capsys, tmp_path, edit, message):
+    doc = json.loads((FIXTURES / "classes_case.json").read_text())
+    p = tmp_path / "bad_iota.json"
+    p.write_text(json.dumps(_bad_iota(doc, **edit)))
+    code, out = run_cli(capsys, "validate", str(p))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(message)
+    assert run_cli(capsys, "cartan", "verify", str(p)) == (code, out)
+
+
 Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
 
 
