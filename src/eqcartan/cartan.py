@@ -204,7 +204,7 @@ class CartanData:
 
 
 def _useries_operator(diff, source, target, cells,
-                      degree: int = 0) -> OperatorMatrix:
+                      degree: int) -> OperatorMatrix:
     """sum_k u^k X_k mod u^diff.order from the cells (k, (t, s), v) that
     put v at entry (t, s) of X_k; cells with k >= diff.order are dropped."""
     setup, N, z = diff.setup, diff.order, diff.setup.zero()

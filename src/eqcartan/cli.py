@@ -55,8 +55,7 @@ def cmd_validate(args) -> int:
     if doc.keys() & {"d_family", "complex", "iota_family"}:
         from . import cartan as cartan_mod
         # iota_family is read as cartan verify reads it: malformed, exit 2
-        diff = (schema_mod.cartan_from(doc).diff if "iota_family" in doc
-                else schema_mod.differential_family_from(doc))
+        diff = schema_mod.cartan_from(doc).diff
         d_eq = diff.as_operator()
         fails, _, _ = cartan_mod._scan(
             "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),

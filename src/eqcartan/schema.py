@@ -393,7 +393,9 @@ def differential_family_from(doc: dict, order: Optional[int] = None
     from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
     env_order = DEFAULT_U_ORDER()
     if "complex" not in doc:
-        raise DocumentError("d_family needs a 'complex' block for its basis")
+        blocks = "/".join(b for b in ("d_family", "iota_family") if b in doc)
+        raise DocumentError(f"{blocks or 'd_eq'} needs a 'complex' block "
+                            "for its basis")
     C = complex_from(doc)
     if "d_family" in doc:
         block = doc["d_family"]

@@ -211,7 +211,8 @@ def _bad_iota(doc, *, drop_complex=False, **entry):
 @pytest.mark.parametrize("edit, message", [
     ({"source": "v"}, "unknown source generator 'v'"),
     ({"value": "q^^2"}, "bad scalar 'q^^2' at (x,x): "),
-    ({"drop_complex": True}, "d_family needs a 'complex' block for its basis"),
+    ({"drop_complex": True},
+     "iota_family needs a 'complex' block for its basis"),
 ], ids=["unknown-generator", "bad-scalar", "no-complex"])
 def test_validate_reads_the_iota_family_as_cartan_verify_does(
         capsys, tmp_path, edit, message):
