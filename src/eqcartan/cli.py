@@ -45,51 +45,34 @@ def _emit(report) -> None:
 def cmd_validate(args) -> int:
     doc = schema_mod.load_document(args.document)
     blocks = {}
-    ok = True
+
+    def put(block, violations):
+        blocks[block] = {"violations": violations, "valid": not violations}
+
     if "complex" in doc:
         from . import complexes as cx
-        C = schema_mod.complex_from(doc)
-        viol = cx.validate_complex(C)
-        blocks["complex"] = {"violations": viol, "valid": not viol}
-        ok = ok and not viol
-    if doc.keys() & {"d_family", "complex", "iota_family"}:
+        put("complex", cx.validate_complex(schema_mod.complex_from(doc)))
+    if doc.keys() & {"d_family", "iota_family", "lambda_family"}:
         from . import cartan as cartan_mod
-        # iota_family is read as cartan verify reads it: malformed, exit 2
+        # read as the cartan commands read them: malformed, exit 2
         diff = schema_mod.cartan_from(doc).diff
         d_eq = diff.as_operator()
-        fails, _, _ = cartan_mod._scan(
+        put("d_family", cartan_mod._scan(
             "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
-            diff.order)
-        blocks["d_family"] = {"violations": fails, "valid": not fails}
-        ok = ok and not fails
+            diff.order)[0])
         lam_doc = schema_mod.lambda_family_from(doc, diff)
         if lam_doc is not None:
-            mism = _lambda_mismatches(diff, lam_doc)
-            blocks["lambda_family"] = {"violations": mism,
-                                       "valid": not mism}
-            ok = ok and not mism
+            put("lambda_family", _lambda_mismatches(diff, lam_doc))
     if "quantum_ring" in doc:
-        Q = schema_mod.quantum_from(doc)
-        viol = Q.validate()
-        blocks["quantum_ring"] = {"violations": viol, "valid": not viol}
-        ok = ok and not viol
+        put("quantum_ring", schema_mod.quantum_from(doc).validate())
     if "z2_data" in doc:
         from . import finite2
-        Z = schema_mod.z2_from(doc)
-        rep = finite2.verify_relations(Z)
-        blocks["z2_data"] = {"violations": [
-            f for r in rep["relations"] for f in r["failures"]],
-            "valid": rep["all_hold"]}
-        ok = ok and rep["all_hold"]
+        rep = finite2.verify_relations(schema_mod.z2_from(doc))
+        put("z2_data", [f for r in rep["relations"] for f in r["failures"]])
     if "cone" in doc:
-        cmap, minus, plus = schema_mod.cone_from(doc)
-        defect = minus.d.compose(cmap) - cmap.compose(plus.d)
-        viol = [{"invariant": "chain map",
-                 "entry": [minus.basis[t].name, plus.basis[s].name],
-                 "value": str(v)}
-                for (t, s), v in defect.entries.items() if v]
-        blocks["cone"] = {"violations": viol, "valid": not viol}
-        ok = ok and not viol
+        from . import complexes as cx
+        put("cone", cx._cone_defects(*schema_mod.cone_from(doc)))
+    ok = all(b["valid"] for b in blocks.values())
     _emit({"document": args.document, "blocks": blocks, "valid": ok})
     return PASS if ok else FAIL
 
@@ -132,19 +115,15 @@ def cmd_u_decompose(args) -> int:
     rep = cx.u_module_decomposition(
         diff.as_operator(), analysis_order=diff.order,
         grading=diff.grading, q_order=args.q_order)
-    report = {"decomposition": rep.as_json()}
-    code = PASS
+    # (C, d_0) is the document's complex
+    C = cx.GradedComplex(diff.setup, diff.grading, diff.basis,
+                         diff.components[0])
+    les = cx.les_consistency(C, rep, args.q_order)
+    _emit({"decomposition": rep.as_json(), "les_consistency": les})
+    if not les["balanced"]:
+        return FAIL
     undet = sum(e["undetermined"] for e in rep.per_degree.values())
-    if undet:
-        code = UNDETERMINED
-    if "complex" in doc:
-        C = schema_mod.complex_from(doc)
-        les = cx.les_consistency(C, rep, args.q_order)
-        report["les_consistency"] = les
-        if not les["balanced"]:
-            code = FAIL
-    _emit(report)
-    return code
+    return UNDETERMINED if undet else PASS
 
 
 def cmd_cartan_verify(args) -> int:

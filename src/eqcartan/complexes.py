@@ -7,8 +7,9 @@ Contents:
   Novikov scalars or truncated u-series, whose ``compose`` builds each
   entry once (``sum_of_products``); a family of vectors is one such block
   of columns (``sample_block``: the sample columns e_i, q*u*e_i);
-* differential validation (d^2 = 0, monomial homogeneity in the |q| = 2
-  regime);
+* differential validation (d^2 = 0, degree shifts, monomial homogeneity
+  in the |q| = 2 regime) as records of the offending entries in row-major
+  order, which also say why no mapping cone of a block can be built;
 * cohomology over the Novikov field by valuation-pivot elimination, with
   the projection onto its classes and the block of its class
   representatives;
@@ -37,7 +38,7 @@ Conventions fixed here (and relied on by the golden tests):
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -238,6 +239,8 @@ class GradedComplex:
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
+        if self.d.source != self.basis or self.d.target != self.basis:
+            raise InputError("differential d basis mismatch")
         self._by_degree: Dict[int, List[int]] = {}
         for i, g in enumerate(self.basis):
             self._by_degree.setdefault(self.grading.displayed(g.index),
@@ -260,11 +263,23 @@ class GradedComplex:
 # -- validation ---------------------------------------------------------------
 
 
+def _witnesses(op: OperatorMatrix, at: Optional[dict] = None,
+               **head) -> List[dict]:
+    """The record {**head, "entry": [target, source], "value": text} of each
+    entry of op with visible terms, in row-major order; given ``at``, a map
+    (t, s) -> further fields, of each entry that it names, with its fields."""
+    if at is None:
+        at = {k: {} for k, v in op.entries.items() if v}
+    return [{**head, "entry": [op.target[t].name, op.source[s].name],
+             "value": str(op.entries[(t, s)]), **at[(t, s)]}
+            for t, s in sorted(at)]
+
+
 def _homogeneity_violations(op: OperatorMatrix) -> List[dict]:
     """In the |q| = 2 regime: i(target) - i(source) + 2E = degree(op), for
     an operator with Novikov entries."""
     out = []
-    for (t, s), v in op.entries.items():
+    for (t, s), v in sorted(op.entries.items()):
         gt, gs = op.target[t], op.source[s]
         for e in v.exponents():
             observed = Fraction(gt.index - gs.index) + 2 * e
@@ -280,40 +295,26 @@ def _homogeneity_violations(op: OperatorMatrix) -> List[dict]:
     return out
 
 
-def _d_squared_defects(C: GradedComplex) -> List[dict]:
-    """The entries of d o d with visible terms; [] on a basis mismatch."""
-    if C.d.source != C.basis or C.d.target != C.basis:
-        return []
-    return [{"invariant": "d squared zero",
-             "entry": [C.basis[t].name, C.basis[s].name], "value": str(v)}
-            for (t, s), v in C.d.compose(C.d).entries.items() if v]
-
-
 def validate_complex(C: GradedComplex) -> List[dict]:
     """Every violated invariant, with the offending entry; empty iff valid."""
-    if C.d.source != C.basis or C.d.target != C.basis:
-        return [{"invariant": "differential bases", "detail": "basis mismatch"}]
-    out = _d_squared_defects(C)
+    out = _witnesses(C.d.compose(C.d), invariant="d squared zero")
     if C.q_degree_two:
         return out + _homogeneity_violations(C.d)
-    # degree compatibility of visible entries with the displayed grading
-    return out + [{"invariant": "degree shift",
-                   "entry": [C.basis[t].name, C.basis[s].name],
-                   "expected": expected, "observed": observed}
-                  for t, s, expected, observed
-                  in _misplaced(C.d, C.grading, C.d.degree)]
+    # degree compatibility of the entries with the displayed grading
+    return out + _witnesses(C.d, _misplaced(C.d, C.grading, C.d.degree),
+                            invariant="degree shift")
 
 
 def _misplaced(op: OperatorMatrix, grading: GradingKind,
-               degree: int) -> List[Tuple[int, int, int, int]]:
-    """(t, s, expected, observed) for each entry (t, s) of op whose
-    target's displayed degree (observed) is not its source's plus degree
-    (expected): no block of a degree-``degree`` map can place it."""
-    out = []
+               degree: int) -> Dict[Tuple[int, int], dict]:
+    """{(t, s): {"expected": ..., "observed": ...}} for each entry (t, s) of
+    op whose target's displayed degree (observed) is not its source's plus
+    degree (expected): no block of a degree-``degree`` map can place it."""
+    out = {}
     for t, s in op.entries:
         expected = grading.displayed(op.source[s].index + degree)
         if (observed := grading.displayed(op.target[t].index)) != expected:
-            out.append((t, s, expected, observed))
+            out[(t, s)] = {"expected": expected, "observed": observed}
     return out
 
 
@@ -390,11 +391,12 @@ def cohomology_over_novikov_field(C: GradedComplex,
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
     if bad := _misplaced(C.d, C.grading, C.d.degree):
-        t, s, expected, observed = min(bad)
+        t, s = min(bad)
         raise InputError(
             f"d entry ({C.basis[t].name},{C.basis[s].name}) maps degree "
-            f"{C.grading.displayed(C.basis[s].index)} to degree {observed}, "
-            f"not {expected}: cohomology cannot place it")
+            f"{C.grading.displayed(C.basis[s].index)} to degree "
+            f"{bad[t, s]['observed']}, not {bad[t, s]['expected']}: "
+            "cohomology cannot place it")
     setup = C.setup
     degrees = C.degrees_present()
     # the block of d from degree k, as sparse rows and sparse columns over
@@ -436,7 +438,9 @@ def cohomology_over_novikov_field(C: GradedComplex,
         images = _image_reduction(C, reductions, k, incoming, q_order)
         reps = _representatives(C, reductions, k, images, q_order)
         if len(reps) != betti:
-            _require_square_zero(C, "d")
+            if bad := _witnesses(C.d.compose(C.d)):
+                raise InputError("d does not square to zero at ({},{}): {}"
+                                 .format(*bad[0]["entry"], bad[0]["value"]))
             raise InternalError(
                 f"representative count {len(reps)} != betti {betti} in "
                 f"degree {k}"
@@ -454,15 +458,6 @@ def cohomology_over_novikov_field(C: GradedComplex,
         report.classes += [GeneratorInfo(f"class {len(report.classes) + j}", k)
                            for j in range(len(reps))]
     return report
-
-
-def _require_square_zero(C: GradedComplex, name: str):
-    """InputError at the first entry of d^2 with visible terms, if any."""
-    bad = _d_squared_defects(C)
-    if bad:
-        (t, s), value = bad[0]["entry"], bad[0]["value"]
-        raise InputError(
-            f"{name} does not square to zero at ({t},{s}): {value}")
 
 
 def _image_reduction(C, reductions, k, incoming, q_order):
@@ -705,22 +700,14 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
     Returns the cone complex, both projections, and quasi-isomorphism
     verdicts obtained by comparing induced maps on cohomology.
     """
-    if c.source != C_plus.basis or c.target != C_minus.basis:
-        raise InputError("chain map bases do not match the complexes")
-    if C_minus.setup != C_plus.setup or C_minus.grading != C_plus.grading:
-        raise InputError("mapping cone requires matching setups and gradings")
-    _require_square_zero(C_minus, "d of C-")
-    _require_square_zero(C_plus, "d of C+")
+    if (c.source, c.target, C_minus.setup) != (C_plus.basis, C_minus.basis,
+                                                C_plus.setup):
+        raise InputError("the chain map and the complexes must share their "
+                         "bases and scalar setup")
+    if bad := _cone_defects(c, C_minus, C_plus):
+        raise InputError(_cone_refusal(bad[0]))
     setup = C_minus.setup
     grading = C_minus.grading
-    # chain map check: d- o c = c o d+
-    defect = C_minus.d.compose(c) - c.compose(C_plus.d)
-    if not defect.is_visibly_zero():
-        bad = next(k for k, v in defect.entries.items() if v)
-        raise InputError(
-            f"c is not a chain map: defect at "
-            f"({C_minus.basis[bad[0]].name},{C_plus.basis[bad[1]].name})"
-        )
     nm = len(C_minus.basis)
     np_ = len(C_plus.basis)
     basis = (
@@ -745,8 +732,7 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
         OperatorMatrix(basis, basis, entries, 1),
         C_minus.q_degree_two and C_plus.q_degree_two,
     )
-    bad = _d_squared_defects(cone)
-    if bad:
+    if bad := _witnesses(cone.d.compose(cone.d)):
         raise InternalError(
             f"cone differential does not square to zero: {bad}")
 
@@ -767,6 +753,41 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
     }
     return {"cone": cone, "projection_minus": proj_minus,
             "projection_plus": proj_plus, "quasi_isomorphisms": verdicts}
+
+
+def _cone_defects(c: OperatorMatrix, C_minus: GradedComplex,
+                  C_plus: GradedComplex) -> List[dict]:
+    """Every reason that no cone of c: C+ -> C- can be built, as validate
+    records: the sides' gradings differ, a side's d is not of degree 1 or
+    breaks its own invariants (``validate_complex``), each such record
+    with its "side", and the entries of d- c - c d+ with visible terms."""
+    out = [] if C_minus.grading == C_plus.grading else [{
+        "invariant": "matching gradings",
+        "gradings": {"minus": asdict(C_minus.grading),
+                     "plus": asdict(C_plus.grading)}}]
+    for side, C in (("minus", C_minus), ("plus", C_plus)):
+        if C.d.degree != 1:
+            out.append({"invariant": "degree 1", "side": side,
+                        "degree": C.d.degree})
+        out += [{**v, "side": side} for v in validate_complex(C)]
+    return out + _witnesses(C_minus.d.compose(c) - c.compose(C_plus.d),
+                            invariant="chain map")
+
+
+def _cone_refusal(record: dict) -> str:
+    """The InputError text of a record of ``_cone_defects``."""
+    invariant = record["invariant"]
+    if invariant == "matching gradings":
+        return "mapping cone requires matching gradings"
+    side = "d of C-" if record.get("side") == "minus" else "d of C+"
+    if invariant == "degree 1":
+        return f"{side} has degree {record['degree']}, not 1"
+    at = "({},{})".format(*record["entry"])
+    if invariant == "chain map":
+        return f"c is not a chain map: defect at {at}"
+    if invariant == "d squared zero":
+        return f"{side} does not square to zero at {at}: {record['value']}"
+    return f"{side} breaks {invariant} at {at}"
 
 
 def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,

@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Dict, Tuple
 
 from .novikov import InputError, ScalarSetup, dq
-from .complexes import GeneratorInfo, OperatorMatrix
+from .complexes import GeneratorInfo, OperatorMatrix, _witnesses
 
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
 
@@ -124,12 +124,6 @@ def _anticommutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return A.compose(B) + B.compose(A)
 
 
-def _failures(M: OperatorMatrix, basis, relation):
-    return [{"relation": relation, "entry": [basis[t].name, basis[s].name],
-             "value": str(M.entries[(t, s)])}
-            for t, s in sorted(M.entries) if M.entries[(t, s)].has_terms()]
-
-
 _XI_RELATION = ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
                 " + lambda")
 
@@ -138,7 +132,7 @@ def verify_relations(Z: Z2CartanData) -> dict:
     """Exact check of every displayed relation; failures carry witnesses."""
     relations = []
     for name, M in Z._relations:
-        fails = _failures(M, Z.basis, name)
+        fails = _witnesses(M, relation=name)
         relations.append({"relation": name, "holds": not fails,
                           "failures": fails})
     return {"relations": relations,
@@ -164,7 +158,7 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     certificates = []
     for identity, mats in by_order:
         for k, M in enumerate(mats):
-            fails = _failures(M, basis, f"{identity}, order h^{k}")
+            fails = _witnesses(M, relation=f"{identity}, order h^{k}")
             certificates.append({"identity": f"{identity} = 0", "h_order": k,
                                  "holds": not fails, "failures": fails})
     d_eq = [Z.d, Z.identity() + Z.sigma, Z.Sigma]   # h^0, h^1, h^2 parts

@@ -387,9 +387,11 @@ def complex_from(doc: dict) -> GradedComplex:
 
 def differential_family_from(doc: dict, order: Optional[int] = None
                              ) -> EquivariantDifferential:
-    """The document's d_eq mod u^N: N is ``order`` (``u-decompose
-    --order``), else ``d_family.order``, else EQCARTAN_U_ORDER (parsed even
-    when unused, so a malformed value is malformed input), else K + 2."""
+    """The document's d_eq mod u^N.  Its d_0 is the differential of the
+    'complex' block, of degree 1; a d_family's component 0 must equal it.
+    N is ``order`` (``u-decompose --order``), else ``d_family.order``, else
+    EQCARTAN_U_ORDER (parsed even when unused, so a malformed value is
+    malformed input), else K + 2."""
     from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
     env_order = DEFAULT_U_ORDER()
     if "complex" not in doc:
@@ -397,15 +399,20 @@ def differential_family_from(doc: dict, order: Optional[int] = None
         raise DocumentError(f"{blocks or 'd_eq'} needs a 'complex' block "
                             "for its basis")
     C = complex_from(doc)
-    if "d_family" in doc:
-        block = doc["d_family"]
-        comps = [_matrix_from(items, C.basis, C.setup)
-                 for items in block["components"]]
-        doc_order = block.get("order")
-    else:  # the complex differential is the only component
-        comps, doc_order = [C.d.entries], None
-    return EquivariantDifferential.build(C.setup, C.grading, C.basis, comps,
-                                         order or doc_order or env_order)
+    if C.d.degree != 1:
+        raise DocumentError(
+            f"the 'complex' block's differential has degree {C.d.degree}, "
+            "but it is d_0 of d_eq, of degree 1")
+    block = doc.get("d_family", {})
+    comps = [_matrix_from(items, C.basis, C.setup)
+             for items in block.get("components", ())]
+    diff = EquivariantDifferential.build(
+        C.setup, C.grading, C.basis, comps or [C.d.entries],
+        order or block.get("order") or env_order)
+    if diff.components[0].entries != C.d.entries:
+        raise DocumentError("d_family component 0 differs from the 'complex' "
+                            "block's differential, which is d_0")
+    return diff
 
 
 def cartan_from(doc: dict) -> CartanData:
@@ -503,11 +510,10 @@ def cone_from(doc: dict):
 
 @cache
 def _report_types():
-    """The scalar types a report prints as text, and GeneratorInfo: imported
-    at the first report value that is not plain JSON, never for --schema."""
-    from .complexes import GeneratorInfo
+    """The scalar types a report prints as text: imported at the first
+    report value that is not plain JSON, never for --schema."""
     from .novikov import NovikovElem, USeries
-    return (NovikovElem, USeries, Fraction), GeneratorInfo
+    return NovikovElem, USeries, Fraction
 
 
 def jsonify(obj):
@@ -520,14 +526,7 @@ def jsonify(obj):
         return float(obj)
     if obj is None or isinstance(obj, (str, int)):
         return obj
-    scalars, generator = _report_types()
-    if isinstance(obj, scalars):
-        return str(obj)
-    if hasattr(obj, "item") and callable(obj.item):  # numpy scalars
-        return jsonify(obj.item())
-    if isinstance(obj, generator):
-        return {"name": obj.name, "index": obj.index}
-    return obj
+    return str(obj) if isinstance(obj, _report_types()) else obj
 
 
 def dumps(report) -> str:

@@ -96,6 +96,14 @@ COMMANDS = [
     # family as cartan verify does, and both refuse it
     (["validate", "fixtures/failing/bad_iota_case.json"], 2),
     (["cartan", "verify", "fixtures/failing/bad_iota_case.json"], 2),
+    # d_0 is the complex block's differential: a d_family whose component 0
+    # differs from it is malformed, for validate as for the cartan commands
+    (["validate", "fixtures/failing/d0_mismatch_case.json"], 2),
+    (["u-decompose", "fixtures/failing/d0_mismatch_case.json"], 2),
+    # a cone side whose d does not square to zero: validate lists why the
+    # cone cannot be built, and cone refuses to build it
+    (["validate", "fixtures/failing/bad_cone_case.json"], 1),
+    (["cone", "fixtures/failing/bad_cone_case.json"], 2),
     # commands without a document
     (["--schema"], 0),
     (["quantum", "obstruction", "--lambda", "2", "--d", "3", "--ring", "Z"],

@@ -60,6 +60,14 @@ def test_validate_flags_nonsquaring_differential():
     assert any(v["invariant"] == "d squared zero" for v in bad)
 
 
+def test_a_differential_off_the_basis_is_refused():
+    basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 1))
+    other = (GeneratorInfo("a", 0),)
+    with pytest.raises(InputError, match="differential d basis mismatch"):
+        GradedComplex(SETUP, GradingKind("Z"), basis,
+                      OperatorMatrix(other, other, {}, 1))
+
+
 def test_validate_flags_degree_shift():
     basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 2))
     C = GradedComplex.build(SETUP, GradingKind("Z"), basis,
@@ -418,6 +426,21 @@ def test_cone_rejects_non_chain_map():
                           {(0, 0): SETUP.one()}, 0)
     with pytest.raises(InputError):
         mapping_cone(cmap, minus, plus)
+
+
+def test_chain_map_defects_are_listed_in_row_major_order():
+    # c = 1 at (a,a) and (a,c), from the d = 0 complex a(0), c(1) to
+    # a -> b: d- c is 1 at (b,a) and at (b,c), whichever order c lists them
+    minus = two_step_complex()
+    plus = _free_complex([("a", 0), ("c", 1)])
+    records = []
+    for keys in ([(0, 0), (0, 1)], [(0, 1), (0, 0)]):
+        cmap = OperatorMatrix(plus.basis, minus.basis,
+                              {k: SETUP.one() for k in keys}, 0)
+        records.append(complexes._cone_defects(cmap, minus, plus))
+    assert records[0] == records[1]
+    assert [(v["invariant"], v["entry"]) for v in records[0]] == [
+        ("chain map", ["b", "a"]), ("chain map", ["b", "c"])]
 
 
 def test_cone_of_the_identity_on_a_complex_with_a_differential():

@@ -539,3 +539,216 @@ def test_empty_q_order_flag_means_unset(capsys, monkeypatch):
     path = str(FIXTURES / "dvr_case.json")
     assert run_cli(capsys, "cohomology", path, "--q-order=") \
         == run_cli(capsys, "cohomology", path)
+
+
+# -- one check per block invariant ---------------------------------------------
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["u-decompose"], ["cartan", "connection", "--which", "q"]])
+def test_a_d_family_whose_d0_is_not_the_complex_exits_2(capsys, command):
+    # dvr_case.json with z (index 1) and z <- y in the complex only: the
+    # d_family still says d_0 = 0
+    code, out = run_cli(capsys, *command,
+                        str(FIXTURES / "failing" / "d0_mismatch_case.json"))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert "d_family component 0" in error and "'complex' block" in error
+
+
+def test_validate_checks_a_lambda_family_against_the_complex(capsys,
+                                                             tmp_path):
+    # without d_family and iota_family, d_eq is the complex's d_0 = q^2 on
+    # (y,x): lambda_0 = 2q, which the document declares zero
+    doc = _fixture("monotone_case.json")
+    del doc["d_family"], doc["iota_family"]
+    doc["lambda_family"]["components"] = [[]]
+    missing = {"invariant": "lambda = dq(d)", "component": 0,
+               "entry": ["y", "x"], "declared": "0", "derived": "2*q"}
+    code, out = run_cli(capsys, "validate", _write(tmp_path, doc))
+    assert code == 1
+    assert json.loads(out)["blocks"]["lambda_family"]["violations"] == [
+        missing]
+
+
+DEGREE_MINUS_ONE = {
+    "schema_version": 1,
+    "scalar_setup": {"lattice_generator": "1", "coefficients": "Q"},
+    "complex": {
+        "grading": {"kind": "Z"},
+        "generators": [{"name": "x", "index": 1}, {"name": "y", "index": 0},
+                       {"name": "z", "index": 0}],
+        "differential": {"degree": -1, "entries": [
+            {"target": "y", "source": "x", "value": "1"}]},
+    },
+}
+
+
+@pytest.mark.parametrize("command, code", [
+    (["u-decompose"], 2), (["cartan", "verify"], 2),
+    (["cartan", "solve-iota"], 2),
+    (["cartan", "connection", "--which", "q"], 2),
+    (["validate"], 0), (["cohomology"], 0)])
+def test_a_complex_of_degree_minus_one_is_no_d0(capsys, tmp_path, command,
+                                                code):
+    # a complex, but no d_0 of d_eq: only the d_eq commands refuse it
+    got, out = run_cli(capsys, *command, _write(tmp_path, DEGREE_MINUS_ONE))
+    assert got == code
+    if code == 2:
+        error = json.loads(out)["error"]
+        assert "'complex' block" in error and "degree -1" in error
+
+
+def _minus_not_a_complex(cone):
+    # bad_cone_case.json: a minus side b(0), c(1) with c <- b and b <- c,
+    # so d^2 is 1 at (b,b) and (c,c) and b <- c lowers the degree
+    cone.update(_fixture("failing/bad_cone_case.json")["cone"])
+
+
+def _plus_mod_2(cone):
+    cone["plus"]["grading"] = {"kind": "Z/2"}
+
+
+def _minus_misplaced(cone):
+    cone["minus"]["generators"].append({"name": "c", "index": 5})
+    cone["minus"]["differential"]["entries"] = [
+        {"target": "c", "source": "b", "value": "1"}]
+    cone["map"] = []
+
+
+def _sides_of_degree_minus_one(cone):
+    # x(1) -> x2(0) on each side at degree -1, and the identity between
+    # them: a chain map, but the cone is built for degree-1 differentials
+    for side in ("minus", "plus"):
+        cone[side]["generators"] = [{"name": "x", "index": 1},
+                                    {"name": "x2", "index": 0}]
+        cone[side]["differential"] = {"degree": -1, "entries": [
+            {"target": "x2", "source": "x", "value": "1"}]}
+    cone["map"] = [{"target": x, "source": x, "value": "1"}
+                   for x in ("x", "x2")]
+
+
+@pytest.mark.parametrize("edit, records, message", [
+    (_minus_not_a_complex,
+     [("d squared zero", "minus", ["b", "b"]),
+      ("d squared zero", "minus", ["c", "c"]),
+      ("degree shift", "minus", ["b", "c"])],
+     "d of C- does not square to zero at (b,b): 1"),
+    (_plus_mod_2, [("matching gradings", None, None)],
+     "mapping cone requires matching gradings"),
+    (_minus_misplaced, [("degree shift", "minus", ["c", "b"])],
+     "d of C- breaks degree shift at (c,b)"),
+    (_sides_of_degree_minus_one,
+     [("degree 1", "minus", None), ("degree 1", "plus", None)],
+     "d of C- has degree -1, not 1"),
+], ids=["minus-not-a-complex", "plus-mod-2", "minus-misplaced",
+        "degree-minus-one"])
+def test_validate_lists_what_cone_refuses(capsys, tmp_path, edit, records,
+                                          message):
+    doc = _fixture("cone_case.json")
+    edit(doc["cone"])
+    path = _write(tmp_path, doc)
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert [(v["invariant"], v.get("side"), v.get("entry"))
+            for v in json.loads(out)["blocks"]["cone"]["violations"]] \
+        == records
+    code, out = run_cli(capsys, "cone", path)
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
+def test_validate_lists_entries_in_row_major_order(capsys, tmp_path):
+    # two chains a -> b -> c and x -> y -> z with unit arrows: d^2 is 1 at
+    # (c,a) and (z,x), whichever order the document lists d's entries in
+    names = "abcxyz"
+    entries = [{"target": t, "source": s, "value": "1"}
+               for t, s in ("ba", "cb", "yx", "zy")]
+    blocks = []
+    for listed in (entries, entries[::-1]):
+        doc = {"schema_version": 1,
+               "scalar_setup": {"lattice_generator": "1",
+                                "coefficients": "Q"},
+               "complex": {"grading": {"kind": "Z"},
+                           "generators": [{"name": g, "index": i % 3}
+                                          for i, g in enumerate(names)],
+                           "differential": {"degree": 1, "entries": listed}}}
+        code, out = run_cli(capsys, "validate", _write(tmp_path, doc))
+        assert code == 1
+        blocks.append(json.loads(out)["blocks"])
+    assert blocks[0] == blocks[1]
+    assert [v["entry"] for v in blocks[0]["complex"]["violations"]] == [
+        ["c", "a"], ["z", "x"]]
+
+
+# -- command paths -------------------------------------------------------------
+
+
+def test_morse_alpha1_on_a_coarse_grid(capsys):
+    code, out = run_cli(capsys, "morse", "alpha1", "--grid", "8")
+    assert code == 0
+    assert json.loads(out)["abs_winding"] == 1
+
+
+def test_an_empty_delta_list_exits_2(capsys):
+    code, out = run_cli(capsys, "morse", "additivity", "--delta", ",")
+    assert code == 2
+    assert json.loads(out)["error"] == "empty delta list"
+
+
+def test_no_command_exits_2(capsys):
+    assert cli.main([]) == 2
+    assert "usage: eqcartan" in capsys.readouterr().out
+
+
+def test_a_cone_between_different_betti_numbers(capsys, tmp_path):
+    # the zero map from a(0), a2(0) to b(0): H(C+) has rank 2, H(C-) rank 1
+    doc = _fixture("cone_case.json")
+    doc["cone"]["plus"]["generators"].append({"name": "a2", "index": 0})
+    doc["cone"]["map"] = []
+    code, out = run_cli(capsys, "cone", _write(tmp_path, doc))
+    assert code == 0
+    assert json.loads(out)["quasi_isomorphisms"]["minus"] == {
+        "quasi_isomorphism": False, "degree": 0,
+        "reason": "cohomology ranks differ (2 vs 1)"}
+
+
+def test_a_complex_without_grading_is_z_graded(capsys, tmp_path):
+    doc = _fixture("dvr_case.json")
+    want = run_cli(capsys, "cohomology", _write(tmp_path, doc))
+    del doc["complex"]["grading"]
+    assert run_cli(capsys, "cohomology", _write(tmp_path, doc)) == want
+    doc["complex"]["grading"] = {"kind": "Z/2m"}
+    code, out = run_cli(capsys, "cohomology", _write(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == "grading kind Z/2m requires field m"
+
+
+def test_duplicate_generator_names_exit_2(capsys, tmp_path):
+    doc = _fixture("dvr_case.json")
+    doc["complex"]["generators"].append({"name": "x", "index": 3})
+    code, out = run_cli(capsys, "validate", _write(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == "duplicate generator names"
+
+
+@pytest.mark.parametrize("command, block", [
+    (["cohomology"], "complex"), (["quantum", "check"], "quantum_ring"),
+    (["finite2", "verify"], "z2_data"), (["cone"], "cone")])
+def test_a_command_without_its_block_exits_2(capsys, tmp_path, command,
+                                             block):
+    doc = {"schema_version": 1,
+           "scalar_setup": {"lattice_generator": "1", "coefficients": "Q"}}
+    code, out = run_cli(capsys, *command, _write(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == f"document has no {block!r} block"
