@@ -419,7 +419,7 @@ def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
 
     def weighted(t, v):
         return v._of(tuple(
-            NovikovElem(setup, tuple(
+            c if c.is_zero() else NovikovElem(setup, tuple(
                 (n, p) for n, a in c.terms if (p := ring.mul_rational(
                     a, basis[t].index + 2 * k + 2 * lat.exponent_of(n)))),
                 c.trunc)

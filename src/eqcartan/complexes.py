@@ -758,10 +758,11 @@ def mapping_cone(c: OperatorMatrix, C_minus: GradedComplex,
 def _cone_defects(c: OperatorMatrix, C_minus: GradedComplex,
                   C_plus: GradedComplex) -> List[dict]:
     """Every reason that no cone of c: C+ -> C- can be built, as validate
-    records: the sides' gradings differ, a side's d is not of degree 1 or
-    breaks its own invariants (``validate_complex``), each such record
-    with its "side", and the entries of d- c - c d+ with visible terms."""
-    out = [] if C_minus.grading == C_plus.grading else [{
+    records: the sides' gradings differ in modulus (Z/2 and Z/2m with
+    m = 1 are one grading), a side's d is not of degree 1 or breaks its own
+    invariants (``validate_complex``), each such record with its "side",
+    and the entries of d- c - c d+ with visible terms."""
+    out = [] if C_minus.grading.modulus == C_plus.grading.modulus else [{
         "invariant": "matching gradings",
         "gradings": {"minus": asdict(C_minus.grading),
                      "plus": asdict(C_plus.grading)}}]

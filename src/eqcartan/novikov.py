@@ -23,6 +23,13 @@ the one rule by which q-bounds combine (None is exact, else the least).
 A sum of products (an operator or series product, a solution, a series
 inverse) is built in one pass by ``sum_of_products``, with the weakest bound.
 
+``NovikovElem`` and ``USeries`` are slotted frozen dataclasses: a value
+cannot be changed after it is built, and building one stores its fields
+through their slots, with no instance ``__dict__``.  Each ``ScalarSetup``
+holds one shared exact zero and one shared one, returned by ``zero()`` and
+``one()``; ``dq``, ``q_shift`` and the padding of a series return that zero
+instead of building a new one.
+
 Doctest flavour::
 
     >>> s = ScalarSetup.make("1/2", "Q")
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
@@ -279,10 +286,18 @@ def _ring_from_name(name: str) -> CoefficientRing:
 
 @dataclass(frozen=True)
 class ScalarSetup:
-    """An exponent lattice together with a coefficient ring."""
+    """An exponent lattice together with a coefficient ring.
+
+    A setup builds its exact zero and its one once, at construction, and
+    ``zero()`` and ``one()`` return those shared elements (not fields: they
+    take no part in ``==``, ``hash`` or ``repr``)."""
 
     lattice: ExponentLattice
     ring: CoefficientRing
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", NovikovElem(self, ()))
+        object.__setattr__(self, "_one", NovikovElem(self, ((0, 1),)))
 
     @staticmethod
     def make(generator, ring_name: str) -> "ScalarSetup":
@@ -290,10 +305,10 @@ class ScalarSetup:
                            _ring_from_name(ring_name))
 
     def zero(self) -> "NovikovElem":
-        return NovikovElem(self, ())
+        return self._zero
 
     def one(self) -> "NovikovElem":
-        return self.monomial(1, 0)
+        return self._one
 
     def monomial(self, coeff, exponent) -> "NovikovElem":
         c = self.ring.coerce(coeff)
@@ -327,7 +342,7 @@ def _check_same_setup(a: "NovikovElem", b: "NovikovElem"):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NovikovElem:
     """Canonical finite sum of q-monomials, with optional truncation bound.
 
@@ -348,11 +363,22 @@ class NovikovElem:
     and ``dq`` their terms, directly, with no zero coefficient (``2q * 3q``
     over Z/6) or term at or above ``trunc``.  Any other product is a
     ``sum_of_products`` of one pair; only a general sum sorts in ``build``.
+
+    The type is a slotted frozen dataclass: assigning a field raises
+    ``FrozenInstanceError``, and ``__init__`` stores the three fields
+    through their slots.  ``dq`` and ``q_shift`` return the setup's shared
+    zero (or the operand) where their result is an exact zero.
     """
 
     setup: ScalarSetup
     terms: tuple  # ((index, coeff), ...) strictly increasing index
     trunc: Optional[int] = None
+
+    def __init__(self, setup: ScalarSetup, terms: tuple,
+                 trunc: Optional[int] = None):
+        _set_elem_setup(self, setup)
+        _set_elem_terms(self, terms)
+        _set_elem_trunc(self, trunc)
 
     # -- construction helpers -------------------------------------------------
 
@@ -480,7 +506,7 @@ class NovikovElem:
 
     def q_shift(self, steps: int) -> "NovikovElem":
         """Multiply by q^(steps * g)."""
-        if not steps:
+        if not steps or (not self.terms and self.trunc is None):
             return self
         return NovikovElem(
             self.setup,
@@ -507,6 +533,12 @@ class NovikovElem:
         return format_novikov(self)
 
 
+# the slot descriptors through which a frozen NovikovElem stores its fields
+_set_elem_setup = NovikovElem.setup.__set__
+_set_elem_terms = NovikovElem.terms.__set__
+_set_elem_trunc = NovikovElem.trunc.__set__
+
+
 def dq(a: NovikovElem) -> NovikovElem:
     """The derivation q -> d/dq:  r*q^e  |->  (r*e)*q^(e-1)."""
     lat = a.setup.lattice
@@ -518,8 +550,9 @@ def dq(a: NovikovElem) -> NovikovElem:
         x = ring.mul_rational(c, e) if e else 0
         if x != 0:
             pairs.append((n - step, x))
-    trunc = None if a.trunc is None else a.trunc - step
-    return NovikovElem(a.setup, tuple(pairs), trunc)
+    if a.trunc is None:
+        return NovikovElem(a.setup, tuple(pairs)) if pairs else a.setup._zero
+    return NovikovElem(a.setup, tuple(pairs), a.trunc - step)
 
 
 def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
@@ -570,7 +603,7 @@ def invert_truncated(a: NovikovElem, q_order: int) -> NovikovElem:
 # -- truncated power series in u ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class USeries:
     """Power series in u over NovikovElem, truncated at order N.
 
@@ -597,24 +630,33 @@ class USeries:
     Results are canonical by construction: every operation makes only its
     known coefficients, without ``build``; ``*`` and ``scale`` skip
     decidably zero coefficients.  Each call checks the scalar setups once.
+
+    The type is a slotted frozen dataclass: assigning a field raises
+    ``FrozenInstanceError``.  ``valid`` and ``_zero`` are slots set once in
+    ``__init__``, outside ``==``, ``hash`` and ``repr``.  Known zeros that
+    pad a series (``build``, ``times_u``) are the setup's shared zero.
     """
 
     setup: ScalarSetup
     order: int
     coeffs: tuple
+    valid: int = field(init=False, repr=False, compare=False)
+    _zero: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        valid = len(self.coeffs)
-        if valid > self.order:
+    def __init__(self, setup: ScalarSetup, order: int, coeffs: tuple):
+        valid = len(coeffs)
+        if valid > order:
             raise NovikovError("more coefficients than the truncation order")
-        # set once, as plain attributes: no descriptor and no lock
-        zero = valid == self.order
-        for c in self.coeffs if zero else ():
+        zero = valid == order
+        for c in coeffs if zero else ():
             if c.terms or c.trunc is not None:
                 zero = False
                 break
-        self.__dict__["valid"] = valid
-        self.__dict__["_zero"] = zero
+        _set_series_setup(self, setup)
+        _set_series_order(self, order)
+        _set_series_coeffs(self, coeffs)
+        _set_series_valid(self, valid)
+        _set_series_zero(self, zero)
 
     # -- constructors ---------------------------------------------------------
 
@@ -763,6 +805,14 @@ class USeries:
 
     def __str__(self):
         return format_useries(self)
+
+
+# the slot descriptors through which a frozen USeries stores its fields
+_set_series_setup = USeries.setup.__set__
+_set_series_order = USeries.order.__set__
+_set_series_coeffs = USeries.coeffs.__set__
+_set_series_valid = USeries.valid.__set__
+_set_series_zero = USeries._zero.__set__
 
 
 def useries_du(a: USeries) -> USeries:

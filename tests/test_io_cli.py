@@ -619,6 +619,16 @@ def _plus_mod_2(cone):
     cone["plus"]["grading"] = {"kind": "Z/2"}
 
 
+def _z_against_mod_2(cone):
+    cone["minus"]["grading"] = {"kind": "Z/2m", "m": 1}
+    cone["plus"]["grading"] = {"kind": "Z"}
+
+
+def _mod_2_against_mod_4(cone):
+    cone["minus"]["grading"] = {"kind": "Z/2"}
+    cone["plus"]["grading"] = {"kind": "Z/2m", "m": 2}
+
+
 def _minus_misplaced(cone):
     cone["minus"]["generators"].append({"name": "c", "index": 5})
     cone["minus"]["differential"]["entries"] = [
@@ -646,13 +656,17 @@ def _sides_of_degree_minus_one(cone):
      "d of C- does not square to zero at (b,b): 1"),
     (_plus_mod_2, [("matching gradings", None, None)],
      "mapping cone requires matching gradings"),
+    (_z_against_mod_2, [("matching gradings", None, None)],
+     "mapping cone requires matching gradings"),
+    (_mod_2_against_mod_4, [("matching gradings", None, None)],
+     "mapping cone requires matching gradings"),
     (_minus_misplaced, [("degree shift", "minus", ["c", "b"])],
      "d of C- breaks degree shift at (c,b)"),
     (_sides_of_degree_minus_one,
      [("degree 1", "minus", None), ("degree 1", "plus", None)],
      "d of C- has degree -1, not 1"),
-], ids=["minus-not-a-complex", "plus-mod-2", "minus-misplaced",
-        "degree-minus-one"])
+], ids=["minus-not-a-complex", "plus-mod-2", "z-against-mod-2",
+        "mod-2-against-mod-4", "minus-misplaced", "degree-minus-one"])
 def test_validate_lists_what_cone_refuses(capsys, tmp_path, edit, records,
                                           message):
     doc = _fixture("cone_case.json")
@@ -666,6 +680,26 @@ def test_validate_lists_what_cone_refuses(capsys, tmp_path, edit, records,
     code, out = run_cli(capsys, "cone", path)
     assert code == 2
     assert json.loads(out)["error"] == message
+
+
+@pytest.mark.parametrize("minus, plus", [
+    ({"kind": "Z/2"}, {"kind": "Z/2m", "m": 1}),
+    ({"kind": "Z/2m", "m": 1}, {"kind": "Z/2"}),
+], ids=["Z/2-Z/2m", "Z/2m-Z/2"])
+def test_cone_gradings_of_one_modulus_match(capsys, tmp_path, minus, plus):
+    # Z/2 and Z/2m with m = 1 are both gradings mod 2
+    doc = _fixture("cone_case.json")
+    doc["cone"]["minus"]["grading"] = minus
+    doc["cone"]["plus"]["grading"] = plus
+    path = _write(tmp_path, doc)
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 0
+    assert json.loads(out)["blocks"]["cone"]["violations"] == []
+    code, out = run_cli(capsys, "cone", path)
+    assert code == 0
+    assert json.loads(out)["quasi_isomorphisms"] == {
+        "minus": {"quasi_isomorphism": True},
+        "plus": {"quasi_isomorphism": True}}
 
 
 def test_validate_lists_entries_in_row_major_order(capsys, tmp_path):

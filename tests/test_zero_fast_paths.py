@@ -384,10 +384,11 @@ def test_monomial_products_build_nothing(monkeypatch, setup_q):
 
 def test_the_zero_flag_takes_no_lock():
     # functools.cached_property takes an RLock on each first access in
-    # Python 3.10 and 3.11, once for every new series
+    # Python 3.10 and 3.11, once for every new series; the flag is a slot
+    # set once in __init__
     assert not isinstance(inspect.getattr_static(USeries, "_zero", None),
                           functools.cached_property)
-    assert USeries.zero(SETUPS["Q"], ORDER).__dict__["_zero"] is True
+    assert USeries.zero(SETUPS["Q"], ORDER)._zero is True
 
 
 # -- the sum-of-products kernel -------------------------------------------------
