@@ -2,28 +2,26 @@
 
 An equivariant differential is a finite family d_0, ..., d_K of matrices
 over the Novikov ring, assembled as d_eq = sum_k u^k d_k and analysed in
-Lambda[u]/u^N.  The two connection-type operators are
+Lambda[u]/u^N.  The two regimes' normalizations of iota differ by one
+power of q, w = ``REGIMES[regime]``: w = 1 in the monotone regime
+(|q| = 2) and w = 0 in the Calabi-Yau one ("cy").  The iota family solves
+[d_eq, iota_eq] = u * lambda_eq with lambda = q^w * (entrywise d/dq of d),
+and iota_k has degree 2w - 2k.  Each Cartan operator is one triple
+(derivation, diagonal weight, matrix part), mu the index of each generator:
 
-    Gamma_q = u * d/dq + iota-part      (degree 0)
-    Gamma_u = 2 u^2 * d/du + u*mu - 2*iota_mono      (degree 2)
-
-where mu is the diagonal integer-index operator.  The two regimes'
-normalizations of iota differ by one power of q, w = ``REGIMES[regime]``:
-w = 1 in the monotone regime (|q| = 2) and w = 0 in the Calabi-Yau one
-("cy").  The iota family solves  [d_eq, iota_eq] = u * lambda_eq  with
-lambda = q^w * (entrywise d/dq of d), iota_k has degree 2w - 2k, and
-
-    Gamma_q = u d/dq + q^(-w) iota_eq,    iota_mono = q^(1-w) iota_eq,
+    Gamma_q = (u d/dq,       0,    q^-w iota_eq)          (degree 0)
+    deg     = (2q d/dq + 2u d/du, mu,   none)             (total degree)
+    Gamma_u = (2u^2 d/du,    u mu, -2 q^(1-w) iota_eq)    (degree 2)
 
 so the pair (iota, monotone) and (q^-1 iota, cy) give the same operators.
-With this convention [Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and
-[Gamma_u, d_eq] = u * d_eq (deg the total degree), so both operators
-descend to equivariant cohomology, and  Gamma_u + 2q Gamma_q = u * deg  is
-exact.
-
-``gamma_q``, ``gamma_u`` and ``degree_weighted`` map a block (an
-``OperatorMatrix`` whose columns are u-series vectors) to a block: the
-derivation part entrywise, the matrix part as one product with the block.
+``gamma_q``, ``gamma_u`` and ``degree_weighted`` apply a triple to a block
+(an ``OperatorMatrix`` whose columns are u-series vectors): the derivation
+and the weight entrywise, the matrix part as one product with the block.
+By the Leibniz rule the bracket [op, d_eq] is the derivation on each entry
+d_ts, plus (w_t - w_s) d_ts, plus [M, d_eq]; ``identity_report`` checks
+[Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u d_eq in
+that form, so both operators descend to equivariant cohomology, and
+Gamma_u + 2q Gamma_q = u * deg is exact.
 
 ``solve_iota`` constructs the iota family order by order from d alone by
 solving [d_0, iota_k] = (known lower-order data).  On an exact acyclic d_0
@@ -39,22 +37,11 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .novikov import (
-    CoefficientError,
-    CoefficientRing,
-    InputError,
-    InternalError,
-    NovikovElem,
-    NovikovError,
-    ScalarSetup,
-    USeries,
-    _min_trunc,
-    dq,
-    useries_du,
-    useries_udq,
-)
+from .novikov import (CoefficientError, CoefficientRing, InputError,
+                      InternalError, NovikovElem, NovikovError, ScalarSetup,
+                      USeries, _min_trunc, dq, useries_udq)
 from .complexes import (GeneratorInfo, GradedComplex, GradingKind,
                         OperatorMatrix, _misplaced, sample_block)
 from . import linalg
@@ -259,13 +246,6 @@ def _columns(block: OperatorMatrix):
             for s, t in sorted((s, t) for t, s in block.entries))
 
 
-def _by_row(block: OperatorMatrix, fn, degree: int) -> OperatorMatrix:
-    """fn(row, entry) on every stored entry of a block."""
-    return OperatorMatrix(block.source, block.target,
-                          {(t, s): fn(t, v)
-                           for (t, s), v in block.entries.items()}, degree)
-
-
 # -- lambda and iota ----------------------------------------------------------
 
 
@@ -395,37 +375,72 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
 # -- the connection operators -------------------------------------------------
 
 
+class _Split(NamedTuple):
+    """A Cartan operator as (derivation, diagonal weight, matrix part):
+    ``local(v, w)`` is the derivation of v plus w v in one pass, and the
+    matrix part, of the operator's degree, is added or ``subtract``-ed."""
+
+    local: Callable[[USeries, Optional[int]], USeries]
+    weights: Tuple[Optional[int], ...]
+    matrix: Optional[OperatorMatrix]
+    subtract: bool = False
+
+
+def _split(data: CartanData, op: str) -> _Split:
+    """The triple of "gamma_q", "deg" or "gamma_u" (module docstring); a
+    row's weight is None where it is zero in the ring.  deg takes a q^E u^k
+    to (w + 2E + 2k) a q^E u^k, keeping each q-tail.  Gamma_u takes c_k u^k
+    to (2k + w) c_k u^(k+1), keeping c_k's q-tail where w is given (even a
+    zero difference of weights) or, for k >= 1, where 2 is not zero."""
+    setup, mu = data.setup, data.diff.mu_diag()
+    ring, lat = setup.ring, setup.lattice
+    if op == "gamma_q":
+        return _Split(lambda v, w: useries_udq(v).times_u(),
+                      (None,) * len(mu), data.iota_q)
+    index = tuple(m if ring.coerce(m) != 0 else None for m in mu)
+    if op == "deg":
+        return _Split(lambda v, w: v._of(tuple(
+            c if c.is_zero() else NovikovElem(setup, tuple(
+                (n, p) for n, a in c.terms if (p := ring.mul_rational(
+                    a, (w or 0) + 2 * k + 2 * lat.exponent_of(n)))), c.trunc)
+            for k, c in enumerate(v.coeffs))), index, None)
+    zero, two = setup.zero(), ring.coerce(2) != 0
+    return _Split(lambda v, w: v._of(((zero,) + tuple(
+        zero if c.is_zero() or (w is None and not (k and two))
+        else c.scale(2 * k + (w or 0))
+        for k, c in enumerate(v.coeffs)))[:v.order]),
+        index, data.iota_u, True)
+
+
+def _apply(op: _Split, X: OperatorMatrix,
+           bracket: Optional[int] = None) -> OperatorMatrix:
+    """op on a block of u-series columns: derivation and weight entrywise,
+    the matrix part as one product.  Given ``bracket`` = e, [op, X] - e u^p
+    X instead, p the weight's power of u: by the Leibniz rule X_ts's
+    derivation with weight w_t - w_s - e, plus [M, X] for the matrix M."""
+    local, w, M, e = op.local, op.weights, op.matrix, bracket
+    free = OperatorMatrix._made(X.source, X.target, {
+        (t, s): y for (t, s), v in X.entries.items() if not (y := local(v, (
+            w[t] if e is None or e == 0 and w[t] is None and w[s] is None
+            else (w[t] or 0) - (w[s] or 0) - e))).is_zero()},
+        X.degree + (0 if M is None else M.degree))
+    return free if M is None else free._sum(
+        M.compose(X) if e is None else _commutator(M, X), op.subtract)
+
+
 def gamma_q(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
-    """Gamma_q = u d/dq + iota-part, on a block of u-series columns."""
-    return (X.entrywise(lambda v: useries_udq(v).times_u())
-            + data.iota_q.compose(X))
+    """Gamma_q = u d/dq + q^-w iota_eq, on a block of u-series columns."""
+    return _apply(_split(data, "gamma_q"), X)
 
 
 def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns."""
-    setup = data.setup
-    two = setup.monomial(2, 0)
-    mu = [setup.monomial(m, 0) for m in data.diff.mu_diag()]
-    free = _by_row(X, lambda t, v: (
-        useries_du(v).times_u(2).scale(two)
-        + v.scale(mu[t]).times_u()), X.degree + 2)
-    return free - data.iota_u.compose(X)
+    return _apply(_split(data, "gamma_u"), X)
 
 
 def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Termwise multiplication by the total degree i(x) + 2E + 2k."""
-    setup, basis = data.setup, data.diff.basis
-    ring, lat = setup.ring, setup.lattice
-
-    def weighted(t, v):
-        return v._of(tuple(
-            c if c.is_zero() else NovikovElem(setup, tuple(
-                (n, p) for n, a in c.terms if (p := ring.mul_rational(
-                    a, basis[t].index + 2 * k + 2 * lat.exponent_of(n)))),
-                c.trunc)
-            for k, c in enumerate(v.coeffs)))
-
-    return _by_row(X, weighted, X.degree)
+    return _apply(_split(data, "deg"), X)
 
 
 def _euler_bracket(data: CartanData, X: OperatorMatrix,
@@ -442,67 +457,51 @@ def _euler_bracket(data: CartanData, X: OperatorMatrix,
 def identity_report(data: CartanData) -> dict:
     """Verify the matrix and operator identities of the Cartan package.
 
-    Identities 2-4 are the commutators [Gamma_q, d_eq] = 0,
-    [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u d_eq of ``gamma_q``,
-    ``degree_weighted`` and ``gamma_u`` themselves; 5-7 are checked on the
+    Identities 2-4 are [Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and
+    [Gamma_u, d_eq] = u d_eq, each the bracket of the triple (``_split``)
+    that ``gamma_q``, ``degree_weighted`` and ``gamma_u`` apply, with no
+    operator applied to unit columns (``_apply``); 5-7 are checked on the
     sample columns where iota_eq has a tail (``sample_block``: the others'
     cells are decidably zero).  Each identity entry carries a verdict plus
     the u-order and q-order indices to which the vanishing was certified.
     """
-    diff = data.diff
-    setup = data.setup
-    N = diff.order
-    basis = diff.basis
-    d_eq = diff.as_operator()
+    diff, setup = data.diff, data.setup
+    N, basis, d_eq = diff.order, diff.basis, diff.as_operator()
     results = []
 
     def record(name, cells):
         failures, valid, qcert = _scan(name, cells, N)
-        results.append({
-            "identity": name,
-            "holds": not failures,
-            "verified_u_order": valid,
-            "verified_q_order_index": qcert,
-            "failures": failures,
-        })
+        results.append({"identity": name, "holds": not failures,
+                        "verified_u_order": valid,
+                        "verified_q_order_index": qcert,
+                        "failures": failures})
 
     # 1. d_eq^2 = 0
     record("d_eq squared zero", _entries(d_eq.compose(d_eq)))
 
     # 1b. d_eq anticommutes with lambda_eq := entrywise d/dq of d_eq
     #     (the q-derivative of d_eq^2 = 0)
-    lam = _useries_operator(diff, basis, basis,
-                            _cells(lambda_components(diff, "cy")), 1)
+    lam = d_eq.entrywise(useries_udq)
     record("lambda_eq anticommutes with d_eq",
            _entries(d_eq.compose(lam) + lam.compose(d_eq)))
-
-    # 2-4. commutators with d_eq of the connection's own operators: op on
-    # the columns of d_eq less d_eq after op on the units is [op, d_eq],
-    # since op's derivation part obeys the Leibniz rule
-    one = USeries.from_novikov(setup.one(), N)
-    units = OperatorMatrix(basis, basis, {(i, i): one for i in range(diff.n)})
-
-    def bracket(op):
-        return op(data, d_eq) - d_eq.compose(op(data, units))
 
     # 2. [Gamma_q, d_eq] = 0, printed as [d_eq, iota_eq] - u * lambda_eq in
     #    the regime's normalization: Gamma_q carries q^-w iota_eq, so the
     #    bracket is scaled by -q^w
     sign = setup.monomial(-1, REGIMES[data.regime])
-    record("connection commutes with d_eq",
-           _entries(bracket(gamma_q).entrywise(lambda e: e.scale(sign))))
+    gq_op, gu_op = _split(data, "gamma_q"), _split(data, "gamma_u")
+    record("connection commutes with d_eq", _entries(
+        _apply(gq_op, d_eq, 0).entrywise(lambda e: e.scale(sign))))
 
-    # 3. [deg, d_eq] = d_eq: d_eq has total degree 1
+    # 3-4. [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u * d_eq: d_eq has
+    #      degree 1, at the weight's power of u
     record("index operator homogeneity",
-           _entries(bracket(degree_weighted) - d_eq))
-
-    # 4. [Gamma_u, d_eq] = u * d_eq
-    record("gamma_u commutator", _entries(
-        bracket(gamma_u) - d_eq.entrywise(lambda e: e.times_u())))
+           _entries(_apply(_split(data, "deg"), d_eq, 1)))
+    record("gamma_u commutator", _entries(_apply(gu_op, d_eq, 1)))
 
     # 5-7. operator identities on the sample block, column by column
     X = sample_block(setup, basis, N, data.iota_eq)
-    gu, gq = gamma_u(data, X), gamma_q(data, X)
+    gu, gq = _apply(gu_op, X), _apply(gq_op, X)
 
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
     record("euler relation", _columns(gu - _euler_bracket(data, X, gq)))
@@ -512,13 +511,13 @@ def identity_report(data: CartanData) -> dict:
     f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
     fX = X.entrywise(lambda w: w * f)
     df2 = USeries.from_novikov(setup.monomial(2, 0), N, 2)
-    record("leibniz", _columns(gamma_u(data, fX) - (
+    record("leibniz", _columns(_apply(gu_op, fX) - (
         gu.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * df2))))
 
     # 7. Leibniz rule for Gamma_q with the same scalar f = q + u:
     #    Gamma_q(f x) = u * (df/dq) x + f Gamma_q(x),  u df/dq = u
     uf = USeries.from_novikov(setup.one(), N, 1)
-    record("gamma_q leibniz", _columns(gamma_q(data, fX) - (
+    record("gamma_q leibniz", _columns(_apply(gq_op, fX) - (
         gq.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * uf))))
 
     return {"regime": data.regime, "order": N,

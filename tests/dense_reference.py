@@ -40,6 +40,11 @@ of the finite2 checks return the same values and reports.
 sample block holds only the columns where q*omega has a tail, gives the
 same report.
 
+``unit_bracket`` is the bracket [op, d_eq] of the vector operators
+``gamma_q``, ``degree_weighted`` and ``gamma_u`` here, in the form
+op(d_eq) - d_eq op(1); ``test_dense_oracles.py`` asserts that the
+split-form brackets of ``cartan.identity_report`` equal it field for field.
+
 ``flatten`` builds the flattened complex of ``cartan.flatten_equivariant``
 from the components with its own index formula; ``test_cartan.py``
 asserts that the two agree.  ``induced_connection`` reads the classes off
@@ -621,6 +626,23 @@ def degree_weighted(data, vec):
             coeffs.append(NovikovElem.build(setup, pairs, c.trunc))
         out.append(USeries.build(setup, v.order, coeffs, v.valid))
     return out
+
+
+def unit_bracket(op, data):
+    """[op, d_eq] as op(d_eq) - d_eq op(1), with op one of the vector
+    operators above: op on every column of d_eq, less d_eq after op on
+    every unit column.  The derivation part of op obeys the Leibniz rule,
+    so the two terms differ by [op, d_eq].  This is the form that
+    ``cartan.identity_report`` used for identities 2-4 before it bracketed
+    each operator's split form (``cartan._apply`` with ``bracket``)."""
+    setup, N, n = data.setup, data.order, data.diff.n
+    d = d_eq_dense(data.diff)
+    z, one = USeries.zero(setup, N), USeries.from_novikov(setup.one(), N)
+    op_d = [op(data, [row[s] for row in d]) for s in range(n)]
+    op_1 = [op(data, [one if t == s else z for t in range(n)])
+            for s in range(n)]
+    d_op_1 = _dmul(d, [[col[t] for col in op_1] for t in range(n)], setup, N)
+    return [[op_d[s][t] - d_op_1[t][s] for s in range(n)] for t in range(n)]
 
 
 def _scan_zero(M, basis, identity_name):

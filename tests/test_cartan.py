@@ -21,7 +21,7 @@ from eqcartan.cartan import (
     solve_iota,
 )
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
-                                cohomology_over_novikov_field,
+                                cohomology_over_novikov_field, sample_block,
                                 validate_complex)
 from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, InternalError,
@@ -195,35 +195,41 @@ def test_identity_report_catches_wrong_iota():
     assert "connection commutes with d_eq" in bad
 
 
-def _without_iota(op):
-    """op as if the iota family were zero."""
-    return lambda data, X: op(CartanData(data.diff, (), data.regime), X)
+def _empty_matrix_part(data, split):
+    """The triple with its matrix part emptied."""
+    basis = data.diff.basis
+    return split._replace(
+        matrix=OperatorMatrix(basis, basis, {}, split.matrix.degree))
 
 
-def _degree_without_q_weight(data, X):
-    """degree_weighted without its 2E term: i(x) + 2k only."""
-    setup, basis = data.setup, data.diff.basis
-    return OperatorMatrix(X.source, X.target, {
-        (t, s): USeries.build(setup, v.order, [
-            c.scale(basis[t].index + 2 * k)
-            for k, c in enumerate(v.coeffs)], v.valid)
-        for (t, s), v in X.entries.items()}, X.degree)
+def _euler_without_2e(data, split):
+    """deg's triple with the 2E term dropped from its Euler derivation:
+    the term a q^E u^k times w + 2k."""
+    return split._replace(local=lambda v, w: USeries.build(
+        data.setup, v.order,
+        [c.scale((w or 0) + 2 * k) for k, c in enumerate(v.coeffs)], v.valid))
 
 
 @pytest.mark.parametrize("name,patch", [
-    ("connection commutes with d_eq", ("gamma_q", _without_iota(gamma_q))),
-    ("gamma_u commutator", ("gamma_u", _without_iota(gamma_u))),
-    ("index operator homogeneity",
-     ("degree_weighted", _degree_without_q_weight)),
+    ("connection commutes with d_eq", (gamma_q, "gamma_q", _empty_matrix_part)),
+    ("gamma_u commutator", (gamma_u, "gamma_u", _empty_matrix_part)),
+    ("index operator homogeneity", (degree_weighted, "deg", _euler_without_2e)),
 ])
 def test_identities_2_to_4_read_the_connection_operators(monkeypatch, name,
                                                          patch):
-    # identities 2-4 are commutators [op, d_eq] of the operators themselves,
-    # so an operator that loses a part fails its identity
+    # identities 2-4 bracket the triple (derivation, weight, matrix part)
+    # that the operators apply, so dropping a part of it changes the
+    # operator on a block and fails its identity
+    op, which, change = patch
     data, obstruction = solve_iota(monotone_pair())
     assert obstruction is None
     assert identity_report(data)["all_hold"]
-    monkeypatch.setattr(cartan, *patch)
+    X = sample_block(data.setup, data.diff.basis, data.order)
+    before = op(data, X).entries
+    split = cartan._split
+    monkeypatch.setattr(cartan, "_split", lambda d, o: (
+        change(d, split(d, o)) if o == which else split(d, o)))
+    assert op(data, X).entries != before
     by_name = {r["identity"]: r for r in identity_report(data)["identities"]}
     assert not by_name[name]["holds"]
 

@@ -45,7 +45,7 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as ref
 from conftest import (_coeff, densify, free_pair_differential,
                       multi_term_differential, random_equivariant_differential)
-from eqcartan import linalg
+from eqcartan import cartan, linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
                                 dvr_diagonalize, sample_block)
@@ -537,3 +537,139 @@ def test_identity_report_matches_dense_on_bench_instances(n, setup):
     assert obstruction is None
     assert _column_counts(data) == (0, 2 * n)
     assert identity_report(data) == ref.identity_report(data)
+
+
+# -- identities 2-4: split-form brackets against op(d_eq) - d_eq op(1) -------
+
+
+# each operator's name for cartan._split, its vector form here and the
+# u-power of its weight (None: its weights are zero)
+SPLIT_FORMS = [("gamma_q", ref.gamma_q, None),
+               ("deg", ref.degree_weighted, 0),
+               ("gamma_u", ref.gamma_u, 1)]
+
+
+def _unit_column_cancels(data):
+    """Whether some op(1)[s, s] = u mu_s - 2 q^(1-w) iota_eq[s, s] of
+    Gamma_u loses its leading q-term at u^1: the entry's u^1 coefficient
+    starts with the constant mu_s.  The unit form then multiplies d_ts by
+    the difference, while the split form scales d_ts by -mu_s and
+    multiplies it by the entry apart, so a q-tail of d_ts may reach its
+    bracket at the lower order."""
+    ring = data.setup.ring
+    for (t, s), v in data.iota_u.entries.items():
+        mu = ring.coerce(data.diff.basis[s].index)
+        if (t == s and mu and v.valid > 1
+                and v.coeffs[1].terms[:1] == ((0, mu),)):
+            return True
+    return False
+
+
+def _known_as_far(got, want):
+    """got has want's valid order and terms, up to q-tails no later than
+    want's."""
+    return got.valid == want.valid and all(
+        (math.inf if g.trunc is None else g.trunc)
+        <= (math.inf if w.trunc is None else w.trunc)
+        and g == NovikovElem.build(w.setup, w.terms, g.trunc)
+        for g, w in zip(got.coeffs, want.coeffs))
+
+
+def assert_split_brackets(data):
+    """[op, d_eq] from op's triple (derivation, weight, matrix part), and
+    [op, d_eq] - d_eq at the weight's power of u as identities 3-4 read
+    it, equal op(d_eq) - d_eq op(1) and that less d_eq entry for entry:
+    coefficients, q-tails and valid u-orders; neither stores a decidably
+    zero entry.  Only where Gamma_u's unit column cancels
+    (``_unit_column_cancels``) may its triple carry a q-tail earlier, with
+    the same terms below it."""
+    d_eq = data.diff.as_operator()
+    d = ref.d_eq_dense(data.diff)
+    n, zero = data.diff.n, USeries.zero(data.setup, data.order)
+    for which, op, power in SPLIT_FORMS:
+        bracket = ref.unit_bracket(op, data)
+        exact = op is not ref.gamma_u or not _unit_column_cancels(data)
+        for e in (0,) if power is None else (0, 1):
+            got = cartan._apply(cartan._split(data, which), d_eq, e).entries
+            assert not any(v.is_zero() for v in got.values())
+            for t in range(n):
+                for s in range(n):
+                    g = got.get((t, s), zero)
+                    w = bracket[t][s] - d[t][s].times_u(power) if e \
+                        else bracket[t][s]
+                    assert ((g, g.valid) == (w, w.valid) if exact
+                            else _known_as_far(g, w)), (which, e, t, s)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("setup", [gens.SETUP_Q, gens.SETUP_F5],
+                         ids=["Q", "F5"])
+def test_split_brackets_on_bench_instances(setup, n):
+    for k in range(3):
+        diff = gens.acyclic_differential(gens.seeded(
+            9101, "cartan-sparse", 0, k, n, setup.ring.describe()), setup, n)
+        data, obstruction = solve_iota(diff)
+        assert obstruction is None
+        assert_split_brackets(data)
+
+
+@pytest.mark.parametrize("regime", ["monotone", "cy"])
+@pytest.mark.parametrize("generator", [1, Fraction(1, 2)], ids=["Z", "Z/2"])
+@pytest.mark.parametrize("ring", ["Q", "F5"])
+def test_split_brackets_on_random_families(ring, generator, regime):
+    # the solved iota family, then a random one with tailed entries
+    setup = ScalarSetup.make(generator, ring)
+    for seed in range(6):
+        rng = random.Random(1300 + seed)
+        diff = random_equivariant_differential(rng, setup, max_gens=8,
+                                               order=3 + seed % 3)
+        data, obstruction = solve_iota(diff, regime)
+        assert_split_brackets(data if obstruction is None
+                              else CartanData(diff, (), regime))
+        assert_split_brackets(CartanData(diff, random_iota(rng, diff), regime))
+
+
+def tailed_data(rng, setup, regime):
+    """Random tailed d_k and iota_k (``random_entry``) on up to five
+    generators of random index, so that weights meet zero and each other
+    in the ring; d_eq need not square to zero."""
+    n = rng.randint(1, 5)
+    basis = tuple(GeneratorInfo(f"g{i}", rng.randint(-3, 8))
+                  for i in range(n))
+    comps = [{(t, s): random_entry(rng, setup) for t in range(n)
+              for s in range(n) if rng.random() < 0.5}
+             for _ in range(rng.randint(1, 3))]
+    diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis,
+                                         comps, order=rng.randint(3, 4))
+    return CartanData(diff, random_iota(rng, diff), regime)
+
+
+@pytest.mark.parametrize("ring", ["Z/6", "F2", "Q"])
+def test_split_brackets_on_tailed_data(ring):
+    setup = ScalarSetup.make(1, ring)
+    for seed in range(40):
+        for regime in ("monotone", "cy"):
+            assert_split_brackets(
+                tailed_data(random.Random(1400 + seed), setup, regime))
+
+
+def test_split_brackets_on_the_z6_data_scaled_before_the_product():
+    # the iota entry 3 + q^2 + O(q^4) and the vector q + O(q^3) over Z/6 of
+    # test_gamma_u_scales_iota_before_the_product, here as entries of d_eq
+    setup = ScalarSetup.make(1, "Z/6")
+    basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 1))
+    x = NovikovElem.build(setup, [(1, 1)], 3)
+    iota = OperatorMatrix(basis, basis, {
+        (0, 0): NovikovElem.build(setup, [(0, 3), (2, 1)], 4),
+        (1, 0): NovikovElem.build(setup, [(0, 3), (2, 1)], 4)})
+    for comps in ([{(1, 0): x}], [{(0, 0): x, (1, 0): x}, {(0, 1): x}]):
+        diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis,
+                                             comps, order=3)
+        for regime in ("monotone", "cy"):
+            assert_split_brackets(CartanData(diff, (iota,), regime))
+
+
+@pytest.mark.parametrize("fixture", CARTAN_FIXTURES)
+def test_split_brackets_on_fixtures(fixture):
+    assert_split_brackets(
+        cartan_from(load_document(str(ROOT / "fixtures" / fixture))))

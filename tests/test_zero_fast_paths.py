@@ -350,9 +350,11 @@ def test_monomial_products_build_nothing(monkeypatch, setup_q):
     # two exact monomials makes its one term directly and never reaches
     # NovikovElem.build; a regression would cost time, not an answer.  The
     # report's own sample block holds only the columns where iota has a
-    # tail, and these iota families have none
+    # tail, and these iota families have none.  The split operators scale
+    # by their weights without a product, so five draws keep the count of
+    # monomial products above 100
     solved = [solve_iota(random_equivariant_differential(
-        random.Random(seed), setup_q)) for seed in (0, 3, 7)]
+        random.Random(seed), setup_q)) for seed in (0, 3, 7, 9, 11)]
     assert all(obstruction is None for _, obstruction in solved)
     counts = {"monomial products": 0, "builds inside them": 0}
     inside = []
