@@ -14,9 +14,11 @@ and iota_k has degree 2w - 2k.  Each Cartan operator is one triple
     Gamma_u = (2u^2 d/du,    u mu, -2 q^(1-w) iota_eq)    (degree 2)
 
 so the pair (iota, monotone) and (q^-1 iota, cy) give the same operators.
-``gamma_q``, ``gamma_u`` and ``degree_weighted`` apply a triple to a block
-(an ``OperatorMatrix`` whose columns are u-series vectors): the derivation
-and the weight entrywise, the matrix part as one product with the block.
+A ``CartanData`` builds each triple once, when first used, with the sign
+and scalar of its matrix part on every entry; ``gamma_q``, ``gamma_u`` and
+``degree_weighted`` apply it to a block (an ``OperatorMatrix`` whose
+columns are u-series vectors): the derivation and the weight entrywise,
+plus the matrix part as one product with the block.
 By the Leibniz rule the bracket [op, d_eq] is the derivation on each entry
 d_ts, plus (w_t - w_s) d_ts, plus [M, d_eq]; ``identity_report`` checks
 [Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u d_eq in
@@ -145,6 +147,8 @@ class CartanData:
     regime: str = "monotone"
     _H: dict = field(default_factory=dict, init=False, repr=False,
                      compare=False)  # q-order -> H, for induced_connection
+    _ops: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)  # the operator table, for _op
 
     def __post_init__(self):
         self.iota = tuple(self.iota)
@@ -166,25 +170,12 @@ class CartanData:
         return _useries_operator(self.diff, basis, basis, _cells(self.iota),
                                  _iota_degree(self.regime, 0))
 
-    def _iota_times_q(self, power: int) -> OperatorMatrix:
-        """q^power iota_eq, of degree 2w + 2 power."""
-        steps = power * self.setup.lattice.steps_per_unit
-        return self.iota_eq.entrywise(lambda e: e.q_shift(steps),
-                                      self.iota_eq.degree + 2 * power)
-
-    @cached_property
-    def iota_q(self) -> OperatorMatrix:
-        """The matrix part of Gamma_q: q^-w iota_eq."""
-        return self._iota_times_q(-REGIMES[self.regime])
-
-    @cached_property
-    def iota_u(self) -> OperatorMatrix:
-        """The matrix part of Gamma_u without its sign, 2 iota_mono, scaled
-        before any product: that keeps more of a tailed column's product
-        where 2 is a zero divisor (Z/6)."""
-        two = self.setup.monomial(2, 0)
-        return self._iota_times_q(1 - REGIMES[self.regime]).entrywise(
-            lambda e: e.scale(two))
+    def _op(self, name: str) -> "_Split":
+        """The triple of "gamma_q", "deg" or "gamma_u" from this datum's
+        operator table, built by ``_split`` when first used."""
+        if name not in self._ops:
+            self._ops[name] = _split(self, name)
+        return self._ops[name]
 
 
 # -- USeries operators --------------------------------------------------------
@@ -378,25 +369,28 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
 class _Split(NamedTuple):
     """A Cartan operator as (derivation, diagonal weight, matrix part):
     ``local(v, w)`` is the derivation of v plus w v in one pass, and the
-    matrix part, of the operator's degree, is added or ``subtract``-ed."""
+    matrix part, of the operator's degree, carries the operator's sign and
+    scalar on every entry, so it is only ever added."""
 
     local: Callable[[USeries, Optional[int]], USeries]
     weights: Tuple[Optional[int], ...]
     matrix: Optional[OperatorMatrix]
-    subtract: bool = False
 
 
 def _split(data: CartanData, op: str) -> _Split:
-    """The triple of "gamma_q", "deg" or "gamma_u" (module docstring); a
-    row's weight is None where it is zero in the ring.  deg takes a q^E u^k
-    to (w + 2E + 2k) a q^E u^k, keeping each q-tail.  Gamma_u takes c_k u^k
-    to (2k + w) c_k u^(k+1), keeping c_k's q-tail where w is given (even a
-    zero difference of weights) or, for k >= 1, where 2 is not zero."""
-    setup, mu = data.setup, data.diff.mu_diag()
-    ring, lat = setup.ring, setup.lattice
+    """The triple of "gamma_q", "deg" or "gamma_u" (module docstring), for
+    ``CartanData._op``; a row's weight is None where it is zero in the ring.
+    deg takes a q^E u^k to (w + 2E + 2k) a q^E u^k, keeping each q-tail.
+    Gamma_u takes c_k u^k to (2k + w) c_k u^(k+1), keeping c_k's q-tail
+    where w is given (even a zero difference of weights) or, for k >= 1,
+    where 2 is not zero; its matrix part is scaled by -2 before any product,
+    which keeps more of a tailed product where 2 is a zero divisor (Z/6)."""
+    setup, mu, iota = data.setup, data.diff.mu_diag(), data.iota_eq
+    ring, lat, power = setup.ring, setup.lattice, REGIMES[data.regime]
     if op == "gamma_q":
-        return _Split(lambda v, w: useries_udq(v).times_u(),
-                      (None,) * len(mu), data.iota_q)
+        steps = -power * lat.steps_per_unit
+        return _Split(lambda v, w: useries_udq(v).times_u(), (None,) * len(mu),
+                      iota.entrywise(lambda e: e.q_shift(steps), 0))
     index = tuple(m if ring.coerce(m) != 0 else None for m in mu)
     if op == "deg":
         return _Split(lambda v, w: v._of(tuple(
@@ -405,18 +399,19 @@ def _split(data: CartanData, op: str) -> _Split:
                     a, (w or 0) + 2 * k + 2 * lat.exponent_of(n)))), c.trunc)
             for k, c in enumerate(v.coeffs))), index, None)
     zero, two = setup.zero(), ring.coerce(2) != 0
+    steps, minus_two = (1 - power) * lat.steps_per_unit, setup.monomial(-2, 0)
     return _Split(lambda v, w: v._of(((zero,) + tuple(
         zero if c.is_zero() or (w is None and not (k and two))
         else c.scale(2 * k + (w or 0))
         for k, c in enumerate(v.coeffs)))[:v.order]),
-        index, data.iota_u, True)
+        index, iota.entrywise(lambda e: e.q_shift(steps).scale(minus_two), 2))
 
 
 def _apply(op: _Split, X: OperatorMatrix,
            bracket: Optional[int] = None) -> OperatorMatrix:
     """op on a block of u-series columns: derivation and weight entrywise,
-    the matrix part as one product.  Given ``bracket`` = e, [op, X] - e u^p
-    X instead, p the weight's power of u: by the Leibniz rule X_ts's
+    plus the matrix part as one product.  Given ``bracket`` = e, [op, X] -
+    e u^p X instead, p the weight's power of u: by the Leibniz rule X_ts's
     derivation with weight w_t - w_s - e, plus [M, X] for the matrix M."""
     local, w, M, e = op.local, op.weights, op.matrix, bracket
     free = OperatorMatrix._made(X.source, X.target, {
@@ -424,23 +419,23 @@ def _apply(op: _Split, X: OperatorMatrix,
             w[t] if e is None or e == 0 and w[t] is None and w[s] is None
             else (w[t] or 0) - (w[s] or 0) - e))).is_zero()},
         X.degree + (0 if M is None else M.degree))
-    return free if M is None else free._sum(
-        M.compose(X) if e is None else _commutator(M, X), op.subtract)
+    return free if M is None else free + (
+        M.compose(X) if e is None else _commutator(M, X))
 
 
 def gamma_q(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Gamma_q = u d/dq + q^-w iota_eq, on a block of u-series columns."""
-    return _apply(_split(data, "gamma_q"), X)
+    return _apply(data._op("gamma_q"), X)
 
 
 def gamma_u(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Gamma_u = 2 u^2 d/du + u*mu - 2*iota_mono, on a block of columns."""
-    return _apply(_split(data, "gamma_u"), X)
+    return _apply(data._op("gamma_u"), X)
 
 
 def degree_weighted(data: CartanData, X: OperatorMatrix) -> OperatorMatrix:
     """Termwise multiplication by the total degree i(x) + 2E + 2k."""
-    return _apply(_split(data, "deg"), X)
+    return _apply(data._op("deg"), X)
 
 
 def _euler_bracket(data: CartanData, X: OperatorMatrix,
@@ -454,19 +449,31 @@ def _euler_bracket(data: CartanData, X: OperatorMatrix,
 # -- identity self-tests ------------------------------------------------------
 
 
+def _sample_block(data: CartanData) -> OperatorMatrix:
+    """The sample columns (``sample_block``) of the generators i where
+    column i of iota_eq holds an entry with a q-tail or with valid < order:
+    on the others the Euler relation and the Leibniz rules cancel exactly
+    (derivation parts termwise, matrix parts as equal exact products), to
+    decidably zero cells that an OperatorMatrix does not store."""
+    N = data.order
+    return sample_block(data.setup, data.diff.basis, N, sorted({
+        s for (_, s), v in data.iota_eq.entries.items()
+        if v.q_certificate() is not None or v.valid < N}))
+
+
 def identity_report(data: CartanData) -> dict:
     """Verify the matrix and operator identities of the Cartan package.
 
     Identities 2-4 are [Gamma_q, d_eq] = 0, [deg, d_eq] = d_eq and
-    [Gamma_u, d_eq] = u d_eq, each the bracket of the triple (``_split``)
-    that ``gamma_q``, ``degree_weighted`` and ``gamma_u`` apply, with no
-    operator applied to unit columns (``_apply``); 5-7 are checked on the
-    sample columns where iota_eq has a tail (``sample_block``: the others'
-    cells are decidably zero).  Each identity entry carries a verdict plus
-    the u-order and q-order indices to which the vanishing was certified.
+    [Gamma_u, d_eq] = u d_eq, each the bracket of the triple in the datum's
+    operator table (``CartanData._op``) that ``gamma_q``, ``degree_weighted``
+    and ``gamma_u`` apply, with no operator applied to unit columns
+    (``_apply``); 5-7 are checked on the sample columns where iota_eq has a
+    tail (``_sample_block``: the others' cells are decidably zero).  Each
+    identity entry carries a verdict plus the u-order and q-order indices
+    to which the vanishing was certified.
     """
-    diff, setup = data.diff, data.setup
-    N, basis, d_eq = diff.order, diff.basis, diff.as_operator()
+    setup, N, d_eq = data.setup, data.order, data.diff.as_operator()
     results = []
 
     def record(name, cells):
@@ -489,18 +496,18 @@ def identity_report(data: CartanData) -> dict:
     #    the regime's normalization: Gamma_q carries q^-w iota_eq, so the
     #    bracket is scaled by -q^w
     sign = setup.monomial(-1, REGIMES[data.regime])
-    gq_op, gu_op = _split(data, "gamma_q"), _split(data, "gamma_u")
+    gq_op, gu_op = data._op("gamma_q"), data._op("gamma_u")
     record("connection commutes with d_eq", _entries(
         _apply(gq_op, d_eq, 0).entrywise(lambda e: e.scale(sign))))
 
     # 3-4. [deg, d_eq] = d_eq and [Gamma_u, d_eq] = u * d_eq: d_eq has
     #      degree 1, at the weight's power of u
     record("index operator homogeneity",
-           _entries(_apply(_split(data, "deg"), d_eq, 1)))
+           _entries(_apply(data._op("deg"), d_eq, 1)))
     record("gamma_u commutator", _entries(_apply(gu_op, d_eq, 1)))
 
     # 5-7. operator identities on the sample block, column by column
-    X = sample_block(setup, basis, N, data.iota_eq)
+    X = _sample_block(data)
     gu, gq = _apply(gu_op, X), _apply(gq_op, X)
 
     # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
@@ -647,9 +654,9 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     Cohomology of the u-truncated complex is computed over the Novikov
     field together with its projection p onto the classes, once per datum
     and q-order with the class block and its text, which Gamma_q and
-    Gamma_u share (Gamma_u's matrix part ``CartanData.iota_u`` is built once
-    per datum); a degree no differential enters or leaves keeps its
-    generators as representatives.  Row c of the matrix is p(Gamma rep_c);
+    Gamma_u share, as they share the datum's operator table
+    (``CartanData._op``); a degree no differential enters or leaves keeps
+    its generators as representatives.  Row c of the matrix is p(Gamma rep_c);
     an image that is not a cocycle leaves a residue and is reported as not
     expressible.
     Well-definedness on cohomology is certified exactly: Gamma descends to

@@ -202,24 +202,15 @@ class OperatorMatrix:
 
 
 def sample_block(setup: ScalarSetup, basis, order: int,
-                 iota: Optional[OperatorMatrix] = None) -> OperatorMatrix:
+                 keep: Optional[Sequence[int]] = None) -> OperatorMatrix:
     """A block of u-series columns mod u^order for checking operator
-    identities on the module with this basis: each basis vector e_i and its
-    q,u-dressed variant q*u*e_i, as columns named "e_i" and "q*u*e_i".
-
-    Given ``iota``, the u-series matrix part of connections built from one
-    iota family, only the columns for the i where column i of iota holds an
-    entry with a q-tail or with valid < order: on the others the Euler
-    relation and the Leibniz rules cancel exactly (derivation parts
-    termwise, iota parts as equal exact products), to decidably zero cells
-    that an OperatorMatrix does not store."""
+    identities on the module with this basis: for each basis position i in
+    ``keep`` (every one when None), the basis vector e_i and its
+    q,u-dressed variant q*u*e_i, as columns named "e_i" and "q*u*e_i"."""
     one = USeries.from_novikov(setup.one(), order)
     dressed = USeries.from_novikov(setup.monomial(1, 1), order, 1)
-    keep = range(len(basis)) if iota is None else sorted({
-        s for (_, s), v in iota.entries.items()
-        if v.q_certificate() is not None or v.valid < order})
     columns, entries = [], {}
-    for i in keep:
+    for i in range(len(basis)) if keep is None else keep:
         entries[(i, len(columns))] = one
         columns.append(GeneratorInfo(f"e_{i}", basis[i].index))
         entries[(i, len(columns))] = dressed

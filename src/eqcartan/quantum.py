@@ -52,9 +52,10 @@ from .novikov import (
     ScalarSetup,
     USeries,
 )
-from .complexes import GeneratorInfo, GradingKind, OperatorMatrix, sample_block
+from .complexes import GeneratorInfo, GradingKind, OperatorMatrix
 from .cartan import (CartanData, EquivariantDifferential, _columns,
-                     _euler_bracket, _iota_degree, gamma_q, gamma_u)
+                     _euler_bracket, _iota_degree, _sample_block, gamma_q,
+                     gamma_u)
 
 __all__ = [
     "QuantumRing",
@@ -199,14 +200,14 @@ def uq_identity_check(Q: QuantumRing, order: int = 3) -> dict:
     expansion of D_u and of B, compared exactly and after the q -> 1
     specialization.  With d = 0, D_u and B expand to the same formula and B
     is q-linear for every table and omega, so steps 2 and 3 run only on the
-    sample columns where L_{q omega} has a tail (``sample_block``): on an
-    exact table only homogeneity witnesses can appear.
+    sample columns where L_{q omega} has a tail (``cartan._sample_block``):
+    on an exact table only homogeneity witnesses can appear.
     """
     setup = Q.setup
     step = setup.lattice.steps_per_unit
     homog = Q.homogeneity_witnesses()
     data = Q.cartan_data(order)
-    X = sample_block(setup, Q.basis, order, data.iota_eq)
+    X = _sample_block(data)
     B = _euler_bracket(data, X, gamma_q(data, X))
     qX = X.entrywise(lambda v: v.q_shift(step))
     defect = (_euler_bracket(data, qX, gamma_q(data, qX))

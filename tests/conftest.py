@@ -46,42 +46,28 @@ def via_block(fn, basis, vec, zero):
 # equivariant differential; we reject draws whose top components exceed K = 3.
 
 
-def _mat_mul(A, B, setup):
-    n = len(A)
-    z = setup.zero()
-    out = [[z] * n for _ in range(n)]
-    for t in range(n):
-        for m in range(n):
-            if A[t][m]:
-                for s in range(n):
-                    if B[m][s]:
-                        out[t][s] = out[t][s] + A[t][m] * B[m][s]
-    return out
-
-
 def _conjugate_components(comps, j, f, a, b, setup, order):
-    """Components of (1 + u^j f E_ab) d (1 - u^j f E_ab), truncated at order."""
+    """Components of (1 + u^j f E_ab) d (1 - u^j f E_ab), truncated at order:
+    u^j [E, d_k] is added at k + j and u^2j E d_k E subtracted at k + 2j."""
     n = len(comps[0])
     z = setup.zero()
     zero = [[z] * n for _ in range(n)]
     out = [[row[:] for row in (comps[k] if k < len(comps) else zero)]
            for k in range(order)]
-    E = [[z] * n for _ in range(n)]
-    E[a][b] = f
+    basis = tuple(GeneratorInfo(str(i)) for i in range(n))
+    E = OperatorMatrix(basis, basis, {(a, b): f})
     for k, d_k in enumerate(comps):
-        Ed = _mat_mul(E, d_k, setup)
-        dE = _mat_mul(d_k, E, setup)
-        EdE = _mat_mul(Ed, E, setup)
+        d = OperatorMatrix(basis, basis, {
+            (t, s): v for t, row in enumerate(d_k) for s, v in enumerate(row)})
+        Ed = E.compose(d)
         if k + j < order:
             M = out[k + j]
-            for t in range(n):
-                for s in range(n):
-                    M[t][s] = M[t][s] + Ed[t][s] - dE[t][s]
+            for (t, s), v in (Ed - d.compose(E)).entries.items():
+                M[t][s] = M[t][s] + v
         if k + 2 * j < order:
             M = out[k + 2 * j]
-            for t in range(n):
-                for s in range(n):
-                    M[t][s] = M[t][s] - EdE[t][s]
+            for (t, s), v in Ed.compose(E).entries.items():
+                M[t][s] = M[t][s] - v
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, InternalError,
                               NovikovElem, ScalarSetup, USeries,
                               parse_novikov)
+from eqcartan.quantum import projective_space_model, uq_identity_check
 from eqcartan.schema import differential_family_from, load_document
 
 import dense_reference as ref
@@ -219,7 +221,8 @@ def test_identities_2_to_4_read_the_connection_operators(monkeypatch, name,
                                                          patch):
     # identities 2-4 bracket the triple (derivation, weight, matrix part)
     # that the operators apply, so dropping a part of it changes the
-    # operator on a block and fails its identity
+    # operator on a block and fails its identity; a datum builds each triple
+    # once, so the changed one is read by a fresh datum
     op, which, change = patch
     data, obstruction = solve_iota(monotone_pair())
     assert obstruction is None
@@ -229,9 +232,36 @@ def test_identities_2_to_4_read_the_connection_operators(monkeypatch, name,
     split = cartan._split
     monkeypatch.setattr(cartan, "_split", lambda d, o: (
         change(d, split(d, o)) if o == which else split(d, o)))
-    assert op(data, X).entries != before
-    by_name = {r["identity"]: r for r in identity_report(data)["identities"]}
-    assert not by_name[name]["holds"]
+    changed = CartanData(data.diff, data.iota, data.regime)
+    assert op(changed, X).entries != before
+    report = identity_report(changed)
+    assert not {r["identity"]: r for r in report["identities"]}[name]["holds"]
+
+
+def test_each_datum_builds_each_triple_at_most_once(monkeypatch):
+    # every reader of the Cartan operators takes them from the datum's
+    # table: the report, the three operators on a block, both induced
+    # connections, and uq_identity_check on its own datum
+    built, seen = Counter(), []
+    split = cartan._split
+
+    def spy(data, op):
+        built[id(data), op] += 1
+        seen.append(data)  # keeps every id in use by one datum
+        return split(data, op)
+
+    monkeypatch.setattr(cartan, "_split", spy)
+    data, obstruction = solve_iota(monotone_pair(extra_free=True))
+    assert obstruction is None
+    identity_report(data)
+    X = sample_block(data.setup, data.diff.basis, data.order)
+    for op in (gamma_q, degree_weighted, gamma_u):
+        assert op(data, X).entries
+    for which in ("gamma_q", "gamma_u"):
+        assert induced_connection(data, which)["matrix"]
+    assert uq_identity_check(projective_space_model(2, SETUP))["holds"]
+    assert len({key for key, _ in built}) == 2
+    assert sorted(built.values()) == [1] * 6
 
 
 def test_gamma_u_scales_iota_before_the_product():

@@ -48,7 +48,7 @@ from conftest import (_coeff, densify, free_pair_differential,
 from eqcartan import cartan, linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
-                                dvr_diagonalize, sample_block)
+                                dvr_diagonalize)
 from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import NovikovElem, ScalarSetup, USeries
 from eqcartan.schema import cartan_from, load_document
@@ -480,8 +480,7 @@ def test_identity_report_matches_dense_on_wrong_iota(seed):
 
 def _column_counts(data):
     """(sample columns kept, sample columns left out) by the column rule."""
-    kept = len(sample_block(data.setup, data.diff.basis, data.order,
-                            data.iota_eq).source)
+    kept = len(cartan._sample_block(data).source)
     return kept, 2 * data.diff.n - kept
 
 
@@ -542,7 +541,7 @@ def test_identity_report_matches_dense_on_bench_instances(n, setup):
 # -- identities 2-4: split-form brackets against op(d_eq) - d_eq op(1) -------
 
 
-# each operator's name for cartan._split, its vector form here and the
+# each operator's name in the operator table, its vector form here and the
 # u-power of its weight (None: its weights are zero)
 SPLIT_FORMS = [("gamma_q", ref.gamma_q, None),
                ("deg", ref.degree_weighted, 0),
@@ -550,17 +549,17 @@ SPLIT_FORMS = [("gamma_q", ref.gamma_q, None),
 
 
 def _unit_column_cancels(data):
-    """Whether some op(1)[s, s] = u mu_s - 2 q^(1-w) iota_eq[s, s] of
-    Gamma_u loses its leading q-term at u^1: the entry's u^1 coefficient
-    starts with the constant mu_s.  The unit form then multiplies d_ts by
-    the difference, while the split form scales d_ts by -mu_s and
-    multiplies it by the entry apart, so a q-tail of d_ts may reach its
-    bracket at the lower order."""
+    """Whether some op(1)[s, s] = u mu_s + M[s, s] of Gamma_u, M its matrix
+    part -2 q^(1-w) iota_eq, loses its leading q-term at u^1: the u^1
+    coefficient of M[s, s] starts with the constant -mu_s.  The unit form
+    then multiplies d_ts by the sum, while the split form scales d_ts by
+    -mu_s and multiplies it by M's entry apart, so a q-tail of d_ts may
+    reach its bracket at the lower order."""
     ring = data.setup.ring
-    for (t, s), v in data.iota_u.entries.items():
-        mu = ring.coerce(data.diff.basis[s].index)
-        if (t == s and mu and v.valid > 1
-                and v.coeffs[1].terms[:1] == ((0, mu),)):
+    for (t, s), v in data._op("gamma_u").matrix.entries.items():
+        index = data.diff.basis[s].index
+        if (t == s and ring.coerce(index) and v.valid > 1
+                and v.coeffs[1].terms[:1] == ((0, ring.coerce(-index)),)):
             return True
     return False
 
@@ -590,7 +589,7 @@ def assert_split_brackets(data):
         bracket = ref.unit_bracket(op, data)
         exact = op is not ref.gamma_u or not _unit_column_cancels(data)
         for e in (0,) if power is None else (0, 1):
-            got = cartan._apply(cartan._split(data, which), d_eq, e).entries
+            got = cartan._apply(data._op(which), d_eq, e).entries
             assert not any(v.is_zero() for v in got.values())
             for t in range(n):
                 for s in range(n):
