@@ -673,14 +673,15 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
         raise NovikovError(f"unknown operator {which!r}")
     op = gamma_q if which == "gamma_q" else gamma_u
     diff = data.diff
-    iota_trivial = all(iota_k.is_visibly_zero() for iota_k in data.iota)
+    # the matrix part op applies: empty where -2 = 0 or iota is past u^N
+    zero = data._op(which).matrix.is_visibly_zero()
     if which == "gamma_q":
-        form = "u*d/dq" if iota_trivial else "u*d/dq + iota part"
+        form = "u*d/dq" if zero else "u*d/dq + iota part"
     else:
-        form = ("2*u^2*d/du + u*mu" if iota_trivial
+        form = ("2*u^2*d/du + u*mu" if zero
                 else "2*u^2*d/du + u*mu - 2*iota part")
     out = {"operator": which, "operator_form": form,
-           "matrix_part_is_zero": iota_trivial, "classes": [],
+           "matrix_part_is_zero": zero, "classes": [],
            "matrix": [], "well_defined": True, "issues": []}
     if _contract(diff)[0]:
         return out

@@ -53,13 +53,12 @@ def cmd_validate(args) -> int:
         from . import complexes as cx
         put("complex", cx.validate_complex(schema_mod.complex_from(doc)))
     if doc.keys() & {"d_family", "iota_family", "lambda_family"}:
-        from . import cartan as cartan_mod
+        from . import complexes as cx
         # read as the cartan commands read them: malformed, exit 2
         diff = schema_mod.cartan_from(doc).diff
         d_eq = diff.as_operator()
-        put("d_family", cartan_mod._scan(
-            "d_eq squared", cartan_mod._entries(d_eq.compose(d_eq)),
-            diff.order)[0])
+        put("d_family", cx._witnesses(d_eq.compose(d_eq),
+                                      identity="d_eq squared"))
         lam_doc = schema_mod.lambda_family_from(doc, diff)
         if lam_doc is not None:
             put("lambda_family", _lambda_mismatches(diff, lam_doc))

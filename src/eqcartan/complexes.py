@@ -317,10 +317,11 @@ class CohomologyReport(dict):
     projection p onto its classes.
 
     ``blocks`` holds, per displayed degree in increasing order, the
-    degree's generators, its reduced image rows (None if nothing maps in)
-    and its representatives as (column, sparse vector) pairs; a vector is 1
-    at its column, where the other representatives and the image rows are
-    0, and 0 at every image pivot column.  ``classes`` names the classes
+    degree's generators, the ``linalg.Reduction`` of its image rows (of no
+    rows if nothing maps in) and its representatives as (column, sparse
+    vector) pairs; a vector is 1 at its column, where the other
+    representatives and the image rows are 0, and 0 at every image pivot
+    column.  ``classes`` names the classes
     in that order: class c is "class c" and carries its degree as index.
     """
 
@@ -344,8 +345,7 @@ class CohomologyReport(dict):
         coeffs, residues, first = {}, {}, 0
         for (gens, images, reps), columns in zip(self.blocks, parts):
             for s, w in columns.items():
-                if images is not None:
-                    images._reduce(w)
+                images._reduce(w)
                 a = [(first + j, w[col], rep)
                      for j, (col, rep) in enumerate(reps) if col in w]
                 for c, aj, rep in a:
@@ -402,32 +402,28 @@ def cohomology_over_novikov_field(C: GradedComplex,
     for (t, s), v in C.d.entries.items():
         k = degree[s]
         rows[k][pos[t]][pos[s]] = columns[k][pos[s]][pos[t]] = v
-    reductions = {}  # k -> (columns of the block of d, reduction)
-    rank = {}
-    verified = None
-    for k in degrees:
-        red = linalg.row_reduce(rows[k], setup, q_order) if rows[k] else None
-        if red is not None:
-            verified = _min_trunc(verified, red.verified_trunc)
-        reductions[k] = (columns[k], red)
-        rank[k] = red.rank if red is not None else 0
+    reductions = {k: linalg.row_reduce(rows[k], setup, q_order)
+                  for k in degrees}
 
     report = CohomologyReport(degrees={}, certificate={
-        "verified_q_order_index": verified,
+        "verified_q_order_index": _min_trunc(
+            *(red.verified_trunc for red in reductions.values())),
         "pivot_rule": "minimal q-valuation, then row, then column",
     })
     report.blocks, report.classes = [], []
     zero = setup.zero()
     for k in degrees:
-        n_k = len(C.generators_in_degree(k))
-        # incoming differential: the degree whose image lands in degree k
+        n_k, red = len(C.generators_in_degree(k)), reductions[k]
+        # the blocks into degree k: their rows are degree k's generators,
+        # so their pivot columns span the image
         incoming = [j for j in degrees
-                    if C.grading.displayed(j + C.d.degree) == k and rank[j]]
-        r_in = sum(rank[j] for j in incoming)
-        r_out = rank[k]
-        betti = n_k - r_out - r_in
-        images = _image_reduction(C, reductions, k, incoming, q_order)
-        reps = _representatives(C, reductions, k, images, q_order)
+                    if C.grading.displayed(j + C.d.degree) == k]
+        r_in = sum(reductions[j].rank for j in incoming)
+        betti = n_k - red.rank - r_in
+        images = linalg.row_reduce([columns[j][pc] for j in incoming
+                                    for _, pc in reductions[j].pivots],
+                                   setup, q_order)
+        reps = _representatives(setup, red, n_k, images, q_order)
         if len(reps) != betti:
             if bad := _witnesses(C.d.compose(C.d)):
                 raise InputError("d does not square to zero at ({},{}): {}"
@@ -438,7 +434,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
             )
         report["degrees"][k] = {
             "generators": n_k,
-            "rank_out": r_out,
+            "rank_out": red.rank,
             "rank_in": r_in,
             "betti": betti,
             "representatives": [
@@ -451,33 +447,17 @@ def cohomology_over_novikov_field(C: GradedComplex,
     return report
 
 
-def _image_reduction(C, reductions, k, incoming, q_order):
-    """The image of the incoming blocks in degree-k coordinates, row
-    reduced, or None when nothing maps into degree k."""
-    images = []
-    for j in incoming:
-        # the block's rows are degree k's generators: its pivot columns
-        # are the images
-        columns_j, red_j = reductions[j]
-        images += [columns_j[pc] for _, pc in red_j.pivots]
-    return linalg.row_reduce(images, C.setup, q_order) if images else None
-
-
-def _representatives(C, reductions, k, images, q_order):
-    """Kernel of d^k reduced modulo the image, as (column, vector) pairs:
-    see ``CohomologyReport``; vectors are sparse in degree-k coordinates.
+def _representatives(setup, red, n, images, q_order):
+    """Kernel of the block ``red`` of d on a degree of n generators,
+    reduced modulo the ``images``, as (column, vector) pairs: see
+    ``CohomologyReport``; vectors are sparse in the degree's coordinates.
     No truncated inverse enters an elimination here; the representatives
     are divided by their pivots once, at the output of the last one."""
-    setup = C.setup
-    _, red = reductions[k]
-    nk = len(C.generators_in_degree(k))
-    kern = (red._kernel(nk) if red is not None
-            else [{i: setup.one()} for i in range(nk)])
-    if not kern or red is None and images is None:
-        return list(enumerate(kern))  # none, or unit vectors: reduced
-    if images is not None:
-        kern = [images._clear(v) for v in kern]
-    final = linalg.row_reduce(kern, setup, q_order)
+    kern = red._kernel(n)
+    if not (red.pivots or images.pivots):
+        return list(enumerate(kern))  # unit vectors: reduced
+    final = linalg.row_reduce([images._clear(v) for v in kern], setup,
+                              q_order)
     return [(c, final.reduced[r]) for r, c in final.pivots]
 
 
@@ -511,14 +491,16 @@ class DecompositionReport:
         }
 
 
-def dvr_diagonalize(rows: Sequence[linalg.Row], setup: ScalarSetup,
+def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
                     analysis_order: int, q_order: Optional[int] = None):
     """Smith-style diagonalization over Lambda[[u]].
 
     Returns (pivots, verified_trunc) where pivots is a list of
     (row, col, u_valuation).  Pivot valuations >= analysis_order are still
     returned (callers classify them as undetermined).  Raises
-    UndeterminedError when precision erosion makes a pivot choice unsound.
+    UndeterminedError when precision erosion makes a pivot choice unsound,
+    and CoefficientError for an entry over a ring that is not a field:
+    rows with no entry need no field, nor a ``setup`` (a zero d_eq).
 
     A row-only pass on sparse rows {column: USeries} that store every entry
     not decidably zero.  The pivot u^v w (w a unit) has the least
@@ -530,9 +512,9 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: ScalarSetup,
     """
     if q_order is None:
         q_order = linalg.DEFAULT_Q_ORDER()
-    if not setup.ring.is_field:
-        raise CoefficientError("DVR decomposition requires field coefficients")
     free = dict(enumerate(linalg._sparse(rows)))
+    if any(free.values()) and not setup.ring.is_field:
+        raise CoefficientError("DVR decomposition requires field coefficients")
     col_rows = defaultdict(set)
     for r, row in free.items():
         for c in row:
@@ -604,13 +586,6 @@ def u_module_decomposition(d_eq: OperatorMatrix,
     sample = next(iter(d_eq.entries.values()), None)
     entry_order = sample.order if sample is not None else 1
     N = analysis_order if analysis_order is not None else entry_order
-    setup = (sample.setup if sample is not None else None)
-    if setup is None:
-        # zero differential: everything is free
-        rep = DecompositionReport(order=N)
-        for g in basis:
-            rep.degree_entry(grading.displayed(g.index))["free_rank"] += 1
-        return rep
     sq = d_eq.compose(d_eq)
     for (t, s), v in sq.entries.items():
         if not v.is_zero_to(N):
@@ -621,7 +596,8 @@ def u_module_decomposition(d_eq: OperatorMatrix,
     rows = [{} for _ in basis]
     for (t, s), v in d_eq.entries.items():
         rows[t][s] = v
-    pivots, verified = dvr_diagonalize(rows, setup, N, q_order)
+    pivots, verified = dvr_diagonalize(
+        rows, None if sample is None else sample.setup, N, q_order)
     rep = DecompositionReport(order=N, verified_q_order_index=verified)
     used = set()
     for pr, pc, v in pivots:
@@ -799,8 +775,6 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
         if dim_s != dim_t:
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": f"cohomology ranks differ ({dim_s} vs {dim_t})"}
-        if dim_s == 0:
-            continue
         # lower degrees agree, so both list the classes of degree k here
         span = [c for c, g in enumerate(ht.classes) if g.index == k]
         if any(s in residues for s in span):

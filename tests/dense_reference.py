@@ -1209,8 +1209,7 @@ def project(H, vec):
         if all(e.is_zero() for e in w):
             coeffs.extend([w[0]] * len(reps))
             continue
-        if images is not None:
-            reduce_dense(images, w)
+        reduce_dense(images, w)
         a = [w[col] for col, _ in reps]
         for aj, (_, rep) in zip(a, reps):
             if aj.has_terms():

@@ -446,6 +446,26 @@ def test_induced_connection_exact_case_is_u_dq():
     assert out["well_defined"]
 
 
+@pytest.mark.parametrize("which", ["gamma_q", "gamma_u"])
+def test_induced_connection_header_reads_the_applied_matrix_part(which):
+    """The header describes the matrix part of the operator applied, not
+    the iota family: over F2 Gamma_u's -2 q^(1-w) iota_eq is empty though
+    iota_0 = 1, and an iota_k with k >= the u-order is dropped from both."""
+    basis = [GeneratorInfo("x", 0)]
+    forms = {"gamma_q": ("u*d/dq", "u*d/dq + iota part"),
+             "gamma_u": ("2*u^2*d/du + u*mu",
+                         "2*u^2*d/du + u*mu - 2*iota part")}
+    for setup, k, zero in ((ScalarSetup.make(1, "F2"), 0, which == "gamma_u"),
+                           (SETUP, 2, True), (SETUP, 1, False)):
+        diff = EquivariantDifferential.build(setup, GradingKind("Z"), basis,
+                                             [{}], order=2)
+        iota = [OperatorMatrix(basis, basis, {}, 0)] * k + [OperatorMatrix(
+            basis, basis, {(0, 0): setup.one()}, 0)]
+        out = induced_connection(CartanData(diff, iota), which)
+        assert out["matrix_part_is_zero"] is zero
+        assert out["operator_form"] == forms[which][not zero]
+
+
 def test_induced_connection_on_surviving_classes():
     data, obstruction = solve_iota(monotone_pair(extra_free=True))
     assert obstruction is None

@@ -501,6 +501,56 @@ def _with_tails(rng, setup, n):
     return col
 
 
+def _empty_blocks(seed):
+    """A complex with an empty block of each kind: degree 0 maps onto a
+    line of degree 1, whose target degree 2 holds no generator, so its
+    block of d has no rows; c in degree 4 is a degree that no map enters or
+    leaves, though its target degree 5 holds e, which maps nowhere."""
+    rng = random.Random(1700 + seed)
+    setup = rng.choice([SETUP_Q, SETUP_F5])
+    basis = tuple(GeneratorInfo(n, k) for n, k in (
+        ("x0", 0), ("y0", 1), ("x1", 0), ("c", 4), ("y1", 1), ("e", 5)))
+
+    def monomial():
+        return setup.monomial(rng.choice([1, 2, -1]), rng.randint(-1, 2))
+
+    column, g = {1: monomial(), 4: monomial()}, monomial()
+    entries = {(t, 0): v for t, v in column.items()}
+    entries.update({(t, 2): g * v for t, v in column.items()})
+    return GradedComplex(setup, GradingKind("Z"), basis,
+                         OperatorMatrix(basis, basis, entries, 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_empty_blocks_match_the_dense_ranks(seed):
+    """Every block of d is eliminated, an empty one too: the ranks, Betti
+    numbers and representatives agree with the dense elimination, and a
+    degree with no map in or out keeps its generators as classes."""
+    C = _empty_blocks(seed)
+    H = cohomology_over_novikov_field(C)
+    zero, one = C.setup.zero(), C.setup.one()
+
+    def rank(k):  # of the block of d from degree k, by the dense reference
+        rows = [[C.d.entries.get((t, s), zero)
+                 for s in C.generators_in_degree(k)]
+                for t in C.generators_in_degree(k + 1)]
+        return len(ref.row_reduce(rows, C.setup)[2])
+
+    for k, entry in H["degrees"].items():
+        assert (entry["rank_out"], entry["rank_in"]) == (rank(k), rank(k - 1))
+    assert {k: e["betti"] for k, e in H["degrees"].items()} == {
+        0: 1, 1: 1, 4: 1, 5: 1}
+    for k in (4, 5):
+        assert [[v.terms for v in rep] for rep in
+                H["degrees"][k]["representatives"]] == [[one.terms]]
+    X = H.class_block(C.basis)
+    assert C.d.compose(X).is_visibly_zero()
+    coeffs, residues = H.project(X)
+    assert residues == {}
+    assert {k: v.terms for k, v in coeffs.entries.items()} == {
+        (j, j): one.terms for j in range(4)}
+
+
 ORACLE_CASES = ([(f"flat-{s}", lambda s=s: _random_flat_complex(s))
                  for s in range(12)]
                 + [(f"graded-{s}", lambda s=s: _graded_chain(s))
@@ -508,7 +558,9 @@ ORACLE_CASES = ([(f"flat-{s}", lambda s=s: _random_flat_complex(s))
                 + [(f"tailed-{s}", lambda s=s: _graded_chain(s, True))
                    for s in range(16, 28)]
                 + [(f"tailed-pair-{s}", lambda s=s: _tailed_pair(s))
-                   for s in range(16)])
+                   for s in range(16)]
+                + [(f"empty-blocks-{s}", lambda s=s: _empty_blocks(s))
+                   for s in range(4)])
 
 
 @pytest.mark.parametrize("make", [m for _, m in ORACLE_CASES],
@@ -594,3 +646,21 @@ def test_cone_of_a_zero_map_between_surviving_classes_is_not_quasi_iso():
     assert verdicts["minus"] == {
         "quasi_isomorphism": False, "degree": 2,
         "reason": "induced map not surjective modulo boundaries"}
+
+
+def test_cone_verdict_passes_a_degree_without_classes():
+    """Degrees 1 and 2 hold no class between the classes of a and b: the
+    verdict on c (identity but on b) goes through them to degree 3."""
+    basis = tuple(GeneratorInfo(n, k) for n, k in (
+        ("a", 0), ("x", 1), ("y", 2), ("b", 3)))
+    C = GradedComplex.build(SETUP_Q, GradingKind("Z"), basis,
+                            {(2, 1): SETUP_Q.monomial(1, 2)})
+    c = OperatorMatrix(basis, basis,
+                       {(i, i): SETUP_Q.one() for i in range(3)}, 0)
+    assert [e["betti"] for e in cohomology_over_novikov_field(C)[
+        "degrees"].values()] == [1, 0, 0, 1]
+    verdicts = _verdicts_match(c, C, C)
+    assert verdicts["minus"] == {
+        "quasi_isomorphism": False, "degree": 3,
+        "reason": "induced map not surjective modulo boundaries"}
+    assert verdicts["plus"] == {"quasi_isomorphism": True}

@@ -17,7 +17,9 @@ from eqcartan.complexes import (
     u_module_decomposition,
     validate_complex,
 )
-from eqcartan.novikov import InputError, InternalError, NovikovError, ScalarSetup, USeries
+from eqcartan.cartan import EquivariantDifferential
+from eqcartan.novikov import (CoefficientError, InputError, InternalError,
+                              NovikovElem, NovikovError, ScalarSetup, USeries)
 
 from conftest import random_equivariant_differential, via_block
 
@@ -362,6 +364,37 @@ def test_torsion_degree_convention():
                                  grading=GradingKind("Z"))
     assert rep.per_degree[0]["torsion_orders"] == [1]
     assert rep.torsion_with_degree == [(0, 1)]
+
+
+@pytest.mark.parametrize("ring", ["Q", "Z"])
+@pytest.mark.parametrize("order", [None, 4])
+def test_a_zero_d_eq_is_free_in_every_displayed_degree(ring, order):
+    """A zero d_eq goes through the DVR pass with no entry to eliminate,
+    which needs no field: over Z too, every generator is free."""
+    basis = tuple(GeneratorInfo(n, k) for n, k in (
+        ("a", 0), ("b", 3), ("c", 1), ("d", 2), ("e", 5)))
+    d_eq = EquivariantDifferential.build(
+        ScalarSetup.make(1, ring), GradingKind("Z/2"), basis, [{}],
+        order=3).as_operator()
+    rep = u_module_decomposition(d_eq, analysis_order=order,
+                                 grading=GradingKind("Z/2"))
+    assert rep.order == (1 if order is None else order)
+    assert rep.verified_q_order_index is None
+    assert rep.per_degree == {
+        0: {"free_rank": 2, "torsion_orders": [], "undetermined": 0},
+        1: {"free_rank": 3, "torsion_orders": [], "undetermined": 0}}
+
+
+def test_dvr_diagonalize_asks_for_a_field_only_for_an_entry():
+    setup = ScalarSetup.make(1, "Z")
+    zero = USeries.zero(setup, 3)
+    assert dvr_diagonalize([], setup, 3) == ([], None)
+    assert dvr_diagonalize([{}, [zero, zero], {1: zero}], setup, 3) == (
+        [], None)
+    for entry in (USeries.from_novikov(setup.monomial(2, 1), 3),
+                  USeries.build(setup, 3, [NovikovElem(setup, (), 2)])):
+        with pytest.raises(CoefficientError, match="field coefficients"):
+            dvr_diagonalize([{}, [zero, entry]], setup, 3)
 
 
 # -- long exact sequence bookkeeping ------------------------------------------
