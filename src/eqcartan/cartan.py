@@ -258,10 +258,10 @@ def _contract(diff: EquivariantDifferential
     h^2 = 0 when every pivot is a monomial, else None.  On exact input
     neither depends on a q-order.
 
-    For a pivot (r, c), transform row r sends column c of d_0 to 1 and the
-    other pivot columns to 0, so these rows G invert d_0 on B = im d_0 and
-    G d_0 projects onto the pivot columns' span S along B: h = G (1 - G d_0)
-    is (d_0|S)^-1 on B and 0 on S, exact as monomial pivots invert exactly.
+    For a pivot (r, c), scaled_transform row r over its (monomial) pivot
+    sends column c of d_0 to 1 and the other pivot columns to 0: these rows
+    G invert d_0 on B = im d_0, G d_0 projects onto the pivot columns' span
+    S along B, and h = G (1 - G d_0), exact, is (d_0|S)^-1 on B, 0 on S.
     """
     if diff._contraction is not None:
         return diff._contraction
@@ -280,8 +280,8 @@ def _contract(diff: EquivariantDifferential
         if acyclic and all(len(red.scaled[r][c].terms) == 1
                            for r, c in red.pivots):
             G = OperatorMatrix._made(basis, basis, {
-                (c, j): e for r, c in red.pivots
-                for j, e in red.transform[r].items()}, -1)
+                (c, j): red._divide(r, e) for r, c in red.pivots
+                for j, e in red.scaled_transform[r].items()}, -1)
             h = G - G.compose(G.compose(d0))
     diff._contraction = acyclic, h
     return acyclic, h
@@ -325,34 +325,32 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     z = setup.zero()
 
     _, h = _contract(diff)
+    if h is None:
+        # vectorized commutator with d_0, as sparse rows: row (a,b),
+        # unknown entry (c,e)
+        com = [{} for _ in range(n * n)]
+        for (a, c), v in d0.entries.items():
+            for b in range(n):
+                row = com[a * n + b]
+                row[c * n + b] = row.get(c * n + b, z) + v
+        for (e, b), v in d0.entries.items():
+            for a in range(n):
+                row = com[a * n + b]
+                row[a * n + e] = row.get(a * n + e, z) - v
+        red = linalg.row_reduce(com, setup, q_order)
+
     iotas: List[OperatorMatrix] = []
-    if h is not None:
-        for k in range(N):
-            rhs = _residual(diff, lam, iotas, k)
+    for k in range(N):
+        rhs = _residual(diff, lam, iotas, k)
+        if h is not None:
             iotas.append(OperatorMatrix._made(
                 basis, basis, h.compose(rhs).entries, _iota_degree(regime, k)))
             if (_commutator(d0, iotas[k]) - rhs).entries:
                 raise InternalError(
                     f"the homotopy of d_0 does not solve order {k}")
-        return CartanData(diff, tuple(iotas), regime), None
-
-    # vectorized commutator with d_0, as sparse rows: row (a,b), unknown
-    # entry (c,e)
-    com = [{} for _ in range(n * n)]
-    for (a, c), v in d0.entries.items():
-        for b in range(n):
-            row = com[a * n + b]
-            row[c * n + b] = row.get(c * n + b, z) + v
-    for (e, b), v in d0.entries.items():
-        for a in range(n):
-            row = com[a * n + b]
-            row[a * n + e] = row.get(a * n + e, z) - v
-    red = linalg.row_reduce(com, setup, q_order)
-
-    for k in range(N):
-        rhs = _residual(diff, lam, iotas, k)
+            continue
         vec = [rhs.entries.get((t, s), z) for t in range(n) for s in range(n)]
-        x, bad = linalg.solve(com, vec, setup, q_order, reduction=red)
+        x, bad = linalg.solve(red, vec)
         if x is None:
             r, resid = bad
             return None, {"order": k, "row": r, "residual": str(resid),

@@ -390,18 +390,16 @@ def cohomology_over_novikov_field(C: GradedComplex,
             "cohomology cannot place it")
     setup = C.setup
     degrees = C.degrees_present()
-    # the block of d from degree k, as sparse rows and sparse columns over
-    # the positions of the generators within their degrees
+    # the block of d from degree k, as sparse rows over the positions of
+    # the generators within their degrees
     degree, pos = {}, {}
     for k in degrees:
         for i, g in enumerate(C.generators_in_degree(k)):
             degree[g], pos[g] = k, i
     rows = {k: [{} for _ in C.generators_in_degree(
         C.grading.displayed(k + C.d.degree))] for k in degrees}
-    columns = {k: defaultdict(dict) for k in degrees}
     for (t, s), v in C.d.entries.items():
-        k = degree[s]
-        rows[k][pos[t]][pos[s]] = columns[k][pos[s]][pos[t]] = v
+        rows[degree[s]][pos[t]][pos[s]] = v
     reductions = {k: linalg.row_reduce(rows[k], setup, q_order)
                   for k in degrees}
 
@@ -420,10 +418,11 @@ def cohomology_over_novikov_field(C: GradedComplex,
                     if C.grading.displayed(j + C.d.degree) == k]
         r_in = sum(reductions[j].rank for j in incoming)
         betti = n_k - red.rank - r_in
-        images = linalg.row_reduce([columns[j][pc] for j in incoming
-                                    for _, pc in reductions[j].pivots],
-                                   setup, q_order)
-        reps = _representatives(setup, red, n_k, images, q_order)
+        images = linalg.row_reduce(
+            [{i: row[pc] for i, row in enumerate(rows[j]) if pc in row}
+             for j in incoming for _, pc in reductions[j].pivots],
+            setup, q_order)
+        reps = _representatives(red, n_k, images)
         if len(reps) != betti:
             if bad := _witnesses(C.d.compose(C.d)):
                 raise InputError("d does not square to zero at ({},{}): {}"
@@ -447,7 +446,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
     return report
 
 
-def _representatives(setup, red, n, images, q_order):
+def _representatives(red, n, images):
     """Kernel of the block ``red`` of d on a degree of n generators,
     reduced modulo the ``images``, as (column, vector) pairs: see
     ``CohomologyReport``; vectors are sparse in the degree's coordinates.
@@ -456,8 +455,8 @@ def _representatives(setup, red, n, images, q_order):
     kern = red._kernel(n)
     if not (red.pivots or images.pivots):
         return list(enumerate(kern))  # unit vectors: reduced
-    final = linalg.row_reduce([images._clear(v) for v in kern], setup,
-                              q_order)
+    final = linalg.row_reduce([images._clear(v) for v in kern], red.setup,
+                              red.q_order)
     return [(c, final.reduced[r]) for r, c in final.pivots]
 
 

@@ -7,8 +7,9 @@ entry that still carries an unknown q-tail (``trunc is not None``).  Only
 exact zeros are left out, so no truncation bound is ever lost.  A column ->
 rows index limits each elimination step to the rows that have an entry in
 the pivot column, and only those rows are re-keyed for the next pivot
-choice: two heaps hold each free row's least pivot key and least termless
-suspect, so the choice costs no rescan of the free rows.
+choice: one heap holds each free row's least key, an entry with terms at its
+valuation or a termless suspect at its truncation bound, so the choice costs
+no rescan of the free rows.
 
 No step inverts a pivot.  With p the visible part of the pivot entry (an
 exact Laurent polynomial) and f a row's entry in the pivot column, the row
@@ -43,9 +44,9 @@ Pivot rows are divided by their pivot entry once, at output: exactly where
 the pivot divides an entry, otherwise through one truncated inverse of the
 pivot (``invert_truncated`` at the q-order in force), whose tail the entry
 then carries.  Free rows are only shifted by q^-val(mult[r]) and stay
-exact.  The transform is divided only when it is read; ``solve`` applies the
-undivided transform to the right-hand side and divides each solution entry
-once, returning the solution as a sparse {column: value}.
+exact.  The transform is kept undivided; ``solve`` applies it to the
+right-hand side and divides each solution entry once, returning the
+solution as a sparse {column: value}.
 
 Entries that end up with no visible terms but a finite truncation bound are
 treated as zero *to that order*; the minimal such bound, in the units of the
@@ -61,7 +62,6 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
 from .novikov import (InputError, NovikovElem, ScalarSetup, _min_trunc,
@@ -101,26 +101,24 @@ class UndeterminedError(Exception):
 
 @dataclass
 class Reduction:
-    """Result of row reduction: reduced = transform @ original.
+    """Result of row reduction: scaled = scaled_transform @ original.
 
-    ``reduced`` and ``transform`` are sparse rows like the input ({column:
-    entry}, exact zeros omitted); a column of ``transform`` is a row of the
-    input.  ``pivots`` lists the (row, col) pairs in the order chosen, each
-    the least (relative valuation, row, column) left in the free rows when
-    it was taken; pivot entries in ``reduced`` are 1 (exactly 1 on exact
-    input) and are the only visible entries in their columns, unless an
-    input tail swallowed the pivot's visible terms (its row is then not
-    divided).
+    ``reduced``, ``scaled`` and ``scaled_transform`` are sparse rows like
+    the input ({column: entry}, exact zeros omitted); a column of
+    ``scaled_transform`` is a row of the input.  ``pivots`` lists the (row,
+    col) pairs in the order chosen, each the least (relative valuation,
+    row, column) left in the free rows when it was taken; pivot entries in
+    ``reduced`` are 1 (exactly 1 on exact input) and are the only visible
+    entries in their columns, unless an input tail swallowed the pivot's
+    visible terms (its row is then not divided).
     ``verified_trunc`` is None when every zero-decision was exact, else the
     minimal truncation index at which a discarded entry was only known to
     vanish.  ``scaled`` and ``scaled_transform`` hold the rows before the
-    division at output: for a pivot (r, c), ``reduced[r]`` and
-    ``transform[r]`` are ``scaled[r]`` and ``scaled_transform[r]`` divided
-    by the pivot entry ``scaled[r][c]``; the other rows are the same.  On
-    exact input every row of ``scaled`` and ``scaled_transform`` is exact.
-    ``reduced`` is divided at once, ``transform`` when first read; each
-    pivot is inverted (to ``q_order``) at most once, and only where an
-    entry needs it.
+    division at output: for a pivot (r, c), ``reduced[r]`` is ``scaled[r]``
+    divided by the pivot entry ``scaled[r][c]`` (``_divide``); the other
+    rows are the same.  On exact input every row of ``scaled`` and
+    ``scaled_transform`` is exact.  Each pivot is inverted (to ``q_order``)
+    at most once, and only where an entry needs it.
     """
 
     setup: ScalarSetup
@@ -134,11 +132,10 @@ class Reduction:
         self._divisors = {r: self.scaled[r][c] for r, c in self.pivots
                           if self.scaled[r][c].terms}
         self._inverses = {}
-        self.reduced = self._divided(self.scaled)
-
-    @cached_property
-    def transform(self) -> List[SparseRow]:
-        return self._divided(self.scaled_transform)
+        self.reduced = list(self.scaled)
+        for r in self._divisors:
+            self.reduced[r] = {c: self._divide(r, e)
+                               for c, e in self.scaled[r].items()}
 
     @property
     def rank(self) -> int:
@@ -158,12 +155,6 @@ class Reduction:
         if r not in self._inverses:
             self._inverses[r] = invert_truncated(p, self.q_order)
         return e * self._inverses[r]
-
-    def _divided(self, rows: List[SparseRow]) -> List[SparseRow]:
-        out = list(rows)
-        for r in self._divisors:
-            out[r] = {c: self._divide(r, e) for c, e in rows[r].items()}
-        return out
 
     def _kernel(self, n: int) -> List[SparseRow]:
         """A basis of the right kernel of an input with n columns, one
@@ -354,47 +345,45 @@ def row_reduce(rows: Sequence[Row], setup: ScalarSetup,
     pivot_cols = set()
     pivots = []
     # per free row, relative to its multiplier and outside the pivot
-    # columns: the least (valuation_index, row, col) of an entry with terms
-    # and the least (trunc, row, col) of a termless one; a heap entry that
-    # is no longer its row's is stale and skipped
-    keys, suspects = {}, {}
-    key_heap, suspect_heap = [], []
+    # columns, the least (order, kind, row, col): kind 1 is an entry with
+    # terms at its valuation index, kind 0 a termless suspect at its trunc,
+    # so at equal order the suspect sorts first; a heap entry that is no
+    # longer its row's is stale and skipped
+    keys, heap = {}, []
+
+    def row_keys(r):
+        s = mult[r].terms[0][0]
+        return [(e.terms[0][0] - s, 1, r, c) if e.terms else
+                (e.trunc - s, 0, r, c)
+                for c, e in M[r].items() if c not in pivot_cols]
 
     def rekey(r):
-        s = mult[r].terms[0][0]
-        live = [(c, e) for c, e in M[r].items() if c not in pivot_cols]
-        keys[r] = min(((e.terms[0][0] - s, r, c) for c, e in live if e.terms),
-                      default=None)
-        suspects[r] = min(((e.trunc - s, r, c) for c, e in live
-                           if not e.terms), default=None)
-        for heap, key in ((key_heap, keys[r]), (suspect_heap, suspects[r])):
-            if key is not None:
-                heapq.heappush(heap, key)
-
-    def least(heap, current):
-        while heap and current.get(heap[0][1]) != heap[0]:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
+        keys[r] = min(row_keys(r), default=None)
+        if keys[r] is not None:
+            heapq.heappush(heap, keys[r])
 
     for r in range(m):
         rekey(r)
     while True:
-        best = least(key_heap, keys)
-        if best is None:
+        while heap and keys.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        val, pr, pc = best
-        bad = least(suspect_heap, suspects)
-        if bad is not None and bad[0] <= val:
-            if val >= horizon:
+        val, kind, pr, pc = heap[0]
+        if not kind:
+            # a suspect sorts first, so it lies at or below the least entry
+            # with terms, if any: this step ends the elimination
+            best = min((k[0] for r in keys for k in row_keys(r) if k[1]),
+                       default=math.inf)
+            if best >= horizon:
                 # the remaining block vanishes below the suspect's order
-                # and the candidate is past what this q-order resolves:
-                # certify to that order, as when no candidate is left
+                # and the candidate is past what this q-order resolves (or
+                # there is none): certify to that order
                 break
-            t, r, c = bad
             raise UndeterminedError(
                 f"pivot comparison undecidable at declared q-order: entry "
-                f"({r},{c}) is only known to vanish below exponent index {t}, "
-                f"candidate pivot valuation index is {val}"
+                f"({pr},{pc}) is only known to vanish below exponent index "
+                f"{val}, candidate pivot valuation index is {best}"
             )
         # the visible part of the pivot: multiplying by an exact polynomial
         # is an invertible row operation that loses no precision
@@ -440,7 +429,7 @@ def row_reduce(rows: Sequence[Row], setup: ScalarSetup,
         mult[pr] = p
         pivots.append((pr, pc))
         pivot_cols.add(pc)
-        del keys[pr], suspects[pr]
+        del keys[pr]
         # only the rows with an entry in the pivot column changed: scaled,
         # updated, or left with a termless entry that is no longer a suspect
         for r in touched:
@@ -462,26 +451,24 @@ def row_reduce(rows: Sequence[Row], setup: ScalarSetup,
     return Reduction(setup, pivots, verified, M, U, q_order)
 
 
-def solve(rows: Sequence[Row], rhs: List[NovikovElem], setup: ScalarSetup,
-          q_order=None, reduction: Optional[Reduction] = None):
-    """One solution of rows @ x = rhs, or (None, residual_row) if inconsistent.
+def solve(red: Reduction, rhs: List[NovikovElem]):
+    """One solution of A @ x = rhs for the matrix A that ``red`` reduced,
+    or (None, residual_row) if inconsistent.
 
-    ``rows`` are the system's rows as for ``row_reduce`` and ``rhs`` holds
-    one entry per row.  Returns (x, None) on success, with x sparse
-    ({column: value}): the pivot columns' entries, every other column 0.
-    The system is inconsistent when a row of ``transform`` outside the
-    pivot rows sends rhs to a value with visible terms; residual_row is
-    (that row, the value).  Those rows are exact polynomials on exact
-    input, so consistency is then decided exactly, whatever the q-order;
-    only the solution's entries may be truncated series.  Raises
-    UndeterminedError if the elimination cannot be decided at the
-    truncation in force, InputError if rhs and rows differ in length.
+    ``rhs`` holds one entry per row of A.  Returns (x, None) on success,
+    with x sparse ({column: value}): the pivot columns' entries, every
+    other column 0.  The system is inconsistent when a row of
+    ``scaled_transform`` outside the pivot rows sends rhs to a value with
+    visible terms; residual_row is (that row, the value).  Those rows are
+    exact polynomials on exact input, so consistency is then decided
+    exactly, whatever the q-order; only the solution's entries may be
+    truncated series, divided by their pivots at the reduction's q-order.
+    Raises InputError if rhs does not hold one entry per row.
     """
-    if len(rhs) != len(rows):
+    if len(rhs) != (m := len(red.scaled)):
         raise InputError(
-            f"right-hand side has {len(rhs)} entries for {len(rows)} rows")
-    red = reduction or row_reduce(rows, setup, q_order)
-    zero = setup.zero()
+            f"right-hand side has {len(rhs)} entries for {m} rows")
+    zero = red.setup.zero()
     nonzero = {c: v for c, v in enumerate(rhs) if not v.is_zero()}
 
     def b(r):  # row r of scaled_transform @ rhs; no stored entry is zero
@@ -490,7 +477,7 @@ def solve(rows: Sequence[Row], rhs: List[NovikovElem], setup: ScalarSetup,
         return NovikovElem.sum_of_products(pairs) if pairs else zero
 
     pivot_rows = {r for r, _ in red.pivots}
-    for r in range(len(rows)):
+    for r in range(m):
         if r in pivot_rows:
             continue
         br = b(r)

@@ -29,6 +29,32 @@ def densify(x, n, zero):
     return [x.get(c, zero) for c in range(n)]
 
 
+def assert_transform_multiplies(red, rows):
+    """scaled_transform @ rows = scaled, checked by multiplication on the
+    undivided rows: the difference keeps no visible term (on exact input
+    it is exactly zero).  ``rows`` are the reduced input, dense lists or
+    {column: entry} dicts."""
+    zero = red.setup.zero()
+    rows = [row if isinstance(row, dict) else dict(enumerate(row))
+            for row in rows]
+    assert len(red.scaled_transform) == len(red.scaled) == len(rows)
+    for u, want in zip(red.scaled_transform, red.scaled):
+        got = {}
+        for k, x in u.items():
+            for c, e in rows[k].items():
+                got[c] = got.get(c, zero) + x * e
+        for c in set(got) | set(want):
+            assert not (got.get(c, zero) - want.get(c, zero)).has_terms()
+
+
+def divided_transform(red):
+    """``red.scaled_transform`` with each pivot row divided by its pivot
+    entry as ``Reduction.reduced`` is: the transform that divides by its
+    pivots, as a reference elimination holds it."""
+    return [{c: red._divide(r, e) for c, e in row.items()}
+            for r, row in enumerate(red.scaled_transform)]
+
+
 def via_block(fn, basis, vec, zero):
     """fn, a map of blocks, on one vector: vec as the single column of an
     OperatorMatrix over basis, and the column of fn's result back as a list

@@ -1115,7 +1115,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
     red = linalg.row_reduce(M, setup, q_order)
 
     def express(vec):
-        x, bad = linalg.solve(M, vec, setup, q_order, reduction=red)
+        x, bad = linalg.solve(red, vec)
         return None if x is None else densify(x, len(classes), zero)
 
     perturb = _apply_dense(d_rows, [setup.one()] * big_n, zero)

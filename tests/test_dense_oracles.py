@@ -6,13 +6,16 @@ pivot row by a truncated inverse of its pivot; ``linalg.row_reduce`` is
 fraction-free and divides only at output, so it is at least as precise and
 the two agree by a relation, not field for field:
 
+- ``scaled_transform`` times the matrix is ``scaled``, by multiplication;
 - where the reference's certificate is exact (``verified_trunc`` None), the
-  pivots are the same and every pivot-row entry of ``reduced``/``transform``
-  and every solution entry equals the reference's on each term below the
+  pivots are the same and every pivot-row entry of ``reduced``, of
+  ``scaled_transform`` divided by its pivot (``conftest.divided_transform``)
+  and of the solution equals the reference's on each term below the
   reference entry's trunc;
 - where the reference certifies only to some order, the rank is no lower;
-- rows of ``transform`` outside the pivot rows annihilate the matrix:
-  exactly on exact input, and to the reported verified order otherwise;
+- rows of ``scaled_transform`` outside the pivot rows annihilate the
+  matrix: exactly on exact input, and to the reported verified order
+  otherwise;
 - ``verified_trunc`` is None wherever the reference's is and on all exact
   input, and ``UndeterminedError`` is raised only where the reference
   raises it at the same q-order; where the reference raises and
@@ -43,7 +46,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
-from conftest import (_coeff, densify, free_pair_differential,
+from conftest import (_coeff, assert_transform_multiplies, densify,
+                      divided_transform, free_pair_differential,
                       multi_term_differential, random_equivariant_differential)
 from eqcartan import cartan, linalg
 from eqcartan.cartan import CartanData, EquivariantDifferential, identity_report, solve_iota
@@ -118,6 +122,8 @@ def assert_related_reduction(matrix, setup, q_order):
         assert want is None
         return None, None
     zero = setup.zero()
+    assert_transform_multiplies(got, matrix)
+    transform = divided_transform(got)
     if want is not None:
         M, U, pivots, verified = want
         if verified is None:
@@ -127,14 +133,14 @@ def assert_related_reduction(matrix, setup, q_order):
                 for c, want_entry in enumerate(M[r]):
                     assert _agrees(got.reduced[r].get(c, zero), want_entry)
                 for c, want_entry in enumerate(U[r]):
-                    assert _agrees(got.transform[r].get(c, zero), want_entry)
+                    assert _agrees(transform[r].get(c, zero), want_entry)
         else:
             assert got.rank >= len(pivots)
     exact = _exact(matrix)
     if exact:
         assert got.verified_trunc is None
     pivot_rows = {r for r, _ in got.pivots}
-    for r, row in enumerate(got.transform):
+    for r, row in enumerate(got.scaled_transform):
         if r in pivot_rows:
             continue
         for e in _row_times(row, matrix, zero):
@@ -144,7 +150,7 @@ def assert_related_reduction(matrix, setup, q_order):
                 assert got.verified_trunc is not None
                 assert all(i >= got.verified_trunc for i, _ in e.terms)
     # sparse rows store exactly the entries that are not decidably zero
-    for row in got.reduced + got.transform:
+    for row in got.reduced + got.scaled_transform + transform:
         assert all(not e.is_zero() for e in row.values())
     return got, want
 
@@ -171,7 +177,7 @@ def test_solve_carries_a_termless_transform_tail():
     assert red.pivots[0] == (0, 1)
     tail = red.scaled_transform[0][0]
     assert not tail.terms and tail.trunc == -8
-    x, bad = linalg.solve(M, rhs, SETUP_Q, 8, reduction=red)
+    x, bad = linalg.solve(red, rhs)
     assert bad is None
     x = densify(x, 4, SETUP_Q.zero())
     assert not x[1].terms and x[1].trunc == 7
@@ -190,7 +196,7 @@ def test_solve_and_kernel_match_dense(seed, setup):
         if got is None:
             continue
         zero = setup.zero()
-        x, bad = linalg.solve(M, rhs, setup, 6, reduction=got)
+        x, bad = linalg.solve(got, rhs)
         if x is not None:
             x = densify(x, n, zero)
         kernel = got._kernel(n)
@@ -220,7 +226,7 @@ def test_solve_and_kernel_match_dense(seed, setup):
             if x is None:
                 r, resid = bad
                 assert resid.has_terms()
-                row = got.transform[r]
+                row = got.scaled_transform[r]
                 assert all(e.is_zero()
                            for e in _row_times(row, M, setup.zero()))
                 assert not (_row_times(row, [[e] for e in rhs],
@@ -236,7 +242,8 @@ def _reduction_or_error(rows, setup, q_order):
         red = linalg.row_reduce(rows, setup, q_order)
     except UndeterminedError as exc:
         return str(exc)
-    return red.pivots, red.verified_trunc, red.reduced, red.transform
+    assert_transform_multiplies(red, rows)
+    return red.pivots, red.verified_trunc, red.reduced, red.scaled_transform
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import densify
+from conftest import assert_transform_multiplies, densify
 from eqcartan.linalg import (
     UndeterminedError,
     row_reduce,
@@ -69,15 +69,8 @@ def test_reduction_certificate(seed):
     rng = random.Random(100 + seed)
     M = random_matrix(rng, 4, 4)
     red = row_reduce(M, SETUP)
-    # reduced = transform @ original, rechecked entry by entry
-    z = SETUP.zero()
-    for t in range(4):
-        for s in range(4):
-            acc = z
-            for k, u in red.transform[t].items():
-                acc = acc + u * M[k][s]
-            diff = acc - red.reduced[t].get(s, z)
-            assert not diff.has_terms()
+    # scaled = scaled_transform @ original, rechecked entry by entry
+    assert_transform_multiplies(red, M)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -101,7 +94,7 @@ def test_solve_consistent_system(seed):
     x0 = [SETUP.monomial(rng.randint(-2, 2), rng.randint(0, 2))
           for _ in range(n)]
     b = mat_apply(M, x0)
-    x, residual = solve(M, b, SETUP)
+    x, residual = solve(row_reduce(M, SETUP), b)
     assert residual is None
     back = mat_apply(M, densify(x, n, SETUP.zero()))
     assert all(not (u - v).has_terms() for u, v in zip(back, b))
@@ -110,19 +103,20 @@ def test_solve_consistent_system(seed):
 def test_solve_reports_inconsistency():
     M = [[SETUP.one()], [SETUP.one()]]
     b = [SETUP.one(), SETUP.monomial(1, 1)]
-    x, residual = solve(M, b, SETUP)
+    x, residual = solve(row_reduce(M, SETUP), b)
     assert x is None
     assert residual is not None
 
 
 def test_solve_rejects_a_long_right_hand_side():
     with pytest.raises(InputError):
-        solve([[SETUP.one()]], [SETUP.one(), SETUP.one()], SETUP)
+        solve(row_reduce([[SETUP.one()]], SETUP), [SETUP.one()] * 2)
 
 
 def test_solve_rejects_a_short_right_hand_side():
     with pytest.raises(InputError):
-        solve([{0: SETUP.one()}, {0: SETUP.one()}], [SETUP.one()], SETUP)
+        solve(row_reduce([{0: SETUP.one()}, {0: SETUP.one()}], SETUP),
+              [SETUP.one()])
 
 
 def test_valuation_pivoting_prefers_low_valuation():
@@ -144,6 +138,27 @@ def test_truncated_zero_suspect_raises():
         row_reduce(M, SETUP)
 
 
+def test_a_suspect_sorts_before_an_equal_order_candidate():
+    # O(q^2) next to q^2: at equal order the termless entry may hide a
+    # pivot of the same valuation, so the choice is refused
+    weak = NovikovElem.build(SETUP, []).truncate(2)
+    with pytest.raises(UndeterminedError) as info:
+        row_reduce([[weak, SETUP.monomial(1, 2)]], SETUP)
+    assert str(info.value) == (
+        "pivot comparison undecidable at declared q-order: entry (0,0) is "
+        "only known to vanish below exponent index 2, candidate pivot "
+        "valuation index is 2")
+
+
+def test_a_suspect_past_the_candidate_does_not_block_it():
+    # O(q^3) next to q^2: the candidate lies below the suspect's bound, and
+    # the suspect certifies the rest to index 3 - 2 = 1 in the pivot row's
+    # units
+    weak = NovikovElem.build(SETUP, []).truncate(3)
+    red = row_reduce([[weak, SETUP.monomial(1, 2)]], SETUP)
+    assert red.pivots == [(0, 1)] and red.verified_trunc == 1
+
+
 def test_exact_zero_column_is_fine():
     M = [[SETUP.monomial(1, 3), SETUP.zero()]]
     red = row_reduce(M, SETUP)
@@ -163,14 +178,15 @@ def test_solve_decides_consistency_exactly_past_the_q_order():
     p = NovikovElem.build(SETUP, [(0, 1), (1, 1)])
     M = [[p], [p]]
     b = [SETUP.one(), NovikovElem.build(SETUP, [(0, 1), (5, 1)])]
-    x, residual = solve(M, b, SETUP, q_order=3)
+    red = row_reduce(M, SETUP, q_order=3)
+    x, residual = solve(red, b)
     assert x is None
     r, value = residual
     assert value.trunc is None and value.has_terms()
-    red = row_reduce(M, SETUP, q_order=3)
     assert red.verified_trunc is None
+    assert_transform_multiplies(red, M)
     assert all(e.is_zero() for e in mat_apply(
-        [[red.transform[r].get(k, SETUP.zero()) for k in range(2)]],
+        [[red.scaled_transform[r].get(k, SETUP.zero()) for k in range(2)]],
         [row[0] for row in M]))
 
 
@@ -247,8 +263,9 @@ def test_rank_deficient_products_against_sympy(seed):
         else:
             assert all(not e.has_terms() for e in img)
     # the left kernel: free transform rows are exact and annihilate M
+    assert_transform_multiplies(red, M)
     pivot_rows = {r for r, _ in red.pivots}
-    for r, row in enumerate(red.transform):
+    for r, row in enumerate(red.scaled_transform):
         if r not in pivot_rows:
             u = [row.get(k, SETUP.zero()) for k in range(m)]
             assert all(e.trunc is None for e in u)

@@ -540,7 +540,7 @@ def test_solve_matches_the_sequential_formula(name, data):
                       sorted(red.scaled_transform[r].items())],
                      setup.zero(), ref.elem_add, ref.elem_mul)
          for r in range(m)]
-    x, bad = linalg.solve(rows, rhs, setup, reduction=red)
+    x, bad = linalg.solve(red, rhs)
     pivot_rows = {r for r, _ in red.pivots}
     inconsistent = [r for r in range(m)
                     if r not in pivot_rows and b[r].has_terms()]
