@@ -488,7 +488,7 @@ def identity_report(data: CartanData) -> dict:
     #     (the q-derivative of d_eq^2 = 0)
     lam = d_eq.entrywise(useries_udq)
     record("lambda_eq anticommutes with d_eq",
-           _entries(d_eq.compose(lam) + lam.compose(d_eq)))
+           _entries(d_eq.compose(lam, (lam, d_eq))))
 
     # 2. [Gamma_q, d_eq] = 0, printed as [d_eq, iota_eq] - u * lambda_eq in
     #    the regime's normalization: Gamma_q carries q^-w iota_eq, so the
@@ -504,26 +504,28 @@ def identity_report(data: CartanData) -> dict:
            _entries(_apply(data._op("deg"), d_eq, 1)))
     record("gamma_u commutator", _entries(_apply(gu_op, d_eq, 1)))
 
-    # 5-7. operator identities on the sample block, column by column
+    # 5-7. operator identities on the sample block, column by column; a
+    #      block without columns has no cell, and no operator is applied
     X = _sample_block(data)
-    gu, gq = _apply(gu_op, X), _apply(gq_op, X)
-
-    # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
-    record("euler relation", _columns(gu - _euler_bracket(data, X, gq)))
-
-    # 6. Leibniz rule for Gamma_u with f = q + u:
-    #    Gamma_u(f x) = f Gamma_u(x) + 2 u^2 (df/du) x,  2 u^2 df/du = 2 u^2
-    f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
-    fX = X.entrywise(lambda w: w * f)
-    df2 = USeries.from_novikov(setup.monomial(2, 0), N, 2)
-    record("leibniz", _columns(_apply(gu_op, fX) - (
-        gu.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * df2))))
-
-    # 7. Leibniz rule for Gamma_q with the same scalar f = q + u:
-    #    Gamma_q(f x) = u * (df/dq) x + f Gamma_q(x),  u df/dq = u
-    uf = USeries.from_novikov(setup.one(), N, 1)
-    record("gamma_q leibniz", _columns(_apply(gq_op, fX) - (
-        gq.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * uf))))
+    blocks = dict.fromkeys(("euler relation", "leibniz", "gamma_q leibniz"), X)
+    if X.source:
+        gu, gq = _apply(gu_op, X), _apply(gq_op, X)
+        # 5. Euler relation: Gamma_u + 2q Gamma_q = u deg
+        blocks["euler relation"] = gu - _euler_bracket(data, X, gq)
+        # 6. Leibniz rule for Gamma_u with f = q + u:
+        #    Gamma_u(f x) = f Gamma_u(x) + 2 u^2 (df/du) x,  2 u^2 df/du = 2u^2
+        f = USeries.build(setup, N, [setup.monomial(1, 1), setup.one()])
+        fX = X.entrywise(lambda w: w * f)
+        df2 = USeries.from_novikov(setup.monomial(2, 0), N, 2)
+        blocks["leibniz"] = _apply(gu_op, fX) - (
+            gu.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * df2))
+        # 7. Leibniz rule for Gamma_q with the same scalar f = q + u:
+        #    Gamma_q(f x) = u * (df/dq) x + f Gamma_q(x),  u df/dq = u
+        uf = USeries.from_novikov(setup.one(), N, 1)
+        blocks["gamma_q leibniz"] = _apply(gq_op, fX) - (
+            gq.entrywise(lambda g: g * f) + X.entrywise(lambda w: w * uf))
+    for name, block in blocks.items():
+        record(name, _columns(block))
 
     return {"regime": data.regime, "order": N,
             "identities": results,

@@ -4,9 +4,10 @@ Contents:
 
 * grading bookkeeping (integer, mod-2, mod-2m) and generator metadata;
 * sparse operator matrices with a declared degree shift, over either plain
-  Novikov scalars or truncated u-series, whose ``compose`` builds each
-  entry once (``sum_of_products``); a family of vectors is one such block
-  of columns (``sample_block``: the sample columns e_i, q*u*e_i);
+  Novikov scalars or truncated u-series, whose ``compose`` builds a sum of
+  products cell by cell, each cell once (``sum_of_products``); a family of
+  vectors is one such block of columns (``sample_block``: the sample
+  columns e_i, q*u*e_i);
 * differential validation (d^2 = 0, degree shifts, monomial homogeneity
   in the |q| = 2 regime) as records of the offending entries in row-major
   order, which also say why no mapping cone of a block can be built;
@@ -151,17 +152,21 @@ class OperatorMatrix:
             for s in range(len(self.source))
         ]
 
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self after other (matrix product self @ other)."""
-        if other.target != self.source:
-            raise NovikovError("operator composition basis mismatch")
+    def compose(self, other: "OperatorMatrix", *pairs) -> "OperatorMatrix":
+        """self after other (self @ other), plus C @ D for each further pair
+        (C, D): each cell is built once from the term products of all pairs,
+        equal field for field to the sequential sum of the products."""
         cells: Dict[Tuple[int, int], list] = {}
-        by_mid: Dict[int, list] = {}
-        for (m, s), v in other.entries.items():
-            by_mid.setdefault(m, []).append((s, v))
-        for (t, m), a in self.entries.items():
-            for s, b in by_mid.get(m, ()):
-                cells.setdefault((t, s), []).append((a, b))
+        for A, B in ((self, other),) + pairs:
+            if (B.target != A.source or A.target != self.target
+                    or B.source != other.source):
+                raise NovikovError("operator composition basis mismatch")
+            by_mid: Dict[int, list] = {}
+            for (m, s), v in B.entries.items():
+                by_mid.setdefault(m, []).append((s, v))
+            for (t, m), a in A.entries.items():
+                for s, b in by_mid.get(m, ()):
+                    cells.setdefault((t, s), []).append((a, b))
         made = ((k, c[0][0] * c[0][1] if len(c) == 1  # each cell once
                  else type(c[0][0]).sum_of_products(c))
                 for k, c in cells.items())

@@ -30,10 +30,11 @@ must agree record for record.
 Truncation is fixed at h^3: nothing beyond that order is specified by the
 relation set, and we refuse to extrapolate.
 
-Products are ``OperatorMatrix.compose``, which builds each entry once from
-its products, sums ``+`` and lambda from d is ``entrywise(dq)``.  Both entry
-points read one table of the relation matrices, made once per datum (20
-products); failures and entries are read in row-major order.
+Each relation's sum of operator products is one ``OperatorMatrix.compose``
+call, which builds each cell once from all of its term products (id is the
+product id id, lambda is lambda id); lambda from d is ``entrywise(dq)``.
+Both entry points read one table of the relation matrices (seven compose
+calls, made once per datum); failures and entries read in row-major order.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ from .complexes import GeneratorInfo, OperatorMatrix, _witnesses
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
 
 H_ORDER = 3
-
-
-def _require_f2(setup: ScalarSetup):
-    if not (setup.ring.kind == "Fp" and setup.ring.modulus == 2):
-        raise InputError("the finite analogue requires F2 coefficients")
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,8 @@ class Z2CartanData:
     Xi: OperatorMatrix
 
     def __post_init__(self):
-        _require_f2(self.setup)
+        if (self.setup.ring.kind, self.setup.ring.modulus) != ("Fp", 2):
+            raise InputError("the finite analogue requires F2 coefficients")
         object.__setattr__(self, "basis", tuple(self.basis))
         for name, op in self.operators().items():
             if op.source != self.basis or op.target != self.basis:
@@ -104,24 +101,20 @@ class Z2CartanData:
     def _relations(self):
         """Each displayed relation with its matrix, zero iff it holds."""
         d, iota, lam, sig = self.d, self.iota, self.lam, self.sigma
-        Sig, xi, Xi = self.Sigma, self.xi, self.Xi
+        Sig, xi, Xi, one = self.Sigma, self.xi, self.Xi, self.identity()
         return [
             ("d^2 = 0", d.compose(d)),
-            ("d iota = iota d", _anticommutator(d, iota)),
-            ("d lambda = lambda d", _anticommutator(d, lam)),
+            ("d iota = iota d", d.compose(iota, (iota, d))),
+            ("d lambda = lambda d", d.compose(lam, (lam, d))),
             ("lambda = dq(d)", lam + d.entrywise(dq)),
-            ("d sigma = sigma d", _anticommutator(d, sig)),
+            ("d sigma = sigma d", d.compose(sig, (sig, d))),
             ("d Sigma + Sigma d = sigma^2 + id",
-             _anticommutator(d, Sig) + sig.compose(sig) + self.identity()),
+             d.compose(Sig, (Sig, d), (sig, sig), (one, one))),
             ("d xi + xi d = sigma iota + iota sigma",
-             _anticommutator(d, xi) + _anticommutator(sig, iota)),
-            (_XI_RELATION, _anticommutator(d, Xi) + _anticommutator(sig, xi)
-             + _anticommutator(Sig, iota) + lam),
+             d.compose(xi, (xi, d), (sig, iota), (iota, sig))),
+            (_XI_RELATION, d.compose(Xi, (Xi, d), (sig, xi), (xi, sig),
+                                     (Sig, iota), (iota, Sig), (lam, one))),
         ]
-
-
-def _anticommutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    return A.compose(B) + B.compose(A)
 
 
 _XI_RELATION = ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"

@@ -533,16 +533,24 @@ def test_identity_report_matches_dense_on_fixtures(fixture):
 @pytest.mark.parametrize("n, setup", [(8, gens.SETUP_Q), (12, gens.SETUP_F5),
                                       (16, gens.SETUP_Q)],
                          ids=["n8-Q", "n12-F5", "n16-Q"])
-def test_identity_report_matches_dense_on_bench_instances(n, setup):
+def test_identity_report_matches_dense_on_bench_instances(monkeypatch, n,
+                                                          setup):
     # the acyclic monomial differentials of the cartan-sparse workload: no
-    # iota column has a tail, so the report's sample block is empty
+    # iota column has a tail, so the report's sample block is empty and no
+    # operator triple is applied to it
     diff = gens.acyclic_differential(
         gens.seeded(9101, "cartan-sparse", 0, 0, n, setup.ring.describe()),
         setup, n)
     data, obstruction = solve_iota(diff)
     assert obstruction is None
     assert _column_counts(data) == (0, 2 * n)
-    assert identity_report(data) == ref.identity_report(data)
+    applied, apply = [], cartan._apply
+    with monkeypatch.context() as m:
+        m.setattr(cartan, "_apply",
+                  lambda op, X, *e: applied.append(X) or apply(op, X, *e))
+        report = identity_report(data)
+    assert applied and all(X.source for X in applied)
+    assert report == ref.identity_report(data)
 
 
 # -- identities 2-4: split-form brackets against op(d_eq) - d_eq op(1) -------

@@ -20,7 +20,9 @@ Sums of products are one pass of ``sum_of_products`` (``OperatorMatrix.
 compose`` per entry, ``USeries.__mul__`` as its one-pair case, ``linalg.
 solve`` per row): each must equal the sequential sum of the general
 formulas, product by product, field for field, on the lattices Z and 1/2 Z;
-an entry that cancels to an exact zero must not be stored.
+an entry that cancels to an exact zero must not be stored.  A ``compose``
+of several pairs must equal the sequential ``compose`` of each pair joined
+by ``+``, and the dense sum of all the products.
 
 Every operation's result stores exactly its known coefficients:
 ``len(coeffs) == valid <= order``, so no reader meets a placeholder zero.
@@ -41,8 +43,8 @@ from eqcartan.cartan import (CartanData, EquivariantDifferential,
                              identity_report, solve_iota)
 from eqcartan.complexes import (GeneratorInfo, GradingKind, OperatorMatrix,
                                 sample_block)
-from eqcartan.novikov import (NovikovElem, ScalarSetup, USeries, useries_du,
-                              useries_invert_unit, useries_udq)
+from eqcartan.novikov import (NovikovElem, NovikovError, ScalarSetup, USeries,
+                              useries_du, useries_invert_unit, useries_udq)
 
 from conftest import random_equivariant_differential, via_block
 
@@ -517,6 +519,93 @@ def test_cancellation_to_an_exact_zero_is_not_stored():
                          setup.zero(), ref.elem_add, ref.elem_mul,
                          assert_same_elem)
     assert got[(0, 0)].terms == () and got[(0, 0)].trunc == 5
+
+
+@functools.cache
+@st.composite
+def product_pairs(draw, scalars):
+    """Two to four pairs (C, D) of dense t x m and m x s operators, with
+    its own middle size m per pair; when drawn so, a pair repeats an
+    earlier one with D negated, so that their products cancel cell by
+    cell."""
+    t, s, pairs = draw(sizes), draw(sizes), []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        if pairs and draw(st.booleans()):
+            C, D = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.append((C, [[-v for v in row] for row in D]))
+            continue
+        m = draw(sizes)
+        pairs.append(([[draw(scalars) for _ in range(m)] for _ in range(t)],
+                      [[draw(scalars) for _ in range(s)] for _ in range(m)]))
+    return pairs
+
+
+def _dense_operator(M, source, target):
+    return OperatorMatrix(source, target, {(t, u): v for t, row in enumerate(M)
+                                           for u, v in enumerate(row)})
+
+
+def _pair_operators(pairs):
+    def basis(prefix, n):
+        return [GeneratorInfo(f"{prefix}{i}") for i in range(n)]
+
+    target, source = basis("t", len(pairs[0][0])), basis("s",
+                                                         len(pairs[0][1][0]))
+    return [(_dense_operator(C, basis("m", len(D)), target),
+             _dense_operator(D, source, basis("m", len(D))))
+            for C, D in pairs]
+
+
+@pytest.mark.parametrize("kind", ["novikov", "series"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SETUPS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compose_of_several_pairs_matches_the_sequential_sum(name, kind,
+                                                             data):
+    # termless O(q^T) entries, lost u-orders and cells that cancel across
+    # pairs: equal, key for key and field for field, to compose-then-+ and
+    # to the dense formula over every pair's products
+    setup = KERNEL_SETUPS[name]
+    if kind == "novikov":
+        scalars, zero = kernel_elems(setup), setup.zero()
+        add, mul, assert_same = ref.elem_add, ref.elem_mul, assert_same_elem
+    else:
+        scalars, zero = kernel_series(setup), USeries.zero(setup, ORDER)
+        add, mul = ref.useries_add, ref.useries_mul
+        assert_same = assert_same_series
+    pairs = data.draw(product_pairs(scalars))
+    (A, B), *rest = ops = _pair_operators(pairs)
+    got = A.compose(B, *rest)
+    want = A.compose(B)
+    for C, D in rest:
+        want = want + C.compose(D)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert set(got.entries) == set(want.entries)
+    for k, v in want.entries.items():
+        assert_same(got.entries[k], v)
+    _check_dense(got.entries, [[_sequential(
+        [(C[t][m], D[m][u]) for C, D in pairs for m in range(len(D))],
+        zero, add, mul) for u in range(len(pairs[0][1][0]))]
+        for t in range(len(pairs[0][0]))], assert_same)
+
+
+def test_compose_of_several_pairs_checks_every_basis():
+    # each further pair must chain (D's target is C's source) and share
+    # the first pair's outer bases, as its sum with the first would
+    setup = SETUPS["Q"]
+    a, b, c = ([GeneratorInfo(f"{x}{i}") for i in range(2)] for x in "abc")
+    one = setup.one()
+
+    def op(source, target):
+        return OperatorMatrix(source, target, {(0, 0): one})
+
+    A, B = op(b, a), op(c, b)
+    assert A.compose(B, (op(a, a), op(c, a))).entries
+    for pair in ((op(b, a), op(a, b)), (op(b, c), op(c, b)),
+                 (op(b, a), op(c, c))):
+        with pytest.raises(NovikovError,
+                           match="operator composition basis mismatch"):
+            A.compose(B, pair)
 
 
 @pytest.mark.parametrize("name", ["Q-1", "Q-1/2", "F2-1", "F5-1/2"])
