@@ -110,6 +110,7 @@ COMMANDS = [
      0),
     (["quantum", "obstruction", "--lambda", "3", "--d", "4", "--ring", "F5"],
      0),
+    (["morse", "alpha1"], 0),
     (["morse", "weights"], 0),
     (["morse", "additivity", "--delta", "1e-2,1e-3"], 0),
 ]

@@ -409,6 +409,20 @@ def test_dvr_division_by_u_bounds_the_certificate_by_a_dropped_tail():
         assert verified is not None and verified <= 5
 
 
+def test_dvr_a_visibly_zero_entry_of_lost_u_order_is_undetermined():
+    # an entry known only to u^0 has no pivot; below analysis order 3 its
+    # u^1 and u^2 are unknown, so the block cannot be certified zero; at
+    # analysis order 1 it is known far enough
+    setup = ScalarSetup.make(1, "F2")
+    rows = [[USeries(setup, 3, (setup.zero(),))]]
+    for diagonalize in (dvr_diagonalize, ref.dvr_diagonalize):
+        with pytest.raises(UndeterminedError, match="precision exhausted "
+                           "before the remaining block could be certified "
+                           r"zero \(entry 0,0 valid to u-order 1\)"):
+            diagonalize(rows, setup, 3)
+        assert diagonalize(rows, setup, 1) == ([], None)
+
+
 # -- solve_iota and identity_report -------------------------------------------
 
 

@@ -237,6 +237,12 @@ Z_DOCUMENT = str(FIXTURES / "mod2_case.json")  # Z coefficients
     ["morse", "additivity", "--delta", "0"],
     ["morse", "additivity", "--delta", "1e-2,abc"],
     ["morse", "alpha1", "--grid", "0"],
+    # one grid point resolves no winding; delta^2 underflows to 0, so the
+    # whole trajectory is a piece; delta^2 overflows; distances increase
+    ["morse", "alpha1", "--grid", "1"],
+    ["morse", "additivity", "--delta", "1e-200"],
+    ["morse", "additivity", "--delta", "1e300"],
+    ["morse", "additivity", "--delta", "1e-3,1e-2"],
     ["cohomology", Z_DOCUMENT],
     ["u-decompose", Z_DOCUMENT],
     ["cartan", "solve-iota", Z_DOCUMENT],
@@ -326,8 +332,8 @@ def test_each_command_loads_only_the_modules_it_runs():
     modules loaded so far after each: --schema loads none of the package's
     modules; cohomology and cone load the arithmetic (novikov, linalg and
     complexes) but none of cartan, quantum and finite2; finite2 verify adds
-    finite2 only; no document command loads numpy or jsonschema; a morse
-    command does load numpy."""
+    finite2 only; no command, a morse one included, loads numpy or
+    jsonschema."""
     root = FIXTURES.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -346,8 +352,7 @@ def test_each_command_loads_only_the_modules_it_runs():
          arithmetic + [cartan, finite2]),
         (["quantum", "check", "fixtures/quantum_cp1.json"],
          arithmetic + [cartan, quantum, finite2]),
-        (["morse", "weights"],
-         arithmetic + [cartan, quantum, finite2, "numpy"]),
+        (["morse", "weights"], arithmetic + [cartan, quantum, finite2]),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE,
@@ -732,6 +737,20 @@ def test_morse_alpha1_on_a_coarse_grid(capsys):
     code, out = run_cli(capsys, "morse", "alpha1", "--grid", "8")
     assert code == 0
     assert json.loads(out)["abs_winding"] == 1
+
+
+def test_morse_additivity_without_a_witness_is_undetermined(
+        capsys, monkeypatch):
+    # at delta = 0.5 the error 0.25 is no certificate, but no defect exceeds
+    # its bound: undetermined, not false; a defect beyond it is a witness
+    code, out = run_cli(capsys, "morse", "additivity", "--delta", "0.5")
+    assert code == 3
+    assert json.loads(out)["finest_error"] >= 1e-3
+    from eqcartan import morse
+    row = {"measured_defect": 0.1, "projection_bound": 0.01, "error": 0.11}
+    monkeypatch.setattr(morse, "additivity_report", lambda deltas: {
+        "rows": [row], "monotone_decreasing": True, "finest_error": 0.11})
+    assert run_cli(capsys, "morse", "additivity", "--delta", "0.1")[0] == 1
 
 
 def test_an_empty_delta_list_exits_2(capsys):
