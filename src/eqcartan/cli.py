@@ -112,6 +112,8 @@ def cmd_u_decompose(args) -> int:
     from . import complexes as cx
     doc = schema_mod.load_document(args.document)
     diff = schema_mod.differential_family_from(doc, args.order)
+    for k, d_k in enumerate(diff.components[1:], 1):
+        cx._refuse_misplaced(d_k, diff.grading, f"d_{k}", "u-decompose")
     rep = cx.u_module_decomposition(
         diff.as_operator(), analysis_order=diff.order,
         grading=diff.grading, q_order=args.q_order)
@@ -122,8 +124,7 @@ def cmd_u_decompose(args) -> int:
     _emit({"decomposition": rep.as_json(), "les_consistency": les})
     if not les["balanced"]:
         return FAIL
-    undet = sum(e["undetermined"] for e in rep.per_degree.values())
-    return UNDETERMINED if undet else PASS
+    return UNDETERMINED if les["undetermined_pivots"] else PASS
 
 
 def cmd_cartan_verify(args) -> int:

@@ -314,6 +314,20 @@ def _misplaced(op: OperatorMatrix, grading: GradingKind,
     return out
 
 
+def _refuse_misplaced(op: OperatorMatrix, grading: GradingKind, name: str,
+                      reader: str) -> None:
+    """Raise an InputError at the first entry of op, named ``name``, in
+    row-major order that ``_misplaced`` finds at op.degree: ``reader`` has
+    no block to put it in."""
+    if bad := _misplaced(op, grading, op.degree):
+        t, s = min(bad)
+        raise InputError(
+            f"{name} entry ({op.target[t].name},{op.source[s].name}) maps "
+            f"degree {grading.displayed(op.source[s].index)} to degree "
+            f"{bad[t, s]['observed']}, not {bad[t, s]['expected']}: "
+            f"{reader} cannot place it")
+
+
 # -- cohomology over the Novikov field ---------------------------------------
 
 
@@ -386,13 +400,7 @@ def cohomology_over_novikov_field(C: GradedComplex,
     """
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
-    if bad := _misplaced(C.d, C.grading, C.d.degree):
-        t, s = min(bad)
-        raise InputError(
-            f"d entry ({C.basis[t].name},{C.basis[s].name}) maps degree "
-            f"{C.grading.displayed(C.basis[s].index)} to degree "
-            f"{bad[t, s]['observed']}, not {bad[t, s]['expected']}: "
-            "cohomology cannot place it")
+    _refuse_misplaced(C.d, C.grading, "d", "cohomology")
     setup = C.setup
     degrees = C.degrees_present()
     # the block of d from degree k, as sparse rows over the positions of
@@ -474,10 +482,7 @@ class DecompositionReport:
 
     order: int  # analysis order N
     per_degree: Dict[int, dict] = field(default_factory=dict)
-    pivot_rule: str = ("minimal u-valuation, then q-valuation of that "
-                       "coefficient, then row, then column")
     verified_q_order_index: Optional[int] = None
-    torsion_with_degree: List[Tuple[int, int]] = field(default_factory=list)
 
     def degree_entry(self, k):
         return self.per_degree.setdefault(
@@ -487,7 +492,8 @@ class DecompositionReport:
     def as_json(self) -> dict:
         return {
             "analysis_order": self.order,
-            "pivot_rule": self.pivot_rule,
+            "pivot_rule": ("minimal u-valuation, then q-valuation of that "
+                           "coefficient, then row, then column"),
             "verified_q_order_index": self.verified_q_order_index,
             "per_degree": {
                 str(k): v for k, v in sorted(self.per_degree.items())
@@ -509,20 +515,15 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
     A row-only pass on sparse rows {column: USeries} that store every entry
     not decidably zero.  The pivot u^v w (w a unit) has the least
     u-valuation in the remaining block, so each row with an entry e in its
-    column becomes r - (e/u^v) w^-1 (pivot row), w^-1 truncated at q_order.
+    column becomes r - (e/u^v) w^-1 (pivot row); w^-1, truncated at q_order,
+    is made for the first such row, so a column with none inverts nothing.
     Once its column is cleared, column operations would change only the
     pivot row, which retires with its column, so none is done.  The least
     q-tail that a division by u^v drops bounds ``verified_trunc``.
     """
-    if q_order is None:
-        q_order = linalg.DEFAULT_Q_ORDER()
     free = dict(enumerate(linalg._sparse(rows)))
     if any(free.values()) and not setup.ring.is_field:
         raise CoefficientError("DVR decomposition requires field coefficients")
-    col_rows = defaultdict(set)
-    for r, row in free.items():
-        for c in row:
-            col_rows[c].add(r)
     pivots = []
     verified = None
 
@@ -544,21 +545,23 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
             break
         v, _, pr, pc = best
         prow = free.pop(pr)
-        for c in prow:
-            col_rows[c].discard(pr)
-        pinv = useries_invert_unit(shift_down(prow.pop(pc), v), q_order)
-        g = None  # (b/u^v) w^-1 for the visible entries b of the pivot row
-        for r in col_rows.pop(pc):
-            row = free[r]
-            e = row.pop(pc)
+        w = shift_down(prow.pop(pc), v)
+        pinv = g = None  # w^-1; (b/u^v) w^-1 for the visible entries b of prow
+        for row in free.values():
+            if (e := row.pop(pc, None)) is None:
+                continue
+            if pinv is None:
+                if q_order is None:
+                    q_order = linalg.DEFAULT_Q_ORDER()
+                pinv = useries_invert_unit(w, q_order)
             if e:
-                linalg._axpy(row, shift_down(e, v) * pinv, prow, col_rows, r)
+                linalg._axpy(row, shift_down(e, v) * pinv, prow)
                 continue
             # an entry without visible terms is not divided by u^v: its
             # tails reach the row as they would through column operations
             if g is None:
                 g = {c: shift_down(b, v) * pinv for c, b in prow.items() if b}
-            linalg._axpy(row, e, g, col_rows, r)
+            linalg._axpy(row, e, g)
         pivots.append((pr, pc, v))
     # the remaining entries are visibly zero; check their precision
     lost = [(r, c, e.valid) for r, row in free.items() for c, e in row.items()
@@ -572,9 +575,8 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
         e.q_certificate() for row in free.values() for e in row.values()))
 
 
-def u_module_decomposition(d_eq: OperatorMatrix,
-                           analysis_order: Optional[int] = None,
-                           grading: Optional[GradingKind] = None,
+def u_module_decomposition(d_eq: OperatorMatrix, analysis_order: int,
+                           grading: GradingKind,
                            q_order: Optional[int] = None) -> DecompositionReport:
     """Free/torsion normal form of equivariant cohomology over Lambda[[u]].
 
@@ -585,11 +587,7 @@ def u_module_decomposition(d_eq: OperatorMatrix,
     """
     if d_eq.source != d_eq.target:
         raise NovikovError("u_module_decomposition expects an endomorphism")
-    basis = d_eq.source
-    grading = grading or GradingKind("Z")
-    sample = next(iter(d_eq.entries.values()), None)
-    entry_order = sample.order if sample is not None else 1
-    N = analysis_order if analysis_order is not None else entry_order
+    basis, N = d_eq.source, analysis_order
     sq = d_eq.compose(d_eq)
     for (t, s), v in sq.entries.items():
         if not v.is_zero_to(N):
@@ -601,7 +599,7 @@ def u_module_decomposition(d_eq: OperatorMatrix,
     for (t, s), v in d_eq.entries.items():
         rows[t][s] = v
     pivots, verified = dvr_diagonalize(
-        rows, None if sample is None else sample.setup, N, q_order)
+        rows, next((v.setup for v in d_eq.entries.values()), None), N, q_order)
     rep = DecompositionReport(order=N, verified_q_order_index=verified)
     used = set()
     for pr, pc, v in pivots:
@@ -613,7 +611,6 @@ def u_module_decomposition(d_eq: OperatorMatrix,
             entry["undetermined"] += 1
         elif v >= 1:
             entry["torsion_orders"].append(v)
-            rep.torsion_with_degree.append((basis[pr].index, v))
     for i, g in enumerate(basis):
         if i not in used:
             rep.degree_entry(grading.displayed(g.index))["free_rank"] += 1
@@ -634,13 +631,11 @@ def les_consistency(C: GradedComplex, report: DecompositionReport,
     D + 2j - 1 (kernel of u feeding the connecting map).
     """
     ordinary = cohomology_over_novikov_field(C, q_order)
-    expected: Dict[int, int] = {}
+    expected: Dict[int, int] = defaultdict(int)
     for k, entry in report.per_degree.items():
-        expected[k] = expected.get(k, 0) + entry["free_rank"] \
-            + len(entry["torsion_orders"])
-    for D, j in report.torsion_with_degree:
-        k = C.grading.displayed(D + 2 * j - 1)
-        expected[k] = expected.get(k, 0) + 1
+        expected[k] += entry["free_rank"] + len(entry["torsion_orders"])
+        for j in entry["torsion_orders"]:
+            expected[C.grading.displayed(k + 2 * j - 1)] += 1
     undetermined = sum(e["undetermined"] for e in report.per_degree.values())
     out = {"balanced": True, "undetermined_pivots": undetermined,
            "degrees": {}}
@@ -732,7 +727,8 @@ def _cone_defects(c: OperatorMatrix, C_minus: GradedComplex,
     records: the sides' gradings differ in modulus (Z/2 and Z/2m with
     m = 1 are one grading), a side's d is not of degree 1 or breaks its own
     invariants (``validate_complex``), each such record with its "side",
-    and the entries of d- c - c d+ with visible terms."""
+    the entries of d- c - c d+ with visible terms and those of c that do not
+    keep the degree."""
     out = [] if C_minus.grading.modulus == C_plus.grading.modulus else [{
         "invariant": "matching gradings",
         "gradings": {"minus": asdict(C_minus.grading),
@@ -742,8 +738,10 @@ def _cone_defects(c: OperatorMatrix, C_minus: GradedComplex,
             out.append({"invariant": "degree 1", "side": side,
                         "degree": C.d.degree})
         out += [{**v, "side": side} for v in validate_complex(C)]
-    return out + _witnesses(C_minus.d.compose(c) - c.compose(C_plus.d),
-                            invariant="chain map")
+    return (out + _witnesses(C_minus.d.compose(c) - c.compose(C_plus.d),
+                             invariant="chain map")
+            + _witnesses(c, _misplaced(c, C_minus.grading, 0),
+                         invariant="map degree"))
 
 
 def _cone_refusal(record: dict) -> str:
@@ -757,6 +755,8 @@ def _cone_refusal(record: dict) -> str:
     at = "({},{})".format(*record["entry"])
     if invariant == "chain map":
         return f"c is not a chain map: defect at {at}"
+    if invariant == "map degree":
+        return f"c does not have degree 0 at {at}"
     if invariant == "d squared zero":
         return f"{side} does not square to zero at {at}: {record['value']}"
     return f"{side} breaks {invariant} at {at}"

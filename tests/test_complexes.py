@@ -363,11 +363,10 @@ def test_torsion_degree_convention():
     rep = u_module_decomposition(d, analysis_order=3,
                                  grading=GradingKind("Z"))
     assert rep.per_degree[0]["torsion_orders"] == [1]
-    assert rep.torsion_with_degree == [(0, 1)]
 
 
 @pytest.mark.parametrize("ring", ["Q", "Z"])
-@pytest.mark.parametrize("order", [None, 4])
+@pytest.mark.parametrize("order", [1, 4])
 def test_a_zero_d_eq_is_free_in_every_displayed_degree(ring, order):
     """A zero d_eq goes through the DVR pass with no entry to eliminate,
     which needs no field: over Z too, every generator is free."""
@@ -378,11 +377,29 @@ def test_a_zero_d_eq_is_free_in_every_displayed_degree(ring, order):
         order=3).as_operator()
     rep = u_module_decomposition(d_eq, analysis_order=order,
                                  grading=GradingKind("Z/2"))
-    assert rep.order == (1 if order is None else order)
+    assert rep.order == order
     assert rep.verified_q_order_index is None
     assert rep.per_degree == {
         0: {"free_rank": 2, "torsion_orders": [], "undetermined": 0},
         1: {"free_rank": 3, "torsion_orders": [], "undetermined": 0}}
+
+
+@pytest.mark.parametrize("rows, want, inverses", [
+    ([{0: "1"}, {1: "u"}], [(0, 0, 0), (1, 1, 1)], 0),  # no row to clear
+    ([{0: "1"}, {0: "u"}], [(0, 0, 0)], 1),  # one row cleared
+], ids=["diagonal", "column"])
+def test_dvr_inverts_a_pivot_unit_only_to_clear_a_row(monkeypatch, rows,
+                                                      want, inverses):
+    calls = []
+    real = complexes.useries_invert_unit
+    monkeypatch.setattr(complexes, "useries_invert_unit",
+                        lambda w, q_order: calls.append(w) or real(w, q_order))
+    entry = {"1": USeries.build(SETUP, 3, [SETUP.one()]),
+             "u": USeries.build(SETUP, 3, [SETUP.zero(), SETUP.one()])}
+    assert dvr_diagonalize(
+        [{c: entry[e] for c, e in row.items()} for row in rows], SETUP, 3
+    ) == (want, None)
+    assert len(calls) == inverses
 
 
 def test_dvr_diagonalize_asks_for_a_field_only_for_an_entry():
@@ -409,6 +426,16 @@ def test_les_balances_on_u_torsion_pair():
     C = GradedComplex.build(SETUP, GradingKind("Z"), basis, {})
     out = les_consistency(C, rep)
     assert out["balanced"], out
+
+
+def test_les_without_the_equivariant_summands_is_unbalanced():
+    # one generator with d = 0 has H^0 = Lambda, which an empty report
+    # does not account for
+    C = GradedComplex.build(SETUP, GradingKind("Z"),
+                            (GeneratorInfo("x", 0),), {})
+    out = les_consistency(C, complexes.DecompositionReport(order=2))
+    assert not out["balanced"]
+    assert out["first_mismatch_degree"] == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -463,7 +490,8 @@ def test_cone_rejects_non_chain_map():
 
 def test_chain_map_defects_are_listed_in_row_major_order():
     # c = 1 at (a,a) and (a,c), from the d = 0 complex a(0), c(1) to
-    # a -> b: d- c is 1 at (b,a) and at (b,c), whichever order c lists them
+    # a -> b: d- c is 1 at (b,a) and at (b,c), and (a,c) maps degree 1 to
+    # 0, whichever order c lists them
     minus = two_step_complex()
     plus = _free_complex([("a", 0), ("c", 1)])
     records = []
@@ -473,7 +501,8 @@ def test_chain_map_defects_are_listed_in_row_major_order():
         records.append(complexes._cone_defects(cmap, minus, plus))
     assert records[0] == records[1]
     assert [(v["invariant"], v["entry"]) for v in records[0]] == [
-        ("chain map", ["b", "a"]), ("chain map", ["b", "c"])]
+        ("chain map", ["b", "a"]), ("chain map", ["b", "c"]),
+        ("map degree", ["a", "c"])]
 
 
 def test_cone_of_the_identity_on_a_complex_with_a_differential():

@@ -653,6 +653,12 @@ def _sides_of_degree_minus_one(cone):
                    for x in ("x", "x2")]
 
 
+def _map_of_degree_minus_three(cone):
+    # c sends a(3) to b(0): both sides have d = 0, so c is a chain map,
+    # but the cone has no degree for its (M.b,R.a) entry
+    cone["plus"]["generators"][0]["index"] = 3
+
+
 @pytest.mark.parametrize("edit, records, message", [
     (_minus_not_a_complex,
      [("d squared zero", "minus", ["b", "b"]),
@@ -670,8 +676,11 @@ def _sides_of_degree_minus_one(cone):
     (_sides_of_degree_minus_one,
      [("degree 1", "minus", None), ("degree 1", "plus", None)],
      "d of C- has degree -1, not 1"),
+    (_map_of_degree_minus_three, [("map degree", None, ["b", "a"])],
+     "c does not have degree 0 at (b,a)"),
 ], ids=["minus-not-a-complex", "plus-mod-2", "z-against-mod-2",
-        "mod-2-against-mod-4", "minus-misplaced", "degree-minus-one"])
+        "mod-2-against-mod-4", "minus-misplaced", "degree-minus-one",
+        "map-degree-minus-three"])
 def test_validate_lists_what_cone_refuses(capsys, tmp_path, edit, records,
                                           message):
     doc = _fixture("cone_case.json")
@@ -774,6 +783,19 @@ def test_a_cone_between_different_betti_numbers(capsys, tmp_path):
     assert json.loads(out)["quasi_isomorphisms"]["minus"] == {
         "quasi_isomorphism": False, "degree": 0,
         "reason": "cohomology ranks differ (2 vs 1)"}
+
+
+def test_u_decompose_refuses_a_d1_that_is_not_of_degree_minus_one(
+        capsys, tmp_path):
+    # dvr_case.json with y at index 2: d_1 = 1 at (y,x) then maps degree 1
+    # to degree 2, which no torsion or free summand of u-decompose places
+    doc = _fixture("dvr_case.json")
+    doc["complex"]["generators"][1]["index"] = 2
+    code, out = run_cli(capsys, "u-decompose", _write(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "d_1 entry (y,x) maps degree 1 to degree 2, not 0: u-decompose "
+        "cannot place it")
 
 
 def test_a_complex_without_grading_is_z_graded(capsys, tmp_path):
