@@ -317,12 +317,8 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     setup = diff.setup
     if not setup.ring.is_field:
         raise CoefficientError("solve_iota requires field coefficients")
-    n = diff.n
-    N = diff.order
-    basis = diff.basis
-    lam = lambda_components(diff, regime)
-    d0 = diff.components[0]
-    z = setup.zero()
+    n, N, basis, d0 = diff.n, diff.order, diff.basis, diff.components[0]
+    lam, z = lambda_components(diff, regime), setup.zero()
 
     _, h = _contract(diff)
     if h is None:
@@ -544,35 +540,24 @@ def reduce_mod(data: CartanData, m: int) -> dict:
     """
     if m < 2:
         raise NovikovError("modulus must be >= 2")
-    diff = data.diff
-    setup = data.setup
-    hyp = []
-    for k in range(len(diff.components)):
-        for (t, s), v in diff.components[k].entries.items():
-            for e in v.exponents():
-                if (Fraction(e) / m).denominator != 1:
-                    hyp.append({
-                        "hypothesis": "d exponents in mZ",
-                        "component": k,
-                        "entry": [diff.basis[t].name, diff.basis[s].name],
-                        "exponent": str(e),
-                    })
-    integral = setup.ring.kind == "Z"
-    if not integral:
+    diff, setup = data.diff, data.setup
+
+    def cells(ops, name):  # (record head, entry) per stored entry of ops
+        return (({"hypothesis": name, "component": k, "entry": [
+            diff.basis[t].name, diff.basis[s].name]}, v)
+            for k, op in enumerate(ops) for (t, s), v in op.entries.items())
+
+    hyp = [{**head, "exponent": str(e)}
+           for head, v in cells(diff.components, "d exponents in mZ")
+           for e in v.exponents() if (Fraction(e) / m).denominator != 1]
+    if setup.ring.kind != "Z":
         hyp.append({"hypothesis": "iota = 0 mod m",
                     "inapplicable": f"coefficients are {setup.ring.describe()},"
                                     " divisibility is not meaningful"})
     else:
-        for k, op in enumerate(data.iota):
-            for (t, s), v in op.entries.items():
-                for _, c in v.terms:
-                    if c % m != 0:
-                        hyp.append({
-                            "hypothesis": "iota = 0 mod m",
-                            "component": k,
-                            "entry": [diff.basis[t].name, diff.basis[s].name],
-                            "coefficient": str(c),
-                        })
+        hyp += [{**head, "coefficient": str(c)}
+                for head, v in cells(data.iota, "iota = 0 mod m")
+                for _, c in v.terms if c % m != 0]
 
     # conclusions: lambda = q^w dq(d) and Gamma_q's part q^-w iota vanish
     # with coefficients in Z/m, Gamma_u's part 2 q^(1-w) iota in Z/2m.  A
@@ -638,6 +623,59 @@ def _unflatten(diff, X: OperatorMatrix) -> OperatorMatrix:
         (g // n, (g % n, s), v) for (g, s), v in X.entries.items()), X.degree)
 
 
+def _u_chains(diff, H, X: OperatorMatrix) -> List[List[int]]:
+    """The classes as u-chains [c, u c, u^2 c, ...].  u c is c's column
+    moved n rows down (``_flatten`` puts u^j x_i at j n + i), cut at u^N:
+    the next class if it holds just one class's pivot and equals that class
+    entry for entry, else the chain's end, which must be zero or a boundary
+    (p: zero, no residue).  Where it is not, each class is a chain alone."""
+    n, size = diff.n, len(X.target)
+    cols = [{} for _ in X.source]
+    for (g, c), v in X.entries.items():
+        cols[c][g] = v
+    at = {gens[col]: c for c, (gens, col) in enumerate(
+        (gens, col) for gens, _, reps in H.blocks for col, _ in reps)}
+    succ, ends = {}, {}
+    for c, col in enumerate(cols):
+        moved = {g + n: v for g, v in col.items() if g + n < size}
+        if len(s := [at[g] for g in moved if g in at]) == 1 and (
+                cols[s[0]] == moved):
+            succ[c] = s[0]
+        elif moved:
+            ends.update({(g, len(ends)): v for g, v in moved.items()})
+    coeffs, residues = H.project(OperatorMatrix._made(
+        X.source[:len(ends)], X.target, ends, X.degree))
+    if residues or any(v.has_terms() for v in coeffs.entries.values()):
+        return [[c] for c in range(len(cols))]
+    chains = [[c] for c in range(len(cols)) if c not in succ.values()]
+    for chain in chains:
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+    return chains
+
+
+def _along_chains(data, op, C, H, X: OperatorMatrix, chains):
+    """(p Gamma X, p's residues by chain), Gamma and p applied to the chains'
+    first classes only.  Gamma_q(u^j y) = u^j Gamma_q(y) and Gamma_u(u^j y)
+    = u^j Gamma_u(y) + 2j u^(j+1) y, so column j of a chain is p Gamma of
+    its first class with each class moved j steps along its chain (dropped
+    past its end), plus 2j in the ring at the chain's class j + 1."""
+    diff, first = data.diff, {chain[0]: i for i, chain in enumerate(chains)}
+    Y = OperatorMatrix._made(tuple(X.source[c] for c in first), X.target, {
+        (g, first[c]): v for (g, c), v in X.entries.items() if c in first}, 0)
+    coeffs, residues = H.project(_flatten(diff, op(data, _unflatten(diff, Y)),
+                                          C.basis))
+    at = {c: (chain, j) for chain in chains for j, c in enumerate(chain)}
+    out = {(along[jt + j], c): a for (t, i), a in coeffs.entries.items()
+           for along, jt in (at[t],)
+           for j, c in enumerate(chains[i][:len(along) - jt])}
+    for chain in chains if op is gamma_u else ():
+        for j, (c, up) in enumerate(zip(chain[1:], chain[2:]), 1):
+            out[(up, c)] = out.get((up, c), data.setup.zero()) + (
+                data.setup.monomial(2 * j, 0))
+    return OperatorMatrix(X.source, H.classes, out), residues
+
+
 def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
     """The columns of a block as text, formatting only stored entries."""
     zero = setup.format(setup.zero())
@@ -652,13 +690,15 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     """Matrix of the connection operator on equivariant cohomology classes.
 
     Cohomology of the u-truncated complex is computed over the Novikov
-    field together with its projection p onto the classes, once per datum
-    and q-order with the class block and its text, which Gamma_q and
-    Gamma_u share, as they share the datum's operator table
-    (``CartanData._op``); a degree no differential enters or leaves keeps
-    its generators as representatives.  Row c of the matrix is p(Gamma rep_c);
-    an image that is not a cocycle leaves a residue and is reported as not
-    expressible.
+    field with its projection p onto the classes, once per datum and
+    q-order, with the class block, its text and its u-chains
+    (``_u_chains``), which Gamma_q and Gamma_u share as they share the
+    datum's operator table (``CartanData._op``); a degree no differential
+    enters or leaves keeps its generators as representatives.  Row c of the
+    matrix is p(Gamma rep_c), read by the shift rule from each chain's first
+    class (``_along_chains``); where one of those images leaves a residue,
+    every class goes through Gamma and p, and an image that is not a
+    cocycle is reported as not expressible.
     Well-definedness on cohomology is certified exactly: Gamma descends to
     classes iff every Gamma(rep_c) is a cocycle and Gamma maps boundaries
     to boundaries.  These are a Lambda[u]-submodule and Gamma(u^j y) is
@@ -671,15 +711,11 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
-    op = gamma_q if which == "gamma_q" else gamma_u
-    diff = data.diff
+    op, diff = (gamma_q if which == "gamma_q" else gamma_u), data.diff
     # the matrix part op applies: empty where -2 = 0 or iota is past u^N
     zero = data._op(which).matrix.is_visibly_zero()
-    if which == "gamma_q":
-        form = "u*d/dq" if zero else "u*d/dq + iota part"
-    else:
-        form = ("2*u^2*d/du + u*mu" if zero
-                else "2*u^2*d/du + u*mu - 2*iota part")
+    form = ("u*d/dq" + ("" if zero else " + iota part") if which == "gamma_q"
+            else "2*u^2*d/du + u*mu" + ("" if zero else " - 2*iota part"))
     out = {"operator": which, "operator_form": form,
            "matrix_part_is_zero": zero, "classes": [],
            "matrix": [], "well_defined": True, "issues": []}
@@ -690,14 +726,17 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
         C = flatten_equivariant(diff)
         H = cohomology_over_novikov_field(C, key)
         X = H.class_block(C.basis)
-        data._H[key] = (C, H, X, _unflatten(diff, X), _texts(data.setup, X))
-    C, H, X, X_u, texts = data._H[key]
+        data._H[key] = (C, H, X, _texts(data.setup, X), _u_chains(diff, H, X))
+    C, H, X, texts, chains = data._H[key]
     out["classes"] = [{"degree": c.index, "representative": list(col)}
                       for c, col in zip(X.source, texts)]
     if not X.source:
         return out
     issues = out["issues"]
-    coeffs, residues = H.project(_flatten(diff, op(data, X_u), C.basis))
+    coeffs, residues = _along_chains(data, op, C, H, X, chains)
+    if residues and len(chains) < len(X.source):
+        coeffs, residues = _along_chains(data, op, C, H, X, [
+            [c] for c in range(len(X.source))])
     out["matrix"] = [None if ci in residues else col
                      for ci, col in enumerate(_texts(data.setup, coeffs))]
     for ci, (g, value) in sorted(residues.items()):

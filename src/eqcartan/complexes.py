@@ -770,6 +770,8 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
     ``hs`` and ``ht`` are the cohomology of ``source`` and of the target.
     Where the Betti numbers agree, the induced map is the square matrix of
     p_target(proj(rep)) over the source representatives: is it invertible?
+    A rank that falls short only below a tail (``verified_trunc``) is
+    undetermined; a full rank is certified whatever the tails.
     """
     degrees = set(hs["degrees"]) | set(ht["degrees"])
     coeffs, residues = ht.project(proj.compose(hs.class_block(source.basis)))
@@ -786,7 +788,12 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                 f"the image of a cocycle in degree {k} is not a cocycle")
         induced = [{c: coeffs.entries[(c, s)] for c in span
                     if (c, s) in coeffs.entries} for s in span]
-        if linalg.row_reduce(induced, source.setup, q_order).rank != dim_t:
+        red = linalg.row_reduce(induced, source.setup, q_order)
+        if red.rank != dim_t:
+            if red.verified_trunc is not None:
+                raise UndeterminedError(
+                    f"the induced map in degree {k} has rank {red.rank} of "
+                    f"{dim_t} only below exponent index {red.verified_trunc}")
             return {"quasi_isomorphism": False, "degree": k,
                     "reason": "induced map not surjective modulo boundaries"}
     return {"quasi_isomorphism": True}

@@ -16,6 +16,8 @@ import copy
 import json
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from eqcartan.cartan import (CartanData, EquivariantDifferential, _unflatten,
 from eqcartan.complexes import (GeneratorInfo, GradedComplex, GradingKind,
                                 OperatorMatrix, cohomology_over_novikov_field,
                                 mapping_cone)
+from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, NovikovElem,
                               ScalarSetup, parse_novikov)
 from eqcartan.quantum import projective_space_model
@@ -34,31 +37,165 @@ from eqcartan.quantum import projective_space_model
 from conftest import normal_form_differential, random_equivariant_differential
 from test_cartan import monotone_pair
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gens  # noqa: E402  (the benchmark's input generators)
+
 SETUP_Q = ScalarSetup.make(1, "Q")
 SETUP_F5 = ScalarSetup.make(1, "F5")
 OPERATORS = ("gamma_q", "gamma_u")
 
 
-def assert_same_connection(data, which):
-    got = induced_connection(data, which)
-    want = ref.induced_connection(data, which)
+def assert_same_connection(data, which, q_order=None):
+    got = induced_connection(data, which, q_order)
+    want = ref.induced_connection(data, which, q_order)
     assert got["classes"] == want["classes"]
     assert got["matrix"] == want["matrix"]
     assert got["well_defined"] == want["well_defined"]
     return got
 
 
+@pytest.fixture
+def applied(monkeypatch):
+    """The class columns of each block of classes that a Cartan operator is
+    applied to, one list per application."""
+    calls = []
+    apply = cartan._apply
+
+    def spy(op, X, bracket=None):
+        if X.source and X.source[0].name.startswith("class "):
+            calls.append([g.name for g in X.source])
+        return apply(op, X, bracket)
+
+    monkeypatch.setattr(cartan, "_apply", spy)
+    return calls
+
+
+def _chain_starts(report, n):
+    """The classes of a report whose representative is not that of another
+    class moved n rows down (u times it, cut at u^N), read from the text."""
+    reps = [tuple(c["representative"]) for c in report["classes"]]
+    moved = {("0",) * n + r[:-n] for r in reps}
+    return [f"class {c}" for c, r in enumerate(reps) if r not in moved]
+
+
 # -- induced connection against the elimination oracle ------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("order", range(2, 6))
-def test_cpn_connection_matches_the_oracle(n, order):
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("order", range(1, 6))
+def test_cpn_connection_matches_the_oracle(applied, n, order):
+    # the classes u^j e_i are n + 1 u-chains: Gamma sees their first
+    # classes e_i only, and the shift rule fills the other rows
     data = projective_space_model(n, SETUP_Q).cartan_data(order)
     for which in OPERATORS:
+        applied.clear()
         got = assert_same_connection(data, which)
         assert got["well_defined"]
         assert len(got["classes"]) == (n + 1) * order
+        starts = _chain_starts(got, n + 1)
+        assert len(starts) == n + 1 and applied == [starts]
+
+
+NORMAL_FORM_SHAPES = {  # (free, torsion, acyclic, u-order)
+    "free-acyclic": (2, 0, 2, 4), "torsion-1": (1, 1, 2, 3),
+    "torsion-2": (2, 1, 1, 3), "torsion-3": (1, 2, 2, 4)}
+
+
+@pytest.mark.parametrize("shape", NORMAL_FORM_SHAPES.values(),
+                         ids=NORMAL_FORM_SHAPES.keys())
+def test_bench_normal_form_connection_applies_gamma_to_chain_starts(
+        applied, shape):
+    """On ``gens.normal_form`` draws the report matches the oracle, and Gamma
+    sees either the chains' first classes only, then every class if one of
+    their images is no cocycle, or every class where the block is not
+    u-stable.  A block whose representatives, moved one u-step, are each
+    zero or a representative is u-stable, so it must take the first
+    classes; on each shape they must also serve a draw with a chain that
+    ends on a nonzero boundary."""
+    on_boundary = 0
+    for seed in range(10):
+        diff, _ = gens.normal_form(random.Random(2600 + seed), SETUP_Q,
+                                   *shape)
+        data, obstruction = solve_iota(diff)
+        data = CartanData(diff, ()) if obstruction is not None else data
+        for which in OPERATORS:
+            applied.clear()
+            got = assert_same_connection(data, which)
+            starts = _chain_starts(got, diff.n)
+            every = [f"class {c}" for c in range(len(got["classes"]))]
+            assert applied in ([starts], [starts, every], [every])
+            reps = {tuple(c["representative"]) for c in got["classes"]}
+            moved = {("0",) * diff.n + r[:-diff.n] for r in reps}
+            if moved <= reps | {("0",) * len(every)}:
+                assert applied[0] == starts
+            elif applied == [starts]:
+                on_boundary += 1
+    assert on_boundary
+
+
+def _tailed_pivot():
+    """d x = (1 + q) y and d z = y in degrees 0 and 1: the class z -
+    x/(1 + q) carries a truncated inverse, and so do p's coefficients."""
+    basis = (GeneratorInfo("x", 0), GeneratorInfo("z", 0),
+             GeneratorInfo("y", 1))
+    diff = EquivariantDifferential.build(
+        SETUP_Q, GradingKind("Z"), basis,
+        [{(2, 0): NovikovElem.build(SETUP_Q, [(0, 1), (1, 1)]),
+          (2, 1): SETUP_Q.one()}], order=3)
+    data, obstruction = solve_iota(diff, q_order=4)
+    assert obstruction is None
+    return data
+
+
+def test_truncated_coefficients_follow_the_chains(applied):
+    data = _tailed_pivot()
+    diff = data.diff
+    C = flatten_equivariant(diff)
+    H = cohomology_over_novikov_field(C, 4)
+    X = H.class_block(C.basis)
+    coeffs, _ = H.project(cartan._flatten(
+        diff, cartan.gamma_q(data, _unflatten(diff, X)), C.basis))
+    assert any(v.trunc is not None for v in coeffs.entries.values())
+    applied.clear()
+    got = assert_same_connection(data, "gamma_q", 4)
+    assert got["well_defined"]
+    assert applied == [["class 0"]] == [_chain_starts(got, diff.n)]
+
+
+def test_a_boundary_on_a_representative_takes_the_full_block(
+        monkeypatch, applied):
+    """The class z of the solved pair is a chain z, u z, u^2 z; with the
+    boundary d x added to the representative of u z the block is not
+    u-stable, Gamma sees every class, and only that representative moves."""
+    data = _solved_pair()
+    want = {which: ref.induced_connection(_solved_pair(), which)
+            for which in OPERATORS}
+    names = [g.name for g in flatten_equivariant(data.diff).basis]
+    x, uz = names.index("x"), names.index("u^1.z")
+    cohomology = cartan.cohomology_over_novikov_field
+
+    def with_boundary(C, q_order=None):
+        H = cohomology(C, q_order)
+        X = H.class_block(C.basis)
+        at = next(c for c in range(len(X.source))
+                  if _column(X, c) == {uz: SETUP_Q.one()})
+        moved = X + OperatorMatrix(X.source, X.target, {
+            (t, at): v for (t, s), v in C.d.entries.items() if s == x})
+        H.class_block = lambda basis: moved
+        return H
+
+    monkeypatch.setattr(cartan, "cohomology_over_novikov_field",
+                        with_boundary)
+    for which in OPERATORS:
+        applied.clear()
+        got = induced_connection(data, which)
+        assert applied == [[f"class {c}" for c in range(len(got["classes"]))]]
+        assert (got["matrix"], got["well_defined"]) == (
+            want[which]["matrix"], want[which]["well_defined"])
+        moved = [c for c, (a, b) in enumerate(zip(got["classes"],
+                                                  want[which]["classes"]))
+                 if a != b]
+        assert len(moved) == 1
 
 
 @pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
@@ -664,3 +801,20 @@ def test_cone_verdict_passes_a_degree_without_classes():
         "quasi_isomorphism": False, "degree": 3,
         "reason": "induced map not surjective modulo boundaries"}
     assert verdicts["plus"] == {"quasi_isomorphism": True}
+
+
+@pytest.mark.parametrize("tail", [2, 3])
+def test_a_rank_short_by_a_termless_tail_is_undetermined(tail):
+    """c = O(q^T) on a class a: the induced coefficient is the termless
+    tail, so the rank that falls short is known only below q^T and the cone
+    is undetermined; c = 1 + O(q^T) keeps a full rank, which is certified."""
+    basis = (GeneratorInfo("a", 0),)
+    C = GradedComplex.build(SETUP_Q, GradingKind("Z"), basis, {})
+    with pytest.raises(UndeterminedError, match=f"index {tail}"):
+        mapping_cone(OperatorMatrix(basis, basis, {
+            (0, 0): NovikovElem(SETUP_Q, (), tail)}), C, C)
+    verdicts = mapping_cone(OperatorMatrix(basis, basis, {
+        (0, 0): NovikovElem.build(SETUP_Q, [(0, 1)], tail)}), C, C)[
+        "quasi_isomorphisms"]
+    assert verdicts == {"minus": {"quasi_isomorphism": True},
+                        "plus": {"quasi_isomorphism": True}}
