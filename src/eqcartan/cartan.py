@@ -317,8 +317,12 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
     setup = diff.setup
     if not setup.ring.is_field:
         raise CoefficientError("solve_iota requires field coefficients")
-    n, N, basis, d0 = diff.n, diff.order, diff.basis, diff.components[0]
-    lam, z = lambda_components(diff, regime), setup.zero()
+    n = diff.n
+    N = diff.order
+    basis = diff.basis
+    lam = lambda_components(diff, regime)
+    d0 = diff.components[0]
+    z = setup.zero()
 
     _, h = _contract(diff)
     if h is None:
@@ -540,24 +544,35 @@ def reduce_mod(data: CartanData, m: int) -> dict:
     """
     if m < 2:
         raise NovikovError("modulus must be >= 2")
-    diff, setup = data.diff, data.setup
-
-    def cells(ops, name):  # (record head, entry) per stored entry of ops
-        return (({"hypothesis": name, "component": k, "entry": [
-            diff.basis[t].name, diff.basis[s].name]}, v)
-            for k, op in enumerate(ops) for (t, s), v in op.entries.items())
-
-    hyp = [{**head, "exponent": str(e)}
-           for head, v in cells(diff.components, "d exponents in mZ")
-           for e in v.exponents() if (Fraction(e) / m).denominator != 1]
-    if setup.ring.kind != "Z":
+    diff = data.diff
+    setup = data.setup
+    hyp = []
+    for k in range(len(diff.components)):
+        for (t, s), v in diff.components[k].entries.items():
+            for e in v.exponents():
+                if (Fraction(e) / m).denominator != 1:
+                    hyp.append({
+                        "hypothesis": "d exponents in mZ",
+                        "component": k,
+                        "entry": [diff.basis[t].name, diff.basis[s].name],
+                        "exponent": str(e),
+                    })
+    integral = setup.ring.kind == "Z"
+    if not integral:
         hyp.append({"hypothesis": "iota = 0 mod m",
                     "inapplicable": f"coefficients are {setup.ring.describe()},"
                                     " divisibility is not meaningful"})
     else:
-        hyp += [{**head, "coefficient": str(c)}
-                for head, v in cells(data.iota, "iota = 0 mod m")
-                for _, c in v.terms if c % m != 0]
+        for k, op in enumerate(data.iota):
+            for (t, s), v in op.entries.items():
+                for _, c in v.terms:
+                    if c % m != 0:
+                        hyp.append({
+                            "hypothesis": "iota = 0 mod m",
+                            "component": k,
+                            "entry": [diff.basis[t].name, diff.basis[s].name],
+                            "coefficient": str(c),
+                        })
 
     # conclusions: lambda = q^w dq(d) and Gamma_q's part q^-w iota vanish
     # with coefficients in Z/m, Gamma_u's part 2 q^(1-w) iota in Z/2m.  A
@@ -628,24 +643,28 @@ def _u_chains(diff, H, X: OperatorMatrix) -> List[List[int]]:
     moved n rows down (``_flatten`` puts u^j x_i at j n + i), cut at u^N:
     the next class if it holds just one class's pivot and equals that class
     entry for entry, else the chain's end, which must be zero or a boundary
-    (p: zero, no residue).  Where it is not, each class is a chain alone."""
+    (p: zero, no residue).  Where it is not, or where two classes move to
+    the same class, each class is a chain alone."""
     n, size = diff.n, len(X.target)
     cols = [{} for _ in X.source]
     for (g, c), v in X.entries.items():
         cols[c][g] = v
     at = {gens[col]: c for c, (gens, col) in enumerate(
         (gens, col) for gens, _, reps in H.blocks for col, _ in reps)}
-    succ, ends = {}, {}
+    succ, ends = {}, []
     for c, col in enumerate(cols):
         moved = {g + n: v for g, v in col.items() if g + n < size}
         if len(s := [at[g] for g in moved if g in at]) == 1 and (
                 cols[s[0]] == moved):
             succ[c] = s[0]
         elif moved:
-            ends.update({(g, len(ends)): v for g, v in moved.items()})
+            ends.append(moved)
     coeffs, residues = H.project(OperatorMatrix._made(
-        X.source[:len(ends)], X.target, ends, X.degree))
-    if residues or any(v.has_terms() for v in coeffs.entries.values()):
+        X.source[:len(ends)], X.target, {
+            (g, e): v for e, moved in enumerate(ends)
+            for g, v in moved.items()}, X.degree))
+    if residues or len(set(succ.values())) < len(succ) or any(
+            v.has_terms() for v in coeffs.entries.values()):
         return [[c] for c in range(len(cols))]
     chains = [[c] for c in range(len(cols)) if c not in succ.values()]
     for chain in chains:
@@ -666,9 +685,11 @@ def _along_chains(data, op, C, H, X: OperatorMatrix, chains):
     coeffs, residues = H.project(_flatten(diff, op(data, _unflatten(diff, Y)),
                                           C.basis))
     at = {c: (chain, j) for chain in chains for j, c in enumerate(chain)}
-    out = {(along[jt + j], c): a for (t, i), a in coeffs.entries.items()
-           for along, jt in (at[t],)
-           for j, c in enumerate(chains[i][:len(along) - jt])}
+    out = {}
+    for (t, i), a in coeffs.entries.items():
+        along, jt = at[t]
+        for j, c in enumerate(chains[i][:len(along) - jt]):
+            out[(along[jt + j], c)] = a
     for chain in chains if op is gamma_u else ():
         for j, (c, up) in enumerate(zip(chain[1:], chain[2:]), 1):
             out[(up, c)] = out.get((up, c), data.setup.zero()) + (
@@ -711,11 +732,15 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
     """
     if which not in ("gamma_q", "gamma_u"):
         raise NovikovError(f"unknown operator {which!r}")
-    op, diff = (gamma_q if which == "gamma_q" else gamma_u), data.diff
+    op = gamma_q if which == "gamma_q" else gamma_u
+    diff = data.diff
     # the matrix part op applies: empty where -2 = 0 or iota is past u^N
     zero = data._op(which).matrix.is_visibly_zero()
-    form = ("u*d/dq" + ("" if zero else " + iota part") if which == "gamma_q"
-            else "2*u^2*d/du + u*mu" + ("" if zero else " - 2*iota part"))
+    if which == "gamma_q":
+        form = "u*d/dq" if zero else "u*d/dq + iota part"
+    else:
+        form = ("2*u^2*d/du + u*mu" if zero
+                else "2*u^2*d/du + u*mu - 2*iota part")
     out = {"operator": which, "operator_form": form,
            "matrix_part_is_zero": zero, "classes": [],
            "matrix": [], "well_defined": True, "issues": []}

@@ -154,10 +154,16 @@ def cmd_cartan_solve_iota(args) -> int:
         _emit({"regime": regime, "solved": False,
                "obstruction": obstruction})
         return FAIL
-    comps = [{"u_order": k, "entries": [
-        {"target": diff.basis[t].name, "source": diff.basis[s].name,
-         "value": str(v)} for (t, s), v in sorted(op.entries.items())]}
-        for k, op in enumerate(data.iota)]
+    comps = []
+    for k, op in enumerate(data.iota):
+        comps.append({
+            "u_order": k,
+            "entries": [
+                {"target": diff.basis[t].name, "source": diff.basis[s].name,
+                 "value": str(v)}
+                for (t, s), v in sorted(op.entries.items())
+            ],
+        })
     _emit({"regime": regime, "solved": True, "iota_family": comps})
     return PASS
 

@@ -770,8 +770,9 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
     ``hs`` and ``ht`` are the cohomology of ``source`` and of the target.
     Where the Betti numbers agree, the induced map is the square matrix of
     p_target(proj(rep)) over the source representatives: is it invertible?
-    A rank that falls short only below a tail (``verified_trunc``) is
-    undetermined; a full rank is certified whatever the tails.
+    A rank that falls short is undetermined where the entries left beside
+    the pivots, which vanish only below a tail (``verified_trunc``), could
+    close the gap; a full rank is certified whatever the tails.
     """
     degrees = set(hs["degrees"]) | set(ht["degrees"])
     coeffs, residues = ht.project(proj.compose(hs.class_block(source.basis)))
@@ -790,7 +791,13 @@ def _quasi_iso_verdict(proj: OperatorMatrix, source: GradedComplex,
                     if (c, s) in coeffs.entries} for s in span]
         red = linalg.row_reduce(induced, source.setup, q_order)
         if red.rank != dim_t:
-            if red.verified_trunc is not None:
+            # the entries left off the pivots are tails: each row or column
+            # of them can raise the rank by one at most
+            rows, cols = {r for r, _ in red.pivots}, {c for _, c in red.pivots}
+            tails = [[c for c in row if c not in cols]
+                     for r, row in enumerate(red.scaled) if r not in rows]
+            if red.rank + min(sum(map(bool, tails)),
+                              len(set().union(*tails))) >= dim_t:
                 raise UndeterminedError(
                     f"the induced map in degree {k} has rank {red.rank} of "
                     f"{dim_t} only below exponent index {red.verified_trunc}")

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import dense_reference as ref
-from eqcartan import cartan, cli
+from eqcartan import cartan, cli, complexes
 from eqcartan.cartan import (CartanData, EquivariantDifferential, _unflatten,
                              flatten_equivariant, induced_connection,
                              solve_iota)
@@ -196,6 +196,38 @@ def test_a_boundary_on_a_representative_takes_the_full_block(
                                                   want[which]["classes"]))
                  if a != b]
         assert len(moved) == 1
+
+
+def test_two_classes_moving_to_one_take_the_full_block(monkeypatch, applied):
+    """d_0 z1 = d_0 z2 = -y, d_1 z1 = w and d_2 x = y at N = 3, with the
+    classes of degree 4 taken as x + u^2 z1 and x + u^2 z2: both move to
+    the class u x, so they cannot both start a chain through it.  Gamma
+    sees every class, and the matrix is the oracle's."""
+    one = SETUP_Q.one()
+    basis = tuple(GeneratorInfo(g, k) for g, k in (
+        ("x", 4), ("z1", 0), ("z2", 0), ("y", 1), ("w", -1)))
+    diff = EquivariantDifferential.build(SETUP_Q, GradingKind("Z"), basis, [
+        {(3, 1): -one, (3, 2): -one}, {(4, 1): one}, {(3, 0): one}], order=3)
+    data, obstruction = solve_iota(diff)
+    assert obstruction is None
+    representatives = complexes._representatives
+
+    def merging(red, n, images):
+        # degree 4 holds x, u^2 z1 and u^2 z2, at positions 0, 1 and 2
+        reps = representatives(red, n, images)
+        return [(1, {0: one, 1: one}), (2, {0: one, 2: one})] if n == 3 \
+            else reps
+
+    monkeypatch.setattr(complexes, "_representatives", merging)
+    for which in OPERATORS:
+        applied.clear()
+        got = assert_same_connection(data, which)
+        every = [f"class {c}" for c in range(len(got["classes"]))]
+        assert applied == [every] and len(every) == 5
+        # x, u^2 z1 and u^2 z2 are rows 0, 11 and 12 of the flattened basis
+        assert [[i for i, v in enumerate(c["representative"]) if v != "0"]
+                for c in got["classes"] if c["degree"] == 4] == [[0, 11],
+                                                                 [0, 12]]
 
 
 @pytest.mark.parametrize("setup", [SETUP_Q, SETUP_F5], ids=["Q", "F5"])
@@ -807,7 +839,10 @@ def test_cone_verdict_passes_a_degree_without_classes():
 def test_a_rank_short_by_a_termless_tail_is_undetermined(tail):
     """c = O(q^T) on a class a: the induced coefficient is the termless
     tail, so the rank that falls short is known only below q^T and the cone
-    is undetermined; c = 1 + O(q^T) keeps a full rank, which is certified."""
+    is undetermined; c = 1 + O(q^T) keeps a full rank, which is certified.
+    With a second class b, one row or column of tails raises the rank to 1
+    of 2 at most, so "not surjective" stays certain; tails on both diagonal
+    entries could close the gap."""
     basis = (GeneratorInfo("a", 0),)
     C = GradedComplex.build(SETUP_Q, GradingKind("Z"), basis, {})
     with pytest.raises(UndeterminedError, match=f"index {tail}"):
@@ -818,3 +853,14 @@ def test_a_rank_short_by_a_termless_tail_is_undetermined(tail):
         "quasi_isomorphisms"]
     assert verdicts == {"minus": {"quasi_isomorphism": True},
                         "plus": {"quasi_isomorphism": True}}
+    basis = (GeneratorInfo("a", 0), GeneratorInfo("b", 0))
+    C = GradedComplex.build(SETUP_Q, GradingKind("Z"), basis, {})
+    tails = NovikovElem(SETUP_Q, (), tail)
+    for tailed in ([(0, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 0)]):
+        assert mapping_cone(OperatorMatrix(basis, basis, dict.fromkeys(
+            tailed, tails)), C, C)["quasi_isomorphisms"]["minus"] == {
+            "quasi_isomorphism": False, "degree": 0,
+            "reason": "induced map not surjective modulo boundaries"}
+    with pytest.raises(UndeterminedError, match="rank 0 of 2"):
+        mapping_cone(OperatorMatrix(basis, basis, {
+            (0, 0): tails, (1, 1): tails}), C, C)
