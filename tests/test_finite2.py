@@ -1,18 +1,22 @@
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from eqcartan.complexes import GeneratorInfo, OperatorMatrix
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
-from eqcartan.novikov import InputError, NovikovError, ScalarSetup, dq
+from eqcartan.novikov import InputError, NovikovElem, NovikovError, \
+    ScalarSetup, dq
 
 SETUP = ScalarSetup.make(1, "F2")
+Z2_CASE = Path(__file__).resolve().parent.parent / "fixtures" / "z2_case.json"
 
 
 def _mul(A, B):
     n = len(A)
-    z = SETUP.zero()
+    z = A[0][0].setup.zero()
     out = [[z] * n for _ in range(n)]
     for t in range(n):
         for m in range(n):
@@ -39,27 +43,30 @@ def _entries(M):
             if e}
 
 
-def random_z2_data(rng, max_gens=6):
+def random_z2_data(rng, max_gens=6, setup=SETUP):
     """Build the operator system from homotopies, so every relation holds.
 
     With sigma = id + [d, A] and iota = c0 id + [d, B] (brackets are
     anticommutators in characteristic 2) the whole tower is generated by
     Sigma = AdA + AAd, xi = A iota + iota A, Xi = AA iota + A iota A.
     The q-exponents of d are kept even, so lambda = dq(d) vanishes over F2
-    and the Xi relation closes without a correction term.
+    and the Xi relation closes without a correction term.  The entries of
+    A and B take exponents k g for the setup's lattice step g, so over a
+    setup with g = 1/2 they reach half-integers.
     """
     npairs = rng.randint(1, max_gens // 2)
     n = 2 * npairs
     basis = tuple(GeneratorInfo(f"g{i}", i % 2) for i in range(n))
-    z = SETUP.zero()
-    ident = [[SETUP.one() if i == j else z for j in range(n)]
+    z = setup.zero()
+    ident = [[setup.one() if i == j else z for j in range(n)]
              for i in range(n)]
     d = [[z] * n for _ in range(n)]
     for i in range(npairs):
-        d[2 * i + 1][2 * i] = SETUP.monomial(1, 2 * rng.randint(0, 2))
+        d[2 * i + 1][2 * i] = setup.monomial(1, 2 * rng.randint(0, 2))
 
     def random_mat(density=0.5):
-        return [[SETUP.monomial(1, rng.randint(-1, 2))
+        step = setup.lattice.generator
+        return [[setup.monomial(1, step * rng.randint(-1, 2))
                  if rng.random() < density else z
                  for _ in range(n)] for _ in range(n)]
 
@@ -73,7 +80,7 @@ def random_z2_data(rng, max_gens=6):
     xi = _anti(A, iota)
     Xi = _add(_mul(_mul(A, A), iota), _mul(_mul(A, iota), A))
     return Z2CartanData.build(
-        SETUP, basis, d=_entries(d), iota=_entries(iota), lam=_entries(lam),
+        setup, basis, d=_entries(d), iota=_entries(iota), lam=_entries(lam),
         sigma=_entries(sigma), Sigma=_entries(Sigma), xi=_entries(xi),
         Xi=_entries(Xi))
 
@@ -105,6 +112,48 @@ def test_operator_basis_mismatch_is_an_input_error():
         Z2CartanData(SETUP, Z.basis, **ops)
 
 
+def test_q_tailed_entries_are_refused():
+    # a termless O(q^3) in d, with iota = sigma = id and every other operator
+    # 0: the relations would be read as holding, yet "d iota = iota d",
+    # "d sigma = sigma d" and "lambda = dq(d)" hold only below q^3 or q^2
+    basis = (GeneratorInfo("x", 1), GeneratorInfo("y", 0))
+    one = SETUP.one()
+    ident = {(0, 0): one, (1, 1): one}
+    with pytest.raises(InputError, match="operator d has an entry with a "
+                                         "q-tail"):
+        Z2CartanData.build(SETUP, basis, d={(1, 0): NovikovElem(SETUP, (), 3)},
+                           iota=ident, sigma=ident)
+    tailed = NovikovElem(SETUP, ((0, 1),), 4)
+    with pytest.raises(InputError, match="operator Xi has an entry with a "
+                                         "q-tail"):
+        Z2CartanData.build(SETUP, basis, iota=ident, sigma=ident,
+                           Xi={(0, 1): tailed})
+
+
+def test_finite2_commands_exit_2_on_q_tailed_entries(monkeypatch, capsys):
+    # no document spells a q-tail, so the tailed datum is built in place of
+    # the bundled document's
+    from eqcartan import cli, schema
+    z2_from = schema.z2_from
+
+    def tailed(doc):
+        Z = z2_from(doc)
+        maps = {k: dict(op.entries) for k, op in Z.operators().items()}
+        maps["d"][(0, 0)] = NovikovElem(SETUP, (), 3)
+        return Z2CartanData.build(SETUP, Z.basis, **maps)
+
+    monkeypatch.setattr(schema, "z2_from", tailed)
+    for command in ("verify", "assemble"):
+        assert cli.main(["finite2", command, str(Z2_CASE)]) == 2
+        assert "q-tail" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_empty_basis_holds():
+    # the schema asks for a generator, but the datum itself may have none
+    Z = Z2CartanData.build(SETUP, ())
+    assert verify_relations(Z)["all_hold"] and assemble_and_check(Z)["all_hold"]
+
+
 def test_golden_fixture_relations_and_assembly():
     Z = golden_with_nonzero_lambda()
     rel = verify_relations(Z)
@@ -115,8 +164,9 @@ def test_golden_fixture_relations_and_assembly():
 
 
 def test_both_entry_points_read_one_relation_table(monkeypatch):
-    # verify then assemble, as `finite2 assemble` runs them, make the 20
-    # products once; the frozen datum cannot be changed under its table
+    # verify then assemble, as `finite2 assemble` runs them, make the
+    # relation table (the packed rows and their products) once; the frozen
+    # datum cannot be changed under its table
     calls = []
     real = Z2CartanData._relations.func
     monkeypatch.setattr(Z2CartanData._relations, "func",

@@ -19,7 +19,8 @@ import pytest
 
 import dense_reference as ref
 from eqcartan.cartan import degree_weighted, gamma_q, gamma_u
-from eqcartan.complexes import GeneratorInfo, sample_block
+from eqcartan import finite2
+from eqcartan.complexes import GeneratorInfo, OperatorMatrix, sample_block
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
 from eqcartan.novikov import NovikovElem, NovikovError, ScalarSetup, USeries
 from eqcartan.quantum import QuantumRing, projective_space_model
@@ -192,11 +193,11 @@ def flip_one_entry(rng, Z):
     name = rng.choice(sorted(Z.operators()))
     entries = dict(Z.operators()[name].entries)
     key = (rng.randrange(Z.n), rng.randrange(Z.n))
-    mono = SETUP_F2.monomial(1, rng.randint(-1, 2))
+    mono = Z.setup.monomial(1, rng.randint(-1, 2))
     entries[key] = entries[key] + mono if key in entries else mono
     maps = {k: op.entries for k, op in Z.operators().items()}
     maps[name] = entries
-    return Z2CartanData.build(SETUP_F2, Z.basis, **maps)
+    return Z2CartanData.build(Z.setup, Z.basis, **maps)
 
 
 def assert_same_reports(Z):
@@ -240,3 +241,114 @@ def test_finite2_reports_match_dense_on_fixtures(fixture, holds):
     rng = random.Random(11)
     for _ in range(10):
         assert_same_reports(flip_one_entry(rng, Z))
+
+
+# The relations are made on bit-packed rows (``finite2._products``), with
+# compose only past the row-width bound; the reports above and below are
+# those of the dense reference, which multiplies entry by entry.
+
+
+def compose_calls(monkeypatch):
+    calls = []
+    real = OperatorMatrix.compose
+    monkeypatch.setattr(OperatorMatrix, "compose",
+                        lambda A, *rest: calls.append(A) or real(A, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_finite2_relations_compose_nothing_on_packed_rows(seed, monkeypatch):
+    # a refactor cannot fall back to compose unseen
+    rng = random.Random(seed)
+    systems = [random_z2_data(rng, 12)]
+    systems += [flip_one_entry(rng, systems[0]) for _ in range(3)]
+    calls = compose_calls(monkeypatch)
+    for Z in systems:
+        verify_relations(Z), assemble_and_check(Z)
+    assert calls == []
+    for Z in systems:
+        assert_same_reports(Z)
+
+
+def wide_system(K):
+    """The one-pair system with d = q^K, lambda = q^(K-1) (K odd) and
+    Xi = q^-1 at (x, x), which closes the Xi relation; its exponents span
+    K + 1 steps."""
+    basis = (GeneratorInfo("x", 1), GeneratorInfo("y", 0))
+    one = SETUP_F2.one()
+    return Z2CartanData.build(
+        SETUP_F2, basis, d={(1, 0): SETUP_F2.monomial(1, K)},
+        iota={(0, 0): one, (1, 1): one}, lam={(1, 0): SETUP_F2.monomial(1, K - 1)},
+        sigma={(0, 0): one, (1, 1): one}, Xi={(0, 0): SETUP_F2.monomial(1, -1)})
+
+
+def test_finite2_past_the_row_width_bound_takes_compose(monkeypatch):
+    # rows of n (2 (K + 1) + 1) bits: the widest packed, then one wider
+    K = finite2._PACKED_BITS // 4 - 2
+    if K % 2 == 0:
+        K -= 1
+    rng = random.Random(5)
+    for width, composes in ((K, 0), (K + 2, 7)):
+        Z = wide_system(width)
+        calls = compose_calls(monkeypatch)
+        assert assert_same_reports(Z)
+        assert len(calls) == composes
+        for _ in range(4):
+            assert_same_reports(flip_one_entry(rng, Z))
+
+
+SETUP_F2_HALF = ScalarSetup.make(Fraction(1, 2), "F2")
+
+
+@pytest.mark.parametrize("max_gens", [2, 6, 12])
+@pytest.mark.parametrize("seed", range(6))
+def test_finite2_reports_match_dense_on_half_integer_exponents(seed, max_gens):
+    rng = random.Random(seed)
+    Z = random_z2_data(rng, max_gens, setup=SETUP_F2_HALF)
+    # an odd q-index is a half-integer exponent; the one-pair systems may
+    # draw whole exponents only
+    assert Z.n == 2 or any(i % 2 for op in Z.operators().values()
+                           for v in op.entries.values() for i, _ in v.terms)
+    assert assert_same_reports(Z)
+    flipped = [flip_one_entry(rng, Z) for _ in range(4)]
+    holding = [assert_same_reports(F) for F in flipped]
+    assert not all(holding)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_finite2_multi_term_witnesses_match_dense(seed):
+    # several far-apart terms added to a few entries of one operator: the
+    # decoded witness cells must list their terms in the dense order
+    rng = random.Random(seed)
+    Z = random_z2_data(rng, 12)
+    name = rng.choice(sorted(Z.operators()))
+    entries = dict(Z.operators()[name].entries)
+    for _ in range(3):
+        key = (rng.randrange(Z.n), rng.randrange(Z.n))
+        poly = NovikovElem.build(SETUP_F2, [(rng.randint(-6, 9), 1)
+                                            for _ in range(4)])
+        entries[key] = entries[key] + poly if key in entries else poly
+    maps = {k: op.entries for k, op in Z.operators().items()}
+    maps[name] = entries
+    F = Z2CartanData.build(SETUP_F2, Z.basis, **maps)
+    assert not assert_same_reports(F)
+    values = [f["value"] for r in verify_relations(F)["relations"]
+              for f in r["failures"]]
+    assert any(" + " in v for v in values)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_finite2_packed_relation_matrices_equal_compose(seed, monkeypatch):
+    # field for field, degrees included: the operators get degrees here,
+    # and a product's degree is that of its first pair
+    rng = random.Random(seed)
+    Z = flip_one_entry(rng, random_z2_data(rng, 12))
+    ops = {k: OperatorMatrix(op.source, op.target, op.entries,
+                             rng.randint(-2, 2))
+           for k, op in Z.operators().items()}
+    Z = Z2CartanData(Z.setup, Z.basis, **ops)
+    packed = Z2CartanData._relations.func(Z)
+    monkeypatch.setattr(finite2, "_PACKED_BITS", 0)
+    calls = compose_calls(monkeypatch)
+    assert Z2CartanData._relations.func(Z) == packed
+    assert len(calls) == 7
