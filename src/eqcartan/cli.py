@@ -9,7 +9,8 @@ runs inside its own body, so a process loads nothing else: ``cartan``,
 ``quantum`` and ``finite2`` only for the commands that use them, ``morse``
 only for the ``morse`` commands, and for ``--schema`` none of the
 arithmetic (``novikov``, ``linalg``, ``complexes``).  No command loads a
-third-party package.
+third-party package.  ``main`` reads a command's document once, after
+the q-order setting, into ``args.doc``.
 
 Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
 the q-order budget of truncated inverses when no --q-order is given
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import re
 import sys
 import traceback
 from typing import Optional
@@ -44,34 +44,33 @@ def _emit(report) -> None:
 
 
 def cmd_validate(args) -> int:
-    doc = schema_mod.load_document(args.document)
     blocks = {}
 
     def put(block, violations):
         blocks[block] = {"violations": violations, "valid": not violations}
 
-    if "complex" in doc:
+    if "complex" in args.doc:
         from . import complexes as cx
-        put("complex", cx.validate_complex(schema_mod.complex_from(doc)))
-    if doc.keys() & {"d_family", "iota_family", "lambda_family"}:
+        put("complex", cx.validate_complex(schema_mod.complex_from(args.doc)))
+    if args.doc.keys() & {"d_family", "iota_family", "lambda_family"}:
         from . import complexes as cx
         # read as the cartan commands read them: malformed, exit 2
-        diff = schema_mod.cartan_from(doc).diff
+        diff = schema_mod.cartan_from(args.doc).diff
         d_eq = diff.as_operator()
         put("d_family", cx._witnesses(d_eq.compose(d_eq),
                                       identity="d_eq squared"))
-        lam_doc = schema_mod.lambda_family_from(doc, diff)
+        lam_doc = schema_mod.lambda_family_from(args.doc, diff)
         if lam_doc is not None:
             put("lambda_family", _lambda_mismatches(diff, lam_doc))
-    if "quantum_ring" in doc:
-        put("quantum_ring", schema_mod.quantum_from(doc).validate())
-    if "z2_data" in doc:
+    if "quantum_ring" in args.doc:
+        put("quantum_ring", schema_mod.quantum_from(args.doc).validate())
+    if "z2_data" in args.doc:
         from . import finite2
-        rep = finite2.verify_relations(schema_mod.z2_from(doc))
+        rep = finite2.verify_relations(schema_mod.z2_from(args.doc))
         put("z2_data", [f for r in rep["relations"] for f in r["failures"]])
-    if "cone" in doc:
+    if "cone" in args.doc:
         from . import complexes as cx
-        put("cone", cx._cone_defects(*schema_mod.cone_from(doc)))
+        put("cone", cx._cone_defects(*schema_mod.cone_from(args.doc)))
     ok = all(b["valid"] for b in blocks.values())
     _emit({"document": args.document, "blocks": blocks, "valid": ok})
     return PASS if ok else FAIL
@@ -101,8 +100,7 @@ def _lambda_mismatches(diff, lam_doc):
 
 def cmd_cohomology(args) -> int:
     from . import complexes as cx
-    doc = schema_mod.load_document(args.document)
-    C = schema_mod.complex_from(doc)
+    C = schema_mod.complex_from(args.doc)
     report = cx.cohomology_over_novikov_field(C, args.q_order)
     _emit(report)
     return PASS
@@ -110,8 +108,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_u_decompose(args) -> int:
     from . import complexes as cx
-    doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(doc, args.order)
+    diff = schema_mod.differential_family_from(args.doc, args.order)
     for k, d_k in enumerate(diff.components[1:], 1):
         cx._refuse_misplaced(d_k, diff.grading, f"d_{k}", "u-decompose")
     rep = cx.u_module_decomposition(
@@ -129,10 +126,9 @@ def cmd_u_decompose(args) -> int:
 
 def cmd_cartan_verify(args) -> int:
     from . import cartan as cartan_mod
-    doc = schema_mod.load_document(args.document)
-    data = schema_mod.cartan_from(doc)
+    data = schema_mod.cartan_from(args.doc)
     report = cartan_mod.identity_report(data)
-    lam_doc = schema_mod.lambda_family_from(doc, data.diff)
+    lam_doc = schema_mod.lambda_family_from(args.doc, data.diff)
     if lam_doc is not None:
         mism = _lambda_mismatches(data.diff, lam_doc)
         report["lambda_family_cross_check"] = {
@@ -144,10 +140,9 @@ def cmd_cartan_verify(args) -> int:
 
 def cmd_cartan_solve_iota(args) -> int:
     from . import cartan as cartan_mod
-    doc = schema_mod.load_document(args.document)
-    diff = schema_mod.differential_family_from(doc)
-    regime = args.regime or doc.get("iota_family", {}).get("regime",
-                                                          "monotone")
+    diff = schema_mod.differential_family_from(args.doc)
+    regime = args.regime or args.doc.get("iota_family", {}).get(
+        "regime", "monotone")
     data, obstruction = cartan_mod.solve_iota(diff, regime,
                                               q_order=args.q_order)
     if obstruction is not None:
@@ -170,16 +165,15 @@ def cmd_cartan_solve_iota(args) -> int:
 
 def cmd_cartan_connection(args) -> int:
     from . import cartan as cartan_mod
-    doc = schema_mod.load_document(args.document)
-    if "iota_family" in doc:
-        data = schema_mod.cartan_from(doc)
+    if "iota_family" in args.doc:
+        data = schema_mod.cartan_from(args.doc)
         if args.regime not in (None, data.regime):
             raise DocumentError(
                 f"--regime {args.regime} contradicts the iota_family regime "
                 f"{data.regime}: the same iota read in the other regime "
                 "gives another connection")
     else:
-        diff = schema_mod.differential_family_from(doc)
+        diff = schema_mod.differential_family_from(args.doc)
         data, obstruction = cartan_mod.solve_iota(
             diff, args.regime or "monotone", q_order=args.q_order)
         if obstruction is not None:
@@ -193,8 +187,7 @@ def cmd_cartan_connection(args) -> int:
 
 def cmd_quantum_check(args) -> int:
     from . import quantum as quantum_mod
-    doc = schema_mod.load_document(args.document)
-    Q = schema_mod.quantum_from(doc)
+    Q = schema_mod.quantum_from(args.doc)
     axioms = Q.validate()
     report = {"axiom_violations": axioms, "axioms_hold": not axioms}
     rep = quantum_mod.uq_identity_check(Q, order=args.order or 3)
@@ -205,22 +198,18 @@ def cmd_quantum_check(args) -> int:
 
 def cmd_quantum_obstruction(args) -> int:
     from . import quantum as quantum_mod
-    if args.ring == "Z":
-        report = quantum_mod.forbidden_summand_check(args.lam, args.d, "Z")
-    else:
-        m = re.fullmatch(r"F(\d+)", args.ring)
-        if not m:
-            raise DocumentError(f"unknown ring {args.ring!r}")
-        report = quantum_mod.forbidden_summand_check(args.lam, args.d, "Fp",
-                                                     int(m.group(1)))
+    from .novikov import _ring_from_name
+    # read as a document's coefficients; the check refuses all but Z, F_p
+    ring = _ring_from_name(args.ring)
+    report = quantum_mod.forbidden_summand_check(args.lam, args.d, ring.kind,
+                                                 ring.modulus)
     _emit(report)
     return MALFORMED if report["verdict"] == "inapplicable" else PASS
 
 
 def cmd_finite2_verify(args) -> int:
     from . import finite2
-    doc = schema_mod.load_document(args.document)
-    Z = schema_mod.z2_from(doc)
+    Z = schema_mod.z2_from(args.doc)
     report = finite2.verify_relations(Z)
     _emit(report)
     return PASS if report["all_hold"] else FAIL
@@ -228,8 +217,7 @@ def cmd_finite2_verify(args) -> int:
 
 def cmd_finite2_assemble(args) -> int:
     from . import finite2
-    doc = schema_mod.load_document(args.document)
-    Z = schema_mod.z2_from(doc)
+    Z = schema_mod.z2_from(args.doc)
     relations = finite2.verify_relations(Z)
     if not relations["all_hold"]:
         _emit({"relations": relations,
@@ -277,8 +265,7 @@ def cmd_morse_weights(args) -> int:
 
 def cmd_cone(args) -> int:
     from . import complexes as cx
-    doc = schema_mod.load_document(args.document)
-    cmap, minus, plus = schema_mod.cone_from(doc)
+    cmap, minus, plus = schema_mod.cone_from(args.doc)
     result = cx.mapping_cone(cmap, minus, plus, args.q_order)
     cone = result["cone"]
     report = {
@@ -380,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="torsion eigenvalue (exact rational or residue)")
     q2.add_argument("--d", type=int, required=True,
                     help="torsion exponent (>= 1)")
-    q2.add_argument("--ring", default="Z", help="Z or Fp (e.g. F5)")
+    q2.add_argument("--ring", default="Z",
+                    help="Z or Fp (e.g. F5), named as in a document")
     q2.set_defaults(fn=cmd_quantum_obstruction)
 
     sp = sub.add_parser("finite2", help="characteristic-2 finite analogue")
@@ -432,6 +420,9 @@ def main(argv=None) -> int:
                 # malformed value is malformed input whichever order rules
                 env_q_order = DEFAULT_Q_ORDER()
                 args.q_order = args.q_order or env_q_order
+            if hasattr(args, "document"):
+                # after the q-order setting, so a bad setting is reported first
+                args.doc = schema_mod.load_document(args.document)
             return args.fn(args)
         except (DocumentError, InputError) as exc:
             _emit({"error": str(exc), "kind": "malformed input"})

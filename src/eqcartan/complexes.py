@@ -207,15 +207,15 @@ class OperatorMatrix:
 
 
 def sample_block(setup: ScalarSetup, basis, order: int,
-                 keep: Optional[Sequence[int]] = None) -> OperatorMatrix:
+                 keep: Sequence[int]) -> OperatorMatrix:
     """A block of u-series columns mod u^order for checking operator
     identities on the module with this basis: for each basis position i in
-    ``keep`` (every one when None), the basis vector e_i and its
-    q,u-dressed variant q*u*e_i, as columns named "e_i" and "q*u*e_i"."""
+    ``keep``, the basis vector e_i and its q,u-dressed variant q*u*e_i, as
+    columns named "e_i" and "q*u*e_i"."""
     one = USeries.from_novikov(setup.one(), order)
     dressed = USeries.from_novikov(setup.monomial(1, 1), order, 1)
     columns, entries = [], {}
-    for i in range(len(basis)) if keep is None else keep:
+    for i in keep:
         entries[(i, len(columns))] = one
         columns.append(GeneratorInfo(f"e_{i}", basis[i].index))
         entries[(i, len(columns))] = dressed

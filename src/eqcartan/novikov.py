@@ -849,7 +849,6 @@ def useries_invert_unit(p: USeries, q_order: int) -> USeries:
 #   novikov :=  term (("+"|"-") term)*
 #   term    :=  coeff | coeff "*" qpow | qpow
 #   qpow    :=  "q" | "q^" int | "q^(" rational ")"
-#   series  :=  c0 "+" "(" novikov ")*u" "+" "(" novikov ")*u^" int ...
 
 
 def _split_top_level(text: str):
@@ -947,31 +946,6 @@ def format_novikov(x: NovikovElem) -> str:
         else:
             out += (" - " if negative else " + ") + body
     return out
-
-
-def parse_useries(text: str, setup: ScalarSetup, order: int) -> USeries:
-    text = text.strip()
-    z = setup.zero()
-    coeffs = [z] * order
-    if text in ("", "0"):
-        return USeries(setup, order, tuple(coeffs))
-    for sign, part in _split_top_level(text):
-        part = part.strip()
-        m = re.fullmatch(r"(?:\((?P<c>.*)\)\s*\*\s*)?u(?:\^(?P<k>\d+))?", part)
-        if m:
-            k = int(m.group("k") or 1)
-            c = parse_novikov(m.group("c") or "1", setup)
-        else:
-            k = 0
-            c = parse_novikov(part, setup)
-        if sign < 0:
-            c = -c
-        if k >= order:
-            raise NovikovError(
-                f"series term u^{k} at or above truncation order {order}"
-            )
-        coeffs[k] = coeffs[k] + c
-    return USeries(setup, order, tuple(coeffs))
 
 
 def format_useries(a: USeries) -> str:

@@ -255,7 +255,8 @@ def forbidden_summand_check(lam, d: int, ring: str = "Z",
     if d < 1:
         raise InputError("torsion exponent d must be >= 1")
     if ring not in ("Z", "Fp"):
-        raise InputError(f"unsupported ring {ring!r}")
+        shown = f"Z/{p}" if ring == "Zmod" else ring  # as the user wrote it
+        raise InputError(f"unsupported ring {shown!r}")
     try:
         lam = Fraction(lam)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

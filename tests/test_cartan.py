@@ -227,7 +227,8 @@ def test_identities_2_to_4_read_the_connection_operators(monkeypatch, name,
     data, obstruction = solve_iota(monotone_pair())
     assert obstruction is None
     assert identity_report(data)["all_hold"]
-    X = sample_block(data.setup, data.diff.basis, data.order)
+    X = sample_block(data.setup, data.diff.basis, data.order,
+                     range(data.diff.n))
     before = op(data, X).entries
     split = cartan._split
     monkeypatch.setattr(cartan, "_split", lambda d, o: (
@@ -254,7 +255,8 @@ def test_each_datum_builds_each_triple_at_most_once(monkeypatch):
     data, obstruction = solve_iota(monotone_pair(extra_free=True))
     assert obstruction is None
     identity_report(data)
-    X = sample_block(data.setup, data.diff.basis, data.order)
+    X = sample_block(data.setup, data.diff.basis, data.order,
+                     range(data.diff.n))
     for op in (gamma_q, degree_weighted, gamma_u):
         assert op(data, X).entries
     for which in ("gamma_q", "gamma_u"):

@@ -304,6 +304,23 @@ def test_quantum_obstruction_rejects_lambda_without_fp_image(capsys):
     assert json.loads(out)["kind"] == "malformed input"
 
 
+def test_quantum_obstruction_reads_the_ring_as_a_document_does(capsys):
+    argv = ["quantum", "obstruction", "--lambda", "2", "--d", "3", "--ring"]
+    # blanks around a ring name are ignored, as in a coefficients field
+    assert run_cli(capsys, *argv, " Z ") == run_cli(capsys, *argv, "Z")
+    for ring, error in [("Fx", "unknown coefficient ring 'Fx'"),
+                        ("Q", "unsupported ring 'Q'"),
+                        ("Z/6", "unsupported ring 'Z/6'")]:
+        code, out = run_cli(capsys, *argv, ring)
+        assert code == 2
+        assert json.loads(out)["error"] == error
+    # the ring is read before the check looks at d or lambda
+    code, out = run_cli(capsys, "quantum", "obstruction", "--lambda", "abc",
+                        "--d", "0", "--ring", "F4")
+    assert code == 2
+    assert json.loads(out)["error"] == "4 is not prime"
+
+
 def test_schema_flag(capsys):
     code, out = run_cli(capsys, "--schema")
     assert code == 0

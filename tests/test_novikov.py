@@ -20,7 +20,6 @@ from eqcartan.novikov import (
     format_useries,
     invert_truncated,
     parse_novikov,
-    parse_useries,
     useries_du,
     useries_invert_unit,
 )
@@ -395,15 +394,15 @@ def test_parse_rejects_off_lattice_exponent():
         parse_novikov("q^(1/2)", SETUP_Q)
 
 
-def test_useries_roundtrip():
-    for setup, text in [
-        (SETUP_Q, "1 + q + (q^2)*u + (2)*u^2"),
+def test_format_useries():
+    for setup, coeffs, text in [
+        (SETUP_Q, ("1 + q", "q^2", "2"), "1 + q + (q^2)*u + (2)*u^2"),
         # coefficients whose exponents are printed in parentheses
-        (SETUP_HALF, "(q^(-1))*u"),
-        (SETUP_HALF, "1 + (q^(1/2))*u"),
-        (SETUP_HALF,
-         "q^(-1/2) - (3/2*q^(-3/2) - q^(5/2))*u + (-q^(-1))*u^2"),
+        (SETUP_HALF, ("0", "q^(-1)", "0"), "(q^(-1))*u"),
+        (SETUP_HALF, ("1", "q^(1/2)", "0"), "1 + (q^(1/2))*u"),
+        (SETUP_HALF, ("q^(-1/2)", "-3/2*q^(-3/2) + q^(5/2)", "-q^(-1)"),
+         "q^(-1/2) + (-3/2*q^(-3/2) + q^(5/2))*u + (-q^(-1))*u^2"),
+        (SETUP_Q, ("0", "0", "0"), "0"),
     ]:
-        a = parse_useries(text, setup, 3)
-        assert a.coeffs[1].has_terms()
-        assert parse_useries(format_useries(a), setup, 3).coeffs == a.coeffs
+        a = USeries(setup, 3, tuple(parse_novikov(c, setup) for c in coeffs))
+        assert format_useries(a) == text

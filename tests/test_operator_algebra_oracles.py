@@ -92,7 +92,7 @@ def outcome(fn, *args):
 
 def sample_vectors(setup, basis, order):
     """The columns of ``sample_block``, labelled, as vectors."""
-    X = sample_block(setup, basis, order)
+    X = sample_block(setup, basis, order, range(len(basis)))
     return list(zip((c.name for c in X.source),
                     X.columns(USeries.zero(setup, order))))
 

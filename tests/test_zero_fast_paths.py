@@ -379,7 +379,8 @@ def test_monomial_products_build_nothing(monkeypatch, setup_q):
     monkeypatch.setattr(NovikovElem, "build", staticmethod(build))
     for data, _ in solved:
         assert identity_report(data)["identities"]
-        X = sample_block(setup_q, data.diff.basis, data.order)
+        X = sample_block(setup_q, data.diff.basis, data.order,
+                         range(data.diff.n))
         for op in (gamma_q, gamma_u, degree_weighted):
             assert op(data, X).entries
     assert counts["monomial products"] > 100
