@@ -589,7 +589,7 @@ def reduce_mod(data: CartanData, m: int) -> dict:
                         images.append(target.coerce(ring.mul(c, factor)))
                     except CoefficientError:
                         raise CoefficientError(
-                            f"coefficient {ring.format(c)} has no image"
+                            f"coefficient {c} has no image"
                             f" in Z/{modulus}") from None
         return not any(images)
 

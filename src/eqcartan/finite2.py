@@ -185,9 +185,9 @@ def verify_relations(Z: Z2CartanData) -> dict:
 def assemble_and_check(Z: Z2CartanData) -> dict:
     """Assemble d_eq and Gamma_q mod h^3 and certify both identities.
 
-    Returns the h-components of both operators (as formatted sparse
-    matrices) and one certificate per h-order of each identity, each read
-    off the relation matrices as the module docstring sets out.
+    Returns both operators' h-components, each stored entry printed once by
+    ``format_novikov`` under its "row,column" names, and one certificate per
+    h-order of each identity, read off the relation matrices (module doc).
     """
     basis = Z.basis
     rel = dict(Z._relations)

@@ -134,6 +134,10 @@ class ExponentLattice:
         s = self.steps_per_unit
         return index // s if index % s == 0 else Fraction(index, s)
 
+    @cached_property
+    def _words(self) -> dict:
+        """Each exponent index's printed q-power, filled as it is printed."""
+        return {0: ""}
 
 _FIELD_KINDS = {"Q", "Fp"}
 
@@ -250,9 +254,6 @@ class CoefficientRing:
         return self.mul(a, self.from_rational(r))
 
     # -- text -----------------------------------------------------------------
-
-    def format(self, a) -> str:
-        return str(a)
 
     def parse(self, text: str):
         text = text.strip()
@@ -926,26 +927,25 @@ def _format_qpow(exp: Fraction) -> str:
 
 
 def format_novikov(x: NovikovElem) -> str:
+    """x in the grammar above, exponents ascending: each term reads its
+    q-power from the lattice's table and prints a coefficient other than 1
+    once, by ``str``; the text is joined once."""
     if not x.terms:
         return "0"
-    ring = x.setup.ring
-    out = ""
+    lat = x.setup.lattice
+    words, parts = lat._words, []
     for n, c in x.terms:
-        exp = x.setup.lattice.exponent_of(n)
-        cs = ring.format(c)
-        negative = cs.startswith("-")
-        mag = cs[1:] if negative else cs
-        if exp == 0:
-            body = mag
-        elif mag == "1":
-            body = _format_qpow(exp)
-        else:
-            body = f"{mag}*{_format_qpow(exp)}"
-        if not out:
-            out = ("-" if negative else "") + body
-        else:
-            out += (" - " if negative else " + ") + body
-    return out
+        w = words.get(n)
+        if w is None:
+            w = words[n] = _format_qpow(lat.exponent_of(n))
+        if c == 1:
+            parts += (" + ", w or "1")
+            continue
+        mag = str(c)
+        sign, mag = (" - ", mag[1:]) if mag[0] == "-" else (" + ", mag)
+        parts += (sign, f"{mag}*{w}" if w and mag != "1" else w or mag)
+    parts[0] = "" if parts[0] == " + " else "-"
+    return "".join(parts)
 
 
 def format_useries(a: USeries) -> str:

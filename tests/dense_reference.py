@@ -64,6 +64,11 @@ replaced.  ``test_cohomology_projection.py`` asserts that the block
 projection returns, column by column, the same coefficients, tails and
 residues.
 
+``format_novikov`` and ``format_useries`` are the printers as they were
+before the exponent text moved into a per-lattice table: each term
+recomputes its exponent, its q-power text and its sign.
+``test_novikov.py`` asserts that the printers return the same bytes.
+
 Products skip only decidably zero operands (``is_zero()``), as
 ``OperatorMatrix.compose`` does, so a termless ``O(q^T)`` entry carries its
 tail into a product.
@@ -1220,3 +1225,47 @@ def project(H, vec):
         if residue is None and bad is not None:
             residue = (gens[bad], w[bad])
     return coeffs, residue
+
+
+def _format_qpow(exp):
+    if exp == 1:
+        return "q"
+    if exp.denominator == 1 and exp >= 0:
+        return f"q^{exp.numerator}"
+    return f"q^({exp})"
+
+
+def format_novikov(x):
+    if not x.terms:
+        return "0"
+    out = ""
+    for n, c in x.terms:
+        exp = x.setup.lattice.exponent_of(n)
+        cs = str(c)
+        negative = cs.startswith("-")
+        mag = cs[1:] if negative else cs
+        if exp == 0:
+            body = mag
+        elif mag == "1":
+            body = _format_qpow(exp)
+        else:
+            body = f"{mag}*{_format_qpow(exp)}"
+        if not out:
+            out = ("-" if negative else "") + body
+        else:
+            out += (" - " if negative else " + ") + body
+    return out
+
+
+def format_useries(a):
+    parts = []
+    for k, c in enumerate(a.coeffs):
+        if not c.has_terms():
+            continue
+        body = format_novikov(c)
+        if k == 0:
+            parts.append(body)
+        else:
+            upow = "u" if k == 1 else f"u^{k}"
+            parts.append(f"({body})*{upow}")
+    return " + ".join(parts) if parts else "0"

@@ -8,7 +8,7 @@ import pytest
 from eqcartan.complexes import GeneratorInfo, OperatorMatrix
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
 from eqcartan.novikov import InputError, NovikovElem, NovikovError, \
-    ScalarSetup, dq
+    ScalarSetup, dq, parse_novikov
 
 SETUP = ScalarSetup.make(1, "F2")
 Z2_CASE = Path(__file__).resolve().parent.parent / "fixtures" / "z2_case.json"
@@ -187,6 +187,26 @@ def test_randomized_systems_verify_and_assemble(seed):
     assert rel["all_hold"], [r for r in rel["relations"] if not r["holds"]]
     out = assemble_and_check(Z)
     assert out["all_hold"], [c for c in out["certificates"] if not c["holds"]]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_printed_components_parse_back_to_the_operators(seed):
+    """Every printed entry of d_eq (d, id + sigma, Sigma) and Gamma_q
+    (iota, xi, Xi) reads back as the operator's entry, and no stored entry
+    is left out."""
+    Z = random_z2_data(random.Random(seed))
+    out = assemble_and_check(Z)
+    names = [g.name for g in Z.basis]
+    for key, ops in (("d_eq", [Z.d, Z.identity() + Z.sigma, Z.Sigma]),
+                     ("gamma_q", [Z.iota, Z.xi, Z.Xi])):
+        assert [c["h_order"] for c in out[key]] == [0, 1, 2]
+        for comp, M in zip(out[key], ops):
+            read = {}
+            for cell, text in comp["entries"].items():
+                t, s = cell.split(",")
+                read[(names.index(t), names.index(s))] = parse_novikov(
+                    text, Z.setup)
+            assert read == M.entries
 
 
 def test_broken_relation_is_reported_with_witness():

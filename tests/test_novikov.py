@@ -1,3 +1,4 @@
+import ast
 import doctest
 import re
 from fractions import Fraction
@@ -367,6 +368,41 @@ def test_no_source_skips_coefficients_above_valid():
             if SKIPS_UNKNOWN_ORDERS.search(line)]
     assert hits == []
 
+
+# q-power text outside a word: "q^2" but not the "q^2" inside "d_eq^2"
+BUILDS_QPOW_TEXT = re.compile(r"(?<!\w)q\^")
+
+
+def _docstrings(tree):
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_novikov_is_the_only_module_that_prints_q_powers():
+    """Every printer goes through ``format_novikov``: no other src module
+    calls ``_format_qpow`` or builds q-power text in code (docstrings and
+    comments may show it)."""
+    src = Path(eqcartan.novikov.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "novikov.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            text = (node.value if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docs else "")
+            if name == "_format_qpow" or BUILDS_QPOW_TEXT.search(text):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
 # -- text grammar --------------------------------------------------------------
 
 
@@ -382,6 +418,62 @@ def test_novikov_parse_format_roundtrip(text):
 @settings(max_examples=60, deadline=None)
 def test_format_parse_identity(a):
     assert parse_novikov(format_novikov(a), SETUP_Q) == a
+
+
+PRINT_SETUPS = [ScalarSetup.make(g, ring)
+                for ring in ("Q", "Z", "F2", "F3", "Z/6")
+                for g in (1, Fraction(1, 2), Fraction(1, 3))]
+
+
+def _coerced(ring, c):
+    """c in the ring: a fraction over Q, else its image, or its numerator
+    where the denominator has no inverse."""
+    try:
+        return ring.coerce(c)
+    except CoefficientError:
+        return ring.coerce(c.numerator)
+
+
+@st.composite
+def printed_elems(draw, setup):
+    pairs = draw(st.lists(st.tuples(
+        st.integers(min_value=-9, max_value=9),
+        st.one_of(st.sampled_from([1, -1, 2, -2]),
+                  st.fractions(min_value=-7, max_value=7,
+                               max_denominator=6))),
+        max_size=5))
+    trunc = draw(st.one_of(st.none(), st.integers(min_value=-9, max_value=12)))
+    return NovikovElem.build(
+        setup, [(i, _coerced(setup.ring, c)) for i, c in pairs], trunc)
+
+
+@given(st.sampled_from(PRINT_SETUPS).flatmap(
+    lambda setup: st.lists(printed_elems(setup), min_size=1, max_size=4)))
+@settings(max_examples=150, deadline=None)
+def test_printers_match_the_reference_byte_for_byte(elems):
+    setup = elems[0].setup
+    for x in elems:
+        assert format_novikov(x) == ref.format_novikov(x)
+    a = USeries(setup, len(elems), tuple(elems))
+    assert format_useries(a) == ref.format_useries(a)
+
+
+@pytest.mark.parametrize("setup", PRINT_SETUPS,
+                         ids=lambda s: f"{s.ring.describe()}-g{s.lattice.generator}")
+def test_printers_match_the_reference_on_every_kind_of_term(setup):
+    """Exponent 0, 1, negative and fractional steps, with unit, negative
+    and fractional coefficients, and the zero element."""
+    ring = setup.ring
+    xs = [setup.zero(), NovikovElem(setup, (), 3)]
+    for c in (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)):
+        c = _coerced(ring, c)
+        xs.append(NovikovElem.build(setup, [(i, c) for i in (-4, -1, 0, 1, 2, 5)]))
+    xs.append(NovikovElem.build(setup, [(0, _coerced(ring, -1)), (1, 1)]))
+    for x in xs:
+        assert format_novikov(x) == ref.format_novikov(x)
+    a = USeries(setup, len(xs), tuple(xs))
+    assert format_useries(a) == ref.format_useries(a)
+    assert format_useries(USeries(setup, 2, (setup.zero(),) * 2)) == "0"
 
 
 def test_parse_fractional_exponent():
