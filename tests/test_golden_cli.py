@@ -2,11 +2,14 @@
 
 ``golden_commands.COMMANDS`` lists the commands, their exit codes and, by
 ``golden_name``, the files in ``tests/golden`` that hold their stdout.
+``answer_corpus.txt`` pins the exit code and stdout hash of every run of
+the exit-contract fuzz (``answer_corpus``).
 """
 
 import pytest
 
 from eqcartan import cli
+from answer_corpus import CORPUS, corpus_lines
 from golden_commands import COMMANDS, GOLDEN, ROOT, golden_bytes, golden_name
 
 NAMES = [golden_name(argv) for argv, _ in COMMANDS]
@@ -25,6 +28,13 @@ def test_cli_stdout_matches_golden(capsys, monkeypatch, argv, code):
     monkeypatch.delenv("EQCARTAN_U_ORDER", raising=False)
     assert cli.main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == golden_bytes(argv)
+
+
+def test_fuzzed_answers_match_the_corpus(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
+    monkeypatch.delenv("EQCARTAN_U_ORDER", raising=False)
+    assert list(corpus_lines()) == CORPUS.read_text().splitlines()
 
 
 @pytest.mark.parametrize("which", ["q", "u"])
