@@ -35,7 +35,6 @@ exception.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -52,7 +51,6 @@ from .complexes import cohomology_over_novikov_field
 __all__ = [
     "EquivariantDifferential",
     "CartanData",
-    "DEFAULT_U_ORDER",
     "lambda_components",
     "solve_iota",
     "gamma_q",
@@ -65,11 +63,6 @@ __all__ = [
 
 # the power w of q in each regime's normalization of iota (module docstring)
 REGIMES = {"monotone": 1, "cy": 0}
-
-
-def DEFAULT_U_ORDER() -> Optional[int]:
-    return linalg._order_setting(os.environ.get("EQCARTAN_U_ORDER"),
-                                 "EQCARTAN_U_ORDER")
 
 
 def _iota_degree(regime: str, k: int) -> int:
@@ -639,34 +632,22 @@ def _unflatten(diff, X: OperatorMatrix) -> OperatorMatrix:
 
 
 def _u_chains(diff, H, X: OperatorMatrix) -> List[List[int]]:
-    """The classes as u-chains [c, u c, u^2 c, ...].  u c is c's column
-    moved n rows down (``_flatten`` puts u^j x_i at j n + i), cut at u^N:
-    the next class if it holds just one class's pivot and equals that class
-    entry for entry, else the chain's end, which must be zero or a boundary
-    (p: zero, no residue).  Where it is not, or where two classes move to
-    the same class, each class is a chain alone."""
-    n, size = diff.n, len(X.target)
-    cols = [{} for _ in X.source]
-    for (g, c), v in X.entries.items():
-        cols[c][g] = v
-    at = {gens[col]: c for c, (gens, col) in enumerate(
-        (gens, col) for gens, _, reps in H.blocks for col, _ in reps)}
-    succ, ends = {}, []
-    for c, col in enumerate(cols):
-        moved = {g + n: v for g, v in col.items() if g + n < size}
-        if len(s := [at[g] for g in moved if g in at]) == 1 and (
-                cols[s[0]] == moved):
-            succ[c] = s[0]
-        elif moved:
-            ends.append(moved)
-    coeffs, residues = H.project(OperatorMatrix._made(
-        X.source[:len(ends)], X.target, {
-            (g, e): v for e, moved in enumerate(ends)
-            for g, v in moved.items()}, X.degree))
-    if residues or len(set(succ.values())) < len(succ) or any(
-            v.has_terms() for v in coeffs.entries.values()):
-        return [[c] for c in range(len(cols))]
-    chains = [[c] for c in range(len(cols)) if c not in succ.values()]
+    """The classes as u-chains [c, u c, u^2 c, ...], read from one matrix
+    U = p(u X): X moved n rows down (``_flatten`` puts u^j x_i at j n + i),
+    cut at u^N, and projected.  Class c is followed by c' where column c of
+    U has one entry with visible terms and it is an exact 1 at c'; it ends
+    its chain where the column has none.  Any other column, a residue, or
+    two classes moving to one class makes each class a chain alone."""
+    n, size, one = diff.n, len(X.target), diff.setup.one()
+    U, residues = H.project(OperatorMatrix._made(X.source, X.target, {
+        (g + n, c): v for (g, c), v in X.entries.items() if g + n < size},
+        X.degree))
+    moves = {(t, c): v for (t, c), v in U.entries.items() if v.has_terms()}
+    succ = {c: t for t, c in moves}
+    if residues or any(v != one for v in moves.values()) or not (
+            len(moves) == len(succ) == len(set(succ.values()))):
+        return [[c] for c in range(len(X.source))]
+    chains = [[c] for c in range(len(X.source)) if c not in succ.values()]
     for chain in chains:
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
@@ -699,10 +680,10 @@ def _along_chains(data, op, C, H, X: OperatorMatrix, chains):
 
 def _texts(setup, block: OperatorMatrix) -> List[List[str]]:
     """The columns of a block as text, formatting only stored entries."""
-    zero = setup.format(setup.zero())
+    zero = str(setup.zero())
     cols = [[zero] * len(block.target) for _ in block.source]
     for (t, s), v in block.entries.items():
-        cols[s][t] = setup.format(v)
+        cols[s][t] = str(v)
     return cols
 
 
@@ -746,7 +727,7 @@ def induced_connection(data: CartanData, which: str = "gamma_q",
            "matrix": [], "well_defined": True, "issues": []}
     if _contract(diff)[0]:
         return out
-    key = linalg.DEFAULT_Q_ORDER() if q_order is None else q_order
+    key = linalg.Q_ORDER if q_order is None else q_order
     if key not in data._H:
         C = flatten_equivariant(diff)
         H = cohomology_over_novikov_field(C, key)

@@ -12,20 +12,23 @@ arithmetic (``novikov``, ``linalg``, ``complexes``).  No command loads a
 third-party package.  ``main`` reads a command's document once, after
 the q-order setting, into ``args.doc``.
 
-Default truncation orders come from the environment: EQCARTAN_Q_ORDER for
-the q-order budget of truncated inverses when no --q-order is given
-(default 64; parsed once per command, even under the flag) and
-EQCARTAN_U_ORDER for the u-analysis order when neither ``u-decompose
---order`` nor the document fixes one (``schema.differential_family_from``,
-which parses the variable even when unused).  These and the
---q-order and --order flags take positive integers; an empty value means
-unset, anything else is malformed input (exit 2).
+Default truncation orders come from the environment, read here and in
+``schema`` only (a library call takes its orders as arguments):
+EQCARTAN_Q_ORDER for the q-order budget of truncated inverses when no
+--q-order is given (default ``linalg.Q_ORDER``, 64; parsed once per
+command, even under the flag) and EQCARTAN_U_ORDER for the u-analysis
+order when neither ``u-decompose --order`` nor the document fixes one
+(``schema.differential_family_from``, which parses the variable even when
+unused).  These and the --q-order and --order flags take positive
+integers; an empty value means unset, anything else is malformed input
+(exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 import traceback
 from typing import Optional
@@ -138,6 +141,13 @@ def cmd_cartan_verify(args) -> int:
     return PASS if report["all_hold"] else FAIL
 
 
+def _stored(op) -> list:
+    """An operator's stored entries, by position, as target, source and
+    value text."""
+    return [{"target": op.target[t].name, "source": op.source[s].name,
+             "value": str(v)} for (t, s), v in sorted(op.entries.items())]
+
+
 def cmd_cartan_solve_iota(args) -> int:
     from . import cartan as cartan_mod
     diff = schema_mod.differential_family_from(args.doc)
@@ -149,16 +159,8 @@ def cmd_cartan_solve_iota(args) -> int:
         _emit({"regime": regime, "solved": False,
                "obstruction": obstruction})
         return FAIL
-    comps = []
-    for k, op in enumerate(data.iota):
-        comps.append({
-            "u_order": k,
-            "entries": [
-                {"target": diff.basis[t].name, "source": diff.basis[s].name,
-                 "value": str(v)}
-                for (t, s), v in sorted(op.entries.items())
-            ],
-        })
+    comps = [{"u_order": k, "entries": _stored(op)}
+             for k, op in enumerate(data.iota)]
     _emit({"regime": regime, "solved": True, "iota_family": comps})
     return PASS
 
@@ -271,11 +273,7 @@ def cmd_cone(args) -> int:
     report = {
         "cone_generators": [{"name": g.name, "index": g.index}
                             for g in cone.basis],
-        "cone_differential": [
-            {"target": cone.basis[t].name, "source": cone.basis[s].name,
-             "value": str(v)}
-            for (t, s), v in sorted(cone.d.entries.items())
-        ],
+        "cone_differential": _stored(cone.d),
         "quasi_isomorphisms": result["quasi_isomorphisms"],
     }
     _emit(report)
@@ -288,10 +286,9 @@ def cmd_cone(args) -> int:
 def _order_flag(text: str) -> Optional[int]:
     """argparse type of the order flags: a usage error (exit 2) on a value
     that ``_order_setting`` rejects."""
-    from .linalg import _order_setting
     from .novikov import InputError
     try:
-        return _order_setting(text, "the order")
+        return schema_mod._order_setting(text, "the order")
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -411,15 +408,16 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return MALFORMED
-    from .linalg import DEFAULT_Q_ORDER, UndeterminedError
+    from .linalg import Q_ORDER, UndeterminedError
     from .novikov import InputError
     try:
         try:
             if hasattr(args, "q_order"):
                 # EQCARTAN_Q_ORDER is parsed even under --q-order, so a
                 # malformed value is malformed input whichever order rules
-                env_q_order = DEFAULT_Q_ORDER()
-                args.q_order = args.q_order or env_q_order
+                env_q_order = schema_mod._order_setting(
+                    os.environ.get("EQCARTAN_Q_ORDER"), "EQCARTAN_Q_ORDER")
+                args.q_order = args.q_order or env_q_order or Q_ORDER
             if hasattr(args, "document"):
                 # after the q-order setting, so a bad setting is reported first
                 args.doc = schema_mod.load_document(args.document)

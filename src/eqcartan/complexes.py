@@ -551,9 +551,8 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
             if (e := row.pop(pc, None)) is None:
                 continue
             if pinv is None:
-                if q_order is None:
-                    q_order = linalg.DEFAULT_Q_ORDER()
-                pinv = useries_invert_unit(w, q_order)
+                pinv = useries_invert_unit(
+                    w, linalg.Q_ORDER if q_order is None else q_order)
             if e:
                 linalg._axpy(row, shift_down(e, v) * pinv, prow)
                 continue

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
@@ -68,31 +67,14 @@ from .novikov import (InputError, NovikovElem, ScalarSetup, _min_trunc,
                       invert_truncated)
 
 __all__ = ["UndeterminedError", "Reduction", "row_reduce", "solve",
-           "DEFAULT_Q_ORDER"]
+           "Q_ORDER"]
 
 SparseRow = Dict[int, NovikovElem]
 Row = Union[SparseRow, List[NovikovElem]]
 
 
-def _order_setting(value: Optional[str], name: str) -> Optional[int]:
-    """A truncation order from a command-line flag or the environment.
-
-    A positive integer (surrounding blanks allowed) is that order; None or
-    the empty string means unset (None); anything else, a sign included,
-    raises InputError.
-    """
-    if value is None or value == "":
-        return None
-    text = value.strip()
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
-    return int(text)
-
-
-def DEFAULT_Q_ORDER() -> int:
-    q_order = _order_setting(os.environ.get("EQCARTAN_Q_ORDER"),
-                            "EQCARTAN_Q_ORDER")
-    return 64 if q_order is None else q_order
+# the q-order of a call that names none
+Q_ORDER = 64
 
 
 class UndeterminedError(Exception):
@@ -214,7 +196,6 @@ def _quotient(a: NovikovElem, b: NovikovElem) -> Optional[NovikovElem]:
         return a
     top = a.terms[-1][0] - b.terms[-1][0]
     rem = dict(a.terms)
-    zero = ring.zero()
     out = []
     while rem:
         k = min(rem)
@@ -224,8 +205,8 @@ def _quotient(a: NovikovElem, b: NovikovElem) -> Optional[NovikovElem]:
         out.append((k - e, x))
         for n, y in rest:
             i = k - e + n
-            v = ring.add(rem.get(i, zero), ring.neg(ring.mul(x, y)))
-            if ring.is_zero(v):
+            v = ring.add(rem.get(i, 0), ring.neg(ring.mul(x, y)))
+            if v == 0:
                 rem.pop(i, None)
             else:
                 rem[i] = v
@@ -287,7 +268,7 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
 
     def dense(x):
         e = x.terms[0][0]
-        out = [ring.zero()] * (x.terms[-1][0] - e + 1)
+        out = [0] * (x.terms[-1][0] - e + 1)
         for n, c in x.terms:
             out[n - e] = c
         return out
@@ -300,9 +281,9 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
             for i, c in enumerate(v):
                 u[off + i] = ring.add(u[off + i], ring.neg(ring.mul(f, c)))
             u.pop()
-            while u and ring.is_zero(u[-1]):
+            while u and u[-1] == 0:
                 u.pop()
-        while u and ring.is_zero(u[0]):
+        while u and u[0] == 0:
             u.pop(0)
         if u and ring.kind == "Q":
             # gcd of the numerators over lcm of the denominators
@@ -311,7 +292,7 @@ def _gcd(a: NovikovElem, b: NovikovElem) -> NovikovElem:
             u = [c * den // num for c in u]
         u, v = v, u
     return NovikovElem(a.setup, tuple((i, c) for i, c in enumerate(u)
-                                      if not ring.is_zero(c)))
+                                      if c != 0))
 
 
 def _sparse(rows: Sequence[Row]) -> List[dict]:
@@ -326,7 +307,7 @@ def _sparse(rows: Sequence[Row]) -> List[dict]:
 def row_reduce(rows: Sequence[Row], setup: ScalarSetup,
                q_order: Optional[int] = None) -> Reduction:
     if q_order is None:
-        q_order = DEFAULT_Q_ORDER()
+        q_order = Q_ORDER
     M = _sparse(rows)
     m = len(M)
     one = setup.one()

@@ -23,6 +23,7 @@ on the same input produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -304,6 +305,22 @@ def load_document(path: str) -> dict:
     return _check(doc, SCHEMA, [])
 
 
+def _order_setting(value: Optional[str], name: str) -> Optional[int]:
+    """A truncation order from a command-line flag or the environment.
+
+    A positive integer (surrounding blanks allowed) is that order; None or
+    the empty string means unset (None); anything else, a sign included,
+    raises InputError.
+    """
+    from .novikov import InputError
+    if value is None or value == "":
+        return None
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(text)
+
+
 # -- builders -----------------------------------------------------------------
 
 
@@ -392,8 +409,9 @@ def differential_family_from(doc: dict, order: Optional[int] = None
     N is ``order`` (``u-decompose --order``), else ``d_family.order``, else
     EQCARTAN_U_ORDER (parsed even when unused, so a malformed value is
     malformed input), else K + 2."""
-    from .cartan import DEFAULT_U_ORDER, EquivariantDifferential
-    env_order = DEFAULT_U_ORDER()
+    from .cartan import EquivariantDifferential
+    env_order = _order_setting(os.environ.get("EQCARTAN_U_ORDER"),
+                               "EQCARTAN_U_ORDER")
     if "complex" not in doc:
         blocks = "/".join(b for b in ("d_family", "iota_family") if b in doc)
         raise DocumentError(f"{blocks or 'd_eq'} needs a 'complex' block "

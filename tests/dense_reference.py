@@ -80,7 +80,7 @@ import math
 from fractions import Fraction
 
 from conftest import densify
-from eqcartan.linalg import DEFAULT_Q_ORDER, UndeterminedError
+from eqcartan.linalg import Q_ORDER, UndeterminedError
 from eqcartan.novikov import (CoefficientError, InversionError, NovikovElem, USeries, dq,
                               useries_du, useries_invert_unit, useries_udq)
 
@@ -199,7 +199,7 @@ def useries_q_shift(a, steps):
 def row_reduce(matrix, setup, q_order=None):
     """(reduced, transform, pivots, verified_trunc) with dense rows."""
     if q_order is None:
-        q_order = DEFAULT_Q_ORDER()
+        q_order = Q_ORDER
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     M = [list(row) for row in matrix]
@@ -301,7 +301,7 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
     matrix: after each pivot's row operations, column operations clear the
     pivot row, and every step scans the whole remaining block."""
     if q_order is None:
-        q_order = DEFAULT_Q_ORDER()
+        q_order = Q_ORDER
     if not setup.ring.is_field:
         raise CoefficientError("DVR decomposition requires field coefficients")
     m = len(rows)
@@ -1107,7 +1107,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
                 full[g] = rep[pos]
             classes.append({"degree": k, "vector": full})
     out = {"classes": [{"degree": cl["degree"],
-                        "representative": [setup.format(v)
+                        "representative": [str(v)
                                            for v in cl["vector"]]}
                        for cl in classes],
            "matrix": [], "well_defined": True}
@@ -1137,7 +1137,7 @@ def induced_connection(data, which="gamma_q", q_order=None):
         if coeffs2 is None or any((a - b).has_terms()
                                   for a, b in zip(coeffs, coeffs2)):
             out["well_defined"] = False
-        out["matrix"].append([setup.format(c) for c in coeffs])
+        out["matrix"].append([str(c) for c in coeffs])
     return out
 
 

@@ -706,9 +706,8 @@ def test_one_elimination_of_d0_serves_every_q_order(monkeypatch, draw):
     sizes = _reduced_sizes(monkeypatch)
     data, _ = solve_iota(diff, q_order=8)
     induced_connection(data, "gamma_q", q_order=64)
-    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
-    assert solve_iota(diff)[0].iota == data.iota
-    induced_connection(data, "gamma_u")
+    assert solve_iota(diff, q_order=12)[0].iota == data.iota
+    induced_connection(data, "gamma_u", q_order=12)
     assert sizes == [diff.n]
 
 

@@ -162,11 +162,13 @@ def test_truncated_coefficients_follow_the_chains(applied):
     assert applied == [["class 0"]] == [_chain_starts(got, diff.n)]
 
 
-def test_a_boundary_on_a_representative_takes_the_full_block(
+def test_a_boundary_on_a_representative_keeps_its_chain(
         monkeypatch, applied):
     """The class z of the solved pair is a chain z, u z, u^2 z; with the
-    boundary d x added to the representative of u z the block is not
-    u-stable, Gamma sees every class, and only that representative moves."""
+    boundary d x added to the representative of u z, p(u z) is still that
+    class (U = p(u reps) reads classes, not columns), so the chain stands:
+    Gamma sees class 0 only, the matrix is the oracle's, and only that
+    representative moves."""
     data = _solved_pair()
     want = {which: ref.induced_connection(_solved_pair(), which)
             for which in OPERATORS}
@@ -189,7 +191,7 @@ def test_a_boundary_on_a_representative_takes_the_full_block(
     for which in OPERATORS:
         applied.clear()
         got = induced_connection(data, which)
-        assert applied == [[f"class {c}" for c in range(len(got["classes"]))]]
+        assert applied == [["class 0"]]
         assert (got["matrix"], got["well_defined"]) == (
             want[which]["matrix"], want[which]["well_defined"])
         moved = [c for c, (a, b) in enumerate(zip(got["classes"],
@@ -366,8 +368,7 @@ def _solved_pair():
 
 @pytest.fixture
 def flattenings(monkeypatch):
-    """The q-order of every cohomology that induced_connection computes,
-    with EQCARTAN_Q_ORDER unset."""
+    """The q-order of every cohomology that induced_connection computes."""
     calls = []
 
     def counted(C, q_order=None):
@@ -375,13 +376,12 @@ def flattenings(monkeypatch):
         return cohomology_over_novikov_field(C, q_order)
 
     monkeypatch.setattr(cartan, "cohomology_over_novikov_field", counted)
-    monkeypatch.delenv("EQCARTAN_Q_ORDER", raising=False)
     return calls
 
 
 @pytest.mark.parametrize("make", [_cp2, _solved_pair],
                          ids=["cp2", "solved-pair"])
-def test_one_cohomology_per_datum_and_q_order(monkeypatch, flattenings, make):
+def test_one_cohomology_per_datum_and_q_order(flattenings, make):
     calls = flattenings
     data = make()
     want = {which: ref.induced_connection(make(), which)
@@ -397,10 +397,9 @@ def test_one_cohomology_per_datum_and_q_order(monkeypatch, flattenings, make):
     induced_connection(data, "gamma_q", q_order=8)
     induced_connection(data, "gamma_u", q_order=8)
     assert calls[1:] == [8]
-    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
-    induced_connection(data, "gamma_u")
+    induced_connection(data, "gamma_u", q_order=12)
     assert calls[2:] == [12]
-    induced_connection(make(), "gamma_q")
+    induced_connection(make(), "gamma_q", q_order=12)
     assert calls[3:] == [12]
 
 
@@ -461,16 +460,15 @@ def _acyclic_draw(setup, family, seed):
 @pytest.mark.parametrize("family", ["random", "normal_form"])
 @pytest.mark.parametrize("seed", range(24))
 def test_acyclic_d0_has_no_classes_and_is_not_flattened(
-        monkeypatch, flattenings, setup, family, seed):
+        flattenings, setup, family, seed):
     data = _acyclic_draw(setup, family, seed)
     for which in OPERATORS:
         got = assert_same_connection(data, which)
         assert (got["classes"], got["matrix"], got["issues"]) == ([], [], [])
         assert got["well_defined"]
         induced_connection(data, which, q_order=8)
-    monkeypatch.setenv("EQCARTAN_Q_ORDER", "12")
     for which in OPERATORS:
-        induced_connection(data, which)
+        induced_connection(data, which, q_order=12)
     assert flattenings == []
     # the u-adic filtration with acyclic graded pieces (C, d_0): H_eq = 0
     H = cohomology_over_novikov_field(flatten_equivariant(data.diff))

@@ -434,31 +434,69 @@ def test_cone_output(capsys):
 # -- environment knobs ---------------------------------------------------------
 
 
+def _q_order_in_force(monkeypatch, *flags):
+    """The q-order ``cli.main`` hands to ``cohomology``."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cohomology",
+                        lambda args: seen.append(args.q_order) or 0)
+    assert cli.main(["cohomology", str(FIXTURES / "dvr_case.json"),
+                     *flags]) == 0
+    return seen[0]
+
+
+def _unfixed_u_order():
+    """monotone_case.json with no d_family order, so N is not fixed."""
+    doc = load_document(str(FIXTURES / "monotone_case.json"))
+    del doc["d_family"]["order"]
+    return doc
+
+
 def test_q_order_env_is_read(monkeypatch):
-    from eqcartan.linalg import DEFAULT_Q_ORDER
+    from eqcartan.linalg import Q_ORDER
     monkeypatch.setenv("EQCARTAN_Q_ORDER", "17")
-    assert DEFAULT_Q_ORDER() == 17
+    assert _q_order_in_force(monkeypatch) == 17
+    assert _q_order_in_force(monkeypatch, "--q-order", "5") == 5
     monkeypatch.delenv("EQCARTAN_Q_ORDER")
-    assert DEFAULT_Q_ORDER() == 64
+    assert _q_order_in_force(monkeypatch) == Q_ORDER == 64
 
 
 def test_u_order_env_is_read(monkeypatch):
-    from eqcartan.cartan import DEFAULT_U_ORDER
+    from eqcartan.schema import differential_family_from
+    doc = _unfixed_u_order()
     monkeypatch.setenv("EQCARTAN_U_ORDER", "7")
-    assert DEFAULT_U_ORDER() == 7
+    assert differential_family_from(doc).order == 7
+    assert differential_family_from(doc, 4).order == 4
     monkeypatch.delenv("EQCARTAN_U_ORDER")
-    assert DEFAULT_U_ORDER() is None
+    diff = differential_family_from(doc)
+    assert diff.order == diff.K + 2
 
 
 def test_empty_order_settings_mean_unset(monkeypatch):
-    from eqcartan.cartan import DEFAULT_U_ORDER
-    from eqcartan.linalg import DEFAULT_Q_ORDER
+    from eqcartan.schema import _order_setting, differential_family_from
+    assert _order_setting(None, "X") is None
+    assert _order_setting("", "X") is None
+    assert _order_setting(" 17 ", "X") == 17
     monkeypatch.setenv("EQCARTAN_Q_ORDER", "")
     monkeypatch.setenv("EQCARTAN_U_ORDER", "")
-    assert DEFAULT_Q_ORDER() == 64
-    assert DEFAULT_U_ORDER() is None
+    assert _q_order_in_force(monkeypatch) == 64
+    diff = differential_family_from(_unfixed_u_order())
+    assert diff.order == diff.K + 2
     monkeypatch.setenv("EQCARTAN_Q_ORDER", " 17 ")
-    assert DEFAULT_Q_ORDER() == 17
+    assert _q_order_in_force(monkeypatch) == 17
+
+
+def test_library_calls_do_not_read_the_order_variables(monkeypatch):
+    # past the input layer (schema, cli), a call that names no q-order
+    # uses linalg.Q_ORDER, whatever is set
+    from eqcartan import cartan, linalg
+    from eqcartan.schema import cartan_from
+    data = cartan_from(load_document(str(FIXTURES / "classes_case.json")))
+    monkeypatch.setenv("EQCARTAN_Q_ORDER", "abc")
+    monkeypatch.setenv("EQCARTAN_U_ORDER", "abc")
+    cartan.induced_connection(data, "gamma_q")
+    assert list(data._H) == [linalg.Q_ORDER]
+    one = data.setup.one()
+    assert linalg.row_reduce([[one]], data.setup).rank == 1
 
 
 BAD_ORDERS = ["abc", "2.5", "0", "-5", "+3", "1e3"]

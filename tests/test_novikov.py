@@ -403,6 +403,22 @@ def test_novikov_is_the_only_module_that_prints_q_powers():
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
 
+
+READS_THE_ENVIRONMENT = re.compile(r"\benviron\b|getenv")
+
+
+def test_only_the_input_layer_reads_the_environment():
+    """The truncation orders come from the environment in ``schema`` and
+    ``cli`` only; every other src module takes them as arguments."""
+    src = Path(eqcartan.novikov.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            if path.name not in ("schema.py", "cli.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if READS_THE_ENVIRONMENT.search(line)]
+    assert hits == []
+
+
 # -- text grammar --------------------------------------------------------------
 
 
