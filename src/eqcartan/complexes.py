@@ -365,12 +365,14 @@ class CohomologyReport(dict):
         for (gens, images, reps), columns in zip(self.blocks, parts):
             for s, w in columns.items():
                 images._reduce(w)
-                a = [(first + j, w[col], rep)
+                a = [(first + j, col, w[col], rep)
                      for j, (col, rep) in enumerate(reps) if col in w]
-                for c, aj, rep in a:
+                for c, col, aj, rep in a:
                     coeffs[(c, s)] = aj
-                    if aj.has_terms():
+                    if aj.has_terms() and len(rep) > 1:
                         linalg._axpy(w, aj, rep)
+                    # rep is 1 at col, so w - aj rep has no term there
+                    w.pop(col, None)
                 if bad := [i for i, e in w.items() if e.has_terms()]:
                     residues.setdefault(s, (gens[min(bad)], w[min(bad)]))
             first += len(reps)
