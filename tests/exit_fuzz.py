@@ -1,25 +1,59 @@
-"""The document fuzz of test_exit_contract.py at chosen seeds and sizes.
+"""The document fuzz of answer_corpus.py at chosen seeds and sizes.
 
 Usage: python tests/exit_fuzz.py [--seeds 1 2 3] [--mutants 40]
 
 Each fixture takes ``--mutants`` mutated documents per seed, and every one
-runs through the eleven document commands in process.  The run fails
-(exit 1, with the failing document's edits) unless (a) every exit is 0, 1,
-2 or 3 and (c) ``u-decompose`` exits 1 only on documents that ``validate``
-does not pass.  The package must be importable (installed, or src on
-PYTHONPATH); the EQCARTAN_*_ORDER variables are unset for the run.
+runs through the eleven document commands in process, first with the
+EQCARTAN_*_ORDER variables unset.  Every run must keep ``answer_corpus``'s
+properties (a) and (c).  The same documents then run at EQCARTAN_Q_ORDER
+2, 8 and 64, and at EQCARTAN_U_ORDER 2, 4 and 8, and keep (a) and (c) there
+too, and
+
+(d) no command's exit goes from 0 to 1 or from 1 to 0 between two orders,
+    and none that exits 0 or 1 at an order exits 3 at a higher one.
+
+The run fails (exit 1, naming the property and each failing document's
+edits) if any run breaks one; it stops after the first sweep if that one
+does.  The package must be importable (installed, or src on PYTHONPATH).
 """
 
 import argparse
 import os
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+from answer_corpus import COMMANDS, FIXTURES, in_a_scratch_directory, \
+    runs, violations
 
-from test_exit_contract import COMMANDS, FIXTURES, check_fixture  # noqa: E402
+RISING = (("EQCARTAN_Q_ORDER", ("2", "8", "64")),
+          ("EQCARTAN_U_ORDER", ("2", "4", "8")))
+
+
+def _flips(codes):
+    """Whether exit codes at rising orders break (d)."""
+    return {0, 1} <= set(codes) or any(
+        c in (0, 1) and 3 in codes[i + 1:] for i, c in enumerate(codes))
+
+
+def order_violations(seeds, count):
+    """The runs at the RISING orders that break (a) or (c), and each
+    (document, command) whose exits break (d)."""
+    bad = []
+    for name, values in RISING:
+        codes = {}
+        for value in values:
+            os.environ[name] = value
+            for seed in seeds:
+                fuzz = list(runs(seed, count))
+                bad += violations(fuzz)
+                for r in fuzz:
+                    codes.setdefault((r.command, r.document()), []).append(
+                        r.code)
+        del os.environ[name]
+        bad += [f"(d) {command} exits {seen} at {name} {', '.join(values)}: "
+                f"{document}" for (command, document), seen in codes.items()
+                if _flips(seen)]
+    return bad
 
 
 def main(argv=None) -> int:
@@ -28,18 +62,18 @@ def main(argv=None) -> int:
     p.add_argument("--mutants", type=int, default=40,
                    help="mutated documents per fixture and seed")
     args = p.parse_args(argv)
-    for name in ("EQCARTAN_Q_ORDER", "EQCARTAN_U_ORDER"):
-        os.environ.pop(name, None)
     start = time.perf_counter()
-    documents = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        for seed in args.seeds:
-            for path in FIXTURES:
-                documents += check_fixture(path, seed, args.mutants,
-                                           Path(workdir))
-    print(f"{documents} documents x {len(COMMANDS)} commands within the "
-          f"contract in {time.perf_counter() - start:.1f} s")
-    return 0
+    with in_a_scratch_directory():
+        bad = [v for seed in args.seeds
+               for v in violations(runs(seed, args.mutants))]
+        if not bad:
+            bad = order_violations(args.seeds, args.mutants)
+    for line in bad:
+        print(line)
+    documents = len(args.seeds) * len(FIXTURES) * args.mutants
+    print(f"{documents} documents x {len(COMMANDS)} commands: {len(bad)} "
+          f"outside the contract, in {time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
