@@ -838,6 +838,10 @@ def useries_invert_unit(p: USeries, q_order: int) -> USeries:
 #   novikov :=  term (("+"|"-") term)*
 #   term    :=  coeff | coeff "*" qpow | qpow
 #   qpow    :=  "q" | "q^" int | "q^(" rational ")"
+#
+# A printed value ends in its unknown tail, `` + O(qpow)`` (``O(1)`` at
+# q^0) or, for a series that lost u-order, `` + O(u^valid)``; the parser
+# reads no tail back.
 
 
 def _split_top_level(text: str):
@@ -915,10 +919,11 @@ def _format_qpow(exp: Fraction) -> str:
 
 
 def format_novikov(x: NovikovElem) -> str:
-    """x in the grammar above, exponents ascending: each term reads its
-    q-power from the lattice's table and prints a coefficient other than 1
-    once, by ``str``; the text is joined once."""
-    if not x.terms:
+    """x in the grammar above, exponents ascending, then its tail: each term
+    reads its q-power from the lattice's table and prints a coefficient
+    other than 1 once, by ``str``; the text is joined once."""
+    t = x.trunc
+    if not x.terms and t is None:
         return "0"
     lat = x.setup.lattice
     words, parts = lat._words, []
@@ -932,14 +937,19 @@ def format_novikov(x: NovikovElem) -> str:
         mag = str(c)
         sign, mag = (" - ", mag[1:]) if mag[0] == "-" else (" + ", mag)
         parts += (sign, f"{mag}*{w}" if w and mag != "1" else w or mag)
+    if t is not None:
+        w = "1" if t == 0 else words.get(t) or _format_qpow(lat.exponent_of(t))
+        parts += (" + ", f"O({w})")
     parts[0] = "" if parts[0] == " + " else "-"
     return "".join(parts)
 
 
 def format_useries(a: USeries) -> str:
+    """c0 + (c1)*u + (c2)*u^2 + ..., each decidably zero coefficient left
+    out, then `` + O(u^v)`` if the series lost u-order."""
     parts = []
     for k, c in enumerate(a.coeffs):
-        if not c.has_terms():
+        if c.is_zero():
             continue
         body = format_novikov(c)
         if k == 0:
@@ -947,4 +957,7 @@ def format_useries(a: USeries) -> str:
         else:
             upow = "u" if k == 1 else f"u^{k}"
             parts.append(f"({body})*{upow}")
+    v = a.valid
+    if v < a.order:
+        parts.append("O(1)" if v == 0 else "O(u)" if v == 1 else f"O(u^{v})")
     return " + ".join(parts) if parts else "0"

@@ -413,7 +413,8 @@ def differential_family_from(doc: dict, order: Optional[int] = None
     env_order = _order_setting(os.environ.get("EQCARTAN_U_ORDER"),
                                "EQCARTAN_U_ORDER")
     if "complex" not in doc:
-        blocks = "/".join(b for b in ("d_family", "iota_family") if b in doc)
+        blocks = "/".join(b for b in ("d_family", "iota_family",
+                                      "lambda_family") if b in doc)
         raise DocumentError(f"{blocks or 'd_eq'} needs a 'complex' block "
                             "for its basis")
     C = complex_from(doc)

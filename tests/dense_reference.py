@@ -66,7 +66,8 @@ residues.
 
 ``format_novikov`` and ``format_useries`` are the printers as they were
 before the exponent text moved into a per-lattice table: each term
-recomputes its exponent, its q-power text and its sign.
+recomputes its exponent, its q-power text and its sign, and the unknown
+tail, ``O(q^T)`` or ``O(u^v)``, is appended last.
 ``test_novikov.py`` asserts that the printers return the same bytes.
 
 Products skip only decidably zero operands (``is_zero()``), as
@@ -1236,7 +1237,7 @@ def _format_qpow(exp):
 
 
 def format_novikov(x):
-    if not x.terms:
+    if not x.terms and x.trunc is None:
         return "0"
     out = ""
     for n, c in x.terms:
@@ -1254,13 +1255,17 @@ def format_novikov(x):
             out = ("-" if negative else "") + body
         else:
             out += (" - " if negative else " + ") + body
+    if x.trunc is not None:
+        exp = x.setup.lattice.exponent_of(x.trunc)
+        tail = "O(1)" if exp == 0 else f"O({_format_qpow(exp)})"
+        out = f"{out} + {tail}" if out else tail
     return out
 
 
 def format_useries(a):
     parts = []
     for k, c in enumerate(a.coeffs):
-        if not c.has_terms():
+        if not c.terms and c.trunc is None:
             continue
         body = format_novikov(c)
         if k == 0:
@@ -1268,4 +1273,6 @@ def format_useries(a):
         else:
             upow = "u" if k == 1 else f"u^{k}"
             parts.append(f"({body})*{upow}")
+    if a.valid < a.order:
+        parts.append({0: "O(1)", 1: "O(u)"}.get(a.valid, f"O(u^{a.valid})"))
     return " + ".join(parts) if parts else "0"

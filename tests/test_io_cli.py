@@ -200,20 +200,22 @@ def test_a_lambda_component_the_document_leaves_out_is_checked(capsys,
         "mismatches": [missing], "holds": False}
 
 
-def _bad_iota(doc, *, drop_complex=False, **entry):
+def _bad_iota(doc, *, drop=(), **entry):
     doc["iota_family"]["components"][1] = [
         {"target": "x", "source": "x", "value": "2", **entry}]
-    if drop_complex:
-        del doc["complex"], doc["d_family"]
+    for block in drop:
+        del doc[block]
     return doc
 
 
 @pytest.mark.parametrize("edit, message", [
     ({"source": "v"}, "unknown source generator 'v'"),
     ({"value": "q^^2"}, "bad scalar 'q^^2' at (x,x): "),
-    ({"drop_complex": True},
-     "iota_family needs a 'complex' block for its basis"),
-], ids=["unknown-generator", "bad-scalar", "no-complex"])
+    ({"drop": ("complex", "d_family")},
+     "iota_family/lambda_family needs a 'complex' block for its basis"),
+    ({"drop": ("complex", "d_family", "iota_family")},
+     "lambda_family needs a 'complex' block for its basis"),
+], ids=["unknown-generator", "bad-scalar", "no-complex", "lambda-only"])
 def test_validate_reads_the_iota_family_as_cartan_verify_does(
         capsys, tmp_path, edit, message):
     doc = json.loads((FIXTURES / "classes_case.json").read_text())

@@ -487,8 +487,9 @@ def test_printers_match_the_reference_on_every_kind_of_term(setup):
     xs.append(NovikovElem.build(setup, [(0, _coerced(ring, -1)), (1, 1)]))
     for x in xs:
         assert format_novikov(x) == ref.format_novikov(x)
-    a = USeries(setup, len(xs), tuple(xs))
-    assert format_useries(a) == ref.format_useries(a)
+    for order in (len(xs), len(xs) + 2):  # exact, then with u-order lost
+        a = USeries(setup, order, tuple(xs))
+        assert format_useries(a) == ref.format_useries(a)
     assert format_useries(USeries(setup, 2, (setup.zero(),) * 2)) == "0"
 
 
@@ -514,3 +515,38 @@ def test_format_useries():
     ]:
         a = USeries(setup, 3, tuple(parse_novikov(c, setup) for c in coeffs))
         assert format_useries(a) == text
+
+
+def _tailed(setup, text, trunc):
+    return NovikovElem.build(setup, parse_novikov(text, setup).terms, trunc)
+
+
+@pytest.mark.parametrize("x, text", [
+    (invert_truncated(SETUP_Q.parse("1 + q + q^3"), 3), "1 - q + q^2 + O(q^3)"),
+    (NovikovElem(SETUP_Q, (), 2), "O(q^2)"),
+    (NovikovElem(SETUP_Q, (), 0), "O(1)"),
+    (_tailed(SETUP_Q, "-q^-2", 1), "-q^(-2) + O(q)"),
+    (_tailed(SETUP_HALF, "2*q^(1/2)", 3), "2*q^(1/2) + O(q^(3/2))"),
+    (NovikovElem(SETUP_HALF, (), -1), "O(q^(-1/2))"),
+], ids=["inverse", "termless", "termless-at-q0", "negative", "half",
+        "half-termless"])
+def test_format_novikov_prints_the_unknown_tail(x, text):
+    assert format_novikov(x) == text == ref.format_novikov(x)
+
+
+@pytest.mark.parametrize("order, coeffs, text", [
+    (3, ("1", 2, "1"), "1 + (O(q^2))*u + (1)*u^2"),
+    (3, ("1", "0"), "1 + O(u^2)"),
+    (3, ("0", "q"), "(q)*u + O(u^2)"),
+    (2, ("1",), "1 + O(u)"),
+    (2, (), "O(1)"),
+    (3, (0, "q"), "O(1) + (q)*u + O(u^2)"),
+], ids=["tailed-coefficient", "lost-order", "lost-order-no-constant",
+        "lost-one-order", "nothing-known", "both-tails"])
+def test_format_useries_prints_tailed_coefficients_and_lost_order(
+        order, coeffs, text):
+    """A string coefficient is exact; an int T is the termless O(q^T)."""
+    a = USeries(SETUP_Q, order, tuple(
+        NovikovElem(SETUP_Q, (), c) if isinstance(c, int)
+        else parse_novikov(c, SETUP_Q) for c in coeffs))
+    assert format_useries(a) == text == ref.format_useries(a)
