@@ -40,7 +40,15 @@ PASS, FAIL, MALFORMED, UNDETERMINED, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(report) -> None:
-    sys.stdout.write(schema_mod.dumps(report))
+    """Print a report.  If stdout's reader is gone, fd 1 goes to the null
+    device, so the exit flush cannot fail and the command's code stands."""
+    try:
+        sys.stdout.write(schema_mod.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # -- commands -----------------------------------------------------------------
@@ -411,32 +419,27 @@ def main(argv=None) -> int:
     from .linalg import Q_ORDER, UndeterminedError
     from .novikov import InputError
     try:
-        try:
-            if hasattr(args, "q_order"):
-                # EQCARTAN_Q_ORDER is parsed even under --q-order, so a
-                # malformed value is malformed input whichever order rules
-                env_q_order = schema_mod._order_setting(
-                    os.environ.get("EQCARTAN_Q_ORDER"), "EQCARTAN_Q_ORDER")
-                args.q_order = args.q_order or env_q_order or Q_ORDER
-            if hasattr(args, "document"):
-                # after the q-order setting, so a bad setting is reported first
-                args.doc = schema_mod.load_document(args.document)
-            return args.fn(args)
-        except (DocumentError, InputError) as exc:
-            _emit({"error": str(exc), "kind": "malformed input"})
-            return MALFORMED
-        except UndeterminedError as exc:
-            _emit({"error": str(exc), "kind": "undetermined at truncation"})
-            return UNDETERMINED
-        except BrokenPipeError:
-            raise
-        except Exception as exc:  # a defect: report it, never as a verdict
-            traceback.print_exc(file=sys.stderr)
-            _emit({"error": f"{type(exc).__name__}: {exc}",
-                   "kind": "internal error"})
-            return INTERNAL
-    except BrokenPipeError:
-        return PASS
+        if hasattr(args, "q_order"):
+            # EQCARTAN_Q_ORDER is parsed even under --q-order, so a
+            # malformed value is malformed input whichever order rules
+            env_q_order = schema_mod._order_setting(
+                os.environ.get("EQCARTAN_Q_ORDER"), "EQCARTAN_Q_ORDER")
+            args.q_order = args.q_order or env_q_order or Q_ORDER
+        if hasattr(args, "document"):
+            # after the q-order setting, so a bad setting is reported first
+            args.doc = schema_mod.load_document(args.document)
+        return args.fn(args)
+    except (DocumentError, InputError) as exc:
+        _emit({"error": str(exc), "kind": "malformed input"})
+        return MALFORMED
+    except UndeterminedError as exc:
+        _emit({"error": str(exc), "kind": "undetermined at truncation"})
+        return UNDETERMINED
+    except Exception as exc:  # a defect: report it, never as a verdict
+        traceback.print_exc(file=sys.stderr)
+        _emit({"error": f"{type(exc).__name__}: {exc}",
+               "kind": "internal error"})
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -105,9 +105,6 @@ class ExponentLattice:
 
     def __post_init__(self):
         g = self.generator
-        if not isinstance(g, Fraction):
-            object.__setattr__(self, "generator", Fraction(g))
-            g = self.generator
         if g <= 0:
             raise InputError("lattice generator must be positive")
         if (1 / g).denominator != 1:
@@ -214,16 +211,9 @@ class CoefficientRing:
 
     def from_rational(self, r: Fraction):
         """Image of an exact rational in this ring, or CoefficientError."""
-        r = Fraction(r)
-        if self.kind == "Q":
-            return _rational(r)
-        if self.kind == "Z":
-            if r.denominator != 1:
-                raise CoefficientError(
-                    f"derivative leaves coefficient ring: {r} not in Z"
-                )
-            return int(r)
         m = self.modulus
+        if m is None:
+            return self.coerce(r)
         if math.gcd(r.denominator, m) != 1:
             raise CoefficientError(
                 f"derivative leaves coefficient ring: denominator {r.denominator}"
@@ -605,20 +595,20 @@ class USeries:
 
     A series is *decidably zero* when ``valid == order`` and every
     coefficient is a decidably zero NovikovElem (``is_zero()``, a flag set
-    once at construction).  ``+``, ``-``, negation, ``*``, ``scale`` and
-    ``q_shift`` with a decidably zero series operand skip the general
-    formula: a sum returns the other operand, a difference the other
-    operand or its negative, a product, negation, scaling or shift returns
-    the zero operand, values equal field for field to what the formula
-    gives (same coefficients, tails and ``valid``); so does a product whose
-    right operand is the exact unit 1, which returns the left.  A series
+    once at construction).  Only negation and ``q_shift`` of a decidably
+    zero series, and a product whose right operand is the exact unit 1,
+    skip the general formula: they return the zero operand or the left
+    one, equal field for field to what the formula gives (same
+    coefficients, tails and ``valid``).  ``+``, ``-``, ``*`` and ``scale``
+    leave a zero operand to ``NovikovElem`` arithmetic and
+    ``sum_of_products``, which decide it once, per coefficient.  A series
     that lost u-order or whose coefficients carry q-tails always goes
     through the formula; so does ``useries_du``, which lowers ``valid``
     even of an exact zero.
 
     Results are canonical by construction: every operation makes only its
-    known coefficients, without ``build``; ``*`` and ``scale`` skip
-    decidably zero coefficients.  Each call checks the scalar setups once.
+    known coefficients, without ``build``.  Each call checks the scalar
+    setups once.
 
     The type is a slotted frozen dataclass: assigning a field raises
     ``FrozenInstanceError``.  ``valid`` and ``_zero`` are slots set once in
@@ -708,10 +698,6 @@ class USeries:
 
     def __add__(self, other: "USeries") -> "USeries":
         self._common(other)
-        if self._zero:
-            return other
-        if other._zero:
-            return self
         return self._of(tuple(a + b
                               for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -722,17 +708,11 @@ class USeries:
 
     def __sub__(self, other: "USeries") -> "USeries":
         self._common(other)
-        if self._zero or other._zero:
-            return self if other._zero else -other
-        return self._of(tuple(a + (-b if b.terms else b)
+        return self._of(tuple(a - b
                               for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "USeries") -> "USeries":
         self._common(other)
-        if self._zero:
-            return self
-        if other._zero:
-            return other
         if other.valid == self.order:
             one = other.coeffs[0]
             if (one.terms == ((0, 1),) and one.trunc is None
@@ -769,10 +749,7 @@ class USeries:
 
     def scale(self, c: NovikovElem) -> "USeries":
         _check_same_setup(self, c)
-        if self._zero:
-            return self
-        return self._of(tuple(a if a.is_zero() else a * c
-                              for a in self.coeffs))
+        return self._of(tuple(a * c for a in self.coeffs))
 
     def q_shift(self, steps: int) -> "USeries":
         """Multiply every coefficient by q^(steps * g)."""
@@ -790,7 +767,7 @@ class USeries:
         return self._of(self.coeffs[k:])
 
     def __bool__(self):
-        return not self._zero and any(c.terms for c in self.coeffs)
+        return any(c.terms for c in self.coeffs)
 
     def __str__(self):
         return format_useries(self)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from eqcartan import cli
+from eqcartan import cli, complexes
+from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (InternalError, InversionError, LatticeMismatch,
                               NovikovError)
 from eqcartan.schema import DocumentError, dumps, load_document
@@ -116,6 +117,40 @@ def test_repeated_product_table_row_exits_2(capsys, tmp_path, command):
     report = json.loads(out)
     assert report["kind"] == "malformed input"
     assert "('e', 'e')" in report["error"]
+
+
+ENTRY = ("complex", "differential", "entries", 0, "value")
+
+
+@pytest.mark.parametrize("fixture, path, value, message", [
+    ("monotone_case", ("scalar_setup", "lattice_generator"), "2/3",
+     "bad scalar setup: 1 must be an integer multiple of the lattice "
+     "generator"),
+    ("monotone_case", ENTRY, "(q",
+     "bad scalar '(q' at (y,x): unbalanced parens in '(q'"),
+    ("monotone_case", ENTRY, "q)",
+     "bad scalar 'q)' at (y,x): unbalanced parens in 'q)'"),
+    ("quantum_cp1", ("quantum_ring", "basis", 1, "name"), "one",
+     "duplicate quantum basis names"),
+    ("quantum_cp1", ("quantum_ring", "unit"), "x", "unknown unit 'x'"),
+    ("quantum_cp1", ("quantum_ring", "table", 1, "right"), "x",
+     "unknown class 'x'"),
+], ids=["lattice", "open-paren", "close-paren", "duplicate-basis",
+        "unknown-unit", "unknown-table-class"])
+def test_refused_input_exits_2_with_its_message(capsys, tmp_path, fixture,
+                                                path, value, message):
+    # one field of a bundled fixture set to a value the document grammar
+    # or the quantum ring refuses
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "refused.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "validate", str(p))
+    assert code == 2
+    assert json.loads(out) == {"error": message, "kind": "malformed input"}
 
 
 def test_repeated_terms_within_a_table_row_are_summed(capsys, tmp_path):
@@ -275,6 +310,60 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
     assert report["kind"] == "internal error"
     assert "planted defect" in report["error"]
     assert "Traceback" in captured.err
+
+
+def test_an_undetermined_kernel_exits_3(capsys, monkeypatch):
+    # no document reaches an UndeterminedError today, so the kernel plants
+    # one
+    def undetermined(*args):
+        raise UndeterminedError("planted truncation")
+    monkeypatch.setattr(complexes, "cohomology_over_novikov_field",
+                        undetermined)
+    code, out = run_cli(capsys, "cohomology",
+                        str(FIXTURES / "monotone_case.json"))
+    assert code == 3
+    assert json.loads(out) == {"error": "planted truncation",
+                               "kind": "undetermined at truncation"}
+
+
+def test_an_unbalanced_long_exact_sequence_exits_1(capsys, monkeypatch):
+    # no document unbalances the long exact sequence today, so the
+    # bookkeeping is made to report it
+    real = complexes.les_consistency
+    monkeypatch.setattr(complexes, "les_consistency",
+                        lambda *args: {**real(*args), "balanced": False})
+    code, out = run_cli(capsys, "u-decompose", str(FIXTURES / "dvr_case.json"))
+    assert code == 1
+    assert json.loads(out)["les_consistency"]["balanced"] is False
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("document, code", [
+    ("failing/broken_case.json", 1), ("monotone_case.json", 0)])
+def test_a_closed_stdout_keeps_the_exit_code(document, code, unbuffered):
+    # the reader of stdout is gone before the report is written, so the
+    # write fails with EPIPE; the exit code is still the verdict's, as
+    # with an open stdout, and nothing is left to fail at exit
+    root = FIXTURES.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "eqcartan.cli", "validate",
+            str(FIXTURES / document)]
+    assert subprocess.run(argv, env=env, capture_output=True,
+                          timeout=120).returncode == code
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, env=env, stdout=write,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert b"Exception ignored" not in proc.stderr
 
 
 def test_quantum_obstruction_exit_codes(capsys):

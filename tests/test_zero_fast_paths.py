@@ -1,11 +1,13 @@
 """The direct arithmetic paths return what the general formula returns.
 
-``NovikovElem`` ``+``/``*`` and ``USeries`` ``+``/``-``/negation/``*``/
-``scale``/``q_shift`` skip the general formula when an operand is decidably
-zero (no terms, no q-tail and, for a series, no lost u-order); ``+`` and
-``*`` of single-term operands build their one- or two-term result
-directly, and the ``USeries`` operations build their coefficient tuple
-directly.  For every mix of operand kinds over Q, F2, F5 and Z/6 (a ring
+``NovikovElem`` ``+``/``*`` skip the general formula when an operand is
+decidably zero (no terms and no q-tail).  Of the ``USeries`` operations
+only negation and ``q_shift`` of a decidably zero series (one that also
+lost no u-order) and a product by the exact unit 1 skip it; ``+``, ``-``,
+``*`` and ``scale`` leave a zero operand to the ``NovikovElem`` arithmetic
+and ``sum_of_products``.  ``+`` and ``*`` of single-term operands build
+their one- or two-term result directly, and the ``USeries`` operations
+build their coefficient tuple directly.  For every mix of operand kinds over Q, F2, F5 and Z/6 (a ring
 with zero divisors) the result must equal the general formula of
 ``dense_reference`` field for field: terms, ``trunc`` of every coefficient
 and ``valid``.  The kinds include exact single-term monomials, the termless
