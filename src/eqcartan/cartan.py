@@ -349,7 +349,7 @@ def solve_iota(diff: EquivariantDifferential, regime: str = "monotone",
             return None, {"order": k, "row": r, "residual": str(resid),
                           "reason": "no iota solves the order-k equation"}
         iotas.append(OperatorMatrix(
-            basis, basis, {(i // n, i % n): v for i, v in x.items() if v},
+            basis, basis, {(i // n, i % n): v for i, v in x.items()},
             _iota_degree(regime, k)))
     return CartanData(diff, tuple(iotas), regime), None
 

@@ -130,9 +130,7 @@ def cmd_u_decompose(args) -> int:
                          diff.components[0])
     les = cx.les_consistency(C, rep, args.q_order)
     _emit({"decomposition": rep.as_json(), "les_consistency": les})
-    if not les["balanced"]:
-        return FAIL
-    return UNDETERMINED if les["undetermined_pivots"] else PASS
+    return PASS if les["balanced"] else FAIL
 
 
 def cmd_cartan_verify(args) -> int:

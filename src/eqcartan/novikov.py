@@ -144,6 +144,21 @@ def _rational(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the prime bases 2..37, exact for every p < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d >>= s
+    for a in bases:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
+            return False  # a witnesses that p is composite
+    return True
+
+
 @dataclass(frozen=True)
 class CoefficientRing:
     """One of Z, Q, F_p, Z/m.  Coefficients of Z, F_p and Z/m are ints (the
@@ -160,7 +175,9 @@ class CoefficientRing:
                 raise InputError("modulus only allowed for Fp / Zmod")
         elif self.kind == "Fp":
             p = self.modulus
-            if p is None or p < 2 or any(p % r == 0 for r in range(2, int(p**0.5) + 1)):
+            if p is not None and p >= 2**64:
+                raise InputError(f"F_p needs p < 2^64, not {p}")
+            if p is None or not _is_prime(p):
                 raise InputError(f"{p} is not prime")
         elif self.kind == "Zmod":
             if self.modulus is None or self.modulus < 2:
@@ -724,19 +741,17 @@ class USeries:
     def sum_of_products(pairs) -> "USeries":
         """sum(a * b for a, b in pairs) over a non-empty sequence, with the
         least ``valid`` that ``*`` gives a pair; each coefficient below it is
-        built once from all of its term products.  Decidably zero operands
-        are skipped: the result equals the sequential sum field for field."""
+        built once from all of its term products.  A zero operand adds no
+        cell: the result equals the sequential sum field for field."""
         first = pairs[0][0]
-        v, live = first.order, []
+        v = first.order
         for a, b in pairs:
             first._common(a)
             a._common(b)
-            if not (a._zero or b._zero):
-                # products landing at u^v or above are unknown: none is formed
-                v = min(v, a._lead() + b.valid, b._lead() + a.valid)
-                live.append((a, b))
+            # products landing at u^v or above are unknown: none is formed
+            v = min(v, a._lead() + b.valid, b._lead() + a.valid)
         cells = [[] for _ in range(v)]
-        for a, b in live:
+        for a, b in pairs:
             for i, x in enumerate(a.coeffs[:v]):
                 if x.terms or x.trunc is not None:
                     for j, y in enumerate(b.coeffs[:v - i]):

@@ -12,16 +12,6 @@ def setup_q():
     return ScalarSetup.make(1, "Q")
 
 
-@pytest.fixture
-def setup_f2():
-    return ScalarSetup.make(1, "F2")
-
-
-@pytest.fixture
-def setup_f5():
-    return ScalarSetup.make(1, "F5")
-
-
 def densify(x, n, zero):
     """A sparse vector ({column: value}, as ``linalg.solve`` returns and
     ``Reduction._kernel`` builds) as a dense list of n entries, zero where

@@ -353,6 +353,9 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
                         verified = t if verified is None else min(verified, t)
             break
         v, _, pr, pc = best
+        if v >= analysis_order:
+            raise UndeterminedError(f"pivot {pr},{pc} has u-valuation {v} "
+                                    f">= the analysis order {analysis_order}")
         pivot = M[pr][pc]
         punit = shift_down(pivot, v)
         pinv = useries_invert_unit(punit, q_order)

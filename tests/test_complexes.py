@@ -18,6 +18,7 @@ from eqcartan.complexes import (
     validate_complex,
 )
 from eqcartan.cartan import EquivariantDifferential
+from eqcartan.linalg import UndeterminedError
 from eqcartan.novikov import (CoefficientError, InputError, InternalError,
                               NovikovElem, NovikovError, ScalarSetup, USeries)
 
@@ -363,6 +364,19 @@ def test_torsion_degree_convention():
     rep = u_module_decomposition(d, analysis_order=3,
                                  grading=GradingKind("Z"))
     assert rep.per_degree[0]["torsion_orders"] == [1]
+
+
+def test_a_pivot_past_the_analysis_order_is_undetermined():
+    # d = u^2 is known to u-order 3; at analysis order 2 its pivot u^2
+    # cannot be told from zero, and dvr_diagonalize says so
+    basis = (GeneratorInfo("y", 0), GeneratorInfo("x", 1))
+    u2 = USeries.build(SETUP, 3, [SETUP.zero(), SETUP.zero(), SETUP.one()])
+    d = OperatorMatrix(basis, basis, {(0, 1): u2}, 1)
+    with pytest.raises(UndeterminedError, match="pivot 0,1 has u-valuation "
+                       "2 >= the analysis order 2"):
+        u_module_decomposition(d, analysis_order=2, grading=GradingKind("Z"))
+    rep = u_module_decomposition(d, analysis_order=3, grading=GradingKind("Z"))
+    assert rep.per_degree[0]["torsion_orders"] == [2]
 
 
 @pytest.mark.parametrize("ring", ["Q", "Z"])

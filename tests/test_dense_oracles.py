@@ -423,12 +423,22 @@ def test_dvr_a_visibly_zero_entry_of_lost_u_order_is_undetermined():
         assert diagonalize(rows, setup, 1) == ([], None)
 
 
+def test_dvr_a_pivot_past_the_analysis_order_is_undetermined():
+    z, one = SETUP_Q.zero(), SETUP_Q.one()
+    rows = [[USeries.build(SETUP_Q, 3, [z, z, one])]]
+    for diagonalize in (dvr_diagonalize, ref.dvr_diagonalize):
+        with pytest.raises(UndeterminedError, match="pivot 0,0 has "
+                           "u-valuation 2 >= the analysis order 2"):
+            diagonalize(rows, SETUP_Q, 2)
+        assert diagonalize(rows, SETUP_Q, 3) == ([(0, 0, 2)], None)
+
+
 # -- solve_iota and identity_report -------------------------------------------
 
 
 def _iota_entries(dense_iotas):
     return [{(t, s): v for t, row in enumerate(M) for s, v in enumerate(row)
-             if v} for M in dense_iotas]
+             if not v.is_zero()} for M in dense_iotas]
 
 
 def assert_same_cartan(diff, regime, q_order=None):
@@ -447,6 +457,18 @@ def assert_same_cartan(diff, regime, q_order=None):
         assert [op.entries for op in data.iota] == _iota_entries(want)
     assert identity_report(data) == ref.identity_report(data)
     return obstruction is not None
+
+
+def test_iota_keeps_an_entry_with_a_tail_and_no_terms():
+    # at q-order 1 linalg.solve returns O(q^2) at (f0, y2) of iota_3: not
+    # decidably zero, so iota keeps it, as the dense reference does
+    diff, _ = gens.normal_form(random.Random(0), SETUP_Q, 2, 0, 2, 4)
+    data, obstruction = solve_iota(diff, q_order=1)
+    assert obstruction is None
+    names = [g.name for g in diff.basis]
+    entry = data.iota[3].entries[names.index("f0"), names.index("y2")]
+    assert str(entry) == "O(q^2)"
+    assert_same_cartan(diff, "monotone", 1)
 
 
 @pytest.mark.parametrize("regime", ["monotone", "cy"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,15 +313,20 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
     assert "Traceback" in captured.err
 
 
-def test_an_undetermined_kernel_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("command, kernel, document", [
+    ("cohomology", "cohomology_over_novikov_field", "monotone_case.json"),
+    # dvr_diagonalize decides where u-precision runs out; u-decompose has
+    # no exit 3 of its own
+    ("u-decompose", "dvr_diagonalize", "dvr_case.json"),
+], ids=["cohomology", "u-decompose"])
+def test_an_undetermined_kernel_exits_3(capsys, monkeypatch, command, kernel,
+                                        document):
     # no document reaches an UndeterminedError today, so the kernel plants
     # one
     def undetermined(*args):
         raise UndeterminedError("planted truncation")
-    monkeypatch.setattr(complexes, "cohomology_over_novikov_field",
-                        undetermined)
-    code, out = run_cli(capsys, "cohomology",
-                        str(FIXTURES / "monotone_case.json"))
+    monkeypatch.setattr(complexes, kernel, undetermined)
+    code, out = run_cli(capsys, command, str(FIXTURES / document))
     assert code == 3
     assert json.loads(out) == {"error": "planted truncation",
                                "kind": "undetermined at truncation"}
@@ -410,6 +416,36 @@ def test_quantum_obstruction_reads_the_ring_as_a_document_does(capsys):
                         "--d", "0", "--ring", "F4")
     assert code == 2
     assert json.loads(out)["error"] == "4 is not prime"
+
+
+def _one_generator_document(tmp_path, coefficients):
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps({
+        "schema_version": 1,
+        "scalar_setup": {"lattice_generator": "1",
+                         "coefficients": coefficients},
+        "complex": {"grading": {"kind": "Z/2"},
+                    "generators": [{"name": "x", "index": 0}],
+                    "differential": {"degree": 1, "entries": []}},
+    }))
+    return str(p)
+
+
+def test_a_seventeen_digit_prime_validates_promptly(capsys, tmp_path):
+    # trial division up to sqrt(p) took seconds here; Miller-Rabin does not
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "validate", _one_generator_document(
+        tmp_path, "F10000000000000061"))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["valid"]
+    for ring, error in [("F10000000000000063", "10000000000000063 is not "
+                         "prime"),
+                        ("F18446744073709551629", "F_p needs p < 2^64, not "
+                         "18446744073709551629")]:
+        code, out = run_cli(capsys, "validate",
+                            _one_generator_document(tmp_path, ring))
+        assert code == 2
+        assert json.loads(out)["error"] == f"bad scalar setup: {error}"
 
 
 def test_schema_flag(capsys):

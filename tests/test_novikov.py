@@ -5,12 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import dense_reference as ref
 import eqcartan.novikov
 from eqcartan.novikov import (
     CoefficientError,
+    CoefficientRing,
+    InputError,
     InversionError,
     LatticeMismatch,
     NovikovElem,
@@ -241,6 +244,29 @@ def test_lattice_mismatch_rejected():
     b = SETUP_HALF.monomial(1, 1)
     with pytest.raises(Exception):
         a + b
+
+
+# 2047 is a strong pseudoprime to base 2, 561 a Carmichael number and
+# 3825123056546413051 a strong pseudoprime to the bases 2..31
+LARGE_MODULI = [10**12 + 39, 10**14 + 31, 10**16 + 61, 10**16 + 63,
+                3825123056546413051, 2**61 - 1, 2**64 - 59, 2**64 - 1]
+
+
+def test_fp_accepts_exactly_the_primes():
+    for p in [*range(-2, 3000), *LARGE_MODULI]:
+        if sympy.isprime(p):
+            assert CoefficientRing("Fp", p).modulus == p
+        else:
+            with pytest.raises(InputError, match=rf"^{p} is not prime$"):
+                CoefficientRing("Fp", p)
+
+
+def test_fp_refuses_a_modulus_past_two_to_the_64():
+    # the check is Miller-Rabin with the bases 2..37, taken as exact below
+    # 2^64 only; 318665857834031151167461 is a strong pseudoprime to all
+    for p in (2**64, 2**64 + 13, 318665857834031151167461):
+        with pytest.raises(InputError, match="F_p needs p < 2"):
+            CoefficientRing("Fp", p)
 
 
 @pytest.mark.parametrize("ring, residue", [("F2", 0), ("F5", 3), ("Z/6", 4)])
