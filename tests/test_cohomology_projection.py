@@ -216,9 +216,9 @@ def test_two_classes_moving_to_one_take_the_full_block(monkeypatch, applied):
 
     def merging(red, n, images):
         # degree 4 holds x, u^2 z1 and u^2 z2, at positions 0, 1 and 2
-        reps = representatives(red, n, images)
-        return [(1, {0: one, 1: one}), (2, {0: one, 2: one})] if n == 3 \
-            else reps
+        reps, verified = representatives(red, n, images)
+        return ([(1, {0: one, 1: one}), (2, {0: one, 2: one})] if n == 3
+                else reps), verified
 
     monkeypatch.setattr(complexes, "_representatives", merging)
     for which in OPERATORS:

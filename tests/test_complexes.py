@@ -399,9 +399,15 @@ def test_a_zero_d_eq_is_free_in_every_displayed_degree(ring, order):
 
 
 @pytest.mark.parametrize("rows, want, inverses", [
-    ([{0: "1"}, {1: "u"}], [(0, 0, 0), (1, 1, 1)], 0),  # no row to clear
-    ([{0: "1"}, {0: "u"}], [(0, 0, 0)], 1),  # one row cleared
-], ids=["diagonal", "column"])
+    ([{0: "1"}, {1: "u"}], ([(0, 0, 0), (1, 1, 1)], None), 0),  # no row
+    # the pivot row has no entry left: the row below only drops its entry
+    ([{0: "1"}, {0: "u"}], ([(0, 0, 0)], None), 0),
+    ([{0: "1", 1: "1"}, {0: "u"}], ([(0, 0, 0), (1, 1, 1)], None), 1),
+    # an entry without visible terms beside a pivot alone in its row: no
+    # product; beside a visible entry: its tail reaches the certificate
+    ([{0: "1"}, {0: "t"}], ([(0, 0, 0)], None), 0),
+    ([{0: "1", 1: "1"}, {0: "t"}], ([(0, 0, 0)], 2), 1),
+], ids=["diagonal", "column", "row-kept", "termless", "termless-row-kept"])
 def test_dvr_inverts_a_pivot_unit_only_to_clear_a_row(monkeypatch, rows,
                                                       want, inverses):
     calls = []
@@ -409,11 +415,22 @@ def test_dvr_inverts_a_pivot_unit_only_to_clear_a_row(monkeypatch, rows,
     monkeypatch.setattr(complexes, "useries_invert_unit",
                         lambda w, q_order: calls.append(w) or real(w, q_order))
     entry = {"1": USeries.build(SETUP, 3, [SETUP.one()]),
-             "u": USeries.build(SETUP, 3, [SETUP.zero(), SETUP.one()])}
+             "u": USeries.build(SETUP, 3, [SETUP.zero(), SETUP.one()]),
+             "t": USeries.build(SETUP, 3, [NovikovElem(SETUP, (), 2)])}
     assert dvr_diagonalize(
         [{c: entry[e] for c, e in row.items()} for row in rows], SETUP, 3
-    ) == (want, None)
+    ) == want
     assert len(calls) == inverses
+
+
+def test_dvr_skipping_an_update_keeps_the_dropped_tail():
+    # the pivot u (row 0) is alone in its row; row 1's entry O(q^2) + u^2
+    # needs no update, but dividing it by u drops the tail O(q^2) at u^0,
+    # which still bounds the certificate
+    z, one = SETUP.zero(), SETUP.one()
+    rows = [{0: USeries.build(SETUP, 3, [z, one])},
+            {0: USeries.build(SETUP, 3, [NovikovElem(SETUP, (), 2), z, one])}]
+    assert dvr_diagonalize(rows, SETUP, 3) == ([(0, 0, 1)], 2)
 
 
 def test_dvr_diagonalize_asks_for_a_field_only_for_an_entry():
@@ -579,7 +596,7 @@ def test_cohomology_of_a_non_complex_is_an_input_error():
 def test_representative_count_mismatch_is_an_internal_error(monkeypatch):
     real = complexes._representatives
     monkeypatch.setattr(complexes, "_representatives",
-                        lambda *args: real(*args)[1:])
+                        lambda *args: (real(*args)[0][1:], None))
     C = _free_complex([("a", 0)])
     with pytest.raises(InternalError) as info:
         cohomology_over_novikov_field(C)
