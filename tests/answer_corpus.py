@@ -19,13 +19,17 @@ fuzz, 9 mutants per fixture, with EQCARTAN_Q_ORDER and EQCARTAN_U_ORDER
 unset: the stem, the mutant's number, the exit code, the first 16 hex
 digits of the sha256 of stdout, and the command.  A change to it is a
 change of answer.  ``test_golden_cli`` asserts (a), (c) and these lines on
-one run of that fuzz; ``tests/exit_fuzz.py`` asserts (a), (c) and the order
-property (d) at other seeds.  Run as a script,
+one run of that fuzz.  ``tests/answer_corpus_fuzz.txt`` holds, in the same
+format and seed by seed, the lines of the seeds 1-3 fuzz with 40 mutants
+per fixture and the orders unset; ``tests/exit_fuzz.py`` asserts them with
+(a), (c) and the order property (d).  Run as a script,
 
-    python tests/answer_corpus.py [--write]
+    python tests/answer_corpus.py [--fuzz] [--write]
 
-prints every line that differs and exits 1 if any does; ``--write``
-rewrites the file instead.  The package must be importable.
+prints every line that differs from the seed-16 corpus (with ``--fuzz``,
+from the seeds 1-3 one) and exits 1 if any does; ``--write`` rewrites the
+file instead.  The package must be importable; it needs only the standard
+library.
 """
 
 import argparse
@@ -33,6 +37,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -48,6 +53,10 @@ FIXTURES = sorted(
     (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 MUTANTS = 9  # per fixture: 108 documents over the 12 fixtures
 SEED = 16
+# the documents of tests/exit_fuzz.py: 1,440 over the 12 fixtures
+FUZZ_CORPUS = CORPUS.with_name("answer_corpus_fuzz.txt")
+FUZZ_SEEDS = (1, 2, 3)
+FUZZ_MUTANTS = 40
 DOCUMENT = "mutant.json"
 ORDER_VARIABLES = ("EQCARTAN_Q_ORDER", "EQCARTAN_U_ORDER")
 
@@ -170,6 +179,14 @@ def violations(all_runs):
     return bad
 
 
+def differences(path, lines):
+    """Each (pinned, now) pair of corpus lines that differ between the
+    file ``path`` and ``lines``, with None where one side has no line."""
+    pinned = path.read_text().splitlines()
+    return [(a, b) for a, b in itertools.zip_longest(pinned, lines)
+            if a != b]
+
+
 @contextlib.contextmanager
 def in_a_scratch_directory():
     """Run in a fresh temporary working directory, with the orders unset."""
@@ -186,23 +203,25 @@ def in_a_scratch_directory():
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--fuzz", action="store_true",
+                   help="the seeds 1-3 corpus of tests/exit_fuzz.py")
     p.add_argument("--write", action="store_true",
                    help="rewrite the corpus from this run")
     args = p.parse_args(argv)
+    path, seeds, count = ((FUZZ_CORPUS, FUZZ_SEEDS, FUZZ_MUTANTS) if args.fuzz
+                          else (CORPUS, (SEED,), MUTANTS))
     with in_a_scratch_directory():
-        lines = [r.line() for r in runs()]
+        lines = [r.line() for seed in seeds for r in runs(seed, count)]
     if args.write:
-        CORPUS.write_text("".join(f"{line}\n" for line in lines))
-        print(f"wrote {len(lines)} lines to {CORPUS.name}")
+        path.write_text("".join(f"{line}\n" for line in lines))
+        print(f"wrote {len(lines)} lines to {path.name}")
         return 0
-    pinned = CORPUS.read_text().splitlines()
-    differ = [(a, b) for a, b in zip(pinned, lines) if a != b]
+    differ = differences(path, lines)
     for a, b in differ:
         print(f"pinned {a}\n   now {b}")
-    if len(pinned) != len(lines):
-        print(f"{len(pinned)} pinned lines, {len(lines)} now")
-    print(f"{len(lines) - len(differ)} of {len(lines)} answers match")
-    return 1 if differ or len(pinned) != len(lines) else 0
+    total = len(lines) + sum(b is None for _, b in differ)
+    print(f"{total - len(differ)} of {total} answers match")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

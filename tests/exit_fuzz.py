@@ -5,16 +5,18 @@ Usage: python tests/exit_fuzz.py [--seeds 1 2 3] [--mutants 40]
 Each fixture takes ``--mutants`` mutated documents per seed, and every one
 runs through the eleven document commands in process, first with the
 EQCARTAN_*_ORDER variables unset.  Every run must keep ``answer_corpus``'s
-properties (a) and (c).  The same documents then run at EQCARTAN_Q_ORDER
-2, 8 and 64, and at EQCARTAN_U_ORDER 2, 4 and 8, and keep (a) and (c) there
-too, and
+properties (a) and (c), and at the default seeds and count its line must
+match ``tests/answer_corpus_fuzz.txt``.  The same documents then run at
+EQCARTAN_Q_ORDER 2, 8 and 64, and at EQCARTAN_U_ORDER 2, 4 and 8, and keep
+(a) and (c) there too, and
 
 (d) no command's exit goes from 0 to 1 or from 1 to 0 between two orders,
     and none that exits 0 or 1 at an order exits 3 at a higher one.
 
 The run fails (exit 1, naming the property and each failing document's
-edits) if any run breaks one; it stops after the first sweep if that one
-does.  The package must be importable (installed, or src on PYTHONPATH).
+edits, or each pinned line and the line now) if any run breaks one; it
+stops after the first sweep if that one does.  The package must be
+importable (installed, or src on PYTHONPATH).
 """
 
 import argparse
@@ -22,8 +24,8 @@ import os
 import sys
 import time
 
-from answer_corpus import COMMANDS, FIXTURES, in_a_scratch_directory, \
-    runs, violations
+from answer_corpus import COMMANDS, FIXTURES, FUZZ_CORPUS, FUZZ_MUTANTS, \
+    FUZZ_SEEDS, differences, in_a_scratch_directory, runs, violations
 
 RISING = (("EQCARTAN_Q_ORDER", ("2", "8", "64")),
           ("EQCARTAN_U_ORDER", ("2", "4", "8")))
@@ -58,14 +60,20 @@ def order_violations(seeds, count):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--mutants", type=int, default=40,
+    p.add_argument("--seeds", type=int, nargs="+", default=list(FUZZ_SEEDS))
+    p.add_argument("--mutants", type=int, default=FUZZ_MUTANTS,
                    help="mutated documents per fixture and seed")
     args = p.parse_args(argv)
     start = time.perf_counter()
     with in_a_scratch_directory():
-        bad = [v for seed in args.seeds
-               for v in violations(runs(seed, args.mutants))]
+        bad, lines = [], []
+        for seed in args.seeds:
+            fuzz = list(runs(seed, args.mutants))
+            bad += violations(fuzz)
+            lines += [r.line() for r in fuzz]
+        if (tuple(args.seeds), args.mutants) == (FUZZ_SEEDS, FUZZ_MUTANTS):
+            bad += [f"answer moved: pinned {a}\n   now {b}"
+                    for a, b in differences(FUZZ_CORPUS, lines)]
         if not bad:
             bad = order_violations(args.seeds, args.mutants)
     for line in bad:
