@@ -340,11 +340,13 @@ class CohomologyReport(dict):
     rows if nothing maps in) and its representatives as (column, sparse
     vector) pairs; a vector is 1 at its column, where the other
     representatives and the image rows are 0, and 0 at every image pivot
-    column.  ``classes`` names the classes
+    column.  ``where`` maps each generator to its (block, position among
+    the block's generators).  ``classes`` names the classes
     in that order: class c is "class c" and carries its degree as index.
     """
 
     blocks: list
+    where: dict
     classes: list
 
     def project(self, block: OperatorMatrix):
@@ -355,11 +357,9 @@ class CohomologyReport(dict):
         rows, its coefficients are read at the representatives' columns,
         the classes with visible ones are taken away, and its residue is the
         least position with visible terms in the first degree keeping any."""
-        where = {g: (b, i) for b, (gens, _, _) in enumerate(self.blocks)
-                 for i, g in enumerate(gens)}
         parts = [defaultdict(dict) for _ in self.blocks]  # column -> vector
         for (g, s), v in block.entries.items():
-            b, i = where[g]
+            b, i = self.where[g]
             parts[b][s][i] = v
         coeffs, residues, first = {}, {}, 0
         for (gens, images, reps), columns in zip(self.blocks, parts):
@@ -394,62 +394,52 @@ def cohomology_over_novikov_field(C: GradedComplex,
 
     Gaussian elimination over the Novikov field with q-valuation pivoting;
     the certificate records the q-order to which zero-decisions were
-    verified (None = exact).  The returned report also carries the
-    projection onto its classes (``CohomologyReport.project``), read off
-    the same eliminations.  An entry of d that does not raise the displayed
-    degree by d.degree (one a ``q_degree_two`` complex may hold) has no
-    block to go in: it is refused with an ``InputError`` naming it.
+    verified (None = exact) in every elimination it runs.  The returned
+    report also carries the projection onto its classes
+    (``CohomologyReport.project``), read off the same eliminations.  An
+    entry of d that does not raise the displayed degree by d.degree (one a
+    ``q_degree_two`` complex may hold) has no block to go in: it is refused
+    with an ``InputError`` naming it.
     """
     if not C.setup.ring.is_field:
         raise CoefficientError("cohomology requires field coefficients")
     _refuse_misplaced(C.d, C.grading, "d", "cohomology")
     setup = C.setup
     degrees = C.degrees_present()
-    # the block of d from degree k, as sparse rows over the positions of
-    # the generators within their degrees
-    degree, pos = {}, {}
-    for k in degrees:
-        for i, g in enumerate(C.generators_in_degree(k)):
-            degree[g], pos[g] = k, i
-    rows = {k: [{} for _ in C.generators_in_degree(
-        C.grading.displayed(k + C.d.degree))] for k in degrees}
+    gens = [C.generators_in_degree(k) for k in degrees]
+    where = {g: (b, i) for b, block in enumerate(gens)
+             for i, g in enumerate(block)}
+    # the block of d from each degree, into the degree that ``into`` names, as
+    # sparse rows over the positions of the generators within their degrees
+    into = [C.grading.displayed(k + C.d.degree) for k in degrees]
+    rows = [[{} for _ in C.generators_in_degree(t)] for t in into]
     for (t, s), v in C.d.entries.items():
-        rows[degree[s]][pos[t]][pos[s]] = v
-    reductions = {k: linalg.row_reduce(rows[k], setup, q_order)
-                  for k in degrees}
+        rows[where[s][0]][where[t][1]][where[s][1]] = v
+    reductions = [linalg.row_reduce(r, setup, q_order) for r in rows]
 
-    verified = _min_trunc(*(red.verified_trunc for red in reductions.values()))
-    report = CohomologyReport(degrees={}, certificate={
-        "verified_q_order_index": verified,
-        "pivot_rule": "minimal q-valuation, then row, then column",
-    })
-    report.blocks, report.classes = [], []
-    zero = setup.zero()
-    for k in degrees:
-        n_k, red = len(C.generators_in_degree(k)), reductions[k]
+    report = CohomologyReport(degrees={})
+    report.blocks, report.where, report.classes = [], where, []
+    # every elimination run, the d-blocks first: the certificate is their meet
+    zero, mismatch, eliminations = setup.zero(), None, list(reductions)
+    for k, block, red in zip(degrees, gens, reductions):
+        n_k = len(block)
         # the blocks into degree k: their rows are degree k's generators,
         # so their pivot columns span the image
-        incoming = [j for j in degrees
-                    if C.grading.displayed(j + C.d.degree) == k]
+        incoming = [j for j, t in enumerate(into) if t == k]
         r_in = sum(reductions[j].rank for j in incoming)
         betti = n_k - red.rank - r_in
         images = linalg.row_reduce(
             [{i: row[pc] for i, row in enumerate(rows[j]) if pc in row}
              for j in incoming for _, pc in reductions[j].pivots],
             setup, q_order)
-        reps, final_trunc = _representatives(red, n_k, images)
+        reps, final = _representatives(red, n_k, images)
+        eliminations += [images, final]
         if len(reps) != betti:
             if bad := _witnesses(C.d.compose(C.d)):
                 raise InputError("d does not square to zero at ({},{}): {}"
                                  .format(*bad[0]["entry"], bad[0]["value"]))
-            msg = (f"representative count {len(reps)} != betti {betti} in "
-                   f"degree {k}")
-            # under q-tails two eliminations of one block can differ in rank
-            t = _min_trunc(verified, images.verified_trunc, final_trunc)
-            if t is not None:
-                raise UndeterminedError(
-                    f"{msg}: ranks decided only below exponent index {t}")
-            raise InternalError(msg)
+            mismatch = mismatch or (f"representative count {len(reps)} != "
+                                    f"betti {betti} in degree {k}")
         report["degrees"][k] = {
             "generators": n_k,
             "rank_out": red.rank,
@@ -459,9 +449,19 @@ def cohomology_over_novikov_field(C: GradedComplex,
                 [rep.get(i, zero) for i in range(n_k)]
                 for _, rep in reps],
         }
-        report.blocks.append((C.generators_in_degree(k), images, reps))
+        report.blocks.append((block, images, reps))
         report.classes += [GeneratorInfo(f"class {len(report.classes) + j}", k)
                            for j in range(len(reps))]
+    verified = _min_trunc(*(e.verified_trunc for e in eliminations if e))
+    if mismatch:
+        # under q-tails two eliminations of one block can differ in rank
+        raise (InternalError(mismatch) if verified is None else
+               UndeterminedError(f"{mismatch}: ranks decided only below "
+                                 f"exponent index {verified}"))
+    report["certificate"] = {
+        "verified_q_order_index": verified,
+        "pivot_rule": "minimal q-valuation, then row, then column",
+    }
     return report
 
 
@@ -469,7 +469,7 @@ def _representatives(red, n, images):
     """Kernel of the block ``red`` of d on a degree of n generators,
     reduced modulo the ``images``, as (column, vector) pairs: see
     ``CohomologyReport``; vectors are sparse in the degree's coordinates.
-    Also returns that last elimination's ``verified_trunc``.
+    Also returns that last elimination, or None where it runs none.
     No truncated inverse enters an elimination here; the representatives
     are divided by their pivots once, at the output of the last one."""
     kern = red._kernel(n)
@@ -477,8 +477,7 @@ def _representatives(red, n, images):
         return list(enumerate(kern)), None  # unit vectors: reduced
     final = linalg.row_reduce([images._clear(v) for v in kern], red.setup,
                               red.q_order)
-    return ([(c, final.reduced[r]) for r, c in final.pivots],
-            final.verified_trunc)
+    return [(c, final.reduced[r]) for r, c in final.pivots], final
 
 
 # -- DVR decomposition over Lambda[[u]] ---------------------------------------

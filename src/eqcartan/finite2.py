@@ -189,7 +189,7 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     ``format_novikov`` under its "row,column" names, and one certificate per
     h-order of each identity, read off the relation matrices (module doc).
     """
-    basis = Z.basis
+    key = [[f"{t.name},{s.name}" for s in Z.basis] for t in Z.basis]
     rel = dict(Z._relations)
     by_order = [
         ("d_eq^2", [rel["d^2 = 0"], rel["d sigma = sigma d"],
@@ -210,7 +210,7 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     def fmt(mats, derivative_at=None):
         out = []
         for k, M in enumerate(mats):
-            entries = {f"{basis[t].name},{basis[s].name}": str(v)
+            entries = {key[t][s]: str(v)
                        for (t, s), v in sorted(M.entries.items())}
             comp = {"h_order": k, "entries": entries}
             if derivative_at == k:

@@ -75,6 +75,10 @@ COMMANDS = [
     (["finite2", "verify", "fixtures/z2_case.json"], 0),
     (["finite2", "assemble", "fixtures/z2_case.json"], 0),
     (["cone", "fixtures/cone_case.json"], 0),
+    # the order flags: a q-order for the eliminations, a u-order for the
+    # analysis
+    (["cohomology", "--q-order", "8", "fixtures/classes_case.json"], 0),
+    (["u-decompose", "--order", "6", "fixtures/torsion_case.json"], 0),
     # the failure paths: broken_case breaks the Cartan identities, the
     # lambda cross-check and the ring axioms, its cy twin the same
     # identities under the cy normalization, and broken_z2_case three
