@@ -532,9 +532,15 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
     change only the pivot row, which retires with its column, so none is
     done.  The least q-tail that a division by u^v drops bounds
     ``verified_trunc``, product or not.
+
+    Each free row keeps its least key (u-valuation, q-valuation of that
+    coefficient, row, column), and the pivot is the least kept key, as a
+    full scan would find it; a pivot step re-keys only the rows with an
+    entry in its column, the only rows it changes.
     """
-    free = dict(enumerate(linalg._sparse(rows)))
-    if any(free.values()) and not setup.ring.is_field:
+    # a row with no entry is never a pivot row and no step reaches it
+    free = {r: row for r, row in enumerate(linalg._sparse(rows)) if row}
+    if free and not setup.ring.is_field:
         raise CoefficientError("DVR decomposition requires field coefficients")
     pivots = []
     verified = None
@@ -542,45 +548,55 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
 
     def shift_down(e, v):
         nonlocal verified
+        if not v:
+            return e  # u^0 divides exactly
         verified = _min_trunc(verified, *(c.trunc for c in e.coeffs[:v]))
-        return e.shift_down(v) if v else e  # u^0 divides exactly
+        return e.shift_down(v)
 
-    while True:
+    def rekey(r):
         best = None  # (u-valuation, q-valuation of that coefficient, row, col)
-        for r, row in free.items():
-            for c, e in row.items():
-                v = e.u_valuation()
-                if v is not None:
-                    key = (v, e.coeffs[v].valuation_index(), r, c)
-                    if best is None or key < best:
-                        best = key
+        for c, e in free[r].items():
+            v = e.u_valuation()
+            if v is not None:
+                key = (v, e.coeffs[v].valuation_index(), r, c)
+                if best is None or key < best:
+                    best = key
         if best is None:
-            break
-        v, _, pr, pc = best
+            keys.pop(r, None)
+        else:
+            keys[r] = best
+
+    keys = {}  # each free row's least key, if it has a visible entry
+    for r in free:
+        rekey(r)
+    while keys:
+        v, _, pr, pc = min(keys.values())
         if v >= analysis_order:
             raise UndeterminedError(f"pivot {pr},{pc} has u-valuation {v} "
                                     f">= the analysis order {analysis_order}")
+        del keys[pr]
         prow = free.pop(pr)
         w = shift_down(prow.pop(pc), v)
         pinv = g = None  # w^-1; (b/u^v) w^-1 for the visible entries b of prow
-        for row in free.values():
+        for r, row in free.items():
             if (e := row.pop(pc, None)) is None:
-                continue
+                continue  # an untouched row keeps its key
             if e:
                 e = shift_down(e, v)  # its dropped q-tails count either way
                 if prow:
                     if pinv is None:
                         pinv = useries_invert_unit(w, q_order)
                     linalg._axpy(row, e * pinv, prow)
-                continue
-            # an entry without visible terms is not divided by u^v: its
-            # tails reach the row as they would through column operations
-            if g is None:
-                g = {c: shift_down(b, v) for c, b in prow.items() if b}
-                if g and pinv is None:
-                    pinv = useries_invert_unit(w, q_order)
-                g = {c: b * pinv for c, b in g.items()}
-            linalg._axpy(row, e, g)
+            else:
+                # an entry without visible terms is not divided by u^v: its
+                # tails reach the row as they would through column operations
+                if g is None:
+                    g = {c: shift_down(b, v) for c, b in prow.items() if b}
+                    if g and pinv is None:
+                        pinv = useries_invert_unit(w, q_order)
+                    g = {c: b * pinv for c, b in g.items()}
+                linalg._axpy(row, e, g)
+            rekey(r)
         pivots.append((pr, pc, v))
     # the remaining entries are visibly zero; check their precision
     lost = [(r, c, e.valid) for r, row in free.items() for c, e in row.items()

@@ -217,10 +217,15 @@ def _cleared(w: SparseRow, f: NovikovElem, p: NovikovElem):
     """(w', g) for clearing an entry f of w against a row with exact pivot
     p: g = f/p and w' = w where p divides f, else w' is w times
     p*q^-val(p), an exact polynomial of valuation 0, and g = f*q^-val(p);
-    either way g*p is f times the factor applied to w."""
+    either way g*p is f times the factor applied to w.  A pivot with no
+    visible terms (an input tail swallowed them) raises UndeterminedError."""
     g = _quotient(f, p)
     if g is not None:
         return w, g
+    if not p.terms:
+        raise UndeterminedError(
+            "an input tail swallowed a pivot: it is only known to vanish "
+            f"below exponent index {p.trunc}, and no entry clears by it")
     s = -p.terms[0][0]
     p0 = p.q_shift(s)
     return {i: p0 * x for i, x in w.items()}, f.q_shift(s)

@@ -698,12 +698,24 @@ class USeries:
 
     def _lead(self) -> int:
         """The first u-order whose coefficient is not decidably zero, else
-        ``valid``: below it the series is an exact zero."""
-        return next((k for k, c in enumerate(self.coeffs) if not c.is_zero()),
-                    self.valid)
+        ``valid``: below it the series is an exact zero.  One plain loop
+        (every product of series reads it), with no generator to set up."""
+        k = 0
+        for c in self.coeffs:
+            if not c.is_zero():
+                break
+            k += 1
+        return k
 
     def u_valuation(self) -> Optional[int]:
-        return next((k for k, c in enumerate(self.coeffs) if c.terms), None)
+        """The first u-order whose coefficient has visible terms, else None
+        (a q-tail alone is no valuation); one plain loop, as in ``_lead``."""
+        k = 0
+        for c in self.coeffs:
+            if c.terms:
+                return k
+            k += 1
+        return None
 
     # -- arithmetic -----------------------------------------------------------
 

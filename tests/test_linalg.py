@@ -6,6 +6,7 @@ import sympy
 
 from conftest import assert_transform_multiplies, densify
 from eqcartan.linalg import (
+    Reduction,
     UndeterminedError,
     row_reduce,
     solve,
@@ -84,6 +85,20 @@ def test_kernel_vectors_annihilate(seed):
     for v in ker:
         img = mat_apply(M, densify(v, n, SETUP.zero()))
         assert all(not e.has_terms() for e in img)
+
+
+def test_clearing_by_a_pivot_an_input_tail_swallowed_is_undetermined():
+    # the pivot (0, 0) kept only its tail O(q^2), as an elimination leaves
+    # it when an input tail swallows its visible terms: the kernel and the
+    # clearing of a vector both divide by it, and both say undetermined
+    one, tail = SETUP.one(), NovikovElem.build(SETUP, [], 2)
+    red = Reduction(SETUP, [(0, 0)], 2, [{0: tail, 1: one}], [{0: one}], 8)
+    swallowed = ("an input tail swallowed a pivot: it is only known to "
+                 "vanish below exponent index 2")
+    with pytest.raises(UndeterminedError, match=swallowed):
+        red._kernel(2)
+    with pytest.raises(UndeterminedError, match=swallowed):
+        red._clear({0: one})
 
 
 @pytest.mark.parametrize("seed", range(10))
