@@ -9,8 +9,9 @@ runs inside its own body, so a process loads nothing else: ``cartan``,
 ``quantum`` and ``finite2`` only for the commands that use them, ``morse``
 only for the ``morse`` commands, and for ``--schema`` none of the
 arithmetic (``novikov``, ``linalg``, ``complexes``).  No command loads a
-third-party package.  ``main`` reads a command's document once, after
-the q-order setting, into ``args.doc``.
+third-party package, and ``traceback`` is loaded for exit 4 only.
+``main`` reads a command's document once, after the q-order setting, into
+``args.doc``.
 
 Default truncation orders come from the environment, read here and in
 ``schema`` only (a library call takes its orders as arguments):
@@ -30,7 +31,6 @@ import argparse
 import itertools
 import os
 import sys
-import traceback
 from typing import Optional
 
 from . import schema as schema_mod
@@ -434,6 +434,7 @@ def main(argv=None) -> int:
         _emit({"error": str(exc), "kind": "undetermined at truncation"})
         return UNDETERMINED
     except Exception as exc:  # a defect: report it, never as a verdict
+        import traceback
         traceback.print_exc(file=sys.stderr)
         _emit({"error": f"{type(exc).__name__}: {exc}",
                "kind": "internal error"})

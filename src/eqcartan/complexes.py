@@ -525,13 +525,12 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
     not decidably zero.  The pivot u^v w (w a unit) has the least
     u-valuation in the remaining block, so each row with an entry e in its
     column becomes r - (e/u^v) w^-1 (pivot row).  w^-1, truncated at
-    q_order, is made for the first such row whose update forms a product
-    (a visible e and a pivot row with an entry left, or an e with no
-    visible terms and a visible pivot-row entry); every other row only
-    drops its entry.  Once its column is cleared, column operations would
-    change only the pivot row, which retires with its column, so none is
-    done.  The least q-tail that a division by u^v drops bounds
-    ``verified_trunc``, product or not.
+    q_order, is made for the first such row if the pivot row has an entry
+    left, with visible terms or not (the product of two termless entries
+    carries a tail); otherwise each row only drops its entry.  Once its
+    column is cleared, column operations would change only the pivot row,
+    which retires with its column, so none is done.  The least q-tail that
+    a division by u^v drops bounds ``verified_trunc``, product or not.
 
     Each free row keeps its least key (u-valuation, q-valuation of that
     coefficient, row, column), and the pivot is the least kept key, as a
@@ -577,7 +576,7 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
         del keys[pr]
         prow = free.pop(pr)
         w = shift_down(prow.pop(pc), v)
-        pinv = g = None  # w^-1; (b/u^v) w^-1 for the visible entries b of prow
+        pinv = g = None  # w^-1; (b/u^v) w^-1 for the entries b of prow
         for r, row in free.items():
             if (e := row.pop(pc, None)) is None:
                 continue  # an untouched row keeps its key
@@ -591,10 +590,9 @@ def dvr_diagonalize(rows: Sequence[linalg.Row], setup: Optional[ScalarSetup],
                 # an entry without visible terms is not divided by u^v: its
                 # tails reach the row as they would through column operations
                 if g is None:
-                    g = {c: shift_down(b, v) for c, b in prow.items() if b}
-                    if g and pinv is None:
+                    if prow and pinv is None:
                         pinv = useries_invert_unit(w, q_order)
-                    g = {c: b * pinv for c, b in g.items()}
+                    g = {c: shift_down(b, v) * pinv for c, b in prow.items()}
                 linalg._axpy(row, e, g)
             rekey(r)
         pivots.append((pr, pc, v))

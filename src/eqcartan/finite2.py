@@ -31,11 +31,12 @@ Truncation is fixed at h^3: nothing beyond that order is specified by the
 relation set, and we refuse to extrapolate.
 
 Each relation's sum of operator products (id is the product id id, lambda
-is lambda id) is made on bit-packed rows, or by ``OperatorMatrix.compose``
-where the rows would be too wide (see ``_products``); lambda from d is
-``entrywise(dq)``.  Entries with a q-tail are refused.  Both entry points
-read one table of the relation matrices, made once per datum; failures and
-entries read in row-major order.
+is lambda id) is made on bit-packed rows, the lighter factor of each
+product doing the loop, or by ``OperatorMatrix.compose`` where the rows
+would be too wide (see ``_products``); lambda from d is ``entrywise(dq)``.
+Entries with a q-tail are refused.  Both entry points read one table of the
+relation matrices, made once per datum; failures read in row-major order,
+and ``assemble_and_check`` prints each distinct entry once per call.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Tuple
 
-from .novikov import InputError, NovikovElem, ScalarSetup, dq
+from .novikov import InputError, NovikovElem, ScalarSetup, dq, format_novikov
 from .complexes import GeneratorInfo, OperatorMatrix, _witnesses
 
 __all__ = ["Z2CartanData", "verify_relations", "assemble_and_check"]
@@ -128,31 +129,39 @@ def _products(setup, ops):
 
     Row t of an operator is one int with bit s S + i - lo for each term of
     q-index i in entry (t, s) (M4RI's packed rows: Albrecht, Bard and Hart,
-    ACM TOMS 37(1), 2010); [lo, hi] holds every index and S = 2 (hi - lo) +
-    1 a product's.  A term i at (t, m) of A XORs row m of B, shifted by
-    i - lo, into row t; bit pos of the sum is a term of index pos % S + 2 lo
-    in column pos // S.  Rows of n S > _PACKED_BITS bits take compose: at
-    n = 12 (Python 3.11, Xeon) the packed relations took 3.0 ms to
-    compose's 4.0 at 48,000 bits, 3.8 to 4.0 at 66,000, 5.1 to 4.3 at 72,000.
+    ACM TOMS 37(1), 2010); [lo, hi] holds every index, read off each
+    entry's first and last term, and S = 2 (hi - lo) + 1 a product's.  Bit
+    pos of a product row is a term of index pos % S + 2 lo in column
+    pos // S.  The lighter factor of each pair does the loop: n steps per
+    term of B (``_by_terms_of_b``) where n terms(B) < terms(A), else one
+    step per term of A (``_by_terms_of_a``).  Rows of n S > _PACKED_BITS
+    bits take compose: at n = 12 (Python 3.11.7, 2 shared cores) the packed
+    relations took 2.6 ms to compose's 3.9 at 48,000 bits, 3.5 to 3.8 at
+    72,000 and 4.4 to 3.8 at 96,000, level near 79,000.
     """
-    indices = [i for op in ops for v in op.entries.values() for i, _ in v.terms]
-    lo, n = min(indices, default=0), len(ops[0].target)
-    S = 2 * (max(indices, default=0) - lo) + 1
+    values = [v.terms for op in ops for v in op.entries.values()]
+    lo = min([terms[0][0] for terms in values], default=0)
+    S = 2 * (max([terms[-1][0] for terms in values], default=0) - lo) + 1
+    n = len(ops[0].target)
     if n * S > _PACKED_BITS:
         return lambda first, *pairs: first[0].compose(first[1], *pairs)
-    rows = {id(op): [0] * n for op in ops}
+    rows, size = {}, {}   # by id(op): its packed rows; its number of terms
     for op in ops:
+        packed, count = [0] * n, 0
         for (t, s), v in op.entries.items():
+            base = s * S - lo
             for i, _ in v.terms:
-                rows[id(op)][t] |= 1 << (s * S + i - lo)
+                packed[t] |= 1 << (base + i)
+            count += len(v.terms)
+        rows[id(op)], size[id(op)] = packed, count
 
     def product(*pairs):
         acc = [0] * n
         for A, B in pairs:
-            packed = rows[id(B)]
-            for (t, m), a in A.entries.items():
-                for i, _ in a.terms:
-                    acc[t] ^= packed[m] << (i - lo)
+            if n * size[id(B)] < size[id(A)]:
+                acc = _by_terms_of_b(acc, rows[id(A)], B, lo, S)
+            else:
+                acc = _by_terms_of_a(acc, A, rows[id(B)], lo)
         cells = {}
         for t, row in enumerate(acc):
             while row:
@@ -165,6 +174,26 @@ def _products(setup, ops):
             {k: NovikovElem(setup, tuple(terms)) for k, terms in cells.items()},
             A.degree + B.degree)
     return product
+
+
+def _by_terms_of_a(acc, A, rows_b, lo):
+    """acc + A B, in place: each term i at (t, m) of A XORs row m of B,
+    shifted by i - lo, into row t."""
+    for (t, m), a in A.entries.items():
+        for i, _ in a.terms:
+            acc[t] ^= rows_b[m] << (i - lo)
+    return acc
+
+
+def _by_terms_of_b(acc, rows_a, B, lo, S):
+    """acc + A B: each term j at (m, s) of B moves slot m of every row of A
+    into slot s, shifted by j - lo."""
+    mask = (1 << S) - 1
+    for (m, s), b in B.entries.items():
+        for j, _ in b.terms:
+            acc = [x ^ (((r >> (m * S)) & mask) << (s * S + j - lo))
+                   for x, r in zip(acc, rows_a)]
+    return acc
 
 
 _XI_RELATION = ("d Xi + Xi d = sigma xi + xi sigma + Sigma iota + iota Sigma"
@@ -185,9 +214,10 @@ def verify_relations(Z: Z2CartanData) -> dict:
 def assemble_and_check(Z: Z2CartanData) -> dict:
     """Assemble d_eq and Gamma_q mod h^3 and certify both identities.
 
-    Returns both operators' h-components, each stored entry printed once by
-    ``format_novikov`` under its "row,column" names, and one certificate per
-    h-order of each identity, read off the relation matrices (module doc).
+    Returns both operators' h-components, each stored entry under its
+    "row,column" names (``format_novikov`` prints each distinct one once),
+    and one certificate per h-order of each identity, read off the relation
+    matrices (module doc).
     """
     key = [[f"{t.name},{s.name}" for s in Z.basis] for t in Z.basis]
     rel = dict(Z._relations)
@@ -207,11 +237,14 @@ def assemble_and_check(Z: Z2CartanData) -> dict:
     d_eq = [Z.d, Z.identity() + Z.sigma, Z.Sigma]   # h^0, h^1, h^2 parts
     gamma = [Z.iota, Z.xi, Z.Xi]        # matrix parts; h^2 also carries d/dq
 
+    text = {}   # each distinct entry printed once, by its terms
+
     def fmt(mats, derivative_at=None):
         out = []
         for k, M in enumerate(mats):
-            entries = {key[t][s]: str(v)
-                       for (t, s), v in sorted(M.entries.items())}
+            entries = {key[t][s]: text.get(v.terms)
+                       or text.setdefault(v.terms, format_novikov(v))
+                       for (t, s), v in M.entries.items()}
             comp = {"h_order": k, "entries": entries}
             if derivative_at == k:
                 comp["plus_operator"] = "d/dq"

@@ -373,8 +373,8 @@ def dvr_diagonalize(rows, setup, analysis_order, q_order=None):
             if c == pc:
                 continue
             e = M[pr][c]
-            if not e:
-                continue
+            if e.is_zero():
+                continue  # a termless entry's tail still reaches every row
             g = shift_down(e, v) * pinv
             for r in range(m):
                 M[r][c] = M[r][c] - (g * M[r][pc])

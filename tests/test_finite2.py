@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from eqcartan import finite2
 from eqcartan.complexes import GeneratorInfo, OperatorMatrix
 from eqcartan.finite2 import Z2CartanData, assemble_and_check, verify_relations
 from eqcartan.novikov import InputError, NovikovElem, NovikovError, \
     ScalarSetup, dq, parse_novikov
 
 SETUP = ScalarSetup.make(1, "F2")
+SETUP_HALF = ScalarSetup.make(Fraction(1, 2), "F2")
 Z2_CASE = Path(__file__).resolve().parent.parent / "fixtures" / "z2_case.json"
 
 
@@ -96,6 +99,64 @@ def golden_with_nonzero_lambda():
         lam={(1, 0): one},
         sigma={(0, 0): one, (1, 1): one},
         Xi={(0, 0): SETUP.monomial(1, -1)})
+
+
+def perturbed(rng, Z):
+    """Z with one to three monomials added at random cells of random
+    operators; d only gains integer exponents, so dq(d) stays over F2."""
+    maps = {k: dict(op.entries) for k, op in Z.operators().items()}
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(sorted(maps))
+        step = 1 if name == "d" else Z.setup.lattice.generator
+        x = Z.setup.monomial(1, step * rng.randint(-3, 4))
+        cell = (rng.randrange(Z.n), rng.randrange(Z.n))
+        maps[name][cell] = maps[name][cell] + x if cell in maps[name] else x
+    return Z2CartanData.build(Z.setup, Z.basis, **maps)
+
+
+@pytest.mark.parametrize("setup", [SETUP, SETUP_HALF], ids=["g=1", "g=1/2"])
+def test_packed_products_equal_compose(monkeypatch, setup):
+    """Every relation matrix made on packed rows equals ``A.compose(B,
+    *pairs)`` field for field, on systems that hold and perturbed systems
+    that fail, with n up to 12; the draws run both loops of the lighter
+    factor and the wide-row fallback (an Xi entry 20,000 steps out)."""
+    ran = {"terms of A": 0, "terms of B": 0, "compose": 0, "failing": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            ran[name] += 1
+            return fn(*args)
+        return call
+
+    compose, products = OperatorMatrix.compose, finite2._products
+    monkeypatch.setattr(finite2, "_by_terms_of_a",
+                        counted("terms of A", finite2._by_terms_of_a))
+    monkeypatch.setattr(finite2, "_by_terms_of_b",
+                        counted("terms of B", finite2._by_terms_of_b))
+    monkeypatch.setattr(OperatorMatrix, "compose", counted("compose", compose))
+
+    def checked(setup, ops):
+        product = products(setup, ops)
+
+        def both(*pairs):
+            got = product(*pairs)
+            assert got == compose(*pairs[0], *pairs[1:])
+            return got
+        return both
+
+    monkeypatch.setattr(finite2, "_products", checked)
+    rng = random.Random(49)
+    for k in range(12):
+        Z = random_z2_data(rng, max_gens=12, setup=setup)
+        systems = [Z, perturbed(rng, Z)]
+        if k == 0:
+            far = setup.monomial(1, setup.lattice.generator * 20000)
+            ops = {name: op.entries for name, op in Z.operators().items()}
+            systems.append(Z2CartanData.build(
+                setup, Z.basis, **dict(ops, Xi={**ops["Xi"], (0, 0): far})))
+        for W in systems:
+            ran["failing"] += not verify_relations(W)["all_hold"]
+    assert all(ran.values()), ran
 
 
 def test_requires_f2():
